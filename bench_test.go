@@ -155,9 +155,10 @@ func BenchmarkStrategiesParallel(b *testing.B) {
 // Snowflake32 shape at a fixed worker budget, for every strategy. The
 // benchmark also enforces the layer's core claim inline: the merged
 // checksum is bit-identical at every shard count. Shard count 1 is the
-// unsharded baseline (the partition is the original dataset), so the
-// deltas isolate the partitioning + replicated-build overhead that the
-// serving tier pays for failover granularity.
+// unsharded baseline (the trivial partition restricts nothing). No
+// artifact provider is wired, so every shard's Run builds its own
+// tables: the deltas are the cold per-shard build plus the row-set
+// materialization, the cost a serving tier avoids through its cache.
 func BenchmarkStrategiesSharded(b *testing.B) {
 	rng := rand.New(rand.NewSource(123))
 	tr := plan.Snowflake(3, 2, plan.UniformStats(rng, 0.5, 0.8, 1, 3))

@@ -21,6 +21,11 @@
 // query; a plain m2mserve serves shard-worker requests without any
 // shard flags.
 //
+// The edge is bounded: POST bodies are capped at 8 MiB (an oversize
+// body is a 400 with the invalid-class envelope), and header reads,
+// body reads and idle keep-alive connections time out on fixed
+// constants (5s / 30s / 2m).
+//
 // On SIGTERM or SIGINT the server drains gracefully: new queries are
 // shed (503 + Retry-After), in-flight queries run to completion (up to
 // -drain-timeout), final stats are logged, and the process exits 0.
@@ -76,6 +81,17 @@ import (
 
 	"m2mjoin/internal/service"
 	"m2mjoin/internal/storage"
+)
+
+// Connection-level read bounds: a client that stalls sending its
+// headers or body, or parks an idle keep-alive connection, is dropped
+// instead of pinning a goroutine. There is deliberately no write
+// timeout — a query's own deadline (Request.TimeoutMillis) bounds how
+// long a response may take.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -194,7 +210,13 @@ func main() {
 		handler = outer
 		log.Printf("m2mserve: pprof mounted at /debug/pprof/")
 	}
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	// SIGTERM/SIGINT begin a graceful drain instead of killing the
 	// process mid-query.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)

@@ -144,10 +144,9 @@ type ExecuteOptions struct {
 	// Selections are pushed-down equality predicates on the base
 	// relations.
 	Selections []exec.Selection
-	// DriverRowMap remaps emitted driver row indices to global
-	// coordinates when executing one shard of a partitioned dataset
-	// (see exec.Options.DriverRowMap).
-	DriverRowMap []int32
+	// DriverRows restricts the driver scan to one shard's row set (see
+	// exec.Options.DriverRows); nil scans every row.
+	DriverRows *storage.Bitmap
 	// CollectOutput receives output tuples (canonical NodeID layout);
 	// requires FlatOutput.
 	CollectOutput func(rows []int32)
@@ -190,7 +189,7 @@ func execOptions(choice PlanChoice, opts ExecuteOptions) exec.Options {
 		Ctx:           opts.Ctx,
 		Artifacts:     opts.Artifacts,
 		Selections:    opts.Selections,
-		DriverRowMap:  opts.DriverRowMap,
+		DriverRows:    opts.DriverRows,
 		CollectOutput: opts.CollectOutput,
 		Version:       opts.Version,
 		Trace:         opts.Trace,

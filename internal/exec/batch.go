@@ -2,21 +2,16 @@ package exec
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
-	"m2mjoin/internal/buf"
 	"m2mjoin/internal/cost"
-	"m2mjoin/internal/faultinject"
-	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
-	"m2mjoin/internal/telemetry"
 )
 
-// This file is the shared-scan batch executor: several queries against
-// the same dataset snapshot execute as ONE driver pass whose chunk
-// loop evaluates every attached query's probe set per chunk, instead
-// of each query rescanning the driver alone. Each member keeps its own
+// This file is the shared-scan batch entry point: several queries
+// against the same dataset snapshot execute as ONE driver pass through
+// the chunk scheduler every execution uses (scan, exec.go), which
+// evaluates every attached query's probe set per chunk instead of each
+// query rescanning the driver alone. Each member keeps its own
 // phase 1 (its strategy may differ, its artifacts come from its own
 // provider), its own workers, counters and checksum, its own fault
 // injection and its own cancellation: because every counter is
@@ -24,8 +19,8 @@ import (
 // sum — the same invariants that make parallelism bit-identical — a
 // member's Stats are bit-identical to running it solo. What members
 // must share is the scan geometry: the same driver row set (no
-// root-relation selections that differ) and the same chunk size, so
-// chunk i means the same rows for everyone.
+// differing root-relation selections or driver-row restrictions) and
+// the same chunk size, so chunk i means the same rows for everyone.
 //
 // SJ strategies are rejected: their phase 1 reduces the driver mask
 // per query, so no common driver scan exists (the serving layer
@@ -61,20 +56,10 @@ func RunBatch(ds *storage.Dataset, optsList []Options) ([]Stats, []error) {
 		return stats, errs
 	}
 
-	executeShared(members)
+	scan(members)
 
 	for j, r := range members {
-		i := slots[j]
-		r.opts.Trace.End(r.execSpan)
-		if err := r.failure(); err != nil {
-			errs[i] = fmt.Errorf("exec: query failed: %w", err)
-			continue
-		}
-		if r.ctxDone() {
-			errs[i] = fmt.Errorf("exec: query cancelled: %w", r.opts.Ctx.Err())
-			continue
-		}
-		stats[i] = r.collectStats()
+		stats[slots[j]], errs[slots[j]] = r.finish()
 	}
 	return stats, errs
 }
@@ -120,179 +105,6 @@ func sameDriverMask(a, b *storage.Bitmap) bool {
 	aw, bw := a.Words(), b.Words()
 	for i, w := range aw {
 		if w != bw[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// executeShared is the shared phase 2: one pass over the common driver
-// chunks, each chunk evaluated for every live member before the scan
-// advances. Work distributes over the maximum member parallelism; a
-// worker slot owns one private worker PER member (chunk scratch is
-// per-query state), so within a slot the members' chunk loops
-// interleave over the same driver slice — the macro analogue of the
-// probe-chain interleaving, sharing the scan instead of the probes.
-// Per member and per chunk the same failpoint fires and the same
-// cancellation poll runs as in a solo pass, so fault and cancel
-// behavior stay per-query.
-func executeShared(members []*run) {
-	lead := members[0]
-	// Per-member phase-2 and probe spans cover the member's share of
-	// the scan: the probe span is annotated with the batch size so a
-	// trace shows the query rode a shared scan. The span-ID slices are
-	// allocated only when a member actually carries a trace — the
-	// disabled path must stay allocation-identical to the untraced
-	// build.
-	traced := false
-	for _, r := range members {
-		if r.opts.Trace != nil {
-			traced = true
-			break
-		}
-	}
-	var phase2Spans, probeSpans []telemetry.SpanID
-	if traced {
-		phase2Spans = make([]telemetry.SpanID, len(members))
-		probeSpans = make([]telemetry.SpanID, len(members))
-	}
-	for m, r := range members {
-		r.prepareLayout()
-		if traced {
-			phase2Spans[m] = r.opts.Trace.Start("phase2", r.execSpan)
-			probeSpans[m] = r.opts.Trace.Start("probe", phase2Spans[m])
-			r.opts.Trace.Annotate(probeSpans[m], "shared", int64(len(members)))
-		}
-	}
-	var live []int32
-	n := lead.ds.Relation(plan.Root).NumRows()
-	if lead.driverLive != nil {
-		live = lead.driverRows()
-		n = len(live)
-	}
-	cs := lead.opts.ChunkSize
-	nChunks := (n + cs - 1) / cs
-
-	p := 1
-	for _, r := range members {
-		if r.opts.Parallelism > p {
-			p = r.opts.Parallelism
-		}
-	}
-	if p > nChunks {
-		p = nChunks
-	}
-	for _, r := range members {
-		r.collectLocked = r.opts.CollectOutput != nil && p > 1
-	}
-
-	// runChunk evaluates chunk i for every member still running, on
-	// the worker set ws (one worker per member). iota is the slot's
-	// shared driver buffer for maskless scans — filled once per chunk,
-	// read by every member.
-	runChunk := func(ws []*worker, i int, iota *[]int32) {
-		lo := i * cs
-		hi := min(lo+cs, n)
-		rows := live
-		if rows == nil {
-			*iota = buf.Grow(*iota, hi-lo)
-			rows = *iota
-			for j := range rows {
-				rows[j] = int32(lo + j)
-			}
-		} else {
-			rows = rows[lo:hi]
-		}
-		for m, r := range members {
-			if r.cancelled() {
-				continue
-			}
-			if err := faultinject.Fire(faultinject.SiteProbeChunk); err != nil {
-				r.fail(err)
-				continue
-			}
-			w := ws[m]
-			r.guard("phase2-worker", func() { w.runChunk(rows) })
-		}
-	}
-
-	newWorkers := func() []*worker {
-		ws := make([]*worker, len(members))
-		for m, r := range members {
-			ws[m] = newWorker(r)
-		}
-		return ws
-	}
-	mergeWorkers := func(ws []*worker) {
-		for m, r := range members {
-			r.merge(ws[m])
-		}
-	}
-	// finishSpans closes every member's probe span, runs the worker
-	// fold under per-member merge spans, and closes phase 2.
-	finishSpans := func(merge func()) {
-		if !traced {
-			merge()
-			return
-		}
-		for m, r := range members {
-			r.opts.Trace.End(probeSpans[m])
-		}
-		mergeSpans := make([]telemetry.SpanID, len(members))
-		for m, r := range members {
-			mergeSpans[m] = r.opts.Trace.Start("merge", phase2Spans[m])
-		}
-		merge()
-		for m, r := range members {
-			r.opts.Trace.End(mergeSpans[m])
-			r.opts.Trace.End(phase2Spans[m])
-		}
-	}
-
-	if p <= 1 {
-		ws := newWorkers()
-		var iota []int32
-		for i := 0; i < nChunks; i++ {
-			if allDone(members) {
-				break
-			}
-			runChunk(ws, i, &iota)
-		}
-		finishSpans(func() { mergeWorkers(ws) })
-		return
-	}
-
-	slots := make([][]*worker, p)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for s := range slots {
-		slots[s] = newWorkers()
-		wg.Add(1)
-		go func(ws []*worker) {
-			defer wg.Done()
-			var iota []int32
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= nChunks || allDone(members) {
-					return
-				}
-				runChunk(ws, i, &iota)
-			}
-		}(slots[s])
-	}
-	wg.Wait()
-	finishSpans(func() {
-		for _, ws := range slots {
-			mergeWorkers(ws)
-		}
-	})
-}
-
-// allDone reports whether every member has failed or been cancelled —
-// the shared scan's early-exit condition.
-func allDone(members []*run) bool {
-	for _, r := range members {
-		if !r.cancelled() {
 			return false
 		}
 	}

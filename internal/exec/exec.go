@@ -130,16 +130,15 @@ type Options struct {
 	// strategies never consult the provider: their tables are built
 	// from per-query semi-join-reduced masks, which are not shareable.
 	Artifacts Artifacts
-	// DriverRowMap, when non-nil, remaps driver row indices at emission:
-	// an output tuple whose driver component is shard-local row i is
-	// emitted (checksum and CollectOutput alike) with DriverRowMap[i]
-	// instead. The scatter-gather layer sets it so every shard reports
-	// its tuples in the parent dataset's global row coordinates, which
-	// is what makes merged shard checksums bit-identical to unsharded
-	// execution. Must have one entry per driver row. Internal execution
-	// state (probes, masks, residual checks) is untouched — the remap
-	// happens after the residual check, on the emitted copy only.
-	DriverRowMap []int32
+	// DriverRows, when non-nil, restricts the driver scan to the marked
+	// rows: one bit per physical driver row, ANDed into the root mask
+	// exactly where root selections and snapshot liveness land, so the
+	// semi-join root reduction, chunking and shared-scan compatibility
+	// see one driver row set and nothing else is restriction-aware. The
+	// scatter-gather layer sets it to a shard's row set (shard.Shard.
+	// Rows); every other structure — build side, artifacts, emitted row
+	// coordinates — is the unrestricted snapshot's. Read-only.
+	DriverRows *storage.Bitmap
 	// CollectOutput, when set, receives every flat output tuple as the
 	// base-relation row indices in ascending NodeID order. The slice is
 	// freshly allocated per call and may be retained. Only valid with
@@ -196,11 +195,11 @@ type Stats struct {
 	// the non-driver relations. Those reductions never touch the driver
 	// — the driver is nobody's child, so it is only ever the target of
 	// the final root reduction — which means they are a pure function of
-	// the shared build side and come out identical in every shard of a
-	// partitioned dataset. MergeShardStats uses this split to count the
-	// replicated build-side work once instead of once per shard;
-	// BuildTagHits / BuildTagMisses are the matching split of the tag
-	// counters. All three are zero for non-SJ strategies.
+	// the build side and come out identical in every shard's run of a
+	// partitioned query. MergeShardStats uses this split to count that
+	// repeated work once instead of once per shard; BuildTagHits /
+	// BuildTagMisses are the matching split of the tag counters. All
+	// three are zero for non-SJ strategies.
 	BuildSemiJoinProbes int64
 	// BuildTagHits — see BuildSemiJoinProbes.
 	BuildTagHits int64
@@ -299,7 +298,8 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
-// Run executes the query described by the dataset under opts.
+// Run executes the query described by the dataset under opts: its own
+// build phase, then the chunk scheduler (scan) as a batch of one.
 func Run(ds *storage.Dataset, opts Options) (Stats, error) {
 	r, err := prepare(ds, opts)
 	if err != nil {
@@ -308,13 +308,14 @@ func Run(ds *storage.Dataset, opts Options) (Stats, error) {
 	if err := r.runPhase1(); err != nil {
 		return Stats{}, err
 	}
+	scan([]*run{r})
+	return r.finish()
+}
 
-	r.guard("phase2", func() {
-		sp := r.opts.Trace.Start("phase2", r.execSpan)
-		r.prepareLayout()
-		r.execute(sp)
-		r.opts.Trace.End(sp)
-	})
+// finish closes the run's exec span and converts its outcome into
+// Run's contract: the first recorded failure, else cancellation, else
+// the collected stats.
+func (r *run) finish() (Stats, error) {
 	r.opts.Trace.End(r.execSpan)
 	if err := r.failure(); err != nil {
 		return Stats{}, fmt.Errorf("exec: query failed: %w", err)
@@ -359,10 +360,10 @@ func prepare(ds *storage.Dataset, opts Options) (*run, error) {
 			return nil, fmt.Errorf("exec: %w", err)
 		}
 	}
-	if opts.DriverRowMap != nil {
-		if n := ds.Relation(plan.Root).NumRows(); len(opts.DriverRowMap) != n {
-			return nil, fmt.Errorf("exec: DriverRowMap has %d entries for %d driver rows",
-				len(opts.DriverRowMap), n)
+	if opts.DriverRows != nil {
+		if n := ds.Relation(plan.Root).NumRows(); opts.DriverRows.Len() != n {
+			return nil, fmt.Errorf("exec: DriverRows covers %d rows, the driver has %d",
+				opts.DriverRows.Len(), n)
 		}
 	}
 	if opts.Version != 0 && opts.Version != ds.Version() {
@@ -374,7 +375,7 @@ func prepare(ds *storage.Dataset, opts Options) (*run, error) {
 	r.execSpan = opts.Trace.Start("exec", opts.TraceParent)
 	r.perRel = make([]int64, ds.Tree.Len())
 	r.selMasks = selectionMasks(ds, opts.Selections)
-	r.baseMasks = effectiveMasks(ds, r.selMasks)
+	r.baseMasks = restrictDriver(ds, effectiveMasks(ds, r.selMasks), opts.DriverRows)
 	r.driverLive = maskAt(r.baseMasks, plan.Root)
 	if opts.Ctx != nil {
 		r.done = opts.Ctx.Done()
@@ -691,35 +692,38 @@ func (r *run) perBuildParallelism() int {
 // touch only its own relation's state.
 func (r *run) forEachNonRoot(fn func(id plan.NodeID)) {
 	ids := r.ds.Tree.NonRoot()
-	if r.opts.Parallelism <= 1 || len(ids) < 2 {
-		for _, id := range ids {
-			if r.cancelled() {
+	pool(min(r.opts.Parallelism, len(ids)), len(ids), r.cancelled, func(_, i int) {
+		r.guard("phase1-build", func() { fn(ids[i]) })
+	})
+}
+
+// pool calls fn(slot, i) for every i in [0, n) from p workers pulling
+// indices off one shared cursor — the calling goroutine alone when
+// p <= 1 — and returns once every worker has stopped. stop is polled
+// before each index and retires the polling worker. It is the one
+// worker-pool loop of both phases; fn owns its panic boundary.
+func pool(p, n int, stop func() bool, fn func(slot, i int)) {
+	var next atomic.Int64
+	loop := func(slot int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n || stop() {
 				return
 			}
-			fn(id)
+			fn(slot, i)
 		}
+	}
+	if p <= 1 {
+		loop(0)
 		return
 	}
-	p := r.opts.Parallelism
-	if p > len(ids) {
-		p = len(ids)
-	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
-	for wi := 0; wi < p; wi++ {
+	for slot := 0; slot < p; slot++ {
 		wg.Add(1)
-		go func() {
+		go func(slot int) {
 			defer wg.Done()
-			r.guard("phase1-build", func() {
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(ids) || r.cancelled() {
-						return
-					}
-					fn(ids[i])
-				}
-			})
-		}()
+			loop(slot)
+		}(slot)
 	}
 	wg.Wait()
 }
@@ -748,11 +752,11 @@ func (r *run) prepareLayout() {
 }
 
 // driverRows materializes the driver row indices surviving the
-// selection mask and (for SJ strategies) the semi-join reduction. Only
-// called with a driver mask; the unmasked case chunks directly over
-// [0, n) ranges instead (see execute), skipping the O(n) allocation.
-// The returned slice is shared read-only by all workers; chunks are
-// sub-slices of it.
+// selection mask, the driver-row restriction and (for SJ strategies)
+// the semi-join reduction. Only called with a driver mask; the unmasked
+// case chunks directly over [0, n) ranges instead (see scan), skipping
+// the O(n) allocation. The returned slice is shared read-only by all
+// workers; chunks are sub-slices of it.
 func (r *run) driverRows() []int32 {
 	rows := make([]int32, 0, r.driverLive.Count())
 	r.driverLive.ForEachSet(func(row int) {
@@ -761,96 +765,120 @@ func (r *run) driverRows() []int32 {
 	return rows
 }
 
-// execute distributes driver chunks over the configured number of
-// workers and merges their private counters deterministically. With a
-// driver mask the surviving rows are materialized once and chunked by
-// sub-slicing; without one, each worker fills a private iota buffer
-// per [lo, hi) range — no O(n) driver-row materialization.
-func (r *run) execute(parent telemetry.SpanID) {
+// scan is phase 2 of every execution — the one chunk scheduler. The
+// members (built runs over the same snapshot with the same driver row
+// set and chunk size; a solo Run is a batch of one) share one pass
+// over the driver: each chunk is evaluated for every live member
+// before the scan advances. Work distributes over the largest member
+// parallelism; a worker slot owns one private worker per member (chunk
+// scratch is per-query state) and one driver buffer for maskless
+// scans, filled once per chunk and read by every member. With a driver
+// mask the surviving rows are materialized once and chunked by
+// sub-slicing instead.
+//
+// Per member and per chunk the probe-chunk failpoint fires, the
+// cancellation poll runs and the chunk executes under the member's own
+// panic boundary, so a member failing or being cancelled mid-pass
+// stops consuming chunks without perturbing the others. Every counter
+// is additive over driver chunks and the checksum is an
+// order-independent sum, so a member's merged stats are independent of
+// batch size, worker count and scheduling. Each member gets its own
+// phase2 span with one probe span over the whole chunk loop and one
+// merge span over the worker fold — per phase, never per chunk.
+func scan(members []*run) {
+	defer func() {
+		if v := recover(); v != nil {
+			err := &PanicError{Site: "phase2", Value: v, Stack: debug.Stack()}
+			for _, r := range members {
+				r.fail(err)
+			}
+		}
+	}()
+	lead := members[0]
 	var live []int32
-	n := r.ds.Relation(plan.Root).NumRows()
-	if r.driverLive != nil {
-		live = r.driverRows()
+	n := lead.ds.Relation(plan.Root).NumRows()
+	if lead.driverLive != nil {
+		live = lead.driverRows()
 		n = len(live)
 	}
-	cs := r.opts.ChunkSize
+	cs := lead.opts.ChunkSize
 	nChunks := (n + cs - 1) / cs
-	runChunk := func(w *worker, i int) {
-		lo := i * cs
-		hi := min(lo+cs, n)
-		if live != nil {
-			w.runChunk(live[lo:hi])
-			return
-		}
-		w.iota = buf.Grow(w.iota, hi-lo)
-		for j := range w.iota {
-			w.iota[j] = int32(lo + j)
-		}
-		w.runChunk(w.iota)
+	p := 1
+	for _, r := range members {
+		p = max(p, r.opts.Parallelism)
 	}
-	p := r.opts.Parallelism
-	if p > nChunks {
-		p = nChunks
+	p = max(min(p, nChunks), 1)
+
+	slots := make([][]*worker, p)
+	for s := range slots {
+		slots[s] = make([]*worker, len(members))
 	}
-	// One probe span covers the whole chunk loop and one merge span the
-	// worker fold — per phase, never per chunk, so tracing cost does
-	// not scale with the driver.
-	probeSp := r.opts.Trace.Start("probe", parent)
-	r.opts.Trace.Annotate(probeSp, "chunks", int64(nChunks))
-	r.opts.Trace.Annotate(probeSp, "workers", int64(max(p, 1)))
-	if p <= 1 {
-		w := newWorker(r)
-		for i := 0; i < nChunks; i++ {
-			if r.cancelled() {
-				break
-			}
-			if err := faultinject.Fire(faultinject.SiteProbeChunk); err != nil {
-				r.fail(err)
-				break
-			}
-			runChunk(w, i)
+	spans := make([]struct{ phase2, probe telemetry.SpanID }, len(members))
+	for m, r := range members {
+		sp := &spans[m]
+		sp.phase2 = r.opts.Trace.Start("phase2", r.execSpan)
+		r.prepareLayout()
+		r.collectLocked = r.opts.CollectOutput != nil && p > 1
+		for s := range slots {
+			slots[s][m] = newWorker(r)
 		}
-		r.opts.Trace.End(probeSp)
-		if r.cancelled() {
-			return
+		sp.probe = r.opts.Trace.Start("probe", sp.phase2)
+		r.opts.Trace.Annotate(sp.probe, "chunks", int64(nChunks))
+		r.opts.Trace.Annotate(sp.probe, "workers", int64(p))
+		if len(members) > 1 {
+			r.opts.Trace.Annotate(sp.probe, "shared", int64(len(members)))
 		}
-		mergeSp := r.opts.Trace.Start("merge", parent)
-		r.merge(w)
-		r.opts.Trace.End(mergeSp)
-		return
 	}
 
-	r.collectLocked = r.opts.CollectOutput != nil
-	workers := make([]*worker, p)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wi := range workers {
-		workers[wi] = newWorker(r)
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
+	iotas := make([][]int32, p)
+	pool(p, nChunks, func() bool { return allDone(members) }, func(s, i int) {
+		lo := i * cs
+		hi := min(lo+cs, n)
+		rows := live
+		if rows == nil {
+			iotas[s] = buf.Grow(iotas[s], hi-lo)
+			rows = iotas[s]
+			for j := range rows {
+				rows[j] = int32(lo + j)
+			}
+		} else {
+			rows = rows[lo:hi]
+		}
+		for m, r := range members {
+			if r.cancelled() {
+				continue
+			}
+			w := slots[s][m]
 			r.guard("phase2-worker", func() {
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= nChunks || r.cancelled() {
-						return
-					}
-					if err := faultinject.Fire(faultinject.SiteProbeChunk); err != nil {
-						r.fail(err)
-						return
-					}
-					runChunk(w, i)
+				if err := faultinject.Fire(faultinject.SiteProbeChunk); err != nil {
+					r.fail(err)
+					return
 				}
+				w.runChunk(rows)
 			})
-		}(workers[wi])
+		}
+	})
+
+	for m, r := range members {
+		r.opts.Trace.End(spans[m].probe)
+		mergeSp := r.opts.Trace.Start("merge", spans[m].phase2)
+		for s := range slots {
+			r.merge(slots[s][m])
+		}
+		r.opts.Trace.End(mergeSp)
+		r.opts.Trace.End(spans[m].phase2)
 	}
-	wg.Wait()
-	r.opts.Trace.End(probeSp)
-	mergeSp := r.opts.Trace.Start("merge", parent)
-	for _, w := range workers {
-		r.merge(w)
+}
+
+// allDone reports whether every member has failed or been cancelled —
+// the scan's early-exit condition.
+func allDone(members []*run) bool {
+	for _, r := range members {
+		if !r.cancelled() {
+			return false
+		}
 	}
-	r.opts.Trace.End(mergeSp)
+	return true
 }
 
 // merge folds one worker's private counters into the run totals. All
@@ -893,10 +921,6 @@ type worker struct {
 	keys  []int64
 	probe hashtable.ProbeResult
 	keep  []bool
-	// iota is the driver-chunk buffer for maskless runs: filled with
-	// the chunk's [lo, hi) row range instead of materializing all n
-	// driver rows up front.
-	iota []int32
 
 	// tupleBuf holds the canonical-layout tuple during emission;
 	// rowsBuf holds the join-order tuple STD emission gathers into.
@@ -975,12 +999,6 @@ func (w *worker) emitTuple(joinOrderRows []int32) bool {
 	}
 	if !r.residuals.ok(tmp) {
 		return false
-	}
-	// Position 0 of the canonical layout is the driver (plan.Root == 0);
-	// the remap runs after the residual check because residual columns
-	// index the local (possibly shard) relations.
-	if rm := r.opts.DriverRowMap; rm != nil {
-		tmp[0] = rm[tmp[0]]
 	}
 	w.checksum += checksumCanonical(tmp)
 	if r.opts.CollectOutput != nil {

@@ -12,34 +12,34 @@ import (
 	"m2mjoin/internal/shard"
 )
 
-// This file is the in-process scatter-gather layer over a partitioned
-// dataset (internal/shard): RunSharded executes the probe phase once
-// per shard and MergeShardStats folds the per-shard results into
-// counters bit-identical to unsharded execution.
+// This file is the in-process scatter-gather layer over a partition of
+// a snapshot's driver rows (internal/shard): RunSharded executes one
+// restricted Run per shard and MergeShardStats folds the per-shard
+// results into counters bit-identical to unsharded execution.
 //
-// The merge invariant rests on three properties:
+// The merge invariant rests on two properties:
 //
-//   - Driver rows are partitioned: every phase-2 counter (probes,
-//     tuples, checksum contributions) is a pure function of the driver
-//     rows a worker processes, independent of chunk boundaries, so
-//     summing shards is the same as summing chunks.
-//   - Shards emit global row coordinates: Options.DriverRowMap remaps
-//     shard-local driver rows at emission, so the order-independent
-//     checksum sums to the unsharded value.
-//   - Build-side work is replicated, not partitioned: the non-root
-//     relations (and for SJ strategies their reductions) are identical
-//     in every shard. Phase-2 counters never count builds, and the SJ
-//     reduction counters carry a Build* split (identical across
-//     shards) that the merge counts exactly once.
+//   - Driver rows are partitioned: every shard runs the parent
+//     snapshot under Options.DriverRows, and every phase-2 counter
+//     (probes, tuples, checksum contributions — all in the parent's row
+//     coordinates) is a pure function of the driver rows a worker
+//     processes, independent of chunk boundaries, so summing shards is
+//     the same as summing chunks.
+//   - Build-side work is shared, not partitioned: the non-root
+//     relations are the parent's own, so cached tables and filters are
+//     one set for all shards. Phase-2 counters never count builds; the
+//     SJ strategies' per-query build-side reductions, which every
+//     shard's run repeats identically, carry a Build* split that the
+//     merge counts exactly once.
 
 // MergeShardStats folds per-shard Stats from the same partition into
 // the totals unsharded execution would report. All phase-2 counters
 // and the checksum are additive over driver rows; the replicated SJ
 // build-side reductions (Stats.BuildSemiJoinProbes and the matching
 // tag splits) are identical in every shard and are counted once. Cache
-// counters are summed (each shard's artifact view has its own hits and
-// misses — there is no unsharded counterpart to preserve) and
-// BytesCached takes the largest snapshot. Coverage is 1 and
+// counters are summed (each shard's run makes its own lookups — there
+// is no unsharded counterpart to preserve) and BytesCached takes the
+// largest snapshot. Coverage is 1 and
 // FailedShards nil: a degraded gather sets both after merging the
 // survivors.
 func MergeShardStats(parts []Stats) Stats {
@@ -78,13 +78,13 @@ func MergeShardStats(parts []Stats) Stats {
 	return m
 }
 
-// RunSharded executes the query over a partitioned dataset: one Run
-// per shard, concurrently, with Options.Parallelism split across the
-// shards, merged by MergeShardStats. opts.DriverRowMap is owned by
-// this layer (each shard runs under its own RowMap); everything else
-// applies to every shard unchanged. A shared opts.Artifacts provider
-// is handed to all shards — the build side is replicated, so the
-// shards request identical artifacts.
+// RunSharded executes the query over a partition: one Run of the
+// parent snapshot per shard, concurrently, restricted to the shard's
+// driver rows, with Options.Parallelism split across the shards,
+// merged by MergeShardStats. opts.DriverRows is owned by this layer;
+// everything else applies to every shard unchanged, a shared
+// opts.Artifacts provider included — the shards request the same
+// artifacts under the same keys.
 //
 // RunSharded is all-or-nothing: the first shard failure cancels the
 // siblings and fails the call. Degraded (partial-coverage) gathering
@@ -152,8 +152,8 @@ func RunSharded(shards []shard.Shard, opts Options) (Stats, error) {
 			o := opts
 			o.Parallelism = per
 			o.Ctx = ctx
-			o.DriverRowMap = shards[i].RowMap
-			st, err := Run(shards[i].DS, o)
+			o.DriverRows = shards[i].Rows
+			st, err := Run(shards[i].Parent, o)
 			if err != nil {
 				fail(fmt.Errorf("exec: shard %d/%d: %w", shards[i].Index, len(shards), err))
 				return

@@ -102,9 +102,87 @@ func TestShardMergeDeterminismMasked(t *testing.T) {
 	}
 }
 
+// TestShardMergeDeterminismRandom is the seeded random row of the
+// matrix: each case draws a strategy, a shard count, whether a root
+// selection applies and a batch of driver deletes and appends, commits
+// the batch, and checks the scatter over the advanced partition (and
+// over a fresh one) against unsharded Run of the committed snapshot on
+// the full Stats, checksum included. A failing case prints its draw.
+func TestShardMergeDeterminismRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260925))
+	cur := selectableDataset(rng, 1500)
+	order := plan.Order{1, 2, 3}
+	driver := cur.Relation(plan.Root).Name()
+	for c := 0; c < 12; c++ {
+		strat := cost.AllStrategies[rng.Intn(len(cost.AllStrategies))]
+		nShards := []int{1, 2, 3, 4, 8}[rng.Intn(5)]
+		var sels []Selection
+		if rng.Intn(2) == 0 {
+			sels = []Selection{{Rel: plan.Root, Column: "cat", Value: int64(rng.Intn(4))}}
+		}
+		before, err := shard.Partition(cur, nShards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Driver deletes (of rows still live) and appends that clone a
+		// live row's keys, so the new rows join like resident ones.
+		rel, live := cur.Relation(plan.Root), cur.Live(plan.Root)
+		delta := cur.Begin()
+		deleted := map[int]bool{}
+		for i, n := 0, 1+rng.Intn(40); i < n; i++ {
+			row := rng.Intn(rel.NumRows())
+			if deleted[row] || (live != nil && !live.Get(row)) {
+				continue
+			}
+			if rng.Intn(3) == 0 {
+				delta.Append(driver, int64(rel.NumRows()+i), int64(rng.Intn(4)),
+					rel.Column("k1")[row], rel.Column("k3")[row])
+			} else {
+				delta.Delete(driver, row)
+				deleted[row] = true
+			}
+		}
+		v, err := delta.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur = v.Dataset
+		advanced, err := shard.Advance(before, cur, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := shard.Partition(cur, nShards)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		opts := Options{
+			Strategy: strat, Order: order, FlatOutput: true, ChunkSize: 128,
+			Selections: sels, Parallelism: 1 + rng.Intn(4),
+		}
+		base, err := Run(cur, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base.OutputTuples == 0 {
+			t.Fatalf("case %d: degenerate baseline proves nothing", c)
+		}
+		for name, shards := range map[string][]shard.Shard{"advanced": advanced, "fresh": fresh} {
+			merged, err := RunSharded(shards, opts)
+			if err != nil {
+				t.Fatalf("case %d (%v, %d shards, sels %v) %s: %v", c, strat, nShards, sels, name, err)
+			}
+			if !reflect.DeepEqual(merged, base) {
+				t.Errorf("case %d (%v, %d shards, sels %v, v%d) %s partition diverges:\n got %+v\nwant %+v",
+					c, strat, nShards, sels, v.Number, name, merged, base)
+			}
+		}
+	}
+}
+
 // TestRunShardedEmitsGlobalRows: CollectOutput through the scatter
-// layer must deliver the same tuple multiset as unsharded execution,
-// in global driver row coordinates (the DriverRowMap remap).
+// layer must deliver the same tuple multiset as unsharded execution —
+// shards run the parent snapshot, so tuples carry its row coordinates.
 func TestRunShardedEmitsGlobalRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	tr := plan.Snowflake(2, 2, plan.UniformStats(rng, 0.6, 0.9, 1, 2))

@@ -87,3 +87,23 @@ func effectiveMasks(ds *storage.Dataset, sel []*storage.Bitmap) []*storage.Bitma
 	}
 	return masks
 }
+
+// restrictDriver intersects the root's effective mask with a driver-row
+// restriction (Options.DriverRows; nil = none), so a restricted run is
+// indistinguishable downstream from one with a root selection. The
+// restriction is read-only and the root mask may alias the dataset's
+// live bitmap, so an intersection is always a fresh bitmap.
+func restrictDriver(ds *storage.Dataset, masks []*storage.Bitmap, rows *storage.Bitmap) []*storage.Bitmap {
+	if rows == nil {
+		return masks
+	}
+	if masks == nil {
+		masks = make([]*storage.Bitmap, ds.Tree.Len())
+	}
+	if cur := masks[plan.Root]; cur != nil {
+		rows = rows.Clone()
+		rows.And(cur)
+	}
+	masks[plan.Root] = rows
+	return masks
+}

@@ -60,10 +60,10 @@ func (r *run) semiJoinPass() {
 			}
 			mask = scratch
 			// Reductions of non-root parents never read the driver:
-			// they are pure build-side work, replicated identically in
-			// every shard of a partitioned dataset, and their counters
-			// go into the Build* split so the scatter-gather merge can
-			// count them once (see Stats.BuildSemiJoinProbes).
+			// they are pure build-side work that every shard's run of
+			// a partitioned query repeats identically, and their
+			// counters go into the Build* split so the scatter-gather
+			// merge can count them once (see Stats.BuildSemiJoinProbes).
 			if len(children) > 1 && !r.opts.NoInterleave &&
 				(r.opts.Parallelism <= 1 || mask.Len() < minParallelReduceRows) {
 				// Sibling reductions of one parent interleave as a

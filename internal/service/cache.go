@@ -174,8 +174,7 @@ func (c *artifactCache) peek(key artifactKey) *cacheEntry {
 // purge drops every entry whose key satisfies pred and returns the
 // count — retention of superseded dataset versions: when a version
 // falls out of its entry's retention window, all artifact keys minted
-// under its lineage fingerprints (main and per-shard) are purged in
-// one sweep. Purged bytes come off the budget immediately; in-flight
+// under its lineage fingerprint are purged in one sweep. Purged bytes come off the budget immediately; in-flight
 // queries holding the artifacts keep probing them (read-only).
 func (c *artifactCache) purge(pred func(artifactKey) bool) int {
 	c.mu.Lock()

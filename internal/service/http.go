@@ -26,9 +26,26 @@ import (
 //	GET  /metrics            the metrics registry in Prometheus text
 //	                         exposition format
 //
-// Request bodies and responses are JSON. Query execution is bounded by
-// the HTTP request context, so a disconnected client cancels its query
-// through the executor's cooperative cancellation.
+// Request bodies and responses are JSON; bodies are capped at
+// maxRequestBytes. Query execution is bounded by the HTTP request
+// context, so a disconnected client cancels its query through the
+// executor's cooperative cancellation.
+
+// maxRequestBytes caps a POST body: far above any legitimate query,
+// registration or mutation batch, small enough that a hostile client
+// cannot make the decoder buffer without bound.
+const maxRequestBytes = 8 << 20
+
+// decodeBody decodes r's size-capped JSON body into v. On failure —
+// malformed JSON or an oversize body alike — it writes the classified
+// invalid envelope (400) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s body: %w", what, err))
+	}
+	return err == nil
+}
 
 // RegisterRequest is the POST /v1/datasets body. Exactly one of Dir
 // (load a directory written by m2mdata / storage.SaveDataset) or Shape
@@ -50,8 +67,7 @@ func NewHandler(s *Service) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/datasets", func(w http.ResponseWriter, r *http.Request) {
 		var req RegisterRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad register body: %w", err))
+		if !decodeBody(w, r, "register", &req) {
 			return
 		}
 		var (
@@ -81,8 +97,7 @@ func NewHandler(s *Service) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad query body: %w", err))
+		if !decodeBody(w, r, "query", &req) {
 			return
 		}
 		res, err := s.Query(r.Context(), req)
@@ -94,8 +109,7 @@ func NewHandler(s *Service) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/mutate", func(w http.ResponseWriter, r *http.Request) {
 		var req MutateRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad mutate body: %w", err))
+		if !decodeBody(w, r, "mutate", &req) {
 			return
 		}
 		res, err := s.Mutate(r.Context(), req)

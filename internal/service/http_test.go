@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,6 +117,30 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPBodyLimit: every POST endpoint caps its body; an oversize
+// (here also well-formed) body is refused with the classified invalid
+// envelope instead of being buffered.
+func TestHTTPBodyLimit(t *testing.T) {
+	srv := httpFixture(t)
+	pad := strings.Repeat("x", maxRequestBytes)
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/query", Request{Dataset: pad}},
+		{"/v1/mutate", MutateRequest{Dataset: pad}},
+		{"/v1/datasets", RegisterRequest{Name: pad}},
+	} {
+		resp := postJSONBody(t, srv.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: oversize body status %d, want 400", tc.path, resp.StatusCode)
+		}
+		if env := decodeEnvelope(t, resp); env.Class != ClassInvalid || !strings.Contains(env.Error, "too large") {
+			t.Errorf("%s: oversize body envelope %+v, want class invalid naming the limit", tc.path, env)
+		}
+	}
+}
+
 // decodeEnvelope re-reads a non-200 response as the error envelope.
 func decodeEnvelope(t *testing.T, resp *http.Response) ErrorEnvelope {
 	t.Helper()
@@ -217,7 +242,15 @@ func TestDrainFinishesInFlight(t *testing.T) {
 		inflight <- err
 	}()
 	<-started
-	time.Sleep(5 * time.Millisecond) // let it get admitted and probing
+	// Wait for the admission itself (Queries counts admitted queries),
+	// not a guessed delay: a query still planning or queueing when the
+	// drain starts is (rightly) shed.
+	for deadline := time.Now().Add(10 * time.Second); svc.Stats().Queries == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("query was never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	svc.StartDrain()
 
 	// New work is shed immediately.

@@ -27,9 +27,10 @@ import (
 //     relations by re-inserting the same pointers under the new key.
 //     Compacted relations are skipped — the next query rebuilds them
 //     cold, which is the only correct shape after a geometry change;
-//   - memoized shard partitions advance through shard.Advance, routing
-//     the driver delta through the same row assignment, so per-shard
-//     version fingerprints stay in lockstep with the parent chain;
+//   - memoized shard partitions advance through shard.Advance, which
+//     routes the commit's appended driver rows onto their owning
+//     shard's row set; shards execute the parent snapshot under its own
+//     artifact keys, so the repair above is all a sharded service needs;
 //   - versions older than the retention window (the current and
 //     previous snapshot) have their artifact cache keys purged, so a
 //     write-heavy workload cannot grow the cache without bound on
@@ -135,25 +136,17 @@ func (s *Service) Mutate(ctx context.Context, req MutateRequest) (MutateResult, 
 	repaired := s.repairArtifacts(e, cur, v)
 	s.repairs.Add(int64(repaired))
 
-	var purged map[uint64]bool
 	e.shardMu.Lock()
-	e.versions = append(e.versions, versionRecord{number: v.Number, fps: []uint64{v.Fingerprint}})
-	e.advanceShardSetsLocked(v)
-	// Retention: keep the current and previous version's artifact keys;
-	// purge everything older in one sweep.
-	for len(e.versions) > 2 {
-		if purged == nil {
-			purged = make(map[uint64]bool)
-		}
-		for _, fp := range e.versions[0].fps {
-			purged[fp] = true
-		}
-		e.versions = e.versions[1:]
-	}
+	e.advanceShardSetsLocked(cur, v)
 	e.head.Store(v.Dataset)
 	e.shardMu.Unlock()
-	if purged != nil {
-		s.cache.purge(func(k artifactKey) bool { return purged[k.dataset] })
+	// Retention: keep the current and previous version's artifact keys;
+	// each commit retires at most the one before those.
+	e.versions = append(e.versions, v.Fingerprint)
+	if len(e.versions) > 2 {
+		retired := e.versions[0]
+		e.versions = e.versions[1:]
+		s.cache.purge(func(k artifactKey) bool { return k.dataset == retired })
 	}
 	s.mutations.Add(1)
 	// The commit histogram covers writer serialization, the storage

@@ -400,6 +400,54 @@ func TestShardedMutateLockstep(t *testing.T) {
 	}
 }
 
+// TestShardedMutateLandsWarm: on a sharded service commit-time repair
+// covers every shard, because shards execute the parent snapshot under
+// its own artifact keys. After a warm-up and a small commit the first
+// scatter must run zero phase-1 builds on any of the 4 shards and
+// answer bit-identically to the brute-force oracle on the new version.
+func TestShardedMutateLandsWarm(t *testing.T) {
+	svc := New(Config{Parallelism: 4, MaxConcurrent: 2, Shard: ShardConfig{Shards: 4}})
+	replica := genDataset(t, 2000, 5)
+	if _, err := svc.RegisterDataset("ds", genDataset(t, 2000, 5)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	req := Request{Dataset: "ds", Strategy: "BVP+COM", FlatOutput: true}
+	if _, err := svc.Query(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+
+	ops := testOps(replica, 0)
+	mres, err := svc.Mutate(ctx, MutateRequest{Dataset: "ds", Ops: ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mres.Compacted) > 0 {
+		t.Fatalf("small delta compacted %v; the warm-repair assertion needs an uncompacted commit", mres.Compacted)
+	}
+	if mres.Repaired == 0 {
+		t.Fatal("commit on a sharded service repaired nothing")
+	}
+
+	warm, err := svc.Query(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Version != 1 || warm.Shards != 4 || warm.Coverage != 1 {
+		t.Fatalf("post-commit scatter: version %d shards %d coverage %v, want 1/4/1",
+			warm.Version, warm.Shards, warm.Coverage)
+	}
+	if warm.Stats.CacheMisses != 0 || warm.Stats.CacheHits == 0 {
+		t.Fatalf("post-commit scatter: hits=%d misses=%d, want every shard served from repaired artifacts",
+			warm.Stats.CacheHits, warm.Stats.CacheMisses)
+	}
+	wantCount, wantSum := exec.Reference(applyOps(t, replica, ops))
+	if warm.Stats.OutputTuples != wantCount || warm.Stats.Checksum != wantSum {
+		t.Fatalf("post-commit scatter diverged from oracle: count %d/%d checksum %x/%x",
+			warm.Stats.OutputTuples, wantCount, warm.Stats.Checksum, wantSum)
+	}
+}
+
 // TestMutateOverHTTP: the /v1/mutate endpoint and the HTTP runner
 // round-trip a batch and its classified failures.
 func TestMutateOverHTTP(t *testing.T) {

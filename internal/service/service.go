@@ -19,10 +19,11 @@
 // Datasets are versioned in place: Mutate commits a batch of appends
 // and deletes through the storage delta API, swaps the entry's head
 // snapshot, repairs cached artifacts incrementally onto the new
-// version's keys, advances memoized shard partitions in lockstep, and
-// purges artifact keys of versions past the retention window (current
-// + previous). Queries pin the head snapshot at admission — a commit
-// landing mid-flight is invisible to them (snapshot isolation via
+// version's keys (one set per snapshot, shared by every shard),
+// advances memoized shard row sets in lockstep, and purges artifact
+// keys of versions past the retention window (current + previous).
+// Queries pin the head snapshot at admission — a commit landing
+// mid-flight is invisible to them (snapshot isolation via
 // copy-on-write columns and liveness).
 //
 // Typical use:
@@ -223,13 +224,11 @@ type datasetEntry struct {
 	// single-writer per snapshot, so Mutate holds verMu from Begin
 	// through the head swap.
 	verMu sync.Mutex
-	// versions is the retention window of recent snapshots' artifact
-	// key material, newest last: each record lists every lineage
-	// fingerprint (main + per-shard) under which that version's
-	// artifacts key into the cache, so retiring a version purges them
-	// in one sweep. Guarded by shardMu (shardSetFor appends shard
-	// fingerprints as partitions materialize).
-	versions []versionRecord
+	// versions is the retention window of recent snapshots' lineage
+	// fingerprints — the dataset half of their artifact cache keys —
+	// newest last, so retiring a version purges its keys in one sweep.
+	// Guarded by verMu.
+	versions []uint64
 
 	statsCache *workload.EdgeStatsCache
 
@@ -242,20 +241,13 @@ type datasetEntry struct {
 
 	// shardSets memoizes hash partitions by shard count, with their
 	// per-(shard, target) breakers (see shard.go). Each set is pinned
-	// to one version; Mutate advances live sets in lockstep with the
+	// to one snapshot; Mutate advances live sets in lockstep with the
 	// commit (shard.Advance) and shardSetFor rebuilds stale ones.
 	shardMu   sync.Mutex
 	shardSets map[int]*shardSet
 
 	planMu sync.Mutex
 	plans  map[planKey]core.PlanChoice
-}
-
-// versionRecord is one snapshot's artifact key material (see
-// datasetEntry.versions).
-type versionRecord struct {
-	number uint64
-	fps    []uint64
 }
 
 // planKey memoizes plan selection per (strategy restriction, output
@@ -411,7 +403,7 @@ func (s *Service) RegisterDataset(name string, ds *storage.Dataset) (DatasetInfo
 		plans:      make(map[planKey]core.PlanChoice),
 	}
 	e.head.Store(ds)
-	e.versions = []versionRecord{{number: ds.Version(), fps: []uint64{ds.VersionFingerprint()}}}
+	e.versions = []uint64{ds.VersionFingerprint()}
 	for i := 0; i < ds.Tree.Len(); i++ {
 		id := plan.NodeID(i)
 		e.nodeOf[ds.Tree.Name(id)] = id
@@ -725,98 +717,112 @@ func (s *Service) Query(ctx context.Context, req Request) (res Result, err error
 	}
 	s.queries.Add(1)
 
+	c := execCall{e: e, req: req, choice: choice, sels: sels, workers: workers, tr: tr, parent: root}
+
 	// A sharded service answers client queries by scatter-gather (one
 	// dispatch per shard out of this query's single admission slot);
 	// shard-worker requests (ShardCount > 0) fall through and execute
 	// their one shard locally like any other query.
 	if req.ShardCount == 0 && s.sharded() {
-		return s.queryScatter(ctx, e, req, choice, sels, workers, queued, tr, root)
+		return s.queryScatter(ctx, c, queued)
 	}
 
 	// Pin the snapshot once: the query executes entirely against this
 	// version — a commit landing mid-flight swaps the entry head but
 	// never this pointer, and copy-on-write columns/liveness keep the
-	// pinned state immutable. Shard-worker role swaps in the requested
-	// shard's dataset, its global row map and its own artifact-cache
-	// fingerprint; everything downstream (planning already happened on
-	// the full dataset, so every worker of a scatter runs the same
-	// plan) is unchanged.
+	// pinned state immutable. A shard-worker request additionally takes
+	// the requested shard's driver row set (and the snapshot the
+	// partition reflects); everything else — plan, artifact keys, row
+	// coordinates — is the whole snapshot's.
 	snap := e.head.Load()
-	execDS, fp, ver := snap, snap.VersionFingerprint(), snap.Version()
-	var rowMap []int32
+	var rows *storage.Bitmap
 	if req.ShardCount > 1 {
 		set, serr := e.shardSetFor(s, req.ShardCount)
 		if serr != nil {
 			return Result{}, invalidErr(serr)
 		}
 		sh := set.shards[req.ShardIndex]
-		execDS, fp, ver, rowMap = sh.DS, set.fps[req.ShardIndex], set.version, sh.RowMap
+		snap, rows = sh.Parent, sh.Rows
 	}
-
-	// The SJ strategies build their tables from per-query semi-join-
-	// reduced masks — never shareable — so they bypass the cache
-	// (exec ignores a provider for them anyway; not wiring one keeps
-	// their CacheHits/CacheMisses at zero rather than misleading).
-	var arts exec.Artifacts
-	if choice.Strategy != cost.SJSTD && choice.Strategy != cost.SJCOM {
-		arts = s.artifactsFor(fp, ver, e, sels)
-	}
+	opts := s.execOptions(ctx, c, snap, rows)
 
 	// Eligible queries go through the shared-scan board: co-arrived
 	// compatible queries attach to one driver pass (sharedscan.go). A
 	// member the executor nevertheless rejects as incompatible falls
 	// through to the solo path below.
 	if s.sharedScanEligible(req, choice, sels) {
-		chunk := req.ChunkSize
-		if chunk <= 0 {
-			chunk = exec.DefaultChunkSize
-		}
-		opts := exec.Options{
-			Strategy:    choice.Strategy,
-			Order:       choice.Order,
-			FlatOutput:  req.FlatOutput,
-			ChunkSize:   chunk,
-			Parallelism: workers,
-			Ctx:         ctx,
-			Artifacts:   arts,
-			Selections:  sels,
-			Version:     ver,
-			Trace:       tr,
-			TraceParent: root,
-		}
-		if res, ok, qerr := s.querySharedScan(e, req, choice, snap, ver, opts, queued); ok {
+		if res, ok, qerr := s.querySharedScan(c, snap, opts, queued); ok {
 			return res, qerr
 		}
 	}
 
 	start := s.now()
-	stats, err := core.Execute(execDS, choice, core.ExecuteOptions{
-		FlatOutput:   req.FlatOutput,
-		ChunkSize:    req.ChunkSize,
-		Parallelism:  workers,
-		Ctx:          ctx,
-		Artifacts:    arts,
-		Selections:   sels,
-		DriverRowMap: rowMap,
-		Version:      ver,
-		Trace:        tr,
-		TraceParent:  root,
-	})
+	stats, err := core.Execute(snap, choice, opts)
 	elapsed := s.now().Sub(start)
 	if err != nil {
 		return Result{Elapsed: elapsed}, classifyExecError(err)
 	}
+	return c.result(snap.Version(), elapsed, queued, stats), nil
+}
+
+// execCall is one admitted query's execution context: what every
+// execution path — solo, shared scan, shard worker, local shard attempt
+// — needs besides the snapshot and driver row set it runs on.
+type execCall struct {
+	e       *datasetEntry
+	req     Request
+	choice  core.PlanChoice
+	sels    []exec.Selection
+	workers int
+	// tr/parent carry the query's trace into the executor (nil trace =
+	// untraced, as everywhere).
+	tr     *telemetry.Trace
+	parent telemetry.SpanID
+}
+
+// execOptions assembles the executor options for running c's plan on
+// the pinned snapshot snap, restricted to the driver rows in rows (nil
+// = every row). Artifacts always key on snap's own (lineage
+// fingerprint, version) — a shard's row set never enters the key, so
+// all shards of a snapshot share one set of tables and filters, and
+// commit-time repair covers them by construction.
+func (s *Service) execOptions(ctx context.Context, c execCall, snap *storage.Dataset, rows *storage.Bitmap) core.ExecuteOptions {
+	// The SJ strategies build their tables from per-query semi-join-
+	// reduced masks — never shareable — so they bypass the cache
+	// (exec ignores a provider for them anyway; not wiring one keeps
+	// their CacheHits/CacheMisses at zero rather than misleading).
+	var arts exec.Artifacts
+	if c.choice.Strategy != cost.SJSTD && c.choice.Strategy != cost.SJCOM {
+		arts = s.artifactsFor(snap, c.e, c.sels)
+	}
+	return core.ExecuteOptions{
+		FlatOutput:  c.req.FlatOutput,
+		ChunkSize:   c.req.ChunkSize,
+		Parallelism: c.workers,
+		Ctx:         ctx,
+		Artifacts:   arts,
+		Selections:  c.sels,
+		DriverRows:  rows,
+		Version:     snap.Version(),
+		Trace:       c.tr,
+		TraceParent: c.parent,
+	}
+}
+
+// result assembles the client-facing Result of a successful execution
+// at the given snapshot version.
+func (c execCall) result(version uint64, elapsed, queued time.Duration, stats exec.Stats) Result {
 	return Result{
-		Dataset:  req.Dataset,
-		Strategy: choice.Strategy.String(),
-		Order:    choice.Order.String(),
-		Workers:  workers,
-		Version:  ver,
+		Dataset:  c.req.Dataset,
+		Strategy: c.choice.Strategy.String(),
+		Order:    c.choice.Order.String(),
+		Workers:  c.workers,
+		Version:  version,
 		Elapsed:  elapsed,
 		Queued:   queued,
 		Coverage: stats.Coverage,
 		Stats:    stats,
-	}, nil
+	}
 }
 
 // classifyExecError wraps an executor failure in its class: deadline
@@ -887,13 +893,11 @@ func (e *datasetEntry) plan(strategy string, flat bool) (core.PlanChoice, error)
 }
 
 // artifactsFor builds the per-query cache view: the executing
-// snapshot's lineage fingerprint and version (the shard's own when
-// executing one shard, so per-shard phase-1 artifacts share the cache
-// without colliding across shard counts or versions) plus one
-// selection fingerprint per relation, hashed over the relation's own
-// (column, value) predicates in canonical order so equivalent
-// selection sets share artifacts.
-func (s *Service) artifactsFor(fp, ver uint64, e *datasetEntry, sels []exec.Selection) exec.Artifacts {
+// snapshot's lineage fingerprint and version plus one selection
+// fingerprint per relation, hashed over the relation's own (column,
+// value) predicates in canonical order so equivalent selection sets
+// share artifacts.
+func (s *Service) artifactsFor(snap *storage.Dataset, e *datasetEntry, sels []exec.Selection) exec.Artifacts {
 	maskFPs := make([]uint64, e.ds.Tree.Len())
 	if len(sels) > 0 {
 		perRel := make(map[plan.NodeID][]exec.Selection)
@@ -917,8 +921,8 @@ func (s *Service) artifactsFor(fp, ver uint64, e *datasetEntry, sels []exec.Sele
 	}
 	return &queryArtifacts{
 		cache:   s.cache,
-		dataset: fp,
-		version: ver,
+		dataset: snap.VersionFingerprint(),
+		version: snap.Version(),
 		keyCols: e.keyCols,
 		maskFPs: maskFPs,
 	}

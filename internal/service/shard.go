@@ -9,21 +9,22 @@ import (
 	"time"
 
 	"m2mjoin/internal/core"
-	"m2mjoin/internal/cost"
 	"m2mjoin/internal/exec"
 	"m2mjoin/internal/faultinject"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/shard"
 	"m2mjoin/internal/storage"
-	"m2mjoin/internal/telemetry"
 )
 
 // This file is the serving tier's fault-tolerant scatter-gather path.
-// A sharded service hash-partitions each dataset's driver relation
+// A sharded service hash-partitions each dataset's driver rows
 // (internal/shard) and answers every query by dispatching one probe
 // task per shard — to itself (local targets) or to replica backends
 // over HTTP — then merging the per-shard Stats bit-identically to
-// unsharded execution (exec.MergeShardStats).
+// unsharded execution (exec.MergeShardStats). A shard task is the
+// ordinary execution path (Service.execOptions) over the parent
+// snapshot with the shard's driver row set: the build-side artifacts
+// are the snapshot's own, cached once however many shards probe them.
 //
 // The gather path is where the robustness lives:
 //
@@ -119,90 +120,65 @@ func newShardTargets(cfg ShardConfig) []shardTarget {
 }
 
 // shardSet is one dataset's partition at a given shard count, built
-// lazily and memoized on the entry: the shard datasets, their lineage
-// fingerprints (keying per-shard phase-1 artifacts in the shared
-// cache), the version the partition reflects, and one circuit breaker
-// per (shard, target) pair. A set is immutable once published — Mutate
-// replaces it wholesale with an advanced successor sharing the same
-// breakers, so in-flight scatters keep their consistent set pointer.
+// lazily and memoized on the entry: the shards (each pointing at the
+// snapshot the partition reflects) and one circuit breaker per (shard,
+// target) pair. A set is immutable once published — Mutate replaces it
+// wholesale with an advanced successor sharing the same breakers, so
+// in-flight scatters keep their consistent set pointer.
 type shardSet struct {
-	shards    []shard.Shard
-	fps       []uint64
-	version   uint64
-	totalRows int
+	shards []shard.Shard
 	// breakers[k][t] guards dispatches of shard k to target t.
 	breakers [][]*breaker
 }
 
+// snapshot returns the snapshot the partition reflects.
+func (set *shardSet) snapshot() *storage.Dataset { return set.shards[0].Parent }
+
 // shardSetFor returns the entry's memoized partition at n shards for
-// the current head version, building it on first use and rebuilding it
+// the current head snapshot, building it on first use and rebuilding it
 // if a commit superseded it before Mutate's lockstep advance could
 // (the rare rebuild produces the identical partition — Advance is
-// row-for-row Partition — and inherits the superseded set's breakers).
+// mask-for-mask Partition — and inherits the superseded set's breakers).
 func (e *datasetEntry) shardSetFor(s *Service, n int) (*shardSet, error) {
 	e.shardMu.Lock()
 	defer e.shardMu.Unlock()
 	head := e.head.Load()
-	if set, ok := e.shardSets[n]; ok && set.version == head.Version() {
-		return set, nil
+	old := e.shardSets[n]
+	if old != nil && old.snapshot() == head {
+		return old, nil
 	}
 	shards, err := shard.Partition(head, n)
 	if err != nil {
 		return nil, err
 	}
-	set := &shardSet{
-		shards:    shards,
-		fps:       make([]uint64, n),
-		version:   head.Version(),
-		totalRows: head.Relation(plan.Root).NumRows(),
-		breakers:  make([][]*breaker, n),
-	}
-	old := e.shardSets[n]
-	for k := range shards {
-		set.fps[k] = shards[k].DS.VersionFingerprint()
-		if old != nil {
-			set.breakers[k] = old.breakers[k]
-			continue
-		}
-		set.breakers[k] = make([]*breaker, len(s.targets))
-		for t := range s.targets {
-			set.breakers[k][t] = newBreaker(s.cfg.Breaker, s.now)
+	set := &shardSet{shards: shards}
+	if old != nil {
+		set.breakers = old.breakers
+	} else {
+		set.breakers = make([][]*breaker, n)
+		for k := range set.breakers {
+			set.breakers[k] = make([]*breaker, len(s.targets))
+			for t := range s.targets {
+				set.breakers[k][t] = newBreaker(s.cfg.Breaker, s.now)
+			}
 		}
 	}
 	if e.shardSets == nil {
 		e.shardSets = make(map[int]*shardSet)
 	}
 	e.shardSets[n] = set
-	e.recordShardFPsLocked(set)
 	return set, nil
 }
 
-// recordShardFPsLocked files a freshly built partition's lineage
-// fingerprints under its version's retention record, so retiring the
-// version later purges the per-shard artifact keys too. Caller holds
-// shardMu.
-func (e *datasetEntry) recordShardFPsLocked(set *shardSet) {
-	for i := range e.versions {
-		if e.versions[i].number == set.version {
-			e.versions[i].fps = append(e.versions[i].fps, set.fps...)
-			return
-		}
-	}
-}
-
 // advanceShardSetsLocked advances every memoized partition to the
-// freshly committed version v by routing the commit's driver delta
-// through shard.Advance — copy-on-write, so scatters holding the
-// previous set keep serving their snapshot. Sets that already reflect
-// v (a racing shardSetFor rebuild) are left alone; sets that somehow
-// fell further behind are dropped and rebuilt on next use. Caller
-// holds shardMu (and verMu, which serializes advances).
-func (e *datasetEntry) advanceShardSetsLocked(v storage.Version) {
+// freshly committed version v through shard.Advance — copy-on-write,
+// so scatters holding the previous set keep serving their snapshot.
+// Sets that are not on v's predecessor (a racing rebuild, or one that
+// fell behind) are dropped and rebuilt on next use. Caller holds
+// shardMu (and verMu, which serializes advances).
+func (e *datasetEntry) advanceShardSetsLocked(prev *storage.Dataset, v storage.Version) {
 	for n, set := range e.shardSets {
-		if set.version == v.Number {
-			continue
-		}
-		if set.version+1 != v.Number {
+		if set.snapshot() != prev {
 			delete(e.shardSets, n)
 			continue
 		}
@@ -211,35 +187,17 @@ func (e *datasetEntry) advanceShardSetsLocked(v storage.Version) {
 			delete(e.shardSets, n)
 			continue
 		}
-		ns := &shardSet{
-			shards:    shards,
-			fps:       make([]uint64, n),
-			version:   v.Number,
-			totalRows: v.Dataset.Relation(plan.Root).NumRows(),
-			breakers:  set.breakers,
-		}
-		for k := range shards {
-			ns.fps[k] = shards[k].DS.VersionFingerprint()
-		}
-		e.shardSets[n] = ns
-		e.recordShardFPsLocked(ns)
+		e.shardSets[n] = &shardSet{shards: shards, breakers: set.breakers}
 	}
 }
 
 // shardCall carries one shard's dispatch context through retry and
-// hedging.
+// hedging: the query's execution context plus the partition and the
+// shard's index in it.
 type shardCall struct {
-	e       *datasetEntry
-	set     *shardSet
-	k       int // shard index
-	req     Request
-	choice  core.PlanChoice
-	sels    []exec.Selection
-	workers int // per-shard worker budget
-	// tr/parent carry the query's trace into per-shard dispatch spans
-	// and the local executor (nil trace = untraced, as everywhere).
-	tr     *telemetry.Trace
-	parent telemetry.SpanID
+	execCall
+	set *shardSet
+	k   int // shard index
 }
 
 // shardTarget is one member that can execute a shard probe: the local
@@ -252,9 +210,8 @@ type shardTarget interface {
 	run(ctx context.Context, s *Service, c shardCall) (exec.Stats, error)
 }
 
-// localTarget executes a shard in-process against the entry's
-// partitioned dataset, reusing the shared artifact cache under the
-// shard's own fingerprint.
+// localTarget executes a shard in-process: the parent snapshot under
+// the shard's driver row set, through the same options as a solo query.
 type localTarget struct{}
 
 func (localTarget) name() string { return "local" }
@@ -264,22 +221,7 @@ func (localTarget) run(ctx context.Context, s *Service, c shardCall) (exec.Stats
 		return exec.Stats{}, &QueryError{Class: ClassInternal, Err: err}
 	}
 	sh := c.set.shards[c.k]
-	var arts exec.Artifacts
-	if c.choice.Strategy != cost.SJSTD && c.choice.Strategy != cost.SJCOM {
-		arts = s.artifactsFor(c.set.fps[c.k], c.set.version, c.e, c.sels)
-	}
-	st, err := core.Execute(sh.DS, c.choice, core.ExecuteOptions{
-		FlatOutput:   c.req.FlatOutput,
-		ChunkSize:    c.req.ChunkSize,
-		Parallelism:  c.workers,
-		Ctx:          ctx,
-		Artifacts:    arts,
-		Selections:   c.sels,
-		DriverRowMap: sh.RowMap,
-		Version:      c.set.version,
-		Trace:        c.tr,
-		TraceParent:  c.parent,
-	})
+	st, err := core.Execute(sh.Parent, c.choice, s.execOptions(ctx, c.execCall, sh.Parent, sh.Rows))
 	if err != nil {
 		return exec.Stats{}, classifyExecError(err)
 	}
@@ -420,24 +362,22 @@ func classSeverity(c Class) int {
 // one dispatch per shard out of the query's single admission slot,
 // gathers with retry/hedging/breakers per shard, and merges. Runs
 // inside Query's admission slot, dataset breaker and deadline.
-func (s *Service) queryScatter(ctx context.Context, e *datasetEntry, req Request,
-	choice core.PlanChoice, sels []exec.Selection, workers int, queued time.Duration,
-	tr *telemetry.Trace, root telemetry.SpanID) (Result, error) {
-	set, err := e.shardSetFor(s, s.cfg.Shard.Shards)
+func (s *Service) queryScatter(ctx context.Context, c execCall, queued time.Duration) (Result, error) {
+	set, err := c.e.shardSetFor(s, s.cfg.Shard.Shards)
 	if err != nil {
 		return Result{}, invalidErr(err)
 	}
+	req, tr := c.req, c.tr
 	n := len(set.shards)
 	s.scatterQueries.Add(1)
 	// The scatter span covers dispatch fan-out through the last shard's
 	// verdict; each attempt hangs its own shard-dispatch span under it.
-	ssp := tr.Start("scatter", root)
+	ssp := tr.Start("scatter", c.parent)
 	tr.Annotate(ssp, "shards", int64(n))
 	defer tr.End(ssp)
-	per := workers / n
-	if per < 1 {
-		per = 1
-	}
+	sc := shardCall{execCall: c, set: set}
+	sc.workers = max(c.workers/n, 1)
+	sc.parent = ssp
 
 	// Without a degraded-coverage budget any shard failure dooms the
 	// query, so the first definitive failure cancels the siblings; with
@@ -458,11 +398,9 @@ func (s *Service) queryScatter(ctx context.Context, e *datasetEntry, req Request
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			parts[k], errs[k] = s.runShard(sctx, shardCall{
-				e: e, set: set, k: k,
-				req: req, choice: choice, sels: sels, workers: per,
-				tr: tr, parent: ssp,
-			})
+			sk := sc
+			sk.k = k
+			parts[k], errs[k] = s.runShard(sctx, sk)
 			if errs[k] != nil && scancel != nil {
 				scancel()
 			}
@@ -483,20 +421,19 @@ func (s *Service) queryScatter(ctx context.Context, e *datasetEntry, req Request
 		coveredRows += set.shards[k].DriverRows()
 	}
 	if len(failed) == 0 {
-		merged := exec.MergeShardStats(parts)
-		return s.scatterResult(req, choice, workers, set.version, elapsed, queued, n, merged), nil
+		return s.scatterResult(c, set, elapsed, queued, exec.MergeShardStats(parts)), nil
 	}
 
 	coverage := float64(len(survivors)) / float64(n)
-	if set.totalRows > 0 {
-		coverage = float64(coveredRows) / float64(set.totalRows)
+	if total := set.snapshot().Relation(plan.Root).NumRows(); total > 0 {
+		coverage = float64(coveredRows) / float64(total)
 	}
 	if req.MinCoverage > 0 && len(survivors) > 0 && coverage >= req.MinCoverage {
 		merged := exec.MergeShardStats(survivors)
 		merged.Coverage = coverage
 		merged.FailedShards = failed
 		s.degraded.Add(1)
-		return s.scatterResult(req, choice, workers, set.version, elapsed, queued, n, merged), nil
+		return s.scatterResult(c, set, elapsed, queued, merged), nil
 	}
 
 	// Surface the most severe shard failure as the query's verdict.
@@ -517,21 +454,11 @@ func (s *Service) queryScatter(ctx context.Context, e *datasetEntry, req Request
 
 // scatterResult assembles the client-facing Result of a (possibly
 // degraded) scatter.
-func (s *Service) scatterResult(req Request, choice core.PlanChoice, workers int, version uint64,
-	elapsed, queued time.Duration, n int, merged exec.Stats) Result {
-	return Result{
-		Dataset:      req.Dataset,
-		Strategy:     choice.Strategy.String(),
-		Order:        choice.Order.String(),
-		Workers:      workers,
-		Version:      version,
-		Elapsed:      elapsed,
-		Queued:       queued,
-		Shards:       n,
-		Coverage:     merged.Coverage,
-		FailedShards: merged.FailedShards,
-		Stats:        merged,
-	}
+func (s *Service) scatterResult(c execCall, set *shardSet, elapsed, queued time.Duration, merged exec.Stats) Result {
+	res := c.result(set.snapshot().Version(), elapsed, queued, merged)
+	res.Shards = len(set.shards)
+	res.FailedShards = merged.FailedShards
+	return res
 }
 
 // runShard drives one shard to a verdict: up to 1+Retries attempts,

@@ -56,6 +56,42 @@ func TestShardedServiceBitIdentity(t *testing.T) {
 	}
 }
 
+// TestShardCountDoesNotMultiplyCache: shards probe the parent
+// snapshot's own artifacts, so the same queries leave the same cache
+// behind at any shard count — one table/filter per (relation, version,
+// selection), not one per shard.
+func TestShardCountDoesNotMultiplyCache(t *testing.T) {
+	ds := genDataset(t, 2000, 28)
+	ctx := context.Background()
+	cacheAfter := func(shards int) CacheStats {
+		svc := New(Config{Parallelism: 4, MaxConcurrent: 2, Shard: ShardConfig{Shards: shards}})
+		if _, err := svc.RegisterDataset("ds", ds); err != nil {
+			t.Fatal(err)
+		}
+		reqs := []Request{
+			chaosRequest("COM"), chaosRequest("BVP+STD"), chaosRequest("SJ+COM"), chaosRequest(""),
+			{Dataset: "ds", Strategy: "STD", FlatOutput: true,
+				Selections: []SelectionSpec{{Relation: "R2", Column: ds.Relation(1).ColumnNames()[0], Value: 3}}},
+		}
+		for round := 0; round < 2; round++ {
+			for _, req := range reqs {
+				if _, err := svc.Query(ctx, req); err != nil {
+					t.Fatalf("shards=%d %+v: %v", shards, req, err)
+				}
+			}
+		}
+		return svc.Stats().Cache
+	}
+	one, four := cacheAfter(1), cacheAfter(4)
+	if one.Entries == 0 || one.Bytes == 0 {
+		t.Fatalf("degenerate baseline: %+v", one)
+	}
+	if four.Entries != one.Entries || four.Bytes != one.Bytes {
+		t.Fatalf("4 shards cache %d entries / %d bytes, unsharded %d / %d",
+			four.Entries, four.Bytes, one.Entries, one.Bytes)
+	}
+}
+
 // TestShardWorkerRole: any plain service executes shard-worker
 // requests (ShardCount/ShardIndex), and manually merging all workers'
 // results reproduces the unsharded answer bit-identically — the

@@ -14,7 +14,7 @@ import (
 )
 
 // Shared-scan batching: compatible warm queries that arrive within a
-// short attach window execute as ONE driver pass (exec.RunBatch)
+// short attach window execute as ONE driver pass (core.ExecuteBatch)
 // instead of each rescanning the driver alone. The first eligible
 // query for a scan key becomes the group leader: it waits the attach
 // window, seals the group, runs the batch on its own goroutine and
@@ -76,10 +76,12 @@ type scanKey struct {
 	chunk   int
 }
 
-// scanMember is one query's seat in a group: its executor options plus
-// its arrival time (for the queue-to-attach latency in Result).
+// scanMember is one query's seat in a group: its plan and executor
+// options plus its arrival time (for the queue-to-attach latency in
+// Result).
 type scanMember struct {
-	opts    exec.Options
+	choice  core.PlanChoice
+	opts    core.ExecuteOptions
 	arrived time.Time
 }
 
@@ -182,10 +184,16 @@ func (s *Service) sharedScanEligible(req Request, choice core.PlanChoice, sels [
 // path. ok=false means the executor rejected the member as
 // incompatible (defense in depth — the scan key should prevent it) and
 // the caller must fall back to a solo run.
-func (s *Service) querySharedScan(e *datasetEntry, req Request, choice core.PlanChoice,
-	snap *storage.Dataset, ver uint64, opts exec.Options, queued time.Duration) (Result, bool, error) {
-	key := scanKey{dataset: e.name, version: ver, fp: snap.VersionFingerprint(), chunk: opts.ChunkSize}
-	g, slot, leader := s.scans.attach(key, snap, scanMember{opts: opts, arrived: time.Now()}, s.cfg.SharedScan.MaxBatch)
+func (s *Service) querySharedScan(c execCall, snap *storage.Dataset, opts core.ExecuteOptions,
+	queued time.Duration) (Result, bool, error) {
+	// The key carries the effective chunk size: chunk i must mean the
+	// same rows for every member.
+	if opts.ChunkSize <= 0 {
+		opts.ChunkSize = exec.DefaultChunkSize
+	}
+	key := scanKey{dataset: c.e.name, version: snap.Version(), fp: snap.VersionFingerprint(), chunk: opts.ChunkSize}
+	g, slot, leader := s.scans.attach(key, snap,
+		scanMember{choice: c.choice, opts: opts, arrived: time.Now()}, s.cfg.SharedScan.MaxBatch)
 	if leader {
 		s.runScanGroup(g)
 	} else {
@@ -214,20 +222,9 @@ func (s *Service) querySharedScan(e *datasetEntry, req Request, choice core.Plan
 	if err != nil {
 		return Result{Elapsed: g.elapsed}, true, classifyExecError(err)
 	}
-	stats := g.stats[slot]
-	return Result{
-		Dataset:    req.Dataset,
-		Strategy:   choice.Strategy.String(),
-		Order:      choice.Order.String(),
-		Workers:    opts.Parallelism,
-		Version:    ver,
-		Elapsed:    g.elapsed,
-		Queued:     queued,
-		Batch:      len(g.members),
-		AttachWait: attachWait,
-		Coverage:   stats.Coverage,
-		Stats:      stats,
-	}, true, nil
+	res := c.result(snap.Version(), g.elapsed, queued, g.stats[slot])
+	res.Batch, res.AttachWait = len(g.members), attachWait
+	return res, true, nil
 }
 
 // runScanGroup is the leader's half: hold the attach window open (a
@@ -246,12 +243,13 @@ func (s *Service) runScanGroup(g *scanGroup) {
 	}
 	members := s.scans.seal(g)
 	defer close(g.done)
-	optsList := make([]exec.Options, len(members))
+	choices := make([]core.PlanChoice, len(members))
+	optsList := make([]core.ExecuteOptions, len(members))
 	for i, m := range members {
-		optsList[i] = m.opts
+		choices[i], optsList[i] = m.choice, m.opts
 	}
 	g.started = time.Now()
-	stats, errs := exec.RunBatch(g.snap, optsList)
+	stats, errs := core.ExecuteBatch(g.snap, choices, optsList)
 	g.elapsed = time.Since(g.started)
 	g.stats, g.errs = stats, errs
 	s.sharedScans.Add(1)

@@ -1,37 +1,33 @@
 // Package shard implements deterministic hash partitioning of a
-// storage.Dataset into N shard datasets for partition-parallel and
-// distributed execution.
+// dataset's driver rows for partition-parallel and distributed
+// execution.
 //
-// The partitioning scheme splits the driver (root) relation: shard k
-// receives every driver row whose deterministic hash assigns it to k,
-// while the non-root (build-side) relations are shared by reference —
-// every shard needs the full build side, and the relations are
-// immutable, so replication is free in-process. Each shard is a
-// complete, self-contained storage.Dataset over the same join tree: it
-// validates, plans and executes exactly like the original, and it has
-// its own content Fingerprint() (the driver rows differ), so per-shard
-// phase-1 artifacts key into the serving layer's LRU cache with no new
-// machinery.
-//
-// Every shard carries a RowMap from shard-local driver row indices
-// back to the original (global) indices. The executor applies it at
-// emission (exec.Options.DriverRowMap), so a shard's output tuples —
-// and therefore its order-independent checksum — are expressed in
-// global row coordinates. That is what makes the scatter-gather merge
-// (exec.MergeShardStats) bit-identical to unsharded execution: each
-// driver row is owned by exactly one shard, every counter is additive
-// over driver rows, and the checksum is an order-independent sum.
+// A shard is a set of driver rows of its parent snapshot — nothing
+// more. The paper's executor builds its hash tables, filters and
+// semi-join reductions on the non-root relations once and streams the
+// driver through them, and every probe counter is additive over driver
+// rows, so partitioning a query is choosing which driver rows a pass
+// scans: shard k owns every driver row whose deterministic hash
+// assigns it to k, carried as one bitmap over the parent's row ids.
+// The executor takes that bitmap as a driver-row restriction
+// (exec.Options.DriverRows) and ANDs it into the root mask exactly
+// where root selections land. A shard pass therefore runs against the
+// parent snapshot itself: it shares the parent's build-side artifacts
+// under the parent's own cache key, honors the parent's liveness, and
+// emits tuples — and hence its order-independent checksum — in the
+// parent's row coordinates. Each driver row is owned by exactly one
+// shard, so the scatter-gather merge (exec.MergeShardStats) is
+// bit-identical to unsharded execution.
 //
 // Assignment is a pure function of (row index, shard count) — see
 // Assign — so independent processes that hold the same dataset agree
 // on the partition without exchanging data. That property is what lets
 // a serving frontend scatter shard requests to backend processes that
-// partition their own copy on demand.
+// derive the same row sets on demand.
 package shard
 
 import (
 	"fmt"
-	"sort"
 
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
@@ -43,24 +39,29 @@ import (
 // remote requests.
 const MaxShards = 1024
 
-// Shard is one partition of a dataset.
+// Shard is one partition of a snapshot's driver rows.
 type Shard struct {
 	// Index is this shard's position in [0, Count).
 	Index int
 	// Count is the total number of shards in the partition.
 	Count int
-	// DS is the shard dataset: the driver relation restricted to this
-	// shard's rows, the non-root relations shared by reference with the
-	// parent dataset, and the same join tree.
-	DS *storage.Dataset
-	// RowMap maps shard-local driver row indices to the original
-	// dataset's driver row indices, in ascending order. Nil for the
-	// trivial 1-shard partition (identity).
-	RowMap []int32
+	// Parent is the snapshot the shard's rows belong to; a shard pass
+	// executes against it directly.
+	Parent *storage.Dataset
+	// Rows marks the driver rows the shard owns, one bit per physical
+	// driver row of Parent (dead rows included — liveness is the
+	// parent's business). Nil means every row: the trivial 1-shard
+	// partition.
+	Rows *storage.Bitmap
 }
 
 // DriverRows returns the number of driver rows owned by the shard.
-func (s Shard) DriverRows() int { return s.DS.Relation(plan.Root).NumRows() }
+func (s Shard) DriverRows() int {
+	if s.Rows == nil {
+		return s.Parent.Relation(plan.Root).NumRows()
+	}
+	return s.Rows.Count()
+}
 
 // Assign returns the shard owning driver row `row` in an n-way
 // partition: a splitmix64 draw over the row index, reduced mod n. It
@@ -78,11 +79,10 @@ func Assign(row, n int) int {
 	return int(x % uint64(n))
 }
 
-// Partition splits ds into n shard datasets. n == 1 returns the
-// original dataset as a single trivial shard (no copying, nil RowMap).
-// Shards may be empty when n exceeds the driver cardinality; empty
-// shards execute trivially and contribute zero to every merged
-// counter.
+// Partition splits ds's driver rows n ways. n == 1 returns the single
+// trivial shard (nil Rows). Shards may be empty when n exceeds the
+// driver cardinality; empty shards execute trivially and contribute
+// zero to every merged counter.
 func Partition(ds *storage.Dataset, n int) ([]Shard, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("shard: nil dataset")
@@ -93,150 +93,49 @@ func Partition(ds *storage.Dataset, n int) ([]Shard, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, fmt.Errorf("shard: invalid dataset: %w", err)
 	}
-	if n == 1 {
-		return []Shard{{Index: 0, Count: 1, DS: ds}}, nil
-	}
-
-	driver := ds.Relation(plan.Root)
-	rows := driver.NumRows()
-	// One pass assigns rows; the per-shard row maps double as the
-	// gather lists for the columnar scatter below.
-	rowMaps := make([][]int32, n)
-	for s := range rowMaps {
-		rowMaps[s] = make([]int32, 0, rows/n+1)
-	}
-	for row := 0; row < rows; row++ {
-		s := Assign(row, n)
-		rowMaps[s] = append(rowMaps[s], int32(row))
-	}
-
-	colNames := driver.ColumnNames()
-	shards := make([]Shard, n)
-	for s := 0; s < n; s++ {
-		rel := storage.NewRelation(driver.Name(), colNames...)
-		rel.GatherRows(driver, rowMaps[s])
-		sds := storage.NewDataset(ds.Tree)
-		sds.SetRelationVersioned(plan.Root, rel, "",
-			gatherLive(ds.Live(plan.Root), rowMaps[s]), rel.NumRows(), nil)
-		for _, id := range ds.Tree.NonRoot() {
-			// The build side is shared by reference, maintenance state
-			// included, so shard artifacts repair and compact exactly
-			// when the parent's do.
-			sds.SetRelationVersioned(id, ds.Relation(id), ds.KeyColumn(id),
-				ds.Live(id), ds.BaseRows(id), ds.BaseLive(id))
-		}
-		sds.SetVersion(ds.Version(), shardFingerprint(ds, n, s))
-		shards[s] = Shard{Index: s, Count: n, DS: sds, RowMap: rowMaps[s]}
-	}
-	return shards, nil
-}
-
-// shardFingerprint derives shard s's lineage fingerprint from the
-// parent snapshot's: unique per (parent lineage, shard count, shard),
-// and equal across processes that replayed the same mutation stream —
-// which is what keys per-shard artifacts into the serving cache
-// consistently however the shard dataset was produced (Partition from
-// scratch or Advance in lockstep).
-func shardFingerprint(parent *storage.Dataset, n, s int) uint64 {
-	h := storage.FingerprintUint64(parent.VersionFingerprint(), uint64(n))
-	return storage.FingerprintUint64(h, uint64(s))
-}
-
-// gatherLive builds a shard-local liveness mask from the parent's
-// driver mask and the shard's row map (nil in, nil out: all live).
-func gatherLive(parentLive *storage.Bitmap, rowMap []int32) *storage.Bitmap {
-	if parentLive == nil {
-		return nil
-	}
-	local := storage.NewBitmap(len(rowMap))
-	for i, row := range rowMap {
-		if !parentLive.Get(int(row)) {
-			local.Clear(i)
-		}
-	}
-	return local
+	return extend(make([]Shard, n), ds, 0), nil
 }
 
 // Advance derives the partition of the parent's next snapshot from the
-// partition of its predecessor, routing the commit's driver delta
-// through Assign so shard datasets version in lockstep with their
-// parent: appended driver rows are gathered onto exactly their owning
-// shard (copy-on-write, so the previous partition keeps serving its
-// snapshot), driver deletes clear the owning shard's local liveness
-// bit, and the shared build side simply re-references the parent
-// snapshot's relations and maintenance state. Like the storage commit
-// chain itself, Advance must be called at most once per predecessor
-// partition (a linear chain; the serving layer serializes writers).
-// The result is row-for-row identical to Partition(parent, n).
+// partition of its predecessor: the commit's appended driver rows are
+// routed through Assign onto their owning shard's mask (copy-on-write,
+// so the previous partition keeps serving its snapshot). Driver deletes
+// need nothing — the parent's liveness already has them — and a commit
+// that leaves the driver alone shares the masks by reference. The
+// result is mask-for-mask identical to Partition(parent, n).
 func Advance(prev []Shard, parent *storage.Dataset, v storage.Version) ([]Shard, error) {
-	n := len(prev)
-	if n == 0 {
+	if len(prev) == 0 {
 		return nil, fmt.Errorf("shard: Advance of empty partition")
 	}
 	if parent != v.Dataset {
 		return nil, fmt.Errorf("shard: Advance parent is not the committed snapshot")
 	}
-	if n == 1 {
-		return []Shard{{Index: 0, Count: 1, DS: parent}}, nil
-	}
+	return extend(prev, parent, prev[0].Parent.Relation(plan.Root).NumRows()), nil
+}
 
-	// The commit's driver delta, if any.
-	var rootDelta *storage.RelationDelta
-	for i := range v.Deltas {
-		if v.Deltas[i].Rel == plan.Root {
-			rootDelta = &v.Deltas[i]
-		}
-	}
-
-	driver := parent.Relation(plan.Root)
+// extend returns prev re-pointed at parent with every driver row in
+// [from, parent's driver rows) assigned to its owner. prev's masks are
+// never written: a mask that gains rows is copied first, one that does
+// not is shared.
+func extend(prev []Shard, parent *storage.Dataset, from int) []Shard {
+	n := len(prev)
+	rows := parent.Relation(plan.Root).NumRows()
 	shards := make([]Shard, n)
-	appended := make([][]int32, n)
-	deleted := make([][]int32, n)
-	if rootDelta != nil {
-		for row := rootDelta.AppendedFrom; row < driver.NumRows(); row++ {
-			s := Assign(row, n)
-			appended[s] = append(appended[s], int32(row))
-		}
-		for _, row := range rootDelta.Deleted {
-			s := Assign(row, n)
-			deleted[s] = append(deleted[s], int32(row))
-		}
+	for s := range shards {
+		shards[s] = Shard{Index: s, Count: n, Parent: parent, Rows: prev[s].Rows}
 	}
-	for s := 0; s < n; s++ {
-		rel := prev[s].DS.Relation(plan.Root)
-		rowMap := prev[s].RowMap
-		live := prev[s].DS.Live(plan.Root)
-		if len(appended[s]) > 0 {
-			rel = rel.CloneAppendRows(driver, appended[s])
-			// Appending global rows in ascending order keeps the row
-			// map ascending, so it stays binary-searchable.
-			rowMap = append(rowMap[:len(rowMap):len(rowMap)], appended[s]...)
-			if live != nil {
-				live = live.CloneGrown(rel.NumRows())
-			}
-		}
-		if len(deleted[s]) > 0 {
-			if live == nil {
-				live = storage.NewBitmap(rel.NumRows())
-			} else if len(appended[s]) == 0 {
-				live = live.Clone()
-			}
-			for _, row := range deleted[s] {
-				local := sort.Search(len(rowMap), func(i int) bool { return rowMap[i] >= row })
-				if local == len(rowMap) || rowMap[local] != row {
-					return nil, fmt.Errorf("shard: deleted driver row %d not in shard %d's row map", row, s)
-				}
-				live.Clear(local)
-			}
-		}
-		sds := storage.NewDataset(parent.Tree)
-		sds.SetRelationVersioned(plan.Root, rel, "", live, rel.NumRows(), nil)
-		for _, id := range parent.Tree.NonRoot() {
-			sds.SetRelationVersioned(id, parent.Relation(id), parent.KeyColumn(id),
-				parent.Live(id), parent.BaseRows(id), parent.BaseLive(id))
-		}
-		sds.SetVersion(parent.Version(), shardFingerprint(parent, n, s))
-		shards[s] = Shard{Index: s, Count: n, DS: sds, RowMap: rowMap}
+	if n == 1 || rows == from {
+		return shards
 	}
-	return shards, nil
+	for s := range shards {
+		grown := storage.NewEmptyBitmap(rows)
+		if from > 0 {
+			copy(grown.Words(), prev[s].Rows.Words())
+		}
+		shards[s].Rows = grown
+	}
+	for row := from; row < rows; row++ {
+		shards[Assign(row, n)].Rows.Set(row)
+	}
+	return shards
 }

@@ -45,7 +45,6 @@ func TestAssignDeterministicAndInRange(t *testing.T) {
 
 func TestPartitionCoversEveryRowExactlyOnce(t *testing.T) {
 	ds := testDataset(t, 1777, 3)
-	driver := ds.Relation(plan.Root)
 	for _, n := range []int{2, 3, 4, 8} {
 		shards, err := Partition(ds, n)
 		if err != nil {
@@ -54,87 +53,7 @@ func TestPartitionCoversEveryRowExactlyOnce(t *testing.T) {
 		if len(shards) != n {
 			t.Fatalf("got %d shards, want %d", len(shards), n)
 		}
-		seen := make([]bool, driver.NumRows())
-		for k, sh := range shards {
-			if sh.Index != k || sh.Count != n {
-				t.Fatalf("shard %d mislabeled: %d/%d", k, sh.Index, sh.Count)
-			}
-			if err := sh.DS.Validate(); err != nil {
-				t.Fatalf("shard %d invalid: %v", k, err)
-			}
-			if got := sh.DriverRows(); got != len(sh.RowMap) {
-				t.Fatalf("shard %d: %d driver rows but %d RowMap entries", k, got, len(sh.RowMap))
-			}
-			prev := int32(-1)
-			for local, global := range sh.RowMap {
-				if global <= prev {
-					t.Fatalf("shard %d RowMap not ascending at %d", k, local)
-				}
-				prev = global
-				if seen[global] {
-					t.Fatalf("driver row %d assigned twice", global)
-				}
-				seen[global] = true
-				if Assign(int(global), n) != k {
-					t.Fatalf("row %d in shard %d but Assign says %d", global, k, Assign(int(global), n))
-				}
-				// The shard driver must hold exactly the global row's values.
-				for c := 0; c < driver.NumCols(); c++ {
-					if sh.DS.Relation(plan.Root).ColumnAt(c)[local] != driver.ColumnAt(c)[global] {
-						t.Fatalf("shard %d row %d column %d diverges from global row %d",
-							k, local, c, global)
-					}
-				}
-			}
-		}
-		for row, ok := range seen {
-			if !ok {
-				t.Fatalf("driver row %d unassigned", row)
-			}
-		}
-	}
-}
-
-func TestPartitionSharesNonRootRelations(t *testing.T) {
-	ds := testDataset(t, 500, 5)
-	shards, err := Partition(ds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ds.Tree.NonRoot() {
-		for k, sh := range shards {
-			if sh.DS.Relation(id) != ds.Relation(id) {
-				t.Fatalf("shard %d copied non-root relation %d instead of sharing it", k, id)
-			}
-			if sh.DS.KeyColumn(id) != ds.KeyColumn(id) {
-				t.Fatalf("shard %d lost key column of relation %d", k, id)
-			}
-		}
-	}
-}
-
-func TestPartitionFingerprintsDistinct(t *testing.T) {
-	ds := testDataset(t, 800, 9)
-	shards, err := Partition(ds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fps := map[uint64]int{ds.Fingerprint(): -1}
-	for k, sh := range shards {
-		fp := sh.DS.Fingerprint()
-		if other, dup := fps[fp]; dup {
-			t.Fatalf("shard %d shares fingerprint %#x with %d", k, fp, other)
-		}
-		fps[fp] = k
-		// Determinism: a second partition of the same dataset must
-		// fingerprint identically shard for shard.
-		again, err := Partition(ds, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again[k].DS.Fingerprint() != fp {
-			t.Fatalf("shard %d fingerprint not deterministic", k)
-		}
+		requirePartitionOf(t, ds, shards)
 	}
 }
 
@@ -144,8 +63,8 @@ func TestPartitionTrivialAndEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one[0].DS != ds || one[0].RowMap != nil {
-		t.Fatal("1-shard partition must return the original dataset with a nil RowMap")
+	if one[0].Parent != ds || one[0].Rows != nil || one[0].DriverRows() != 300 {
+		t.Fatal("1-shard partition must be the whole snapshot with nil Rows")
 	}
 	if _, err := Partition(ds, 0); err == nil {
 		t.Fatal("want error for 0 shards")
@@ -156,7 +75,7 @@ func TestPartitionTrivialAndEdgeCases(t *testing.T) {
 	if _, err := Partition(nil, 2); err == nil {
 		t.Fatal("want error for nil dataset")
 	}
-	// More shards than driver rows: some shards are empty but valid.
+	// More shards than driver rows: some shards are empty.
 	tiny := testDataset(t, 3, 2)
 	shards, err := Partition(tiny, 8)
 	if err != nil {
@@ -164,9 +83,6 @@ func TestPartitionTrivialAndEdgeCases(t *testing.T) {
 	}
 	total := 0
 	for _, sh := range shards {
-		if err := sh.DS.Validate(); err != nil {
-			t.Fatalf("empty-ish shard invalid: %v", err)
-		}
 		total += sh.DriverRows()
 	}
 	if total != 3 {

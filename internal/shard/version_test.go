@@ -52,9 +52,8 @@ func commitRandomBatch(t *testing.T, ds *storage.Dataset, rng *rand.Rand, nOps i
 	return v
 }
 
-// requireShardsEqual asserts two partitions are row-for-row identical:
-// same row maps, same driver contents, same liveness, same maintenance
-// state and version stamps on every relation.
+// requireShardsEqual asserts two partitions are identical: same
+// labels, same parent snapshot, same driver row sets mask for mask.
 func requireShardsEqual(t *testing.T, got, want []Shard) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -62,41 +61,18 @@ func requireShardsEqual(t *testing.T, got, want []Shard) {
 	}
 	for s := range want {
 		g, w := got[s], want[s]
-		if !reflect.DeepEqual(g.RowMap, w.RowMap) {
-			t.Fatalf("shard %d: row maps differ", s)
+		if g.Index != w.Index || g.Count != w.Count || g.Parent != w.Parent {
+			t.Fatalf("shard %d: label/parent (%d/%d %p) vs (%d/%d %p)", s,
+				g.Index, g.Count, g.Parent, w.Index, w.Count, w.Parent)
 		}
-		if g.DS.Version() != w.DS.Version() ||
-			g.DS.VersionFingerprint() != w.DS.VersionFingerprint() {
-			t.Fatalf("shard %d: version stamp (%d, %x) vs (%d, %x)", s,
-				g.DS.Version(), g.DS.VersionFingerprint(),
-				w.DS.Version(), w.DS.VersionFingerprint())
+		if (g.Rows == nil) != (w.Rows == nil) {
+			t.Fatalf("shard %d: nil mask on one side only", s)
 		}
-		for i := 0; i < w.DS.Tree.Len(); i++ {
-			id := plan.NodeID(i)
-			gr, wr := g.DS.Relation(id), w.DS.Relation(id)
-			if gr.NumRows() != wr.NumRows() {
-				t.Fatalf("shard %d rel %d: %d rows vs %d", s, id, gr.NumRows(), wr.NumRows())
-			}
-			for c := 0; c < wr.NumCols(); c++ {
-				gc, wc := gr.ColumnAt(c), wr.ColumnAt(c)
-				for r := range wc {
-					if gc[r] != wc[r] {
-						t.Fatalf("shard %d rel %d col %d row %d: %d vs %d", s, id, c, r, gc[r], wc[r])
-					}
-				}
-			}
-			gl, wl := g.DS.Live(id), w.DS.Live(id)
-			for r := 0; r < wr.NumRows(); r++ {
-				ga := gl == nil || gl.Get(r)
-				wa := wl == nil || wl.Get(r)
-				if ga != wa {
-					t.Fatalf("shard %d rel %d row %d: live %v vs %v", s, id, r, ga, wa)
-				}
-			}
-			if g.DS.BaseRows(id) != w.DS.BaseRows(id) {
-				t.Fatalf("shard %d rel %d: BaseRows %d vs %d", s, id,
-					g.DS.BaseRows(id), w.DS.BaseRows(id))
-			}
+		if g.Rows == nil {
+			continue
+		}
+		if g.Rows.Len() != w.Rows.Len() || !reflect.DeepEqual(g.Rows.Words(), w.Rows.Words()) {
+			t.Fatalf("shard %d: masks differ", s)
 		}
 	}
 }

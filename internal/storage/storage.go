@@ -97,8 +97,7 @@ func (r *Relation) AppendRow(values ...int64) {
 
 // GatherRows appends the listed rows of src to r, column by column.
 // Both relations must have the same column layout; the caller
-// guarantees the row indices are in range. This is the scatter
-// primitive behind dataset sharding.
+// guarantees the row indices are in range.
 func (r *Relation) GatherRows(src *Relation, rows []int32) {
 	if len(r.cols) != len(src.cols) {
 		panic(fmt.Sprintf("storage: GatherRows across layouts (%d vs %d columns)",

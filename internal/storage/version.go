@@ -384,32 +384,6 @@ func (r *Relation) cloneAppend(rows [][]int64) *Relation {
 	return nr
 }
 
-// CloneAppendRows returns a copy-on-write successor of r with the
-// listed rows of src appended, column by column — the versioned
-// counterpart of GatherRows, used by the shard layer to advance shard
-// drivers in lockstep with their parent. Readers of r are unaffected.
-func (r *Relation) CloneAppendRows(src *Relation, rows []int32) *Relation {
-	if len(r.cols) != len(src.cols) {
-		panic(fmt.Sprintf("storage: CloneAppendRows across layouts (%d vs %d columns)",
-			len(r.cols), len(src.cols)))
-	}
-	nr := &Relation{
-		name:  r.name,
-		names: r.names,
-		index: r.index,
-		cols:  make([]Column, len(r.cols)),
-	}
-	copy(nr.cols, r.cols)
-	for c := range nr.cols {
-		dst, from := nr.cols[c], src.cols[c]
-		for _, row := range rows {
-			dst = append(dst, from[row])
-		}
-		nr.cols[c] = dst
-	}
-	return nr
-}
-
 // Version returns the snapshot's version number (0 for a dataset that
 // has never been committed to).
 func (d *Dataset) Version() uint64 { return d.version }
@@ -424,15 +398,6 @@ func (d *Dataset) VersionFingerprint() uint64 {
 		d.vfpSet = true
 	}
 	return d.vfp
-}
-
-// SetVersion stamps version bookkeeping on a derived dataset (shard
-// datasets mirror their parent snapshot's version under their own
-// lineage fingerprint). It is not meant for general use.
-func (d *Dataset) SetVersion(number, fingerprint uint64) {
-	d.version = number
-	d.vfp = fingerprint
-	d.vfpSet = true
 }
 
 // Live returns id's liveness bitmap, or nil when every row is live.
@@ -486,30 +451,4 @@ func (d *Dataset) HasDeltas() bool {
 		}
 	}
 	return false
-}
-
-// SetRelationVersioned binds rel to node id together with explicit
-// maintenance state: the current liveness mask, the base marker and
-// the live-at-compaction mask. The shard layer uses it to make derived
-// shard datasets mirror their parent snapshot; Validate checks the
-// mask lengths.
-func (d *Dataset) SetRelationVersioned(id plan.NodeID, rel *Relation, keyColumn string,
-	live *Bitmap, baseRows int, baseLive *Bitmap) {
-	d.SetRelation(id, rel, keyColumn)
-	if d.live == nil {
-		d.live = make(map[plan.NodeID]*Bitmap)
-		d.baseRows = make(map[plan.NodeID]int)
-		d.baseLive = make(map[plan.NodeID]*Bitmap)
-	}
-	if live != nil {
-		d.live[id] = live
-	} else {
-		delete(d.live, id)
-	}
-	d.baseRows[id] = baseRows
-	if baseLive != nil {
-		d.baseLive[id] = baseLive
-	} else {
-		delete(d.baseLive, id)
-	}
 }

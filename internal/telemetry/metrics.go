@@ -258,13 +258,19 @@ func (r *Registry) family(name, help string, kind metricKind) *family {
 	return f
 }
 
-func (f *family) get(labels Labels) *series {
+// get returns the series for labels, creating it on first use. init
+// sets the new series' value field and runs under the lock that
+// publishes the series, so concurrent first users and scrapes all see
+// one fully initialised instrument; a series' fields never change
+// after that.
+func (f *family) get(labels Labels, init func(*series)) *series {
 	key := labels.key()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	s := f.series[key]
 	if s == nil {
 		s = &series{labels: key}
+		init(s)
 		f.series[key] = s
 		f.order = append(f.order, key)
 	}
@@ -274,48 +280,30 @@ func (f *family) get(labels Labels) *series {
 // Counter returns (registering if needed) the counter series for the
 // given name and labels.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	s := r.family(name, help, kindCounter).get(labels)
-	if s.c == nil && s.fn == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.family(name, help, kindCounter).get(labels, func(s *series) { s.c = &Counter{} }).c
 }
 
 // Gauge returns (registering if needed) the gauge series.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	s := r.family(name, help, kindGauge).get(labels)
-	if s.g == nil && s.fn == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.family(name, help, kindGauge).get(labels, func(s *series) { s.g = &Gauge{} }).g
 }
 
 // Histogram returns (registering if needed) the histogram series.
 func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
-	s := r.family(name, help, kindHistogram).get(labels)
-	if s.h == nil {
-		s.h = &Histogram{}
-	}
-	return s.h
+	return r.family(name, help, kindHistogram).get(labels, func(s *series) { s.h = &Histogram{} }).h
 }
 
 // CounterFunc registers a counter series whose value is read from fn
 // at scrape time — the shadow form: the service's own atomic counter
 // stays the source of truth and the exposition can never drift from
-// it. Re-registering the same series keeps the first function.
+// it. Re-registering the same series keeps the first registration.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() int64) {
-	s := r.family(name, help, kindCounter).get(labels)
-	if s.fn == nil && s.c == nil {
-		s.fn = fn
-	}
+	r.family(name, help, kindCounter).get(labels, func(s *series) { s.fn = fn })
 }
 
 // GaugeFunc registers a gauge series read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() int64) {
-	s := r.family(name, help, kindGauge).get(labels)
-	if s.fn == nil && s.g == nil {
-		s.fn = fn
-	}
+	r.family(name, help, kindGauge).get(labels, func(s *series) { s.fn = fn })
 }
 
 // WritePrometheus renders the registry in Prometheus text exposition

@@ -326,3 +326,51 @@ func TestTraceConcurrentSpans(t *testing.T) {
 		t.Errorf("children = %d, want 800", len(node.Children))
 	}
 }
+
+// TestRegistryConcurrentFirstUse: goroutines racing to first-touch one
+// labelled series of each kind — while a scrape runs — must all get the
+// same instrument, so no observation lands on a pointer another
+// goroutine overwrote. Run under -race in CI: the series value is
+// initialised under the lock that creates the series.
+func TestRegistryConcurrentFirstUse(t *testing.T) {
+	const n = 16
+	reg := NewRegistry()
+	labels := Labels{{"outcome", "ok"}}
+	hs := make([]*Histogram, n)
+	cs := make([]*Counter, n)
+	gs := make([]*Gauge, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			hs[i] = reg.Histogram("dispatch_seconds", "", labels)
+			hs[i].Observe(time.Millisecond)
+			cs[i] = reg.Counter("dispatches_total", "", labels)
+			cs[i].Inc()
+			gs[i] = reg.Gauge("inflight", "", labels)
+			gs[i].Add(1)
+		}(i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		if err := reg.WritePrometheus(&bytes.Buffer{}); err != nil {
+			t.Error(err)
+		}
+	}()
+	close(start)
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if hs[i] != hs[0] || cs[i] != cs[0] || gs[i] != gs[0] {
+			t.Fatalf("goroutine %d got a different instrument for the same series", i)
+		}
+	}
+	if hs[0].Count() != n || cs[0].Value() != n || gs[0].Value() != n {
+		t.Fatalf("lost updates: histogram %d counter %d gauge %d, want %d each",
+			hs[0].Count(), cs[0].Value(), gs[0].Value(), n)
+	}
+}
