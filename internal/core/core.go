@@ -19,8 +19,10 @@ import (
 	"context"
 	"fmt"
 
+	"m2mjoin/internal/bitvector"
 	"m2mjoin/internal/cost"
 	"m2mjoin/internal/exec"
+	"m2mjoin/internal/hashtable"
 	"m2mjoin/internal/opt"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
@@ -37,7 +39,9 @@ type PlanRequest struct {
 	MeasureStats bool
 	// StatsCache optionally memoizes edge-statistics measurement when
 	// MeasureStats is set. ChooseDriver shares one cache across all
-	// candidate drivers so each edge direction is scanned once.
+	// candidate drivers so each edge direction is scanned once. The
+	// cache also holds the tables the measurement built (see
+	// PlanChoice.Tables); whoever keeps it past the query releases them.
 	StatsCache *workload.EdgeStatsCache
 	// FlatOutput includes the expansion cost for COM variants.
 	FlatOutput bool
@@ -64,7 +68,95 @@ type PlanChoice struct {
 	// Tree is the (possibly measured) statistics tree the choice was
 	// costed against.
 	Tree *plan.Tree
+	// Tables are the hash tables MeasureStats built to count the tree's
+	// edge statistics: the engine's own table per non-root relation,
+	// which Execute serves to the executor instead of building it a
+	// second time. Nil without MeasureStats; clearing the field only
+	// costs the rebuild.
+	Tables *PlanTables
 }
+
+// PlanTables carries the plan-time hash tables of one dataset snapshot
+// from ChoosePlan into Execute. Each is the table of a non-root relation
+// on its parent-join key under the snapshot's base/live masks — bit for
+// bit what the executor builds for a relation without a selection
+// (equal hashtable.Table.Checksum). Execute and ExecuteBatch use them
+// only when the caller passed no Artifacts provider, only on the very
+// snapshot they were measured on — the same *storage.Dataset with every
+// relation at its measured row count, so a later version, a rerooted
+// tree or an in-place append falls back to building — and never for a
+// relation that carries a selection, whose table has another shape.
+// Stats are identical either way except CacheHits/CacheMisses, which
+// then count the tables served and the artifacts built.
+type PlanTables struct {
+	ds     *storage.Dataset
+	rows   []int              // per relation, at measurement
+	tables []*hashtable.Table // by NodeID; nil = not held
+}
+
+// newPlanTables binds tables (by NodeID) to the snapshot they were
+// measured on; nil when there is nothing to carry.
+func newPlanTables(ds *storage.Dataset, tables []*hashtable.Table) *PlanTables {
+	p := &PlanTables{ds: ds, rows: make([]int, ds.Tree.Len()), tables: tables}
+	if p.Len() == 0 {
+		return nil
+	}
+	for i := range p.rows {
+		p.rows[i] = ds.Relation(plan.NodeID(i)).NumRows()
+	}
+	return p
+}
+
+// Table returns the held table of relation id, or nil.
+func (p *PlanTables) Table(id plan.NodeID) *hashtable.Table { return p.tables[id] }
+
+// Len returns the number of tables held.
+func (p *PlanTables) Len() int {
+	if p == nil {
+		return 0
+	}
+	n := 0
+	for _, t := range p.tables {
+		if t != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// artifacts returns the provider serving p's tables to an execution on
+// ds under sels, or nil when they do not apply to it.
+func (p *PlanTables) artifacts(ds *storage.Dataset, sels []exec.Selection) exec.Artifacts {
+	if p == nil || p.ds != ds {
+		return nil
+	}
+	for i, n := range p.rows {
+		if ds.Relation(plan.NodeID(i)).NumRows() != n {
+			return nil
+		}
+	}
+	tables := p.tables
+	if len(sels) > 0 {
+		tables = append([]*hashtable.Table(nil), tables...)
+		for _, sel := range sels {
+			if int(sel.Rel) >= 0 && int(sel.Rel) < len(tables) {
+				tables[sel.Rel] = nil
+			}
+		}
+	}
+	return planArtifacts(tables)
+}
+
+// planArtifacts is the read-only exec.Artifacts view of plan-time
+// tables: hits for the relations it holds, nothing kept of what the run
+// builds.
+type planArtifacts []*hashtable.Table
+
+func (a planArtifacts) Table(id plan.NodeID) *hashtable.Table  { return a[id] }
+func (planArtifacts) PutTable(plan.NodeID, *hashtable.Table)   {}
+func (planArtifacts) Filter(plan.NodeID) *bitvector.Filter     { return nil }
+func (planArtifacts) PutFilter(plan.NodeID, *bitvector.Filter) {}
+func (planArtifacts) BytesCached() int64                       { return 0 }
 
 // ChoosePlan costs every candidate strategy with its best join order
 // and returns the cheapest plan.
@@ -73,8 +165,14 @@ func ChoosePlan(req PlanRequest) (PlanChoice, error) {
 		return PlanChoice{}, fmt.Errorf("core: PlanRequest.Dataset is required")
 	}
 	tree := req.Dataset.Tree
+	var tables *PlanTables
 	if req.MeasureStats {
-		tree = workload.MeasuredTreeCached(req.Dataset, req.StatsCache)
+		cache := req.StatsCache
+		if cache == nil {
+			cache = workload.NewEdgeStatsCache()
+		}
+		tree = workload.MeasuredTreeCached(req.Dataset, cache)
+		tables = newPlanTables(req.Dataset, cache.Tables(req.Dataset))
 	}
 	w := cost.DefaultWeights()
 	if req.Weights != nil {
@@ -124,6 +222,7 @@ func ChoosePlan(req PlanRequest) (PlanChoice, error) {
 	if !found {
 		return PlanChoice{}, fmt.Errorf("core: no candidate strategies")
 	}
+	best.Tables = tables
 	return best, nil
 }
 
@@ -139,7 +238,8 @@ type ExecuteOptions struct {
 	Ctx context.Context
 	// Artifacts optionally injects cached phase-1 build artifacts and
 	// receives freshly built ones (see exec.Options.Artifacts); the
-	// serving layer's artifact cache plugs in here.
+	// serving layer's artifact cache plugs in here. When nil, the
+	// choice's own plan-time tables are served instead (PlanTables).
 	Artifacts exec.Artifacts
 	// Selections are pushed-down equality predicates on the base
 	// relations.
@@ -168,17 +268,24 @@ type ExecuteOptions struct {
 func ExecuteBatch(ds *storage.Dataset, choices []PlanChoice, opts []ExecuteOptions) ([]exec.Stats, []error) {
 	optsList := make([]exec.Options, len(choices))
 	for i, choice := range choices {
-		optsList[i] = execOptions(choice, opts[i])
+		optsList[i] = execOptions(ds, choice, opts[i])
 	}
 	return exec.RunBatch(ds, optsList)
 }
 
 // Execute runs the chosen plan against the dataset.
 func Execute(ds *storage.Dataset, choice PlanChoice, opts ExecuteOptions) (exec.Stats, error) {
-	return exec.Run(ds, execOptions(choice, opts))
+	return exec.Run(ds, execOptions(ds, choice, opts))
 }
 
-func execOptions(choice PlanChoice, opts ExecuteOptions) exec.Options {
+// execOptions maps a choice and its execution options onto the
+// executor's; without a caller-supplied provider the choice's plan-time
+// tables, where they apply to ds, take its place.
+func execOptions(ds *storage.Dataset, choice PlanChoice, opts ExecuteOptions) exec.Options {
+	arts := opts.Artifacts
+	if arts == nil {
+		arts = choice.Tables.artifacts(ds, opts.Selections)
+	}
 	return exec.Options{
 		Strategy:      choice.Strategy,
 		Order:         choice.Order,
@@ -187,7 +294,7 @@ func execOptions(choice PlanChoice, opts ExecuteOptions) exec.Options {
 		ChunkSize:     opts.ChunkSize,
 		Parallelism:   opts.Parallelism,
 		Ctx:           opts.Ctx,
-		Artifacts:     opts.Artifacts,
+		Artifacts:     arts,
 		Selections:    opts.Selections,
 		DriverRows:    opts.DriverRows,
 		CollectOutput: opts.CollectOutput,

@@ -38,7 +38,9 @@ type DriverChoice struct {
 // Edge statistics are memoized across candidates: an undirected edge
 // has exactly two probe directions, each measured once and replayed
 // for every reroot and plan selection that needs it, so the
-// enumeration scans the data O(relations) times instead of O(n^2).
+// enumeration scans the data O(relations) times instead of O(n^2). The
+// winning Plan carries the tables of the directions its own candidate
+// was first to measure (PlanChoice.Tables), valid on Dataset.
 func ChooseDriver(ds *storage.Dataset, req PlanRequest) (DriverChoice, error) {
 	if ds == nil {
 		return DriverChoice{}, fmt.Errorf("core: ChooseDriver requires a dataset")
@@ -66,6 +68,11 @@ func ChooseDriver(ds *storage.Dataset, req PlanRequest) (DriverChoice, error) {
 		if err != nil {
 			return DriverChoice{}, fmt.Errorf("core: driver %d: %w", driver, err)
 		}
+		// The choice holds the tables this candidate's measurements
+		// built; the shared cache keeps only the statistics, so a losing
+		// candidate's tables die with its choice instead of all 2(n-1)
+		// staying alive to the end of the enumeration.
+		cache.ReleaseTables()
 		if !found || choice.Predicted.Total*driverRows(cand) < best.Plan.Predicted.Total*driverRows(best.Dataset) {
 			best = DriverChoice{Driver: driver, Dataset: cand, Mapping: mapping, Plan: choice}
 			found = true

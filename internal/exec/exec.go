@@ -119,16 +119,20 @@ type Options struct {
 	Ctx context.Context
 	// Artifacts optionally injects pre-built phase-1 artifacts (hash
 	// tables and bitvector filters) and receives the ones built by this
-	// run — the serving layer's shared artifact cache. A non-nil Table
-	// or Filter result is used as-is and skips that build entirely; a
-	// miss builds as usual and hands the result back via PutTable /
-	// PutFilter. Implementations must be safe for concurrent use (phase
-	// 1 fans out across relations) and must return structures built
-	// over the same relation, key column and selection mask this run
-	// would build — the cache guarantees that by keying on (dataset
-	// fingerprint, relation, key column, mask fingerprint). The SJ
-	// strategies never consult the provider: their tables are built
-	// from per-query semi-join-reduced masks, which are not shareable.
+	// run — the serving layer's shared artifact cache, or the tables a
+	// plan's statistics were measured with (core.PlanChoice.Tables). A
+	// non-nil Table or Filter result is used as-is and skips that build
+	// entirely; a miss builds as usual and hands the result back via
+	// PutTable / PutFilter. Implementations must be safe for concurrent
+	// use (phase 1 fans out across relations) and must return structures
+	// built over the same relation, key column and base mask (selection
+	// ∧ snapshot liveness) this run would build — the cache guarantees
+	// that by keying on (dataset fingerprint, relation, key column, mask
+	// fingerprint). Every strategy consults the provider for the
+	// relations it does not reduce: STD/COM/BVP for all of them, SJ for
+	// the childless ones, whose table no semi-join touches. A relation
+	// SJ does reduce gets a per-query table over its reduced mask, which
+	// is not shareable and is neither requested nor offered.
 	Artifacts Artifacts
 	// DriverRows, when non-nil, restricts the driver scan to the marked
 	// rows: one bit per physical driver row, ANDed into the root mask
@@ -161,9 +165,10 @@ type Options struct {
 	TraceParent telemetry.SpanID
 }
 
-// Artifacts supplies and receives phase-1 build artifacts, letting a
-// serving layer share immutable hash tables and bitvector filters
-// across queries (see Options.Artifacts for the contract).
+// Artifacts supplies and receives phase-1 build artifacts: immutable
+// base-mask hash tables and bitvector filters, shared across queries by
+// a serving layer or carried from planning into execution (see
+// Options.Artifacts for the contract).
 type Artifacts interface {
 	// Table returns the cached hash table for relation id, or nil on a
 	// miss.
@@ -571,19 +576,14 @@ func maskAt(masks []*storage.Bitmap, id plan.NodeID) *storage.Bitmap {
 	return masks[id]
 }
 
-// buildTables constructs the hash table of every non-root relation on
-// its parent-join key, honoring optional selection masks. Relations
-// build independently across the worker pool, and each individual
-// build additionally morsel-parallelizes over its share of the pool;
-// every table is bit-identical to a sequential build — which is what
-// lets an artifact provider substitute a cached table for the build
-// without perturbing a single downstream counter.
+// buildTables obtains the hash table of every non-root relation on its
+// parent-join key under its base mask (baseTable). Relations build
+// independently across the worker pool, and each individual build
+// additionally morsel-parallelizes over its share of the pool.
 func (r *run) buildTables() {
 	t := r.ds.Tree
 	r.tables = make([]*hashtable.Table, t.Len())
 	per := r.perBuildParallelism()
-	arts := r.opts.Artifacts
-	stop := r.stopFn()
 	r.forEachNonRoot(func(id plan.NodeID) {
 		sp := r.opts.Trace.Start("build-relation", r.phase1Span)
 		r.opts.Trace.Annotate(sp, "rel", int64(id))
@@ -592,41 +592,52 @@ func (r *run) buildTables() {
 			r.fail(err)
 			return
 		}
-		if arts != nil {
-			if tbl := arts.Table(id); tbl != nil {
-				r.tables[id] = tbl
-				r.cacheHits.Add(1)
-				r.opts.Trace.Annotate(sp, "cached", 1)
-				return
-			}
-		}
-		var tbl *hashtable.Table
-		if maskAt(r.selMasks, id) == nil {
-			// No selection: build in the versioned shape — packed part
-			// over the base region, tombstones, append sub-table — which
-			// is exactly what incremental repair maintains, so a cached
-			// artifact and a cold build are interchangeable bit for bit.
-			// For a fully packed, fully live relation this is the plain
-			// packed build.
-			tbl = hashtable.BuildVersioned(
-				r.ds.Relation(id), r.ds.KeyColumn(id),
-				r.ds.BaseRows(id), r.ds.BaseLive(id), r.ds.Live(id), per, stop)
-		} else {
-			// Selection-shaped builds stay packed over the effective
-			// (selection ∧ liveness) mask; they are cache-keyed by mask
-			// fingerprint and version, never repaired.
-			tbl = hashtable.BuildParallelStop(
-				r.ds.Relation(id), r.ds.KeyColumn(id), maskAt(r.baseMasks, id), per, stop)
-		}
-		if tbl == nil {
-			return // build abandoned by cancellation
-		}
-		r.tables[id] = tbl
-		if arts != nil {
-			arts.PutTable(id, tbl)
-			r.cacheMisses.Add(1)
-		}
+		r.tables[id] = r.baseTable(id, per, sp)
 	})
+}
+
+// baseTable returns the table of relation id under its base mask —
+// selection ∧ snapshot liveness, nothing query-derived — which is the
+// table every strategy probes for a relation it does not reduce: all of
+// them for STD/COM/BVP, the childless ones for SJ. It is the one place
+// such a table comes from: the artifact provider when it has one
+// (annotated on sp), else a build on the given worker share that is
+// offered back. Every build is bit-identical to a sequential one, which
+// is what lets a provider substitute its table without perturbing a
+// single downstream counter. Nil means the build was abandoned by
+// cancellation.
+func (r *run) baseTable(id plan.NodeID, workers int, sp telemetry.SpanID) *hashtable.Table {
+	arts := r.opts.Artifacts
+	if arts != nil {
+		if tbl := arts.Table(id); tbl != nil {
+			r.cacheHits.Add(1)
+			r.opts.Trace.Annotate(sp, "cached", 1)
+			return tbl
+		}
+	}
+	var tbl *hashtable.Table
+	if maskAt(r.selMasks, id) == nil {
+		// No selection: build in the versioned shape — packed part over
+		// the base region, tombstones, append sub-table — which is
+		// exactly what incremental repair maintains and what plan-time
+		// measurement builds, so a provided table and a cold build are
+		// interchangeable bit for bit. For a fully packed, fully live
+		// relation this is the plain packed build.
+		tbl = hashtable.BuildVersioned(
+			r.ds.Relation(id), r.ds.KeyColumn(id),
+			r.ds.BaseRows(id), r.ds.BaseLive(id), r.ds.Live(id), workers, r.stopFn())
+	} else {
+		// Selection-shaped builds stay packed over the effective
+		// (selection ∧ liveness) mask; providers key them by mask
+		// fingerprint and version, and never repair them.
+		tbl = hashtable.BuildParallelStop(
+			r.ds.Relation(id), r.ds.KeyColumn(id), maskAt(r.baseMasks, id), workers, r.stopFn())
+	}
+	if tbl != nil && arts != nil {
+		arts.PutTable(id, tbl)
+		r.cacheMisses.Add(1)
+	}
+	return tbl
 }
 
 // buildFilters constructs one bitvector per non-root relation over its

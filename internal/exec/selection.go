@@ -64,20 +64,25 @@ func selectionMasks(ds *storage.Dataset, selections []Selection) []*storage.Bitm
 // selection share the dataset's live bitmap by reference — every
 // downstream reader treats masks as read-only (the SJ pass copies
 // before reducing) — while selection masks, freshly allocated above,
-// are intersected in place. With no tombstones the selection masks
-// pass through untouched.
+// are intersected in place. The result is a slice of its own whenever
+// liveness adds an entry: sel keeps saying which relations carry a
+// selection, which decides the shape of their tables. With no
+// tombstones the selection masks pass through untouched.
 func effectiveMasks(ds *storage.Dataset, sel []*storage.Bitmap) []*storage.Bitmap {
 	if !ds.HasDeltas() {
 		return sel
 	}
 	masks := sel
+	owned := false
 	for i := 0; i < ds.Tree.Len(); i++ {
 		live := ds.Live(plan.NodeID(i))
 		if live == nil {
 			continue
 		}
-		if masks == nil {
+		if !owned {
 			masks = make([]*storage.Bitmap, ds.Tree.Len())
+			copy(masks, sel)
+			owned = true
 		}
 		if masks[i] == nil {
 			masks[i] = live

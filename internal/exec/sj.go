@@ -83,11 +83,18 @@ func (r *run) semiJoinPass() {
 			}
 		}
 		if p != plan.Root {
-			// Build the (reduced) hash table used both by later
-			// semi-joins from p's parent and by the phase-2 join. The
-			// build reads the mask before scratch is reused for the
-			// next parent.
-			tbl := hashtable.BuildParallelStop(rel, r.ds.KeyColumn(p), mask, r.opts.Parallelism, stop)
+			// The hash table used both by later semi-joins from p's
+			// parent and by the phase-2 join. A childless relation is
+			// never reduced, so its table is the shared base-mask one —
+			// provider-served when there is a provider; a reduced
+			// relation's is private to this query and built here, reading
+			// the mask before scratch is reused for the next parent.
+			var tbl *hashtable.Table
+			if len(children) == 0 {
+				tbl = r.baseTable(p, r.opts.Parallelism, sp)
+			} else {
+				tbl = hashtable.BuildParallelStop(rel, r.ds.KeyColumn(p), mask, r.opts.Parallelism, stop)
+			}
 			if tbl == nil {
 				return // build abandoned by cancellation
 			}

@@ -16,10 +16,14 @@ import (
 // filters) keyed by everything that determines their bits — dataset
 // lineage fingerprint and version, relation, key column and
 // selection-mask fingerprint. A hit hands the executor the exact
-// structure a fresh build would produce, so a warm query skips phase 1
-// entirely with bit-identical Stats and checksum; eviction merely
-// drops the cache's reference, running queries keep probing their copy
-// (the structures are read-only after build, see PR 4).
+// structure a fresh build would produce, so a warm query skips those
+// builds entirely with bit-identical Stats and checksum (all of phase 1
+// for STD/COM/BVP; for SJ the tables of the relations it does not
+// reduce — its reduced tables are per query); eviction merely drops the
+// cache's reference, running queries keep probing their copy (the
+// structures are read-only after build, see PR 4). The cache is also
+// where the tables planning builds to measure edge statistics end up
+// (Service.plan): a dataset's first query finds them here.
 //
 // Versioned datasets (PR 8) re-key artifacts per snapshot: the dataset
 // field is the snapshot's lineage fingerprint (storage.Dataset.
@@ -78,9 +82,11 @@ type CacheStats struct {
 	// caches: those are a few KB per dataset, bounded by the catalog
 	// size rather than query traffic, and are never evicted — charging
 	// them against the artifact budget would shrink the effective cache
-	// by a constant without ever influencing an eviction decision. A
-	// test pins this accounting (Bytes == sum of resident artifact
-	// MemoryBytes, unmoved by planning).
+	// by a constant without ever influencing an eviction decision. They
+	// stay that small because the hash tables planning builds are handed
+	// to this cache and dropped from both (Service.plan). Tests pin this
+	// accounting (Bytes == sum of resident artifact MemoryBytes, unmoved
+	// by re-planning; no table reachable from the catalog alone).
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
 	Limit   int64 `json:"limit"`

@@ -182,8 +182,9 @@ type LoadReport struct {
 // StandardMix registers a mixed-shape set of generated datasets on the
 // service and returns a template list over them: per dataset an
 // auto-planned query, two fixed-strategy queries (one build-bound, one
-// cache-bypassing SJ), and a selection variant that keys separate
-// artifacts — mixed hit/miss traffic by construction.
+// SJ, which shares its unreduced tables and rebuilds the reduced ones
+// per query), and a selection variant that keys separate artifacts —
+// mixed hit/miss traffic by construction.
 func StandardMix(s *Service, rows int, seed int64) ([]Request, error) {
 	if rows <= 0 {
 		rows = 5000

@@ -199,7 +199,8 @@ type ErrorCounts struct {
 // datasetEntry is one catalog entry: the registered dataset and its
 // chain of committed snapshots, the memoized fingerprint and name→node
 // mapping, a shared edge-statistics cache so planning measures each
-// edge once, and memoized plan choices.
+// edge once, and memoized plan choices — statistics and plans only: the
+// hash tables measurement builds move to the artifact cache (see plan).
 //
 // Versioning: ds stays pinned to the snapshot registered at
 // RegisterDataset — planning, schema resolution and backend content
@@ -671,7 +672,7 @@ func (s *Service) Query(ctx context.Context, req Request) (res Result, err error
 	// uses no executor workers — holding an admission slot through it
 	// would head-of-line-block warm queries behind cold-start planning.
 	psp := tr.Start("plan", root)
-	choice, err := e.plan(req.Strategy, req.FlatOutput)
+	choice, err := s.plan(e, req.Strategy, req.FlatOutput)
 	tr.End(psp)
 	if err != nil {
 		return Result{}, invalidErr(err)
@@ -785,22 +786,17 @@ type execCall struct {
 // = every row). Artifacts always key on snap's own (lineage
 // fingerprint, version) — a shard's row set never enters the key, so
 // all shards of a snapshot share one set of tables and filters, and
-// commit-time repair covers them by construction.
+// commit-time repair covers them by construction. Every strategy gets
+// the provider: SJ consults it for the relations it does not reduce
+// (the childless ones — the bulk of the rows in a star or snowflake),
+// and builds only its reduced tables per query.
 func (s *Service) execOptions(ctx context.Context, c execCall, snap *storage.Dataset, rows *storage.Bitmap) core.ExecuteOptions {
-	// The SJ strategies build their tables from per-query semi-join-
-	// reduced masks — never shareable — so they bypass the cache
-	// (exec ignores a provider for them anyway; not wiring one keeps
-	// their CacheHits/CacheMisses at zero rather than misleading).
-	var arts exec.Artifacts
-	if c.choice.Strategy != cost.SJSTD && c.choice.Strategy != cost.SJCOM {
-		arts = s.artifactsFor(snap, c.e, c.sels)
-	}
 	return core.ExecuteOptions{
 		FlatOutput:  c.req.FlatOutput,
 		ChunkSize:   c.req.ChunkSize,
 		Parallelism: c.workers,
 		Ctx:         ctx,
-		Artifacts:   arts,
+		Artifacts:   s.artifactsFor(snap, c.e, c.sels),
 		Selections:  c.sels,
 		DriverRows:  rows,
 		Version:     snap.Version(),
@@ -861,8 +857,13 @@ func (e *datasetEntry) resolveSelections(specs []SelectionSpec) ([]exec.Selectio
 // plan returns the memoized plan choice for the strategy restriction.
 // Edge statistics are measured once per dataset through the entry's
 // shared stats cache; the optimizer search runs once per (strategy,
-// flat) pair.
-func (e *datasetEntry) plan(strategy string, flat bool) (core.PlanChoice, error) {
+// flat) pair. The hash tables that measurement builds belong to the
+// artifact cache, not to the catalog: they are offered to it under the
+// measured snapshot's keys — where the first query finds them instead
+// of building them again — and both the memoized choice and the stats
+// cache let go of them, so every table the service keeps alive is
+// charged to the byte budget.
+func (s *Service) plan(e *datasetEntry, strategy string, flat bool) (core.PlanChoice, error) {
 	key := planKey{auto: true, flat: flat}
 	var restrict []cost.Strategy
 	if strategy != "" && strategy != "auto" {
@@ -888,8 +889,32 @@ func (e *datasetEntry) plan(strategy string, flat bool) (core.PlanChoice, error)
 	if err != nil {
 		return core.PlanChoice{}, err
 	}
+	if choice.Tables != nil {
+		s.seedArtifacts(e, choice.Tables)
+		choice.Tables = nil
+	}
+	e.statsCache.ReleaseTables()
 	e.plans[key] = choice
 	return choice, nil
+}
+
+// seedArtifacts offers the tables measured on the registered snapshot
+// to the artifact cache — only while that snapshot is still head (keys
+// of a superseded version may already be past the retention window's
+// purge), and under the writer lock so no commit retires them in
+// between.
+func (s *Service) seedArtifacts(e *datasetEntry, tables *core.PlanTables) {
+	e.verMu.Lock()
+	defer e.verMu.Unlock()
+	if e.head.Load() != e.ds {
+		return
+	}
+	arts := s.artifactsFor(e.ds, e, nil)
+	for _, id := range e.ds.Tree.NonRoot() {
+		if tbl := tables.Table(id); tbl != nil {
+			arts.PutTable(id, tbl)
+		}
+	}
 }
 
 // artifactsFor builds the per-query cache view: the executing

@@ -384,6 +384,32 @@ func (r *Relation) cloneAppend(rows [][]int64) *Relation {
 	return nr
 }
 
+// Rebind returns the same snapshot bound to a different join tree: node
+// id of tree takes d's relation from[id] — rows, liveness and base
+// marker included — joined to its parent on keys[id]. The version number
+// carries over; the lineage fingerprint does not (the binding is part of
+// it) and falls back to the content fingerprint. Driver re-rooting uses
+// this, so a rerooted snapshot hides the same deleted rows its source
+// does.
+func (d *Dataset) Rebind(tree *plan.Tree, from map[plan.NodeID]plan.NodeID, keys map[plan.NodeID]string) *Dataset {
+	nd := NewDataset(tree)
+	nd.version = d.version
+	nd.live = make(map[plan.NodeID]*Bitmap, len(d.live))
+	nd.baseRows = make(map[plan.NodeID]int, len(from))
+	nd.baseLive = make(map[plan.NodeID]*Bitmap, len(d.baseLive))
+	for id, old := range from {
+		nd.SetRelation(id, d.Relation(old), keys[id])
+		nd.baseRows[id] = d.BaseRows(old)
+		if live := d.Live(old); live != nil {
+			nd.live[id] = live
+		}
+		if bl := d.BaseLive(old); bl != nil {
+			nd.baseLive[id] = bl
+		}
+	}
+	return nd
+}
+
 // Version returns the snapshot's version number (0 for a dataset that
 // has never been committed to).
 func (d *Dataset) Version() uint64 { return d.version }

@@ -165,7 +165,7 @@ func MeasureCached(ds *storage.Dataset, cache *EdgeStatsCache) map[plan.NodeID]p
 	t := ds.Tree
 	out := make(map[plan.NodeID]plan.EdgeStats, t.Len()-1)
 	for _, c := range t.NonRoot() {
-		out[c] = cache.MeasureEdge(ds.Relation(t.Parent(c)), ds.Relation(c), ds.KeyColumn(c))
+		out[c] = cache.MeasureEdge(ds, t.Parent(c), c, ds.KeyColumn(c))
 	}
 	return out
 }

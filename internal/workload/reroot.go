@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 
+	"m2mjoin/internal/hashtable"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
 )
@@ -20,41 +21,94 @@ import (
 // relation, child relation, key) and its reverse — so driver
 // enumeration over n candidates needs at most 2(n-1) measurements in
 // total, not O(n) per candidate. A nil cache measures directly. The
-// cache is keyed by relation identity: rerooted datasets share the
-// underlying *Relation values, which is what makes hits possible
-// across reroots. Not safe for concurrent use.
+// cache is keyed by snapshot state identity — the relations and their
+// liveness bitmaps, both copy-on-write — so rerooted datasets, which
+// share them, hit across reroots, and a later version of a touched
+// relation never does.
+//
+// Measuring an edge builds the child's hash table in the executor's own
+// shape (see measureEdge); the entry keeps that table beside the
+// statistics so the plan that was costed on them can hand it to
+// execution instead of building it again (Tables, core.PlanChoice).
+// The tables are the bulk of a query's phase-1 memory: a cache that
+// outlives one plan-then-execute must drop them with ReleaseTables once
+// they have been handed on. Not safe for concurrent use.
 type EdgeStatsCache struct {
-	entries      map[edgeDirection]plan.EdgeStats
+	entries      map[edgeDirection]edgeEntry
 	hits, misses int
 }
 
-// edgeDirection identifies one probe direction of an undirected edge.
+// edgeDirection identifies one probe direction of an undirected edge on
+// one snapshot state of its two relations.
 type edgeDirection struct {
-	parent, child *storage.Relation
-	key           string
+	parent, child         *storage.Relation
+	parentLive, childLive *storage.Bitmap
+	key                   string
+}
+
+func directionOf(ds *storage.Dataset, parent, child plan.NodeID, key string) edgeDirection {
+	return edgeDirection{
+		parent: ds.Relation(parent), child: ds.Relation(child),
+		parentLive: ds.Live(parent), childLive: ds.Live(child),
+		key: key,
+	}
+}
+
+// edgeEntry is one measured direction: its statistics and, until
+// released, the child-side table they were counted with.
+type edgeEntry struct {
+	stats plan.EdgeStats
+	table *hashtable.Table
 }
 
 // NewEdgeStatsCache returns an empty cache.
 func NewEdgeStatsCache() *EdgeStatsCache {
-	return &EdgeStatsCache{entries: make(map[edgeDirection]plan.EdgeStats)}
+	return &EdgeStatsCache{entries: make(map[edgeDirection]edgeEntry)}
 }
 
-// MeasureEdge returns the realized (m, fo) for probing from parentRel
-// into childRel on the shared key column, measuring on the first
-// request per direction and replaying the cached value afterwards.
-func (c *EdgeStatsCache) MeasureEdge(parentRel, childRel *storage.Relation, key string) plan.EdgeStats {
+// MeasureEdge returns the realized (m, fo) for probing from ds's
+// relation parent into its relation child on the shared key column,
+// measuring on the first request per direction and replaying the cached
+// value afterwards.
+func (c *EdgeStatsCache) MeasureEdge(ds *storage.Dataset, parent, child plan.NodeID, key string) plan.EdgeStats {
 	if c == nil {
-		return measureEdge(parentRel, childRel, key)
-	}
-	k := edgeDirection{parent: parentRel, child: childRel, key: key}
-	if st, ok := c.entries[k]; ok {
-		c.hits++
+		st, _ := measureEdge(ds, parent, child, key)
 		return st
 	}
-	st := measureEdge(parentRel, childRel, key)
-	c.entries[k] = st
+	k := directionOf(ds, parent, child, key)
+	if e, ok := c.entries[k]; ok {
+		c.hits++
+		return e.stats
+	}
+	st, tbl := measureEdge(ds, parent, child, key)
+	c.entries[k] = edgeEntry{stats: st, table: tbl}
 	c.misses++
 	return st
+}
+
+// Tables returns, indexed by NodeID, the hash table each of ds's tree
+// edges was measured with — the table of the child relation on its
+// parent-join key under ds's base/live masks, exactly what the executor
+// builds for an unselected relation. Entries are nil for the root, for
+// edges this cache has not measured on this snapshot and for released
+// tables.
+func (c *EdgeStatsCache) Tables(ds *storage.Dataset) []*hashtable.Table {
+	t := ds.Tree
+	out := make([]*hashtable.Table, t.Len())
+	for _, id := range t.NonRoot() {
+		out[id] = c.entries[directionOf(ds, t.Parent(id), id, ds.KeyColumn(id))].table
+	}
+	return out
+}
+
+// ReleaseTables drops every held table, keeping the statistics: later
+// requests for a measured direction still hit, without a table.
+func (c *EdgeStatsCache) ReleaseTables() {
+	for k, e := range c.entries {
+		if e.table != nil {
+			c.entries[k] = edgeEntry{stats: e.stats}
+		}
+	}
 }
 
 // Hits returns the number of measurements served from the cache.
@@ -97,6 +151,7 @@ func RerootCached(ds *storage.Dataset, newRoot plan.NodeID, cache *EdgeStatsCach
 
 	newTree := plan.NewTree(old.Name(newRoot))
 	mapping := map[plan.NodeID]plan.NodeID{newRoot: plan.Root}
+	from := map[plan.NodeID]plan.NodeID{plan.Root: newRoot} // mapping, inverted
 	newKey := map[plan.NodeID]string{}
 
 	// BFS from the new root, measuring stats parent->child as we go.
@@ -113,44 +168,73 @@ func RerootCached(ds *storage.Dataset, newRoot plan.NodeID, cache *EdgeStatsCach
 			if f.has && a.other == f.oldPar {
 				continue
 			}
-			parentRel := ds.Relation(f.oldID)
-			childRel := ds.Relation(a.other)
-			st := cache.MeasureEdge(parentRel, childRel, a.key)
+			st := cache.MeasureEdge(ds, f.oldID, a.other, a.key)
 			id := newTree.AddChild(mapping[f.oldID], st, old.Name(a.other))
 			mapping[a.other] = id
+			from[id] = a.other
 			newKey[id] = a.key
 			queue = append(queue, frame{oldID: a.other, oldPar: f.oldID, has: true})
 		}
 	}
 
-	out := storage.NewDataset(newTree)
-	for oldID, newID := range mapping {
-		out.SetRelation(newID, ds.Relation(oldID), newKey[newID])
-	}
+	out := ds.Rebind(newTree, from, newKey)
 	if err := out.Validate(); err != nil {
 		panic(fmt.Sprintf("workload: Reroot produced invalid dataset: %v", err))
 	}
 	return out, mapping
 }
 
-// measureEdge computes the realized (m, fo) for probing from parent
-// into child on the shared key column.
-func measureEdge(parentRel, childRel *storage.Relation, key string) plan.EdgeStats {
-	counts := make(map[int64]int64, childRel.NumRows())
-	for _, k := range childRel.Column(key) {
-		counts[k]++
+// measureChunk is the probe batch of measureEdge — the executor's
+// driver chunk size.
+const measureChunk = 2048
+
+// measureEdge computes the realized (m, fo) for probing from ds's
+// relation parent into its relation child on the shared key column, the
+// way the executor would: it builds the child's table in the versioned
+// shape exec builds for an unselected relation (hashtable.BuildVersioned
+// over the snapshot's base/live masks — bit for bit the same table) and
+// count-probes it with every live parent key. Deleted rows on either
+// side are therefore invisible, as they are to a query. The table is
+// returned so the caller can hand it to execution.
+func measureEdge(ds *storage.Dataset, parent, child plan.NodeID, key string) (plan.EdgeStats, *hashtable.Table) {
+	tbl := hashtable.BuildVersioned(ds.Relation(child), key,
+		ds.BaseRows(child), ds.BaseLive(child), ds.Live(child), 1, nil)
+	parentKeys := ds.Relation(parent).Column(key)
+	live := ds.Live(parent)
+	var sel []bool
+	if live != nil {
+		sel = make([]bool, measureChunk)
 	}
+	counts := make([]int32, measureChunk)
 	var matched, totalMatches int64
-	parentKeys := parentRel.Column(key)
-	for _, k := range parentKeys {
-		if n := counts[k]; n > 0 {
-			matched++
-			totalMatches += n
+	for lo := 0; lo < len(parentKeys); lo += measureChunk {
+		keys := parentKeys[lo:min(lo+measureChunk, len(parentKeys))]
+		lanes := sel
+		if live != nil {
+			lanes = sel[:len(keys)]
+			for i := range lanes {
+				lanes[i] = live.Get(lo + i)
+			}
+		}
+		tbl.ProbeCounts(keys, lanes, counts[:len(keys)])
+		for _, n := range counts[:len(keys)] {
+			if n > 0 {
+				matched++
+				totalMatches += int64(n)
+			}
 		}
 	}
-	st := plan.EdgeStats{M: 1.0 / float64(2*len(parentKeys)+2), Fo: 1}
-	if len(parentKeys) > 0 && matched > 0 {
-		st.M = float64(matched) / float64(len(parentKeys))
+	return edgeStats(int64(ds.LiveRows(parent)), matched, totalMatches), tbl
+}
+
+// edgeStats turns the counts of one measured direction — live parent
+// rows, how many of them found a match, and the matches in total — into
+// (m, fo), inside the model's valid ranges: an edge nothing matched on
+// gets a match probability just below one in 2·rows instead of zero.
+func edgeStats(parentRows, matched, totalMatches int64) plan.EdgeStats {
+	st := plan.EdgeStats{M: 1.0 / float64(2*parentRows+2), Fo: 1}
+	if matched > 0 {
+		st.M = float64(matched) / float64(parentRows)
 		st.Fo = float64(totalMatches) / float64(matched)
 	}
 	if st.M > 1 {
