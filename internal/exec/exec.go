@@ -89,7 +89,7 @@ type Options struct {
 	// relation's starts — instead of the default round-robin interleaved
 	// wavefront that overlaps directory misses across relations, and
 	// the phase-1 semi-join pass reduces siblings one at a time instead
-	// of word-skewed. Stats and checksums are bit-identical either way
+	// of span-skewed. Stats and checksums are bit-identical either way
 	// (pinned by the interleave differential tests); the switch exists
 	// to measure what the overlap buys.
 	NoInterleave bool
@@ -943,9 +943,10 @@ type worker struct {
 	colsA, colsB [][]int32
 
 	// links is the interleaved probe-chain arena (interleave.go):
-	// per-link key gathers, selection masks and the staged pipeline,
-	// reused across chunks.
+	// per-link key gathers and selection masks, reused across chunks;
+	// pipe is the staged pipeline of a chain's one table link.
 	links []chainLink
+	pipe  hashtable.ProbePipeline
 
 	// COM scratch: the reusable factor chunk, plus the expansion
 	// callbacks (built once so per-chunk expansion allocates no

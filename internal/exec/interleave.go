@@ -29,13 +29,14 @@ import (
 //     (the chained selection mask), which are exactly the lanes the
 //     sequential path's compaction would have kept — so per-filter
 //     probe counts match the compact-then-probe loop.
-//   - The table link is a hashtable.ProbePipeline, whose staged blocks
-//     call the same block bodies as ProbeBatchInto; its selection mask
+//   - The table link is a hashtable.ProbePipeline, the very thing
+//     ProbeBatchInto drives back to back; its selection mask
 //     is the last filter's output, so Probed equals the sequential
 //     post-compaction batch size.
 //   - Where the step's own filter is the last filter link, it fuses
-//     into the table link's stage 1 (one key hash serves the filter
-//     word and the directory probe) with the counter split preserved;
+//     into the table link's stage 1 (the filter word is tested while
+//     the block's lanes are listed, and only survivors load a
+//     directory word) with the counter split preserved;
 //     fusing any *earlier* filter would reorder prunes and change the
 //     later filters' probe counts, so only the last link ever fuses.
 //   - Link j touches block b strictly after link j-1 finished block b
@@ -49,12 +50,12 @@ import (
 
 // chainLink is one relation's probe stream within a chain: either a
 // bitvector filter link (all work in stage 1 — the filter probe is a
-// single independent load) or the final hash-table link (a staged
-// ProbePipeline). keys and mask are arena buffers owned by the worker
-// and reused across chunks.
+// single independent load) or the final hash-table link (the worker's
+// staged ProbePipeline). keys and mask are arena buffers owned by the
+// worker and reused across chunks.
 type chainLink struct {
 	filter *bitvector.Filter
-	table  *hashtable.Table // nil for filter links
+	pipe   *hashtable.ProbePipeline // the table link's; nil for filter links
 	keyCol storage.Column
 	src    []int32 // rows whose keys this link probes
 	shared int     // index of the earlier link whose gather this link reuses (-1: own)
@@ -64,12 +65,9 @@ type chainLink struct {
 	kv   []int64 // effective keys: own buffer, or the shared link's
 	sel  []bool  // input selection mask (nil = all lanes)
 
-	fused  bool // table link with the step's own filter fused into stage 1
-	fbits  []uint64
-	fshift uint
+	fused bool // table link with the step's own filter fused into stage 1
 
 	probed int // filter links: probes issued
-	pipe   hashtable.ProbePipeline
 }
 
 // stage1 gathers block b's keys (unless an earlier link owns the
@@ -84,7 +82,7 @@ func (l *chainLink) stage1(b, n int) {
 			keys[i] = keyCol[src[i]]
 		}
 	}
-	if l.table != nil {
+	if l.pipe != nil {
 		l.pipe.Stage1(b)
 		return
 	}
@@ -98,7 +96,7 @@ func (l *chainLink) stage1(b, n int) {
 // stage2 verifies block b for a table link; filter links finished in
 // stage 1.
 func (l *chainLink) stage2(b int) {
-	if l.table != nil {
+	if l.pipe != nil {
 		l.pipe.Stage2(b)
 	}
 }
@@ -143,18 +141,21 @@ func runChain(links []chainLink, n int) {
 
 // prepareChain builds the chain for one join step into the worker
 // arena: the filter links of at's children (ascending, as the
-// sequential path applies them), then the table link for next. When
-// next's own filter is the last filter link it fuses into the table
-// link's stage 1; when next's key gather duplicates an earlier filter
-// link's (same column, same source rows) the table link reuses that
-// gather. Returns the prepared links; the table link's pipeline is
-// already Begun against w.probe.
-func (w *worker) prepareChain(cur [][]int32, at, next plan.NodeID, useBVP bool, n int) []chainLink {
+// sequential path applies them), then the table link for next. atRows
+// and parentRows are the chunk's materialized rows of at and of next's
+// parent — the lanes — and live is the first link's selection mask (nil
+// = all lanes). When next's own filter is the last filter link it fuses
+// into the table link's stage 1; when next's key gather duplicates an
+// earlier filter link's (same column, same source rows) the table link
+// reuses that gather. Returns the prepared links; the table link's
+// pipeline is already Begun against w.probe.
+func (w *worker) prepareChain(at, next plan.NodeID, atRows, parentRows []int32, live []bool) []chainLink {
 	r := w.r
+	n := len(atRows)
 	parent := r.ds.Tree.Parent(next)
 	var kids []plan.NodeID
 	fused := false
-	if useBVP {
+	if r.filters != nil {
 		kids = r.children[at]
 		if parent == at && len(kids) > 0 && kids[len(kids)-1] == next {
 			fused = true
@@ -164,16 +165,12 @@ func (w *worker) prepareChain(cur [][]int32, at, next plan.NodeID, useBVP bool, 
 	m := len(kids)
 	links := w.ensureLinks(m + 1)
 
-	atRows := cur[r.layoutPos[at]]
-	var atRel *storage.Relation
-	if useBVP {
-		atRel = r.ds.Relation(at)
-	}
-	var prevMask []bool
+	atRel := r.ds.Relation(at)
+	prevMask := live
 	for i, c := range kids {
 		l := &links[i]
 		l.filter = r.filters[c]
-		l.table = nil
+		l.pipe = nil
 		l.keyCol = atRel.Column(r.ds.KeyColumn(c))
 		l.src = atRows
 		l.shared = -1
@@ -188,9 +185,9 @@ func (w *worker) prepareChain(cur [][]int32, at, next plan.NodeID, useBVP bool, 
 
 	tl := &links[m]
 	tl.filter = nil
-	tl.table = r.tables[next]
+	tl.pipe = &w.pipe
 	tl.keyCol = r.ds.Relation(parent).Column(r.ds.KeyColumn(next))
-	tl.src = cur[r.layoutPos[parent]]
+	tl.src = parentRows
 	tl.shared = -1
 	tl.sel = prevMask
 	tl.probed = 0
@@ -209,12 +206,10 @@ func (w *worker) prepareChain(cur [][]int32, at, next plan.NodeID, useBVP bool, 
 	tl.fused = fused
 	if fused {
 		f := r.filters[next]
-		tl.fbits = f.Words()
-		tl.fshift = f.WordShift()
 		tl.mask = buf.Grow(tl.mask, n)
-		tl.pipe.BeginFused(tl.table, tl.kv, tl.sel, &w.probe, tl.fbits, tl.fshift, tl.mask)
+		tl.pipe.BeginFused(r.tables[next], tl.kv, tl.sel, &w.probe, f.Words(), f.WordShift(), tl.mask)
 	} else {
-		tl.pipe.Begin(tl.table, tl.kv, tl.sel, &w.probe)
+		tl.pipe.Begin(r.tables[next], tl.kv, tl.sel, &w.probe)
 	}
 	return links
 }
@@ -260,7 +255,6 @@ func (w *worker) finishChain(links []chainLink, next plan.NodeID) *hashtable.Pro
 // the materialized columns come out identical, in the same order.
 func (w *worker) runSTDChunkInterleaved(driverRows []int32) {
 	r := w.r
-	useBVP := r.filters != nil
 	cur, spare := w.colsA, w.colsB
 	cur[0] = append(cur[0][:0], driverRows...)
 	width := 1
@@ -271,7 +265,7 @@ func (w *worker) runSTDChunkInterleaved(driverRows []int32) {
 	at := plan.Root
 	for _, next := range r.opts.Order {
 		n := len(cur[0])
-		links := w.prepareChain(cur, at, next, useBVP, n)
+		links := w.prepareChain(at, next, cur[r.layoutPos[at]], cur[r.layoutPos[r.ds.Tree.Parent(next)]], nil)
 		runChain(links, n)
 		res := w.finishChain(links, next)
 
@@ -321,14 +315,11 @@ func (w *worker) runSTDChunkInterleaved(driverRows []int32) {
 // ordering batching would change. Kills are applied before AddJoin so
 // the chunk evolves through exactly the sequential states.
 func (w *worker) comRootChain(first plan.NodeID) {
-	r := w.r
 	chunk := w.chunk
 	pNode := chunk.Node(plan.Root)
-	n := len(pNode.Rows)
-	useBVP := r.filters != nil
 
-	links := w.prepareChainCOM(pNode.Rows, pNode.Live, first, useBVP, n)
-	runChain(links, n)
+	links := w.prepareChain(plan.Root, first, pNode.Rows, pNode.Rows, pNode.Live)
+	runChain(links, len(pNode.Rows))
 
 	// Apply the deferred filter kills: lanes live on entry whose
 	// chained mask went false. Each such lane failed exactly one
@@ -343,73 +334,6 @@ func (w *worker) comRootChain(first plan.NodeID) {
 	}
 	res := w.finishChain(links, first)
 	chunk.AddJoin(plan.Root, first, res.Counts, res.Rows)
-}
-
-// prepareChainCOM mirrors prepareChain for the factorized pre-pass,
-// where the lane set is the driver node's row list and the initial
-// selection mask is its liveness.
-func (w *worker) prepareChainCOM(rows []int32, live []bool, first plan.NodeID, useBVP bool, n int) []chainLink {
-	r := w.r
-	var kids []plan.NodeID
-	fused := false
-	if useBVP {
-		kids = r.children[plan.Root]
-		if len(kids) > 0 && kids[len(kids)-1] == first {
-			fused = true
-			kids = kids[:len(kids)-1]
-		}
-	}
-	m := len(kids)
-	links := w.ensureLinks(m + 1)
-	rel := r.ds.Relation(plan.Root)
-
-	prevMask := live
-	for i, c := range kids {
-		l := &links[i]
-		l.filter = r.filters[c]
-		l.table = nil
-		l.keyCol = rel.Column(r.ds.KeyColumn(c))
-		l.src = rows
-		l.shared = -1
-		l.keys = buf.Grow(l.keys, n)
-		l.mask = buf.Grow(l.mask, n)
-		l.kv = l.keys
-		l.sel = prevMask
-		l.fused = false
-		l.probed = 0
-		prevMask = l.mask
-	}
-	tl := &links[m]
-	tl.filter = nil
-	tl.table = r.tables[first]
-	tl.keyCol = rel.Column(r.ds.KeyColumn(first))
-	tl.src = rows
-	tl.shared = -1
-	tl.sel = prevMask
-	tl.probed = 0
-	for j := 0; j < m; j++ {
-		if sameCol(links[j].keyCol, tl.keyCol) && sameRows(links[j].src, tl.src) {
-			tl.shared = j
-			break
-		}
-	}
-	if tl.shared >= 0 {
-		tl.kv = links[tl.shared].kv
-	} else {
-		tl.keys = buf.Grow(tl.keys, n)
-		tl.kv = tl.keys
-	}
-	tl.fused = fused
-	if fused {
-		f := r.filters[first]
-		tl.fbits = f.Words()
-		tl.fshift = f.WordShift()
-		tl.mask = buf.Grow(tl.mask, n)
-		tl.pipe.BeginFused(tl.table, tl.kv, tl.sel, &w.probe, tl.fbits, tl.fshift, tl.mask)
-	} else {
-		tl.pipe.Begin(tl.table, tl.kv, tl.sel, &w.probe)
-	}
-	return links
 }
 
 // finalMask returns the lane mask after every filter in the chain, or

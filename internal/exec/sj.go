@@ -67,7 +67,7 @@ func (r *run) semiJoinPass() {
 			if len(children) > 1 && !r.opts.NoInterleave &&
 				(r.opts.Parallelism <= 1 || mask.Len() < minParallelReduceRows) {
 				// Sibling reductions of one parent interleave as a
-				// word-skewed wavefront (semiJoinReduceMulti) whenever
+				// span-skewed wavefront (semiJoinReduceMulti) whenever
 				// each would otherwise run sequentially on this
 				// goroutine; the chunked parallel reduction keeps the
 				// one-child-at-a-time sweep.
@@ -171,17 +171,23 @@ func (r *run) semiJoinReduce(table *hashtable.Table, keyCol storage.Column, mask
 	}, buildSide)
 }
 
+// reduceSpanRows is the granularity of the sibling-reduction wavefront:
+// a word-aligned run of parent rows long enough to fill a few kernel
+// blocks per ReduceLive call, short enough that the span's mask words
+// are still in L1 when the next child arrives.
+const reduceSpanRows = 16 * 64
+
 // semiJoinReduceMulti reduces one parent's mask against all of its
-// children's tables as a word-skewed wavefront: at step s, child j
-// reduces mask word s-j (hashtable.ReduceLiveWords), so child j only
-// ever probes the bits children 0..j-1 left set in that word — the
-// exact bits the sequential child-after-child sweep would probe —
-// while up to len(children) different tables have directory loads in
-// flight at once. Per-child stats accumulate separately and are folded
-// in child order, and each child fires the reduce-chunk failpoint once
-// before its first word, matching the sequential path's fire sequence;
-// a failure or cancellation abandons the wavefront exactly as it
-// abandons the sequential sweep (the run discards the partial mask).
+// children's tables as a skewed wavefront over word-aligned row spans:
+// at step s, child j reduces span s-j (hashtable.ReduceLive), so child j
+// only ever probes the bits children 0..j-1 left set in that span — the
+// exact bits the sequential child-after-child sweep would probe — while
+// the span's mask words stay cached from one child to the next.
+// Per-child stats accumulate separately and are folded in child order,
+// and each child fires the reduce-chunk failpoint once before its first
+// span, matching the sequential path's fire sequence; a failure or
+// cancellation abandons the wavefront exactly as it abandons the
+// sequential sweep (the run discards the partial mask).
 func (r *run) semiJoinReduceMulti(children []plan.NodeID, rel *storage.Relation, mask *storage.Bitmap, buildSide bool) {
 	m := len(children)
 	keyCols := make([]storage.Column, m)
@@ -189,31 +195,26 @@ func (r *run) semiJoinReduceMulti(children []plan.NodeID, rel *storage.Relation,
 		keyCols[j] = rel.Column(r.ds.KeyColumn(c))
 	}
 	stats := make([]hashtable.ProbeStats, m)
-	nWords := (mask.Len() + 63) / 64
-	for step := 0; step < nWords+m-1; step++ {
+	n := mask.Len()
+	nSpans := (n + reduceSpanRows - 1) / reduceSpanRows
+	for step := 0; step < nSpans+m-1; step++ {
 		if r.cancelled() {
 			return
 		}
-		jlo := 0
-		if step >= nWords {
-			jlo = step - nWords + 1
-		}
-		jhi := step
-		if jhi > m-1 {
-			jhi = m - 1
-		}
+		jlo := max(0, step-nSpans+1)
+		jhi := min(step, m-1)
 		for j := jlo; j <= jhi; j++ {
-			wi := step - j
-			if wi == 0 {
+			lo := (step - j) * reduceSpanRows
+			if lo == 0 {
 				if err := faultinject.Fire(faultinject.SiteReduceChunk); err != nil {
 					r.fail(err)
 					return
 				}
 			}
-			stats[j].Add(r.tables[children[j]].ReduceLiveWords(keyCols[j], mask, wi, wi+1))
+			stats[j].Add(r.tables[children[j]].ReduceLive(keyCols[j], mask, lo, min(lo+reduceSpanRows, n)))
 		}
 	}
-	if nWords == 0 {
+	if nSpans == 0 {
 		// Degenerate empty mask: the wavefront body never ran, but the
 		// sequential sweep still fires once per child.
 		for range children {

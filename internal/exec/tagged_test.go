@@ -2,7 +2,7 @@ package exec
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -25,8 +25,9 @@ func taggedRelation(keys []int64) *storage.Relation {
 // TestTaggedTableMatchesChainedOracle is the differential property
 // test of the tagged unchained hash table against the retained chained
 // oracle: over random keys, heavily skewed keys and sparse live masks,
-// Contains / CountMatches / AppendMatches (as sets) and the batch
-// probe must agree exactly.
+// membership, match counts and match rows (as sets), read through the
+// table's batch entry points, must agree exactly with the oracle's
+// per-key Contains / CountMatches / AppendMatches.
 func TestTaggedTableMatchesChainedOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	type workloadGen struct {
@@ -89,24 +90,30 @@ func TestTaggedTableMatchesChainedOracle(t *testing.T) {
 				for i := 0; i < n/2+16; i++ {
 					probes = append(probes, rng.Int63(), int64(i)+(1<<50))
 				}
-				for _, p := range probes {
-					if tagged.Contains(p) != oracle.Contains(p) {
+				// The table answers through its batch entry points only;
+				// each lane is held to the per-key oracle.
+				var res hashtable.ProbeResult
+				tagged.ProbeBatchInto(probes, nil, &res)
+				found, counts := make([]bool, len(probes)), make([]int32, len(probes))
+				tagged.ProbeContains(probes, nil, found)
+				tagged.ProbeCounts(probes, nil, counts)
+				for i, p := range probes {
+					if found[i] != oracle.Contains(p) {
 						t.Fatalf("%s n=%d mask=%d key=%d: Contains diverges", g.name, n, mi, p)
 					}
-					if tagged.CountMatches(p) != oracle.CountMatches(p) {
+					if counts[i] != oracle.CountMatches(p) {
 						t.Fatalf("%s n=%d mask=%d key=%d: CountMatches %d vs %d",
-							g.name, n, mi, p, tagged.CountMatches(p), oracle.CountMatches(p))
+							g.name, n, mi, p, counts[i], oracle.CountMatches(p))
 					}
-					got := tagged.AppendMatches(nil, p)
+					got := slices.Clone(res.Rows[res.Offsets[i]:res.Offsets[i+1]])
 					want := oracle.AppendMatches(nil, p)
 					sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 					sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-					if !reflect.DeepEqual(got, want) {
+					if !slices.Equal(got, want) {
 						t.Fatalf("%s n=%d mask=%d key=%d: matches %v vs %v", g.name, n, mi, p, got, want)
 					}
 				}
 				// Batch probe vs per-key oracle counts.
-				res := tagged.ProbeBatch(probes, nil)
 				for i, p := range probes {
 					if res.Counts[i] != oracle.CountMatches(p) {
 						t.Fatalf("%s n=%d mask=%d lane %d: batch count %d vs oracle %d",

@@ -32,7 +32,7 @@ func TestProbeBatchIntoReusesAndMatches(t *testing.T) {
 	var reused ProbeResult
 	for trial := 0; trial < 3; trial++ {
 		for _, s := range [][]bool{nil, sel} {
-			want := table.ProbeBatch(keys, s)
+			want := probeBatch(table, keys, s)
 			table.ProbeBatchInto(keys, s, &reused)
 			if reused.Probed != want.Probed ||
 				!reflect.DeepEqual(reused.Counts, want.Counts) ||
@@ -66,8 +66,8 @@ func TestProbeContainsMatchesContains(t *testing.T) {
 			continue
 		}
 		wantProbed++
-		if out[i] != table.Contains(key) {
-			t.Fatalf("lane %d: ProbeContains %v, Contains %v", i, out[i], table.Contains(key))
+		if out[i] != contains(table, key) {
+			t.Fatalf("lane %d: ProbeContains %v, Contains %v", i, out[i], contains(table, key))
 		}
 	}
 	if st.Probed != wantProbed {
@@ -81,7 +81,7 @@ func TestProbeContainsMatchesContains(t *testing.T) {
 	mask := append([]bool(nil), sel...)
 	table.ProbeContains(keys, mask, mask)
 	for i := range mask {
-		if mask[i] != (sel[i] && table.Contains(keys[i])) {
+		if mask[i] != (sel[i] && contains(table, keys[i])) {
 			t.Fatalf("in-place reduction wrong at lane %d", i)
 		}
 	}
@@ -98,7 +98,7 @@ func TestProbeCountsMatchesCountMatches(t *testing.T) {
 		want := int32(0)
 		if sel[i] {
 			wantProbed++
-			want = table.CountMatches(key)
+			want = countMatches(table, key)
 		}
 		if counts[i] != want {
 			t.Fatalf("lane %d: count %d, want %d", i, counts[i], want)

@@ -20,11 +20,10 @@ import (
 // tombstone bits (the entry stays in its run, dead), and appended rows
 // live in a small append region: a second packed sub-table over the
 // column tail [BaseRows, NumRows), its row indices already global.
-// Probes against a table with delta state take a scalar two-directory
-// path — packed run first, then append run, both skipping tombstones —
-// which preserves ascending-row match order because every append row
-// sits above every base row; tables without delta state keep the
-// original pipelined fast paths untouched.
+// The probe kernel (pipeline.go) handles both inside its two stages —
+// packed run first, then append run, both skipping tombstones — which
+// preserves ascending-row match order because every append row sits
+// above every base row.
 //
 // The shape of a versioned table is a pure function of
 // (column, BaseRows, BaseLive, Live): ApplyDelta repairs a cached table
@@ -55,18 +54,19 @@ type DeltaSpec struct {
 	Compacted bool
 }
 
-// hasDelta reports whether the table carries tombstones or an append
-// region; the probe entry points branch on it once, so plain tables pay
-// nothing.
-func (t *Table) hasDelta() bool { return t.deadCount > 0 || t.app != nil }
-
 // BaseRows returns the base marker the packed part was built over (its
 // total row coverage for plain builds).
 func (t *Table) BaseRows() int { return t.baseRows }
 
 // Tombstones returns the number of dead entries (packed and append
 // region together).
-func (t *Table) Tombstones() int { return t.deadCount + t.appDeadCount }
+func (t *Table) Tombstones() int {
+	n := t.deadCount
+	if t.app != nil {
+		n += t.app.deadCount
+	}
+	return n
+}
 
 // PackedLen returns the number of entries in the packed part alone.
 func (t *Table) PackedLen() int { return len(t.keys) }
@@ -82,14 +82,9 @@ func (t *Table) AppendedKeys() []int64 {
 	return t.app.keys
 }
 
-// deadBit reports whether packed entry e is tombstoned.
-func (t *Table) deadBit(e uint64) bool {
+// isDead reports whether entry e is tombstoned.
+func (t *Table) isDead(e uint64) bool {
 	return t.dead != nil && t.dead[e>>6]&(1<<(e&63)) != 0
-}
-
-// appDeadBit reports whether append-region entry e is tombstoned.
-func (t *Table) appDeadBit(e uint64) bool {
-	return t.appDead != nil && t.appDead[e>>6]&(1<<(e&63)) != 0
 }
 
 // cloneBits copies a tombstone bitset sized for n entries (allocating
@@ -150,7 +145,7 @@ func BuildVersioned(rel *storage.Relation, keyColumn string, baseRows int,
 			base := wi << 6
 			for ; w != 0; w &= w - 1 {
 				row := base + bits.TrailingZeros64(w)
-				t.killPacked(col[row], int32(row))
+				t.kill(col[row], int32(row))
 			}
 		}
 	}
@@ -176,55 +171,34 @@ func (t *Table) buildAppendRegion(col storage.Column, live *storage.Bitmap, stop
 	for i := range sub.rows {
 		sub.rows[i] += int32(t.baseRows)
 	}
-	t.app, t.appDead, t.appDeadCount = sub, nil, 0
+	t.app = sub
 	if live != nil {
 		for row := t.baseRows; row < t.totalRows; row++ {
 			if !live.Get(row) {
-				t.killApp(col[row], int32(row))
+				sub.kill(col[row], int32(row))
 			}
 		}
 	}
 	return true
 }
 
-// killPacked tombstones the packed entry holding global row.
-func (t *Table) killPacked(key int64, row int32) {
-	start, end, ok := t.lookup(key)
-	if ok {
-		for e := start; e < end; e++ {
-			if t.rows[e] == row {
-				if t.dead == nil {
-					t.dead = make([]uint64, (len(t.keys)+63)/64)
-				}
-				if t.dead[e>>6]&(1<<(e&63)) == 0 {
-					t.dead[e>>6] |= 1 << (e & 63)
-					t.deadCount++
-				}
-				return
+// kill tombstones the entry holding global row, found by scanning the
+// key's bucket run.
+func (t *Table) kill(key int64, row int32) {
+	b := Hash64(key) >> t.shift
+	for e, end := t.dir[b]>>offShift, t.dir[b+1]>>offShift; e < end; e++ {
+		if t.rows[e] == row {
+			if t.dead == nil {
+				t.dead = make([]uint64, (len(t.keys)+63)/64)
 			}
+			if !t.isDead(e) {
+				t.dead[e>>6] |= 1 << (e & 63)
+				t.deadCount++
+			}
+			return
 		}
 	}
 	panic(fmt.Sprintf("hashtable: tombstone for absent row %d", row))
-}
-
-// killApp tombstones the append-region entry holding global row.
-func (t *Table) killApp(key int64, row int32) {
-	start, end, ok := t.app.lookup(key)
-	if ok {
-		for e := start; e < end; e++ {
-			if t.app.rows[e] == row {
-				if t.appDead == nil {
-					t.appDead = make([]uint64, (len(t.app.keys)+63)/64)
-				}
-				if t.appDead[e>>6]&(1<<(e&63)) == 0 {
-					t.appDead[e>>6] |= 1 << (e & 63)
-					t.appDeadCount++
-				}
-				return
-			}
-		}
-	}
-	panic(fmt.Sprintf("hashtable: tombstone for absent append row %d", row))
 }
 
 // ApplyDelta returns a new table reflecting one commit, sharing the
@@ -251,8 +225,7 @@ func (t *Table) ApplyDelta(rel *storage.Relation, keyColumn string, d DeltaSpec,
 	nt := &Table{
 		keys: t.keys, rows: t.rows, dir: t.dir, shift: t.shift,
 		baseRows: t.baseRows, totalRows: len(col),
-		dead: t.dead, deadCount: t.deadCount,
-		app: t.app, appDead: t.appDead, appDeadCount: t.appDeadCount,
+		dead: t.dead, deadCount: t.deadCount, app: t.app,
 	}
 	var appDels []int
 	clonedDead := false
@@ -262,7 +235,7 @@ func (t *Table) ApplyDelta(rel *storage.Relation, keyColumn string, d DeltaSpec,
 				nt.dead = cloneBits(t.dead, len(t.keys))
 				clonedDead = true
 			}
-			nt.killPacked(col[row], int32(row))
+			nt.kill(col[row], int32(row))
 		} else {
 			appDels = append(appDels, row)
 		}
@@ -276,175 +249,34 @@ func (t *Table) ApplyDelta(rel *storage.Relation, keyColumn string, d DeltaSpec,
 			return nil
 		}
 	case len(appDels) > 0:
-		nt.appDead = cloneBits(t.appDead, len(t.app.keys))
-		nt.appDeadCount = t.appDeadCount
+		app := *t.app
+		app.dead = cloneBits(app.dead, len(app.keys))
+		nt.app = &app
 		for _, row := range appDels {
-			nt.killApp(col[row], int32(row))
+			app.kill(col[row], int32(row))
 		}
 	}
 	return nt
-}
-
-// containsDelta is the scalar two-directory membership probe. tagHit
-// reports whether either directory's tag bit was present — the
-// versioned analogue of the stage-1 tag filter, keeping the
-// TagHits+TagMisses == probes invariant.
-func (t *Table) containsDelta(key int64) (found, tagHit bool) {
-	if start, end, ok := t.lookup(key); ok {
-		tagHit = true
-		for e := start; e < end; e++ {
-			if t.keys[e] == key && !t.deadBit(e) {
-				return true, true
-			}
-		}
-	}
-	if t.app != nil {
-		if start, end, ok := t.app.lookup(key); ok {
-			tagHit = true
-			for e := start; e < end; e++ {
-				if t.app.keys[e] == key && !t.appDeadBit(e) {
-					return true, true
-				}
-			}
-		}
-	}
-	return false, tagHit
-}
-
-// appendDelta appends key's live matches (packed run, then append run —
-// ascending global row order, since append rows sit above the base) to
-// dst.
-func (t *Table) appendDelta(dst []int32, key int64) (_ []int32, tagHit bool) {
-	if start, end, ok := t.lookup(key); ok {
-		tagHit = true
-		for e := start; e < end; e++ {
-			if t.keys[e] == key && !t.deadBit(e) {
-				dst = append(dst, t.rows[e])
-			}
-		}
-	}
-	if t.app != nil {
-		if start, end, ok := t.app.lookup(key); ok {
-			tagHit = true
-			for e := start; e < end; e++ {
-				if t.app.keys[e] == key && !t.appDeadBit(e) {
-					dst = append(dst, t.app.rows[e])
-				}
-			}
-		}
-	}
-	return dst, tagHit
-}
-
-// countDelta counts key's live matches across both directories.
-func (t *Table) countDelta(key int64) (n int32, tagHit bool) {
-	if start, end, ok := t.lookup(key); ok {
-		tagHit = true
-		for e := start; e < end; e++ {
-			if t.keys[e] == key && !t.deadBit(e) {
-				n++
-			}
-		}
-	}
-	if t.app != nil {
-		if start, end, ok := t.app.lookup(key); ok {
-			tagHit = true
-			for e := start; e < end; e++ {
-				if t.app.keys[e] == key && !t.appDeadBit(e) {
-					n++
-				}
-			}
-		}
-	}
-	return n, tagHit
-}
-
-// probeBatchDeltaInto is ProbeBatchInto's scalar path for tables with
-// delta state.
-func (t *Table) probeBatchDeltaInto(keys []int64, sel []bool, res *ProbeResult) {
-	n := len(keys)
-	res.grow(n)
-	res.Offsets[0] = 0
-	out, probed, _, tagHits := t.probeDeltaBlock(keys, sel, nil, 0, nil,
-		res.Rows[:0], res.Counts, res.Offsets, 0, n)
-	res.Rows = out
-	res.Probed = probed
-	res.TagHits = tagHits
-	res.TagMisses = probed - tagHits
-}
-
-// probeContainsDelta / probeCountsDelta / reduceLiveDelta are the
-// delta-state fallbacks of the pipelined probes; same contracts,
-// scalar loops.
-func (t *Table) probeContainsDelta(keys []int64, sel []bool, out []bool) ProbeStats {
-	var st ProbeStats
-	for i, key := range keys {
-		if sel != nil && !sel[i] {
-			out[i] = false
-			continue
-		}
-		st.Probed++
-		found, hit := t.containsDelta(key)
-		if hit {
-			st.TagHits++
-		} else {
-			st.TagMisses++
-		}
-		out[i] = found
-	}
-	return st
-}
-
-func (t *Table) probeCountsDelta(keys []int64, sel []bool, counts []int32) ProbeStats {
-	var st ProbeStats
-	for i, key := range keys {
-		if sel != nil && !sel[i] {
-			counts[i] = 0
-			continue
-		}
-		st.Probed++
-		n, hit := t.countDelta(key)
-		if hit {
-			st.TagHits++
-		} else {
-			st.TagMisses++
-		}
-		counts[i] = n
-	}
-	return st
-}
-
-func (t *Table) reduceLiveDelta(keyCol storage.Column, live *storage.Bitmap, loRow, hiRow int) ProbeStats {
-	var st ProbeStats
-	words := live.Words()
-	for wi := loRow >> 6; wi < (hiRow+63)>>6; wi++ {
-		w := words[wi]
-		if w == 0 {
-			continue
-		}
-		base := wi << 6
-		for m := w; m != 0; m &= m - 1 {
-			tz := bits.TrailingZeros64(m)
-			st.Probed++
-			found, hit := t.containsDelta(keyCol[base+tz])
-			if hit {
-				st.TagHits++
-			} else {
-				st.TagMisses++
-			}
-			if !found {
-				w &^= 1 << uint(tz)
-			}
-		}
-		words[wi] = w
-	}
-	return st
 }
 
 // Checksum folds the table's entire observable state — packed arrays,
 // markers, tombstones and append region — into one fingerprint, the
 // bit-identity witness of the differential tests.
 func (t *Table) Checksum() uint64 {
+	h := t.foldTombstones(t.layoutSum())
+	if t.app != nil {
+		// The sub-table's layout is folded as the checksum of a
+		// tombstone-free table, its tombstones after it: the order the
+		// fingerprint has always had.
+		h = storage.FingerprintUint64(h, storage.FingerprintUint64(t.app.layoutSum(), 0))
+		h = t.app.foldTombstones(h)
+	}
+	return h
+}
+
+// layoutSum fingerprints the packed layout: shift, markers, entries and
+// directory.
+func (t *Table) layoutSum() uint64 {
 	h := uint64(storage.FingerprintSeed)
 	h = storage.FingerprintUint64(h, uint64(t.shift))
 	h = storage.FingerprintUint64(h, uint64(t.baseRows))
@@ -457,19 +289,16 @@ func (t *Table) Checksum() uint64 {
 	for _, w := range t.dir {
 		h = storage.FingerprintUint64(h, w)
 	}
+	return h
+}
+
+// foldTombstones folds the tombstone count and the dead entry indices
+// into h.
+func (t *Table) foldTombstones(h uint64) uint64 {
 	h = storage.FingerprintUint64(h, uint64(t.deadCount))
-	for e := 0; e < len(t.keys); e++ {
-		if t.deadBit(uint64(e)) {
+	for e := range t.keys {
+		if t.isDead(uint64(e)) {
 			h = storage.FingerprintUint64(h, uint64(e))
-		}
-	}
-	if t.app != nil {
-		h = storage.FingerprintUint64(h, t.app.Checksum())
-		h = storage.FingerprintUint64(h, uint64(t.appDeadCount))
-		for e := 0; e < len(t.app.keys); e++ {
-			if t.appDeadBit(uint64(e)) {
-				h = storage.FingerprintUint64(h, uint64(e))
-			}
 		}
 	}
 	return h

@@ -97,23 +97,29 @@ func TestApplyDeltaMatchesBuildVersioned(t *testing.T) {
 	}
 }
 
-// TestDeltaProbesMatchOracle: the two-directory probe paths must agree
-// with a naive map over the live rows — membership, match lists and
-// counts, plus the TagHits+TagMisses == Probed invariant.
+// TestDeltaProbesMatchOracle: on a table with an append region and
+// tombstones in both regions, every entry point must agree with a naive
+// map over the live rows — membership, match lists (ascending row
+// order) and counts, under nil, dense and sparse selections, plus the
+// TagHits+TagMisses == Probed invariant — and ReduceLive must keep
+// exactly the set rows whose key the map holds.
 func TestDeltaProbesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	cur := deltaTestDataset(150, rng)
-	for step := 0; step < 6; step++ {
+	id := plan.NodeID(1)
+	tbl := buildCold(cur, 1)
+	// Mutate until both regions carry tombstones (a compaction along the
+	// way folds everything back and the stream starts over).
+	for step := 0; tbl.deadCount == 0 || tbl.app == nil || tbl.app.deadCount == 0; step++ {
+		if step == 50 {
+			t.Fatalf("mutation stream never left tombstones in both regions")
+		}
 		v, err := randomMutationBatch(cur, rng, 5+rng.Intn(10))
 		if err != nil {
 			t.Fatal(err)
 		}
 		cur = v.Dataset
-	}
-	id := plan.NodeID(1)
-	tbl := buildCold(cur, 1)
-	if tbl.app == nil && tbl.deadCount == 0 {
-		t.Fatalf("mutation stream produced no delta state to test")
+		tbl = buildCold(cur, 1)
 	}
 	rel, live := cur.Relation(id), cur.Live(id)
 	col := rel.Column("k")
@@ -127,29 +133,65 @@ func TestDeltaProbesMatchOracle(t *testing.T) {
 	for k := int64(-3); k < 200; k++ {
 		probes = append(probes, k)
 	}
-	var res ProbeResult
-	tbl.ProbeBatchInto(probes, nil, &res)
-	if res.TagHits+res.TagMisses != res.Probed {
-		t.Fatalf("tag invariant broken: %d + %d != %d", res.TagHits, res.TagMisses, res.Probed)
+	dense, sparse := make([]bool, len(probes)), make([]bool, len(probes))
+	for i := range probes {
+		dense[i] = rng.Intn(4) > 0
+		sparse[i] = rng.Intn(8) == 0
 	}
-	for i, k := range probes {
-		want := oracle[k]
-		got := res.Rows[res.Offsets[i]:res.Offsets[i+1]]
-		if len(got) != len(want) {
-			t.Fatalf("key %d: %d matches, want %d", k, len(got), len(want))
+	counts, found := make([]int32, len(probes)), make([]bool, len(probes))
+	for si, sel := range [][]bool{nil, dense, sparse} {
+		var res ProbeResult
+		tbl.ProbeBatchInto(probes, sel, &res)
+		if res.TagHits+res.TagMisses != res.Probed {
+			t.Fatalf("sel %d: tag invariant broken: %d + %d != %d", si, res.TagHits, res.TagMisses, res.Probed)
 		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("key %d: match %d = row %d, want %d (ascending order)", k, j, got[j], want[j])
+		cst := tbl.ProbeCounts(probes, sel, counts)
+		fst := tbl.ProbeContains(probes, sel, found)
+		if want := (ProbeStats{res.Probed, res.TagHits, res.TagMisses}); cst != want || fst != want {
+			t.Fatalf("sel %d: stats ProbeCounts %+v, ProbeContains %+v, ProbeBatchInto %+v", si, cst, fst, want)
+		}
+		probed := 0
+		for i, k := range probes {
+			var want []int32
+			if sel == nil || sel[i] {
+				want = oracle[k]
+				probed++
+			}
+			got := res.Rows[res.Offsets[i]:res.Offsets[i+1]]
+			if len(got) != len(want) {
+				t.Fatalf("sel %d key %d: %d matches, want %d", si, k, len(got), len(want))
+			}
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("sel %d key %d: match %d = row %d, want %d (ascending order)", si, k, j, got[j], want[j])
+				}
+			}
+			if found[i] != (len(want) > 0) {
+				t.Fatalf("sel %d key %d: contains = %v, oracle %v", si, k, found[i], len(want) > 0)
+			}
+			if int(counts[i]) != len(want) || int(res.Counts[i]) != len(want) {
+				t.Fatalf("sel %d key %d: count = %d / %d, want %d", si, k, counts[i], res.Counts[i], len(want))
 			}
 		}
-		found, _ := tbl.containsDelta(k)
-		if found != (len(want) > 0) {
-			t.Fatalf("key %d: contains = %v, oracle %v", k, found, len(want) > 0)
+		if res.Probed != probed {
+			t.Fatalf("sel %d: Probed = %d, want %d", si, res.Probed, probed)
 		}
-		n, _ := tbl.countDelta(k)
-		if int(n) != len(want) {
-			t.Fatalf("key %d: count = %d, want %d", k, n, len(want))
+
+		// ReduceLive over the same lanes as a packed mask.
+		mask := storage.NewBitmap(len(probes))
+		for i := range probes {
+			if sel != nil && !sel[i] {
+				mask.Clear(i)
+			}
+		}
+		rst := tbl.ReduceLive(probes, mask, 0, len(probes))
+		if want := (ProbeStats{res.Probed, res.TagHits, res.TagMisses}); rst != want {
+			t.Fatalf("sel %d: ReduceLive stats %+v, want %+v", si, rst, want)
+		}
+		for i := range probes {
+			if mask.Get(i) != found[i] {
+				t.Fatalf("sel %d key %d: ReduceLive kept %v, contains %v", si, probes[i], mask.Get(i), found[i])
+			}
 		}
 	}
 }

@@ -5,14 +5,14 @@
 // bucket-sorted keys/rows arrays. A non-matching probe is answered by
 // the directory word alone — the tag bit of the probe hash is absent —
 // with no second load; a matching probe scans one contiguous run
-// instead of chasing a chain through random cache lines. Batch probes
-// run as a two-stage pipeline: stage 1 hashes a block of keys, fetches
-// their directory words, filters on tags and compares each surviving
-// run's first key (a load that doubles as a software prefetch of the
-// run's cache line); stage 2 verifies exact keys against the
-// prefetched runs. Probing
-// reports the per-key match count — the quantity the factorized
-// representation stores in its count vector-columns.
+// instead of chasing a chain through random cache lines. Every probe
+// is the two-stage kernel of pipeline.go: stage 1 hashes a block of
+// keys, fetches their directory words, filters on tags and compares
+// each surviving run's first key (a load that doubles as a software
+// prefetch of the run's cache line); stage 2 verifies exact keys
+// against the prefetched runs. Probing reports the per-key match count
+// — the quantity the factorized representation stores in its count
+// vector-columns.
 package hashtable
 
 import (
@@ -54,9 +54,11 @@ func Bucket(h uint64, shift uint) uint64 { return h >> shift }
 // (bit position within a 64-bit filter word) — the same derivation at
 // a different width, which is what keeps BVP false positives behaving
 // like tag collisions.
-func Tag(h uint64, shift, width uint) uint64 {
-	return 1 << ((h >> (shift - width)) & (1<<width - 1))
-}
+func Tag(h uint64, shift, width uint) uint64 { return 1 << tagIndex(h, shift, width) }
+
+// tagIndex is the position of Tag's bit: the width hash bits below the
+// bucket index.
+func tagIndex(h uint64, shift, width uint) uint64 { return h >> (shift - width) & (1<<width - 1) }
 
 const (
 	// tagWidth selects 16-bit slot tags (1 << tagWidth tag bits).
@@ -66,12 +68,6 @@ const (
 	offShift = 1 << tagWidth
 	tagMask  = 1<<offShift - 1
 )
-
-// probeBlock is the lane count of one pipeline block: stage 1 tag-
-// filters and prefetches probeBlock keys before stage 2 verifies them,
-// long enough to overlap the run loads, short enough that the touched
-// lines still sit in cache when stage 2 reads them.
-const probeBlock = 256
 
 // ProbeStats counts the outcome of a batch probe: how many keys were
 // probed, and how the tag filter split them. TagMisses are probes
@@ -83,8 +79,8 @@ type ProbeStats struct {
 	Probed, TagHits, TagMisses int
 }
 
-// add accumulates other into s.
-func (s *ProbeStats) add(o ProbeStats) {
+// Add accumulates o into s.
+func (s *ProbeStats) Add(o ProbeStats) {
 	s.Probed += o.Probed
 	s.TagHits += o.TagHits
 	s.TagMisses += o.TagMisses
@@ -103,21 +99,18 @@ type Table struct {
 	dir   []uint64
 	shift uint // 64 - log2(bucket count)
 
-	// Versioned-maintenance state (delta.go). All zero for a plain
-	// build, in which case every probe takes the pipelined fast paths
-	// above untouched.
+	// Versioned-maintenance state (delta.go); all zero for a plain
+	// build.
 	baseRows  int // rows [0, baseRows) are covered by the packed part
 	totalRows int // rows [baseRows, totalRows) are the append region
-	// dead tombstones packed entries (bit e = entry e dead); deletes
-	// flip bits here instead of disturbing the sorted layout.
+	// dead tombstones entries (bit e = entry e dead); deletes flip bits
+	// here instead of disturbing the sorted layout.
 	dead      []uint64
 	deadCount int
 	// app is the packed sub-table over the append-region column tail,
-	// its rows already remapped to global indices; appDead tombstones
-	// its entries.
-	app          *Table
-	appDead      []uint64
-	appDeadCount int
+	// its rows already remapped to global indices, with tombstones of
+	// its own.
+	app *Table
 }
 
 // tag returns the table's tag bit for hash h.
@@ -140,8 +133,7 @@ func Build(rel *storage.Relation, keyColumn string, live *storage.Bitmap) *Table
 // cached at once the shared arrays are charged once per version: the
 // accounting is conservative (never under-counts resident bytes).
 func (t *Table) MemoryBytes() int64 {
-	b := int64(len(t.keys))*8 + int64(len(t.rows))*4 + int64(len(t.dir))*8
-	b += int64(len(t.dead))*8 + int64(len(t.appDead))*8
+	b := int64(len(t.keys))*8 + int64(len(t.rows))*4 + int64(len(t.dir))*8 + int64(len(t.dead))*8
 	if t.app != nil {
 		b += t.app.MemoryBytes()
 	}
@@ -515,77 +507,6 @@ func (t *Table) FilterWords() []uint64 {
 	return words
 }
 
-// lookup returns the run bounds for key's bucket and whether the tag
-// bit is present; (0, 0, false) means a definitive miss answered by
-// the directory word alone.
-func (t *Table) lookup(key int64) (start, end uint64, ok bool) {
-	h := Hash64(key)
-	b := h >> t.shift
-	w := t.dir[b]
-	if w&t.tag(h) == 0 {
-		return 0, 0, false
-	}
-	return w >> offShift, t.dir[b+1] >> offShift, true
-}
-
-// Contains reports whether key has at least one match. This is the
-// semi-join probe.
-func (t *Table) Contains(key int64) bool {
-	if t.hasDelta() {
-		found, _ := t.containsDelta(key)
-		return found
-	}
-	start, end, ok := t.lookup(key)
-	if !ok {
-		return false
-	}
-	for e := start; e < end; e++ {
-		if t.keys[e] == key {
-			return true
-		}
-	}
-	return false
-}
-
-// AppendMatches appends the build relation row indices matching key to
-// dst and returns the extended slice. This is one probe: a directory
-// load with a tag test, then a scan of one contiguous bucket run.
-func (t *Table) AppendMatches(dst []int32, key int64) []int32 {
-	if t.hasDelta() {
-		dst, _ = t.appendDelta(dst, key)
-		return dst
-	}
-	start, end, ok := t.lookup(key)
-	if !ok {
-		return dst
-	}
-	for e := start; e < end; e++ {
-		if t.keys[e] == key {
-			dst = append(dst, t.rows[e])
-		}
-	}
-	return dst
-}
-
-// CountMatches returns the number of build rows matching key.
-func (t *Table) CountMatches(key int64) int32 {
-	if t.hasDelta() {
-		n, _ := t.countDelta(key)
-		return n
-	}
-	start, end, ok := t.lookup(key)
-	if !ok {
-		return 0
-	}
-	var n int32
-	for e := start; e < end; e++ {
-		if t.keys[e] == key {
-			n++
-		}
-	}
-	return n
-}
-
 // ProbeResult holds the outcome of a vectorized probe of a batch of
 // keys: per-key match counts and the concatenated matching build rows,
 // exactly the layout appended to a factorized chunk after a join
@@ -595,7 +516,8 @@ type ProbeResult struct {
 	// skipped by the selection vector).
 	Counts []int32
 	// Rows holds the matching build-row indices, grouped by input key:
-	// key i's matches occupy Rows[Offsets[i]:Offsets[i+1]].
+	// key i's matches occupy Rows[Offsets[i]:Offsets[i+1]], in ascending
+	// row order.
 	Rows []int32
 	// Offsets is the exclusive prefix sum of Counts, length len(Counts)+1.
 	Offsets []int32
@@ -609,115 +531,56 @@ type ProbeResult struct {
 	TagHits, TagMisses int
 }
 
-// ProbeBatch probes all keys whose selection entry is set (nil sel
-// probes all) and returns counts, offsets and concatenated match rows.
-// The result slices are freshly allocated per call; the zero-allocation
-// hot path uses ProbeBatchInto with a reused ProbeResult instead.
-func (t *Table) ProbeBatch(keys []int64, sel []bool) ProbeResult {
-	var res ProbeResult
-	t.ProbeBatchInto(keys, sel, &res)
-	return res
+// ProbeBatchInto probes all keys whose selection entry is set (nil sel
+// probes all) and writes counts, offsets and concatenated match rows
+// into a caller-owned result whose slices are reused across calls: in
+// steady state it allocates nothing. It is a ProbePipeline driven back
+// to back, one block at a time.
+func (t *Table) ProbeBatchInto(keys []int64, sel []bool, res *ProbeResult) {
+	var p ProbePipeline
+	p.Begin(t, keys, sel, res)
+	for b := 0; b < p.NumBlocks(); b++ {
+		p.Stage1(b)
+		p.Stage2(b)
+	}
+	p.End()
 }
 
-// ProbeBatchInto is ProbeBatch writing into a caller-owned result
-// whose slices are reused across calls: in steady state it allocates
-// nothing. The probe runs as a two-stage pipeline over probeBlock-lane
-// blocks. Stage 1 hashes each selected key and fetches its directory
-// word — independent loads the memory system overlaps — then filters
-// on the tag: lanes whose tag bit is absent are definitive misses with
-// no further memory traffic. For surviving lanes it records the run
-// bounds and compares the run's first key — a load that doubles as the
-// software prefetch of the line stage 2 scans. Stage 2 walks the
-// surviving runs — contiguous, mostly cache-resident by now —
-// verifying exact keys and gathering match rows.
-func (t *Table) ProbeBatchInto(keys []int64, sel []bool, res *ProbeResult) {
-	if t.hasDelta() {
-		t.probeBatchDeltaInto(keys, sel, res)
-		return
+// ProbeCounts is the batch match-count probe: counts[i] receives the
+// number of build rows matching keys[i] for selected lanes, 0
+// otherwise. The kernel's block lives on the stack, so concurrent calls
+// on a shared table are safe and nothing is allocated.
+func (t *Table) ProbeCounts(keys []int64, sel []bool, counts []int32) ProbeStats {
+	var c tally
+	var blk block
+	for lo := 0; lo < len(keys); lo += ProbeBlock {
+		hi := min(lo+ProbeBlock, len(keys))
+		t.stage1(&blk, keys[lo:hi], lanes(sel, lo, hi), nil, 0, nil, &c)
+		t.stage2(&blk, keys[lo:hi], unbounded, counts[lo:hi], nil, nil)
 	}
-	n := len(keys)
-	res.grow(n)
-	out := res.Rows[:0]
-	probed, tagMiss := 0, 0
-	res.Offsets[0] = 0
-
-	// One block of run state suffices: stage 2 consumes a block's runs
-	// before stage 1 overwrites them with the next block's.
-	var runs [probeBlock]uint64
-	for lo := 0; lo < n; lo += probeBlock {
-		hi := min(lo+probeBlock, n)
-		// Stage 1: hash, tag-filter, prefetch. Surviving lanes record
-		// run bounds packed as start<<33 | end<<1 | firstEq — loading
-		// the run's first key for the firstEq compare doubles as the
-		// software prefetch of the line stage 2 scans.
-		p, tm := t.probeStage1Block(keys, sel, runs[:], lo, hi)
-		probed += p
-		tagMiss += tm
-		// Stage 2: verify runs, gather matches.
-		out = t.probeStage2Block(keys, runs[:], out, res.Counts, res.Offsets, lo, hi)
-	}
-	if sel == nil {
-		probed = n
-	}
-	res.Rows = out
-	res.Probed = probed
-	res.TagMisses = tagMiss
-	res.TagHits = probed - tagMiss
+	return c.stats()
 }
 
 // ProbeContains is the batch semi-join probe: for every key whose sel
 // entry is set (nil sel probes all), out[i] reports whether the table
 // contains keys[i]; unselected lanes get out[i] = false. len(out) must
 // equal len(keys). sel and out may share backing storage (in-place
-// mask reduction): within each pipeline block, stage 1 reads sel[i]
-// before stage 2 writes out[i]. The pipeline scratch lives on the
-// stack, so concurrent calls on a shared table are safe.
+// mask reduction): within each block, stage 1 reads sel[i] before
+// out[i] is written. Stack-resident like ProbeCounts, with the match
+// limit at 1.
 func (t *Table) ProbeContains(keys []int64, sel []bool, out []bool) ProbeStats {
-	if t.hasDelta() {
-		return t.probeContainsDelta(keys, sel, out)
-	}
-	var st ProbeStats
-	var runs [probeBlock]uint64
-	for lo := 0; lo < len(keys); lo += probeBlock {
-		hi := min(lo+probeBlock, len(keys))
-		for i := lo; i < hi; i++ {
-			if sel != nil && !sel[i] {
-				runs[i-lo] = 0
-				continue
-			}
-			st.Probed++
-			key := keys[i]
-			h := Hash64(key)
-			b := h >> t.shift
-			w := t.dir[b]
-			if w&t.tag(h) == 0 {
-				st.TagMisses++
-				runs[i-lo] = 0
-				continue
-			}
-			st.TagHits++
-			start := w >> offShift
-			r := start<<33 | (t.dir[b+1]>>offShift)<<1
-			if t.keys[start] == key {
-				r |= 1
-			}
-			runs[i-lo] = r
-		}
-		for i := lo; i < hi; i++ {
-			run := runs[i-lo]
-			if run == 0 {
-				out[i] = false
-				continue
-			}
-			key := keys[i]
-			found := run&1 != 0
-			for e, end := run>>33+1, run>>1&(1<<32-1); !found && e < end; e++ {
-				found = t.keys[e] == key
-			}
-			out[i] = found
+	var c tally
+	var blk block
+	var found [ProbeBlock]int32
+	for lo := 0; lo < len(keys); lo += ProbeBlock {
+		hi := min(lo+ProbeBlock, len(keys))
+		t.stage1(&blk, keys[lo:hi], lanes(sel, lo, hi), nil, 0, nil, &c)
+		t.stage2(&blk, keys[lo:hi], 1, found[:hi-lo], nil, nil)
+		for i, n := range found[:hi-lo] {
+			out[lo+i] = n != 0
 		}
 	}
-	return st
+	return c.stats()
 }
 
 // ReduceLive is the packed-mask semi-join probe: it clears the live
@@ -727,71 +590,39 @@ func (t *Table) ProbeContains(keys []int64, sel []bool, out []bool) ProbeStats {
 // or equal to live.Len() (the zero tail makes the final partial word
 // safe). Disjoint word-aligned ranges touch disjoint mask words,
 // so concurrent calls on the same mask are race-free — the chunked
-// parallel reduction of the semi-join pass splits on word boundaries.
-// Each 64-row mask word is one pipeline block: stage 1 tag-filters its
-// set rows (clearing definitive misses immediately) and prefetches the
-// surviving runs, stage 2 verifies them.
+// parallel reduction of the semi-join pass splits on word boundaries,
+// and sibling reductions of one parent interleave over word ranges,
+// each probing exactly the bits its predecessors left set. The set
+// rows' keys are gathered into dense kernel blocks — full ones even
+// under a sparse mask — and probed with the match limit at 1.
 func (t *Table) ReduceLive(keyCol storage.Column, live *storage.Bitmap, loRow, hiRow int) ProbeStats {
-	if t.hasDelta() {
-		return t.reduceLiveDelta(keyCol, live, loRow, hiRow)
-	}
-	var st ProbeStats
+	var c tally
+	var blk block
+	var keys [ProbeBlock]int64
+	var rows [ProbeBlock]int32
 	words := live.Words()
+	n := 0
 	for wi := loRow >> 6; wi < (hiRow+63)>>6; wi++ {
-		st.add(t.reduceLiveWord(keyCol, words, wi))
+		for m := words[wi]; m != 0; m &= m - 1 {
+			row := wi<<6 + bits.TrailingZeros64(m)
+			rows[n], keys[n] = int32(row), keyCol[row]
+			if n++; n == ProbeBlock {
+				t.reduceBlock(&blk, keys[:n], rows[:n], words, &c)
+				n = 0
+			}
+		}
 	}
-	return st
+	t.reduceBlock(&blk, keys[:n], rows[:n], words, &c)
+	return c.stats()
 }
 
-// ProbeCounts is the batch match-count probe: counts[i] receives the
-// number of build rows matching keys[i] for selected lanes, 0
-// otherwise. Pipelined like ProbeContains, with stack scratch.
-func (t *Table) ProbeCounts(keys []int64, sel []bool, counts []int32) ProbeStats {
-	if t.hasDelta() {
-		return t.probeCountsDelta(keys, sel, counts)
+// reduceBlock probes one gathered block of ReduceLive and clears the
+// mask bits of the rows it finds no match for.
+func (t *Table) reduceBlock(blk *block, keys []int64, rows []int32, words []uint64, c *tally) {
+	var found [ProbeBlock]int32
+	t.stage1(blk, keys, nil, nil, 0, nil, c)
+	t.stage2(blk, keys, 1, found[:len(keys)], nil, nil)
+	for j, row := range rows {
+		words[row>>6] &^= uint64(found[j]^1) << (row & 63)
 	}
-	var st ProbeStats
-	var runs [probeBlock]uint64
-	for lo := 0; lo < len(keys); lo += probeBlock {
-		hi := min(lo+probeBlock, len(keys))
-		for i := lo; i < hi; i++ {
-			if sel != nil && !sel[i] {
-				runs[i-lo] = 0
-				continue
-			}
-			st.Probed++
-			key := keys[i]
-			h := Hash64(key)
-			b := h >> t.shift
-			w := t.dir[b]
-			if w&t.tag(h) == 0 {
-				st.TagMisses++
-				runs[i-lo] = 0
-				continue
-			}
-			st.TagHits++
-			start := w >> offShift
-			r := start<<33 | (t.dir[b+1]>>offShift)<<1
-			if t.keys[start] == key {
-				r |= 1
-			}
-			runs[i-lo] = r
-		}
-		for i := lo; i < hi; i++ {
-			run := runs[i-lo]
-			if run == 0 {
-				counts[i] = 0
-				continue
-			}
-			key := keys[i]
-			n := int32(run & 1)
-			for e, end := run>>33+1, run>>1&(1<<32-1); e < end; e++ {
-				if t.keys[e] == key {
-					n++
-				}
-			}
-			counts[i] = n
-		}
-	}
-	return st
 }

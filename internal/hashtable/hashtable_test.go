@@ -22,19 +22,19 @@ func TestBuildAndProbe(t *testing.T) {
 	if table.Len() != 6 {
 		t.Fatalf("Len = %d", table.Len())
 	}
-	if n := table.CountMatches(5); n != 3 {
+	if n := countMatches(table, 5); n != 3 {
 		t.Errorf("CountMatches(5) = %d, want 3", n)
 	}
-	if n := table.CountMatches(7); n != 2 {
+	if n := countMatches(table, 7); n != 2 {
 		t.Errorf("CountMatches(7) = %d, want 2", n)
 	}
-	if n := table.CountMatches(42); n != 0 {
+	if n := countMatches(table, 42); n != 0 {
 		t.Errorf("CountMatches(42) = %d, want 0", n)
 	}
-	if !table.Contains(9) || table.Contains(8) {
+	if !contains(table, 9) || contains(table, 8) {
 		t.Errorf("Contains wrong")
 	}
-	rows := table.AppendMatches(nil, 5)
+	rows := appendMatches(table, nil, 5)
 	want := map[int32]bool{0: true, 2: true, 4: true}
 	if len(rows) != 3 {
 		t.Fatalf("AppendMatches(5) = %v", rows)
@@ -54,10 +54,10 @@ func TestBuildWithLiveMask(t *testing.T) {
 	if table.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", table.Len())
 	}
-	if n := table.CountMatches(5); n != 1 {
+	if n := countMatches(table, 5); n != 1 {
 		t.Errorf("CountMatches(5) = %d, want 1", n)
 	}
-	rows := table.AppendMatches(nil, 5)
+	rows := appendMatches(table, nil, 5)
 	if len(rows) != 1 || rows[0] != 2 {
 		t.Errorf("AppendMatches(5) = %v, want [2]", rows)
 	}
@@ -68,7 +68,7 @@ func TestProbeBatch(t *testing.T) {
 	table := Build(rel, "k", nil)
 	keys := []int64{3, 4, 2, 1}
 	sel := []bool{true, true, false, true}
-	res := table.ProbeBatch(keys, sel)
+	res := probeBatch(table, keys, sel)
 	if res.Probed != 3 {
 		t.Errorf("Probed = %d, want 3", res.Probed)
 	}
@@ -88,7 +88,7 @@ func TestProbeBatch(t *testing.T) {
 func TestProbeBatchNilSelection(t *testing.T) {
 	rel := buildRelation([]int64{1, 1})
 	table := Build(rel, "k", nil)
-	res := table.ProbeBatch([]int64{1, 9}, nil)
+	res := probeBatch(table, []int64{1, 9}, nil)
 	if res.Probed != 2 {
 		t.Errorf("Probed = %d, want 2", res.Probed)
 	}
@@ -103,10 +103,10 @@ func TestEmptyTable(t *testing.T) {
 	if table.Len() != 0 {
 		t.Fatalf("Len = %d", table.Len())
 	}
-	if table.Contains(1) {
+	if contains(table, 1) {
 		t.Errorf("empty table contains key")
 	}
-	if n := table.CountMatches(1); n != 0 {
+	if n := countMatches(table, 1); n != 0 {
 		t.Errorf("CountMatches on empty = %d", n)
 	}
 }
@@ -122,16 +122,16 @@ func TestQuickMatchesMap(t *testing.T) {
 			oracle[k]++
 		}
 		for _, p := range probes {
-			if table.CountMatches(p) != oracle[p] {
+			if countMatches(table, p) != oracle[p] {
 				return false
 			}
-			if table.Contains(p) != (oracle[p] > 0) {
+			if contains(table, p) != (oracle[p] > 0) {
 				return false
 			}
 		}
 		// Also probe every inserted key.
 		for _, k := range keys {
-			if table.CountMatches(k) != oracle[k] {
+			if countMatches(table, k) != oracle[k] {
 				return false
 			}
 		}
@@ -175,12 +175,14 @@ func TestLongChains(t *testing.T) {
 	}
 	rel := buildRelation(keys)
 	table := Build(rel, "k", nil)
-	if n := table.CountMatches(7); n != 5000 {
+	if n := countMatches(table, 7); n != 5000 {
 		t.Errorf("CountMatches = %d, want 5000", n)
 	}
 }
 
-func BenchmarkProbeHit(b *testing.B) {
+// BenchmarkProbeCountsHit measures the count probe with every key
+// present (one op = one 2048-key batch).
+func BenchmarkProbeCountsHit(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	keys := make([]int64, 1<<16)
 	for i := range keys {
@@ -188,10 +190,10 @@ func BenchmarkProbeHit(b *testing.B) {
 	}
 	rel := buildRelation(keys)
 	table := Build(rel, "k", nil)
+	probes := keys[:2048]
+	counts := make([]int32, len(probes))
 	b.ResetTimer()
-	var n int32
 	for i := 0; i < b.N; i++ {
-		n += table.CountMatches(int64(i) & (1<<14 - 1))
+		table.ProbeCounts(probes, nil, counts)
 	}
-	_ = n
 }

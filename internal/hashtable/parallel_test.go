@@ -91,7 +91,7 @@ func TestReduceLiveMatchesNaive(t *testing.T) {
 		wantProbed := mask.Count()
 		want := make([]bool, n)
 		for i := 0; i < n; i++ {
-			want[i] = mask.Get(i) && table.Contains(keyCol[i])
+			want[i] = mask.Get(i) && contains(table, keyCol[i])
 		}
 
 		// Whole-range reduction.
@@ -107,9 +107,9 @@ func TestReduceLiveMatchesNaive(t *testing.T) {
 		// Split word-aligned reduction, as the parallel pass does.
 		split := mask.Clone()
 		var splitStats ProbeStats
-		splitStats.add(table.ReduceLive(keyCol, split, 0, 1024))
-		splitStats.add(table.ReduceLive(keyCol, split, 1024, 2048))
-		splitStats.add(table.ReduceLive(keyCol, split, 2048, n))
+		splitStats.Add(table.ReduceLive(keyCol, split, 0, 1024))
+		splitStats.Add(table.ReduceLive(keyCol, split, 1024, 2048))
+		splitStats.Add(table.ReduceLive(keyCol, split, 2048, n))
 		if splitStats != wholeStats {
 			t.Fatalf("trial %d: split stats %+v, want %+v", trial, splitStats, wholeStats)
 		}

@@ -1,32 +1,235 @@
-// Probe pipelines: the two-stage batch probe of ProbeBatchInto made
-// externally resumable, so an executor can drive several tables'
-// stage-1/stage-2 waves round-robin from one chunk loop. Each table's
-// stage 1 (hash, directory load, tag filter, first-key compare — a
-// load that doubles as the software prefetch of the run's cache line)
-// issues its memory traffic and returns; by the time the caller comes
-// back for stage 2, other tables' stage-1 loads have been issued in
-// between, so directory and run misses from different relations
-// overlap in the memory system instead of serializing one relation at
-// a time. Driving Stage1(b) immediately followed by Stage2(b) for
-// b = 0..NumBlocks()-1 is exactly ProbeBatchInto — the block bodies
-// are shared — so interleaved and sequential probes are bit-identical
-// by construction.
+// The probe kernel: the two stages every probe of a Table runs, written
+// once. Stage 1 hashes a block of keys, fetches their directory words
+// and filters on the tag — independent loads the memory system
+// overlaps; a lane whose tag bit is absent is answered with no further
+// traffic — and for survivors records the bucket run with the verdict
+// on its first key, a load that doubles as the software prefetch of the
+// line stage 2 scans. Stage 2 verifies exact keys against those runs.
+// A versioned table's tombstones and append region live inside the two
+// bodies: stage 1 also consults the append sub-table's directory, and
+// stage 2 skips dead entries. Every entry point is this pair under a
+// different driver: ProbePipeline makes it resumable so an executor can
+// interleave several tables' stages from one chunk loop, ProbeBatchInto
+// drives a pipeline back to back, and ProbeCounts, ProbeContains and
+// ReduceLive run it over a stack-resident block — so any schedule of
+// the stages is bit-identical to any other by construction.
+//
+// Both stages are sequences of short passes over the block, each a
+// tight loop with few live values; the passes that touch table memory
+// are branch-free per lane or visit only the lanes with work left, so a
+// tag miss costs neither a second load nor a mispredicted branch.
 package hashtable
 
 import (
-	"math/bits"
+	"math"
 
 	"m2mjoin/internal/buf"
-	"m2mjoin/internal/storage"
 )
 
-// ProbeBlock is the lane count of one pipeline block (the granularity
-// at which ProbePipeline stages are driven).
-const ProbeBlock = probeBlock
+// ProbeBlock is the lane count of one kernel block: stage 1 tag-filters
+// and prefetches ProbeBlock keys before stage 2 verifies them, long
+// enough to overlap the run loads, short enough that the touched lines
+// still sit in cache when stage 2 reads them.
+const ProbeBlock = 256
 
-// Add accumulates o into s (the exported form of the internal
-// accumulator, for callers that sum per-word or per-block stats).
-func (s *ProbeStats) Add(o ProbeStats) { s.add(o) }
+// A lane index must fit the byte the block's lane lists store it in.
+const _ = uint8(ProbeBlock - 1)
+
+// unbounded is stage 2's match limit for probes that want every match.
+const unbounded = math.MaxInt32
+
+// block is what one block of lanes carries from stage 1 to stage 2. One
+// block is live only between a stage 1 and its stage 2, so run state
+// never scales with the probe width.
+type block struct {
+	// runs and app hold, per lane that reached the table, the run of the
+	// key's bucket in the table's own directory and in the append
+	// sub-table's (all zero without one); 0 means the directory word
+	// alone answered.
+	runs, app [ProbeBlock]uint64
+	// hit lists the first nhit lanes with a run to verify, ascending.
+	hit  [ProbeBlock]uint8
+	nhit int
+	// lane is selectLanes' scratch.
+	lane [ProbeBlock]uint8
+}
+
+// allLanes is the lane list of an unselected, unfiltered block.
+var allLanes = func() (a [ProbeBlock]uint8) {
+	for i := range a {
+		a[i] = uint8(i)
+	}
+	return a
+}()
+
+// tally is stage 1's count of what happened to its lanes.
+type tally struct {
+	selected int // lanes probed (sel entry set, or every lane)
+	filtered int // of those, pruned by the fused filter
+	tagMiss  int // of the rest, answered by the directory word(s) alone
+}
+
+// stats is the table-probe view of the tally: filtered lanes never
+// reached the table, and a hit is a tag bit present in either directory.
+func (c tally) stats() ProbeStats {
+	probed := c.selected - c.filtered
+	return ProbeStats{Probed: probed, TagHits: probed - c.tagMiss, TagMisses: c.tagMiss}
+}
+
+// stage1 runs the first stage over one block of at most ProbeBlock
+// keys: it lists the lanes that reach the table (selectLanes), probes
+// the table's directory for them and, when there is an append region,
+// the sub-table's (probeDir), and lists the lanes left with a run to
+// verify.
+func (t *Table) stage1(blk *block, keys []int64, sel []bool,
+	fbits []uint64, fshift uint, pass []bool, c *tally) {
+	lanes, selected := allLanes[:len(keys)], len(keys)
+	if sel != nil || fbits != nil {
+		lanes, selected = blk.selectLanes(keys, sel, fbits, fshift, pass)
+	}
+	t.probeDir(keys, lanes, &blk.runs)
+	if t.app != nil {
+		t.app.probeDir(keys, lanes, &blk.app)
+	} else {
+		clear(blk.app[:len(keys)])
+	}
+	nhit := 0
+	for _, l := range lanes {
+		blk.hit[nhit] = l
+		r := blk.runs[l] | blk.app[l]
+		nhit += int((r | -r) >> 63) // r != 0
+	}
+	blk.nhit = nhit
+	c.selected += selected
+	c.filtered += selected - len(lanes)
+	c.tagMiss += len(lanes) - nhit
+}
+
+// selectLanes lists the lanes that reach the table: the keys whose sel
+// entry is set (nil sel: all), minus — with fbits non-nil — those a
+// fused bitvector filter prunes. Only filter survivors touch the
+// directory (which rehashes their keys: a few ALU ops against a load
+// saved), and pass receives the survivor mask (sel ∧ filter hit) a
+// separate filter pass would have produced, so the tally splits exactly
+// like the unfused sequence.
+// fbits/fshift are the filter's raw geometry (bitvector.Filter shares
+// Hash64, Bucket and the width-6 Tag derivation; reproduced here
+// without an import cycle). selected counts the sel-passing lanes.
+func (blk *block) selectLanes(keys []int64, sel []bool,
+	fbits []uint64, fshift uint, pass []bool) (lanes []uint8, selected int) {
+	n := 0
+	for i, key := range keys {
+		probe := sel == nil || sel[i]
+		if probe {
+			selected++
+			if fbits != nil {
+				h := Hash64(key)
+				probe = fbits[h>>fshift]&Tag(h, fshift, 6) != 0
+			}
+		}
+		if pass != nil {
+			pass[i] = probe
+		}
+		blk.lane[n] = uint8(i)
+		if probe {
+			n++
+		}
+	}
+	return blk.lane[:n], selected
+}
+
+// probeDir is the directory half of stage 1: for each listed lane it
+// hashes the key, fetches its bucket's directory word and tests the
+// tag, and records in runs the bucket's entry range with the first-key
+// verdict, packed as start<<33 | end<<1 | firstMatches — or 0 when the
+// tag bit is absent (a tagged bucket is never empty, so a packed run is
+// never 0). The lane body is branch-free: an untagged lane compares
+// against entry 0, a line that stays hot, and masks the result away, so
+// nothing here mispredicts and the loads of different lanes — this loop
+// is where the memory system overlaps them — are never flushed.
+func (t *Table) probeDir(keys []int64, lanes []uint8, runs *[ProbeBlock]uint64) {
+	dir, tkeys, shift := t.dir, t.keys, t.shift
+	if len(tkeys) == 0 {
+		clear(runs[:])
+		return
+	}
+	for _, l := range lanes {
+		key := keys[l]
+		h := Hash64(key)
+		b := h >> shift
+		w := dir[b]
+		tagged := -(w >> tagIndex(h, shift, tagWidth) & 1) // all ones iff the tag bit is in w
+		start := w >> offShift & tagged
+		r := start<<33 | (dir[b+1]>>offShift)<<1
+		if tkeys[start] == key {
+			r |= 1
+		}
+		runs[l] = r & tagged
+	}
+}
+
+// stage2 runs the second stage over the block stage 1 just filled: for
+// each lane with a run it verifies the recorded runs — own directory
+// first, then the append region's, which is ascending row order because
+// every append row sits above the base — stopping after limit matches,
+// and writes every lane's match count. With rows non-nil it also
+// appends the matching rows to *rows and chains offsets (offsets[0] is
+// the block's starting cursor) through them, so blocks must then be
+// verified in ascending order.
+func (t *Table) stage2(blk *block, keys []int64, limit int32, counts, offsets []int32, rows *[]int32) {
+	clear(counts)
+	for _, l := range blk.hit[:blk.nhit] {
+		key := keys[l]
+		var n int32
+		if run := blk.runs[l]; run != 0 {
+			n = t.scan(run, key, limit, rows)
+		}
+		if run := blk.app[l]; run != 0 && n < limit {
+			n += t.app.scan(run, key, limit-n, rows)
+		}
+		counts[l] = n
+	}
+	if rows != nil {
+		off := offsets[0]
+		for i, n := range counts {
+			off += n
+			offsets[i+1] = off
+		}
+	}
+}
+
+// scan verifies one recorded run: it counts — and with rows non-nil
+// gathers — the entries whose key is key and whose tombstone bit is
+// clear, up to limit (at least 1). The match test accumulates without a
+// branch; only gathering branches on it.
+func (t *Table) scan(run uint64, key int64, limit int32, rows *[]int32) (n int32) {
+	tkeys, dead := t.keys, t.dead
+	m := int32(run & 1) // the first entry's verdict came from stage 1
+	for e, end := run>>33, run>>1&(1<<32-1); ; {
+		if dead != nil {
+			m &^= int32(dead[e>>6]>>(e&63)) & 1
+		}
+		if rows != nil && m != 0 {
+			*rows = append(*rows, t.rows[e])
+		}
+		n += m
+		if e++; e >= end || n >= limit {
+			return n
+		}
+		m = 0
+		if tkeys[e] == key {
+			m = 1
+		}
+	}
+}
+
+// lanes reslices an optional per-lane mask to one block (nil stays nil).
+func lanes(s []bool, lo, hi int) []bool {
+	if s == nil {
+		return nil
+	}
+	return s[lo:hi]
+}
 
 // grow sizes the per-key scratch (counts and offsets) for an n-key
 // probe. Both go through buf.Grow, which over-allocates 25% headroom —
@@ -40,199 +243,23 @@ func (res *ProbeResult) grow(n int) {
 	res.Offsets = buf.Grow(res.Offsets, n+1)
 }
 
-// probeStage1Block is stage 1 of the batch probe over lanes [lo, hi):
-// hash each selected key, fetch its directory word, filter on the tag
-// (definitive misses record runs[i-lo] = 0), and for survivors record
-// the packed run bounds plus the first-key verdict — loading the run's
-// first key doubles as the software prefetch of the line stage 2
-// scans. runs is block-local (probeBlock lanes, indexed i-lo): one
-// block of run state lives only between a Stage1(b) and its Stage2(b).
-// Returns the selected-lane count (0 reported for nil sel; the caller
-// substitutes hi-lo totals) and the tag-miss count.
-func (t *Table) probeStage1Block(keys []int64, sel []bool, runs []uint64, lo, hi int) (probed, tagMiss int) {
-	dir, tkeys := t.dir, t.keys
-	if sel == nil {
-		for i := lo; i < hi; i++ {
-			key := keys[i]
-			h := Hash64(key)
-			b := h >> t.shift
-			w := dir[b]
-			if w&t.tag(h) == 0 {
-				tagMiss++
-				runs[i-lo] = 0
-				continue
-			}
-			start := w >> offShift
-			r := start<<33 | (dir[b+1]>>offShift)<<1
-			if tkeys[start] == key {
-				r |= 1
-			}
-			runs[i-lo] = r
-		}
-		return 0, tagMiss
-	}
-	for i := lo; i < hi; i++ {
-		if !sel[i] {
-			runs[i-lo] = 0
-			continue
-		}
-		probed++
-		key := keys[i]
-		h := Hash64(key)
-		b := h >> t.shift
-		w := dir[b]
-		if w&t.tag(h) == 0 {
-			tagMiss++
-			runs[i-lo] = 0
-			continue
-		}
-		start := w >> offShift
-		r := start<<33 | (dir[b+1]>>offShift)<<1
-		if tkeys[start] == key {
-			r |= 1
-		}
-		runs[i-lo] = r
-	}
-	return probed, tagMiss
-}
-
-// probeStage1FusedBlock is probeStage1Block with a bitvector filter
-// pass fused in: one key hash serves both the filter-word test and the
-// directory probe, and only filter survivors touch the directory at
-// all. pass[i] records the survivor mask (sel ∧ filter hit) — the
-// selection mask a separate filter link would have produced — so the
-// caller's counters split exactly like the unfused sequence: selCount
-// filter probes, of which filtered were pruned, and selCount-filtered
-// table probes with tagMiss directory-only answers. fbits/fshift are
-// the filter's raw geometry (bitvector.Filter shares Hash64, Bucket
-// and the width-6 Tag derivation, so the test is reproduced here
-// verbatim without an import cycle).
-func (t *Table) probeStage1FusedBlock(keys []int64, sel []bool, fbits []uint64, fshift uint,
-	pass []bool, runs []uint64, lo, hi int) (selCount, filtered, tagMiss int) {
-	dir, tkeys := t.dir, t.keys
-	for i := lo; i < hi; i++ {
-		if sel != nil && !sel[i] {
-			pass[i] = false
-			runs[i-lo] = 0
-			continue
-		}
-		selCount++
-		key := keys[i]
-		h := Hash64(key)
-		if fbits[h>>fshift]&Tag(h, fshift, 6) == 0 {
-			filtered++
-			pass[i] = false
-			runs[i-lo] = 0
-			continue
-		}
-		pass[i] = true
-		b := h >> t.shift
-		w := dir[b]
-		if w&t.tag(h) == 0 {
-			tagMiss++
-			runs[i-lo] = 0
-			continue
-		}
-		start := w >> offShift
-		r := start<<33 | (dir[b+1]>>offShift)<<1
-		if tkeys[start] == key {
-			r |= 1
-		}
-		runs[i-lo] = r
-	}
-	return selCount, filtered, tagMiss
-}
-
-// probeStage2Block is stage 2 over lanes [lo, hi): verify the runs
-// stage 1 recorded (block-local, indexed i-lo), gather match rows into
-// out, and write counts and offsets. Blocks must be verified in
-// ascending order — offsets chain through the shared output cursor.
-func (t *Table) probeStage2Block(keys []int64, runs []uint64, out []int32, counts, offsets []int32, lo, hi int) []int32 {
-	tkeys, trows := t.keys, t.rows
-	for i := lo; i < hi; i++ {
-		run := runs[i-lo]
-		before := int32(len(out))
-		if run != 0 {
-			key := keys[i]
-			start := run >> 33
-			if run&1 != 0 {
-				out = append(out, trows[start])
-			}
-			for e, end := start+1, run>>1&(1<<32-1); e < end; e++ {
-				if tkeys[e] == key {
-					out = append(out, trows[e])
-				}
-			}
-		}
-		counts[i] = int32(len(out)) - before
-		offsets[i+1] = int32(len(out))
-	}
-	return out
-}
-
-// probeDeltaBlock is the scalar versioned-table fallback for one block
-// of lanes, with the optional fused filter pass (nil fbits skips it).
-// It returns the updated output cursor plus the counters of both
-// halves: selCount selected lanes, filtered pruned by the filter,
-// tagHits among the appendDelta probes of the survivors.
-func (t *Table) probeDeltaBlock(keys []int64, sel []bool, fbits []uint64, fshift uint,
-	pass []bool, out []int32, counts, offsets []int32, lo, hi int) (_ []int32, selCount, filtered, tagHits int) {
-	for i := lo; i < hi; i++ {
-		if sel != nil && !sel[i] {
-			if pass != nil {
-				pass[i] = false
-			}
-			counts[i] = 0
-			offsets[i+1] = int32(len(out))
-			continue
-		}
-		selCount++
-		key := keys[i]
-		if fbits != nil {
-			h := Hash64(key)
-			if fbits[h>>fshift]&Tag(h, fshift, 6) == 0 {
-				filtered++
-				pass[i] = false
-				counts[i] = 0
-				offsets[i+1] = int32(len(out))
-				continue
-			}
-			pass[i] = true
-		}
-		before := int32(len(out))
-		var hit bool
-		out, hit = t.appendDelta(out, key)
-		if hit {
-			tagHits++
-		}
-		counts[i] = int32(len(out)) - before
-		offsets[i+1] = int32(len(out))
-	}
-	return out, selCount, filtered, tagHits
-}
-
 // ProbePipeline is one table's resumable batch probe. Begin binds the
 // inputs and result; the caller then drives Stage1(b)/Stage2(b) for
 // blocks b = 0..NumBlocks()-1 — Stage2(b) after Stage1(b) and before
 // this pipeline's next Stage1 (run state is one block deep), in
 // ascending block order, with any other pipeline's stages freely
 // interleaved in between — and End finalizes the result's counters.
-// The sequence Begin, {Stage1(b); Stage2(b)}, End is bit-identical to
-// ProbeBatchInto: both call the same block bodies. Versioned tables
-// with pending deltas fall back to the scalar probe inside Stage2
-// (their append sub-table walk has no prefetchable stage), with
-// identical counters.
+// Each table's stage 1 issues its memory traffic and returns; by the
+// time the caller comes back for stage 2, other tables' stage-1 loads
+// have been issued in between, so directory and run misses from
+// different relations overlap instead of serializing one relation at a
+// time.
 type ProbePipeline struct {
 	t    *Table
 	keys []int64
 	sel  []bool
 	res  *ProbeResult
-
-	// runs is the in-flight block's stage-1 state: packed run bounds
-	// plus the first-key verdict per lane (start<<33 | end<<1 | firstEq;
-	// 0 for skipped or tag-filtered lanes). One block deep by the
-	// scheduling contract, so it never scales with the probe width.
-	runs [probeBlock]uint64
+	blk  block
 
 	// Fused filter pass (BeginFused): raw filter words and shift, plus
 	// the survivor mask written by stage 1.
@@ -240,12 +267,7 @@ type ProbePipeline struct {
 	fshift uint
 	pass   []bool
 
-	delta    bool
-	probed   int // table probes issued (selected, and filter-passing when fused)
-	tagMiss  int // non-delta: stage-1 definitive misses
-	tagHit   int // delta: verified hits (the scalar probe counts hits)
-	selCount int // fused: filter probes issued (selected lanes)
-	filtered int // fused: filter prunes (lanes that never reach the table)
+	tally tally
 }
 
 // Begin binds the pipeline to one probe: keys (with optional selection
@@ -253,10 +275,7 @@ type ProbePipeline struct {
 // slices are reused across probes, so steady-state use allocates
 // nothing.
 func (p *ProbePipeline) Begin(t *Table, keys []int64, sel []bool, res *ProbeResult) {
-	p.begin(t, keys, sel, res)
-	p.fbits = nil
-	p.fshift = 0
-	p.pass = nil
+	p.BeginFused(t, keys, sel, res, nil, 0, nil)
 }
 
 // BeginFused is Begin with a bitvector filter pass fused into stage 1:
@@ -269,20 +288,9 @@ func (p *ProbePipeline) Begin(t *Table, keys []int64, sel []bool, res *ProbeResu
 // only the survivors.
 func (p *ProbePipeline) BeginFused(t *Table, keys []int64, sel []bool, res *ProbeResult,
 	fbits []uint64, fshift uint, pass []bool) {
-	p.begin(t, keys, sel, res)
-	p.fbits = fbits
-	p.fshift = fshift
-	p.pass = pass
-}
-
-func (p *ProbePipeline) begin(t *Table, keys []int64, sel []bool, res *ProbeResult) {
-	p.t = t
-	p.keys = keys
-	p.sel = sel
-	p.res = res
-	p.delta = t.hasDelta()
-	p.probed, p.tagMiss, p.tagHit = 0, 0, 0
-	p.selCount, p.filtered = 0, 0
+	p.t, p.keys, p.sel, p.res = t, keys, sel, res
+	p.fbits, p.fshift, p.pass = fbits, fshift, pass
+	p.tally = tally{}
 	res.grow(len(keys))
 	res.Rows = res.Rows[:0]
 	res.Offsets[0] = 0
@@ -290,31 +298,19 @@ func (p *ProbePipeline) begin(t *Table, keys []int64, sel []bool, res *ProbeResu
 
 // NumBlocks returns the number of ProbeBlock-lane blocks to drive.
 func (p *ProbePipeline) NumBlocks() int {
-	return (len(p.keys) + probeBlock - 1) / probeBlock
+	return (len(p.keys) + ProbeBlock - 1) / ProbeBlock
 }
 
 func (p *ProbePipeline) blockBounds(b int) (lo, hi int) {
-	lo = b * probeBlock
-	return lo, min(lo+probeBlock, len(p.keys))
+	lo = b * ProbeBlock
+	return lo, min(lo+ProbeBlock, len(p.keys))
 }
 
-// Stage1 hashes, tag-filters and prefetches block b. For a delta table
-// it is a no-op — the scalar fallback has no prefetchable first stage.
+// Stage1 hashes, tag-filters and prefetches block b.
 func (p *ProbePipeline) Stage1(b int) {
-	if p.delta {
-		return
-	}
 	lo, hi := p.blockBounds(b)
-	if p.fbits != nil {
-		sc, fl, tm := p.t.probeStage1FusedBlock(p.keys, p.sel, p.fbits, p.fshift, p.pass, p.runs[:], lo, hi)
-		p.selCount += sc
-		p.filtered += fl
-		p.tagMiss += tm
-		return
-	}
-	pr, tm := p.t.probeStage1Block(p.keys, p.sel, p.runs[:], lo, hi)
-	p.probed += pr
-	p.tagMiss += tm
+	p.t.stage1(&p.blk, p.keys[lo:hi], lanes(p.sel, lo, hi),
+		p.fbits, p.fshift, lanes(p.pass, lo, hi), &p.tally)
 }
 
 // Stage2 verifies block b's runs and gathers its matches. Blocks must
@@ -322,131 +318,26 @@ func (p *ProbePipeline) Stage1(b int) {
 func (p *ProbePipeline) Stage2(b int) {
 	lo, hi := p.blockBounds(b)
 	res := p.res
-	if p.delta {
-		var sc, fl, th int
-		res.Rows, sc, fl, th = p.t.probeDeltaBlock(p.keys, p.sel, p.fbits, p.fshift, p.pass,
-			res.Rows, res.Counts, res.Offsets, lo, hi)
-		p.selCount += sc
-		p.filtered += fl
-		p.tagHit += th
-		if p.fbits == nil {
-			p.probed += sc
-		}
-		return
-	}
-	res.Rows = p.t.probeStage2Block(p.keys, p.runs[:], res.Rows, res.Counts, res.Offsets, lo, hi)
+	p.t.stage2(&p.blk, p.keys[lo:hi], unbounded,
+		res.Counts[lo:hi], res.Offsets[lo:hi+1], &res.Rows)
 }
 
 // End finalizes the result counters. FilterProbed/Filtered remain
 // readable on the pipeline for the fused filter's accounting.
 func (p *ProbePipeline) End() {
-	res := p.res
-	switch {
-	case p.fbits != nil:
-		res.Probed = p.selCount - p.filtered
-		if p.delta {
-			res.TagHits = p.tagHit
-			res.TagMisses = res.Probed - p.tagHit
-		} else {
-			res.TagMisses = p.tagMiss
-			res.TagHits = res.Probed - p.tagMiss
-		}
-	case p.delta:
-		res.Probed = p.probed
-		res.TagHits = p.tagHit
-		res.TagMisses = p.probed - p.tagHit
-	default:
-		probed := p.probed
-		if p.sel == nil {
-			probed = len(p.keys)
-		}
-		res.Probed = probed
-		res.TagMisses = p.tagMiss
-		res.TagHits = probed - p.tagMiss
-	}
+	st := p.tally.stats()
+	p.res.Probed, p.res.TagHits, p.res.TagMisses = st.Probed, st.TagHits, st.TagMisses
 }
 
 // FilterProbed returns the fused filter's probe count (selected lanes;
 // 0 for an unfused pipeline).
-func (p *ProbePipeline) FilterProbed() int { return p.selCount }
+func (p *ProbePipeline) FilterProbed() int {
+	if p.fbits == nil {
+		return 0
+	}
+	return p.tally.selected
+}
 
 // Filtered returns how many fused-filter probes were pruned before
 // reaching the table.
-func (p *ProbePipeline) Filtered() int { return p.filtered }
-
-// reduceLiveWord is one 64-row pipeline block of ReduceLive: stage 1
-// tag-filters word wi's set rows (clearing definitive misses and
-// prefetching surviving runs), stage 2 verifies the survivors.
-func (t *Table) reduceLiveWord(keyCol storage.Column, words []uint64, wi int) ProbeStats {
-	var st ProbeStats
-	w := words[wi]
-	if w == 0 {
-		return st
-	}
-	st.Probed = bits.OnesCount64(w)
-	base := wi << 6
-	var runs [64]uint64
-	for m := w; m != 0; m &= m - 1 {
-		tz := bits.TrailingZeros64(m)
-		key := keyCol[base+tz]
-		h := Hash64(key)
-		b := h >> t.shift
-		d := t.dir[b]
-		if d&t.tag(h) == 0 {
-			st.TagMisses++
-			w &^= 1 << uint(tz)
-			continue
-		}
-		st.TagHits++
-		start := d >> offShift
-		r := start<<33 | (t.dir[b+1]>>offShift)<<1
-		if t.keys[start] == key {
-			r |= 1
-		}
-		runs[tz] = r
-	}
-	for m := w; m != 0; m &= m - 1 {
-		tz := bits.TrailingZeros64(m)
-		run := runs[tz]
-		found := run&1 != 0
-		if !found {
-			key := keyCol[base+tz]
-			for e, end := run>>33+1, run>>1&(1<<32-1); !found && e < end; e++ {
-				found = t.keys[e] == key
-			}
-		}
-		if !found {
-			w &^= 1 << uint(tz)
-		}
-	}
-	words[wi] = w
-	return st
-}
-
-// ReduceLiveWords is ReduceLive addressed in mask words: it reduces
-// words [loWord, hiWord) of the live mask, one 64-row pipeline block
-// per word, and is the primitive behind the word-skewed interleaving
-// of sibling semi-join reductions — child k of a shared parent can
-// process word w while child k+1 processes word w-1, each probing
-// exactly the bits its predecessors left set in that word, so the
-// interleaved schedule is bit-identical to the sequential
-// child-after-child sweep. Delta tables fall back to the scalar
-// reduction over the same word range.
-func (t *Table) ReduceLiveWords(keyCol storage.Column, live *storage.Bitmap, loWord, hiWord int) ProbeStats {
-	if t.hasDelta() {
-		hiRow := hiWord << 6
-		if n := live.Len(); hiRow > n {
-			hiRow = n
-		}
-		return t.reduceLiveDelta(keyCol, live, loWord<<6, hiRow)
-	}
-	var st ProbeStats
-	words := live.Words()
-	if hiWord > len(words) {
-		hiWord = len(words)
-	}
-	for wi := loWord; wi < hiWord; wi++ {
-		st.add(t.reduceLiveWord(keyCol, words, wi))
-	}
-	return st
-}
+func (p *ProbePipeline) Filtered() int { return p.tally.filtered }

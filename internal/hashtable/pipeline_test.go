@@ -3,6 +3,7 @@ package hashtable
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"m2mjoin/internal/plan"
@@ -40,31 +41,37 @@ func skewedProbe(seed int64, n int) (*Table, []int64, []bool) {
 	return table, keys, sparse
 }
 
-// deltaProbeTable builds a versioned table carrying tombstones and an
-// append region, so probes take the scalar delta fallback.
+// deltaProbeTable builds a versioned table carrying tombstones in the
+// packed part and in the append region, so both stages of the kernel
+// cross both directories and skip dead entries in each.
 func deltaProbeTable(t *testing.T, seed int64, n int) *Table {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ds := deltaTestDataset(n, rng)
 	tbl := buildCold(ds, 1)
-	// n/8 ops stays under the compaction threshold (a quarter of the
-	// base), so the commit leaves tombstones + an append region behind.
-	v, err := randomMutationBatch(ds, rng, n/8)
-	if err != nil {
-		t.Fatalf("mutation batch: %v", err)
+	// Two commits of n/16 ops stay under the compaction threshold (a
+	// quarter of the base) and leave tombstones + an append region
+	// behind; the second one's deletes also land on rows the first
+	// appended.
+	for range 2 {
+		v, err := randomMutationBatch(ds, rng, n/16)
+		if err != nil {
+			t.Fatalf("mutation batch: %v", err)
+		}
+		cur, d := v.Dataset, v.Deltas[0]
+		id := plan.NodeID(1)
+		tbl = tbl.ApplyDelta(cur.Relation(id), "k", DeltaSpec{
+			BaseRows:     cur.BaseRows(id),
+			BaseLive:     cur.BaseLive(id),
+			Live:         cur.Live(id),
+			AppendedFrom: d.AppendedFrom,
+			Deleted:      d.Deleted,
+			Compacted:    d.Compacted,
+		}, 1, nil)
+		ds = cur
 	}
-	cur, d := v.Dataset, v.Deltas[0]
-	id := plan.NodeID(1)
-	tbl = tbl.ApplyDelta(cur.Relation(id), "k", DeltaSpec{
-		BaseRows:     cur.BaseRows(id),
-		BaseLive:     cur.BaseLive(id),
-		Live:         cur.Live(id),
-		AppendedFrom: d.AppendedFrom,
-		Deleted:      d.Deleted,
-		Compacted:    d.Compacted,
-	}, 1, nil)
-	if !tbl.hasDelta() {
-		t.Fatal("versioned table carries no delta state; test is vacuous")
+	if tbl.deadCount == 0 || tbl.app == nil || tbl.app.deadCount == 0 {
+		t.Fatal("versioned table lacks tombstones in one of its regions; test is vacuous")
 	}
 	return tbl
 }
@@ -72,7 +79,8 @@ func deltaProbeTable(t *testing.T, seed int64, n int) *Table {
 // TestProbePipelineMatchesBatch: a staged pipeline drive must be
 // bit-identical to ProbeBatchInto — result slices and every counter —
 // over random and skewed keys, nil/dense/sparse selection masks, and
-// delta tables (which take the scalar fallback inside the pipeline).
+// delta tables, and both must answer like the naive model of the
+// table's live entries.
 func TestProbePipelineMatchesBatch(t *testing.T) {
 	type tc struct {
 		name  string
@@ -88,21 +96,33 @@ func TestProbePipelineMatchesBatch(t *testing.T) {
 	for i := range dkeys {
 		dkeys[i] = rng.Int63n(2048)
 	}
-	dsel := make([]bool, len(dkeys))
+	dsel, dsparse := make([]bool, len(dkeys)), make([]bool, len(dkeys))
 	for i := range dsel {
 		dsel[i] = rng.Intn(3) > 0
+		dsparse[i] = rng.Intn(8) == 0
 	}
 	cases := []tc{
 		{"random", rt, rkeys, [][]bool{nil, rsel}},
 		{"skewed-sparse", st, skeys, [][]bool{nil, ssparse}},
-		{"delta", dt, dkeys, [][]bool{nil, dsel}},
+		{"delta", dt, dkeys, [][]bool{nil, dsel, dsparse}},
 		{"empty", rt, nil, [][]bool{nil}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			model := modelOf(c.table)
 			for si, sel := range c.sels {
 				var want, got ProbeResult
 				c.table.ProbeBatchInto(c.keys, sel, &want)
+				for i, k := range c.keys {
+					var rows []int32
+					if sel == nil || sel[i] {
+						rows = model[k]
+					}
+					if !slices.Equal(want.Rows[want.Offsets[i]:want.Offsets[i+1]], rows) {
+						t.Fatalf("sel %d lane %d key %d: rows %v, model %v", si, i, k,
+							want.Rows[want.Offsets[i]:want.Offsets[i+1]], rows)
+					}
+				}
 				var p ProbePipeline
 				p.Begin(c.table, c.keys, sel, &got)
 				drivePipeline(&p)
@@ -171,15 +191,26 @@ func TestProbePipelineInterleavedSchedule(t *testing.T) {
 // TestProbePipelineFusedMatchesFilterThenProbe: the fused filter+table
 // stage must equal the unfused sequence — a filter ProbeContains pass
 // producing a mask, then a table probe under that mask — in results,
-// pass mask, and the exact counter split.
+// pass mask, and the exact counter split, on plain and delta tables
+// under nil, dense and sparse selections.
 func TestProbePipelineFusedMatchesFilterThenProbe(t *testing.T) {
 	for _, n := range []int{1024, 2049} {
 		table, keys, sel := randomProbe(31, n)
+		if n == 2049 {
+			// The larger case runs against a delta table; its filter is
+			// the packed directory's, so keys that live only in the append
+			// region are (deterministically) pruned on both sides.
+			table = deltaProbeTable(t, 32, n)
+		}
+		sparse := make([]bool, len(keys))
+		for i := range sparse {
+			sparse[i] = i%7 == 0
+		}
 		// A filter at the table's own geometry (the executor derives it
 		// from the directory): reproduce FromTable's expansion.
 		fbits := table.FilterWords()
 		fshift := table.Shift() + 3
-		for _, s := range [][]bool{nil, sel} {
+		for _, s := range [][]bool{nil, sel, sparse} {
 			// Unfused reference: filter pass, then masked table probe.
 			pass := make([]bool, len(keys))
 			filterProbed, filtered := 0, 0
@@ -223,11 +254,12 @@ func TestProbePipelineFusedMatchesFilterThenProbe(t *testing.T) {
 	}
 }
 
-// TestReduceLiveWordsMatchesReduceLive: the word-addressed reduction
-// must equal ReduceLive over the same rows — final mask and stats —
-// for plain and delta tables, including when driven word by word in a
-// skewed order across two sibling tables (the semi-join wavefront).
-func TestReduceLiveWordsMatchesReduceLive(t *testing.T) {
+// TestReduceLiveWordRangesMatchWhole: ReduceLive over any split of the
+// mask into word-aligned ranges must equal one ReduceLive over the
+// whole — final mask and stats — for plain and delta tables, including
+// when driven range by range in a skewed order across two sibling
+// tables (the semi-join wavefront).
+func TestReduceLiveWordRangesMatchWhole(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	n := 4096 + 37
 	keyCol := make(storage.Column, n)
@@ -242,26 +274,43 @@ func TestReduceLiveWordsMatchesReduceLive(t *testing.T) {
 		Build(buildRelation(build), "k", nil),
 		deltaProbeTable(t, 42, 2048),
 	}
+	// reduceRange reduces words [wi, wi+span) of mask.
+	reduceRange := func(tbl *Table, col storage.Column, mask *storage.Bitmap, wi, span int) ProbeStats {
+		return tbl.ReduceLive(col, mask, wi<<6, min((wi+span)<<6, n))
+	}
+	nWords := (n + 63) / 64
 	for ti, table := range tables {
-		seqMask := storage.NewBitmap(n)
-		wordMask := storage.NewBitmap(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				seqMask.Clear(i)
-				wordMask.Clear(i)
+		model := modelOf(table)
+		for _, span := range []int{1, 3, 16} {
+			seqMask := storage.NewBitmap(n)
+			wordMask := storage.NewBitmap(n)
+			for i := 0; i < n; i++ {
+				if rng.Intn(3) == 0 {
+					seqMask.Clear(i)
+					wordMask.Clear(i)
+				}
 			}
-		}
-		wantSt := table.ReduceLive(keyCol, seqMask, 0, n)
-		nWords := (n + 63) / 64
-		var gotSt ProbeStats
-		for wi := 0; wi < nWords; wi++ {
-			gotSt.Add(table.ReduceLiveWords(keyCol, wordMask, wi, wi+1))
-		}
-		if gotSt != wantSt {
-			t.Fatalf("table %d: stats %+v want %+v", ti, gotSt, wantSt)
-		}
-		if !reflect.DeepEqual(seqMask.Words(), wordMask.Words()) {
-			t.Fatalf("table %d: word-addressed reduction diverged from ReduceLive", ti)
+			before := seqMask.Clone()
+			wantSt := table.ReduceLive(keyCol, seqMask, 0, n)
+			var gotSt ProbeStats
+			for wi := 0; wi < nWords; wi += span {
+				gotSt.Add(reduceRange(table, keyCol, wordMask, wi, span))
+			}
+			if gotSt != wantSt {
+				t.Fatalf("table %d span %d: stats %+v want %+v", ti, span, gotSt, wantSt)
+			}
+			if wantSt.Probed != before.Count() || wantSt.TagHits+wantSt.TagMisses != wantSt.Probed {
+				t.Fatalf("table %d: stats %+v over %d set rows", ti, wantSt, before.Count())
+			}
+			if !reflect.DeepEqual(seqMask.Words(), wordMask.Words()) {
+				t.Fatalf("table %d span %d: range-addressed reduction diverged from ReduceLive", ti, span)
+			}
+			for i := 0; i < n; i++ {
+				if seqMask.Get(i) != (before.Get(i) && len(model[keyCol[i]]) > 0) {
+					t.Fatalf("table %d row %d: kept %v, was set %v, model matches %d",
+						ti, i, seqMask.Get(i), before.Get(i), len(model[keyCol[i]]))
+				}
+			}
 		}
 	}
 
@@ -275,19 +324,18 @@ func TestReduceLiveWordsMatchesReduceLive(t *testing.T) {
 	for i := range buildB {
 		buildB[i] = rng.Int63n(1500)
 	}
-	tblA, tblB := tables[0], Build(buildRelation(buildB), "k", nil)
+	tblA, tblB := tables[1], Build(buildRelation(buildB), "k", nil)
 	seqMask := storage.NewBitmap(n)
 	waveMask := storage.NewBitmap(n)
 	var wantA, wantB, gotA, gotB ProbeStats
 	wantA = tblA.ReduceLive(keyCol, seqMask, 0, n)
 	wantB = tblB.ReduceLive(keyColB, seqMask, 0, n)
-	nWords := (n + 63) / 64
 	for step := 0; step < nWords+1; step++ {
 		if step < nWords {
-			gotA.Add(tblA.ReduceLiveWords(keyCol, waveMask, step, step+1))
+			gotA.Add(reduceRange(tblA, keyCol, waveMask, step, 1))
 		}
 		if step >= 1 {
-			gotB.Add(tblB.ReduceLiveWords(keyColB, waveMask, step-1, step))
+			gotB.Add(reduceRange(tblB, keyColB, waveMask, step-1, 1))
 		}
 	}
 	if gotA != wantA || gotB != wantB {

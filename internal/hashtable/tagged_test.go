@@ -120,8 +120,8 @@ func TestLargeTableRelaxedLoad(t *testing.T) {
 		if res.Counts[i] != oracle[p] {
 			t.Fatalf("key %d: batch count %d, oracle %d", p, res.Counts[i], oracle[p])
 		}
-		if table.CountMatches(p) != oracle[p] {
-			t.Fatalf("key %d: CountMatches %d, oracle %d", p, table.CountMatches(p), oracle[p])
+		if countMatches(table, p) != oracle[p] {
+			t.Fatalf("key %d: CountMatches %d, oracle %d", p, countMatches(table, p), oracle[p])
 		}
 	}
 	if res.TagHits+res.TagMisses != res.Probed || res.TagMisses == 0 {
@@ -129,36 +129,54 @@ func TestLargeTableRelaxedLoad(t *testing.T) {
 	}
 }
 
-// TestTagProbePathsAllocationFree: the tag-filtered batch probes —
-// ProbeBatchInto with a reused result, and the stack-scratch
-// ProbeContains / ProbeCounts / ReduceLive — must not allocate in
-// steady state.
+// TestTagProbePathsAllocationFree: the batch probes — ProbeBatchInto
+// and the staged pipeline (plain and fused) with a reused result, and
+// the stack-scratch ProbeContains / ProbeCounts / ReduceLive — must not
+// allocate in steady state, on a plain table or on one with tombstones
+// and an append region.
 func TestTagProbePathsAllocationFree(t *testing.T) {
-	table, keys, sel := randomProbe(9, 4096)
-	var res ProbeResult
-	table.ProbeBatchInto(keys, sel, &res) // reach steady state
-	out := make([]bool, len(keys))
-	counts := make([]int32, len(keys))
+	plain, keys, sel := randomProbe(9, 4096)
 	rel := buildRelation(keys)
 	keyCol := rel.Column("k")
 	mask := randomMask(rand.New(rand.NewSource(10)), len(keys), 0.7)
 	clone := mask.Clone()
+	out := make([]bool, len(keys))
+	counts := make([]int32, len(keys))
+	pass := make([]bool, len(keys))
 
-	checks := []struct {
-		name string
-		fn   func()
-	}{
-		{"ProbeBatchInto", func() { table.ProbeBatchInto(keys, sel, &res) }},
-		{"ProbeContains", func() { table.ProbeContains(keys, sel, out) }},
-		{"ProbeCounts", func() { table.ProbeCounts(keys, sel, counts) }},
-		{"ReduceLive", func() {
-			clone.CopyFrom(mask)
-			table.ReduceLive(keyCol, clone, 0, clone.Len())
-		}},
-	}
-	for _, c := range checks {
-		if allocs := testing.AllocsPerRun(20, c.fn); allocs > 0 {
-			t.Errorf("%s allocates %.1f times per call in steady state", c.name, allocs)
+	for _, tc := range []struct {
+		name  string
+		table *Table
+	}{{"plain", plain}, {"delta", deltaProbeTable(t, 11, 4096)}} {
+		table := tc.table
+		fbits, fshift := table.FilterWords(), table.Shift()+3
+		var res ProbeResult
+		var p ProbePipeline
+		table.ProbeBatchInto(keys, nil, &res) // reach steady state
+		checks := []struct {
+			name string
+			fn   func()
+		}{
+			{"ProbeBatchInto", func() { table.ProbeBatchInto(keys, sel, &res) }},
+			{"ProbePipeline", func() {
+				p.Begin(table, keys, sel, &res)
+				drivePipeline(&p)
+			}},
+			{"ProbePipeline fused", func() {
+				p.BeginFused(table, keys, sel, &res, fbits, fshift, pass)
+				drivePipeline(&p)
+			}},
+			{"ProbeContains", func() { table.ProbeContains(keys, sel, out) }},
+			{"ProbeCounts", func() { table.ProbeCounts(keys, sel, counts) }},
+			{"ReduceLive", func() {
+				clone.CopyFrom(mask)
+				table.ReduceLive(keyCol, clone, 0, clone.Len())
+			}},
+		}
+		for _, c := range checks {
+			if allocs := testing.AllocsPerRun(20, c.fn); allocs > 0 {
+				t.Errorf("%s table: %s allocates %.1f times per call in steady state", tc.name, c.name, allocs)
+			}
 		}
 	}
 }

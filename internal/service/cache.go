@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
 	"m2mjoin/internal/bitvector"
@@ -227,6 +228,7 @@ func (c *artifactCache) stats() CacheStats {
 // relation-indexed lookups resolve to fully qualified cache keys.
 type queryArtifacts struct {
 	cache   *artifactCache
+	entry   *datasetEntry
 	dataset uint64   // executing snapshot's lineage fingerprint
 	version uint64   // executing snapshot's version number
 	keyCols []string // indexed by NodeID; "" for the root
@@ -252,7 +254,7 @@ func (q *queryArtifacts) Table(id plan.NodeID) *hashtable.Table {
 }
 
 func (q *queryArtifacts) PutTable(id plan.NodeID, t *hashtable.Table) {
-	q.cache.put(&cacheEntry{key: q.key(id, kindTable), table: t, bytes: t.MemoryBytes()})
+	q.put(&cacheEntry{key: q.key(id, kindTable), table: t, bytes: t.MemoryBytes()})
 }
 
 func (q *queryArtifacts) Filter(id plan.NodeID) *bitvector.Filter {
@@ -263,7 +265,21 @@ func (q *queryArtifacts) Filter(id plan.NodeID) *bitvector.Filter {
 }
 
 func (q *queryArtifacts) PutFilter(id plan.NodeID, f *bitvector.Filter) {
-	q.cache.put(&cacheEntry{key: q.key(id, kindFilter), filter: f, bytes: f.MemoryBytes()})
+	q.put(&cacheEntry{key: q.key(id, kindFilter), filter: f, bytes: f.MemoryBytes()})
+}
+
+// put offers ent to the cache unless the snapshot it was built on has
+// left its dataset's retention window: a query pinned to a version that
+// two commits have since retired finds its keys purged, rebuilds, and
+// would otherwise re-insert under a fingerprint no later purge sweeps.
+// The check and the insert happen under the writer lock, so no commit
+// retires the version in between.
+func (q *queryArtifacts) put(ent *cacheEntry) {
+	q.entry.verMu.Lock()
+	defer q.entry.verMu.Unlock()
+	if slices.Contains(q.entry.versions, q.dataset) {
+		q.cache.put(ent)
+	}
 }
 
 func (q *queryArtifacts) BytesCached() int64 { return q.cache.bytesCached() }

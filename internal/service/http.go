@@ -2,7 +2,9 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -36,11 +38,20 @@ import (
 // cannot make the decoder buffer without bound.
 const maxRequestBytes = 8 << 20
 
-// decodeBody decodes r's size-capped JSON body into v. On failure —
-// malformed JSON or an oversize body alike — it writes the classified
-// invalid envelope (400) and returns false.
+// decodeBody decodes r's size-capped JSON body into v. The body must be
+// exactly one JSON value naming only fields v has: a misspelt field is
+// an error, not a silently ignored option, and so is anything after the
+// value. On failure — malformed or oversize alike — it writes the
+// classified invalid envelope (400) and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s body: %w", what, err))
 	}

@@ -143,6 +143,35 @@ func TestHTTPBodyLimit(t *testing.T) {
 	}
 }
 
+// TestHTTPBodyStrict: every POST endpoint takes exactly one JSON value
+// naming only fields its request has; a misspelt field or trailing
+// data is refused with the classified invalid envelope, not ignored.
+func TestHTTPBodyStrict(t *testing.T) {
+	srv := httpFixture(t)
+	for _, tc := range []struct {
+		path, body, want string
+	}{
+		{"/v1/query", `{"dataset":"ds","stratgy":"COM"}`, "unknown field"},
+		{"/v1/mutate", `{"dataset":"ds","ops":[],"dryRun":true}`, "unknown field"},
+		{"/v1/datasets", `{"name":"x","shape":"star","row":10}`, "unknown field"},
+		{"/v1/query", `{"dataset":"ds"} {"dataset":"ds"}`, "trailing data"},
+		{"/v1/mutate", `{"dataset":"ds","ops":[]}]`, "trailing data"},
+		{"/v1/datasets", `{"name":"x"}x`, "trailing data"},
+	} {
+		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400", tc.path, tc.body, resp.StatusCode)
+		}
+		if env := decodeEnvelope(t, resp); env.Class != ClassInvalid || !strings.Contains(env.Error, tc.want) {
+			t.Errorf("%s %s: envelope %+v, want class invalid naming %q", tc.path, tc.body, env, tc.want)
+		}
+	}
+}
+
 // decodeEnvelope re-reads a non-200 response as the error envelope.
 func decodeEnvelope(t *testing.T, resp *http.Response) ErrorEnvelope {
 	t.Helper()

@@ -6,10 +6,12 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"m2mjoin/internal/exec"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
+	"m2mjoin/internal/telemetry"
 )
 
 // testOps builds a small deterministic mutation batch for step: two
@@ -305,6 +307,75 @@ func TestMutateRetentionPurgesSupersededVersions(t *testing.T) {
 	}
 	if warm.Version != 2 || warm.Stats.CacheMisses != 0 {
 		t.Fatalf("post-purge query: version %d misses %d, want 2/0", warm.Version, warm.Stats.CacheMisses)
+	}
+}
+
+// TestRetiredSnapshotOffersNothing: a query pinned to snapshot v0 that is
+// still building a table when two commits retire v0 — its keys purged —
+// must not re-insert under v0's fingerprint when it finishes: nothing
+// would ever purge those entries again. The query is held inside its
+// one build (a selection-shaped table, which neither planning nor
+// repair ever caches) by a blocking build hook.
+func TestRetiredSnapshotOffersNothing(t *testing.T) {
+	svc := New(Config{Parallelism: 1, MaxConcurrent: 2})
+	ds := genDataset(t, 1000, 7)
+	if _, err := svc.RegisterDataset("ds", ds); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	v0fp := svc.entry("ds").fp
+	req := Request{Dataset: "ds", Strategy: "COM", FlatOutput: true}
+	if _, err := svc.Query(ctx, req); err != nil { // memoize the plan: no measuring builds later
+		t.Fatal(err)
+	}
+
+	serviceHook := telemetry.BuildHook()
+	defer telemetry.SetBuildHook(serviceHook)
+	building, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	telemetry.SetBuildHook(func(kind string, rows int, d time.Duration) {
+		if kind == telemetry.BuildKindBuild {
+			once.Do(func() {
+				close(building)
+				<-release
+			})
+		}
+		serviceHook(kind, rows, d)
+	})
+
+	child := ds.Tree.NonRoot()[0]
+	req.Selections = []SelectionSpec{{Relation: ds.Tree.Name(child), Column: "id", Value: 3}}
+	type answer struct {
+		res Result
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		res, err := svc.Query(ctx, req)
+		done <- answer{res, err}
+	}()
+	<-building
+	for step := 0; step < 2; step++ {
+		if _, err := svc.Mutate(ctx, MutateRequest{Dataset: "ds", Ops: []MutationSpec{
+			{Op: "delete", Relation: "R2", Row: step},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	a := <-done
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if a.res.Version != 0 {
+		t.Fatalf("held query answered from version %d, want its pinned 0", a.res.Version)
+	}
+	svc.cache.mu.Lock()
+	defer svc.cache.mu.Unlock()
+	for key := range svc.cache.entries {
+		if key.dataset == v0fp {
+			t.Errorf("retired v0 re-entered the cache: %+v", key)
+		}
 	}
 }
 

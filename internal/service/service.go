@@ -899,13 +899,12 @@ func (s *Service) plan(e *datasetEntry, strategy string, flat bool) (core.PlanCh
 }
 
 // seedArtifacts offers the tables measured on the registered snapshot
-// to the artifact cache — only while that snapshot is still head (keys
-// of a superseded version may already be past the retention window's
-// purge), and under the writer lock so no commit retires them in
-// between.
+// to the artifact cache — only while that snapshot is still head: a
+// superseded version's tables would serve no later query. A commit
+// racing past the check costs at most entries the next one purges, and
+// a version already out of the retention window is declined by the put
+// itself (queryArtifacts.put).
 func (s *Service) seedArtifacts(e *datasetEntry, tables *core.PlanTables) {
-	e.verMu.Lock()
-	defer e.verMu.Unlock()
 	if e.head.Load() != e.ds {
 		return
 	}
@@ -946,6 +945,7 @@ func (s *Service) artifactsFor(snap *storage.Dataset, e *datasetEntry, sels []ex
 	}
 	return &queryArtifacts{
 		cache:   s.cache,
+		entry:   e,
 		dataset: snap.VersionFingerprint(),
 		version: snap.Version(),
 		keyCols: e.keyCols,
