@@ -1,9 +1,9 @@
 package m2mjoin
 
 // Ablation benchmarks for the design choices DESIGN.md calls out:
-// bitvector density, driver chunk size, expansion strategy, and the
-// factor chunk's bidirectional kill propagation. Each isolates one
-// knob with everything else held fixed.
+// driver chunk size, expansion strategy, and the factor chunk's
+// bidirectional kill propagation. Each isolates one knob with
+// everything else held fixed.
 
 import (
 	"fmt"
@@ -15,33 +15,6 @@ import (
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/workload"
 )
-
-// BenchmarkAblationBitsPerKey sweeps the bitvector density for
-// BVP+COM: denser filters cost memory but cut false positives, the
-// epsilon of the Section 3.5 cost formulas.
-func BenchmarkAblationBitsPerKey(b *testing.B) {
-	rng := rand.New(rand.NewSource(77))
-	tr := plan.Snowflake(3, 2, plan.UniformStats(rng, 0.15, 0.4, 1, 4))
-	ds := workload.Generate(tr, workload.Config{DriverRows: 8000, Seed: 7})
-	order := validOrder(tr)
-	for _, bits := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
-			var hashProbes, filterProbes int64
-			for i := 0; i < b.N; i++ {
-				stats, err := exec.Run(ds, exec.Options{
-					Strategy: cost.BVPCOM, Order: order,
-					FlatOutput: true, BitsPerKey: bits,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				hashProbes, filterProbes = stats.HashProbes, stats.FilterProbes
-			}
-			b.ReportMetric(float64(hashProbes), "hash-probes")
-			b.ReportMetric(float64(filterProbes), "filter-probes")
-		})
-	}
-}
 
 // BenchmarkAblationChunkSize sweeps the driver batch size for COM —
 // the vectorization granularity trade-off (cache locality vs per-chunk

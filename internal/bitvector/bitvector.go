@@ -19,7 +19,6 @@ package bitvector
 
 import (
 	"math/bits"
-	"sync"
 
 	"m2mjoin/internal/hashtable"
 	"m2mjoin/internal/storage"
@@ -38,17 +37,17 @@ type Filter struct {
 	n     int // number of keys inserted (not deduplicated)
 }
 
-// BitsPerKeyDefault controls the default filter density. At 8 bits per
-// key the single-hash false-positive rate is about 1/8 in the worst
-// case of all-distinct keys; the paper's epsilon is similarly a small
-// constant estimated by micro-benchmarking.
-const BitsPerKeyDefault = 8
+// defaultDensity is the bits-per-key density New uses when given none.
+// At 8 bits per key the single-hash false-positive rate is about 1/8 in
+// the worst case of all-distinct keys; the paper's epsilon is similarly
+// a small constant estimated by micro-benchmarking.
+const defaultDensity = 8
 
 // New creates a filter sized for n keys at the given bits-per-key
-// density (0 selects BitsPerKeyDefault).
+// density (0 selects defaultDensity).
 func New(n, bitsPerKey int) *Filter {
 	if bitsPerKey <= 0 {
-		bitsPerKey = BitsPerKeyDefault
+		bitsPerKey = defaultDensity
 	}
 	bitCount := 64
 	for bitCount < n*bitsPerKey {
@@ -61,141 +60,43 @@ func New(n, bitsPerKey int) *Filter {
 	}
 }
 
-// BuildFromColumn creates a filter containing every key of rel's
-// column whose live bit is set (nil live inserts all rows). With a
-// sparse packed mask only set rows are visited.
+// BuildFromColumn creates a standalone filter containing every key of
+// rel's column whose live bit is set (nil live inserts all rows), by
+// hashing each key. With a sparse packed mask only set rows are
+// visited. The engine never calls it — its filters are projections of
+// the hash tables it builds anyway (FromTable); this is the by-hand
+// construction the projection is tested and benchmarked against.
 func BuildFromColumn(rel *storage.Relation, column string, live *storage.Bitmap, bitsPerKey int) *Filter {
-	return BuildFromColumnParallel(rel, column, live, bitsPerKey, 1)
-}
-
-// minParallelFilterRows gates the parallel filter build.
-const minParallelFilterRows = 4 * 1024
-
-// BuildFromColumnParallel is BuildFromColumn fanned out over the given
-// number of workers: each worker hashes a word-aligned span of rows
-// into a private filter of identical geometry, and the partial bit
-// arrays are OR-merged. OR is commutative and the filter is insertion-
-// order independent, so the result is bit-identical to the sequential
-// build at any worker count.
-func BuildFromColumnParallel(rel *storage.Relation, column string, live *storage.Bitmap, bitsPerKey, workers int) *Filter {
 	col := rel.Column(column)
 	f := New(len(col), bitsPerKey)
-	if len(col) < minParallelFilterRows || workers <= 1 {
-		f.addRange(col, live, 0, len(col))
-		return f
-	}
-	// Word-aligned spans so each worker reads whole mask words. A
-	// panicking span worker is re-thrown on the calling goroutine
-	// after the pool drains (the executor's recover boundary converts
-	// it into a failed query rather than a dead process).
-	spanWords := ((len(col)+63)/64 + workers - 1) / workers
-	span := spanWords * 64
-	parts := make([]*Filter, 0, workers)
-	var wg sync.WaitGroup
-	var panicMu sync.Mutex
-	var panicked any
-	for lo := 0; lo < len(col); lo += span {
-		hi := lo + span
-		if hi > len(col) {
-			hi = len(col)
-		}
-		p := New(len(col), bitsPerKey)
-		parts = append(parts, p)
-		wg.Add(1)
-		go func(p *Filter, lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					panicMu.Lock()
-					if panicked == nil {
-						panicked = v
-					}
-					panicMu.Unlock()
-				}
-			}()
-			p.addRange(col, live, lo, hi)
-		}(p, lo, hi)
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-	for _, p := range parts {
-		for i, w := range p.bits {
-			f.bits[i] |= w
-		}
-		f.n += p.n
-	}
-	return f
-}
-
-// FromTable derives a filter from a tagged hash table's directory
-// without touching the relation or hashing a single key. At geometry
-// 8 bits per directory slot (8-16 bits per key at the table's load
-// factor <= 1; half that for very large tables at the relaxed load
-// <= 2), a key's filter bit index — its top hash bits — equals
-// bucket<<3 | tagIndex>>1, both of which the table already computed;
-// Table.FilterWords performs the expansion in one branchless pass.
-// The result is bit-identical to inserting every retained key into a
-// filter of the same geometry, built in O(buckets) with no hashing —
-// phase 1 of the BVP strategies gets its bitvectors for free from the
-// tables it builds anyway.
-//
-// For a versioned table the geometry stays pinned to the packed part's
-// directory and the append-region keys are folded in with ordinary
-// inserts. Every append key is added whether or not it is still live,
-// and tombstoned packed entries keep their tag bits: filter bits are
-// OR-monotone under append and never cleared by deletes, so a filter
-// repaired incrementally (Clone + AddKeys on each commit) is
-// bit-identical to this cold derivation at every version, and the
-// geometry only changes when compaction rebuilds the table. A false
-// positive from a dead entry's surviving bit is caught by the exact
-// table probe, like any tag collision.
-func FromTable(t *hashtable.Table) *Filter {
-	f := &Filter{
-		bits:  t.FilterWords(),
-		shift: t.Shift() + 3,
-		n:     t.PackedLen(),
-	}
-	f.AddKeys(t.AppendedKeys())
-	return f
-}
-
-// Clone returns an independent copy of f — the copy-on-write step of
-// incremental filter repair, so in-flight queries keep probing the
-// filter of the snapshot they started on.
-func (f *Filter) Clone() *Filter {
-	bits := make([]uint64, len(f.bits))
-	copy(bits, f.bits)
-	return &Filter{bits: bits, shift: f.shift, n: f.n}
-}
-
-// AddKeys registers a batch of keys (the appended rows of one commit);
-// the filter is OR-monotone, so repair never removes bits.
-func (f *Filter) AddKeys(keys []int64) {
-	for _, key := range keys {
-		f.Add(key)
-	}
-}
-
-// addRange inserts the live keys of col[lo:hi). lo must be word-
-// aligned; hi must be word-aligned or len(col).
-func (f *Filter) addRange(col storage.Column, live *storage.Bitmap, lo, hi int) {
 	if live == nil {
-		for _, key := range col[lo:hi] {
+		for _, key := range col {
 			f.Add(key)
 		}
-		return
+		return f
 	}
-	words := live.Words()
-	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
-		w := words[wi]
+	for wi, w := range live.Words() {
 		base := wi << 6
-		for w != 0 {
+		for ; w != 0; w &= w - 1 {
 			f.Add(col[base+bits.TrailingZeros64(w)])
-			w &= w - 1
 		}
 	}
+	return f
+}
+
+// FromTable returns the filter over a tagged hash table's keys: a view
+// of the table's own projection (hashtable.Table.FilterWords), which
+// the table derives once — from its directory's bucket and tag bits,
+// with no rehash and no relation scan — and keeps. At geometry 8 bits
+// per directory slot (8-16 bits per key at the table's load factor
+// <= 1; half that for very large tables at the relaxed load <= 2) the
+// words are bit-identical to inserting every retained key into a filter
+// of the same geometry, so phase 1 of the BVP strategies gets its
+// bitvectors for free from the tables it builds anyway, and this is the
+// only way the engine makes a filter. FilterWords documents what a
+// versioned table (tombstones, append region) projects.
+func FromTable(t *hashtable.Table) *Filter {
+	return &Filter{bits: t.FilterWords(), shift: t.Shift() + 3, n: t.Len()}
 }
 
 // Add registers a key.

@@ -103,3 +103,23 @@ func TestTinyFilter(t *testing.T) {
 		t.Errorf("missing inserted key")
 	}
 }
+
+// TestBuildFromColumnSkipsDeadRows: with a sparse packed mask only the
+// set rows' keys may be registered.
+func TestBuildFromColumnSkipsDeadRows(t *testing.T) {
+	rel := storage.NewRelation("R", "k")
+	n := 10000
+	for i := 0; i < n; i++ {
+		rel.AppendRow(int64(i))
+	}
+	live := storage.NewEmptyBitmap(n)
+	live.Set(70)
+	live.Set(4097)
+	f := BuildFromColumn(rel, "k", live, 8)
+	if f.n != 2 {
+		t.Fatalf("inserted %d keys, want 2", f.n)
+	}
+	if !f.MayContain(70) || !f.MayContain(4097) {
+		t.Fatalf("live keys missing from filter")
+	}
+}

@@ -11,8 +11,9 @@ import (
 )
 
 // versionedDataset builds a one-child dataset ("R2" keyed on "k") and
-// walks it through random commits, returning every snapshot.
-func versionedDataset(t *testing.T, rows, steps int, seed int64) []*storage.Dataset {
+// walks it through random commits, returning the base snapshot and
+// every committed version.
+func versionedDataset(t *testing.T, rows, steps int, seed int64) (*storage.Dataset, []storage.Version) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	tr := plan.NewTree("R1")
@@ -27,7 +28,7 @@ func versionedDataset(t *testing.T, rows, steps int, seed int64) []*storage.Data
 	ds.SetRelation(plan.Root, r1, "")
 	ds.SetRelation(plan.NodeID(1), r2, "k")
 
-	snaps := []*storage.Dataset{ds}
+	var versions []storage.Version
 	cur := ds
 	for s := 0; s < steps; s++ {
 		id := plan.NodeID(1)
@@ -53,9 +54,9 @@ func versionedDataset(t *testing.T, rows, steps int, seed int64) []*storage.Data
 			t.Fatalf("step %d: %v", s, err)
 		}
 		cur = v.Dataset
-		snaps = append(snaps, cur)
+		versions = append(versions, v)
 	}
-	return snaps
+	return ds, versions
 }
 
 // buildVersionedTable builds the cold versioned table for a snapshot.
@@ -65,72 +66,48 @@ func buildVersionedTable(ds *storage.Dataset) *hashtable.Table {
 		ds.BaseRows(id), ds.BaseLive(id), ds.Live(id), 1, nil)
 }
 
-// TestFilterRepairMatchesColdDerivation: at every version, a filter
-// repaired incrementally (Clone + AddKeys of each commit's appended
-// keys) must be bit-identical to the cold FromTable derivation — the
-// OR-monotone invariant the serving layer's commit-time repair relies
-// on. Deletes must change nothing.
-func TestFilterRepairMatchesColdDerivation(t *testing.T) {
+// TestRepairedTableProjectsColdFilter: at every version, the filter of
+// a table carried forward by ApplyDelta — what the serving layer's
+// commit-time repair leaves in the cache — must be bit-identical to the
+// filter of a cold build of that snapshot, through appends, deletes
+// (which change nothing: bits are never cleared) and the compactions
+// the storage layer decides on. A repaired table derives words of its
+// own: taking its filter must leave the previous version's untouched,
+// because queries pinned to that snapshot are still probing them.
+func TestRepairedTableProjectsColdFilter(t *testing.T) {
+	id := plan.NodeID(1)
 	for trial := 0; trial < 6; trial++ {
-		snaps := versionedDataset(t, 80+trial*40, 10, int64(trial*7+3))
-		id := plan.NodeID(1)
-		repaired := FromTable(buildVersionedTable(snaps[0]))
-		for vi := 1; vi < len(snaps); vi++ {
-			ds, prev := snaps[vi], snaps[vi-1]
-			table := buildVersionedTable(ds)
-			cold := FromTable(table)
-			if ds.BaseRows(id) != prev.BaseRows(id) {
-				// Compaction rebuilt the packed layout: geometry may
-				// change, repair restarts from the cold derivation.
-				repaired = cold
-			} else {
-				// This commit's appended keys are the column tail above
-				// the previous snapshot's row count, in append order —
-				// exactly what the serving layer feeds AddKeys.
-				from, to := prev.Relation(id).NumRows(), ds.Relation(id).NumRows()
-				if to > from {
-					next := repaired.Clone()
-					next.AddKeys(ds.Relation(id).Column("k")[from:to])
-					repaired = next
-				}
-				// else: delete-only commit — the filter must carry over
-				// unchanged, bits are never cleared.
+		base, versions := versionedDataset(t, 80+trial*40, 10, int64(trial*7+3))
+		repaired := buildVersionedTable(base)
+		for _, v := range versions {
+			ds := v.Dataset
+			prev := FromTable(repaired)
+			prevBits := append([]uint64(nil), prev.bits...)
+			for _, d := range v.Deltas {
+				repaired = repaired.ApplyDelta(ds.Relation(id), "k", hashtable.DeltaSpec{
+					BaseRows: ds.BaseRows(id), BaseLive: ds.BaseLive(id), Live: ds.Live(id),
+					AppendedFrom: d.AppendedFrom, Deleted: d.Deleted, Compacted: d.Compacted,
+				}, 1, nil)
 			}
-			if !reflect.DeepEqual(repaired.bits, cold.bits) {
-				t.Fatalf("trial %d v%d: repaired filter bits diverged from cold derivation", trial, vi)
+			got, cold := FromTable(repaired), FromTable(buildVersionedTable(ds))
+			if !reflect.DeepEqual(got.bits, cold.bits) {
+				t.Fatalf("trial %d v%d: repaired table's filter bits diverged from the cold build's", trial, v.Number)
 			}
-			if repaired.shift != cold.shift || repaired.n != cold.n {
+			if got.shift != cold.shift || got.n != cold.n {
 				t.Fatalf("trial %d v%d: geometry diverged (shift %d/%d, n %d/%d)",
-					trial, vi, repaired.shift, cold.shift, repaired.n, cold.n)
+					trial, v.Number, got.shift, cold.shift, got.n, cold.n)
+			}
+			if !reflect.DeepEqual(prev.bits, prevBits) {
+				t.Fatalf("trial %d v%d: repair changed the previous version's filter", trial, v.Number)
 			}
 			// No false negatives over live rows, the filter contract.
 			rel, live := ds.Relation(id), ds.Live(id)
 			col := rel.Column("k")
 			for r := 0; r < rel.NumRows(); r++ {
-				if (live == nil || live.Get(r)) && !repaired.MayContain(col[r]) {
-					t.Fatalf("trial %d v%d: live key %d missing from filter", trial, vi, col[r])
+				if (live == nil || live.Get(r)) && !got.MayContain(col[r]) {
+					t.Fatalf("trial %d v%d: live key %d missing from filter", trial, v.Number, col[r])
 				}
 			}
 		}
-	}
-}
-
-// TestFilterCloneIsolation: Clone must produce an independent bit
-// array — AddKeys on the clone must not leak into the original (the
-// snapshot-isolation half of filter repair).
-func TestFilterCloneIsolation(t *testing.T) {
-	f := New(1000, 10)
-	for k := int64(0); k < 100; k++ {
-		f.Add(k)
-	}
-	before := make([]uint64, len(f.bits))
-	copy(before, f.bits)
-	c := f.Clone()
-	c.AddKeys([]int64{999999, 888888, 777777})
-	if !reflect.DeepEqual(f.bits, before) {
-		t.Fatalf("AddKeys on clone mutated the original filter")
-	}
-	if !c.MayContain(999999) {
-		t.Fatalf("clone lost an added key")
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 
-	"m2mjoin/internal/bitvector"
 	"m2mjoin/internal/cost"
 	"m2mjoin/internal/exec"
 	"m2mjoin/internal/hashtable"
@@ -152,11 +151,8 @@ func (p *PlanTables) artifacts(ds *storage.Dataset, sels []exec.Selection) exec.
 // builds.
 type planArtifacts []*hashtable.Table
 
-func (a planArtifacts) Table(id plan.NodeID) *hashtable.Table  { return a[id] }
-func (planArtifacts) PutTable(plan.NodeID, *hashtable.Table)   {}
-func (planArtifacts) Filter(plan.NodeID) *bitvector.Filter     { return nil }
-func (planArtifacts) PutFilter(plan.NodeID, *bitvector.Filter) {}
-func (planArtifacts) BytesCached() int64                       { return 0 }
+func (a planArtifacts) Table(id plan.NodeID) *hashtable.Table { return a[id] }
+func (planArtifacts) PutTable(plan.NodeID, *hashtable.Table)  {}
 
 // ChoosePlan costs every candidate strategy with its best join order
 // and returns the cheapest plan.

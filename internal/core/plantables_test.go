@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"m2mjoin/internal/bitvector"
 	"m2mjoin/internal/cost"
 	"m2mjoin/internal/exec"
 	"m2mjoin/internal/hashtable"
@@ -88,9 +87,6 @@ func (r *recorder) PutTable(id plan.NodeID, t *hashtable.Table) {
 	defer r.mu.Unlock()
 	r.tables[id] = t
 }
-func (r *recorder) Filter(plan.NodeID) *bitvector.Filter     { return nil }
-func (r *recorder) PutFilter(plan.NodeID, *bitvector.Filter) {}
-func (r *recorder) BytesCached() int64                       { return 0 }
 
 // stripProvider zeroes the fields that depend on whether an artifact
 // provider was in play; everything else must be bit-identical.

@@ -3,6 +3,7 @@ package exec
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,10 +40,6 @@ func (a *tableStore) PutTable(id plan.NodeID, t *hashtable.Table) {
 	defer a.mu.Unlock()
 	a.tables[id] = t
 }
-
-func (a *tableStore) Filter(plan.NodeID) *bitvector.Filter     { return nil }
-func (a *tableStore) PutFilter(plan.NodeID, *bitvector.Filter) {}
-func (a *tableStore) BytesCached() int64                       { return 0 }
 
 // countBuilds runs fn and returns the number of hash-table builds it
 // made, through the process-wide build hook.
@@ -167,6 +164,94 @@ func TestUnselectedTablesKeepVersionedShape(t *testing.T) {
 			snap.BaseRows(id), snap.BaseLive(id), snap.Live(id), 1, nil)
 		if store.tables[id].Checksum() != want.Checksum() {
 			t.Fatalf("unselected relation %d was offered in a selection shape", id)
+		}
+	}
+}
+
+// TestProviderDifferentialOverCommits: across a three-commit
+// append/delete chain, every strategy must report the same Stats —
+// provider counters aside — whether it runs without a provider, offers
+// its builds to an empty one, or is served tables carried forward from
+// the previous version by ApplyDelta (the serving layer's repair), and
+// all three must equal the oracle. A BVP strategy's filters travel
+// inside those tables, so every carried table is also held to the
+// filter of a cold build of its snapshot, word for word: one differing
+// bit would move FilterProbes or HashProbes for some key column, and
+// fails here for any.
+func TestProviderDifferentialOverCommits(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	snap := selectableDataset(rng, 600)
+	nonRoot := snap.Tree.NonRoot()
+	order := plan.Order(nonRoot)
+
+	// carried holds the provider a long-lived cache would present at
+	// each version: v0's builds, then their repairs.
+	carried := newTableStore()
+	if _, err := Run(snap, Options{Strategy: cost.BVPCOM, Order: order, Artifacts: carried}); err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 3; step++ {
+		v := mutateRandomly(t, snap, rng, 40, false)
+		snap = v.Dataset
+		for _, d := range v.Deltas {
+			if d.Rel == plan.Root {
+				continue
+			}
+			carried.tables[d.Rel] = carried.tables[d.Rel].ApplyDelta(snap.Relation(d.Rel), snap.KeyColumn(d.Rel),
+				hashtable.DeltaSpec{
+					BaseRows: snap.BaseRows(d.Rel), BaseLive: snap.BaseLive(d.Rel), Live: snap.Live(d.Rel),
+					AppendedFrom: d.AppendedFrom, Deleted: d.Deleted, Compacted: d.Compacted,
+				}, 1, nil)
+		}
+		wantCount, wantSum := Reference(snap)
+		if wantCount == 0 {
+			t.Fatalf("v%d: empty join result proves nothing", v.Number)
+		}
+		for _, s := range cost.AllStrategies {
+			opts := Options{Strategy: s, Order: order, FlatOutput: true, ChunkSize: 128, Parallelism: 2}
+			bare, err := Run(snap, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bare.OutputTuples != wantCount || bare.Checksum != wantSum {
+				t.Fatalf("v%d %v: %d tuples checksum %#x, oracle %d %#x",
+					v.Number, s, bare.OutputTuples, bare.Checksum, wantCount, wantSum)
+			}
+			shared := int64(len(nonRoot))
+			if s == cost.SJSTD || s == cost.SJCOM {
+				shared = 0
+				for _, id := range nonRoot {
+					if len(snap.Tree.Children(id)) == 0 {
+						shared++
+					}
+				}
+			}
+			for _, tc := range []struct {
+				name         string
+				store        *tableStore
+				hits, misses int64
+			}{{"cold provider", newTableStore(), 0, shared}, {"warm provider", carried, shared, 0}} {
+				opts.Artifacts = tc.store
+				got, err := Run(snap, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.CacheHits != tc.hits || got.CacheMisses != tc.misses {
+					t.Fatalf("v%d %v %s: hits=%d misses=%d, want %d/%d (tables only)",
+						v.Number, s, tc.name, got.CacheHits, got.CacheMisses, tc.hits, tc.misses)
+				}
+				if !reflect.DeepEqual(stripProvider(got), bare) {
+					t.Fatalf("v%d %v %s differs from the provider-less run:\n got %+v\nwant %+v", v.Number, s, tc.name, got, bare)
+				}
+			}
+		}
+		for _, id := range nonRoot {
+			cold := hashtable.BuildVersioned(snap.Relation(id), snap.KeyColumn(id),
+				snap.BaseRows(id), snap.BaseLive(id), snap.Live(id), 1, nil)
+			got, want := bitvector.FromTable(carried.tables[id]), bitvector.FromTable(cold)
+			if !slices.Equal(got.Words(), want.Words()) || got.WordShift() != want.WordShift() {
+				t.Fatalf("v%d relation %d: carried table's filter differs from the cold derivation", v.Number, id)
+			}
 		}
 	}
 }

@@ -64,13 +64,6 @@ type Options struct {
 	// GOMAXPROCS. All counters and the checksum are bit-identical at
 	// any worker count.
 	Parallelism int
-	// BitsPerKey controls bitvector density for the BVP strategies. 0
-	// (the default) derives each filter from its hash table's tag
-	// directory (bitvector.FromTable): no extra build cost, 8-16 bits
-	// per key — halved for relations past the table's large-table
-	// sizing threshold. A nonzero value requests a standalone filter
-	// build at exactly that density.
-	BitsPerKey int
 	// SemiJoins optionally fixes the phase-1 semi-join order per parent
 	// for the SJ strategies; children not listed (or a nil map) are
 	// probed in ascending NodeID order.
@@ -117,18 +110,19 @@ type Options struct {
 	// satisfying errors.Is(err, ctx.Err()) (context.Canceled or
 	// context.DeadlineExceeded). Nil leaves execution unbounded.
 	Ctx context.Context
-	// Artifacts optionally injects pre-built phase-1 artifacts (hash
-	// tables and bitvector filters) and receives the ones built by this
-	// run — the serving layer's shared artifact cache, or the tables a
-	// plan's statistics were measured with (core.PlanChoice.Tables). A
-	// non-nil Table or Filter result is used as-is and skips that build
-	// entirely; a miss builds as usual and hands the result back via
-	// PutTable / PutFilter. Implementations must be safe for concurrent
-	// use (phase 1 fans out across relations) and must return structures
-	// built over the same relation, key column and base mask (selection
-	// ∧ snapshot liveness) this run would build — the cache guarantees
-	// that by keying on (dataset fingerprint, relation, key column, mask
-	// fingerprint). Every strategy consults the provider for the
+	// Artifacts optionally injects pre-built base-mask hash tables and
+	// receives the ones built by this run — the serving layer's shared
+	// artifact cache, or the tables a plan's statistics were measured
+	// with (core.PlanChoice.Tables). A non-nil Table result is used
+	// as-is and skips that build entirely; a miss builds as usual and
+	// hands the result back via PutTable. A BVP strategy's bitvector
+	// travels inside its table (bitvector.FromTable). Implementations
+	// must be safe for concurrent use (phase 1 fans out across
+	// relations) and must return tables built over the same relation,
+	// key column and base mask (selection ∧ snapshot liveness) this run
+	// would build — the cache guarantees that by keying on (dataset
+	// fingerprint, relation, key column, mask fingerprint). Every
+	// strategy consults the provider for the
 	// relations it does not reduce: STD/COM/BVP for all of them, SJ for
 	// the childless ones, whose table no semi-join touches. A relation
 	// SJ does reduce gets a per-query table over its reduced mask, which
@@ -165,10 +159,10 @@ type Options struct {
 	TraceParent telemetry.SpanID
 }
 
-// Artifacts supplies and receives phase-1 build artifacts: immutable
-// base-mask hash tables and bitvector filters, shared across queries by
-// a serving layer or carried from planning into execution (see
-// Options.Artifacts for the contract).
+// Artifacts supplies and receives the one kind of phase-1 artifact
+// that outlives a query: immutable base-mask hash tables, shared across
+// queries by a serving layer or carried from planning into execution
+// (see Options.Artifacts for the contract).
 type Artifacts interface {
 	// Table returns the cached hash table for relation id, or nil on a
 	// miss.
@@ -176,15 +170,6 @@ type Artifacts interface {
 	// PutTable offers a freshly built table for relation id to the
 	// cache.
 	PutTable(id plan.NodeID, t *hashtable.Table)
-	// Filter returns the cached bitvector filter for relation id at the
-	// default density, or nil on a miss. Only consulted when
-	// Options.BitsPerKey is 0; explicit densities always build.
-	Filter(id plan.NodeID) *bitvector.Filter
-	// PutFilter offers a freshly built default-density filter.
-	PutFilter(id plan.NodeID, f *bitvector.Filter)
-	// BytesCached reports the provider's current total cached bytes
-	// (Stats.BytesCached snapshots it after the run).
-	BytesCached() int64
 }
 
 // Stats are the measured execution counters.
@@ -233,17 +218,17 @@ type Stats struct {
 	// FactorizedRows is the total number of live factorized rows
 	// (COM variants, factorized output).
 	FactorizedRows int64
-	// CacheHits counts phase-1 artifacts (hash tables and bitvector
-	// filters) served from Options.Artifacts instead of being built;
-	// CacheMisses counts artifacts built by this run and offered back.
-	// Both are zero when no provider is configured — runs differing
-	// only in these fields (and BytesCached) are otherwise
+	// CacheHits counts hash tables served from Options.Artifacts instead
+	// of being built; CacheMisses counts tables built by this run and
+	// offered back. Bitvector filters are not counted: they are part of
+	// their table. Both are zero when no provider is configured — runs
+	// differing only in these fields (and BytesCached) are otherwise
 	// bit-identical.
 	CacheHits int64
 	// CacheMisses — see CacheHits.
 	CacheMisses int64
-	// BytesCached snapshots the artifact provider's total cached bytes
-	// after the run (0 without a provider).
+	// BytesCached is the serving layer's artifact-cache residency after
+	// the run; the executor itself leaves it 0.
 	BytesCached int64
 	// Coverage is the fraction of driver rows the result accounts for,
 	// weighted by row count: always 1.0 for a direct Run, and for a
@@ -425,9 +410,6 @@ func (r *run) runPhase1() error {
 func (r *run) collectStats() Stats {
 	r.stats.CacheHits = r.cacheHits.Load()
 	r.stats.CacheMisses = r.cacheMisses.Load()
-	if r.opts.Artifacts != nil {
-		r.stats.BytesCached = r.opts.Artifacts.BytesCached()
-	}
 	r.stats.PerRelationProbes = make(map[plan.NodeID]int64, r.ds.Tree.Len()-1)
 	for _, id := range r.ds.Tree.NonRoot() {
 		r.stats.PerRelationProbes[id] = r.perRel[id]
@@ -459,9 +441,9 @@ type run struct {
 	selMasks []*storage.Bitmap
 	// baseMasks are the effective masks — selection ∧ snapshot liveness
 	// — per relation (nil entries or a nil slice mean all-live). The
-	// semi-join pass, explicit-density filter builds and the driver scan
-	// honor these. Masks are word-packed; see storage.Bitmap. Entries
-	// may alias the dataset's live bitmaps and are read-only downstream.
+	// semi-join pass and the driver scan honor these. Masks are
+	// word-packed; see storage.Bitmap. Entries may alias the dataset's
+	// live bitmaps and are read-only downstream.
 	baseMasks []*storage.Bitmap
 	// driverLive restricts the driver scan: the selection mask, further
 	// reduced by the semi-join pass for SJ strategies. Nil = all live.
@@ -640,45 +622,20 @@ func (r *run) baseTable(id plan.NodeID, workers int, sp telemetry.SpanID) *hasht
 	return tbl
 }
 
-// buildFilters constructs one bitvector per non-root relation over its
-// build-side join key. At the default density the filter is derived
-// straight from the tagged hash table's directory (bitvector.FromTable
-// — no rehashing, no relation scan; 8-16 bits per key); an explicit
-// BitsPerKey requests a standalone build at that density, which like
-// buildTables fans out both across relations and within each build.
-// buildFilters runs after buildTables, so the tables exist.
+// buildFilters takes one bitvector per non-root relation over its
+// build-side join key: the projection of the relation's hash table
+// (bitvector.FromTable), derived on the table's first BVP use and kept
+// in it. buildFilters runs after buildTables, so the tables exist.
 func (r *run) buildFilters() {
 	if r.cancelled() {
 		return // buildTables may have left nil tables behind
 	}
-	t := r.ds.Tree
-	r.filters = make([]*bitvector.Filter, t.Len())
-	per := r.perBuildParallelism()
-	arts := r.opts.Artifacts
+	r.filters = make([]*bitvector.Filter, r.ds.Tree.Len())
 	r.forEachNonRoot(func(id plan.NodeID) {
 		sp := r.opts.Trace.Start("build-filter", r.phase1Span)
 		r.opts.Trace.Annotate(sp, "rel", int64(id))
 		defer r.opts.Trace.End(sp)
-		if r.opts.BitsPerKey != 0 {
-			// Explicit densities are not cache-keyed; always build.
-			r.filters[id] = bitvector.BuildFromColumnParallel(
-				r.ds.Relation(id), r.ds.KeyColumn(id), maskAt(r.baseMasks, id), r.opts.BitsPerKey, per)
-			return
-		}
-		if arts != nil {
-			if f := arts.Filter(id); f != nil {
-				r.filters[id] = f
-				r.cacheHits.Add(1)
-				r.opts.Trace.Annotate(sp, "cached", 1)
-				return
-			}
-		}
-		f := bitvector.FromTable(r.tables[id])
-		r.filters[id] = f
-		if arts != nil {
-			arts.PutFilter(id, f)
-			r.cacheMisses.Add(1)
-		}
+		r.filters[id] = bitvector.FromTable(r.tables[id])
 	})
 }
 

@@ -68,20 +68,6 @@ func (t *Table) Tombstones() int {
 	return n
 }
 
-// PackedLen returns the number of entries in the packed part alone.
-func (t *Table) PackedLen() int { return len(t.keys) }
-
-// AppendedKeys returns the keys of every append-region entry, dead or
-// not, or nil when there is no append region. Filter derivation folds
-// these in: filter bits are OR-monotone under append and never cleared
-// by deletes, so the bit set must not depend on current liveness.
-func (t *Table) AppendedKeys() []int64 {
-	if t.app == nil {
-		return nil
-	}
-	return t.app.keys
-}
-
 // isDead reports whether entry e is tombstoned.
 func (t *Table) isDead(e uint64) bool {
 	return t.dead != nil && t.dead[e>>6]&(1<<(e&63)) != 0
@@ -249,11 +235,14 @@ func (t *Table) ApplyDelta(rel *storage.Relation, keyColumn string, d DeltaSpec,
 			return nil
 		}
 	case len(appDels) > 0:
-		app := *t.app
-		app.dead = cloneBits(app.dead, len(app.keys))
-		nt.app = &app
+		// Built field by field: a Table holds a once-guard and must not
+		// be copied whole.
+		nt.app = &Table{
+			keys: t.app.keys, rows: t.app.rows, dir: t.app.dir, shift: t.app.shift,
+			dead: cloneBits(t.app.dead, len(t.app.keys)), deadCount: t.app.deadCount,
+		}
 		for _, row := range appDels {
-			app.kill(col[row], int32(row))
+			nt.app.kill(col[row], int32(row))
 		}
 	}
 	return nt

@@ -111,6 +111,11 @@ type Table struct {
 	// its rows already remapped to global indices, with tombstones of
 	// its own.
 	app *Table
+
+	// filter is the table's bitvector projection (FilterWords), derived
+	// on first use and kept for the table's lifetime.
+	filterOnce sync.Once
+	filter     []uint64
 }
 
 // tag returns the table's tag bit for hash h.
@@ -127,17 +132,25 @@ func Build(rel *storage.Relation, keyColumn string, live *storage.Bitmap) *Table
 
 // MemoryBytes returns the heap footprint of the table's backing
 // arrays: the bucket-sorted key and row arrays plus the packed
-// directory, and — for versioned tables — the tombstone bitsets and
-// the append sub-table. Repaired tables share their packed arrays with
-// the version they were repaired from, so when several versions are
-// cached at once the shared arrays are charged once per version: the
-// accounting is conservative (never under-counts resident bytes).
+// directory, for versioned tables the tombstone bitsets and the append
+// sub-table, and the filter projection (one byte per bucket) — charged
+// whether or not FilterWords has derived it yet, so a byte charge taken
+// when the table enters a cache stays exact after a BVP query's first
+// use. Repaired tables share their packed arrays with the version they
+// were repaired from, so when several versions are cached at once the
+// shared arrays are charged once per version: the accounting is
+// conservative (never under-counts resident bytes).
 func (t *Table) MemoryBytes() int64 {
-	b := int64(len(t.keys))*8 + int64(len(t.rows))*4 + int64(len(t.dir))*8 + int64(len(t.dead))*8
+	b := t.arrayBytes() + int64(t.NumBuckets())
 	if t.app != nil {
-		b += t.app.MemoryBytes()
+		b += t.app.arrayBytes()
 	}
 	return b
+}
+
+// arrayBytes is the footprint of one packed layout's own arrays.
+func (t *Table) arrayBytes() int64 {
+	return int64(len(t.keys))*8 + int64(len(t.rows))*4 + int64(len(t.dir))*8 + int64(len(t.dead))*8
 }
 
 // morselRows is the row granularity of the parallel build: 128 packed
@@ -486,25 +499,44 @@ func (t *Table) NumBuckets() int { return len(t.dir) - 1 }
 // Bucket(Hash64(key), Shift()).
 func (t *Table) Shift() uint { return t.shift }
 
-// FilterWords expands the directory's Bloom tags into a fresh bit
-// array of 8 filter bits per bucket, indexed by the top hash bits —
-// the geometry of a bitvector filter over this table's keys. A key's
-// filter bit index at that geometry is bucket<<3 | tagIndex>>1, both
-// already encoded in the directory, so the expansion — OR tag-bit
-// pairs, compact the even bits into a byte — derives the whole filter
-// in one tight branchless pass with no rehashing; see
+// FilterWords returns the table's bitvector projection: 8 filter bits
+// per bucket, indexed by the top hash bits — the geometry of a
+// bitvector filter over this table's keys. A packed key's filter bit
+// index at that geometry is bucket<<3 | tagIndex>>1, both already
+// encoded in the directory, so the expansion — OR tag-bit pairs,
+// compact the even bits into a byte — derives the packed part's bits in
+// one tight branchless pass with no rehashing; the append region's keys
+// (few by construction) are hashed in at the same geometry. Every
+// physically present entry contributes, tombstoned or not: the bits are
+// a function of the table's layout alone, so a table repaired by
+// ApplyDelta projects exactly the words a cold BuildVersioned of the
+// same snapshot does, and a dead entry's surviving bit is a false
+// positive the exact probe catches like any tag collision.
+//
+// The words are derived on first use (safe for concurrent first use)
+// and kept for the table's lifetime; callers must not modify them. See
 // bitvector.FromTable.
 func (t *Table) FilterWords() []uint64 {
-	size := len(t.dir) - 1
-	words := make([]uint64, size>>3)
-	for b, w := range t.dir[:size] {
-		x := (w | w>>1) & 0x5555 // bit 2i |= tag bits 2i, 2i+1
-		x = (x | x>>1) & 0x3333  // compact even bits 0,2,..,14 -> 0..7
-		x = (x | x>>2) & 0x0f0f
-		x = (x | x>>4) & 0x00ff
-		words[b>>3] |= x << ((b & 7) << 3)
-	}
-	return words
+	t.filterOnce.Do(func() {
+		size := len(t.dir) - 1
+		words := make([]uint64, size>>3)
+		for b, w := range t.dir[:size] {
+			x := (w | w>>1) & 0x5555 // bit 2i |= tag bits 2i, 2i+1
+			x = (x | x>>1) & 0x3333  // compact even bits 0,2,..,14 -> 0..7
+			x = (x | x>>2) & 0x0f0f
+			x = (x | x>>4) & 0x00ff
+			words[b>>3] |= x << ((b & 7) << 3)
+		}
+		if t.app != nil {
+			shift := t.shift + 3
+			for _, key := range t.app.keys {
+				h := Hash64(key)
+				words[h>>shift] |= Tag(h, shift, 6)
+			}
+		}
+		t.filter = words
+	})
+	return t.filter
 }
 
 // ProbeResult holds the outcome of a vectorized probe of a batch of

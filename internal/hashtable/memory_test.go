@@ -8,8 +8,10 @@ import (
 
 // TestMemoryBytesMatchesSliceFootprints pins MemoryBytes against the
 // actual backing-slice footprints (len == cap for all three arrays:
-// the build allocates them at exact size), across masked, unmasked,
-// empty and large-table sizings.
+// the build allocates them at exact size) plus the filter projection,
+// across masked, unmasked, empty and large-table sizings — and pins
+// that deriving the projection does not move it: the charge a cache
+// took at insert stays exact after the table's first BVP use.
 func TestMemoryBytesMatchesSliceFootprints(t *testing.T) {
 	build := func(rows int, masked bool) *Table {
 		rel := storage.NewRelation("r", "k")
@@ -39,7 +41,7 @@ func TestMemoryBytesMatchesSliceFootprints(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tbl := build(tc.rows, tc.masked)
-			want := int64(len(tbl.keys))*8 + int64(len(tbl.rows))*4 + int64(len(tbl.dir))*8
+			want := int64(len(tbl.keys))*8 + int64(len(tbl.rows))*4 + int64(len(tbl.dir))*8 + int64(tbl.NumBuckets())
 			if cap(tbl.keys) != len(tbl.keys) || cap(tbl.rows) != len(tbl.rows) || cap(tbl.dir) != len(tbl.dir) {
 				t.Fatalf("backing arrays over-allocated: caps %d/%d/%d vs lens %d/%d/%d",
 					cap(tbl.keys), cap(tbl.rows), cap(tbl.dir), len(tbl.keys), len(tbl.rows), len(tbl.dir))
@@ -49,10 +51,18 @@ func TestMemoryBytesMatchesSliceFootprints(t *testing.T) {
 			}
 			// Cross-check against the public geometry: Len retained
 			// entries at 12 bytes each plus the directory (NumBuckets
-			// slots + sentinel) at 8.
-			pub := int64(tbl.Len())*12 + int64(tbl.NumBuckets()+1)*8
+			// slots + sentinel) at 8 and the projection at one byte per
+			// bucket.
+			pub := int64(tbl.Len())*12 + int64(tbl.NumBuckets()+1)*8 + int64(tbl.NumBuckets())
 			if got := tbl.MemoryBytes(); got != pub {
 				t.Fatalf("MemoryBytes = %d, public-geometry footprint = %d", got, pub)
+			}
+			words := tbl.FilterWords()
+			if cap(words) != len(words) || int64(len(words))*8 != int64(tbl.NumBuckets()) {
+				t.Fatalf("projection holds %d words (cap %d) for %d buckets", len(words), cap(words), tbl.NumBuckets())
+			}
+			if got := tbl.MemoryBytes(); got != want {
+				t.Fatalf("MemoryBytes moved to %d after the projection was derived, want %d", got, want)
 			}
 		})
 	}

@@ -197,17 +197,16 @@ func TestProbePipelineFusedMatchesFilterThenProbe(t *testing.T) {
 	for _, n := range []int{1024, 2049} {
 		table, keys, sel := randomProbe(31, n)
 		if n == 2049 {
-			// The larger case runs against a delta table; its filter is
-			// the packed directory's, so keys that live only in the append
-			// region are (deterministically) pruned on both sides.
+			// The larger case runs against a delta table; its filter
+			// covers the append region too.
 			table = deltaProbeTable(t, 32, n)
 		}
 		sparse := make([]bool, len(keys))
 		for i := range sparse {
 			sparse[i] = i%7 == 0
 		}
-		// A filter at the table's own geometry (the executor derives it
-		// from the directory): reproduce FromTable's expansion.
+		// The table's own projection, as the executor takes it through
+		// bitvector.FromTable.
 		fbits := table.FilterWords()
 		fshift := table.Shift() + 3
 		for _, s := range [][]bool{nil, sel, sparse} {

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"m2mjoin/internal/bitvector"
 	"m2mjoin/internal/exec"
 	"m2mjoin/internal/faultinject"
 	"m2mjoin/internal/hashtable"
@@ -13,16 +12,17 @@ import (
 )
 
 // This file implements the shared build-artifact cache: a bounded LRU
-// over the immutable phase-1 structures (hash tables and bitvector
-// filters) keyed by everything that determines their bits — dataset
-// lineage fingerprint and version, relation, key column and
-// selection-mask fingerprint. A hit hands the executor the exact
-// structure a fresh build would produce, so a warm query skips those
-// builds entirely with bit-identical Stats and checksum (all of phase 1
-// for STD/COM/BVP; for SJ the tables of the relations it does not
-// reduce — its reduced tables are per query); eviction merely drops the
-// cache's reference, running queries keep probing their copy (the
-// structures are read-only after build, see PR 4). The cache is also
+// over the immutable phase-1 hash tables, keyed by everything that
+// determines their bits — dataset lineage fingerprint and version,
+// relation, key column and selection-mask fingerprint. A hit hands the
+// executor the exact table a fresh build would produce — and, inside
+// it, the bitvector filter any earlier BVP query derived from it — so a
+// warm query skips those builds entirely with bit-identical Stats and
+// checksum (all of phase 1 for STD/COM/BVP; for SJ the tables of the
+// relations it does not reduce — its reduced tables are per query);
+// eviction merely drops the cache's reference, running queries keep
+// probing their copy (tables are read-only after build, see PR 4). The
+// cache is also
 // where the tables planning builds to measure edge statistics end up
 // (Service.plan): a dataset's first query finds them here.
 //
@@ -35,36 +35,27 @@ import (
 // commit time (see mutate.go) and purges keys of retired versions
 // through purge.
 
-// artifactKind distinguishes the two cached structure types.
-type artifactKind uint8
-
-const (
-	kindTable artifactKind = iota
-	kindFilter
-)
-
-// artifactKey identifies one cached build artifact. Two queries agree
-// on a key exactly when a fresh build would produce bit-identical
-// structures: same dataset snapshot (lineage fingerprint + version
-// number — the fingerprint alone suffices, the number makes retention
-// predicates direct), same relation, same join-key column, and the
-// same pushed-down selection set on that relation (maskFP, 0 for no
-// selections).
+// artifactKey identifies one cached table. Two queries agree on a key
+// exactly when a fresh build would produce a bit-identical table: same
+// dataset snapshot (lineage fingerprint + version number — the
+// fingerprint alone suffices, the number makes retention predicates
+// direct), same relation, same join-key column, and the same pushed-down
+// selection set on that relation (maskFP, 0 for no selections).
 type artifactKey struct {
 	dataset uint64
 	version uint64
 	rel     plan.NodeID
 	keyCol  string
 	maskFP  uint64
-	kind    artifactKind
 }
 
-// cacheEntry is one resident artifact with its byte charge.
+// cacheEntry is one resident table with its byte charge
+// (Table.MemoryBytes at insert, which already includes the filter
+// projection the table may derive later).
 type cacheEntry struct {
-	key    artifactKey
-	table  *hashtable.Table
-	filter *bitvector.Filter
-	bytes  int64
+	key   artifactKey
+	table *hashtable.Table
+	bytes int64
 }
 
 // CacheStats is a snapshot of cache-wide counters.
@@ -77,8 +68,8 @@ type CacheStats struct {
 	// Entries and Bytes describe current residency; Bytes never
 	// exceeds Limit.
 	//
-	// Bytes counts exactly the resident artifacts' own heap footprints
-	// (Table.MemoryBytes + Filter.MemoryBytes). It deliberately
+	// Bytes counts exactly the resident tables' own heap footprints
+	// (Table.MemoryBytes, filter projection included). It deliberately
 	// excludes the catalog's memoized plan choices and edge-statistic
 	// caches: those are a few KB per dataset, bounded by the catalog
 	// size rather than query traffic, and are never evicted — charging
@@ -201,13 +192,6 @@ func (c *artifactCache) purge(pred func(artifactKey) bool) int {
 	return n
 }
 
-// bytesCached returns the current resident byte total.
-func (c *artifactCache) bytesCached() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
 // stats snapshots the cache counters.
 func (c *artifactCache) stats() CacheStats {
 	c.mu.Lock()
@@ -235,53 +219,35 @@ type queryArtifacts struct {
 	maskFPs []uint64 // indexed by NodeID; 0 = no selections
 }
 
-func (q *queryArtifacts) key(id plan.NodeID, kind artifactKind) artifactKey {
+func (q *queryArtifacts) key(id plan.NodeID) artifactKey {
 	return artifactKey{
 		dataset: q.dataset,
 		version: q.version,
 		rel:     id,
 		keyCol:  q.keyCols[id],
 		maskFP:  q.maskFPs[id],
-		kind:    kind,
 	}
 }
 
 func (q *queryArtifacts) Table(id plan.NodeID) *hashtable.Table {
-	if e := q.cache.get(q.key(id, kindTable)); e != nil {
+	if e := q.cache.get(q.key(id)); e != nil {
 		return e.table
 	}
 	return nil
 }
 
-func (q *queryArtifacts) PutTable(id plan.NodeID, t *hashtable.Table) {
-	q.put(&cacheEntry{key: q.key(id, kindTable), table: t, bytes: t.MemoryBytes()})
-}
-
-func (q *queryArtifacts) Filter(id plan.NodeID) *bitvector.Filter {
-	if e := q.cache.get(q.key(id, kindFilter)); e != nil {
-		return e.filter
-	}
-	return nil
-}
-
-func (q *queryArtifacts) PutFilter(id plan.NodeID, f *bitvector.Filter) {
-	q.put(&cacheEntry{key: q.key(id, kindFilter), filter: f, bytes: f.MemoryBytes()})
-}
-
-// put offers ent to the cache unless the snapshot it was built on has
+// PutTable offers t to the cache unless the snapshot it was built on has
 // left its dataset's retention window: a query pinned to a version that
 // two commits have since retired finds its keys purged, rebuilds, and
 // would otherwise re-insert under a fingerprint no later purge sweeps.
 // The check and the insert happen under the writer lock, so no commit
 // retires the version in between.
-func (q *queryArtifacts) put(ent *cacheEntry) {
+func (q *queryArtifacts) PutTable(id plan.NodeID, t *hashtable.Table) {
 	q.entry.verMu.Lock()
 	defer q.entry.verMu.Unlock()
 	if slices.Contains(q.entry.versions, q.dataset) {
-		q.cache.put(ent)
+		q.cache.put(&cacheEntry{key: q.key(id), table: t, bytes: t.MemoryBytes()})
 	}
 }
-
-func (q *queryArtifacts) BytesCached() int64 { return q.cache.bytesCached() }
 
 var _ exec.Artifacts = (*queryArtifacts)(nil)

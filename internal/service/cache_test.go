@@ -5,7 +5,7 @@ import (
 )
 
 func tkey(i int) artifactKey {
-	return artifactKey{dataset: 1, rel: 1, keyCol: "k", maskFP: uint64(i), kind: kindTable}
+	return artifactKey{dataset: 1, rel: 1, keyCol: "k", maskFP: uint64(i)}
 }
 
 // TestCacheLRUOrder: get promotes, put evicts from the cold end.

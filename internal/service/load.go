@@ -183,8 +183,7 @@ type LoadReport struct {
 // service and returns a template list over them: per dataset an
 // auto-planned query, two fixed-strategy queries (one build-bound, one
 // SJ, which shares its unreduced tables and rebuilds the reduced ones
-// per query), and a selection variant that keys separate artifacts —
-// mixed hit/miss traffic by construction.
+// per query), and a driver-selection variant.
 func StandardMix(s *Service, rows int, seed int64) ([]Request, error) {
 	if rows <= 0 {
 		rows = 5000

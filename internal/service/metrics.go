@@ -10,15 +10,15 @@ import (
 	"m2mjoin/internal/telemetry"
 )
 
-// This file wires the service's counters into the telemetry registry
-// and implements the slow-query log. The wiring rule is: anything the
-// service already counts natively (the atomic counters behind
-// /v1/stats) is exposed as a CounterFunc/GaugeFunc shadow read at
-// scrape time, so the Prometheus exposition can never drift from
-// Stats — reconciliation is exact by construction, and a test pins it.
-// Only quantities /v1/stats does not carry — latency distributions and
-// the per-dataset executor-counter totals — get registry-owned
-// instruments, recorded once per query on the return path.
+// This file holds the service's one ledger — the telemetry registry —
+// and implements the slow-query log. Every event the service counts is
+// a registry-owned Counter created here; Service.Stats reads the same
+// instruments the Prometheus exposition renders, so /v1/stats and
+// /metrics cannot drift (a test pins it). State that lives in another
+// component — cache residency, admission depth, breaker state — is
+// exposed as a CounterFunc/GaugeFunc read from that component at scrape
+// time. Latency distributions and the per-dataset executor-counter
+// totals are recorded once per query on the return path.
 
 // Metric family names. Exported through the exposition only; the
 // constants keep recording sites and tests in sync.
@@ -61,12 +61,23 @@ const (
 	metricExecTagMisses      = "m2m_exec_tag_misses_total"
 )
 
-// serviceMetrics owns the service's registry and the directly recorded
-// instruments (latency histograms and per-dataset executor counters);
-// everything else is a scrape-time shadow over the service's native
-// atomics.
+// serviceMetrics owns the service's registry and its instruments.
 type serviceMetrics struct {
 	reg *telemetry.Registry
+
+	// queries counts queries admitted for execution; errors failed
+	// queries by class (read-only after construction).
+	queries *telemetry.Counter
+	errors  map[Class]*telemetry.Counter
+	// sharedScans counts executed shared-scan passes; sharedMembers
+	// counts queries served through one (batch size 1 included).
+	sharedScans, sharedMembers *telemetry.Counter
+	// mutations counts committed Mutate calls; repairs counts tables
+	// carried onto a new version in place (see mutate.go).
+	mutations, repairs *telemetry.Counter
+	// Sharded-tier counters (see ShardingStats).
+	scatterQueries, degraded, shardRetries *telemetry.Counter
+	hedges, hedgeWins, hedgeCancels        *telemetry.Counter
 
 	queueWait      *telemetry.Histogram
 	attachWait     *telemetry.Histogram
@@ -87,37 +98,37 @@ type datasetMetrics struct {
 	tagMisses      *telemetry.Counter
 }
 
-// newServiceMetrics builds the registry and registers every service-
-// wide shadow metric. Called once from New, after the Service's own
-// state exists.
+// errorsOf returns the failed-query counter of cls; a class outside the
+// five defined ones counts as internal.
+func (m *serviceMetrics) errorsOf(cls Class) *telemetry.Counter {
+	if c := m.errors[cls]; c != nil {
+		return c
+	}
+	return m.errors[ClassInternal]
+}
+
+// newServiceMetrics builds the registry with every service-wide
+// instrument. Called once from New, after the Service's own state
+// exists.
 func newServiceMetrics(s *Service) *serviceMetrics {
 	reg := telemetry.NewRegistry()
-	m := &serviceMetrics{reg: reg}
+	m := &serviceMetrics{reg: reg, errors: make(map[Class]*telemetry.Counter)}
 
-	reg.CounterFunc(metricQueries, "Queries admitted for execution.", nil, s.queries.Load)
-	for _, ec := range []struct {
-		cls Class
-		fn  func() int64
-	}{
-		{ClassInvalid, s.errCounts.invalid.Load},
-		{ClassTimeout, s.errCounts.timeout.Load},
-		{ClassShed, s.errCounts.shed.Load},
-		{ClassCanceled, s.errCounts.canceled.Load},
-		{ClassInternal, s.errCounts.internal.Load},
-	} {
-		reg.CounterFunc(metricQueryErrors, "Failed queries by class.",
-			telemetry.Labels{{Name: "class", Value: string(ec.cls)}}, ec.fn)
+	m.queries = reg.Counter(metricQueries, "Queries admitted for execution.", nil)
+	for _, cls := range []Class{ClassInvalid, ClassTimeout, ClassShed, ClassCanceled, ClassInternal} {
+		m.errors[cls] = reg.Counter(metricQueryErrors, "Failed queries by class.",
+			telemetry.Labels{{Name: "class", Value: string(cls)}})
 	}
-	reg.CounterFunc(metricSharedScans, "Executed shared-scan passes.", nil, s.sharedScans.Load)
-	reg.CounterFunc(metricSharedMembers, "Queries served through a shared scan.", nil, s.sharedMembers.Load)
-	reg.CounterFunc(metricMutations, "Committed mutation batches.", nil, s.mutations.Load)
-	reg.CounterFunc(metricRepairs, "Cached artifacts repaired onto a new version in place.", nil, s.repairs.Load)
-	reg.CounterFunc(metricScatterQueries, "Client queries answered by scatter-gather.", nil, s.scatterQueries.Load)
-	reg.CounterFunc(metricDegraded, "Degraded (partial-coverage) results returned.", nil, s.degraded.Load)
-	reg.CounterFunc(metricShardRetries, "Shard dispatch retries.", nil, s.shardRetries.Load)
-	reg.CounterFunc(metricHedges, "Hedged shard dispatches launched.", nil, s.hedges.Load)
-	reg.CounterFunc(metricHedgeWins, "Hedged dispatches that answered first.", nil, s.hedgeWins.Load)
-	reg.CounterFunc(metricHedgeCancels, "Hedges cancelled by the primary answering.", nil, s.hedgeCancels.Load)
+	m.sharedScans = reg.Counter(metricSharedScans, "Executed shared-scan passes.", nil)
+	m.sharedMembers = reg.Counter(metricSharedMembers, "Queries served through a shared scan.", nil)
+	m.mutations = reg.Counter(metricMutations, "Committed mutation batches.", nil)
+	m.repairs = reg.Counter(metricRepairs, "Cached tables repaired onto a new version in place.", nil)
+	m.scatterQueries = reg.Counter(metricScatterQueries, "Client queries answered by scatter-gather.", nil)
+	m.degraded = reg.Counter(metricDegraded, "Degraded (partial-coverage) results returned.", nil)
+	m.shardRetries = reg.Counter(metricShardRetries, "Shard dispatch retries.", nil)
+	m.hedges = reg.Counter(metricHedges, "Hedged shard dispatches launched.", nil)
+	m.hedgeWins = reg.Counter(metricHedgeWins, "Hedged dispatches that answered first.", nil)
+	m.hedgeCancels = reg.Counter(metricHedgeCancels, "Hedges cancelled by the primary answering.", nil)
 
 	reg.CounterFunc(metricCacheHits, "Artifact cache hits.", nil, func() int64 { return s.cache.stats().Hits })
 	reg.CounterFunc(metricCacheMisses, "Artifact cache misses.", nil, func() int64 { return s.cache.stats().Misses })

@@ -20,13 +20,14 @@ import (
 //     the swap keep their pinned snapshot (copy-on-write columns and
 //     liveness make the old version immutable), queries admitted after
 //     see the new one — snapshot isolation with no reader locks;
-//   - unselected (maskFP == 0) cached artifacts of the previous version
-//     are repaired in place onto the new version's cache keys: tables
-//     via hashtable.ApplyDelta (O(delta), bit-identical to a cold
-//     build), filters via Clone + AddKeys (OR-monotone), untouched
-//     relations by re-inserting the same pointers under the new key.
-//     Compacted relations are skipped — the next query rebuilds them
-//     cold, which is the only correct shape after a geometry change;
+//   - unselected (maskFP == 0) cached tables of the previous version
+//     are repaired in place onto the new version's cache keys: touched
+//     relations via hashtable.ApplyDelta (O(delta), bit-identical to a
+//     cold build — and so is the bitvector filter the repaired table
+//     projects, with nothing to repair separately), untouched relations
+//     by re-inserting the same pointers under the new key. Compacted
+//     relations are skipped — the next query rebuilds them cold, which
+//     is the only correct shape after a geometry change;
 //   - memoized shard partitions advance through shard.Advance, which
 //     routes the commit's appended driver rows onto their owning
 //     shard's row set; shards execute the parent snapshot under its own
@@ -76,9 +77,10 @@ type MutateResult struct {
 	// Compacted names relations whose maintenance state was compacted
 	// at this commit (their artifacts rebuild cold on next use).
 	Compacted []string `json:"compacted,omitempty"`
-	// Repaired counts cached artifacts carried onto this version in
-	// place (tables repaired via ApplyDelta, filters via Clone+AddKeys,
-	// untouched relations re-keyed).
+	// Repaired counts cached hash tables carried onto this version in
+	// place (touched relations repaired via ApplyDelta, untouched ones
+	// re-keyed). Bitvector filters are part of their table and are not
+	// counted.
 	Repaired int `json:"repaired"`
 	// Rows reports each relation's physical row count after the commit
 	// (rows are never renumbered — deletes tombstone, compaction only
@@ -90,8 +92,10 @@ type MutateResult struct {
 // Mutate commits one batch of appends and deletes against a registered
 // dataset, advancing it to the next snapshot version. Queries in
 // flight keep the snapshot they pinned at admission; queries admitted
-// after Mutate returns see the new version. Safe for concurrent use —
-// writers to one dataset are serialized internally.
+// after Mutate returns see the new version. A batch whose appends would
+// grow a relation past the int32 row-id range is rejected whole
+// (ClassInvalid). Safe for concurrent use — writers to one dataset are
+// serialized internally.
 func (s *Service) Mutate(ctx context.Context, req MutateRequest) (MutateResult, error) {
 	if s.draining.Load() {
 		return MutateResult{}, shedErr(fmt.Errorf("service is draining"), jitter(time.Second))
@@ -112,12 +116,19 @@ func (s *Service) Mutate(ctx context.Context, req MutateRequest) (MutateResult, 
 	defer e.verMu.Unlock()
 	cur := e.head.Load()
 	delta := cur.Begin()
+	appended := make(map[plan.NodeID]int)
 	for _, op := range req.Ops {
-		if _, ok := e.nodeOf[op.Relation]; !ok {
+		id, ok := e.nodeOf[op.Relation]
+		if !ok {
 			return MutateResult{}, invalidErr(fmt.Errorf("dataset %q has no relation %q", req.Dataset, op.Relation))
 		}
 		switch op.Op {
 		case "append":
+			appended[id]++
+			if rows := cur.Relation(id).NumRows() + appended[id]; rows > s.maxRows {
+				return MutateResult{}, invalidErr(fmt.Errorf("append would grow relation %q to %d rows, past the int32 row-id range (%d)",
+					op.Relation, rows, s.maxRows))
+			}
 			delta.Append(op.Relation, op.Values...)
 		case "delete":
 			delta.Delete(op.Relation, op.Row)
@@ -134,7 +145,7 @@ func (s *Service) Mutate(ctx context.Context, req MutateRequest) (MutateResult, 
 	// version's keys before publishing the head: the new keys cannot be
 	// queried yet, so the first post-swap query lands warm.
 	repaired := s.repairArtifacts(e, cur, v)
-	s.repairs.Add(int64(repaired))
+	s.met.repairs.Add(int64(repaired))
 
 	e.shardMu.Lock()
 	e.advanceShardSetsLocked(cur, v)
@@ -148,7 +159,7 @@ func (s *Service) Mutate(ctx context.Context, req MutateRequest) (MutateResult, 
 		e.versions = e.versions[1:]
 		s.cache.purge(func(k artifactKey) bool { return k.dataset == retired })
 	}
-	s.mutations.Add(1)
+	s.met.mutations.Inc()
 	// The commit histogram covers writer serialization, the storage
 	// commit, artifact repair and retention — the full write-path
 	// latency a client observes.
@@ -174,17 +185,16 @@ func (s *Service) Mutate(ctx context.Context, req MutateRequest) (MutateResult, 
 	return res, nil
 }
 
-// repairArtifacts carries the previous snapshot's cached phase-1
-// artifacts onto the committed version's cache keys. Only unselected
-// artifacts (maskFP == 0) are repaired — selection-shaped masks would
-// need re-evaluation against the new liveness, so they rebuild cold on
-// next use, as do relations the commit compacted. Repaired tables are
-// produced by hashtable.ApplyDelta and filters by Clone + AddKeys,
-// both bit-identical to a cold build of the new version; untouched
-// relations re-insert the same immutable pointers under the new key
-// (their bytes are double-charged until the old version is purged —
-// the shared backing arrays make the real cost far smaller, and
-// MemoryBytes documents the conservative accounting).
+// repairArtifacts carries the previous snapshot's cached tables onto
+// the committed version's cache keys. Only unselected tables
+// (maskFP == 0) are repaired — selection-shaped masks would need
+// re-evaluation against the new liveness, so they rebuild cold on next
+// use, as do relations the commit compacted. Repaired tables are
+// produced by hashtable.ApplyDelta, bit-identical to a cold build of
+// the new version; untouched relations re-insert the same immutable
+// pointers under the new key (their bytes are double-charged until the
+// old version is purged — the shared backing arrays make the real cost
+// far smaller, and MemoryBytes documents the conservative accounting).
 func (s *Service) repairArtifacts(e *datasetEntry, cur *storage.Dataset, v storage.Version) int {
 	oldFP, oldVer := cur.VersionFingerprint(), cur.Version()
 	newDS := v.Dataset
@@ -199,35 +209,23 @@ func (s *Service) repairArtifacts(e *datasetEntry, cur *storage.Dataset, v stora
 		if d != nil && d.Compacted {
 			continue
 		}
-		okey := artifactKey{dataset: oldFP, version: oldVer, rel: id, keyCol: keyCol, kind: kindTable}
-		nkey := artifactKey{dataset: v.Fingerprint, version: v.Number, rel: id, keyCol: keyCol, kind: kindTable}
-		if ent := s.cache.peek(okey); ent != nil {
-			nt := ent.table
-			if d != nil {
-				nt = nt.ApplyDelta(newDS.Relation(id), keyCol, hashtable.DeltaSpec{
-					BaseRows:     newDS.BaseRows(id),
-					BaseLive:     newDS.BaseLive(id),
-					Live:         newDS.Live(id),
-					AppendedFrom: d.AppendedFrom,
-					Deleted:      d.Deleted,
-				}, s.cfg.Parallelism, nil)
-			}
-			s.cache.put(&cacheEntry{key: nkey, table: nt, bytes: nt.MemoryBytes()})
-			repaired++
+		ent := s.cache.peek(artifactKey{dataset: oldFP, version: oldVer, rel: id, keyCol: keyCol})
+		if ent == nil {
+			continue
 		}
-		okey.kind, nkey.kind = kindFilter, kindFilter
-		if ent := s.cache.peek(okey); ent != nil {
-			nf := ent.filter
-			// Filter bits are liveness-independent and OR-monotone:
-			// deletes change nothing, appends fold in the new keys.
-			if d != nil && d.Appended > 0 {
-				nf = nf.Clone()
-				col := newDS.Relation(id).Column(keyCol)
-				nf.AddKeys(col[d.AppendedFrom:])
-			}
-			s.cache.put(&cacheEntry{key: nkey, filter: nf, bytes: nf.MemoryBytes()})
-			repaired++
+		nt := ent.table
+		if d != nil {
+			nt = nt.ApplyDelta(newDS.Relation(id), keyCol, hashtable.DeltaSpec{
+				BaseRows:     newDS.BaseRows(id),
+				BaseLive:     newDS.BaseLive(id),
+				Live:         newDS.Live(id),
+				AppendedFrom: d.AppendedFrom,
+				Deleted:      d.Deleted,
+			}, s.cfg.Parallelism, nil)
 		}
+		nkey := artifactKey{dataset: v.Fingerprint, version: v.Number, rel: id, keyCol: keyCol}
+		s.cache.put(&cacheEntry{key: nkey, table: nt, bytes: nt.MemoryBytes()})
+		repaired++
 	}
 	return repaired
 }

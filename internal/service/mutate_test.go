@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,9 +110,11 @@ func TestMutateBasicsAndValidation(t *testing.T) {
 }
 
 // TestMutateRepairKeepsCacheWarm: after a small committed delta, the
-// very next query must land entirely on repaired artifacts (zero
-// misses) and answer bit-identically to the brute-force oracle on the
-// new version — the tentpole's warm-under-writes property.
+// very next query — a BVP one, whose filters nothing repaired — must
+// land entirely on repaired tables (zero misses, zero builds) and
+// answer bit-identically to the brute-force oracle on the new version
+// and to a cold service that builds that version from scratch — the
+// tentpole's warm-under-writes property.
 func TestMutateRepairKeepsCacheWarm(t *testing.T) {
 	svc := New(Config{Parallelism: 4, MaxConcurrent: 2})
 	ds := genDataset(t, 2000, 5)
@@ -136,22 +139,48 @@ func TestMutateRepairKeepsCacheWarm(t *testing.T) {
 	if len(mres.Compacted) > 0 {
 		t.Fatalf("small delta compacted %v; the warm-repair assertion needs an uncompacted commit", mres.Compacted)
 	}
-	// Every cached artifact of v0 — one table and one filter per
-	// non-root relation — must have been carried onto v1.
-	if want := 2 * (nrel - 1); mres.Repaired != want {
+	// Every cached table of v0 — one per non-root relation — must have
+	// been carried onto v1.
+	if want := nrel - 1; mres.Repaired != want {
 		t.Fatalf("Repaired = %d, want %d", mres.Repaired, want)
 	}
 
+	var builds atomic.Int64
+	serviceHook := telemetry.BuildHook()
+	telemetry.SetBuildHook(func(kind string, rows int, d time.Duration) {
+		builds.Add(1)
+		serviceHook(kind, rows, d)
+	})
 	warm, err := svc.Query(ctx, req)
+	telemetry.SetBuildHook(serviceHook)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Version != 1 {
 		t.Fatalf("post-commit query ran on version %d, want 1", warm.Version)
 	}
-	if want := artifactCount("BVP+COM", nrel); warm.Stats.CacheHits != want || warm.Stats.CacheMisses != 0 {
-		t.Fatalf("post-commit query: hits=%d misses=%d, want %d/0 (repair missed)",
-			warm.Stats.CacheHits, warm.Stats.CacheMisses, want)
+	if want := tableCount("BVP+COM", nrel); warm.Stats.CacheHits != want || warm.Stats.CacheMisses != 0 || builds.Load() != 0 {
+		t.Fatalf("post-commit query: hits=%d misses=%d builds=%d, want %d/0/0 (repair missed)",
+			warm.Stats.CacheHits, warm.Stats.CacheMisses, builds.Load(), want)
+	}
+	// A service that never saw version 0's cache builds every table of
+	// version 1 cold and derives every filter from those.
+	coldSvc := New(Config{Parallelism: 4, MaxConcurrent: 2})
+	if _, err := coldSvc.RegisterDataset("ds", genDataset(t, 2000, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coldSvc.Mutate(ctx, MutateRequest{Dataset: "ds", Ops: ops}); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := coldSvc.Query(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Version != 1 || cold.Stats.CacheMisses != tableCount("BVP+COM", nrel) {
+		t.Fatalf("cold service: version %d, %d misses; want a from-scratch run of version 1", cold.Version, cold.Stats.CacheMisses)
+	}
+	if !reflect.DeepEqual(stripCache(warm.Stats), stripCache(cold.Stats)) {
+		t.Fatalf("post-commit stats differ from a cold service's:\nwarm %+v\ncold %+v", warm.Stats, cold.Stats)
 	}
 	wantCount, wantSum := exec.Reference(replicaV1)
 	if warm.Stats.OutputTuples != wantCount || warm.Stats.Checksum != wantSum {
@@ -399,13 +428,7 @@ func TestCacheBytesAccounting(t *testing.T) {
 		defer svc.cache.mu.Unlock()
 		var sum int64
 		for _, el := range svc.cache.entries {
-			e := el.Value.(*cacheEntry)
-			switch {
-			case e.table != nil:
-				sum += e.table.MemoryBytes()
-			case e.filter != nil:
-				sum += e.filter.MemoryBytes()
-			}
+			sum += el.Value.(*cacheEntry).table.MemoryBytes()
 		}
 		return sum
 	}

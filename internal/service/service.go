@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -132,27 +133,15 @@ type Service struct {
 	// scans tracks forming shared-scan groups (see sharedscan.go).
 	scans *scanBoard
 
-	queries atomic.Int64
-	// sharedScans counts executed shared-scan passes; sharedMembers
-	// counts queries served through one (batch size 1 included).
-	sharedScans, sharedMembers atomic.Int64
-	// mutations counts committed Mutate calls; repairs counts artifacts
-	// carried onto a new version in place (see mutate.go).
-	mutations, repairs atomic.Int64
-	// Sharded-tier counters (see ShardingStats).
-	scatterQueries, degraded, shardRetries atomic.Int64
-	hedges, hedgeWins, hedgeCancels        atomic.Int64
 	// draining flips when a drain starts: new queries are shed, the
 	// in-flight ones finish.
 	draining atomic.Bool
-	// errCounts tallies failed queries by class, for /v1/stats and the
-	// drain report.
-	errCounts errorCounters
 
-	// met is the metrics registry wiring (see metrics.go); traces the
-	// bounded recent-trace ring behind /v1/trace; slowLog the slow-query
-	// log (nil when disabled). tracePool recycles span arenas so a
-	// traced query allocates no span storage in steady state.
+	// met is the metrics registry with every counter the service keeps
+	// (see metrics.go); traces the bounded recent-trace ring behind
+	// /v1/trace; slowLog the slow-query log (nil when disabled).
+	// tracePool recycles span arenas so a traced query allocates no span
+	// storage in steady state.
 	met       *serviceMetrics
 	traces    *telemetry.Ring
 	slowLog   *slowQueryLog
@@ -165,26 +154,9 @@ type Service struct {
 
 	// now is the clock, injectable for deterministic breaker tests.
 	now func() time.Time
-}
-
-// errorCounters tallies query failures by class.
-type errorCounters struct {
-	invalid, timeout, shed, canceled, internal atomic.Int64
-}
-
-func (c *errorCounters) record(cls Class) {
-	switch cls {
-	case ClassInvalid:
-		c.invalid.Add(1)
-	case ClassTimeout:
-		c.timeout.Add(1)
-	case ClassShed:
-		c.shed.Add(1)
-	case ClassCanceled:
-		c.canceled.Add(1)
-	default:
-		c.internal.Add(1)
-	}
+	// maxRows is the largest relation the engine can address: probe
+	// results carry row ids as int32. Tests lower it.
+	maxRows int
 }
 
 // ErrorCounts is the per-class failure tally exposed by Stats.
@@ -292,6 +264,7 @@ func New(cfg Config) *Service {
 		scans:    newScanBoard(),
 		datasets: make(map[string]*datasetEntry),
 		now:      time.Now,
+		maxRows:  math.MaxInt32,
 	}
 	s.started = s.now()
 	s.traces = telemetry.NewRing(cfg.TraceRing)
@@ -385,13 +358,21 @@ type DatasetInfo struct {
 // go through Service.Mutate, which commits snapshots through the
 // storage delta API and re-keys the artifact cache per version —
 // mutating the registered dataset in place would desynchronize the
-// fingerprint-keyed cache. Registering an existing name is an error.
+// fingerprint-keyed cache. Registering an existing name is an error, and
+// so is a relation with more rows than an int32 row id can address
+// (ClassInvalid) — probe results would silently truncate.
 func (s *Service) RegisterDataset(name string, ds *storage.Dataset) (DatasetInfo, error) {
 	if name == "" {
 		return DatasetInfo{}, fmt.Errorf("service: dataset name must be non-empty")
 	}
 	if err := ds.Validate(); err != nil {
 		return DatasetInfo{}, fmt.Errorf("service: invalid dataset %q: %w", name, err)
+	}
+	for i := 0; i < ds.Tree.Len(); i++ {
+		if rel := ds.Relation(plan.NodeID(i)); rel.NumRows() > s.maxRows {
+			return DatasetInfo{}, invalidErr(fmt.Errorf("dataset %q: relation %q has %d rows, past the int32 row-id range (%d)",
+				name, rel.Name(), rel.NumRows(), s.maxRows))
+		}
 	}
 	e := &datasetEntry{
 		name:       name,
@@ -628,7 +609,7 @@ func (s *Service) Query(ctx context.Context, req Request) (res Result, err error
 		}
 		cls := Classify(err)
 		if err != nil {
-			s.errCounts.record(cls)
+			s.met.errorsOf(cls).Inc()
 		}
 		// One latency observation (and, on success, the executor
 		// counters) per Query call — taken from the very Result/error
@@ -716,7 +697,7 @@ func (s *Service) Query(ctx context.Context, req Request) (res Result, err error
 	if req.Parallelism > 0 && req.Parallelism < workers {
 		workers = req.Parallelism
 	}
-	s.queries.Add(1)
+	s.met.queries.Inc()
 
 	c := execCall{e: e, req: req, choice: choice, sels: sels, workers: workers, tr: tr, parent: root}
 
@@ -763,7 +744,7 @@ func (s *Service) Query(ctx context.Context, req Request) (res Result, err error
 	if err != nil {
 		return Result{Elapsed: elapsed}, classifyExecError(err)
 	}
-	return c.result(snap.Version(), elapsed, queued, stats), nil
+	return s.result(c, snap.Version(), elapsed, queued, stats), nil
 }
 
 // execCall is one admitted query's execution context: what every
@@ -806,8 +787,12 @@ func (s *Service) execOptions(ctx context.Context, c execCall, snap *storage.Dat
 }
 
 // result assembles the client-facing Result of a successful execution
-// at the given snapshot version.
-func (c execCall) result(version uint64, elapsed, queued time.Duration, stats exec.Stats) Result {
+// at the given snapshot version. Stats.BytesCached is stamped here, from
+// the cache the execution ran against: this service's own, or — when
+// the shards ran on replica backends, each of which stamped its own —
+// the largest of theirs, which the merge already carries.
+func (s *Service) result(c execCall, version uint64, elapsed, queued time.Duration, stats exec.Stats) Result {
+	stats.BytesCached = max(stats.BytesCached, s.cache.stats().Bytes)
 	return Result{
 		Dataset:  c.req.Dataset,
 		Strategy: c.choice.Strategy.String(),
@@ -1002,24 +987,24 @@ func (s *Service) Stats() Stats {
 	sort.Slice(breakers, func(i, j int) bool { return breakers[i].Dataset < breakers[j].Dataset })
 	return Stats{
 		Datasets:          nds,
-		Queries:           s.queries.Load(),
+		Queries:           s.met.queries.Value(),
 		UptimeMillis:      s.now().Sub(s.started).Milliseconds(),
 		GoVersion:         runtime.Version(),
 		StatsGeneration:   s.statsGen.Add(1),
-		Mutations:         s.mutations.Load(),
-		Repairs:           s.repairs.Load(),
-		SharedScans:       s.sharedScans.Load(),
-		SharedScanMembers: s.sharedMembers.Load(),
+		Mutations:         s.met.mutations.Value(),
+		Repairs:           s.met.repairs.Value(),
+		SharedScans:       s.met.sharedScans.Value(),
+		SharedScanMembers: s.met.sharedMembers.Value(),
 		Active:            s.admit.activeCount(),
 		Queued:            s.admit.queuedCount(),
 		Draining:          s.draining.Load(),
 		Cache:             s.cache.stats(),
 		Errors: ErrorCounts{
-			Invalid:  s.errCounts.invalid.Load(),
-			Timeout:  s.errCounts.timeout.Load(),
-			Shed:     s.errCounts.shed.Load(),
-			Canceled: s.errCounts.canceled.Load(),
-			Internal: s.errCounts.internal.Load(),
+			Invalid:  s.met.errorsOf(ClassInvalid).Value(),
+			Timeout:  s.met.errorsOf(ClassTimeout).Value(),
+			Shed:     s.met.errorsOf(ClassShed).Value(),
+			Canceled: s.met.errorsOf(ClassCanceled).Value(),
+			Internal: s.met.errorsOf(ClassInternal).Value(),
 		},
 		Breakers: breakers,
 		Sharding: s.shardingStats(),

@@ -26,34 +26,19 @@ func genDataset(t *testing.T, rows int, seed int64) *storage.Dataset {
 	return workload.Generate(tree, workload.Config{DriverRows: rows, Seed: seed})
 }
 
-// artifactCount returns the number of phase-1 artifacts the cache
-// serves for a strategy on the snowflake32 test datasets: one table per
-// non-root relation, plus one filter each for the BVP variants; for the
-// SJ variants the tables of the relations they do not reduce — the
-// childless ones (reduced tables are query-local).
-func artifactCount(strategy string, nrel int) int64 {
-	return tableCount(strategy, nrel) + filterCount(strategy, nrel)
-}
-
-// tableCount is the hash-table share of artifactCount. A first query
-// finds these already resident: planning offers the tables it measured
-// the edge statistics with to the cache.
+// tableCount returns the number of hash tables the cache serves for a
+// strategy on the snowflake32 test datasets: one per non-root relation
+// (a BVP variant's filters travel inside them); for the SJ variants the
+// tables of the relations they do not reduce — the childless ones
+// (reduced tables are query-local). A first query finds these already
+// resident: planning offers the tables it measured the edge statistics
+// with to the cache.
 func tableCount(strategy string, nrel int) int64 {
 	switch strategy {
 	case "SJ+STD", "SJ+COM":
 		return snowflake32Leaves
 	}
 	return int64(nrel - 1)
-}
-
-// filterCount is the filter share of artifactCount: what a first BVP
-// query still has to build.
-func filterCount(strategy string, nrel int) int64 {
-	switch strategy {
-	case "BVP+STD", "BVP+COM":
-		return int64(nrel - 1)
-	}
-	return 0
 }
 
 // snowflake32Leaves is the number of childless relations of genDataset's
@@ -69,9 +54,9 @@ func stripCache(s exec.Stats) exec.Stats {
 
 // TestWarmCacheBitIdentical is the tentpole acceptance test: for all
 // six strategies at 1/2/8 workers, a warm-cache execution serves every
-// shareable phase-1 artifact from the cache (zero builds of them; SJ
-// still builds its reduced tables per query) and produces Stats and
-// checksum bit-identical to the cold run.
+// shareable table from the cache (zero builds of them; SJ still builds
+// its reduced tables per query) and produces Stats and checksum
+// bit-identical to the cold run.
 func TestWarmCacheBitIdentical(t *testing.T) {
 	ds := genDataset(t, 3000, 42)
 	nrel := ds.Tree.Len()
@@ -94,12 +79,12 @@ func TestWarmCacheBitIdentical(t *testing.T) {
 				}
 
 				// The first query finds the tables planning measured with
-				// already resident and builds only the filters.
-				want := artifactCount(strat, nrel)
-				wantTables, wantFilters := tableCount(strat, nrel), filterCount(strat, nrel)
-				if cold.Stats.CacheHits != wantTables || cold.Stats.CacheMisses != wantFilters {
-					t.Fatalf("cold run: hits=%d misses=%d, want %d/%d",
-						cold.Stats.CacheHits, cold.Stats.CacheMisses, wantTables, wantFilters)
+				// already resident; a BVP one derives their filters, which
+				// is no build and no miss.
+				want := tableCount(strat, nrel)
+				if cold.Stats.CacheHits != want || cold.Stats.CacheMisses != 0 {
+					t.Fatalf("cold run: hits=%d misses=%d, want %d/0",
+						cold.Stats.CacheHits, cold.Stats.CacheMisses, want)
 				}
 				if warm.Stats.CacheHits != want || warm.Stats.CacheMisses != 0 {
 					t.Fatalf("warm run: hits=%d misses=%d, want %d/0 (zero phase-1 builds)",
@@ -163,7 +148,7 @@ func TestConcurrentWarmClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantHits := artifactCount("BVP+COM", nrel)
+	wantHits := tableCount("BVP+COM", nrel)
 
 	const clients = 10
 	const perClient = 3
@@ -284,7 +269,7 @@ func TestSelectionKeysSeparateArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if selected.Stats.CacheHits == artifactCount("COM", ds.Tree.Len()) {
+	if selected.Stats.CacheHits == tableCount("COM", ds.Tree.Len()) {
 		t.Fatal("selected query fully hit artifacts built without the selection")
 	}
 	if selected.Stats.Checksum == base.Stats.Checksum {
@@ -405,6 +390,71 @@ func TestAdmissionSplitsWorkers(t *testing.T) {
 	}
 }
 
+// TestRowIDRangeGuard: a relation with more rows than a row id can
+// address is refused at registration, and a mutation batch whose appends
+// would grow one past the range is refused whole — both as ClassInvalid,
+// both leaving the catalog as it was. The limit is math.MaxInt32 in a
+// real service; the rows lower it to sit at the test dataset's largest
+// relation.
+func TestRowIDRangeGuard(t *testing.T) {
+	ds := genDataset(t, 60, 3)
+	big := plan.NodeID(0)
+	for i := 1; i < ds.Tree.Len(); i++ {
+		if ds.Relation(plan.NodeID(i)).NumRows() > ds.Relation(big).NumRows() {
+			big = plan.NodeID(i)
+		}
+	}
+	rel := ds.Relation(big)
+	for _, tc := range []struct {
+		name     string
+		headroom int // limit minus the largest relation's row count
+		appends  int // rows appended to that relation in one batch
+		register bool
+		mutate   bool
+	}{
+		{"register at the limit", 0, 0, true, false},
+		{"register one past the limit", -1, 0, false, false},
+		{"append onto the limit", 2, 2, true, true},
+		{"append across the limit", 2, 3, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := New(Config{})
+			svc.maxRows = rel.NumRows() + tc.headroom
+			_, err := svc.RegisterDataset("ds", ds)
+			if (err == nil) != tc.register {
+				t.Fatalf("RegisterDataset error %v, want accepted=%v", err, tc.register)
+			}
+			if err != nil {
+				if Classify(err) != ClassInvalid || len(svc.Datasets()) != 0 {
+					t.Fatalf("rejection is class %q with %d datasets registered, want invalid and none", Classify(err), len(svc.Datasets()))
+				}
+				return
+			}
+			if tc.appends == 0 {
+				return
+			}
+			ops := make([]MutationSpec, tc.appends)
+			for i := range ops {
+				ops[i] = MutationSpec{Op: "append", Relation: rel.Name(), Values: make([]int64, rel.NumCols())}
+			}
+			res, err := svc.Mutate(context.Background(), MutateRequest{Dataset: "ds", Ops: ops})
+			if (err == nil) != tc.mutate {
+				t.Fatalf("Mutate error %v, want accepted=%v", err, tc.mutate)
+			}
+			if err == nil {
+				if got := res.Rows[rel.Name()]; got != svc.maxRows {
+					t.Fatalf("relation holds %d rows after the append, want the limit %d", got, svc.maxRows)
+				}
+				return
+			}
+			if info := svc.Datasets()[0]; Classify(err) != ClassInvalid || info.Version != 0 || info.TotalRows != ds.TotalRows() {
+				t.Fatalf("rejection is class %q and left version %d with %d rows, want invalid and an untouched version 0 with %d",
+					Classify(err), info.Version, info.TotalRows, ds.TotalRows())
+			}
+		})
+	}
+}
+
 // TestRequestValidation covers catalog and strategy error paths.
 func TestRequestValidation(t *testing.T) {
 	svc := New(Config{})
@@ -429,13 +479,18 @@ func TestRequestValidation(t *testing.T) {
 // TestLoadMixedTraffic smoke-tests the closed-loop generator: the
 // standard mix on an in-process service for a short burst with more
 // clients than admission slots must complete without workload errors
-// and with both cache hits and misses.
+// and with both cache hits and misses. The standard mix alone never
+// misses — planning leaves every unselected table resident — so the
+// burst adds a template whose selection shapes a table of its own.
 func TestLoadMixedTraffic(t *testing.T) {
 	svc := New(Config{Parallelism: 2, MaxConcurrent: 2})
 	templates, err := StandardMix(svc, 1200, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
+	child := svc.entry(templates[0].Dataset).ds.Tree.Name(1)
+	templates = append(templates, Request{Dataset: templates[0].Dataset, Strategy: "COM",
+		Selections: []SelectionSpec{{Relation: child, Column: "id", Value: 3}}})
 	report, err := RunLoad(context.Background(), svc, LoadConfig{
 		Duration:  400 * time.Millisecond,
 		Clients:   8,
@@ -451,8 +506,8 @@ func TestLoadMixedTraffic(t *testing.T) {
 	if report.Errors != 0 {
 		t.Fatalf("load run hit %d workload errors", report.Errors)
 	}
-	if report.CacheMisses == 0 {
-		t.Fatal("no cold builds: mix is not exercising misses")
+	if report.CacheHits == 0 || report.CacheMisses == 0 {
+		t.Fatalf("hits=%d misses=%d: burst is not exercising both", report.CacheHits, report.CacheMisses)
 	}
 	if report.OutputTuples == 0 {
 		t.Fatal("no output tuples across the whole run")

@@ -369,7 +369,7 @@ func (s *Service) queryScatter(ctx context.Context, c execCall, queued time.Dura
 	}
 	req, tr := c.req, c.tr
 	n := len(set.shards)
-	s.scatterQueries.Add(1)
+	s.met.scatterQueries.Inc()
 	// The scatter span covers dispatch fan-out through the last shard's
 	// verdict; each attempt hangs its own shard-dispatch span under it.
 	ssp := tr.Start("scatter", c.parent)
@@ -390,7 +390,7 @@ func (s *Service) queryScatter(ctx context.Context, c execCall, queued time.Dura
 		defer scancel()
 	}
 
-	start := time.Now()
+	start := s.now()
 	parts := make([]exec.Stats, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -407,7 +407,7 @@ func (s *Service) queryScatter(ctx context.Context, c execCall, queued time.Dura
 		}(k)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
+	elapsed := s.now().Sub(start)
 
 	var failed []int
 	survivors := parts[:0:0]
@@ -432,7 +432,7 @@ func (s *Service) queryScatter(ctx context.Context, c execCall, queued time.Dura
 		merged := exec.MergeShardStats(survivors)
 		merged.Coverage = coverage
 		merged.FailedShards = failed
-		s.degraded.Add(1)
+		s.met.degraded.Inc()
 		return s.scatterResult(c, set, elapsed, queued, merged), nil
 	}
 
@@ -455,7 +455,7 @@ func (s *Service) queryScatter(ctx context.Context, c execCall, queued time.Dura
 // scatterResult assembles the client-facing Result of a (possibly
 // degraded) scatter.
 func (s *Service) scatterResult(c execCall, set *shardSet, elapsed, queued time.Duration, merged exec.Stats) Result {
-	res := c.result(set.snapshot().Version(), elapsed, queued, merged)
+	res := s.result(c, set.snapshot().Version(), elapsed, queued, merged)
 	res.Shards = len(set.shards)
 	res.FailedShards = merged.FailedShards
 	return res
@@ -486,7 +486,7 @@ func (s *Service) runShard(ctx context.Context, c shardCall) (exec.Stats, error)
 			return exec.Stats{}, err
 		}
 		if attempt+1 < maxAttempts {
-			s.shardRetries.Add(1)
+			s.met.shardRetries.Inc()
 		}
 	}
 	return exec.Stats{}, lastErr
@@ -591,12 +591,12 @@ func (s *Service) attemptShard(ctx context.Context, c shardCall, primary int) (e
 			received++
 			if o.err == nil {
 				if o.hedge {
-					s.hedgeWins.Add(1)
+					s.met.hedgeWins.Inc()
 				}
 				if received < dispatched {
 					// The duplicate is still in flight: cancel it and count
 					// the cooperative cancellation.
-					s.hedgeCancels.Add(1)
+					s.met.hedgeCancels.Inc()
 					cancelAll()
 				}
 				return o.st, nil
@@ -608,7 +608,7 @@ func (s *Service) attemptShard(ctx context.Context, c shardCall, primary int) (e
 			}
 		case <-hedgeC:
 			hedgeC = nil
-			s.hedges.Add(1)
+			s.met.hedges.Inc()
 			dispatch((primary+1)%len(s.targets), true)
 			dispatched++
 		case <-ctx.Done():
@@ -654,12 +654,12 @@ func (s *Service) shardingStats() *ShardingStats {
 	ss := &ShardingStats{
 		Shards:         s.cfg.Shard.Shards,
 		Backends:       append([]string(nil), s.cfg.Shard.Backends...),
-		ScatterQueries: s.scatterQueries.Load(),
-		Degraded:       s.degraded.Load(),
-		Retries:        s.shardRetries.Load(),
-		Hedges:         s.hedges.Load(),
-		HedgeWins:      s.hedgeWins.Load(),
-		HedgeCancels:   s.hedgeCancels.Load(),
+		ScatterQueries: s.met.scatterQueries.Value(),
+		Degraded:       s.met.degraded.Value(),
+		Retries:        s.met.shardRetries.Value(),
+		Hedges:         s.met.hedges.Value(),
+		HedgeWins:      s.met.hedgeWins.Value(),
+		HedgeCancels:   s.met.hedgeCancels.Value(),
 	}
 	s.mu.RLock()
 	entries := make([]*datasetEntry, 0, len(s.datasets))

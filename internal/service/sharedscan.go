@@ -193,7 +193,7 @@ func (s *Service) querySharedScan(c execCall, snap *storage.Dataset, opts core.E
 	}
 	key := scanKey{dataset: c.e.name, version: snap.Version(), fp: snap.VersionFingerprint(), chunk: opts.ChunkSize}
 	g, slot, leader := s.scans.attach(key, snap,
-		scanMember{choice: c.choice, opts: opts, arrived: time.Now()}, s.cfg.SharedScan.MaxBatch)
+		scanMember{choice: c.choice, opts: opts, arrived: s.now()}, s.cfg.SharedScan.MaxBatch)
 	if leader {
 		s.runScanGroup(g)
 	} else {
@@ -212,7 +212,7 @@ func (s *Service) querySharedScan(c execCall, snap *storage.Dataset, opts core.E
 	if errors.Is(err, exec.ErrBatchIncompatible) {
 		return Result{}, false, nil
 	}
-	s.sharedMembers.Add(1)
+	s.met.sharedMembers.Inc()
 	attachWait := g.started.Sub(g.members[slot].arrived)
 	// Retroactive attach-wait span: the gap between reaching the scan
 	// board and the shared pass starting. The exec spans under the same
@@ -222,7 +222,7 @@ func (s *Service) querySharedScan(c execCall, snap *storage.Dataset, opts core.E
 	if err != nil {
 		return Result{Elapsed: g.elapsed}, true, classifyExecError(err)
 	}
-	res := c.result(snap.Version(), g.elapsed, queued, g.stats[slot])
+	res := s.result(c, snap.Version(), g.elapsed, queued, g.stats[slot])
 	res.Batch, res.AttachWait = len(g.members), attachWait
 	return res, true, nil
 }
@@ -248,9 +248,9 @@ func (s *Service) runScanGroup(g *scanGroup) {
 	for i, m := range members {
 		choices[i], optsList[i] = m.choice, m.opts
 	}
-	g.started = time.Now()
+	g.started = s.now()
 	stats, errs := core.ExecuteBatch(g.snap, choices, optsList)
-	g.elapsed = time.Since(g.started)
+	g.elapsed = s.now().Sub(g.started)
 	g.stats, g.errs = stats, errs
-	s.sharedScans.Add(1)
+	s.met.sharedScans.Inc()
 }

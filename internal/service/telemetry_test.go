@@ -312,54 +312,79 @@ func TestResultTraceSpanTree(t *testing.T) {
 // TestSlowQueryLog drives the service on a fake millisecond-tick clock
 // so every query "takes" far longer than the threshold, and checks the
 // structured line: identity, totals on the service clock, and a
-// per-phase breakdown that includes the execution phases.
+// per-phase breakdown that includes the execution phases. Every
+// execution path runs on that clock — solo, scatter-gather and shared
+// scan alike — so the durations a Result reports are whole ticks.
 func TestSlowQueryLog(t *testing.T) {
-	ds := genDataset(t, 800, 8)
-	var buf syncBuffer
-	svc := New(Config{Parallelism: 1, MaxConcurrent: 1,
-		SlowQueryMillis: 2, SlowQueryLog: &buf})
-	// Every clock read advances 1ms: durations become deterministic
-	// call counts, and any query crosses the 2ms threshold.
-	base := time.Unix(1_700_000_000, 0)
-	var tick atomic.Int64
-	svc.now = func() time.Time {
-		return base.Add(time.Duration(tick.Add(1)) * time.Millisecond)
-	}
-	if _, err := svc.RegisterDataset("ds", ds); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Query(context.Background(),
-		Request{Dataset: "ds", Strategy: "COM", FlatOutput: true}); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"solo", Config{}},
+		{"scatter", Config{Shard: ShardConfig{Shards: 2}}},
+		{"shared scan", Config{SharedScan: SharedScanConfig{Enabled: true, AttachWindow: -1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := genDataset(t, 800, 8)
+			var buf syncBuffer
+			cfg := tc.cfg
+			cfg.Parallelism, cfg.MaxConcurrent = 1, 1
+			cfg.SlowQueryMillis, cfg.SlowQueryLog = 2, &buf
+			svc := New(cfg)
+			// Every clock read advances 1ms: durations become deterministic
+			// call counts, and any query crosses the 2ms threshold.
+			base := time.Unix(1_700_000_000, 0)
+			var tick atomic.Int64
+			svc.now = func() time.Time {
+				return base.Add(time.Duration(tick.Add(1)) * time.Millisecond)
+			}
+			if _, err := svc.RegisterDataset("ds", ds); err != nil {
+				t.Fatal(err)
+			}
+			res, err := svc.Query(context.Background(),
+				Request{Dataset: "ds", Strategy: "COM", FlatOutput: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Elapsed <= 0 || res.Elapsed%time.Millisecond != 0 {
+				t.Errorf("Elapsed = %v was not measured on the service clock", res.Elapsed)
+			}
+			if (res.Batch > 0) != tc.cfg.SharedScan.Enabled {
+				t.Errorf("Batch = %d with SharedScan.Enabled = %v", res.Batch, tc.cfg.SharedScan.Enabled)
+			}
+			if res.Batch > 0 && (res.AttachWait <= 0 || res.AttachWait%time.Millisecond != 0) {
+				t.Errorf("AttachWait = %v was not measured on the service clock", res.AttachWait)
+			}
 
-	line, _, _ := strings.Cut(buf.String(), "\n")
-	if line == "" {
-		t.Fatal("slow-query log is empty")
-	}
-	var entry slowQueryEntry
-	if err := json.Unmarshal([]byte(line), &entry); err != nil {
-		t.Fatalf("slow-query line is not JSON: %v\n%s", err, line)
-	}
-	if entry.Dataset != "ds" || entry.Strategy != "COM" || entry.Class != "" {
-		t.Errorf("slow-query identity wrong: %+v", entry)
-	}
-	if entry.TotalMillis < 2 {
-		t.Errorf("totalMillis = %v, below the 2ms threshold", entry.TotalMillis)
-	}
-	for _, phase := range []string{"exec", "phase1", "phase2"} {
-		if entry.PhaseMillis[phase] <= 0 {
-			t.Errorf("phaseMillis[%q] = %v, want > 0 (have %v)",
-				phase, entry.PhaseMillis[phase], entry.PhaseMillis)
-		}
-	}
-	// The ring kept the same record, marked slow.
-	recs := svc.Traces(0)
-	if len(recs) != 1 || !recs[0].Slow || recs[0].Root == nil {
-		t.Fatalf("trace ring = %+v, want one slow record with a tree", recs)
-	}
-	if recs[0].ElapsedMillis != entry.TotalMillis {
-		t.Errorf("ring elapsed %v != logged total %v", recs[0].ElapsedMillis, entry.TotalMillis)
+			line, _, _ := strings.Cut(buf.String(), "\n")
+			if line == "" {
+				t.Fatal("slow-query log is empty")
+			}
+			var entry slowQueryEntry
+			if err := json.Unmarshal([]byte(line), &entry); err != nil {
+				t.Fatalf("slow-query line is not JSON: %v\n%s", err, line)
+			}
+			if entry.Dataset != "ds" || entry.Strategy != "COM" || entry.Class != "" {
+				t.Errorf("slow-query identity wrong: %+v", entry)
+			}
+			if entry.TotalMillis < 2 {
+				t.Errorf("totalMillis = %v, below the 2ms threshold", entry.TotalMillis)
+			}
+			for _, phase := range []string{"exec", "phase1", "phase2"} {
+				if entry.PhaseMillis[phase] <= 0 {
+					t.Errorf("phaseMillis[%q] = %v, want > 0 (have %v)",
+						phase, entry.PhaseMillis[phase], entry.PhaseMillis)
+				}
+			}
+			// The ring kept the same record, marked slow.
+			recs := svc.Traces(0)
+			if len(recs) != 1 || !recs[0].Slow || recs[0].Root == nil {
+				t.Fatalf("trace ring = %+v, want one slow record with a tree", recs)
+			}
+			if recs[0].ElapsedMillis != entry.TotalMillis {
+				t.Errorf("ring elapsed %v != logged total %v", recs[0].ElapsedMillis, entry.TotalMillis)
+			}
+		})
 	}
 }
 

@@ -204,9 +204,7 @@ func (k metricKind) String() string {
 
 // series is one labeled instance within a family. Exactly one of the
 // value fields is set, matching the family kind; fn-backed series
-// read their value at scrape time (the registry's shadow metrics over
-// the service's native atomic counters, which keeps reconciliation
-// with /v1/stats exact by construction).
+// read their value at scrape time, from state another component owns.
 type series struct {
 	labels string // canonical key; also the exposition label text
 	c      *Counter
@@ -294,9 +292,10 @@ func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
 }
 
 // CounterFunc registers a counter series whose value is read from fn
-// at scrape time — the shadow form: the service's own atomic counter
-// stays the source of truth and the exposition can never drift from
-// it. Re-registering the same series keeps the first registration.
+// at scrape time: a count some other component keeps (a cache's hits
+// under its own lock) stays the source of truth and the exposition can
+// never drift from it. Re-registering the same series keeps the first
+// registration.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() int64) {
 	r.family(name, help, kindCounter).get(labels, func(s *series) { s.fn = fn })
 }

@@ -5,8 +5,8 @@
 # drives it with m2mload (reads plus background mutations), and asserts:
 #   - GET /metrics serves Prometheus text whose core counters are
 #     nonzero and reconcile EXACTLY with GET /v1/stats (queries,
-#     mutations, cache hits/misses) — the shadow-metric contract over
-#     the wire;
+#     mutations, cache hits/misses) — one ledger behind both, checked
+#     over the wire;
 #   - m2mload folded the server-side latency histogram into its report;
 #   - GET /v1/trace serves recorded span trees;
 #   - the slow-query log emitted structured per-phase lines;
