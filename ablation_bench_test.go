@@ -38,38 +38,6 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationKillPropagation quantifies the survival effect: COM
-// with and without bidirectional kill propagation on a query with a
-// killing branch ordered after an exploding one.
-func BenchmarkAblationKillPropagation(b *testing.B) {
-	tr := plan.NewTree("R1")
-	boom := tr.AddChild(plan.Root, plan.EdgeStats{M: 0.9, Fo: 6}, "boom")
-	leaf := tr.AddChild(boom, plan.EdgeStats{M: 0.9, Fo: 2}, "leaf")
-	kill := tr.AddChild(plan.Root, plan.EdgeStats{M: 0.15, Fo: 1}, "killer")
-	ds := workload.Generate(tr, workload.Config{DriverRows: 20000, Seed: 9})
-	order := plan.Order{boom, kill, leaf}
-	for _, noProp := range []bool{false, true} {
-		name := "propagation"
-		if noProp {
-			name = "no-propagation"
-		}
-		b.Run(name, func(b *testing.B) {
-			var probes int64
-			for i := 0; i < b.N; i++ {
-				stats, err := exec.Run(ds, exec.Options{
-					Strategy: cost.COM, Order: order,
-					FlatOutput: true, NoKillPropagation: noProp,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				probes = stats.HashProbes
-			}
-			b.ReportMetric(float64(probes), "hash-probes")
-		})
-	}
-}
-
 // BenchmarkAblationExpansion compares depth-first and breadth-first
 // result expansion end to end.
 func BenchmarkAblationExpansion(b *testing.B) {

@@ -194,11 +194,8 @@ func remoteStandardMix(h *service.HTTPRunner, rows int, seed int64) ([]service.R
 			Rows:  rows,
 			Seed:  seed + i,
 		})
-		if err != nil {
-			return nil, err
-		}
-		if status != http.StatusOK && status != http.StatusConflict {
-			return nil, fmt.Errorf("registering %s: HTTP %d", tpl.Dataset, status)
+		if err != nil && status != http.StatusConflict {
+			return nil, fmt.Errorf("registering %s: %w", tpl.Dataset, err)
 		}
 		i++
 	}

@@ -7,7 +7,7 @@
 //	m2mserve [-addr 127.0.0.1:8080] [-cache-bytes N] [-parallelism N]
 //	         [-max-concurrent N] [-dataset name=dir]... [-preload]
 //	         [-drain-timeout 30s] [-shards N] [-backends url,url,...]
-//	         [-shard-retries N] [-shard-timeout 2s] [-hedge-delay 0]
+//	         [-shard-retries N] [-shard-timeout 2s]
 //	         [-slow-query-millis N] [-trace-ring N] [-pprof]
 //
 // With -shards > 1 the server answers each query by scatter-gather
@@ -15,11 +15,10 @@
 // shards locally; with -backends it dispatches the shards to replica
 // m2mserve processes instead (each must serve the same datasets —
 // content fingerprints are verified), retrying classified failures on
-// the next replica, hedging stragglers after -hedge-delay, and
-// tripping a per-(shard, backend) circuit breaker on persistent
-// faults. Clients opt into degraded answers with "minCoverage" on the
-// query; a plain m2mserve serves shard-worker requests without any
-// shard flags.
+// the next replica and tripping a per-(shard, backend) circuit breaker
+// on persistent faults. Clients opt into degraded answers with
+// "minCoverage" on the query; a plain m2mserve serves shard-worker
+// requests without any shard flags.
 //
 // The edge is bounded: POST bodies are capped at 8 MiB (an oversize
 // body is a 400 with the invalid-class envelope), and header reads,
@@ -117,8 +116,6 @@ func main() {
 		"classified retries per shard, rotated across replicas (0 = default 1, negative disables)")
 	shardTimeout := flag.Duration("shard-timeout", 0,
 		"per-shard attempt deadline (0 = default 2s, negative disables)")
-	hedgeDelay := flag.Duration("hedge-delay", 0,
-		"duplicate a straggling shard attempt on the next replica after this delay (0 = off)")
 	sharedScan := flag.Bool("shared-scan", false,
 		"batch co-arrived compatible queries onto one shared driver scan")
 	attachWindow := flag.Duration("attach-window", 0,
@@ -157,7 +154,6 @@ func main() {
 			Backends:       backendList,
 			Retries:        *shardRetries,
 			AttemptTimeout: *shardTimeout,
-			HedgeDelay:     *hedgeDelay,
 		},
 		SharedScan: service.SharedScanConfig{
 			Enabled:      *sharedScan,

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"m2mjoin/internal/cost"
-	"m2mjoin/internal/plan"
-	"m2mjoin/internal/workload"
 )
 
 // TestBreadthFirstExpandOption: BFS expansion must reproduce the DFS
@@ -32,50 +30,8 @@ func TestBreadthFirstExpandOption(t *testing.T) {
 	}
 }
 
-// TestNoKillPropagationAblation: disabling propagation must preserve
-// the result while increasing (or keeping) probe counts — the survival
-// effect the cost model charges for.
-func TestNoKillPropagationAblation(t *testing.T) {
-	// A query where propagation matters: a driver with a killing branch
-	// and an exploding branch, so dead driver rows would otherwise keep
-	// probing the exploding side's grandchild.
-	tr := plan.NewTree("R1")
-	kill := tr.AddChild(plan.Root, plan.EdgeStats{M: 0.2, Fo: 1}, "killer")
-	boom := tr.AddChild(plan.Root, plan.EdgeStats{M: 0.9, Fo: 6}, "boom")
-	tr.AddChild(boom, plan.EdgeStats{M: 0.9, Fo: 2}, "leaf")
-	_ = kill
-	ds := workload.Generate(tr, workload.Config{DriverRows: 3000, Seed: 77})
-	order := plan.Order{boom, kill, 3}
-
-	on, err := Run(ds, Options{Strategy: cost.COM, Order: order, FlatOutput: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := Run(ds, Options{
-		Strategy: cost.COM, Order: order, FlatOutput: true, NoKillPropagation: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.OutputTuples != off.OutputTuples || on.Checksum != off.Checksum {
-		t.Fatalf("ablation changed the result")
-	}
-	// With the killer branch joined before the leaf, propagation kills
-	// ~80% of boom's rows before the leaf probe.
-	if off.HashProbes <= on.HashProbes {
-		t.Errorf("expected more probes without propagation: on=%d off=%d",
-			on.HashProbes, off.HashProbes)
-	}
-	leafOn := on.PerRelationProbes[3]
-	leafOff := off.PerRelationProbes[3]
-	if float64(leafOff) < 2*float64(leafOn) {
-		t.Errorf("leaf probes should grow substantially without propagation: %d vs %d",
-			leafOn, leafOff)
-	}
-}
-
-// TestAblationsMatchReferenceAcrossStrategies: both ablation switches,
-// combined, on random datasets, across COM variants.
+// TestAblationsMatchReferenceAcrossStrategies: both expansion modes on
+// random datasets, across COM variants.
 func TestAblationsMatchReferenceAcrossStrategies(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		ds := smallDataset(seed*13+3, 5, 50)
@@ -83,18 +39,16 @@ func TestAblationsMatchReferenceAcrossStrategies(t *testing.T) {
 		order := ds.Tree.AllOrders()[0]
 		for _, s := range []cost.Strategy{cost.COM, cost.BVPCOM, cost.SJCOM} {
 			for _, bfs := range []bool{false, true} {
-				for _, noProp := range []bool{false, true} {
-					stats, err := Run(ds, Options{
-						Strategy: s, Order: order, FlatOutput: true,
-						BreadthFirstExpand: bfs, NoKillPropagation: noProp,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if stats.OutputTuples != want || (want > 0 && stats.Checksum != wantSum) {
-						t.Fatalf("seed %d %v bfs=%v noProp=%v: wrong result %d (want %d)",
-							seed, s, bfs, noProp, stats.OutputTuples, want)
-					}
+				stats, err := Run(ds, Options{
+					Strategy: s, Order: order, FlatOutput: true,
+					BreadthFirstExpand: bfs,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.OutputTuples != want || (want > 0 && stats.Checksum != wantSum) {
+					t.Fatalf("seed %d %v bfs=%v: wrong result %d (want %d)",
+						seed, s, bfs, stats.OutputTuples, want)
 				}
 			}
 		}

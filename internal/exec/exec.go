@@ -86,12 +86,6 @@ type Options struct {
 	// (pinned by the interleave differential tests); the switch exists
 	// to measure what the overlap buys.
 	NoInterleave bool
-	// NoKillPropagation is an ablation switch: liveness kills stop
-	// propagating through the factor chunk, so COM variants keep
-	// probing on behalf of rows whose other branches already died.
-	// Results are unchanged; probe counts quantify the survival effect
-	// the cost model charges for.
-	NoKillPropagation bool
 	// Selections are pushed-down equality predicates evaluated on the
 	// base relations before execution (Section 2.1's assumption).
 	Selections []Selection
@@ -928,9 +922,6 @@ func newWorker(r *run) *worker {
 		w.colsB = make([][]int32, nrel)
 	default:
 		w.chunk = factor.NewChunk(nil)
-		if r.opts.NoKillPropagation {
-			w.chunk.SetPropagation(false)
-		}
 		w.emitFn = func(rows []int32) {
 			if w.emitTuple(rows) {
 				w.emitPassed++

@@ -78,12 +78,3 @@ func (c *Chunk) ExpandBreadthFirst(emit func(rows []int32)) int64 {
 	}
 	return count
 }
-
-// SetPropagation toggles bidirectional kill propagation. It exists for
-// ablation studies: with propagation off, a kill only marks the
-// directly-probed row (the basic selection-vector mechanism), so rows
-// under or above dead branches keep probing later operators. Results
-// remain correct — expansion skips dead rows — but the probe counts
-// show the survival effect the cost model charges for. Propagation is
-// on by default.
-func (c *Chunk) SetPropagation(on bool) { c.noPropagation = !on }

@@ -57,34 +57,6 @@ func TestBFSNilEmit(t *testing.T) {
 	}
 }
 
-// TestPropagationAblation: with propagation off, results stay correct
-// but more rows remain live.
-func TestPropagationAblation(t *testing.T) {
-	build := func(propagate bool) *Chunk {
-		c := NewChunk([]int32{0, 1})
-		c.SetPropagation(propagate)
-		// Branch 1: row 0 -> 1 match, row 1 -> 1 match.
-		c.AddJoin(plan.Root, 1, []int32{1, 1}, []int32{10, 11})
-		// Branch 2: row 0 -> 0 matches (kills driver row 0 when
-		// propagation is on... the direct kill of the driver row happens
-		// in AddJoin either way), row 1 -> 1 match.
-		c.AddJoin(plan.Root, 2, []int32{0, 1}, []int32{20})
-		return c
-	}
-	on := build(true)
-	off := build(false)
-	// Same output either way.
-	if a, b := on.Expand(nil), off.Expand(nil); a != b || a != 1 {
-		t.Fatalf("outputs differ: %d vs %d", a, b)
-	}
-	// With propagation, branch-1's row under the dead driver row is
-	// dead; without, it stays live (and would be probed again).
-	if on.Node(1).LiveCount >= off.Node(1).LiveCount {
-		t.Errorf("propagation should kill more rows: on=%d off=%d",
-			on.Node(1).LiveCount, off.Node(1).LiveCount)
-	}
-}
-
 func BenchmarkExpandDFSvsBFS(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	tr := plan.Snowflake(3, 1, plan.FixedStats(0.9, 3))

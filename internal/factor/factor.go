@@ -63,9 +63,6 @@ func (n *Node) Segment(p int) (int, int) {
 type Chunk struct {
 	nodes []*Node       // indexed by NodeID; nil entries are not joined
 	order []plan.NodeID // join order; order[0] is the driver
-	// noPropagation disables bidirectional kill propagation (ablation
-	// mode; see SetPropagation).
-	noPropagation bool
 
 	// pool recycles retired nodes across Reset calls, keyed by the
 	// NodeID they last served: successive chunks have identical
@@ -92,7 +89,7 @@ func NewChunk(driverRows []int32) *Chunk {
 }
 
 // Reset rewinds the chunk to a fresh driver batch, recycling all nodes
-// and buffers. Kill propagation stays as configured by SetPropagation.
+// and buffers.
 func (c *Chunk) Reset(driverRows []int32) {
 	for len(c.pool) < len(c.nodes) {
 		c.pool = append(c.pool, nil)
@@ -213,17 +210,13 @@ func (c *Chunk) AddJoin(parentID, id plan.NodeID, counts, rows []int32) *Node {
 
 // Kill marks row i of node n dead and propagates: downward, every
 // descendant row under i dies; upward, the parent row dies if i was
-// its last live row in n. With propagation disabled (SetPropagation),
-// only the row itself is marked.
+// its last live row in n.
 func (c *Chunk) Kill(n *Node, i int) {
 	if !n.Live[i] {
 		return
 	}
 	n.Live[i] = false
 	n.LiveCount--
-	if c.noPropagation {
-		return
-	}
 	for _, child := range n.Children {
 		lo, hi := child.Segment(i)
 		for j := lo; j < hi; j++ {

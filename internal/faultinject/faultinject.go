@@ -112,11 +112,11 @@ const (
 	// execution, before the shard's probe phase runs (both exec's
 	// in-process scatter and the serving tier's local shard attempts).
 	// ModeError/ModePanic fail that shard attempt; ModeDelay makes it a
-	// straggler (the hedging trigger).
+	// straggler.
 	SiteShardProbe = "exec/shard-probe"
 	// SiteShardDispatch fires in the serving tier's shard gather path,
-	// once per dispatched shard attempt (initial, retry and hedge alike,
-	// local or remote), before the attempt starts. ModeError/ModePanic
+	// once per dispatched shard attempt (initial and retry alike, local
+	// or remote), before the attempt starts. ModeError/ModePanic
 	// fail the attempt — exercising classified retry, failover and
 	// degraded coverage — and ModeDelay stalls the dispatch.
 	SiteShardDispatch = "service/shard-dispatch"

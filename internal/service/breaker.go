@@ -7,10 +7,9 @@ import (
 )
 
 // This file implements the per-dataset load-shedding circuit breaker:
-// a sliding window of recent query outcomes (failures and latency)
-// feeding the classic closed → open → half-open state machine. When a
-// dataset's recent failure ratio crosses the threshold with enough
-// samples, the breaker opens and the service fast-rejects that
+// a sliding window of recent query outcomes feeding the classic closed
+// → open → half-open state machine. When a dataset's recent failure
+// ratio crosses the threshold with enough samples, the breaker opens and the service fast-rejects that
 // dataset's queries (ClassShed, jittered Retry-After hint) instead of
 // burning admission slots and workers on an unhealthy workload; after
 // a cooldown, a bounded number of half-open probes decide whether to
@@ -55,10 +54,6 @@ type BreakerConfig struct {
 	// breaker; while probing, at most this many queries are admitted
 	// at once (default 2).
 	HalfOpenProbes int
-	// SlowCallThreshold, when nonzero, counts queries slower than this
-	// as failures even if they succeeded — latency-based shedding for
-	// a wedged-but-not-failing backend.
-	SlowCallThreshold time.Duration
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -85,8 +80,7 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 
 // breakerBucket is one ring slot of outcome counts.
 type breakerBucket struct {
-	ok, fail   int64
-	latencySum time.Duration
+	ok, fail int64
 }
 
 // breaker is one dataset's circuit breaker. All methods are safe for
@@ -156,15 +150,12 @@ func (b *breaker) allow() error {
 // without biasing the window either way (counting a shed as a failure
 // would latch the breaker open on its own rejections; counting it as
 // a success would dilute real failures).
-func (b *breaker) done(cls Class, latency time.Duration) {
+func (b *breaker) done(cls Class) {
 	if b == nil || b.cfg.Disabled {
 		return
 	}
 	failure := cls == ClassTimeout || cls == ClassInternal
 	ignored := cls == ClassShed || cls == ClassCanceled
-	if !failure && !ignored && b.cfg.SlowCallThreshold > 0 && latency > b.cfg.SlowCallThreshold {
-		failure = true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	now := b.now()
@@ -202,7 +193,6 @@ func (b *breaker) done(cls Class, latency time.Duration) {
 	} else {
 		bk.ok++
 	}
-	bk.latencySum += latency
 	if b.state == BreakerClosed && failure {
 		okN, failN := b.windowCounts()
 		total := okN + failN

@@ -52,17 +52,17 @@ func TestBreakerOpensOnFailureRatio(t *testing.T) {
 	// >= 10 samples.
 	for i := 0; i < 5; i++ {
 		mustAllow(t, b)
-		b.done("", time.Millisecond)
+		b.done("")
 	}
 	for i := 0; i < 4; i++ {
 		mustAllow(t, b)
-		b.done(ClassInternal, time.Millisecond)
+		b.done(ClassInternal)
 	}
 	if got := b.snapshot("ds").State; got != BreakerClosed {
 		t.Fatalf("state %v after 9 samples (4 failures), want closed", got)
 	}
 	mustAllow(t, b)
-	b.done(ClassTimeout, time.Millisecond) // 10 samples, 5 failures: trips
+	b.done(ClassTimeout) // 10 samples, 5 failures: trips
 
 	if got := b.snapshot("ds").State; got != BreakerOpen {
 		t.Fatalf("state %v, want open", got)
@@ -82,7 +82,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	})
 	for i := 0; i < 4; i++ {
 		mustAllow(t, b)
-		b.done(ClassInternal, time.Millisecond)
+		b.done(ClassInternal)
 	}
 	mustShed(t, b)
 
@@ -94,8 +94,8 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	if got := b.snapshot("ds").State; got != BreakerHalfOpen {
 		t.Fatalf("state %v, want half-open", got)
 	}
-	b.done("", time.Millisecond)
-	b.done("", time.Millisecond)
+	b.done("")
+	b.done("")
 
 	snap := b.snapshot("ds")
 	if snap.State != BreakerClosed {
@@ -113,11 +113,11 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	})
 	for i := 0; i < 4; i++ {
 		mustAllow(t, b)
-		b.done(ClassInternal, time.Millisecond)
+		b.done(ClassInternal)
 	}
 	clk.advance(1100 * time.Millisecond)
 	mustAllow(t, b)
-	b.done(ClassTimeout, time.Millisecond)
+	b.done(ClassTimeout)
 	if got := b.snapshot("ds").State; got != BreakerOpen {
 		t.Fatalf("state %v after failed probe, want open", got)
 	}
@@ -133,9 +133,9 @@ func TestBreakerIgnoresShedsAndCancels(t *testing.T) {
 	b, clk := testBreaker(BreakerConfig{MinSamples: 4, FailureRatio: 0.5, Cooldown: time.Second})
 	for i := 0; i < 100; i++ {
 		mustAllow(t, b)
-		b.done(ClassShed, time.Millisecond)
+		b.done(ClassShed)
 		mustAllow(t, b)
-		b.done(ClassCanceled, time.Millisecond)
+		b.done(ClassCanceled)
 	}
 	snap := b.snapshot("ds")
 	if snap.State != BreakerClosed || snap.WindowOK != 0 || snap.WindowFailures != 0 {
@@ -146,11 +146,11 @@ func TestBreakerIgnoresShedsAndCancels(t *testing.T) {
 	// closing or re-opening.
 	for i := 0; i < 4; i++ {
 		mustAllow(t, b)
-		b.done(ClassInternal, time.Millisecond)
+		b.done(ClassInternal)
 	}
 	clk.advance(1100 * time.Millisecond)
 	mustAllow(t, b)
-	b.done(ClassCanceled, time.Millisecond)
+	b.done(ClassCanceled)
 	if got := b.snapshot("ds").State; got != BreakerHalfOpen {
 		t.Fatalf("state %v after canceled probe, want still half-open", got)
 	}
@@ -165,32 +165,17 @@ func TestBreakerWindowAges(t *testing.T) {
 	})
 	for i := 0; i < 3; i++ {
 		mustAllow(t, b)
-		b.done(ClassInternal, time.Millisecond)
+		b.done(ClassInternal)
 	}
 	clk.advance(2 * time.Second) // all buckets age out
 	mustAllow(t, b)
-	b.done(ClassInternal, time.Millisecond)
+	b.done(ClassInternal)
 	snap := b.snapshot("ds")
 	if snap.State != BreakerClosed {
 		t.Fatalf("stale failures tripped the breaker: %+v", snap)
 	}
 	if snap.WindowFailures != 1 {
 		t.Fatalf("window failures = %d, want 1 (rest aged out)", snap.WindowFailures)
-	}
-}
-
-// TestBreakerSlowCalls: with SlowCallThreshold set, slow successes
-// count as failures.
-func TestBreakerSlowCalls(t *testing.T) {
-	b, _ := testBreaker(BreakerConfig{
-		MinSamples: 4, FailureRatio: 0.5, SlowCallThreshold: 10 * time.Millisecond,
-	})
-	for i := 0; i < 4; i++ {
-		mustAllow(t, b)
-		b.done("", 50*time.Millisecond) // success, but slow
-	}
-	if got := b.snapshot("ds").State; got != BreakerOpen {
-		t.Fatalf("state %v after 4 slow calls, want open", got)
 	}
 }
 
@@ -257,7 +242,7 @@ func TestBreakerDisabled(t *testing.T) {
 	b, _ := testBreaker(BreakerConfig{Disabled: true})
 	for i := 0; i < 100; i++ {
 		mustAllow(t, b)
-		b.done(ClassInternal, time.Millisecond)
+		b.done(ClassInternal)
 	}
 	if got := b.snapshot("ds").State; got != BreakerClosed {
 		t.Fatalf("disabled breaker left closed state: %v", got)
@@ -292,7 +277,7 @@ func TestBreakerSnapshotRace(t *testing.T) {
 					if (i+w)%3 == 0 {
 						cls = ClassInternal
 					}
-					b.done(cls, time.Microsecond)
+					b.done(cls)
 				}
 			}
 		}(w)

@@ -78,6 +78,21 @@ func Classify(err error) Class {
 	return ClassInternal
 }
 
+// asQueryError returns err as a *QueryError (nil for nil): err itself
+// when it already is one, otherwise a new one of err's class — so a
+// deadline expiry surfacing from the executor is a timeout, a client
+// cancellation is canceled, and anything else (including recovered
+// worker panics) is internal.
+func asQueryError(err error) *QueryError {
+	if err == nil {
+		return nil
+	}
+	if qe, ok := err.(*QueryError); ok {
+		return qe
+	}
+	return &QueryError{Class: Classify(err), RetryAfter: RetryAfterHint(err), Err: err}
+}
+
 // RetryAfterHint extracts the server's retry hint from a classified
 // error (0 if absent).
 func RetryAfterHint(err error) time.Duration {

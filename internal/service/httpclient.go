@@ -31,83 +31,19 @@ func NewHTTPRunner(base string) *HTTPRunner {
 // Base returns the server's base URL.
 func (h *HTTPRunner) Base() string { return h.base }
 
-// Query posts one query. Non-200 responses carrying the classified
-// error envelope come back as *QueryError; transport failures (server
-// unreachable, connection reset) come back unclassified — Classify
-// maps them to ClassInternal, which is what replica failover treats as
-// "this member is broken, try another".
+// Query posts one query.
 func (h *HTTPRunner) Query(ctx context.Context, req Request) (Result, error) {
-	b, err := json.Marshal(req)
-	if err != nil {
-		return Result{}, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/v1/query", bytes.NewReader(b))
-	if err != nil {
-		return Result{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := h.client.Do(hreq)
-	if err != nil {
-		return Result{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// The server answers failures with a classified error envelope;
-		// rebuild the typed error so retry classification (and the
-		// Retry-After hint) survive the wire.
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		var env ErrorEnvelope
-		if err := json.Unmarshal(body, &env); err == nil && env.Class != "" {
-			return Result{}, &QueryError{
-				Class:      env.Class,
-				RetryAfter: time.Duration(env.RetryAfterMillis) * time.Millisecond,
-				Err:        fmt.Errorf("query: HTTP %d: %s", resp.StatusCode, env.Error),
-			}
-		}
-		return Result{}, fmt.Errorf("query: HTTP %d: %s", resp.StatusCode, body)
-	}
 	var res Result
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return Result{}, err
-	}
-	return res, nil
+	_, err := h.post(ctx, "/v1/query", req, &res)
+	return res, err
 }
 
 // Mutate posts one mutation batch; the server commits it as the
-// dataset's next snapshot. Failures carry the same classified error
-// envelope as queries.
+// dataset's next snapshot.
 func (h *HTTPRunner) Mutate(ctx context.Context, req MutateRequest) (MutateResult, error) {
-	b, err := json.Marshal(req)
-	if err != nil {
-		return MutateResult{}, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/v1/mutate", bytes.NewReader(b))
-	if err != nil {
-		return MutateResult{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := h.client.Do(hreq)
-	if err != nil {
-		return MutateResult{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		var env ErrorEnvelope
-		if err := json.Unmarshal(body, &env); err == nil && env.Class != "" {
-			return MutateResult{}, &QueryError{
-				Class:      env.Class,
-				RetryAfter: time.Duration(env.RetryAfterMillis) * time.Millisecond,
-				Err:        fmt.Errorf("mutate: HTTP %d: %s", resp.StatusCode, env.Error),
-			}
-		}
-		return MutateResult{}, fmt.Errorf("mutate: HTTP %d: %s", resp.StatusCode, body)
-	}
 	var res MutateResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return MutateResult{}, err
-	}
-	return res, nil
+	_, err := h.post(ctx, "/v1/mutate", req, &res)
+	return res, err
 }
 
 // Stats fetches the server's /v1/stats snapshot.
@@ -128,27 +64,47 @@ func (h *HTTPRunner) Datasets(ctx context.Context) ([]DatasetInfo, error) {
 // alongside the result, so callers can tolerate 409 Conflict when the
 // dataset already exists (repeated runs against one server).
 func (h *HTTPRunner) Register(ctx context.Context, req RegisterRequest) (DatasetInfo, int, error) {
-	b, err := json.Marshal(req)
+	var info DatasetInfo
+	status, err := h.post(ctx, "/v1/datasets", req, &info)
+	return info, status, err
+}
+
+// post sends in as a JSON body to path and decodes a 200 response into
+// out, returning the HTTP status (0 when no response arrived). A
+// non-200 response carrying the classified error envelope comes back
+// as a *QueryError, so retry classification and the Retry-After hint
+// survive the wire; transport failures (server unreachable, connection
+// reset) come back unclassified — Classify maps them to ClassInternal,
+// which is what replica failover treats as "this member is broken, try
+// another".
+func (h *HTTPRunner) post(ctx context.Context, path string, in, out any) (int, error) {
+	b, err := json.Marshal(in)
 	if err != nil {
-		return DatasetInfo{}, 0, err
+		return 0, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/v1/datasets", bytes.NewReader(b))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+path, bytes.NewReader(b))
 	if err != nil {
-		return DatasetInfo{}, 0, err
+		return 0, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	resp, err := h.client.Do(hreq)
 	if err != nil {
-		return DatasetInfo{}, 0, err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	var info DatasetInfo
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-			return DatasetInfo{}, resp.StatusCode, err
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		var env ErrorEnvelope
+		if err := json.Unmarshal(body, &env); err == nil && env.Class != "" {
+			return resp.StatusCode, &QueryError{
+				Class:      env.Class,
+				RetryAfter: time.Duration(env.RetryAfterMillis) * time.Millisecond,
+				Err:        fmt.Errorf("POST %s: HTTP %d: %s", path, resp.StatusCode, env.Error),
+			}
 		}
+		return resp.StatusCode, fmt.Errorf("POST %s: HTTP %d: %s", path, resp.StatusCode, body)
 	}
-	return info, resp.StatusCode, nil
+	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
 }
 
 func (h *HTTPRunner) get(ctx context.Context, path string, out any) error {

@@ -37,9 +37,6 @@ const (
 	metricScatterQueries = "m2m_scatter_queries_total"
 	metricDegraded       = "m2m_degraded_results_total"
 	metricShardRetries   = "m2m_shard_retries_total"
-	metricHedges         = "m2m_hedges_total"
-	metricHedgeWins      = "m2m_hedge_wins_total"
-	metricHedgeCancels   = "m2m_hedge_cancels_total"
 	metricShardDispatch  = "m2m_shard_dispatch_seconds"
 	metricCacheHits      = "m2m_cache_hits_total"
 	metricCacheMisses    = "m2m_cache_misses_total"
@@ -77,7 +74,6 @@ type serviceMetrics struct {
 	mutations, repairs *telemetry.Counter
 	// Sharded-tier counters (see ShardingStats).
 	scatterQueries, degraded, shardRetries *telemetry.Counter
-	hedges, hedgeWins, hedgeCancels        *telemetry.Counter
 
 	queueWait      *telemetry.Histogram
 	attachWait     *telemetry.Histogram
@@ -126,9 +122,6 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	m.scatterQueries = reg.Counter(metricScatterQueries, "Client queries answered by scatter-gather.", nil)
 	m.degraded = reg.Counter(metricDegraded, "Degraded (partial-coverage) results returned.", nil)
 	m.shardRetries = reg.Counter(metricShardRetries, "Shard dispatch retries.", nil)
-	m.hedges = reg.Counter(metricHedges, "Hedged shard dispatches launched.", nil)
-	m.hedgeWins = reg.Counter(metricHedgeWins, "Hedged dispatches that answered first.", nil)
-	m.hedgeCancels = reg.Counter(metricHedgeCancels, "Hedges cancelled by the primary answering.", nil)
 
 	reg.CounterFunc(metricCacheHits, "Artifact cache hits.", nil, func() int64 { return s.cache.stats().Hits })
 	reg.CounterFunc(metricCacheMisses, "Artifact cache misses.", nil, func() int64 { return s.cache.stats().Misses })
@@ -192,10 +185,6 @@ func breakerStateValue(st BreakerState) int64 {
 // series from the very Stats the caller receives, so the registry
 // totals reconcile exactly with client-side sums.
 func (m *serviceMetrics) recordQuery(e *datasetEntry, dataset, strategy string, cls Class, total time.Duration, st *exec.Stats) {
-	class := "ok"
-	if cls != "" {
-		class = string(cls)
-	}
 	if strategy == "" {
 		strategy = "none"
 	}
@@ -203,7 +192,7 @@ func (m *serviceMetrics) recordQuery(e *datasetEntry, dataset, strategy string, 
 		telemetry.Labels{
 			{Name: "dataset", Value: dataset},
 			{Name: "strategy", Value: strategy},
-			{Name: "class", Value: class},
+			{Name: "class", Value: outcomeLabel(cls)},
 		}).Observe(total)
 	if st == nil || e == nil || e.met == nil {
 		return
@@ -218,10 +207,19 @@ func (m *serviceMetrics) recordQuery(e *datasetEntry, dataset, strategy string, 
 }
 
 // observeDispatch records one shard dispatch attempt's latency under
-// its outcome ("ok" or the failure class).
-func (m *serviceMetrics) observeDispatch(outcome string, d time.Duration) {
+// its outcome.
+func (m *serviceMetrics) observeDispatch(cls Class, d time.Duration) {
 	m.reg.Histogram(metricShardDispatch, "Per-attempt shard dispatch latency by outcome.",
-		telemetry.Labels{{Name: "outcome", Value: outcome}}).Observe(d)
+		telemetry.Labels{{Name: "outcome", Value: outcomeLabel(cls)}}).Observe(d)
+}
+
+// outcomeLabel is the label value of an outcome: "ok" for success, else
+// the failure class.
+func outcomeLabel(cls Class) string {
+	if cls == "" {
+		return "ok"
+	}
+	return string(cls)
 }
 
 // observeBuild is the telemetry build hook's landing point: cold

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"m2mjoin/internal/hashtable"
 	"m2mjoin/internal/plan"
@@ -97,8 +96,8 @@ type MutateResult struct {
 // (ClassInvalid). Safe for concurrent use — writers to one dataset are
 // serialized internally.
 func (s *Service) Mutate(ctx context.Context, req MutateRequest) (MutateResult, error) {
-	if s.draining.Load() {
-		return MutateResult{}, shedErr(fmt.Errorf("service is draining"), jitter(time.Second))
+	if err := s.shedIfDraining(); err != nil {
+		return MutateResult{}, err
 	}
 	e := s.entry(req.Dataset)
 	if e == nil {
@@ -108,7 +107,7 @@ func (s *Service) Mutate(ctx context.Context, req MutateRequest) (MutateResult, 
 		return MutateResult{}, invalidErr(fmt.Errorf("mutation batch is empty"))
 	}
 	if err := ctx.Err(); err != nil {
-		return MutateResult{}, classifyExecError(err)
+		return MutateResult{}, asQueryError(err)
 	}
 
 	mstart := s.now()

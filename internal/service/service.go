@@ -1,16 +1,17 @@
 // Package service is the concurrent query-serving layer of the
 // prototype: a long-running process component that owns a catalog of
 // named datasets, a bounded LRU cache of phase-1 build artifacts (hash
-// tables and bitvector filters) shared across queries, and an
-// admission controller that splits the worker budget over concurrent
-// queries and propagates client cancellation into the executor.
+// tables, each carrying its bitvector projection) shared across
+// queries, and an admission controller that splits the worker budget
+// over concurrent queries and propagates client cancellation into the
+// executor.
 //
 // The paper's phase 1 dominates the build-bound strategies; because PR
 // 4 made every phase-1 structure an immutable, read-only artifact that
 // is bit-identical however it is built, the service can share them
-// across queries: a warm-cache query executes with zero table/filter
-// builds while producing Stats and checksums bit-identical to a cold
-// run. Cache keys root at the snapshot's lineage fingerprint
+// across queries: a warm-cache query executes with zero table builds
+// while producing Stats and checksums bit-identical to a cold run.
+// Cache keys root at the snapshot's lineage fingerprint
 // (storage.Dataset.VersionFingerprint — the content fingerprint at
 // registration, folded with each committed mutation batch), so equal
 // content shares artifacts even across separately registered datasets
@@ -38,7 +39,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -63,7 +63,7 @@ import (
 // Config sizes the service.
 type Config struct {
 	// CacheBytes is the artifact cache's byte budget (default 256 MiB).
-	// The LRU never holds more than this many bytes of tables+filters.
+	// The LRU never holds more than this many bytes of hash tables.
 	CacheBytes int64
 	// Parallelism is the total worker budget split across concurrent
 	// queries by the admission controller (default GOMAXPROCS).
@@ -85,9 +85,9 @@ type Config struct {
 	// (see BreakerConfig; the zero value enables it with defaults).
 	Breaker BreakerConfig
 	// Shard configures the fault-tolerant scatter-gather tier: hash
-	// partitioning, replica backends, per-attempt deadlines, classified
-	// retry and hedged dispatch (see ShardConfig; the zero value leaves
-	// the service unsharded).
+	// partitioning, replica backends, per-attempt deadlines and
+	// classified retry (see ShardConfig; the zero value leaves the
+	// service unsharded).
 	Shard ShardConfig
 	// SharedScan configures shared-scan batching of co-arrived
 	// compatible queries (see SharedScanConfig; the zero value leaves
@@ -315,16 +315,16 @@ func (s *Service) acquireTrace() *telemetry.Trace {
 // it in the recent-trace ring (and the slow-query log when the query
 // crossed the threshold), attaches it to the result when the request
 // asked, and recycles the arena.
-func (s *Service) finishTrace(tr *telemetry.Trace, root telemetry.SpanID, req Request, res *Result, cls Class, qstart time.Time) {
-	if tr == nil {
+func (s *Service) finishTrace(c *execCall, res *Result, cls Class) {
+	if c.tr == nil {
 		return
 	}
-	tr.End(root)
-	node := tr.Finish()
-	total := s.now().Sub(qstart)
+	c.tr.End(c.parent)
+	node := c.tr.Finish()
+	total := s.now().Sub(c.start)
 	rec := telemetry.TraceRecord{
-		Time:          qstart,
-		Dataset:       req.Dataset,
+		Time:          c.start,
+		Dataset:       c.req.Dataset,
 		Strategy:      res.Strategy,
 		Class:         string(cls),
 		ElapsedMillis: float64(total) / float64(time.Millisecond),
@@ -336,10 +336,10 @@ func (s *Service) finishTrace(tr *telemetry.Trace, root telemetry.SpanID, req Re
 		s.slowLog.log(rec)
 	}
 	s.traces.Add(rec)
-	if req.Trace {
+	if c.req.Trace {
 		res.Trace = node
 	}
-	s.tracePool.Put(tr)
+	s.tracePool.Put(c.tr)
 }
 
 // DatasetInfo describes one catalog entry.
@@ -531,7 +531,9 @@ type Request struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// Result is one query's outcome.
+// Result is one query's outcome. Beside an error it still says what was
+// attempted and for how long (Elapsed, Queued, Trace), but carries no
+// answer.
 type Result struct {
 	Dataset  string `json:"dataset"`
 	Strategy string `json:"strategy"`
@@ -572,8 +574,11 @@ type Result struct {
 	Trace *telemetry.SpanNode `json:"trace,omitempty"`
 }
 
-// Query plans (memoized per dataset) and executes one query under
-// admission control, sharing phase-1 artifacts through the cache.
+// Query answers one query in five stages — plan, admit, resolve,
+// execute, record — sharing phase-1 artifacts through the cache. The
+// execution paths (scatter-gather, shared scan, solo; a shard-worker
+// request is a solo run over one shard's rows) differ in the execute
+// stage only.
 //
 // The resilience contract: cancellation of ctx aborts both queueing
 // and execution promptly; Request.TimeoutMillis bounds the whole
@@ -582,195 +587,214 @@ type Result struct {
 // ClassShed error carrying a jittered retry hint; and every failure —
 // including worker panics, which the executor converts into errors —
 // comes back as a *QueryError with a Class, never as a crashed
-// process. The deferred release and the recover boundary together
-// guarantee a failed query cannot leak its admission slot.
+// process. Every goroutine a query starts is joined before Query
+// returns, so it holds its admission slot exactly as long as its work
+// runs, and the deferred release plus record's recover boundary
+// guarantee a failed query cannot leak the slot.
 func (s *Service) Query(ctx context.Context, req Request) (res Result, err error) {
-	qstart := s.now()
+	c := execCall{req: req, start: s.now(), parent: telemetry.NoParent}
 	// The trace collector exists only when someone will read it — the
 	// request asked, the slow-query log needs phase breakdowns, or the
 	// operator turned ring tracing on. Untraced queries carry a nil
 	// *Trace through the whole stack (every span site is a nil-receiver
 	// no-op).
-	var tr *telemetry.Trace
-	root := telemetry.NoParent
 	if req.Trace || s.slowLog != nil || s.cfg.TraceRing > 0 {
-		tr = s.acquireTrace()
-		root = tr.Start("query", telemetry.NoParent)
+		c.tr = s.acquireTrace()
+		c.parent = c.tr.Start("query", telemetry.NoParent)
 	}
-	var entry *datasetEntry
-	strategy := ""
-	defer func() {
-		// Last line of defense: a panic between admission and release
-		// (outside the executor's own guards) becomes a classified
-		// internal error; the deferred release above it still runs.
-		if v := recover(); v != nil {
-			err = &QueryError{Class: ClassInternal,
-				Err: fmt.Errorf("query panic: %v", v)}
-		}
-		cls := Classify(err)
-		if err != nil {
-			s.met.errorsOf(cls).Inc()
-		}
-		// One latency observation (and, on success, the executor
-		// counters) per Query call — taken from the very Result/error
-		// the caller receives, so registry totals reconcile exactly
-		// with /v1/stats and client-side sums.
-		var st *exec.Stats
-		if err == nil {
-			st = &res.Stats
-		}
-		s.met.recordQuery(entry, req.Dataset, strategy, cls, s.now().Sub(qstart), st)
-		s.finishTrace(tr, root, req, &res, cls, qstart)
-	}()
+	var out outcome
+	// Record: deferred first, so it runs after the slot is released,
+	// whichever stage returned or panicked.
+	defer func() { res, err = s.record(&c, out, err, recover()) }()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if s.draining.Load() {
-		return Result{}, shedErr(fmt.Errorf("service is draining"), jitter(time.Second))
-	}
-	s.mu.RLock()
-	e := s.datasets[req.Dataset]
-	s.mu.RUnlock()
-	if e == nil {
-		return Result{}, invalidErr(fmt.Errorf("unknown dataset %q", req.Dataset))
-	}
-	entry = e
-	sels, err := e.resolveSelections(req.Selections)
-	if err != nil {
-		return Result{}, invalidErr(err)
-	}
-	if req.MinCoverage < 0 || req.MinCoverage > 1 {
-		return Result{}, invalidErr(fmt.Errorf("minCoverage %v outside [0, 1]", req.MinCoverage))
-	}
-	if req.ShardCount < 0 || req.ShardCount > shard.MaxShards {
-		return Result{}, invalidErr(fmt.Errorf("shardCount %d outside [0, %d]", req.ShardCount, shard.MaxShards))
-	}
-	if req.ShardCount > 0 && (req.ShardIndex < 0 || req.ShardIndex >= req.ShardCount) {
-		return Result{}, invalidErr(fmt.Errorf("shardIndex %d outside [0, %d)", req.ShardIndex, req.ShardCount))
-	}
-	// Plan before admission: the first plan per (strategy, flat) pair
+
+	// Plan, before admission: the first plan per (strategy, flat) pair
 	// measures edge statistics and runs the optimizer search, which
 	// uses no executor workers — holding an admission slot through it
 	// would head-of-line-block warm queries behind cold-start planning.
-	psp := tr.Start("plan", root)
-	choice, err := s.plan(e, req.Strategy, req.FlatOutput)
-	tr.End(psp)
-	if err != nil {
-		return Result{}, invalidErr(err)
+	if err = s.planQuery(&c); err != nil {
+		return
 	}
-	strategy = choice.Strategy.String()
 
-	// The per-query deadline covers queueing and execution both: a
-	// query that burned its budget waiting must not start executing.
+	// Admit. The per-query deadline covers queueing and execution both:
+	// a query that burned its budget waiting must not start executing.
 	if req.TimeoutMillis > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMillis)*time.Millisecond)
 		defer cancel()
 	}
-
-	// Fast-reject before admission while the dataset's breaker is
-	// open: a known-unhealthy workload should not consume queue depth.
-	if err := e.breaker.allow(); err != nil {
-		return Result{}, err
-	}
-	defer func() {
-		// The breaker counts engine failures and deadline expiries;
-		// sheds and client cancellations release their probe slot
-		// without feeding back into the window (see breaker.done).
-		e.breaker.done(Classify(err), res.Elapsed)
-	}()
-
-	enqueued := s.now()
-	workers, release, err := s.admit.acquire(ctx)
+	release, err := s.admitQuery(ctx, &c)
 	if err != nil {
-		return Result{}, err
+		return
 	}
 	defer release()
-	queued := s.now().Sub(enqueued)
-	// The queue span is retroactive: only now is the wait known to be
-	// over (and to have been worth a span at all).
-	tr.AddSpan("queue", root, enqueued, enqueued.Add(queued))
-	s.met.queueWait.Observe(queued)
-	if s.draining.Load() {
-		return Result{}, shedErr(fmt.Errorf("service is draining"), jitter(time.Second))
-	}
-	if req.Parallelism > 0 && req.Parallelism < workers {
-		workers = req.Parallelism
-	}
-	s.met.queries.Inc()
 
-	c := execCall{e: e, req: req, choice: choice, sels: sels, workers: workers, tr: tr, parent: root}
-
-	// A sharded service answers client queries by scatter-gather (one
-	// dispatch per shard out of this query's single admission slot);
-	// shard-worker requests (ShardCount > 0) fall through and execute
-	// their one shard locally like any other query.
-	if req.ShardCount == 0 && s.sharded() {
-		return s.queryScatter(ctx, c, queued)
-	}
-
-	// Pin the snapshot once: the query executes entirely against this
-	// version — a commit landing mid-flight swaps the entry head but
-	// never this pointer, and copy-on-write columns/liveness keep the
-	// pinned state immutable. A shard-worker request additionally takes
-	// the requested shard's driver row set (and the snapshot the
-	// partition reflects); everything else — plan, artifact keys, row
-	// coordinates — is the whole snapshot's.
-	snap := e.head.Load()
-	var rows *storage.Bitmap
-	if req.ShardCount > 1 {
-		set, serr := e.shardSetFor(s, req.ShardCount)
-		if serr != nil {
-			return Result{}, invalidErr(serr)
-		}
-		sh := set.shards[req.ShardIndex]
-		snap, rows = sh.Parent, sh.Rows
-	}
-	opts := s.execOptions(ctx, c, snap, rows)
-
-	// Eligible queries go through the shared-scan board: co-arrived
-	// compatible queries attach to one driver pass (sharedscan.go). A
-	// member the executor nevertheless rejects as incompatible falls
-	// through to the solo path below.
-	if s.sharedScanEligible(req, choice, sels) {
-		if res, ok, qerr := s.querySharedScan(c, snap, opts, queued); ok {
-			return res, qerr
-		}
-	}
-
-	start := s.now()
-	stats, err := core.Execute(snap, choice, opts)
-	elapsed := s.now().Sub(start)
+	// Resolve, once: a commit landing mid-flight swaps the entry head but
+	// never the pinned snapshot.
+	set, snap, rows, err := s.resolve(&c)
 	if err != nil {
-		return Result{Elapsed: elapsed}, classifyExecError(err)
+		return
 	}
-	return s.result(c, snap.Version(), elapsed, queued, stats), nil
+
+	// Execute. A shared-scan member's wait for the pass to start is
+	// reported on its own (AttachWait), not as executor time.
+	started := s.now()
+	switch {
+	case set != nil:
+		out, err = s.scatter(ctx, c, set)
+	case s.sharedScanEligible(req, c.choice, c.sels):
+		out, err = s.sharedScan(ctx, c, snap)
+	default:
+		out.stats, err = s.run(ctx, c, snap, rows)
+	}
+	out.version = snap.Version()
+	out.elapsed = s.now().Sub(started) - out.attachWait
+	return
 }
 
-// execCall is one admitted query's execution context: what every
-// execution path — solo, shared scan, shard worker, local shard attempt
-// — needs besides the snapshot and driver row set it runs on.
+// execCall is one Query call's state, filled stage by stage and read by
+// every execution path.
 type execCall struct {
-	e       *datasetEntry
-	req     Request
-	choice  core.PlanChoice
-	sels    []exec.Selection
-	workers int
+	req   Request
+	start time.Time
 	// tr/parent carry the query's trace into the executor (nil trace =
 	// untraced, as everywhere).
 	tr     *telemetry.Trace
 	parent telemetry.SpanID
+
+	// From the plan stage; e is nil for an unknown dataset and strategy
+	// empty until a plan is chosen.
+	e        *datasetEntry
+	sels     []exec.Selection
+	choice   core.PlanChoice
+	strategy string
+
+	// From the admit stage; allowed means the dataset breaker let the
+	// query through and is owed its outcome.
+	allowed bool
+	queued  time.Duration
+	workers int
 }
 
-// execOptions assembles the executor options for running c's plan on
-// the pinned snapshot snap, restricted to the driver rows in rows (nil
-// = every row). Artifacts always key on snap's own (lineage
-// fingerprint, version) — a shard's row set never enters the key, so
-// all shards of a snapshot share one set of tables and filters, and
-// commit-time repair covers them by construction. Every strategy gets
-// the provider: SJ consults it for the relations it does not reduce
-// (the childless ones — the bulk of the rows in a star or snowflake),
-// and builds only its reduced tables per query.
+// outcome is what the execute stage hands to record: shards is set by
+// a scatter, batch and attachWait by a shared scan, and elapsed is the
+// stage's wall time less attachWait.
+type outcome struct {
+	stats               exec.Stats
+	version             uint64
+	elapsed, attachWait time.Duration
+	shards, batch       int
+}
+
+// planQuery is the plan stage: validate the request against the
+// catalog, resolve its selections and pick the memoized plan.
+func (s *Service) planQuery(c *execCall) error {
+	req := c.req
+	if c.e = s.entry(req.Dataset); c.e == nil {
+		return invalidErr(fmt.Errorf("unknown dataset %q", req.Dataset))
+	}
+	var err error
+	if c.sels, err = c.e.resolveSelections(req.Selections); err != nil {
+		return invalidErr(err)
+	}
+	if req.MinCoverage < 0 || req.MinCoverage > 1 {
+		return invalidErr(fmt.Errorf("minCoverage %v outside [0, 1]", req.MinCoverage))
+	}
+	if req.ShardCount < 0 || req.ShardCount > shard.MaxShards {
+		return invalidErr(fmt.Errorf("shardCount %d outside [0, %d]", req.ShardCount, shard.MaxShards))
+	}
+	if req.ShardCount > 0 && (req.ShardIndex < 0 || req.ShardIndex >= req.ShardCount) {
+		return invalidErr(fmt.Errorf("shardIndex %d outside [0, %d)", req.ShardIndex, req.ShardCount))
+	}
+	psp := c.tr.Start("plan", c.parent)
+	c.choice, err = s.plan(c.e, req.Strategy, req.FlatOutput)
+	c.tr.End(psp)
+	if err != nil {
+		return invalidErr(err)
+	}
+	c.strategy = c.choice.Strategy.String()
+	return nil
+}
+
+// admitQuery is the admit stage: shed if draining, ask the dataset's
+// breaker — a known-unhealthy workload should not consume queue depth —
+// and wait for an admission slot. The caller releases the slot.
+func (s *Service) admitQuery(ctx context.Context, c *execCall) (release func(), err error) {
+	if err := s.shedIfDraining(); err != nil {
+		return nil, err
+	}
+	if err := c.e.breaker.allow(); err != nil {
+		return nil, err
+	}
+	c.allowed = true
+	enqueued := s.now()
+	workers, release, err := s.admit.acquire(ctx)
+	if err != nil {
+		return nil, err
+	}
+	c.queued = s.now().Sub(enqueued)
+	// The queue span is retroactive: only now is the wait known to be
+	// over (and to have been worth a span at all).
+	c.tr.AddSpan("queue", c.parent, enqueued, enqueued.Add(c.queued))
+	s.met.queueWait.Observe(c.queued)
+	// A drain that began while the query queued sheds it too.
+	if err := s.shedIfDraining(); err != nil {
+		release()
+		return nil, err
+	}
+	c.workers = workers
+	if p := c.req.Parallelism; p > 0 && p < workers {
+		c.workers = p
+	}
+	s.met.queries.Inc()
+	return release, nil
+}
+
+// resolve is the resolve stage: pin what the query executes against. A
+// plain query pins the head snapshot. A client query on a sharded
+// service pins the configured partition (set non-nil: scatter over it),
+// and a shard-worker request (ShardCount > 0 — how a sharded frontend
+// dispatches to replica backends; any server serves them) the requested
+// shard's driver row set, both with the snapshot the partition
+// reflects. Everything else — plan, artifact keys, row coordinates — is
+// the whole snapshot's.
+func (s *Service) resolve(c *execCall) (set *shardSet, snap *storage.Dataset, rows *storage.Bitmap, err error) {
+	scatter := c.req.ShardCount == 0 && s.sharded()
+	n := c.req.ShardCount
+	if scatter {
+		n = s.cfg.Shard.Shards
+	}
+	if n <= 1 && !scatter {
+		return nil, c.e.head.Load(), nil, nil
+	}
+	if set, err = c.e.shardSetFor(s, n); err != nil {
+		return nil, nil, nil, invalidErr(err)
+	}
+	if scatter {
+		return set, set.snapshot(), nil, nil
+	}
+	snap, rows = set.pin(c.req.ShardIndex)
+	return nil, snap, rows, nil
+}
+
+// run executes c's plan on the pinned snapshot snap, restricted to the
+// driver rows in rows (nil = every row) — the service's one call into
+// the executor, behind the solo path, shard-worker requests, local
+// shard attempts and the shared scan's fallback alike. Artifacts always
+// key on snap's own (lineage fingerprint, version) — a shard's row set
+// never enters the key, so all shards of a snapshot share one set of
+// tables, and commit-time repair covers them by construction. Every
+// strategy gets the provider: SJ consults it for the relations it does
+// not reduce (the childless ones — the bulk of the rows in a star or
+// snowflake), and builds only its reduced tables per query.
+func (s *Service) run(ctx context.Context, c execCall, snap *storage.Dataset, rows *storage.Bitmap) (exec.Stats, error) {
+	return core.Execute(snap, c.choice, s.execOptions(ctx, c, snap, rows))
+}
+
+// execOptions assembles the executor options of run (and of a shared
+// scan's members).
 func (s *Service) execOptions(ctx context.Context, c execCall, snap *storage.Dataset, rows *storage.Bitmap) core.ExecuteOptions {
 	return core.ExecuteOptions{
 		FlatOutput:  c.req.FlatOutput,
@@ -786,37 +810,60 @@ func (s *Service) execOptions(ctx context.Context, c execCall, snap *storage.Dat
 	}
 }
 
-// result assembles the client-facing Result of a successful execution
-// at the given snapshot version. Stats.BytesCached is stamped here, from
-// the cache the execution ran against: this service's own, or — when
-// the shards ran on replica backends, each of which stamped its own —
-// the largest of theirs, which the merge already carries.
-func (s *Service) result(c execCall, version uint64, elapsed, queued time.Duration, stats exec.Stats) Result {
-	stats.BytesCached = max(stats.BytesCached, s.cache.stats().Bytes)
-	return Result{
-		Dataset:  c.req.Dataset,
-		Strategy: c.choice.Strategy.String(),
-		Order:    c.choice.Order.String(),
-		Workers:  c.workers,
-		Version:  version,
-		Elapsed:  elapsed,
-		Queued:   queued,
-		Coverage: stats.Coverage,
-		Stats:    stats,
+// record is the record stage, the only place a Query call is accounted
+// for: it turns a panic from any earlier stage (outside the executor's
+// own guards) into an internal error, gives the error its class, feeds
+// the dataset breaker, bumps the error counter and the latency
+// histogram — one observation per call, taken from the very Result and
+// error the caller receives, so registry totals reconcile exactly with
+// /v1/stats and client-side sums — stamps the Result and files the
+// trace.
+func (s *Service) record(c *execCall, out outcome, err error, panicked any) (Result, error) {
+	if panicked != nil {
+		err = fmt.Errorf("query panic: %v", panicked)
 	}
-}
-
-// classifyExecError wraps an executor failure in its class: deadline
-// expiry is a timeout, client cancellation is canceled, anything else
-// (including recovered worker panics) is internal.
-func classifyExecError(err error) *QueryError {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return &QueryError{Class: ClassTimeout, Err: err}
-	case errors.Is(err, context.Canceled):
-		return &QueryError{Class: ClassCanceled, Err: err}
+	qe := asQueryError(err)
+	var cls Class
+	if qe != nil {
+		cls = qe.Class
+		s.met.errorsOf(cls).Inc()
 	}
-	return &QueryError{Class: ClassInternal, Err: err}
+	// The breaker counts engine failures and deadline expiries; sheds
+	// and client cancellations release their probe slot without feeding
+	// back into the window (see breaker.done).
+	if c.allowed {
+		c.e.breaker.done(cls)
+	}
+	var st *exec.Stats
+	if qe == nil {
+		// Stats.BytesCached comes from the cache the execution ran
+		// against: this service's own, or — when the shards ran on replica
+		// backends, each of which stamped its own — the largest of theirs,
+		// which the merge already carries.
+		out.stats.BytesCached = max(out.stats.BytesCached, s.cache.stats().Bytes)
+		st = &out.stats
+	}
+	res := Result{
+		Dataset:      c.req.Dataset,
+		Strategy:     c.strategy,
+		Order:        c.choice.Order.String(),
+		Workers:      c.workers,
+		Version:      out.version,
+		Elapsed:      out.elapsed,
+		Queued:       c.queued,
+		Shards:       out.shards,
+		Batch:        out.batch,
+		AttachWait:   out.attachWait,
+		Coverage:     out.stats.Coverage,
+		FailedShards: out.stats.FailedShards,
+		Stats:        out.stats,
+	}
+	s.met.recordQuery(c.e, c.req.Dataset, c.strategy, cls, s.now().Sub(c.start), st)
+	s.finishTrace(c, &res, cls)
+	if qe == nil {
+		return res, nil
+	}
+	return res, qe
 }
 
 // resolveSelections maps name-addressed selection specs to
@@ -1009,6 +1056,15 @@ func (s *Service) Stats() Stats {
 		Breakers: breakers,
 		Sharding: s.shardingStats(),
 	}
+}
+
+// shedIfDraining is the rejection a draining service gives new work
+// (nil while it is not draining).
+func (s *Service) shedIfDraining() error {
+	if !s.draining.Load() {
+		return nil
+	}
+	return shedErr(fmt.Errorf("service is draining"), jitter(time.Second))
 }
 
 // StartDrain makes the service stop admitting new queries: every

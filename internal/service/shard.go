@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"m2mjoin/internal/core"
 	"m2mjoin/internal/exec"
 	"m2mjoin/internal/faultinject"
 	"m2mjoin/internal/plan"
@@ -22,20 +21,19 @@ import (
 // task per shard — to itself (local targets) or to replica backends
 // over HTTP — then merging the per-shard Stats bit-identically to
 // unsharded execution (exec.MergeShardStats). A shard task is the
-// ordinary execution path (Service.execOptions) over the parent
-// snapshot with the shard's driver row set: the build-side artifacts
-// are the snapshot's own, cached once however many shards probe them.
+// ordinary execution path (Service.run) over the parent snapshot with
+// the shard's driver row set: the build-side artifacts are the
+// snapshot's own, cached once however many shards probe them.
 //
-// The gather path is where the robustness lives:
+// The gather path is where the robustness lives. One goroutine per
+// shard drives that shard to a verdict, each attempt a synchronous
+// call, and the scatter joins them all before it returns — no dispatch
+// outlives its query:
 //
 //   - every dispatch attempt runs under ShardConfig.AttemptTimeout;
 //   - failed attempts are retried by failure class, each retry rotated
 //     to the next replica (shardRetryable: timeouts, sheds and internal
 //     faults fail over; invalid and client-canceled do not);
-//   - a straggling attempt is hedged after ShardConfig.HedgeDelay: a
-//     duplicate dispatch races it on the next replica, the first
-//     success wins and the loser is canceled (its ClassCanceled
-//     outcome is ignored by the breakers, so hedging cannot trip them);
 //   - each (shard, target) pair has its own circuit breaker, so one
 //     dead replica is fast-rejected per shard while the others serve;
 //   - when shards still fail, Request.MinCoverage admits a degraded
@@ -57,7 +55,7 @@ type ShardConfig struct {
 	Shards int
 	// Backends are base URLs of replica m2mserve processes; when set,
 	// shard attempts are dispatched over HTTP instead of executing
-	// locally, and retries/hedges rotate across them. Every backend
+	// locally, and retries rotate across them. Every backend
 	// must serve the same datasets (verified by content fingerprint
 	// before its first shard result is trusted).
 	Backends []string
@@ -68,10 +66,6 @@ type ShardConfig struct {
 	// first attempt, each rotated to the next replica (default 1,
 	// negative disables retries).
 	Retries int
-	// HedgeDelay, when positive, dispatches a duplicate attempt on the
-	// next replica if one is still unanswered after the delay. First
-	// success wins; the loser is canceled cooperatively.
-	HedgeDelay time.Duration
 }
 
 // normalizeShardConfig applies the documented defaults.
@@ -134,6 +128,13 @@ type shardSet struct {
 // snapshot returns the snapshot the partition reflects.
 func (set *shardSet) snapshot() *storage.Dataset { return set.shards[0].Parent }
 
+// pin returns what shard k executes against: the partition's snapshot
+// and the shard's driver row set. A shard-worker request and a local
+// shard attempt both resolve their shard here.
+func (set *shardSet) pin(k int) (*storage.Dataset, *storage.Bitmap) {
+	return set.shards[k].Parent, set.shards[k].Rows
+}
+
 // shardSetFor returns the entry's memoized partition at n shards for
 // the current head snapshot, building it on first use and rebuilding it
 // if a commit superseded it before Mutate's lockstep advance could
@@ -191,9 +192,9 @@ func (e *datasetEntry) advanceShardSetsLocked(prev *storage.Dataset, v storage.V
 	}
 }
 
-// shardCall carries one shard's dispatch context through retry and
-// hedging: the query's execution context plus the partition and the
-// shard's index in it.
+// shardCall carries one shard's dispatch context through its attempts:
+// the query's execution context plus the partition and the shard's
+// index in it.
 type shardCall struct {
 	execCall
 	set *shardSet
@@ -205,27 +206,23 @@ type shardCall struct {
 type shardTarget interface {
 	// name labels the target in breaker snapshots and errors.
 	name() string
-	// run executes one shard attempt; errors should carry a Class
-	// (Classify maps the rest to ClassInternal).
+	// run executes one shard attempt; Classify gives its error a class
+	// (a *QueryError's own, a context's, else ClassInternal).
 	run(ctx context.Context, s *Service, c shardCall) (exec.Stats, error)
 }
 
 // localTarget executes a shard in-process: the parent snapshot under
-// the shard's driver row set, through the same options as a solo query.
+// the shard's driver row set, through the same call as a solo query.
 type localTarget struct{}
 
 func (localTarget) name() string { return "local" }
 
 func (localTarget) run(ctx context.Context, s *Service, c shardCall) (exec.Stats, error) {
 	if err := faultinject.Fire(faultinject.SiteShardProbe); err != nil {
-		return exec.Stats{}, &QueryError{Class: ClassInternal, Err: err}
+		return exec.Stats{}, err
 	}
-	sh := c.set.shards[c.k]
-	st, err := core.Execute(sh.Parent, c.choice, s.execOptions(ctx, c.execCall, sh.Parent, sh.Rows))
-	if err != nil {
-		return exec.Stats{}, classifyExecError(err)
-	}
-	return st, nil
+	snap, rows := c.set.pin(c.k)
+	return s.run(ctx, c.execCall, snap, rows)
 }
 
 // httpTarget dispatches shard attempts to a replica backend as
@@ -279,14 +276,14 @@ func (t *httpTarget) run(ctx context.Context, s *Service, c shardCall) (exec.Sta
 			return exec.Stats{}, err
 		}
 		// Transport failure: classify by our own context first (the
-		// attempt deadline or a hedge cancellation aborts the HTTP call
+		// attempt deadline or a sibling's failure aborts the HTTP call
 		// too), anything else means the replica is unreachable.
-		qe := classifyExecError(ctx.Err())
-		if ctx.Err() == nil {
-			qe = &QueryError{Class: ClassInternal, Err: err}
+		cls := ClassInternal
+		if cerr := ctx.Err(); cerr != nil {
+			cls = Classify(cerr)
 		}
-		qe.Err = fmt.Errorf("backend %s: %w", t.runner.Base(), err)
-		return exec.Stats{}, qe
+		return exec.Stats{}, &QueryError{Class: cls,
+			Err: fmt.Errorf("backend %s: %w", t.runner.Base(), err)}
 	}
 	return res.Stats, nil
 }
@@ -358,17 +355,15 @@ func classSeverity(c Class) int {
 	return 0
 }
 
-// queryScatter answers one client query on a sharded service: it fans
-// one dispatch per shard out of the query's single admission slot,
-// gathers with retry/hedging/breakers per shard, and merges. Runs
-// inside Query's admission slot, dataset breaker and deadline.
-func (s *Service) queryScatter(ctx context.Context, c execCall, queued time.Duration) (Result, error) {
-	set, err := c.e.shardSetFor(s, s.cfg.Shard.Shards)
-	if err != nil {
-		return Result{}, invalidErr(err)
-	}
+// scatter is the execute stage of a client query on a sharded service:
+// it fans one dispatch per shard of the pinned partition out of the
+// query's single admission slot, gathers with retry and breakers per
+// shard, and merges. Runs inside Query's admission slot, dataset
+// breaker and deadline, and returns only once every shard has.
+func (s *Service) scatter(ctx context.Context, c execCall, set *shardSet) (outcome, error) {
 	req, tr := c.req, c.tr
 	n := len(set.shards)
+	out := outcome{shards: n}
 	s.met.scatterQueries.Inc()
 	// The scatter span covers dispatch fan-out through the last shard's
 	// verdict; each attempt hangs its own shard-dispatch span under it.
@@ -390,7 +385,6 @@ func (s *Service) queryScatter(ctx context.Context, c execCall, queued time.Dura
 		defer scancel()
 	}
 
-	start := s.now()
 	parts := make([]exec.Stats, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -407,7 +401,6 @@ func (s *Service) queryScatter(ctx context.Context, c execCall, queued time.Dura
 		}(k)
 	}
 	wg.Wait()
-	elapsed := s.now().Sub(start)
 
 	var failed []int
 	survivors := parts[:0:0]
@@ -421,7 +414,8 @@ func (s *Service) queryScatter(ctx context.Context, c execCall, queued time.Dura
 		coveredRows += set.shards[k].DriverRows()
 	}
 	if len(failed) == 0 {
-		return s.scatterResult(c, set, elapsed, queued, exec.MergeShardStats(parts)), nil
+		out.stats = exec.MergeShardStats(parts)
+		return out, nil
 	}
 
 	coverage := float64(len(survivors)) / float64(n)
@@ -429,11 +423,11 @@ func (s *Service) queryScatter(ctx context.Context, c execCall, queued time.Dura
 		coverage = float64(coveredRows) / float64(total)
 	}
 	if req.MinCoverage > 0 && len(survivors) > 0 && coverage >= req.MinCoverage {
-		merged := exec.MergeShardStats(survivors)
-		merged.Coverage = coverage
-		merged.FailedShards = failed
+		out.stats = exec.MergeShardStats(survivors)
+		out.stats.Coverage = coverage
+		out.stats.FailedShards = failed
 		s.met.degraded.Inc()
-		return s.scatterResult(c, set, elapsed, queued, merged), nil
+		return out, nil
 	}
 
 	// Surface the most severe shard failure as the query's verdict.
@@ -444,7 +438,7 @@ func (s *Service) queryScatter(ctx context.Context, c execCall, queued time.Dura
 		}
 	}
 	worst := errs[worstK]
-	return Result{Elapsed: elapsed}, &QueryError{
+	return out, &QueryError{
 		Class:      Classify(worst),
 		RetryAfter: RetryAfterHint(worst),
 		Err: fmt.Errorf("scatter: %d/%d shards failed (coverage %.3f): shard %d: %w",
@@ -452,20 +446,10 @@ func (s *Service) queryScatter(ctx context.Context, c execCall, queued time.Dura
 	}
 }
 
-// scatterResult assembles the client-facing Result of a (possibly
-// degraded) scatter.
-func (s *Service) scatterResult(c execCall, set *shardSet, elapsed, queued time.Duration, merged exec.Stats) Result {
-	res := s.result(c, set.snapshot().Version(), elapsed, queued, merged)
-	res.Shards = len(set.shards)
-	res.FailedShards = merged.FailedShards
-	return res
-}
-
 // runShard drives one shard to a verdict: up to 1+Retries attempts,
 // each rotated to the next replica — attempt a for shard k goes to
 // target (k+a) mod len(targets), so shards spread over replicas and
-// retries walk away from a broken one — with hedged duplicate
-// dispatch inside each attempt.
+// retries walk away from a broken one.
 func (s *Service) runShard(ctx context.Context, c shardCall) (exec.Stats, error) {
 	maxAttempts := 1 + s.cfg.Shard.Retries
 	var lastErr error
@@ -474,10 +458,9 @@ func (s *Service) runShard(ctx context.Context, c shardCall) (exec.Stats, error)
 			if lastErr != nil {
 				return exec.Stats{}, lastErr
 			}
-			return exec.Stats{}, classifyExecError(err)
+			return exec.Stats{}, err
 		}
-		primary := (c.k + attempt) % len(s.targets)
-		st, err := s.attemptShard(ctx, c, primary)
+		st, err := s.attemptShard(ctx, c, (c.k+attempt)%len(s.targets))
 		if err == nil {
 			return st, nil
 		}
@@ -492,134 +475,43 @@ func (s *Service) runShard(ctx context.Context, c shardCall) (exec.Stats, error)
 	return exec.Stats{}, lastErr
 }
 
-// attemptShard makes one (possibly hedged) dispatch of shard c.k to
-// the primary target. When HedgeDelay passes without a verdict, a
-// duplicate dispatch races on the next replica; the first success
-// cancels the other dispatch cooperatively, and the loser's
-// ClassCanceled outcome is ignored by its breaker (see breaker.done),
-// so hedging never double-counts work or poisons breaker windows.
-func (s *Service) attemptShard(ctx context.Context, c shardCall, primary int) (exec.Stats, error) {
-	type outcome struct {
-		st    exec.Stats
-		err   error
-		hedge bool
+// attemptShard makes one dispatch of shard c.k to target t, as a
+// synchronous call on the shard's goroutine: the (shard, target)
+// breaker decides, the attempt deadline is armed, and the target runs
+// under one shard-dispatch span — retries each get their own. Local
+// targets hang their exec spans under it; HTTP targets do not
+// propagate the trace over the wire (the backend's own ring has it).
+// The breaker and the dispatch histogram get the attempt's outcome,
+// a panic in the target included, before the call returns.
+func (s *Service) attemptShard(ctx context.Context, c shardCall, t int) (st exec.Stats, err error) {
+	brk := c.set.breakers[c.k][t]
+	if err := brk.allow(); err != nil {
+		return exec.Stats{}, err
 	}
-	// Buffered to the dispatch maximum (primary + one hedge): a loser
-	// finishing after we returned must never block on the send.
-	ch := make(chan outcome, 2)
-	var cmu sync.Mutex
-	var cancels []context.CancelFunc
-	cancelAll := func() {
-		cmu.Lock()
-		for _, cancel := range cancels {
-			cancel()
-		}
-		cmu.Unlock()
-	}
-	defer cancelAll()
-
-	dispatch := func(t int, hedge bool) {
-		brk := c.set.breakers[c.k][t]
-		if err := brk.allow(); err != nil {
-			ch <- outcome{err: err, hedge: hedge}
-			return
-		}
-		var actx context.Context
+	if d := s.cfg.Shard.AttemptTimeout; d > 0 {
 		var cancel context.CancelFunc
-		if s.cfg.Shard.AttemptTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, s.cfg.Shard.AttemptTimeout)
-		} else {
-			actx, cancel = context.WithCancel(ctx)
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
+	}
+	started := s.now()
+	sp := c.tr.Start("shard-dispatch", c.parent)
+	c.tr.Annotate(sp, "shard", int64(c.k))
+	c.tr.Annotate(sp, "target", int64(t))
+	defer func() {
+		if v := recover(); v != nil {
+			err = &QueryError{Class: ClassInternal,
+				Err: fmt.Errorf("shard %d dispatch to %s panicked: %v", c.k, s.targets[t].name(), v)}
 		}
-		cmu.Lock()
-		cancels = append(cancels, cancel)
-		cmu.Unlock()
-		go func() {
-			started := s.now()
-			// One span per dispatch attempt: retries and hedges each get
-			// their own, so a trace shows the whole race. Local targets
-			// hang their exec spans under it; HTTP targets do not
-			// propagate the trace over the wire (the backend's own ring
-			// has it).
-			sp := c.tr.Start("shard-dispatch", c.parent)
-			c.tr.Annotate(sp, "shard", int64(c.k))
-			c.tr.Annotate(sp, "target", int64(t))
-			if hedge {
-				c.tr.Annotate(sp, "hedge", 1)
-			}
-			var st exec.Stats
-			var err error
-			defer func() {
-				if v := recover(); v != nil {
-					err = &QueryError{Class: ClassInternal,
-						Err: fmt.Errorf("shard %d dispatch to %s panicked: %v", c.k, s.targets[t].name(), v)}
-				}
-				d := s.now().Sub(started)
-				brk.done(Classify(err), d)
-				c.tr.End(sp)
-				oc := "ok"
-				if err != nil {
-					oc = string(Classify(err))
-				}
-				s.met.observeDispatch(oc, d)
-				ch <- outcome{st: st, err: err, hedge: hedge}
-			}()
-			if ferr := faultinject.Fire(faultinject.SiteShardDispatch); ferr != nil {
-				err = &QueryError{Class: ClassInternal, Err: ferr}
-				return
-			}
-			cc := c
-			cc.parent = sp
-			st, err = s.targets[t].run(actx, s, cc)
-		}()
+		cls := Classify(err)
+		brk.done(cls)
+		c.tr.End(sp)
+		s.met.observeDispatch(cls, s.now().Sub(started))
+	}()
+	if err := faultinject.Fire(faultinject.SiteShardDispatch); err != nil {
+		return exec.Stats{}, err
 	}
-
-	dispatch(primary, false)
-	dispatched, received := 1, 0
-
-	var hedgeC <-chan time.Time
-	if s.cfg.Shard.HedgeDelay > 0 {
-		timer := time.NewTimer(s.cfg.Shard.HedgeDelay)
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-
-	var lastErr error
-	for received < dispatched {
-		select {
-		case o := <-ch:
-			received++
-			if o.err == nil {
-				if o.hedge {
-					s.met.hedgeWins.Inc()
-				}
-				if received < dispatched {
-					// The duplicate is still in flight: cancel it and count
-					// the cooperative cancellation.
-					s.met.hedgeCancels.Inc()
-					cancelAll()
-				}
-				return o.st, nil
-			}
-			// Keep the more meaningful error: a loser's cancellation is
-			// collateral, not the attempt's verdict.
-			if lastErr == nil || Classify(lastErr) == ClassCanceled {
-				lastErr = o.err
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			s.met.hedges.Inc()
-			dispatch((primary+1)%len(s.targets), true)
-			dispatched++
-		case <-ctx.Done():
-			cancelAll()
-			if lastErr != nil {
-				return exec.Stats{}, lastErr
-			}
-			return exec.Stats{}, classifyExecError(ctx.Err())
-		}
-	}
-	return exec.Stats{}, lastErr
+	c.parent = sp
+	return s.targets[t].run(ctx, s, c)
 }
 
 // ShardingStats is the sharded tier's Stats section.
@@ -634,12 +526,6 @@ type ShardingStats struct {
 	// Retries counts shard attempts re-dispatched after a classified
 	// retryable failure.
 	Retries int64 `json:"retries"`
-	// Hedges / HedgeWins / HedgeCancels count duplicate dispatches
-	// launched for stragglers, those that won, and losing duplicates
-	// canceled after the race was decided.
-	Hedges       int64 `json:"hedges"`
-	HedgeWins    int64 `json:"hedgeWins"`
-	HedgeCancels int64 `json:"hedgeCancels"`
 	// ShardBreakers snapshots every (shard, target) breaker that has
 	// seen traffic or left the closed state, labeled
 	// "<dataset>/shard<k>@<target>".
@@ -657,9 +543,6 @@ func (s *Service) shardingStats() *ShardingStats {
 		ScatterQueries: s.met.scatterQueries.Value(),
 		Degraded:       s.met.degraded.Value(),
 		Retries:        s.met.shardRetries.Value(),
-		Hedges:         s.met.hedges.Value(),
-		HedgeWins:      s.met.hedgeWins.Value(),
-		HedgeCancels:   s.met.hedgeCancels.Value(),
 	}
 	s.mu.RLock()
 	entries := make([]*datasetEntry, 0, len(s.datasets))

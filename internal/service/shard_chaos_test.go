@@ -14,7 +14,7 @@ import (
 // This file is the sharded half of the chaos suite: it arms the two
 // shard failpoints (exec/shard-probe — inside a local shard's probe
 // execution — and service/shard-dispatch — at every gather dispatch,
-// initial, retry and hedge alike) in every mode against a scattering
+// initial and retry alike) in every mode against a scattering
 // service under concurrent mixed-strategy traffic, and asserts the
 // same invariants as the unsharded suite: no crash, no admission-slot
 // leak, classified failures only, full-coverage survivors bit-identical

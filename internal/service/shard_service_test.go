@@ -11,6 +11,7 @@ import (
 	"m2mjoin/internal/faultinject"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/shard"
+	"m2mjoin/internal/telemetry"
 )
 
 // TestShardedServiceBitIdentity: a sharded service must answer every
@@ -319,57 +320,75 @@ func TestShardedDegradedCoverage(t *testing.T) {
 	}
 }
 
-// TestShardedHedgeCancellation: a straggling shard dispatch (delay
-// failpoint) is hedged after HedgeDelay; the duplicate wins, the
-// straggler is canceled cooperatively, and the result stays
-// bit-identical to the fault-free baseline — proving hedging neither
-// double-counts nor corrupts the merge.
-func TestShardedHedgeCancellation(t *testing.T) {
-	ds := genDataset(t, 1200, 27)
-	newSvc := func(hedge time.Duration) *Service {
-		s := New(Config{Parallelism: 4, MaxConcurrent: 2,
-			Breaker: BreakerConfig{Disabled: true},
-			Shard:   ShardConfig{Shards: 2, HedgeDelay: hedge}})
-		if _, err := s.RegisterDataset("ds", ds); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	ctx := context.Background()
-	base, err := newSvc(0).Query(ctx, chaosRequest("COM"))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestScatterWorkEndsWithItsQuery: a shard dispatch is a call on the
+// query's own stack of goroutines, so when Query returns — because its
+// deadline expired under a stalled shard, or because one shard's
+// failure doomed a full-coverage scatter — every dispatch it made has
+// returned too: the dispatch histogram already counts them, and none is
+// left to write spans into the trace arena the next query recycles.
+func TestScatterWorkEndsWithItsQuery(t *testing.T) {
+	const stall = 200 * time.Millisecond
+	delay := faultinject.Spec{Site: faultinject.SiteShardProbe, Mode: faultinject.ModeDelay, Every: 1, Delay: stall}
+	for _, tc := range []struct {
+		name      string
+		specs     []faultinject.Spec
+		timeoutMs int64
+		want      Class
+	}{
+		{"deadline under a stalled shard", []faultinject.Spec{delay}, 20, ClassTimeout},
+		// The second dispatch to start fails, with its sibling already
+		// past the failpoint and stalled.
+		{"sibling of a failed shard", []faultinject.Spec{delay,
+			{Site: faultinject.SiteShardDispatch, Mode: faultinject.ModeError, Every: 2, Limit: 1}}, 0, ClassInternal},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := New(Config{Parallelism: 2, MaxConcurrent: 2,
+				Breaker: BreakerConfig{Disabled: true},
+				Shard:   ShardConfig{Shards: 2, Retries: -1}})
+			if _, err := svc.RegisterDataset("ds", genDataset(t, 1200, 29)); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			if _, err := svc.Query(ctx, chaosRequest("COM")); err != nil { // plan and warm the cache
+				t.Fatal(err)
+			}
+			dispatches := func() int64 {
+				_, n := telemetry.HistogramQuantiles(scrape(t, svc), metricShardDispatch, nil)
+				return n
+			}
+			before := dispatches()
 
-	svc := newSvc(2 * time.Millisecond)
-	// Every second dispatch stalls 300ms — far past the hedge delay, so
-	// the duplicate dispatch (usually un-delayed) wins the race.
-	faultinject.Enable(faultinject.Spec{
-		Site: faultinject.SiteShardProbe, Mode: faultinject.ModeDelay,
-		Every: 2, Delay: 300 * time.Millisecond,
-	})
-	defer faultinject.Disable()
-	for i := 0; i < 4; i++ {
-		res, err := svc.Query(ctx, chaosRequest("COM"))
-		if err != nil {
-			t.Fatalf("hedged query %d: %v", i, err)
-		}
-		if res.Coverage != 1 {
-			t.Fatalf("hedged query %d degraded: %v", i, res.Coverage)
-		}
-		if got, want := stripCache(res.Stats), stripCache(base.Stats); !reflect.DeepEqual(got, want) {
-			t.Fatalf("hedged query %d diverges:\n got %+v\nwant %+v", i, got, want)
-		}
-	}
-	faultinject.Disable()
-	st := svc.Stats().Sharding
-	if st.Hedges == 0 || st.HedgeWins == 0 {
-		t.Fatalf("hedging never engaged: %+v", st)
-	}
-	if st.HedgeCancels == 0 {
-		t.Fatalf("no straggler was canceled after losing the race: %+v", st)
-	}
-	if s := svc.Stats(); s.Active != 0 || s.Queued != 0 {
-		t.Fatalf("leaked admission state: %+v", s)
+			faultinject.Enable(tc.specs...)
+			defer faultinject.Disable()
+			req := chaosRequest("COM")
+			req.Trace, req.TimeoutMillis = true, tc.timeoutMs
+			if _, err := svc.Query(ctx, req); Classify(err) != tc.want {
+				t.Fatalf("faulted query: %v, want class %s", err, tc.want)
+			}
+			if got := dispatches() - before; got != 2 {
+				t.Errorf("%d shard dispatches had returned when Query did, want both", got)
+			}
+			if st := svc.Stats(); st.Active != 0 {
+				t.Errorf("Active = %d after Query returned", st.Active)
+			}
+
+			// The next traced query runs (stalled, so long enough for any
+			// straggler to wake) on the recycled arena: it must hold its own
+			// spans only.
+			req.TimeoutMillis = 0
+			res, err := svc.Query(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Trace == nil || res.Trace.Name != "query" {
+				t.Fatalf("follow-up trace root = %+v, want one query span", res.Trace)
+			}
+			spans := map[string]int{}
+			res.Trace.Each(func(_ int, n *telemetry.SpanNode) { spans[n.Name]++ })
+			if spans["shard-dispatch"] != 2 || spans["exec"] != 2 {
+				t.Errorf("follow-up trace has %d shard-dispatch and %d exec spans, want 2 and 2",
+					spans["shard-dispatch"], spans["exec"])
+			}
+		})
 	}
 }

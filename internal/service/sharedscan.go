@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -98,13 +99,11 @@ type scanGroup struct {
 	// leader from the rest of its attach window.
 	full chan struct{}
 
-	// done is closed by the leader once stats/errs/started/elapsed are
-	// final.
+	// done is closed by the leader once stats/errs/started are final.
 	done    chan struct{}
 	stats   []exec.Stats
 	errs    []error
 	started time.Time
-	elapsed time.Duration
 }
 
 // scanBoard tracks the open (still-attachable) group per scan key.
@@ -180,12 +179,14 @@ func (s *Service) sharedScanEligible(req Request, choice core.PlanChoice, sels [
 	return true
 }
 
-// querySharedScan runs one eligible query through the shared-scan
-// path. ok=false means the executor rejected the member as
-// incompatible (defense in depth — the scan key should prevent it) and
-// the caller must fall back to a solo run.
-func (s *Service) querySharedScan(c execCall, snap *storage.Dataset, opts core.ExecuteOptions,
-	queued time.Duration) (Result, bool, error) {
+// sharedScan is the execute stage of an eligible query: attach to the
+// open group for its scan key (or lead a new one) and take this
+// member's slot of the shared pass. Eligibility excludes shard workers,
+// so the driver is all of snap. A member the executor nevertheless
+// rejects as incompatible (defense in depth — the scan key should
+// prevent it) runs solo.
+func (s *Service) sharedScan(ctx context.Context, c execCall, snap *storage.Dataset) (outcome, error) {
+	opts := s.execOptions(ctx, c, snap, nil)
 	// The key carries the effective chunk size: chunk i must mean the
 	// same rows for every member.
 	if opts.ChunkSize <= 0 {
@@ -205,26 +206,24 @@ func (s *Service) querySharedScan(c execCall, snap *storage.Dataset, opts core.E
 		<-g.done
 	}
 	if g.errs == nil {
-		return Result{}, true, &QueryError{Class: ClassInternal,
-			Err: fmt.Errorf("shared scan aborted before producing results")}
+		return outcome{}, fmt.Errorf("shared scan aborted before producing results")
 	}
 	err := g.errs[slot]
 	if errors.Is(err, exec.ErrBatchIncompatible) {
-		return Result{}, false, nil
+		st, err := s.run(ctx, c, snap, nil)
+		return outcome{stats: st}, err
 	}
 	s.met.sharedMembers.Inc()
-	attachWait := g.started.Sub(g.members[slot].arrived)
+	out := outcome{batch: len(g.members), attachWait: g.started.Sub(g.members[slot].arrived)}
 	// Retroactive attach-wait span: the gap between reaching the scan
 	// board and the shared pass starting. The exec spans under the same
 	// parent were recorded by RunBatch on the member's own trace.
-	opts.Trace.AddSpan("attach-wait", opts.TraceParent, g.members[slot].arrived, g.started)
-	s.met.attachWait.Observe(attachWait)
-	if err != nil {
-		return Result{Elapsed: g.elapsed}, true, classifyExecError(err)
+	c.tr.AddSpan("attach-wait", c.parent, g.members[slot].arrived, g.started)
+	s.met.attachWait.Observe(out.attachWait)
+	if err == nil {
+		out.stats = g.stats[slot]
 	}
-	res := s.result(c, snap.Version(), g.elapsed, queued, g.stats[slot])
-	res.Batch, res.AttachWait = len(g.members), attachWait
-	return res, true, nil
+	return out, err
 }
 
 // runScanGroup is the leader's half: hold the attach window open (a
@@ -249,8 +248,6 @@ func (s *Service) runScanGroup(g *scanGroup) {
 		choices[i], optsList[i] = m.choice, m.opts
 	}
 	g.started = s.now()
-	stats, errs := core.ExecuteBatch(g.snap, choices, optsList)
-	g.elapsed = s.now().Sub(g.started)
-	g.stats, g.errs = stats, errs
+	g.stats, g.errs = core.ExecuteBatch(g.snap, choices, optsList)
 	s.met.sharedScans.Inc()
 }

@@ -180,6 +180,39 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 		map[string]string{"kind": "repair"}); v == 0 {
 		t.Errorf("no repair timings despite %d repaired artifacts", st.Repairs)
 	}
+
+	// Whichever way the execute stage runs it, a Query call is recorded
+	// once: one latency observation and one breaker-window sample, for a
+	// success and for an engine failure alike — and the failure comes
+	// back classified, with the time it took.
+	for _, path := range executePaths {
+		cfg := path.cfg
+		cfg.Parallelism, cfg.MaxConcurrent = 2, 2
+		psvc := New(cfg)
+		if _, err := psvc.RegisterDataset("ds", ds); err != nil {
+			t.Fatal(err)
+		}
+		req := Request{Dataset: "ds", Strategy: "COM", FlatOutput: true, ShardCount: path.shardCount}
+		if _, err := psvc.Query(ctx, req); err != nil {
+			t.Fatalf("%s: %v", path.name, err)
+		}
+		faultinject.Enable(faultinject.Spec{
+			Site: faultinject.SiteProbeChunk, Mode: faultinject.ModeError, Every: 1,
+		})
+		res, err := psvc.Query(ctx, req)
+		faultinject.Disable()
+		if qe, ok := err.(*QueryError); !ok || qe.Class != ClassInternal || res.Elapsed <= 0 {
+			t.Errorf("%s: injected probe fault came back as %v (%T) with Elapsed %v, want an internal *QueryError and Elapsed > 0",
+				path.name, err, err, res.Elapsed)
+		}
+		if _, n := telemetry.HistogramQuantiles(scrape(t, psvc), metricQueryDuration, nil); n != 2 {
+			t.Errorf("%s: %s count = %d after 2 Query calls", path.name, metricQueryDuration, n)
+		}
+		if b := psvc.Stats().Breakers[0]; b.WindowOK != 1 || b.WindowFailures != 1 {
+			t.Errorf("%s: breaker window ok=%d failures=%d after one success and one failure, want 1 and 1",
+				path.name, b.WindowOK, b.WindowFailures)
+		}
+	}
 }
 
 // TestMetricsShardedDegradedReconcile extends reconciliation to the
@@ -223,9 +256,6 @@ func TestMetricsShardedDegradedReconcile(t *testing.T) {
 	wantSample(t, samples, metricScatterQueries, nil, st.Sharding.ScatterQueries)
 	wantSample(t, samples, metricDegraded, nil, st.Sharding.Degraded)
 	wantSample(t, samples, metricShardRetries, nil, st.Sharding.Retries)
-	wantSample(t, samples, metricHedges, nil, st.Sharding.Hedges)
-	wantSample(t, samples, metricHedgeWins, nil, st.Sharding.HedgeWins)
-	wantSample(t, samples, metricHedgeCancels, nil, st.Sharding.HedgeCancels)
 	if st.Sharding.ScatterQueries != 2 || st.Sharding.Degraded != 1 {
 		t.Errorf("scatter=%d degraded=%d, want 2/1", st.Sharding.ScatterQueries, st.Sharding.Degraded)
 	}
@@ -309,21 +339,28 @@ func TestResultTraceSpanTree(t *testing.T) {
 	}
 }
 
+// executePaths are the ways Query's execute stage runs a request: the
+// service configuration, and the shard-worker fields of the request,
+// that select each.
+var executePaths = []struct {
+	name       string
+	cfg        Config
+	shardCount int
+}{
+	{"solo", Config{}, 0},
+	{"shard worker", Config{}, 2},
+	{"scatter", Config{Shard: ShardConfig{Shards: 2}}, 0},
+	{"shared scan", Config{SharedScan: SharedScanConfig{Enabled: true, AttachWindow: -1}}, 0},
+}
+
 // TestSlowQueryLog drives the service on a fake millisecond-tick clock
 // so every query "takes" far longer than the threshold, and checks the
 // structured line: identity, totals on the service clock, and a
 // per-phase breakdown that includes the execution phases. Every
-// execution path runs on that clock — solo, scatter-gather and shared
-// scan alike — so the durations a Result reports are whole ticks.
+// execution path is timed and stamped by the same code on that clock,
+// so the durations a Result reports are whole ticks.
 func TestSlowQueryLog(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"solo", Config{}},
-		{"scatter", Config{Shard: ShardConfig{Shards: 2}}},
-		{"shared scan", Config{SharedScan: SharedScanConfig{Enabled: true, AttachWindow: -1}}},
-	} {
+	for _, tc := range executePaths {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := genDataset(t, 800, 8)
 			var buf syncBuffer
@@ -342,7 +379,7 @@ func TestSlowQueryLog(t *testing.T) {
 				t.Fatal(err)
 			}
 			res, err := svc.Query(context.Background(),
-				Request{Dataset: "ds", Strategy: "COM", FlatOutput: true})
+				Request{Dataset: "ds", Strategy: "COM", FlatOutput: true, ShardCount: tc.shardCount})
 			if err != nil {
 				t.Fatal(err)
 			}
