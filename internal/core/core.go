@@ -16,7 +16,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"m2mjoin/internal/cost"
@@ -25,7 +24,6 @@ import (
 	"m2mjoin/internal/opt"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
-	"m2mjoin/internal/telemetry"
 	"m2mjoin/internal/workload"
 )
 
@@ -222,39 +220,11 @@ func ChoosePlan(req PlanRequest) (PlanChoice, error) {
 	return best, nil
 }
 
-// ExecuteOptions tune execution of a chosen plan.
-type ExecuteOptions struct {
-	FlatOutput bool
-	ChunkSize  int
-	// Parallelism is the number of probe workers (0/1 sequential,
-	// negative uses GOMAXPROCS); results are identical at any count.
-	Parallelism int
-	// Ctx optionally bounds the execution: cancellation is polled
-	// between driver chunks and build steps (see exec.Options.Ctx).
-	Ctx context.Context
-	// Artifacts optionally injects cached phase-1 build artifacts and
-	// receives freshly built ones (see exec.Options.Artifacts); the
-	// serving layer's artifact cache plugs in here. When nil, the
-	// choice's own plan-time tables are served instead (PlanTables).
-	Artifacts exec.Artifacts
-	// Selections are pushed-down equality predicates on the base
-	// relations.
-	Selections []exec.Selection
-	// DriverRows restricts the driver scan to one shard's row set (see
-	// exec.Options.DriverRows); nil scans every row.
-	DriverRows *storage.Bitmap
-	// CollectOutput receives output tuples (canonical NodeID layout);
-	// requires FlatOutput.
-	CollectOutput func(rows []int32)
-	// Version pins the dataset snapshot the query must run against
-	// (see exec.Options.Version); 0 skips the check.
-	Version uint64
-	// Trace optionally collects the execution's span tree under
-	// TraceParent (see exec.Options.Trace); nil disables tracing at
-	// zero cost.
-	Trace       *telemetry.Trace
-	TraceParent telemetry.SpanID
-}
+// ExecuteOptions tune execution of a chosen plan: the executor's own
+// options. Execute and ExecuteBatch overwrite Strategy, Order and
+// SemiJoins with the choice's, and when Artifacts is nil serve the
+// choice's plan-time tables instead (PlanTables).
+type ExecuteOptions = exec.Options
 
 // ExecuteBatch runs several chosen plans against the same dataset
 // snapshot as one shared driver scan (exec.RunBatch): one Stats and
@@ -274,30 +244,15 @@ func Execute(ds *storage.Dataset, choice PlanChoice, opts ExecuteOptions) (exec.
 	return exec.Run(ds, execOptions(ds, choice, opts))
 }
 
-// execOptions maps a choice and its execution options onto the
-// executor's; without a caller-supplied provider the choice's plan-time
-// tables, where they apply to ds, take its place.
+// execOptions stamps the choice's plan into opts; without a
+// caller-supplied provider the choice's plan-time tables, where they
+// apply to ds, take its place.
 func execOptions(ds *storage.Dataset, choice PlanChoice, opts ExecuteOptions) exec.Options {
-	arts := opts.Artifacts
-	if arts == nil {
-		arts = choice.Tables.artifacts(ds, opts.Selections)
+	opts.Strategy, opts.Order, opts.SemiJoins = choice.Strategy, choice.Order, choice.SemiJoins
+	if opts.Artifacts == nil {
+		opts.Artifacts = choice.Tables.artifacts(ds, opts.Selections)
 	}
-	return exec.Options{
-		Strategy:      choice.Strategy,
-		Order:         choice.Order,
-		SemiJoins:     choice.SemiJoins,
-		FlatOutput:    opts.FlatOutput,
-		ChunkSize:     opts.ChunkSize,
-		Parallelism:   opts.Parallelism,
-		Ctx:           opts.Ctx,
-		Artifacts:     arts,
-		Selections:    opts.Selections,
-		DriverRows:    opts.DriverRows,
-		CollectOutput: opts.CollectOutput,
-		Version:       opts.Version,
-		Trace:         opts.Trace,
-		TraceParent:   opts.TraceParent,
-	}
+	return opts
 }
 
 // Query is the one-call convenience: measure statistics, choose the

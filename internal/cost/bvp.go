@@ -27,15 +27,7 @@ import (
 // bvpState tracks which relations have been joined and which have had
 // their bitvector applied but whose hash join has not yet run.
 type bvpState struct {
-	done    map[plan.NodeID]bool
-	pending map[plan.NodeID]bool
-}
-
-func newBVPState(n int) *bvpState {
-	return &bvpState{
-		done:    make(map[plan.NodeID]bool, n),
-		pending: make(map[plan.NodeID]bool, n),
-	}
+	done, pending plan.Set
 }
 
 // CostBVPSTD returns the cost of order o under standard (fully
@@ -46,7 +38,7 @@ func newBVPState(n int) *bvpState {
 func (m *Model) CostBVPSTD(o plan.Order) PlanCost {
 	eps := m.weights.Epsilon
 	pc := PlanCost{Strategy: BVPSTD}
-	joined := map[plan.NodeID]bool{plan.Root: true}
+	joined := plan.SetOf(plan.Root)
 	stream := 1.0
 
 	applyBVs := func(at plan.NodeID) {
@@ -63,7 +55,7 @@ func (m *Model) CostBVPSTD(o plan.Order) PlanCost {
 		// The stream was already thinned by (m+eps) when BV(c) was
 		// applied; the join keeps the true matches and fans them out.
 		stream *= st.M / (st.M + eps) * st.Fo
-		joined[c] = true
+		joined = joined.With(c)
 		applyBVs(c)
 	}
 	return m.finish(pc)
@@ -74,16 +66,16 @@ func (m *Model) CostBVPSTD(o plan.Order) PlanCost {
 // survives if it matches its own join, passes the bitvector filters of
 // its pending children, and has at least one surviving combination of
 // matches through its joined children.
-func (m *Model) survivalBVP(id plan.NodeID, st *bvpState) float64 {
+func (m *Model) survivalBVP(id plan.NodeID, st bvpState) float64 {
 	eps := m.weights.Epsilon
 	childProd := 1.0
 	any := false
 	for _, c := range m.tree.Children(id) {
 		switch {
-		case st.done[c]:
+		case st.done.Has(c):
 			childProd *= m.survivalBVP(c, st)
 			any = true
-		case st.pending[c]:
+		case st.pending.Has(c):
 			childProd *= m.tree.Stats(c).M + eps
 			any = true
 		}
@@ -107,32 +99,29 @@ func (m *Model) survivalBVP(id plan.NodeID, st *bvpState) float64 {
 // Equation (1): expansion happens along the root->at path; everything
 // hanging off the path contributes survival probabilities (for joined
 // subtrees) or bitvector pass factors (for pending filters).
-func (m *Model) levelCountBVP(at plan.NodeID, st *bvpState) float64 {
+func (m *Model) levelCountBVP(at plan.NodeID, st bvpState) float64 {
 	eps := m.weights.Epsilon
-	pathUp := append([]plan.NodeID{at}, m.tree.PathToRoot(at)...) // at, parent, .., root
-	onPath := make(map[plan.NodeID]bool, len(pathUp))
-	for _, a := range pathUp {
-		onPath[a] = true
-	}
 	count := 1.0
-	for _, a := range pathUp {
+	// Walk at, its parent, .., the root; below is the child of a on
+	// that path (no child of at is, so the walk starts with at itself).
+	for below, a := at, at; ; below, a = a, m.tree.Parent(a) {
 		if a != plan.Root {
 			stats := m.tree.Stats(a)
 			count *= stats.M * stats.Fo
 		}
 		for _, c := range m.tree.Children(a) {
-			if onPath[c] {
-				continue
-			}
 			switch {
-			case st.done[c]:
+			case c == below:
+			case st.done.Has(c):
 				count *= m.survivalBVP(c, st)
-			case st.pending[c]:
+			case st.pending.Has(c):
 				count *= m.tree.Stats(c).M + eps
 			}
 		}
+		if a == plan.Root {
+			return count
+		}
 	}
-	return count
 }
 
 // CostBVPCOM returns the cost of order o under factorized execution
@@ -142,15 +131,14 @@ func (m *Model) levelCountBVP(at plan.NodeID, st *bvpState) float64 {
 // of the equation exactly as in the paper's R5 example.
 func (m *Model) CostBVPCOM(o plan.Order, flatOutput bool) PlanCost {
 	pc := PlanCost{Strategy: BVPCOM}
-	st := newBVPState(m.tree.Len())
-	st.done[plan.Root] = true
+	st := bvpState{done: plan.SetOf(plan.Root)}
 
 	applyBVs := func(at plan.NodeID) {
 		for _, c := range m.childrenByID(at, st.done) {
 			// The filter sees the rows of `at` before BV(c) itself is
 			// accounted, then thins them.
 			pc.FilterProbes += m.levelCountBVP(at, st)
-			st.pending[c] = true
+			st.pending = st.pending.With(c)
 		}
 	}
 
@@ -159,8 +147,7 @@ func (m *Model) CostBVPCOM(o plan.Order, flatOutput bool) PlanCost {
 		// Probing c's hash table: the probing rows live at c's parent's
 		// level and have already been filtered by BV(c) (c is pending).
 		pc.HashProbes += m.levelCountBVP(m.tree.Parent(c), st) * m.ProbeCost(c)
-		delete(st.pending, c)
-		st.done[c] = true
+		st = bvpState{done: st.done.With(c), pending: st.pending.Without(c)}
 		applyBVs(c)
 	}
 	if flatOutput {

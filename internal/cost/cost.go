@@ -163,18 +163,18 @@ func (m *Model) Weights() Weights { return m.weights }
 //
 // where T1..Tk are the included children subtrees of the root Tr, and
 // m_root = fo_root = 1 for the driver.
-func (m *Model) SurvivalTree(root plan.NodeID, in map[plan.NodeID]bool) float64 {
-	if !in[root] {
+func (m *Model) SurvivalTree(root plan.NodeID, in plan.Set) float64 {
+	if !in.Has(root) {
 		panic("cost: SurvivalTree: set does not contain its root")
 	}
 	return m.survival(root, in)
 }
 
-func (m *Model) survival(id plan.NodeID, in map[plan.NodeID]bool) float64 {
+func (m *Model) survival(id plan.NodeID, in plan.Set) float64 {
 	childProd := 1.0
 	any := false
 	for _, c := range m.tree.Children(id) {
-		if in[c] {
+		if in.Has(c) {
 			childProd *= m.survival(c, in)
 			any = true
 		}
@@ -203,26 +203,24 @@ func (m *Model) survival(id plan.NodeID, in map[plan.NodeID]bool) float64 {
 //
 // Expansion happens only along the root-to-next path; side branches
 // contribute only their survival probability.
-func (m *Model) ProbesCOM(next plan.NodeID, done map[plan.NodeID]bool) float64 {
-	pathUp := m.tree.PathToRoot(next) // parent .. root
-	onPath := make(map[plan.NodeID]bool, len(pathUp)+1)
-	for _, a := range pathUp {
-		onPath[a] = true
-	}
+func (m *Model) ProbesCOM(next plan.NodeID, done plan.Set) float64 {
 	probes := 1.0
-	for _, a := range pathUp {
+	// Walk next's ancestors bottom-up; below is the child of a that
+	// lies on the path (next itself at the first step).
+	for below, a := next, m.tree.Parent(next); ; below, a = a, m.tree.Parent(a) {
 		if a != plan.Root {
 			st := m.tree.Stats(a)
 			probes *= st.M * st.Fo
 		}
 		for _, c := range m.tree.Children(a) {
-			if c == next || onPath[c] || !done[c] {
-				continue
+			if c != below && done.Has(c) {
+				probes *= m.survival(c, done)
 			}
-			probes *= m.survival(c, done)
+		}
+		if a == plan.Root {
+			return probes
 		}
 	}
-	return probes
 }
 
 // PlanCost is the cost breakdown of one left-deep plan, expressed per
@@ -295,10 +293,10 @@ func (m *Model) CostSTD(o plan.Order) PlanCost {
 // flatOutput adds the final expansion cost.
 func (m *Model) CostCOM(o plan.Order, flatOutput bool) PlanCost {
 	pc := PlanCost{Strategy: COM}
-	done := map[plan.NodeID]bool{plan.Root: true}
+	done := plan.SetOf(plan.Root)
 	for _, next := range o {
 		pc.HashProbes += m.ProbesCOM(next, done) * m.ProbeCost(next)
-		done[next] = true
+		done = done.With(next)
 	}
 	if flatOutput {
 		pc.ExpandedTuples = m.OutputTuples()

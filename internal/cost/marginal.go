@@ -1,26 +1,24 @@
 package cost
 
-import (
-	"sort"
-
-	"m2mjoin/internal/plan"
-)
+import "m2mjoin/internal/plan"
 
 // Marginal returns the cost added by joining cand immediately after the
 // connected prefix `set` (which must contain the driver and cand's
 // parent, but not cand), under strategy s. The marginal depends only on
 // the set — not on the order the set was joined in — which is the
 // principle of optimality that Algorithm 1 relies on (and that Theorem
-// 3.3 establishes for BVP with a fixed driver). Expansion costs are
-// excluded; they are order-independent and added once at the end.
+// 3.3 establishes for BVP with a fixed driver); every product over the
+// set runs in ascending NodeID order, so equal sets give bit-equal
+// marginals. Expansion costs are excluded; they are order-independent
+// and added once at the end.
 //
 // For every strategy, summing Marginal over the steps of a full order
 // (plus the order-independent phase-1/expansion terms) reproduces the
 // corresponding Cost* function; this identity is checked in tests.
-func (m *Model) Marginal(s Strategy, cand plan.NodeID, set map[plan.NodeID]bool) float64 {
+func (m *Model) Marginal(s Strategy, cand plan.NodeID, set plan.Set) float64 {
 	switch s {
 	case STD:
-		return m.marginalSTD(cand, set)
+		return m.streamSTD(set) * m.ProbeCost(cand)
 	case COM:
 		return m.ProbesCOM(cand, set) * m.ProbeCost(cand)
 	case BVPSTD:
@@ -46,36 +44,34 @@ func (m *Model) InitialFilterProbes() float64 {
 	eps := m.weights.Epsilon
 	stream := 1.0
 	probes := 0.0
-	for _, c := range m.childrenByID(plan.Root, map[plan.NodeID]bool{plan.Root: true}) {
+	for _, c := range m.childrenByID(plan.Root, plan.SetOf(plan.Root)) {
 		probes += stream
 		stream *= m.tree.Stats(c).M + eps
 	}
 	return probes
 }
 
-func (m *Model) marginalSTD(cand plan.NodeID, set map[plan.NodeID]bool) float64 {
+// streamSTD returns the flat stream (tuples per driver tuple) after the
+// joins of set: the product of m*fo over its non-root relations.
+func (m *Model) streamSTD(set plan.Set) float64 {
 	stream := 1.0
-	for id := range set {
-		if id == plan.Root {
-			continue
-		}
+	for id := range set.Without(plan.Root).All() {
 		st := m.tree.Stats(id)
 		stream *= st.M * st.Fo
 	}
-	return stream * m.ProbeCost(cand)
+	return stream
 }
 
 // childrenByID returns the not-yet-joined children of id in ascending
-// NodeID order: the deterministic order in which their bitvectors are
-// applied when id materializes.
-func (m *Model) childrenByID(id plan.NodeID, joined map[plan.NodeID]bool) []plan.NodeID {
+// NodeID order (the order AddChild keeps them in): the deterministic
+// order in which their bitvectors are applied when id materializes.
+func (m *Model) childrenByID(id plan.NodeID, joined plan.Set) []plan.NodeID {
 	var out []plan.NodeID
 	for _, c := range m.tree.Children(id) {
-		if !joined[c] {
+		if !joined.Has(c) {
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -84,17 +80,10 @@ func (m *Model) childrenByID(id plan.NodeID, joined map[plan.NodeID]bool) []plan
 // probe is the product of m*fo over joined relations and (m+eps) over
 // the frontier (whose bitvectors have been applied but whose joins are
 // pending) — a function of the set only.
-func (m *Model) marginalBVPSTD(cand plan.NodeID, set map[plan.NodeID]bool) float64 {
+func (m *Model) marginalBVPSTD(cand plan.NodeID, set plan.Set) float64 {
 	eps := m.weights.Epsilon
-	stream := 1.0
-	for id := range set {
-		if id == plan.Root {
-			continue
-		}
-		st := m.tree.Stats(id)
-		stream *= st.M * st.Fo
-	}
-	for _, f := range m.tree.Frontier(set) {
+	stream := m.streamSTD(set)
+	for f := range m.tree.Frontier(set).All() {
 		stream *= m.tree.Stats(f).M + eps
 	}
 	total := stream * m.ProbeCost(cand) // hash probes into cand
@@ -111,41 +100,26 @@ func (m *Model) marginalBVPSTD(cand plan.NodeID, set map[plan.NodeID]bool) float
 	return total
 }
 
-// bvpStateFor builds the (done, pending) state implied by a joined set:
-// pending is exactly the frontier, since every relation's bitvector is
-// applied the moment its parent materializes.
-func (m *Model) bvpStateFor(set map[plan.NodeID]bool) *bvpState {
-	st := newBVPState(m.tree.Len())
-	for id := range set {
-		st.done[id] = true
-	}
-	for _, f := range m.tree.Frontier(set) {
-		st.pending[f] = true
-	}
-	return st
-}
-
-func (m *Model) marginalBVPCOM(cand plan.NodeID, set map[plan.NodeID]bool) float64 {
-	st := m.bvpStateFor(set)
+// marginalBVPCOM starts from the (done, pending) state implied by the
+// joined set: pending is exactly the frontier, since every relation's
+// bitvector is applied the moment its parent materializes.
+func (m *Model) marginalBVPCOM(cand plan.NodeID, set plan.Set) float64 {
+	st := bvpState{done: set, pending: m.tree.Frontier(set)}
 	total := m.levelCountBVP(m.tree.Parent(cand), st) * m.ProbeCost(cand)
 
 	// Apply cand's children's bitvectors: cand becomes done, and each
 	// child's filter sees cand's live rows before its own factor lands.
-	delete(st.pending, cand)
-	st.done[cand] = true
+	st = bvpState{done: st.done.With(cand), pending: st.pending.Without(cand)}
 	for _, c := range m.childrenByID(cand, set) {
 		total += m.weights.Filter * m.levelCountBVP(cand, st)
-		st.pending[c] = true
+		st.pending = st.pending.With(c)
 	}
 	return total
 }
 
-func (m *Model) marginalSJSTD(cand plan.NodeID, set map[plan.NodeID]bool) float64 {
+func (m *Model) marginalSJSTD(cand plan.NodeID, set plan.Set) float64 {
 	stream := m.ReductionRatio(plan.Root)
-	for id := range set {
-		if id == plan.Root {
-			continue
-		}
+	for id := range set.Without(plan.Root).All() {
 		stream *= m.adjustedFo(id)
 	}
 	return stream * m.ProbeCost(cand)

@@ -73,10 +73,10 @@ func TestProbeCostMarginalsConsistent(t *testing.T) {
 		for _, o := range tr.AllOrders()[:1] {
 			for _, s := range AllStrategies {
 				sum := 0.0
-				set := map[plan.NodeID]bool{plan.Root: true}
+				set := plan.SetOf(plan.Root)
 				for _, id := range o {
 					sum += model.Marginal(s, id, set)
-					set[id] = true
+					set = set.With(id)
 				}
 				switch s {
 				case SJSTD, SJCOM:

@@ -23,11 +23,11 @@ func treeFromSeed(seed int64, size uint8, mLo, mHi float64) (*plan.Tree, *Model)
 func TestQuickSurvivalInUnitInterval(t *testing.T) {
 	f := func(seed int64, size uint8) bool {
 		tr, m := treeFromSeed(seed, size, 0.05, 0.95)
-		done := map[plan.NodeID]bool{plan.Root: true}
+		done := plan.SetOf(plan.Root)
 		rng := rand.New(rand.NewSource(seed ^ 0x5555))
-		for len(done) < tr.Len() {
-			fr := tr.Frontier(done)
-			done[fr[rng.Intn(len(fr))]] = true
+		for done.Len() < tr.Len() {
+			fr := tr.Frontier(done).IDs()
+			done = done.With(fr[rng.Intn(len(fr))])
 			s := m.SurvivalTree(plan.Root, done)
 			if s < 0 || s > 1 {
 				return false
@@ -47,9 +47,9 @@ func TestQuickSurvivalInUnitInterval(t *testing.T) {
 func TestQuickSurvivalBoundedByMinEdge(t *testing.T) {
 	f := func(seed int64, size uint8) bool {
 		tr, m := treeFromSeed(seed, size, 0.05, 0.95)
-		done := map[plan.NodeID]bool{plan.Root: true}
+		done := plan.SetOf(plan.Root)
 		for _, id := range tr.NonRoot() {
-			done[id] = true
+			done = done.With(id)
 		}
 		s := m.SurvivalTree(plan.Root, done)
 		for _, c := range tr.Children(plan.Root) {
@@ -70,17 +70,17 @@ func TestQuickProbesCOMAtMostExpandedStream(t *testing.T) {
 	f := func(seed int64, size uint8) bool {
 		tr, m := treeFromSeed(seed, size, 0.05, 0.95)
 		rng := rand.New(rand.NewSource(seed ^ 0x7777))
-		done := map[plan.NodeID]bool{plan.Root: true}
+		done := plan.SetOf(plan.Root)
 		stream := 1.0
-		for len(done) < tr.Len() {
-			fr := tr.Frontier(done)
+		for done.Len() < tr.Len() {
+			fr := tr.Frontier(done).IDs()
 			next := fr[rng.Intn(len(fr))]
 			if m.ProbesCOM(next, done) > stream*(1+1e-9) {
 				return false
 			}
 			st := tr.Stats(next)
 			stream *= st.M * st.Fo
-			done[next] = true
+			done = done.With(next)
 		}
 		return true
 	}
@@ -118,22 +118,18 @@ func TestQuickMarginalSetInvariance(t *testing.T) {
 			return true
 		}
 		rng := rand.New(rand.NewSource(seed ^ 0x9999))
-		// Assemble a random half-size connected set twice (the map is
-		// the same; the point is the API takes only the set, so this
-		// guards against future implementations sneaking in order
-		// state). Then check cross-strategy marginal consistency with a
-		// freshly built equal set.
+		// Assemble a random half-size connected set, then an equal set
+		// built from its members (the point is the API takes only the
+		// set, so this guards against future implementations sneaking in
+		// order state), and check cross-strategy marginal consistency.
 		target := 1 + tr.Len()/2
-		set1 := map[plan.NodeID]bool{plan.Root: true}
-		for len(set1) < target {
-			fr := tr.Frontier(set1)
-			set1[fr[rng.Intn(len(fr))]] = true
+		set1 := plan.SetOf(plan.Root)
+		for set1.Len() < target {
+			fr := tr.Frontier(set1).IDs()
+			set1 = set1.With(fr[rng.Intn(len(fr))])
 		}
-		set2 := make(map[plan.NodeID]bool, len(set1))
-		for k, v := range set1 {
-			set2[k] = v
-		}
-		for _, cand := range tr.Frontier(set1) {
+		set2 := plan.SetOf(set1.IDs()...)
+		for _, cand := range tr.Frontier(set1).IDs() {
 			for _, s := range AllStrategies {
 				a := m.Marginal(s, cand, set1)
 				b := m.Marginal(s, cand, set2)
@@ -147,6 +143,113 @@ func TestQuickMarginalSetInvariance(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestMarginalIsAFunctionOfTheSet: equal sets, however they were
+// assembled, give one float64 per strategy and candidate — the same
+// bits, not the same value within a tolerance. With map-backed sets the
+// products ran in map order and this snowflake showed up to six values
+// per strategy.
+func TestMarginalIsAFunctionOfTheSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tr := plan.Snowflake(3, 2, plan.UniformStats(rng, 0.1, 0.9, 1, 8))
+	m := New(tr, DefaultWeights())
+	members := []plan.NodeID{plan.Root, 1, 2, 3, 4, 5, 7} // 6, 8 and 9 are the frontier
+	for _, s := range AllStrategies {
+		for _, cand := range []plan.NodeID{6, 8, 9} {
+			want := m.Marginal(s, cand, plan.SetOf(members...))
+			for call := 0; call < 200; call++ {
+				rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+				if got := m.Marginal(s, cand, plan.SetOf(members...)); got != want {
+					t.Fatalf("%v into %d: call %d gave %v, the first %v", s, cand, call, got, want)
+				}
+			}
+		}
+	}
+}
+
+// foldCase decodes fuzz bytes into a model over a tree of 2..12
+// relations with per-relation probe costs, a strategy, whether the
+// output is flat, and a valid order. Every byte string decodes to a
+// valid case; bytes past the end read as zero.
+func foldCase(data []byte) (*Model, Strategy, bool, plan.Order) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	n := 2 + next()%11
+	w := DefaultWeights()
+	w.Epsilon = float64(next()%16) / 100
+	tr := plan.NewTree("")
+	costs := make(map[plan.NodeID]float64)
+	for i := 1; i < n; i++ {
+		parent := plan.NodeID(next() % i)
+		// The BVP formulas read m+epsilon as a probability, so keep it one.
+		st := plan.EdgeStats{M: math.Min(float64(1+next()%100)/100, 1-w.Epsilon), Fo: 1 + float64(next()%64)/4}
+		costs[tr.AddChild(parent, st, "")] = float64(1+next()%32) / 4
+	}
+	s, flat := AllStrategies[next()%len(AllStrategies)], next()%2 == 1
+	var o plan.Order
+	for done := plan.SetOf(plan.Root); len(o) < n-1; done = done.With(o[len(o)-1]) {
+		f := tr.Frontier(done).IDs()
+		o = append(o, f[next()%len(f)])
+	}
+	return NewWithProbeCosts(tr, w, costs), s, flat, o
+}
+
+// FuzzMarginalFold is the principle of optimality on generated cases:
+// folding Marginal along any valid order, plus the order-independent
+// terms, reproduces the full Cost of that order, and the marginal into
+// a prefix does not depend on how the prefix set was put together.
+func FuzzMarginalFold(f *testing.F) {
+	// The running example of Section 3 under each strategy (order
+	// R2 R3 R5 R4 R6, unit probe costs), and a path with expensive probes.
+	running := []byte{4, 1, 0, 49, 8, 3, 1, 39, 4, 3, 1, 59, 4, 3, 0, 69, 4, 3, 4, 79, 8, 3}
+	for s := range AllStrategies {
+		f.Add(append(append([]byte(nil), running...), byte(s), 1, 0, 0, 1, 0, 0))
+	}
+	f.Add([]byte{2, 3, 0, 29, 12, 31, 1, 89, 0, 0, 2, 9, 40, 15, 3, 0})
+	// SJ+STD down a 12-chain of m = 0.01: the reduction ratio falls
+	// below what 1-ratio can hold, which used to make the cost NaN.
+	deep := []byte{10, 1}
+	for parent := byte(0); parent < 11; parent++ {
+		deep = append(deep, parent, 0, 0, 3)
+	}
+	f.Add(append(deep, 4))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, s, flat, o := foldCase(data)
+		w := m.Weights()
+		sum := 0.0
+		set := plan.SetOf(plan.Root)
+		for _, id := range o {
+			step := m.Marginal(s, id, set)
+			rebuilt := plan.SetOf(plan.Root) // the same prefix, last join first
+			for k := set.Len() - 2; k >= 0; k-- {
+				rebuilt = rebuilt.With(o[k])
+			}
+			if again := m.Marginal(s, id, rebuilt); again != step {
+				t.Fatalf("%v into %d after %v: %v, then %v for the same set", s, id, set.IDs(), step, again)
+			}
+			sum += step
+			set = set.With(id)
+		}
+		switch s {
+		case SJSTD, SJCOM:
+			sum += w.Filter * m.Phase1Probes()
+		case BVPSTD, BVPCOM:
+			sum += w.Filter * m.InitialFilterProbes()
+		}
+		if flat && (s == COM || s == BVPCOM || s == SJCOM) {
+			sum += w.Expand * m.OutputTuples()
+		}
+		if full := m.Cost(s, o, flat).Total; !(math.Abs(sum-full) <= 1e-9*full) {
+			t.Fatalf("%v order %v on %v: marginals fold to %v, Cost is %v", s, o, m.Tree(), sum, full)
+		}
+	})
 }
 
 // TestQuickSJPhase1Positive: phase-1 semi-join probes are positive and
@@ -176,13 +279,13 @@ func TestQuickCostsPositiveAndFinite(t *testing.T) {
 	f := func(seed int64, size uint8, flat bool) bool {
 		tr, m := treeFromSeed(seed, size, 0.02, 0.98)
 		rng := rand.New(rand.NewSource(seed ^ 0x3333))
-		done := map[plan.NodeID]bool{plan.Root: true}
+		done := plan.SetOf(plan.Root)
 		var order plan.Order
 		for len(order) < tr.Len()-1 {
-			fr := tr.Frontier(done)
+			fr := tr.Frontier(done).IDs()
 			next := fr[rng.Intn(len(fr))]
 			order = append(order, next)
-			done[next] = true
+			done = done.With(next)
 		}
 		for _, s := range AllStrategies {
 			pc := m.Cost(s, order, flat)

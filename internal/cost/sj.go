@@ -29,10 +29,12 @@ func AdjustedStats(st plan.EdgeStats, ratio float64) plan.EdgeStats {
 	if ratio >= 1 {
 		return st
 	}
-	if ratio <= 0 {
+	surv := 1 - math.Pow(1-ratio, st.Fo)
+	if surv <= 0 {
+		// ratio is zero, or so small that 1-ratio rounds to 1: the
+		// limit of the formulas below, not their 0/0.
 		return plan.EdgeStats{M: 0, Fo: 1}
 	}
-	surv := 1 - math.Pow(1-ratio, st.Fo)
 	return plan.EdgeStats{
 		M:  st.M * surv,
 		Fo: st.Fo * ratio / surv,

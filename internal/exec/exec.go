@@ -89,13 +89,6 @@ type Options struct {
 	// Selections are pushed-down equality predicates evaluated on the
 	// base relations before execution (Section 2.1's assumption).
 	Selections []Selection
-	// Version, when nonzero, pins the dataset snapshot this run must
-	// execute against: Run fails if the dataset's version number
-	// differs. The serving layer stamps it from the snapshot it
-	// admitted the query on, so a stale or mis-routed snapshot is
-	// caught before any artifact lookup; 0 skips the check (version-0
-	// datasets are implicitly unpinned).
-	Version uint64
 	// Ctx optionally bounds the execution. Workers poll it cooperatively
 	// — between driver chunks in phase 2, between relation builds and
 	// reduction chunks in phase 1, and between build morsels inside the
@@ -349,10 +342,6 @@ func prepare(ds *storage.Dataset, opts Options) (*run, error) {
 			return nil, fmt.Errorf("exec: DriverRows covers %d rows, the driver has %d",
 				opts.DriverRows.Len(), n)
 		}
-	}
-	if opts.Version != 0 && opts.Version != ds.Version() {
-		return nil, fmt.Errorf("exec: query pinned to dataset version %d, snapshot is version %d",
-			opts.Version, ds.Version())
 	}
 
 	r := &run{ds: ds, opts: opts, residuals: newResidualChecker(ds, opts.Residuals)}

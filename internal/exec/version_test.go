@@ -88,7 +88,6 @@ func TestVersionedExecutionMatchesReference(t *testing.T) {
 						Order:       order,
 						FlatOutput:  true,
 						Parallelism: w,
-						Version:     snap.Version(),
 					})
 					if err != nil {
 						t.Fatalf("trial %d v%d strategy %v workers %d: %v", trial, vi, s, w, err)
@@ -120,25 +119,6 @@ func TestVersionedExecutionMatchesReference(t *testing.T) {
 	}
 }
 
-// TestVersionPinMismatch: a run pinned to the wrong version number
-// must fail before executing — the serving layer's guard against
-// mis-routed snapshots.
-func TestVersionPinMismatch(t *testing.T) {
-	ds := smallDataset(5, 4, 40)
-	orders := ds.Tree.AllOrders()
-	v := mutateRandomly(t, ds, rand.New(rand.NewSource(1)), 3, false)
-	if _, err := Run(v.Dataset, Options{
-		Strategy: cost.STD, Order: orders[0], FlatOutput: true, Version: 2,
-	}); err == nil {
-		t.Fatalf("run pinned to version 2 succeeded on a version-1 snapshot")
-	}
-	if _, err := Run(v.Dataset, Options{
-		Strategy: cost.STD, Order: orders[0], FlatOutput: true, Version: 1,
-	}); err != nil {
-		t.Fatalf("correctly pinned run failed: %v", err)
-	}
-}
-
 // TestVersionedSelectionsMatchReference: pushed-down selections on a
 // snapshot with delta state (tombstones + append region) go through
 // the effective-mask path; they must agree with the oracle given the
@@ -160,7 +140,7 @@ func TestVersionedSelectionsMatchReference(t *testing.T) {
 	for _, s := range cost.AllStrategies {
 		stats, err := Run(cur, Options{
 			Strategy: s, Order: orders[0], FlatOutput: true,
-			Selections: sel, Version: cur.Version(),
+			Selections: sel,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)

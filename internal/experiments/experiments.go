@@ -182,13 +182,13 @@ func relCostStr(m, baseline measured) string {
 // randomOrder draws a uniformly random valid left-deep order by
 // repeatedly picking from the frontier.
 func randomOrder(t *plan.Tree, rng *rand.Rand) plan.Order {
-	done := map[plan.NodeID]bool{plan.Root: true}
+	done := plan.SetOf(plan.Root)
 	var o plan.Order
 	for len(o) < t.Len()-1 {
-		f := t.Frontier(done)
+		f := t.Frontier(done).IDs()
 		pick := f[rng.Intn(len(f))]
 		o = append(o, pick)
-		done[pick] = true
+		done = done.With(pick)
 	}
 	return o
 }

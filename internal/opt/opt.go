@@ -71,26 +71,14 @@ func Optimize(m *cost.Model, s cost.Strategy, a Algorithm) Result {
 	case Exhaustive:
 		return ExhaustiveDP(m, s)
 	case RankOrdering:
-		return greedy(m, s, pickRank)
+		return greedy(m, s, rankKey)
 	case GreedyResultSize:
-		return greedy(m, s, pickResultSize)
+		return greedy(m, s, resultSizeKey)
 	case GreedySurvival:
-		return greedy(m, s, pickSurvival)
+		return greedy(m, s, survivalKey)
 	default:
 		panic("opt: unknown algorithm")
 	}
-}
-
-// subsetKey encodes a set of NodeIDs as a bitmask. Trees passed to the
-// exhaustive algorithm must have at most 63 relations.
-type subsetKey uint64
-
-func keyOf(set map[plan.NodeID]bool) subsetKey {
-	var k subsetKey
-	for id := range set {
-		k |= 1 << uint(id)
-	}
-	return k
 }
 
 // ExhaustiveDP implements Algorithm 1: dynamic programming over all
@@ -99,126 +87,97 @@ func keyOf(set map[plan.NodeID]bool) subsetKey {
 // (Theorem 3.3 extends this to BVP), so best[T] can be computed from
 // best[T \ {n}] plus the marginal probes into n. SJ strategies are also
 // handled: their phase-1 cost is order-independent and the phase-2 cost
-// decomposes the same way.
+// decomposes the same way. Ties break one way only: sets are visited in
+// discovery order, candidates in ascending NodeID order, and only a
+// strictly cheaper prefix replaces one — so an all-tied tree yields the
+// ascending order.
 func ExhaustiveDP(m *cost.Model, s cost.Strategy) Result {
 	t := m.Tree()
 	n := t.Len()
-	if n > 63 {
-		panic("opt: ExhaustiveDP limited to 63 relations")
-	}
-	if n == 1 {
-		return Result{Order: plan.Order{}, Cost: m.Cost(s, plan.Order{}, true)}
-	}
 
 	type entry struct {
-		cost  float64 // marginal cost of the joined prefix (hash probes etc.)
-		order []plan.NodeID
+		cost float64     // summed marginals of the cheapest order joining the set
+		last plan.NodeID // that order's final join
 	}
-	best := make(map[subsetKey]entry, 1<<uint(n-1))
-	start := subsetKey(1) // {Root}
-	best[start] = entry{cost: 0, order: nil}
+	start := plan.SetOf(plan.Root)
+	best := map[plan.Set]entry{start: {}}
 
-	// Frontier expansion: BFS over connected subsets containing Root in
-	// increasing size.
-	current := []subsetKey{start}
-	members := map[subsetKey][]plan.NodeID{start: {plan.Root}}
+	// Breadth-first over the connected sets containing Root, by size.
+	current := []plan.Set{start}
 	for size := 1; size < n; size++ {
-		next := make(map[subsetKey]bool)
-		var nextList []subsetKey
-		for _, k := range current {
-			e := best[k]
-			set := make(map[plan.NodeID]bool, size)
-			for _, id := range members[k] {
-				set[id] = true
-			}
-			for _, cand := range t.Frontier(set) {
-				marginal := m.Marginal(s, cand, set)
-				nk := k | 1<<uint(cand)
-				total := e.cost + marginal
-				if old, ok := best[nk]; !ok || total < old.cost {
-					order := make([]plan.NodeID, len(e.order)+1)
-					copy(order, e.order)
-					order[len(e.order)] = cand
-					best[nk] = entry{cost: total, order: order}
-					if !next[nk] {
-						next[nk] = true
-						nextList = append(nextList, nk)
-						members[nk] = append(append([]plan.NodeID(nil), members[k]...), cand)
-					}
+		var next []plan.Set
+		for _, set := range current {
+			e := best[set]
+			for cand := range t.Frontier(set).All() {
+				total := e.cost + m.Marginal(s, cand, set)
+				grown := set.With(cand)
+				old, seen := best[grown]
+				if !seen {
+					next = append(next, grown)
+				}
+				if !seen || total < old.cost {
+					best[grown] = entry{cost: total, last: cand}
 				}
 			}
 		}
-		current = nextList
+		current = next
 	}
 
-	full := subsetKey((1 << uint(n)) - 1)
-	e, ok := best[full]
-	if !ok {
-		panic("opt: exhaustive DP failed to cover the full tree")
+	order := make(plan.Order, n-1)
+	for set := current[0]; set != start; {
+		last := best[set].last
+		order[set.Len()-2] = last
+		set = set.Without(last)
 	}
-	order := plan.Order(e.order)
 	return Result{Order: order, Cost: m.Cost(s, order, true)}
 }
 
-// greedy runs a greedy construction with the given pick function.
-func greedy(m *cost.Model, s cost.Strategy, pick func(m *cost.Model, done map[plan.NodeID]bool, frontier []plan.NodeID) plan.NodeID) Result {
+// keyFunc scores joining id next after the prefix done; lower is better.
+type keyFunc func(m *cost.Model, done plan.Set, id plan.NodeID) float64
+
+// greedyOrder builds an order by repeatedly joining the frontier
+// relation with the smallest key; ties go to the lowest NodeID.
+func greedyOrder(m *cost.Model, key keyFunc) plan.Order {
 	t := m.Tree()
-	done := map[plan.NodeID]bool{plan.Root: true}
-	var order plan.Order
+	done := plan.SetOf(plan.Root)
+	order := make(plan.Order, 0, t.Len()-1)
 	for len(order) < t.Len()-1 {
-		frontier := t.Frontier(done)
-		chosen := pick(m, done, frontier)
+		chosen, least := plan.Root, math.Inf(1)
+		for id := range t.Frontier(done).All() {
+			if k := key(m, done, id); chosen == plan.Root || k < least {
+				chosen, least = id, k
+			}
+		}
 		order = append(order, chosen)
-		done[chosen] = true
+		done = done.With(chosen)
 	}
+	return order
+}
+
+// greedy runs a greedy construction with the given key function.
+func greedy(m *cost.Model, s cost.Strategy, key keyFunc) Result {
+	order := greedyOrder(m, key)
 	return Result{Order: order, Cost: m.Cost(s, order, true)}
 }
 
-// pickRank chooses the frontier operator with the smallest rank
-// (s-1)/c, simulating the classical rank-ordering algorithm; under
-// unit probe costs this is ordering by selectivity m*fo.
-func pickRank(m *cost.Model, done map[plan.NodeID]bool, frontier []plan.NodeID) plan.NodeID {
-	bestID := frontier[0]
-	bestRank := math.Inf(1)
-	for _, id := range frontier {
-		r := (m.Tree().Stats(id).Selectivity() - 1) / m.ProbeCost(id)
-		if r < bestRank {
-			bestRank, bestID = r, id
-		}
-	}
-	return bestID
+// rankKey is the rank (s-1)/c of the classical rank-ordering
+// algorithm; under unit probe costs this is ordering by selectivity
+// m*fo.
+func rankKey(m *cost.Model, _ plan.Set, id plan.NodeID) float64 {
+	return (m.Tree().Stats(id).Selectivity() - 1) / m.ProbeCost(id)
 }
 
-// pickResultSize chooses the frontier operator minimizing the expected
-// number of tuples produced by that join under the factorized model:
-// probes(next) * m * fo.
-func pickResultSize(m *cost.Model, done map[plan.NodeID]bool, frontier []plan.NodeID) plan.NodeID {
-	bestID := frontier[0]
-	bestSize := math.Inf(1)
-	for _, id := range frontier {
-		st := m.Tree().Stats(id)
-		size := m.ProbesCOM(id, done) * st.M * st.Fo
-		if size < bestSize {
-			bestSize, bestID = size, id
-		}
-	}
-	return bestID
+// resultSizeKey is the expected number of tuples produced by joining
+// id next under the factorized model: probes(id) * m * fo.
+func resultSizeKey(m *cost.Model, done plan.Set, id plan.NodeID) float64 {
+	st := m.Tree().Stats(id)
+	return m.ProbesCOM(id, done) * st.M * st.Fo
 }
 
-// pickSurvival chooses the frontier operator minimizing the total
-// survival probability of the joined prefix after adding it.
-func pickSurvival(m *cost.Model, done map[plan.NodeID]bool, frontier []plan.NodeID) plan.NodeID {
-	bestID := frontier[0]
-	bestSurv := math.Inf(1)
-	for _, id := range frontier {
-		done[id] = true
-		surv := m.SurvivalTree(plan.Root, done)
-		delete(done, id)
-		if surv < bestSurv {
-			bestSurv, bestID = surv, id
-		}
-	}
-	return bestID
+// survivalKey is the total survival probability of the joined prefix
+// after adding id.
+func survivalKey(m *cost.Model, done plan.Set, id plan.NodeID) float64 {
+	return m.SurvivalTree(plan.Root, done.With(id))
 }
 
 // SJPlan is the full optimization outcome for semi-join reduction:
@@ -272,20 +231,11 @@ func sjPhase2Order(m *cost.Model, s cost.Strategy) plan.Order {
 		}
 		return rankOrderPrecedence(jobs, t.Parent)
 	}
-	key := func(id plan.NodeID) float64 {
+	return greedyOrder(m, func(_ *cost.Model, _ plan.Set, id plan.NodeID) float64 {
 		k := 1.0
 		for cur := id; cur != plan.Root; cur = t.Parent(cur) {
 			k *= adjFo(cur)
 		}
 		return k
-	}
-	done := map[plan.NodeID]bool{plan.Root: true}
-	var order plan.Order
-	for len(order) < t.Len()-1 {
-		frontier := t.Frontier(done)
-		sortByKeyWithinFrontier(frontier, key)
-		order = append(order, frontier[0])
-		done[frontier[0]] = true
-	}
-	return order
+	})
 }

@@ -259,6 +259,68 @@ func TestOptimizeDispatch(t *testing.T) {
 	}
 }
 
+// TestOptimizersDeterministic: every optimizer returns one order per
+// model however often it is asked, including on trees full of ties
+// (with map-backed prefix sets the exhaustive SJ+STD search returned 67
+// distinct orders in 300 calls on the fixed-stats snowflake), and on an
+// all-tied tree that order is ascending NodeID, the documented
+// tie-break.
+func TestOptimizersDeterministic(t *testing.T) {
+	twoValued, i := []plan.EdgeStats{{M: 0.3, Fo: 3.7}, {M: 0.6, Fo: 2}}, 0
+	rng := rand.New(rand.NewSource(11))
+	allTied := plan.Star(6, plan.FixedStats(0.3, 3.7))
+	trees := []*plan.Tree{
+		plan.Snowflake(3, 2, plan.FixedStats(0.3, 3.7)),
+		plan.Star(6, func() plan.EdgeStats { i++; return twoValued[i%2] }),
+		plan.RandomTree(12, rng, plan.UniformStats(rng, 0.05, 0.95, 1, 10)),
+		allTied,
+	}
+	for _, tr := range trees {
+		model := cost.New(tr, cost.DefaultWeights())
+		for _, s := range cost.AllStrategies {
+			searches := map[string]func() plan.Order{}
+			for _, a := range []Algorithm{Exhaustive, RankOrdering, GreedyResultSize, GreedySurvival} {
+				searches[a.String()] = func() plan.Order { return Optimize(model, s, a).Order }
+			}
+			if s == cost.SJSTD || s == cost.SJCOM {
+				searches["SJOptimal"] = func() plan.Order { return SJOptimal(model, s).Phase2 }
+			}
+			for name, search := range searches {
+				first := search().String()
+				for call := 1; call < 100; call++ {
+					if got := search().String(); got != first {
+						t.Fatalf("%v %v on %v: call %d returned %s, the first %s", name, s, tr, call, got, first)
+					}
+				}
+				if tr == allTied && first != plan.Order(tr.NonRoot()).String() {
+					t.Errorf("%v %v on an all-tied star: %s, want ascending NodeID", name, s, first)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanSearchAllocations: one search over all six strategies, as
+// plan selection runs it per ad-hoc query, stays within a small
+// allocation budget on the 3-2 snowflake. Prefix sets are values; when
+// they were maps the same search took 14 148 allocations.
+func TestPlanSearchAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	model := cost.New(plan.Snowflake(3, 2, plan.UniformStats(rng, 0.1, 0.9, 1, 8)), cost.DefaultWeights())
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, s := range cost.AllStrategies {
+			if s == cost.SJSTD || s == cost.SJCOM {
+				SJOptimal(model, s)
+			} else {
+				Optimize(model, s, Exhaustive)
+			}
+		}
+	})
+	if allocs > 1400 {
+		t.Errorf("six-strategy search on Snowflake(3,2): %.0f allocations, want at most 1400", allocs)
+	}
+}
+
 // TestStarQueryAllHeuristicsOptimalCOM: for star queries the ASI
 // property holds fully (Section 3.4), and ordering by survival equals
 // ordering by match probability; the survival heuristic should match

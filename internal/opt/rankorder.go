@@ -1,8 +1,6 @@
 package opt
 
 import (
-	"sort"
-
 	"m2mjoin/internal/cost"
 	"m2mjoin/internal/plan"
 )
@@ -118,18 +116,6 @@ func rankOrderPrecedence(jobs []rankJob, parentOf func(plan.NodeID) plan.NodeID)
 		}
 	}
 	return result
-}
-
-// sortByKeyWithinFrontier is a helper for deterministic frontier picks
-// used by heuristics that only need an arbitrary valid order.
-func sortByKeyWithinFrontier(frontier []plan.NodeID, key func(plan.NodeID) float64) {
-	sort.Slice(frontier, func(i, j int) bool {
-		ki, kj := key(frontier[i]), key(frontier[j])
-		if ki != kj {
-			return ki < kj
-		}
-		return frontier[i] < frontier[j]
-	})
 }
 
 // RankOrderOptimalSTD returns the provably optimal left-deep order for

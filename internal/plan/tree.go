@@ -18,7 +18,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -51,6 +50,7 @@ type Node struct {
 	Children []NodeID
 	Stats    EdgeStats // join stats parent->this; zero value for the root
 	Name     string    // optional human-readable relation name
+	kids     Set       // Children as a set, kept by AddChild
 }
 
 // Tree is a rooted join tree for an acyclic query. The root is the
@@ -71,8 +71,9 @@ func NewTree(name string) *Tree {
 }
 
 // AddChild attaches a new relation under parent with the given join
-// statistics and returns its NodeID. It panics if parent does not exist
-// or if the statistics are out of range; join trees are built by
+// statistics and returns its NodeID. It panics if parent does not
+// exist, if the statistics are out of range, or if the tree already
+// holds the 64 relations a Set can describe; join trees are built by
 // generators and tests, so malformed input is a programming error.
 func (t *Tree) AddChild(parent NodeID, stats EdgeStats, name string) NodeID {
 	if int(parent) < 0 || int(parent) >= len(t.nodes) {
@@ -84,12 +85,16 @@ func (t *Tree) AddChild(parent NodeID, stats EdgeStats, name string) NodeID {
 	if stats.Fo < 1 {
 		panic(fmt.Sprintf("plan: AddChild: fanout %v < 1", stats.Fo))
 	}
+	if len(t.nodes) == maxRelations {
+		panic(fmt.Sprintf("plan: AddChild: a tree holds at most %d relations", maxRelations))
+	}
 	id := NodeID(len(t.nodes))
 	if name == "" {
 		name = fmt.Sprintf("R%d", id+1)
 	}
 	t.nodes = append(t.nodes, Node{ID: id, Parent: parent, Stats: stats, Name: name})
 	t.nodes[parent].Children = append(t.nodes[parent].Children, id)
+	t.nodes[parent].kids = t.nodes[parent].kids.With(id)
 	return id
 }
 
@@ -226,16 +231,12 @@ func (o Order) Valid(t *Tree) bool {
 	if len(o) != t.Len()-1 {
 		return false
 	}
-	seen := make(map[NodeID]bool, len(o)+1)
-	seen[Root] = true
+	seen := SetOf(Root)
 	for _, id := range o {
-		if int(id) <= 0 || int(id) >= t.Len() || seen[id] {
+		if int(id) <= 0 || int(id) >= t.Len() || seen.Has(id) || !seen.Has(t.Parent(id)) {
 			return false
 		}
-		if !seen[t.Parent(id)] {
-			return false
-		}
-		seen[id] = true
+		seen = seen.With(id)
 	}
 	return true
 }
@@ -249,20 +250,15 @@ func (o Order) String() string {
 	return strings.Join(parts, " -> ")
 }
 
-// Frontier returns the nodes eligible to be joined next given that
-// `done` already holds the joined prefix (done[Root] must be true).
-// A node is eligible when it is not yet joined but its parent is.
-// The result is sorted by NodeID for determinism.
-func (t *Tree) Frontier(done map[NodeID]bool) []NodeID {
-	var out []NodeID
-	for i := 1; i < len(t.nodes); i++ {
-		id := NodeID(i)
-		if !done[id] && done[t.nodes[id].Parent] {
-			out = append(out, id)
-		}
+// Frontier returns the relations eligible to be joined next given the
+// joined prefix done (which must contain Root): those not yet joined
+// whose parent is.
+func (t *Tree) Frontier(done Set) Set {
+	var kids Set
+	for id := range done.All() {
+		kids |= t.nodes[id].kids
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return kids &^ done
 }
 
 // AllOrders enumerates every valid left-deep join order of t. It is
@@ -272,25 +268,20 @@ func (t *Tree) AllOrders() []Order {
 	if t.Len() > 12 {
 		panic("plan: AllOrders limited to trees with at most 12 relations")
 	}
-	done := map[NodeID]bool{Root: true}
 	var cur Order
 	var out []Order
-	var rec func()
-	rec = func() {
+	var rec func(done Set)
+	rec = func(done Set) {
 		if len(cur) == t.Len()-1 {
-			cp := make(Order, len(cur))
-			copy(cp, cur)
-			out = append(out, cp)
+			out = append(out, append(Order(nil), cur...))
 			return
 		}
-		for _, id := range t.Frontier(done) {
-			done[id] = true
+		for id := range t.Frontier(done).All() {
 			cur = append(cur, id)
-			rec()
+			rec(done.With(id))
 			cur = cur[:len(cur)-1]
-			done[id] = false
 		}
 	}
-	rec()
+	rec(SetOf(Root))
 	return out
 }

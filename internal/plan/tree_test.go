@@ -136,13 +136,13 @@ func TestOrderValid(t *testing.T) {
 
 func TestFrontier(t *testing.T) {
 	tr, ids := runningExample()
-	done := map[NodeID]bool{Root: true}
-	f := tr.Frontier(done)
+	done := SetOf(Root)
+	f := tr.Frontier(done).IDs()
 	if len(f) != 2 || f[0] != ids["R2"] || f[1] != ids["R5"] {
 		t.Errorf("initial frontier = %v, want [R2 R5]", f)
 	}
-	done[ids["R2"]] = true
-	f = tr.Frontier(done)
+	done = done.With(ids["R2"])
+	f = tr.Frontier(done).IDs()
 	want := map[NodeID]bool{ids["R3"]: true, ids["R4"]: true, ids["R5"]: true}
 	if len(f) != 3 {
 		t.Fatalf("frontier after R2 = %v", f)
@@ -345,15 +345,15 @@ func TestQuickRandomTreeFrontierConsistency(t *testing.T) {
 		tr := RandomTree(n, rng, UniformStats(rng, 0.2, 0.8, 1, 5))
 		// Greedily take the first frontier node each time; result must
 		// be a valid order.
-		done := map[NodeID]bool{Root: true}
+		done := SetOf(Root)
 		var o Order
 		for len(o) < n-1 {
-			f := tr.Frontier(done)
+			f := tr.Frontier(done).IDs()
 			if len(f) == 0 {
 				return false
 			}
 			o = append(o, f[0])
-			done[f[0]] = true
+			done = done.With(f[0])
 		}
 		return o.Valid(tr)
 	}

@@ -21,16 +21,22 @@ import (
 // was. Queued waiters honor context cancellation, so a disconnected
 // client never occupies a queue position, let alone a slot.
 
+// The bounds on the wait for a slot.
+const (
+	// queuedPerSlot sizes the admission queue: a query arriving with
+	// queuedPerSlot*maxConcurrent waiters ahead of it is shed at once.
+	queuedPerSlot = 4
+	// admitTimeout bounds one query's wait in that queue.
+	admitTimeout = 2 * time.Second
+)
+
 type admission struct {
 	// slots bounds concurrent executions (buffered to maxConcurrent).
 	slots chan struct{}
 	// total is the worker budget split across admitted queries.
 	total int
-	// maxQueued bounds the number of waiters; beyond it acquire sheds
-	// immediately.
-	maxQueued int
-	// admitTimeout bounds one waiter's time in the queue (0 = only the
-	// caller's context bounds it).
+	// admitTimeout bounds one waiter's time in the queue (the constant;
+	// a field so a test can shorten the wait).
 	admitTimeout time.Duration
 
 	mu     sync.Mutex
@@ -38,11 +44,10 @@ type admission struct {
 	queued int
 }
 
-func newAdmission(totalWorkers, maxConcurrent, maxQueued int, admitTimeout time.Duration) *admission {
+func newAdmission(totalWorkers, maxConcurrent int) *admission {
 	return &admission{
 		slots:        make(chan struct{}, maxConcurrent),
 		total:        totalWorkers,
-		maxQueued:    maxQueued,
 		admitTimeout: admitTimeout,
 	}
 }
@@ -75,25 +80,21 @@ func (a *admission) acquire(ctx context.Context) (workers int, release func(), e
 	default:
 		// Queue, if there is room.
 		a.mu.Lock()
-		if a.maxQueued > 0 && a.queued >= a.maxQueued {
+		if a.queued >= queuedPerSlot*cap(a.slots) {
 			a.mu.Unlock()
 			return 0, nil, shedErr(
-				fmt.Errorf("admission queue full (%d waiting)", a.maxQueued),
+				fmt.Errorf("admission queue full (%d waiting)", a.queued),
 				jitter(20*time.Millisecond))
 		}
 		a.queued++
 		a.mu.Unlock()
 
-		var timeout <-chan time.Time
-		if a.admitTimeout > 0 {
-			timer := time.NewTimer(a.admitTimeout)
-			defer timer.Stop()
-			timeout = timer.C
-		}
+		timer := time.NewTimer(a.admitTimeout)
+		defer timer.Stop()
 		select {
 		case a.slots <- struct{}{}:
 			a.unqueue()
-		case <-timeout:
+		case <-timer.C:
 			a.unqueue()
 			return 0, nil, shedErr(
 				fmt.Errorf("admission wait exceeded %v", a.admitTimeout),

@@ -77,14 +77,11 @@ type LoadConfig struct {
 	QueryTimeout time.Duration
 	// MaxRetries bounds how many times one query is retried after a
 	// retryable failure (shed or timeout; default 0 = no retries).
-	// Invalid, canceled and internal errors are never retried.
+	// Invalid, canceled and internal errors are never retried. The
+	// backoff between retries doubles from 10ms up to 1s; a server
+	// Retry-After hint overrides it when longer, capped at QueryTimeout
+	// — a fresh attempt could not spend more than that anyway.
 	MaxRetries int
-	// RetryBase / RetryMax shape the exponential backoff between
-	// retries (defaults 10ms / 1s). A server Retry-After hint overrides
-	// the computed backoff when it is longer, capped at QueryTimeout —
-	// a fresh attempt could not spend more than that anyway.
-	RetryBase time.Duration
-	RetryMax  time.Duration
 	// MinCoverage, when positive, is stamped onto every request: on a
 	// sharded server, degraded results at or above this coverage count
 	// as successes (tallied in LoadReport.Degraded) instead of errors.
@@ -225,12 +222,6 @@ func RunLoad(ctx context.Context, r Runner, cfg LoadConfig) (LoadReport, error) 
 	}
 	if cfg.ZipfS <= 1 {
 		cfg.ZipfS = 1.3
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 10 * time.Millisecond
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = time.Second
 	}
 	runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
@@ -424,6 +415,13 @@ func runMutateWriter(ctx context.Context, m Mutator, cfg LoadConfig) (mutations,
 	}
 }
 
+// retryBase and retryMax shape the exponential backoff between a load
+// client's retries.
+const (
+	retryBase = 10 * time.Millisecond
+	retryMax  = time.Second
+)
+
 // queryWithRetry issues one query, retrying retryable failures (shed,
 // timeout) up to cfg.MaxRetries times with exponential backoff. The
 // server's Retry-After hint, when present and longer than the computed
@@ -436,7 +434,7 @@ func runMutateWriter(ctx context.Context, m Mutator, cfg LoadConfig) (mutations,
 func queryWithRetry(ctx context.Context, r Runner, req Request, cfg LoadConfig, rng *rand.Rand, retries *int64) (Result, error) {
 	var res Result
 	var err error
-	backoff := cfg.RetryBase
+	backoff := retryBase
 	for attempt := 0; ; attempt++ {
 		res, err = r.Query(ctx, req)
 		if err == nil || attempt >= cfg.MaxRetries ||
@@ -460,8 +458,8 @@ func queryWithRetry(ctx context.Context, r Runner, req Request, cfg LoadConfig, 
 		case <-time.After(wait):
 		}
 		*retries++
-		if backoff *= 2; backoff > cfg.RetryMax {
-			backoff = cfg.RetryMax
+		if backoff *= 2; backoff > retryMax {
+			backoff = retryMax
 		}
 	}
 }

@@ -68,19 +68,11 @@ type Config struct {
 	// Parallelism is the total worker budget split across concurrent
 	// queries by the admission controller (default GOMAXPROCS).
 	Parallelism int
-	// MaxConcurrent bounds the number of queries executing at once;
-	// further queries wait — up to MaxQueued deep and AdmitTimeout
-	// long (default max(Parallelism, 2)).
+	// MaxConcurrent bounds the number of queries executing at once
+	// (default max(Parallelism, 2)); further queries wait, at most
+	// 4*MaxConcurrent deep and 2s long — past either bound a query is
+	// shed (ClassShed, Retry-After hint) instead of joining a pile-up.
 	MaxConcurrent int
-	// MaxQueued bounds the admission queue depth; a query arriving
-	// with MaxQueued waiters ahead of it is shed immediately
-	// (ClassShed, Retry-After hint) instead of joining an unbounded
-	// pile-up. Default 4*MaxConcurrent; negative disables the bound.
-	MaxQueued int
-	// AdmitTimeout bounds one query's wait for admission; a waiter
-	// that exceeds it is shed with a retry hint. Default 2s; negative
-	// disables the bound (the caller's context still applies).
-	AdmitTimeout time.Duration
 	// Breaker tunes the per-dataset load-shedding circuit breaker
 	// (see BreakerConfig; the zero value enables it with defaults).
 	Breaker BreakerConfig
@@ -107,10 +99,6 @@ type Config struct {
 	// for every query.
 	TraceRing int
 }
-
-// DefaultAdmitTimeout bounds admission queueing when
-// Config.AdmitTimeout is zero.
-const DefaultAdmitTimeout = 2 * time.Second
 
 // DefaultCacheBytes is the artifact cache budget when Config.CacheBytes
 // is zero.
@@ -242,24 +230,12 @@ func New(cfg Config) *Service {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = max(cfg.Parallelism, 2)
 	}
-	switch {
-	case cfg.MaxQueued == 0:
-		cfg.MaxQueued = 4 * cfg.MaxConcurrent
-	case cfg.MaxQueued < 0:
-		cfg.MaxQueued = 0 // unbounded
-	}
-	switch {
-	case cfg.AdmitTimeout == 0:
-		cfg.AdmitTimeout = DefaultAdmitTimeout
-	case cfg.AdmitTimeout < 0:
-		cfg.AdmitTimeout = 0 // unbounded
-	}
 	cfg.Shard = normalizeShardConfig(cfg.Shard)
 	cfg.SharedScan = normalizeSharedScan(cfg.SharedScan)
 	s := &Service{
 		cfg:      cfg,
 		cache:    newArtifactCache(cfg.CacheBytes),
-		admit:    newAdmission(cfg.Parallelism, cfg.MaxConcurrent, cfg.MaxQueued, cfg.AdmitTimeout),
+		admit:    newAdmission(cfg.Parallelism, cfg.MaxConcurrent),
 		targets:  newShardTargets(cfg.Shard),
 		scans:    newScanBoard(),
 		datasets: make(map[string]*datasetEntry),
@@ -795,8 +771,8 @@ func (s *Service) run(ctx context.Context, c execCall, snap *storage.Dataset, ro
 
 // execOptions assembles the executor options of run (and of a shared
 // scan's members).
-func (s *Service) execOptions(ctx context.Context, c execCall, snap *storage.Dataset, rows *storage.Bitmap) core.ExecuteOptions {
-	return core.ExecuteOptions{
+func (s *Service) execOptions(ctx context.Context, c execCall, snap *storage.Dataset, rows *storage.Bitmap) exec.Options {
+	return exec.Options{
 		FlatOutput:  c.req.FlatOutput,
 		ChunkSize:   c.req.ChunkSize,
 		Parallelism: c.workers,
@@ -804,7 +780,6 @@ func (s *Service) execOptions(ctx context.Context, c execCall, snap *storage.Dat
 		Artifacts:   s.artifactsFor(snap, c.e, c.sels),
 		Selections:  c.sels,
 		DriverRows:  rows,
-		Version:     snap.Version(),
 		Trace:       c.tr,
 		TraceParent: c.parent,
 	}

@@ -331,7 +331,7 @@ func TestQueryCancellationPropagates(t *testing.T) {
 // active count at admission, the concurrency bound queues the
 // overflow, and queued waiters honor cancellation.
 func TestAdmissionSplitsWorkers(t *testing.T) {
-	a := newAdmission(8, 2, 0, 0) // unbounded queue, no admission timeout
+	a := newAdmission(8, 2)
 	ctx := context.Background()
 	w1, rel1, err := a.acquire(ctx)
 	if err != nil || w1 != 8 {
@@ -387,6 +387,93 @@ func TestAdmissionSplitsWorkers(t *testing.T) {
 	rel5()
 	if n := a.activeCount(); n != 0 {
 		t.Fatalf("active count %d after all releases", n)
+	}
+}
+
+// TestAdmissionWaitIsBounded: a query that cannot get a slot leaves the
+// queue by one of four doors, each with its own class — a full queue
+// and the admission timeout shed it with a retry hint, its own context
+// cancels or times it out — and none of them leaves a slot held or a
+// queue position occupied.
+func TestAdmissionWaitIsBounded(t *testing.T) {
+	bg := context.Background()
+	for _, tc := range []struct {
+		name         string
+		fillQueue    bool          // queue as many waiters as fit ahead of the call
+		admitTimeout time.Duration // 0 keeps the service's
+		deadline     time.Duration // the call's context deadline, 0 for none
+		cancel       bool          // cancel the call's context once it is queued
+		want         Class
+		hint         bool
+	}{
+		{name: "admission queue full", fillQueue: true, want: ClassShed, hint: true},
+		{name: "admission wait exceeded", admitTimeout: 20 * time.Millisecond, want: ClassShed, hint: true},
+		{name: "cancelled while queued", cancel: true, want: ClassCanceled},
+		{name: "deadline while queued", deadline: 20 * time.Millisecond, want: ClassTimeout},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newAdmission(4, 1)
+			if tc.admitTimeout > 0 {
+				a.admitTimeout = tc.admitTimeout
+			}
+			_, release, err := a.acquire(bg) // the only slot
+			if err != nil {
+				t.Fatal(err)
+			}
+			ahead := 0
+			if tc.fillQueue {
+				ahead = queuedPerSlot * cap(a.slots)
+			}
+			// untilQueued polls; a count never reached surfaces as the
+			// admission timeout's class, not a hang.
+			untilQueued := func(n int) {
+				for stop := time.Now().Add(5 * time.Second); a.queuedCount() != n && time.Now().Before(stop); {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			fillCtx, stopFill := context.WithCancel(bg)
+			var fill sync.WaitGroup
+			for i := 0; i < ahead; i++ {
+				fill.Add(1)
+				go func() {
+					defer fill.Done()
+					a.acquire(fillCtx)
+				}()
+			}
+			untilQueued(ahead)
+
+			ctx, cancel := context.WithCancel(bg)
+			if tc.deadline > 0 {
+				ctx, cancel = context.WithTimeout(bg, tc.deadline)
+			}
+			defer cancel()
+			if tc.cancel {
+				go func() {
+					untilQueued(ahead + 1)
+					cancel()
+				}()
+			}
+			_, got, err := a.acquire(ctx)
+			var qe *QueryError
+			if !errors.As(err, &qe) || qe.Class != tc.want || got != nil {
+				t.Fatalf("acquire = (release %v, %v), want a %v QueryError and no release", got != nil, err, tc.want)
+			}
+			if (qe.RetryAfter > 0) != tc.hint {
+				t.Errorf("retry hint %v, want one: %v", qe.RetryAfter, tc.hint)
+			}
+			if n := a.activeCount(); n != 1 || len(a.slots) != 1 {
+				t.Errorf("%d active, %d slots taken after the failed acquire, want the first query's only", n, len(a.slots))
+			}
+			stopFill()
+			fill.Wait()
+			if n := a.queuedCount(); n != 0 {
+				t.Errorf("%d still queued", n)
+			}
+			release()
+			if n := a.activeCount(); n != 0 {
+				t.Errorf("%d active after release", n)
+			}
+		})
 	}
 }
 
