@@ -86,18 +86,9 @@ func runGen(args []string) error {
 	}
 	rng := rand.New(rand.NewSource(*seed))
 	src := plan.UniformStats(rng, mLo, mHi, foLo, foHi)
-	var tree *plan.Tree
-	switch *shape {
-	case "star":
-		tree = plan.Star(6, src)
-	case "path":
-		tree = plan.CenteredPath(7, src)
-	case "snowflake32":
-		tree = plan.Snowflake(3, 2, src)
-	case "snowflake51":
-		tree = plan.Snowflake(5, 1, src)
-	default:
-		return fmt.Errorf("unknown shape %q", *shape)
+	tree, err := plan.ShapeByName(*shape, src)
+	if err != nil {
+		return err
 	}
 	ds := workload.Generate(tree, workload.Config{DriverRows: *rows, Seed: *seed})
 	if err := storage.SaveDataset(ds, *out); err != nil {

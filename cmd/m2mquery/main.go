@@ -108,18 +108,9 @@ func main() {
 
 	rng := rand.New(rand.NewSource(*seed))
 	src := plan.UniformStats(rng, mLo, mHi, foLo, foHi)
-	var tree *plan.Tree
-	switch *shape {
-	case "star":
-		tree = plan.Star(6, src)
-	case "path":
-		tree = plan.CenteredPath(7, src)
-	case "snowflake32":
-		tree = plan.Snowflake(3, 2, src)
-	case "snowflake51":
-		tree = plan.Snowflake(5, 1, src)
-	default:
-		fatal(fmt.Errorf("unknown shape %q", *shape))
+	tree, err := plan.ShapeByName(*shape, src)
+	if err != nil {
+		fatal(err)
 	}
 
 	fmt.Printf("query tree: %s\n", tree)

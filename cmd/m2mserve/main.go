@@ -64,7 +64,6 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -79,7 +78,6 @@ import (
 	"time"
 
 	"m2mjoin/internal/service"
-	"m2mjoin/internal/storage"
 )
 
 // Connection-level read bounds: a client that stalls sending its
@@ -118,21 +116,20 @@ func main() {
 		"per-shard attempt deadline (0 = default 2s, negative disables)")
 	sharedScan := flag.Bool("shared-scan", false,
 		"batch co-arrived compatible queries onto one shared driver scan")
-	attachWindow := flag.Duration("attach-window", 0,
-		"shared-scan attach window (0 = default 1ms)")
 	slowQueryMillis := flag.Int64("slow-query-millis", 0,
 		"log a structured slow-query line for queries at or over this end-to-end latency (0 = off)")
 	traceRing := flag.Int("trace-ring", 0,
 		"size of the /v1/trace recent-trace ring; setting it traces every query (0 = default size, request-opt-in tracing)")
 	pprofEnabled := flag.Bool("pprof", false,
 		"mount net/http/pprof under /debug/pprof/ on the serving address")
-	var datasets []string
+	var regs []service.RegisterRequest
 	flag.Func("dataset", "register a m2mdata directory as name=dir (repeatable)",
 		func(v string) error {
-			if !strings.Contains(v, "=") {
+			name, dir, _ := strings.Cut(v, "=")
+			if dir == "" {
 				return fmt.Errorf("want name=dir, got %q", v)
 			}
-			datasets = append(datasets, v)
+			regs = append(regs, service.RegisterRequest{Name: name, Dir: dir})
 			return nil
 		})
 	flag.Parse()
@@ -155,10 +152,7 @@ func main() {
 			Retries:        *shardRetries,
 			AttemptTimeout: *shardTimeout,
 		},
-		SharedScan: service.SharedScanConfig{
-			Enabled:      *sharedScan,
-			AttachWindow: *attachWindow,
-		},
+		SharedScan:      service.SharedScanConfig{Enabled: *sharedScan},
 		SlowQueryMillis: *slowQueryMillis,
 		TraceRing:       *traceRing,
 	})
@@ -166,33 +160,23 @@ func main() {
 		log.Printf("m2mserve: slow-query log on (threshold %dms)", *slowQueryMillis)
 	}
 	if *sharedScan {
-		log.Printf("m2mserve: shared-scan batching on (window %v)",
-			cmp.Or(*attachWindow, service.DefaultAttachWindow))
+		log.Printf("m2mserve: shared-scan batching on (window %v)", service.DefaultAttachWindow)
 	}
 	if *shards > 1 || len(backendList) > 0 {
 		log.Printf("m2mserve: sharded tier: %d shards, %d backends %v",
 			max(*shards, len(backendList)), len(backendList), backendList)
 	}
-	for _, spec := range datasets {
-		name, dir, _ := strings.Cut(spec, "=")
-		ds, err := storage.LoadDataset(dir)
+	if *preload {
+		mix, _ := service.StandardMix(10000, 1)
+		regs = append(regs, mix...)
+	}
+	for _, reg := range regs {
+		info, err := svc.Register(reg)
 		if err != nil {
-			log.Fatalf("m2mserve: loading %s: %v", dir, err)
-		}
-		info, err := svc.RegisterDataset(name, ds)
-		if err != nil {
-			log.Fatalf("m2mserve: %v", err)
+			log.Fatalf("m2mserve: registering %s: %v", reg.Name, err)
 		}
 		log.Printf("registered %s: %d relations, %d rows, fingerprint %#x",
 			info.Name, info.Relations, info.TotalRows, info.Fingerprint)
-	}
-	if *preload {
-		templates, err := service.StandardMix(svc, 10000, 1)
-		if err != nil {
-			log.Fatalf("m2mserve: preload: %v", err)
-		}
-		log.Printf("preloaded standard mix: %d datasets, %d query templates",
-			len(svc.Datasets()), len(templates))
 	}
 
 	var handler http.Handler = service.NewHandler(svc)

@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"m2mjoin/internal/cost"
 	"m2mjoin/internal/exec"
@@ -153,7 +154,8 @@ func (a planArtifacts) Table(id plan.NodeID) *hashtable.Table { return a[id] }
 func (planArtifacts) PutTable(plan.NodeID, *hashtable.Table)  {}
 
 // ChoosePlan costs every candidate strategy with its best join order
-// and returns the cheapest plan.
+// and returns the cheapest plan; it is an error when no candidate's
+// predicted cost is finite.
 func ChoosePlan(req PlanRequest) (PlanChoice, error) {
 	if req.Dataset == nil {
 		return PlanChoice{}, fmt.Errorf("core: PlanRequest.Dataset is required")
@@ -208,13 +210,19 @@ func ChoosePlan(req PlanRequest) (PlanChoice, error) {
 			}
 		}
 		choice.Tree = tree
+		// A NaN or infinite prediction is the model leaving its domain
+		// (the BVP formulas on m+ε > 1, see ROADMAP), not a cost: it
+		// neither wins by arriving first nor loses silently to `<`.
+		if total := choice.Predicted.Total; math.IsNaN(total) || math.IsInf(total, 0) {
+			continue
+		}
 		if !found || choice.Predicted.Total < best.Predicted.Total {
 			best = choice
 			found = true
 		}
 	}
 	if !found {
-		return PlanChoice{}, fmt.Errorf("core: no candidate strategies")
+		return PlanChoice{}, fmt.Errorf("core: no strategy of %v has a finite predicted cost", strategies)
 	}
 	best.Tables = tables
 	return best, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -82,6 +83,40 @@ func TestChoosePlanRestrictedStrategies(t *testing.T) {
 func TestChoosePlanErrors(t *testing.T) {
 	if _, err := ChoosePlan(PlanRequest{}); err == nil {
 		t.Errorf("expected error for nil dataset")
+	}
+}
+
+// TestChoosePlanSkipsNonFiniteCosts pins what ChoosePlan does with a
+// cost the model cannot compute. On R1(R2(R3),R4) with M3 = 1 and
+// Fo2 = 2.5, rank ordering joins R2, R4, R3, and Cost(BVP+COM) of that
+// order is NaN (the BVP formulas read m+ε > 1 as a probability). The
+// NaN candidate must neither be returned when it is the only one nor
+// vanish behind `<` unnoticed when it is one of six.
+func TestChoosePlanSkipsNonFiniteCosts(t *testing.T) {
+	tr := plan.NewTree("")
+	r2 := tr.AddChild(plan.Root, plan.EdgeStats{M: 0.3, Fo: 2.5}, "")
+	tr.AddChild(r2, plan.EdgeStats{M: 1, Fo: 2}, "")
+	tr.AddChild(plan.Root, plan.EdgeStats{M: 0.9, Fo: 1}, "")
+	ds := workload.Generate(tr, workload.Config{DriverRows: 50, Seed: 1})
+	alg := opt.RankOrdering
+	model := cost.New(tr, cost.DefaultWeights())
+	order := opt.Optimize(model, cost.BVPCOM, alg).Order
+	if total := model.Cost(cost.BVPCOM, order, false).Total; !math.IsNaN(total) {
+		t.Fatalf("Cost(BVP+COM, %v) = %v: the tree no longer produces the NaN this test is about", order, total)
+	}
+
+	if choice, err := ChoosePlan(PlanRequest{
+		Dataset: ds, Algorithm: &alg, Strategies: []cost.Strategy{cost.BVPCOM},
+	}); err == nil {
+		t.Errorf("restricted to BVP+COM: got plan %v with cost %v, want an error",
+			choice.Order, choice.Predicted.Total)
+	}
+	choice, err := ChoosePlan(PlanRequest{Dataset: ds, Algorithm: &alg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if choice.Strategy == cost.BVPCOM || math.IsNaN(choice.Predicted.Total) || math.IsInf(choice.Predicted.Total, 0) {
+		t.Errorf("unrestricted: chose %v at cost %v", choice.Strategy, choice.Predicted.Total)
 	}
 }
 

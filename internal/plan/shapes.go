@@ -88,6 +88,24 @@ func Snowflake(k, j int, src StatsSource) *Tree {
 	return t
 }
 
+// ShapeByName builds one of the paper's four evaluation shapes
+// (Section 5.2) by the name the CLIs and the service's registration API
+// share: "star" (6 dimensions), "path" (7 relations, centered driver),
+// "snowflake32" and "snowflake51".
+func ShapeByName(name string, src StatsSource) (*Tree, error) {
+	switch name {
+	case "star":
+		return Star(6, src), nil
+	case "path":
+		return CenteredPath(7, src), nil
+	case "snowflake32":
+		return Snowflake(3, 2, src), nil
+	case "snowflake51":
+		return Snowflake(5, 1, src), nil
+	}
+	return nil, fmt.Errorf("plan: unknown shape %q", name)
+}
+
 // RandomTree builds a random join tree with exactly n relations, for
 // the optimizer comparison of Section 5.1: the root gets between 2 and
 // 5 children and every other node between 0 and 3, subject to hitting

@@ -270,6 +270,27 @@ func TestSnowflakeShape(t *testing.T) {
 	}
 }
 
+// TestShapeByName pins the names the CLIs and the registration API
+// share to the shapes they have always meant.
+func TestShapeByName(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		relations, fromRoot int
+	}{{"star", 7, 6}, {"path", 7, 2}, {"snowflake32", 10, 3}, {"snowflake51", 11, 5}} {
+		tr, err := ShapeByName(tc.name, FixedStats(0.5, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Len() != tc.relations || len(tr.Children(Root)) != tc.fromRoot {
+			t.Errorf("%s: %d relations, %d under the driver; want %d and %d",
+				tc.name, tr.Len(), len(tr.Children(Root)), tc.relations, tc.fromRoot)
+		}
+	}
+	if _, err := ShapeByName("dodecahedron", FixedStats(0.5, 2)); err == nil {
+		t.Error("unknown shape accepted")
+	}
+}
+
 func TestRandomTreeProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	src := UniformStats(rng, 0.1, 0.9, 1, 10)

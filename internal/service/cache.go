@@ -13,8 +13,8 @@ import (
 
 // This file implements the shared build-artifact cache: a bounded LRU
 // over the immutable phase-1 hash tables, keyed by everything that
-// determines their bits — dataset lineage fingerprint and version,
-// relation, key column and selection-mask fingerprint. A hit hands the
+// determines their bits — dataset lineage fingerprint, relation, key
+// column and selection-mask fingerprint. A hit hands the
 // executor the exact table a fresh build would produce — and, inside
 // it, the bitvector filter any earlier BVP query derived from it — so a
 // warm query skips those builds entirely with bit-identical Stats and
@@ -37,13 +37,11 @@ import (
 
 // artifactKey identifies one cached table. Two queries agree on a key
 // exactly when a fresh build would produce a bit-identical table: same
-// dataset snapshot (lineage fingerprint + version number — the
-// fingerprint alone suffices, the number makes retention predicates
-// direct), same relation, same join-key column, and the same pushed-down
-// selection set on that relation (maskFP, 0 for no selections).
+// dataset snapshot (its lineage fingerprint), same relation, same
+// join-key column, and the same pushed-down selection set on that
+// relation (maskFP, 0 for no selections).
 type artifactKey struct {
 	dataset uint64
-	version uint64
 	rel     plan.NodeID
 	keyCol  string
 	maskFP  uint64
@@ -214,7 +212,6 @@ type queryArtifacts struct {
 	cache   *artifactCache
 	entry   *datasetEntry
 	dataset uint64   // executing snapshot's lineage fingerprint
-	version uint64   // executing snapshot's version number
 	keyCols []string // indexed by NodeID; "" for the root
 	maskFPs []uint64 // indexed by NodeID; 0 = no selections
 }
@@ -222,7 +219,6 @@ type queryArtifacts struct {
 func (q *queryArtifacts) key(id plan.NodeID) artifactKey {
 	return artifactKey{
 		dataset: q.dataset,
-		version: q.version,
 		rel:     id,
 		keyCol:  q.keyCols[id],
 		maskFP:  q.maskFPs[id],

@@ -8,9 +8,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
-
-	"m2mjoin/internal/storage"
 )
 
 // This file is the HTTP/JSON face of the service, shared by
@@ -58,18 +55,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool
 	return err == nil
 }
 
-// RegisterRequest is the POST /v1/datasets body. Exactly one of Dir
-// (load a directory written by m2mdata / storage.SaveDataset) or Shape
-// (generate synthetically, see GenerateSpec) selects the source;
-// an empty Shape with an empty Dir generates the default snowflake32.
-type RegisterRequest struct {
-	Name  string `json:"name"`
-	Dir   string `json:"dir,omitempty"`
-	Shape string `json:"shape,omitempty"`
-	Rows  int    `json:"rows,omitempty"`
-	Seed  int64  `json:"seed,omitempty"`
-}
-
 // NewHandler returns the service's HTTP API.
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
@@ -81,30 +66,15 @@ func NewHandler(s *Service) http.Handler {
 		if !decodeBody(w, r, "register", &req) {
 			return
 		}
-		var (
-			info DatasetInfo
-			err  error
-		)
-		if req.Dir != "" {
-			var ds *storage.Dataset
-			ds, err = storage.LoadDataset(req.Dir)
-			if err == nil {
-				info, err = s.RegisterDataset(req.Name, ds)
-			}
-		} else {
-			info, err = s.RegisterGenerated(GenerateSpec{
-				Name: req.Name, Shape: req.Shape, Rows: req.Rows, Seed: req.Seed,
-			})
+		info, err := s.Register(req)
+		switch {
+		case errors.Is(err, ErrDatasetExists):
+			writeError(w, http.StatusConflict, err)
+		case err != nil:
+			writeError(w, http.StatusBadRequest, err)
+		default:
+			writeJSON(w, http.StatusOK, info)
 		}
-		if err != nil {
-			status := http.StatusBadRequest
-			if strings.Contains(err.Error(), "already registered") {
-				status = http.StatusConflict
-			}
-			writeError(w, status, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, info)
 	})
 	mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
 		var req Request

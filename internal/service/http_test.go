@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -117,6 +118,18 @@ func TestHTTPErrors(t *testing.T) {
 	if resp := postJSON(t, srv.URL+"/v1/datasets", RegisterRequest{Name: "x", Shape: "star", Rows: 300}, nil); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate register status %d", resp.StatusCode)
 	}
+	// A failed GET carries the envelope like a failed POST, and the
+	// client must decode it the same way. This handler's own GETs never
+	// fail, so a stand-in answers as a shedding hop in between would.
+	shedding := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeQueryError(w, shedErr(errors.New("draining"), 40*time.Millisecond))
+	}))
+	t.Cleanup(shedding.Close)
+	_, err := NewHTTPRunner(shedding.URL).Datasets(context.Background())
+	if Classify(err) != ClassShed || RetryAfterHint(err) != 40*time.Millisecond {
+		t.Fatalf("GET answered 503 + shed envelope: client error %v (class %q, hint %v), want shed with the 40ms hint",
+			err, Classify(err), RetryAfterHint(err))
+	}
 }
 
 // TestHTTPBodyLimit: every POST endpoint caps its body; an oversize
@@ -205,7 +218,7 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 	svc := New(Config{Parallelism: 2, MaxConcurrent: 2})
 	srv := httptest.NewServer(NewHandler(svc))
 	t.Cleanup(srv.Close)
-	if _, err := svc.RegisterGenerated(GenerateSpec{Name: "web", Shape: "star", Rows: 1200, Seed: 4}); err != nil {
+	if _, err := svc.Register(RegisterRequest{Name: "web", Shape: "star", Rows: 1200, Seed: 4}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -223,7 +236,7 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 	// before the deadline starts; execution finds them cached.)
 	faultinject.Enable(faultinject.Spec{
 		Site: faultinject.SiteProbeChunk, Mode: faultinject.ModeDelay,
-		Every: 1, Delay: 2 * time.Millisecond,
+		Every: 1, Delay: 50 * time.Millisecond,
 	})
 	resp = postJSONBody(t, srv.URL+"/v1/query", Request{Dataset: "web", TimeoutMillis: 1})
 	faultinject.Disable()

@@ -11,9 +11,9 @@ import (
 	"time"
 )
 
-// HTTPRunner drives a remote m2mserve over its HTTP/JSON API. It
-// implements Runner, so the load generator and the sharded serving
-// tier's backend targets share one client: classified error envelopes
+// HTTPRunner drives a remote m2mserve over its HTTP/JSON API. The load
+// generator (cmd/m2mload) and the sharded serving tier's backend
+// targets share this one client: classified error envelopes
 // are decoded back into *QueryError, so failure classes — and the
 // Retry-After hint — survive the wire and retry/failover policy keys
 // on them exactly as it does in-process.
@@ -34,7 +34,7 @@ func (h *HTTPRunner) Base() string { return h.base }
 // Query posts one query.
 func (h *HTTPRunner) Query(ctx context.Context, req Request) (Result, error) {
 	var res Result
-	_, err := h.post(ctx, "/v1/query", req, &res)
+	_, err := h.do(ctx, http.MethodPost, "/v1/query", req, &res)
 	return res, err
 }
 
@@ -42,14 +42,15 @@ func (h *HTTPRunner) Query(ctx context.Context, req Request) (Result, error) {
 // dataset's next snapshot.
 func (h *HTTPRunner) Mutate(ctx context.Context, req MutateRequest) (MutateResult, error) {
 	var res MutateResult
-	_, err := h.post(ctx, "/v1/mutate", req, &res)
+	_, err := h.do(ctx, http.MethodPost, "/v1/mutate", req, &res)
 	return res, err
 }
 
 // Stats fetches the server's /v1/stats snapshot.
 func (h *HTTPRunner) Stats(ctx context.Context) (Stats, error) {
 	var st Stats
-	return st, h.get(ctx, "/v1/stats", &st)
+	_, err := h.do(ctx, http.MethodGet, "/v1/stats", nil, &st)
+	return st, err
 }
 
 // Datasets fetches the server's catalog. The sharded tier uses it to
@@ -57,7 +58,8 @@ func (h *HTTPRunner) Stats(ctx context.Context) (Stats, error) {
 // before trusting its shard results.
 func (h *HTTPRunner) Datasets(ctx context.Context) ([]DatasetInfo, error) {
 	var out []DatasetInfo
-	return out, h.get(ctx, "/v1/datasets", &out)
+	_, err := h.do(ctx, http.MethodGet, "/v1/datasets", nil, &out)
+	return out, err
 }
 
 // Register posts a dataset registration and returns the HTTP status
@@ -65,63 +67,50 @@ func (h *HTTPRunner) Datasets(ctx context.Context) ([]DatasetInfo, error) {
 // dataset already exists (repeated runs against one server).
 func (h *HTTPRunner) Register(ctx context.Context, req RegisterRequest) (DatasetInfo, int, error) {
 	var info DatasetInfo
-	status, err := h.post(ctx, "/v1/datasets", req, &info)
+	status, err := h.do(ctx, http.MethodPost, "/v1/datasets", req, &info)
 	return info, status, err
 }
 
-// post sends in as a JSON body to path and decodes a 200 response into
-// out, returning the HTTP status (0 when no response arrived). A
-// non-200 response carrying the classified error envelope comes back
-// as a *QueryError, so retry classification and the Retry-After hint
-// survive the wire; transport failures (server unreachable, connection
-// reset) come back unclassified — Classify maps them to ClassInternal,
-// which is what replica failover treats as "this member is broken, try
-// another".
-func (h *HTTPRunner) post(ctx context.Context, path string, in, out any) (int, error) {
-	b, err := json.Marshal(in)
+// do sends one request — in, when non-nil, as its JSON body — and
+// decodes a 200 response into out, returning the HTTP status (0 when no
+// response arrived). A non-200 response carrying the classified error
+// envelope comes back as a *QueryError, so retry classification and the
+// Retry-After hint survive the wire; transport failures (server
+// unreachable, connection reset) come back unclassified — Classify maps
+// them to ClassInternal, which is what replica failover treats as "this
+// member is broken, try another".
+func (h *HTTPRunner) do(ctx context.Context, method, path string, in, out any) (int, error) {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return 0, err
+		}
+		body = bytes.NewReader(b)
+	}
+	hreq, err := http.NewRequestWithContext(ctx, method, h.base+path, body)
 	if err != nil {
 		return 0, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+path, bytes.NewReader(b))
-	if err != nil {
-		return 0, err
+	if in != nil {
+		hreq.Header.Set("Content-Type", "application/json")
 	}
-	hreq.Header.Set("Content-Type", "application/json")
 	resp, err := h.client.Do(hreq)
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		var env ErrorEnvelope
-		if err := json.Unmarshal(body, &env); err == nil && env.Class != "" {
+		if err := json.Unmarshal(msg, &env); err == nil && env.Class != "" {
 			return resp.StatusCode, &QueryError{
 				Class:      env.Class,
 				RetryAfter: time.Duration(env.RetryAfterMillis) * time.Millisecond,
-				Err:        fmt.Errorf("POST %s: HTTP %d: %s", path, resp.StatusCode, env.Error),
+				Err:        fmt.Errorf("%s %s: HTTP %d: %s", method, path, resp.StatusCode, env.Error),
 			}
 		}
-		return resp.StatusCode, fmt.Errorf("POST %s: HTTP %d: %s", path, resp.StatusCode, body)
+		return resp.StatusCode, fmt.Errorf("%s %s: HTTP %d: %s", method, path, resp.StatusCode, msg)
 	}
 	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
 }
-
-func (h *HTTPRunner) get(ctx context.Context, path string, out any) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, h.base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := h.client.Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("GET %s: HTTP %d: %s", path, resp.StatusCode, body)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-var _ Runner = (*HTTPRunner)(nil)

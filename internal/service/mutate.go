@@ -195,7 +195,6 @@ func (s *Service) Mutate(ctx context.Context, req MutateRequest) (MutateResult, 
 // old version is purged — the shared backing arrays make the real cost
 // far smaller, and MemoryBytes documents the conservative accounting).
 func (s *Service) repairArtifacts(e *datasetEntry, cur *storage.Dataset, v storage.Version) int {
-	oldFP, oldVer := cur.VersionFingerprint(), cur.Version()
 	newDS := v.Dataset
 	deltaOf := make(map[plan.NodeID]*storage.RelationDelta, len(v.Deltas))
 	for i := range v.Deltas {
@@ -208,7 +207,7 @@ func (s *Service) repairArtifacts(e *datasetEntry, cur *storage.Dataset, v stora
 		if d != nil && d.Compacted {
 			continue
 		}
-		ent := s.cache.peek(artifactKey{dataset: oldFP, version: oldVer, rel: id, keyCol: keyCol})
+		ent := s.cache.peek(artifactKey{dataset: cur.VersionFingerprint(), rel: id, keyCol: keyCol})
 		if ent == nil {
 			continue
 		}
@@ -222,7 +221,7 @@ func (s *Service) repairArtifacts(e *datasetEntry, cur *storage.Dataset, v stora
 				Deleted:      d.Deleted,
 			}, s.cfg.Parallelism, nil)
 		}
-		nkey := artifactKey{dataset: v.Fingerprint, version: v.Number, rel: id, keyCol: keyCol}
+		nkey := artifactKey{dataset: v.Fingerprint, rel: id, keyCol: keyCol}
 		s.cache.put(&cacheEntry{key: nkey, table: nt, bytes: nt.MemoryBytes()})
 		repaired++
 	}

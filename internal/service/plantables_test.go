@@ -182,9 +182,10 @@ func TestServicePlanSeedsCacheAndPinsNothing(t *testing.T) {
 		t.Fatalf("first query after a commit: version %d hits=%d misses=%d, want 1 0/%d",
 			res.Version, res.Stats.CacheHits, res.Stats.CacheMisses, nonRoot)
 	}
+	headFP := late.entry("ds").head.Load().VersionFingerprint()
 	late.cache.mu.Lock()
 	for key := range late.cache.entries {
-		if key.version != 1 {
+		if key.dataset != headFP {
 			t.Errorf("cache holds %+v: a key of the superseded snapshot", key)
 		}
 	}

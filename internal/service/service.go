@@ -34,11 +34,13 @@
 //	res, err := svc.Query(ctx, service.Request{Dataset: "orders"})
 //
 // cmd/m2mserve exposes the service over HTTP/JSON (see http.go) and
-// cmd/m2mload drives it with a closed-loop generator (see load.go).
+// cmd/m2mload drives that API with a closed-loop generator.
 package service
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -265,9 +267,8 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Registry exposes the service's metrics registry — cmd/m2mserve
-// serves it at GET /metrics and in-process embedders (m2mload's
-// in-process mode) scrape it directly.
+// Registry exposes the service's metrics registry — the handler
+// serves it at GET /metrics and in-process embedders read it directly.
 func (s *Service) Registry() *telemetry.Registry { return s.met.reg }
 
 // Traces returns up to limit recent trace records, newest first
@@ -317,6 +318,10 @@ func (s *Service) finishTrace(c *execCall, res *Result, cls Class) {
 	}
 	s.tracePool.Put(c.tr)
 }
+
+// ErrDatasetExists is what registering a name the catalog already holds
+// wraps; the HTTP face answers it with 409 Conflict.
+var ErrDatasetExists = errors.New("already registered")
 
 // DatasetInfo describes one catalog entry.
 type DatasetInfo struct {
@@ -372,7 +377,7 @@ func (s *Service) RegisterDataset(name string, ds *storage.Dataset) (DatasetInfo
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.datasets[name]; dup {
-		return DatasetInfo{}, fmt.Errorf("service: dataset %q already registered", name)
+		return DatasetInfo{}, fmt.Errorf("service: dataset %q %w", name, ErrDatasetExists)
 	}
 	s.datasets[name] = e
 	s.met.registerDataset(e)
@@ -409,47 +414,71 @@ func (s *Service) Datasets() []DatasetInfo {
 	return out
 }
 
-// GenerateSpec describes a synthetic dataset to generate and register:
-// the same shapes and default statistic ranges the m2mquery / m2mdata
-// CLIs use.
-type GenerateSpec struct {
+// RegisterRequest names a dataset and its source, and is the POST
+// /v1/datasets body. Dir loads a directory written by m2mdata;
+// otherwise the dataset is generated on Shape (plan.ShapeByName's,
+// default snowflake32) with the CLIs' default statistic ranges, Rows
+// driver rows (default 10000) and Seed.
+type RegisterRequest struct {
 	Name  string `json:"name"`
-	Shape string `json:"shape"` // star | path | snowflake32 | snowflake51
-	Rows  int    `json:"rows"`
-	Seed  int64  `json:"seed"`
+	Dir   string `json:"dir,omitempty"`
+	Shape string `json:"shape,omitempty"`
+	Rows  int    `json:"rows,omitempty"`
+	Seed  int64  `json:"seed,omitempty"`
 }
 
-// BuildTree constructs the query-tree shape used across the CLIs with
-// uniformly drawn edge statistics in the default ranges.
-func BuildTree(shape string, seed int64) (*plan.Tree, error) {
-	rng := rand.New(rand.NewSource(seed))
-	src := plan.UniformStats(rng, 0.2, 0.6, 1, 5)
-	switch shape {
-	case "star":
-		return plan.Star(6, src), nil
-	case "path":
-		return plan.CenteredPath(7, src), nil
-	case "snowflake32", "":
-		return plan.Snowflake(3, 2, src), nil
-	case "snowflake51":
-		return plan.Snowflake(5, 1, src), nil
+// tree builds the join tree a generated dataset is laid out on.
+func (r RegisterRequest) tree() (*plan.Tree, error) {
+	rng := rand.New(rand.NewSource(r.Seed))
+	return plan.ShapeByName(cmp.Or(r.Shape, "snowflake32"), plan.UniformStats(rng, 0.2, 0.6, 1, 5))
+}
+
+// Register loads or generates the dataset req describes and adds it to
+// the catalog (see RegisterDataset).
+func (s *Service) Register(req RegisterRequest) (DatasetInfo, error) {
+	if req.Dir != "" {
+		ds, err := storage.LoadDataset(req.Dir)
+		if err != nil {
+			return DatasetInfo{}, err
+		}
+		return s.RegisterDataset(req.Name, ds)
 	}
-	return nil, fmt.Errorf("service: unknown shape %q", shape)
-}
-
-// RegisterGenerated generates a synthetic dataset per spec and
-// registers it.
-func (s *Service) RegisterGenerated(spec GenerateSpec) (DatasetInfo, error) {
-	tree, err := BuildTree(spec.Shape, spec.Seed)
+	tree, err := req.tree()
 	if err != nil {
 		return DatasetInfo{}, err
 	}
-	rows := spec.Rows
+	rows := req.Rows
 	if rows <= 0 {
 		rows = 10000
 	}
-	ds := workload.Generate(tree, workload.Config{DriverRows: rows, Seed: spec.Seed})
-	return s.RegisterDataset(spec.Name, ds)
+	ds := workload.Generate(tree, workload.Config{DriverRows: rows, Seed: req.Seed})
+	return s.RegisterDataset(req.Name, ds)
+}
+
+// StandardMix is the standard mixed-shape workload: three generated
+// datasets and, per dataset, an auto-planned query, two fixed-strategy
+// queries (one build-bound, one SJ, which shares its unreduced tables
+// and rebuilds the reduced ones per query) and a driver-selection
+// variant. It registers nothing: callers pass regs to Register
+// (m2mserve -preload) or post them to /v1/datasets (m2mload).
+func StandardMix(rows int, seed int64) (regs []RegisterRequest, templates []Request) {
+	for i, shape := range []string{"snowflake32", "star", "path"} {
+		reg := RegisterRequest{Name: "load_" + shape, Shape: shape, Rows: rows, Seed: seed + int64(i)}
+		tree, err := reg.tree()
+		if err != nil {
+			panic(err) // the shapes above are ShapeByName's own
+		}
+		regs = append(regs, reg)
+		templates = append(templates,
+			Request{Dataset: reg.Name},
+			Request{Dataset: reg.Name, Strategy: "BVP+COM"},
+			Request{Dataset: reg.Name, Strategy: "SJ+COM"},
+			Request{Dataset: reg.Name, Strategy: "COM", Selections: []SelectionSpec{
+				{Relation: tree.Name(plan.Root), Column: "id", Value: int64(i)},
+			}},
+		)
+	}
+	return regs, templates
 }
 
 // SelectionSpec is a pushed-down equality predicate addressed by
@@ -954,7 +983,6 @@ func (s *Service) artifactsFor(snap *storage.Dataset, e *datasetEntry, sels []ex
 		cache:   s.cache,
 		entry:   e,
 		dataset: snap.VersionFingerprint(),
-		version: snap.Version(),
 		keyCols: e.keyCols,
 		maskFPs: maskFPs,
 	}

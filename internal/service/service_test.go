@@ -562,41 +562,3 @@ func TestRequestValidation(t *testing.T) {
 		t.Fatal("duplicate dataset name accepted")
 	}
 }
-
-// TestLoadMixedTraffic smoke-tests the closed-loop generator: the
-// standard mix on an in-process service for a short burst with more
-// clients than admission slots must complete without workload errors
-// and with both cache hits and misses. The standard mix alone never
-// misses — planning leaves every unselected table resident — so the
-// burst adds a template whose selection shapes a table of its own.
-func TestLoadMixedTraffic(t *testing.T) {
-	svc := New(Config{Parallelism: 2, MaxConcurrent: 2})
-	templates, err := StandardMix(svc, 1200, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	child := svc.entry(templates[0].Dataset).ds.Tree.Name(1)
-	templates = append(templates, Request{Dataset: templates[0].Dataset, Strategy: "COM",
-		Selections: []SelectionSpec{{Relation: child, Column: "id", Value: 3}}})
-	report, err := RunLoad(context.Background(), svc, LoadConfig{
-		Duration:  400 * time.Millisecond,
-		Clients:   8,
-		Templates: templates,
-		Seed:      31,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Queries == 0 {
-		t.Fatal("load run issued no queries")
-	}
-	if report.Errors != 0 {
-		t.Fatalf("load run hit %d workload errors", report.Errors)
-	}
-	if report.CacheHits == 0 || report.CacheMisses == 0 {
-		t.Fatalf("hits=%d misses=%d: burst is not exercising both", report.CacheHits, report.CacheMisses)
-	}
-	if report.OutputTuples == 0 {
-		t.Fatal("no output tuples across the whole run")
-	}
-}

@@ -103,14 +103,14 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 
 	// Mutations: two committed batches; the warm cache means the second
 	// commit repairs artifacts onto the new version in place.
-	target := MutateTargetsFor("ds", ds.Tree)[1] // first non-root relation
+	target := ds.Relation(1) // first non-root relation
 	for i := 0; i < 2; i++ {
-		vals := make([]int64, target.Arity)
+		vals := make([]int64, target.NumCols())
 		for j := range vals {
 			vals[j] = -(1 + int64(i)*10 + int64(j))
 		}
 		if _, err := svc.Mutate(ctx, MutateRequest{Dataset: "ds", Ops: []MutationSpec{
-			{Op: "append", Relation: target.Relation, Values: vals},
+			{Op: "append", Relation: target.Name(), Values: vals},
 		}}); err != nil {
 			t.Fatal(err)
 		}

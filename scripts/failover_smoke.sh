@@ -48,20 +48,14 @@ wait_up() {
 wait_up "$BACK1"
 wait_up "$BACK2"
 
-# Register the same generated datasets on both backends: the standard
-# load mix (keep names/shapes/seeds in sync with service.StandardMix —
-# a drift shows up loudly as a fingerprint-mismatch/invalid failure
-# below). The frontend gets its copies from m2mload's own registration
-# with the same -rows/-seed, so all three members hold bit-identical
-# datasets and the frontend's fingerprint verification passes.
-i=0
-for shape in snowflake32 star path; do
-  for b in "$BACK1" "$BACK2"; do
-    curl -sf -X POST "http://$b/v1/datasets" \
-      -d '{"name":"load_'"$shape"'","shape":"'"$shape"'","rows":'"$ROWS"',"seed":'"$((SEED + i))"'}' \
-      >/dev/null
-  done
-  i=$((i + 1))
+# Register the same generated datasets on both backends: registration
+# is the first thing m2mload does, so a 1ms run of it against each
+# backend leaves the standard mix there. The frontend gets its copies
+# from the measured run's own registration with the same -rows/-seed,
+# so all three members hold bit-identical datasets and the frontend's
+# fingerprint verification passes.
+for b in "$BACK1" "$BACK2"; do
+  /tmp/m2mload -addr "http://$b" -rows "$ROWS" -seed "$SEED" -duration 1ms >/dev/null
 done
 
 /tmp/m2mserve -addr "$FRONT" -backends "http://$BACK1,http://$BACK2" \
