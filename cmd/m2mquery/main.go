@@ -173,7 +173,7 @@ func main() {
 		for _, s := range cost.AllStrategies {
 			c := choice
 			c.Strategy = s
-			if s != cost.SJSTD && s != cost.SJCOM {
+			if s.Reduction() != cost.SemiJoin {
 				c.SemiJoins = nil
 			}
 			start := time.Now()

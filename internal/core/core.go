@@ -45,9 +45,9 @@ type PlanRequest struct {
 	FlatOutput bool
 	// Weights default to cost.DefaultWeights().
 	Weights *cost.Weights
-	// Algorithm picks the join-order search for non-SJ strategies
-	// (default: exhaustive DP for small trees, survival greedy above
-	// ExhaustiveLimit relations).
+	// Algorithm picks the join-order search (default: exhaustive DP for
+	// small trees, survival greedy above ExhaustiveLimit relations); the
+	// SJ strategies' optimal plan takes none.
 	Algorithm *opt.Algorithm
 	// Strategies restricts the candidate strategies (default: all six).
 	Strategies []cost.Strategy
@@ -191,27 +191,16 @@ func ChoosePlan(req PlanRequest) (PlanChoice, error) {
 	var best PlanChoice
 	found := false
 	for _, s := range strategies {
-		var choice PlanChoice
-		switch s {
-		case cost.SJSTD, cost.SJCOM:
-			p := opt.SJOptimal(model, s)
-			choice = PlanChoice{
-				Strategy:  s,
-				Order:     p.Phase2,
-				SemiJoins: p.SemiJoins,
-				Predicted: model.Cost(s, p.Phase2, req.FlatOutput),
-			}
-		default:
-			r := opt.Optimize(model, s, alg)
-			choice = PlanChoice{
-				Strategy:  s,
-				Order:     r.Order,
-				Predicted: model.Cost(s, r.Order, req.FlatOutput),
-			}
+		r := opt.Optimize(model, s, alg)
+		choice := PlanChoice{
+			Strategy:  s,
+			Order:     r.Order,
+			SemiJoins: r.SemiJoins,
+			Predicted: model.Cost(s, r.Order, req.FlatOutput),
+			Tree:      tree,
 		}
-		choice.Tree = tree
-		// A NaN or infinite prediction is the model leaving its domain
-		// (the BVP formulas on m+ε > 1, see ROADMAP), not a cost: it
+		// A NaN or infinite prediction is the statistics leaving the
+		// model's domain (an infinite fanout, say), not a cost: it
 		// neither wins by arriving first nor loses silently to `<`.
 		if total := choice.Predicted.Total; math.IsNaN(total) || math.IsInf(total, 0) {
 			continue

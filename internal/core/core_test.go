@@ -9,6 +9,7 @@ import (
 	"m2mjoin/internal/exec"
 	"m2mjoin/internal/opt"
 	"m2mjoin/internal/plan"
+	"m2mjoin/internal/storage"
 	"m2mjoin/internal/workload"
 )
 
@@ -48,13 +49,7 @@ func TestChoosePlanPicksCheapest(t *testing.T) {
 	// Recost every strategy's optimal order: none may beat the choice.
 	model := cost.New(ds.Tree, cost.DefaultWeights())
 	for _, s := range cost.AllStrategies {
-		var total float64
-		switch s {
-		case cost.SJSTD, cost.SJCOM:
-			total = opt.SJOptimal(model, s).Cost.Total
-		default:
-			total = opt.ExhaustiveDP(model, s).Cost.Total
-		}
+		total := opt.Optimize(model, s, opt.Exhaustive).Cost.Total
 		if total < choice.Predicted.Total-1e-9 {
 			t.Errorf("strategy %v (%v) beats chosen %v (%v)",
 				s, total, choice.Strategy, choice.Predicted.Total)
@@ -87,36 +82,47 @@ func TestChoosePlanErrors(t *testing.T) {
 }
 
 // TestChoosePlanSkipsNonFiniteCosts pins what ChoosePlan does with a
-// cost the model cannot compute. On R1(R2(R3),R4) with M3 = 1 and
-// Fo2 = 2.5, rank ordering joins R2, R4, R3, and Cost(BVP+COM) of that
-// order is NaN (the BVP formulas read m+ε > 1 as a probability). The
-// NaN candidate must neither be returned when it is the only one nor
-// vanish behind `<` unnoticed when it is one of six.
+// cost the model cannot compute. A leaf of infinite fanout is outside
+// its domain: the flat output is infinite, so every factorized
+// strategy's expansion term is, while a flat strategy that joins the
+// leaf last never multiplies by its fanout. The non-finite candidate
+// must neither be returned when it is the only one nor vanish behind
+// `<` unnoticed when it is one of six. A match probability of 1 is
+// inside the domain: R1(R2(R3),R4) with M3 = 1 and Fo2 = 2.5 under
+// rank ordering's R2, R4, R3 was a NaN BVP+COM had to be skipped for
+// (m+ε read as a probability above 1) and is a plan now.
 func TestChoosePlanSkipsNonFiniteCosts(t *testing.T) {
 	tr := plan.NewTree("")
-	r2 := tr.AddChild(plan.Root, plan.EdgeStats{M: 0.3, Fo: 2.5}, "")
-	tr.AddChild(r2, plan.EdgeStats{M: 1, Fo: 2}, "")
+	tr.AddChild(plan.Root, plan.EdgeStats{M: 0.5, Fo: math.Inf(1)}, "")
 	tr.AddChild(plan.Root, plan.EdgeStats{M: 0.9, Fo: 1}, "")
-	ds := workload.Generate(tr, workload.Config{DriverRows: 50, Seed: 1})
-	alg := opt.RankOrdering
-	model := cost.New(tr, cost.DefaultWeights())
-	order := opt.Optimize(model, cost.BVPCOM, alg).Order
-	if total := model.Cost(cost.BVPCOM, order, false).Total; !math.IsNaN(total) {
-		t.Fatalf("Cost(BVP+COM, %v) = %v: the tree no longer produces the NaN this test is about", order, total)
-	}
-
+	ds := storage.NewDataset(tr) // annotated statistics only, no rows
 	if choice, err := ChoosePlan(PlanRequest{
-		Dataset: ds, Algorithm: &alg, Strategies: []cost.Strategy{cost.BVPCOM},
+		Dataset: ds, FlatOutput: true, Strategies: []cost.Strategy{cost.COM, cost.BVPCOM, cost.SJCOM},
 	}); err == nil {
-		t.Errorf("restricted to BVP+COM: got plan %v with cost %v, want an error",
+		t.Errorf("restricted to the factorized strategies: got plan %v with cost %v, want an error",
 			choice.Order, choice.Predicted.Total)
 	}
-	choice, err := ChoosePlan(PlanRequest{Dataset: ds, Algorithm: &alg})
+	choice, err := ChoosePlan(PlanRequest{Dataset: ds, FlatOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if choice.Strategy == cost.BVPCOM || math.IsNaN(choice.Predicted.Total) || math.IsInf(choice.Predicted.Total, 0) {
+	if choice.Strategy.Factorized() || math.IsNaN(choice.Predicted.Total) || math.IsInf(choice.Predicted.Total, 0) {
 		t.Errorf("unrestricted: chose %v at cost %v", choice.Strategy, choice.Predicted.Total)
+	}
+
+	tr = plan.NewTree("")
+	r2 := tr.AddChild(plan.Root, plan.EdgeStats{M: 0.3, Fo: 2.5}, "")
+	tr.AddChild(r2, plan.EdgeStats{M: 1, Fo: 2}, "")
+	tr.AddChild(plan.Root, plan.EdgeStats{M: 0.9, Fo: 1}, "")
+	alg := opt.RankOrdering
+	choice, err = ChoosePlan(PlanRequest{
+		Dataset: storage.NewDataset(tr), Algorithm: &alg, Strategies: []cost.Strategy{cost.BVPCOM},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total := choice.Predicted.Total; !(total > 0) || math.IsInf(total, 0) {
+		t.Errorf("BVP+COM of %v with M3 = 1 costs %v, want a positive number", choice.Order, total)
 	}
 }
 

@@ -3,10 +3,11 @@ package core
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -61,13 +62,8 @@ func ledgerTrees() (names []string, trees []*plan.Tree) {
 // ledgerLine renders one plan: everything but the trailing total must
 // match the golden file exactly.
 func ledgerLine(label string, c PlanChoice) string {
-	parents := make([]plan.NodeID, 0, len(c.SemiJoins))
-	for p := range c.SemiJoins {
-		parents = append(parents, p)
-	}
-	sort.Slice(parents, func(i, j int) bool { return parents[i] < parents[j] })
 	var sj []string
-	for _, p := range parents {
+	for _, p := range slices.Sorted(maps.Keys(c.SemiJoins)) {
 		sj = append(sj, fmt.Sprintf("%d:%v", p, c.SemiJoins[p]))
 	}
 	return fmt.Sprintf("%s %v %v sj=%s total=%.12g",

@@ -1,10 +1,29 @@
 // Package cost implements the cost model of Kalumin & Deshpande
-// (ICDE 2025, Section 3): estimating the number of probes performed by
-// a left-deep pipelined plan over an acyclic join tree, properly
-// accounting for the avoidance of redundant probes when a factorized
-// intermediate representation is used (COM), and extending the model to
-// bitvector-based early pruning (BVP, Section 3.5) and semi-join full
-// reduction (SJ, Section 3.6).
+// (ICDE 2025, Section 3): the expected number of probes a left-deep
+// pipelined plan performs over an acyclic join tree.
+//
+// The paper's six strategies are two axes, and so is the model. The
+// output axis picks one of two formulas for the rows of a relation that
+// are alive after a joined prefix: the flat stream of Section 2.1
+// (every materialized tuple probes every later operator) or the
+// factorized level count of Section 3.3, Equation (1) (a relation is
+// probed once per surviving row of its parent). The reduction axis only
+// picks the statistics those formulas see — a view:
+//
+//	reduction  stats             scale            pass         initial term
+//	none       tree's (m, fo)    1                —            0
+//	BVP        tree's (m, fo)    1                min(m+ε, 1)  the filters of the driver's
+//	           (§3.5)                             (§3.5)       children, on the driver (§3.5)
+//	SJ         (1, fo′) of       the driver's     —            the phase-1 semi-join
+//	           Theorem 3.4       reduction ratio               probes (§3.6)
+//	           (§3.6)            (§3.6)
+//
+// Joining a relation costs one hash probe per alive row of its parent;
+// where the view has pass factors, the relation's rows then probe the
+// pushed-down filter of each of its children in turn. Both terms depend
+// on the joined set alone (Theorem 3.3), and the cost of an order is the
+// view's initial term plus the sum of its joins' marginals plus, for a
+// factorized strategy asked for flat output, the final expansion.
 //
 // All costs are expressed per driver tuple; multiply by the driver
 // cardinality N for totals. Probe kinds are weighted: a hash-table
@@ -14,14 +33,14 @@
 package cost
 
 import (
-	"math"
 	"strings"
 
 	"m2mjoin/internal/plan"
 )
 
 // Strategy identifies one of the six execution approaches compared in
-// the paper (Section 4.1).
+// the paper (Section 4.1): a Reduction crossed with flat or factorized
+// intermediates.
 type Strategy int
 
 const (
@@ -38,6 +57,28 @@ const (
 	// SJCOM is COM preceded by a semi-join full-reduction pass.
 	SJCOM
 )
+
+// Reduction is how a strategy thins its input before and between the
+// joins.
+type Reduction int
+
+const (
+	// Unreduced strategies probe with every intermediate row.
+	Unreduced Reduction = iota
+	// Bitvector strategies push a filter per join down to its parent's
+	// materialization point (BVP, Section 3.5).
+	Bitvector
+	// SemiJoin strategies fully reduce every relation before joining
+	// (SJ, Section 3.6).
+	SemiJoin
+)
+
+// Reduction returns the strategy's reduction axis.
+func (s Strategy) Reduction() Reduction { return Reduction(s >> 1) }
+
+// Factorized reports whether the strategy keeps intermediates
+// factorized (the COM variants) rather than flat (the STD variants).
+func (s Strategy) Factorized() bool { return s&1 == 1 }
 
 var strategyNames = [...]string{
 	STD:    "STD",
@@ -110,12 +151,18 @@ type Model struct {
 	// generalized join operator: a hash lookup, an index probe, or an
 	// external API/UDF call). Nil means unit costs everywhere.
 	probeCosts map[plan.NodeID]float64
+	// ratio and adjusted are phase 1 of the full reduction, by NodeID:
+	// the fraction of each relation that survives it and the Theorem
+	// 3.4 statistics of the edge into the reduced relation.
+	ratio    []float64
+	adjusted []plan.EdgeStats
+	views    [3]view // by Reduction
 }
 
 // New returns a cost model for the given tree and weights, with unit
 // probe costs (every probe costs 1, the hash-join default).
 func New(t *plan.Tree, w Weights) *Model {
-	return &Model{tree: t, weights: w}
+	return NewWithProbeCosts(t, w, nil)
 }
 
 // NewWithProbeCosts returns a cost model with heterogeneous per-
@@ -134,14 +181,12 @@ func NewWithProbeCosts(t *plan.Tree, w Weights, costs map[plan.NodeID]float64) *
 			m.probeCosts[id] = c
 		}
 	}
+	m.buildViews()
 	return m
 }
 
 // ProbeCost returns c_id, the cost of one probe into relation id.
 func (m *Model) ProbeCost(id plan.NodeID) float64 {
-	if m.probeCosts == nil {
-		return 1
-	}
 	if c, ok := m.probeCosts[id]; ok {
 		return c
 	}
@@ -167,29 +212,7 @@ func (m *Model) SurvivalTree(root plan.NodeID, in plan.Set) float64 {
 	if !in.Has(root) {
 		panic("cost: SurvivalTree: set does not contain its root")
 	}
-	return m.survival(root, in)
-}
-
-func (m *Model) survival(id plan.NodeID, in plan.Set) float64 {
-	childProd := 1.0
-	any := false
-	for _, c := range m.tree.Children(id) {
-		if in.Has(c) {
-			childProd *= m.survival(c, in)
-			any = true
-		}
-	}
-	var mSelf, fo float64
-	if id == plan.Root {
-		mSelf, fo = 1, 1
-	} else {
-		st := m.tree.Stats(id)
-		mSelf, fo = st.M, st.Fo
-	}
-	if !any {
-		return mSelf
-	}
-	return mSelf * (1 - math.Pow(1-childProd, fo))
+	return m.views[Unreduced].survival(root, in, 0)
 }
 
 // ProbesCOM returns the expected number of probes (per driver tuple)
@@ -204,23 +227,7 @@ func (m *Model) survival(id plan.NodeID, in plan.Set) float64 {
 // Expansion happens only along the root-to-next path; side branches
 // contribute only their survival probability.
 func (m *Model) ProbesCOM(next plan.NodeID, done plan.Set) float64 {
-	probes := 1.0
-	// Walk next's ancestors bottom-up; below is the child of a that
-	// lies on the path (next itself at the first step).
-	for below, a := next, m.tree.Parent(next); ; below, a = a, m.tree.Parent(a) {
-		if a != plan.Root {
-			st := m.tree.Stats(a)
-			probes *= st.M * st.Fo
-		}
-		for _, c := range m.tree.Children(a) {
-			if c != below && done.Has(c) {
-				probes *= m.survival(c, done)
-			}
-		}
-		if a == plan.Root {
-			return probes
-		}
-	}
+	return m.views[Unreduced].levelCount(m.tree.Parent(next), done, 0)
 }
 
 // PlanCost is the cost breakdown of one left-deep plan, expressed per
@@ -242,11 +249,6 @@ type PlanCost struct {
 	ExpandedTuples float64
 	// Total is the weighted scalar cost.
 	Total float64
-}
-
-func (m *Model) finish(pc PlanCost) PlanCost {
-	pc.Total = pc.HashProbes + m.weights.Filter*pc.FilterProbes + m.weights.Expand*pc.ExpandedTuples
-	return pc
 }
 
 // OutputTuples returns the expected number of flat result tuples per
@@ -274,54 +276,64 @@ func (m *Model) RelCard(id plan.NodeID) float64 {
 	return card
 }
 
-// CostSTD returns the cost of order o under standard execution
-// (the classical model of Section 2.1): every materialized intermediate
-// tuple probes every subsequent operator.
-func (m *Model) CostSTD(o plan.Order) PlanCost {
-	pc := PlanCost{Strategy: STD}
-	stream := 1.0
-	for _, id := range o {
-		pc.HashProbes += stream * m.ProbeCost(id)
-		st := m.tree.Stats(id)
-		stream *= st.M * st.Fo
-	}
-	return m.finish(pc)
-}
-
-// CostCOM returns the cost of order o when redundant probes are
-// avoided through the factorized representation (Section 3.3).
-// flatOutput adds the final expansion cost.
-func (m *Model) CostCOM(o plan.Order, flatOutput bool) PlanCost {
-	pc := PlanCost{Strategy: COM}
-	done := plan.SetOf(plan.Root)
-	for _, next := range o {
-		pc.HashProbes += m.ProbesCOM(next, done) * m.ProbeCost(next)
-		done = done.With(next)
-	}
-	if flatOutput {
-		pc.ExpandedTuples = m.OutputTuples()
-	}
-	return m.finish(pc)
-}
-
-// Cost dispatches to the strategy-specific costing of order o.
-// flatOutput only affects the COM-based strategies, which require an
-// explicit expansion step to produce flat tuples.
-func (m *Model) Cost(s Strategy, o plan.Order, flatOutput bool) PlanCost {
-	switch s {
-	case STD:
-		return m.CostSTD(o)
-	case COM:
-		return m.CostCOM(o, flatOutput)
-	case BVPSTD:
-		return m.CostBVPSTD(o)
-	case BVPCOM:
-		return m.CostBVPCOM(o, flatOutput)
-	case SJSTD:
-		return m.CostSJSTD(o)
-	case SJCOM:
-		return m.CostSJCOM(o, flatOutput)
-	default:
+// view returns the statistics strategy s costs its joins against.
+func (m *Model) view(s Strategy) *view {
+	if s < 0 || int(s) >= len(strategyNames) {
 		panic("cost: unknown strategy")
 	}
+	return &m.views[s.Reduction()]
+}
+
+// marginal returns the hash-probe cost and the filter probes added by
+// joining cand immediately after the connected prefix set: the alive
+// rows of cand's parent probe cand, and where the view pushes filters
+// down, cand's joined rows then probe the filter of each of cand's
+// children in turn. A filter is pending — applied, its join not yet
+// run — exactly while its relation is on the frontier, because it was
+// pushed down the moment the relation's parent materialized.
+func (m *Model) marginal(s Strategy, cand plan.NodeID, set plan.Set) (hash, filter float64) {
+	v, t := m.view(s), m.tree
+	var pending plan.Set
+	if v.pass != nil {
+		pending = t.Frontier(set)
+	}
+	hash = v.rows(s.Factorized(), t.Parent(cand), set, pending) * m.ProbeCost(cand)
+	if v.pass == nil || t.IsLeaf(cand) {
+		return hash, 0
+	}
+	joined := v.rows(s.Factorized(), cand, set.With(cand), pending.Without(cand))
+	return hash, v.pushDown(cand, joined)
+}
+
+// Marginal returns the weighted cost added by joining cand immediately
+// after the connected prefix `set` (which must contain the driver and
+// cand's parent, but not cand), under strategy s. The marginal depends
+// only on the set — not on the order the set was joined in — which is
+// the principle of optimality that Algorithm 1 relies on (and that
+// Theorem 3.3 establishes for BVP with a fixed driver); every product
+// over the set runs in ascending NodeID order, so equal sets give
+// bit-equal marginals. The order-independent terms (the view's initial
+// term, the final expansion) are excluded.
+func (m *Model) Marginal(s Strategy, cand plan.NodeID, set plan.Set) float64 {
+	hash, filter := m.marginal(s, cand, set)
+	return hash + m.weights.Filter*filter
+}
+
+// Cost returns the cost of order o under strategy s: the view's
+// initial term, the marginal of every join of o, and, when flatOutput
+// asks a factorized strategy for flat tuples, the final expansion.
+func (m *Model) Cost(s Strategy, o plan.Order, flatOutput bool) PlanCost {
+	pc := PlanCost{Strategy: s, FilterProbes: m.view(s).initial}
+	set := plan.SetOf(plan.Root)
+	for _, id := range o {
+		hash, filter := m.marginal(s, id, set)
+		pc.HashProbes += hash
+		pc.FilterProbes += filter
+		set = set.With(id)
+	}
+	if flatOutput && s.Factorized() {
+		pc.ExpandedTuples = m.OutputTuples()
+	}
+	pc.Total = pc.HashProbes + m.weights.Filter*pc.FilterProbes + m.weights.Expand*pc.ExpandedTuples
+	return pc
 }

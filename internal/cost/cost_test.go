@@ -85,7 +85,7 @@ func TestSTDCostRunningExample(t *testing.T) {
 	model := New(tr, DefaultWeights())
 
 	o := plan.Order{ids["R2"], ids["R3"], ids["R5"], ids["R4"], ids["R6"]}
-	got := model.CostSTD(o).HashProbes
+	got := model.Cost(STD, o, false).HashProbes
 	want := 1 + m2*fo2 + m2*fo2*m3*fo3 + m2*fo2*m3*fo3*m5*fo5 +
 		m2*fo2*m3*fo3*m5*fo5*m4*fo4
 	if !almostEqual(got, want) {
@@ -103,8 +103,8 @@ func TestCOMEqualsSTDWhenFanoutOne(t *testing.T) {
 		})
 		model := New(tr, DefaultWeights())
 		for _, o := range tr.AllOrders() {
-			std := model.CostSTD(o).HashProbes
-			com := model.CostCOM(o, false).HashProbes
+			std := model.Cost(STD, o, false).HashProbes
+			com := model.Cost(COM, o, false).HashProbes
 			if !almostEqual(std, com) {
 				t.Fatalf("fo=1 but STD %v != COM %v for %v on %v", std, com, o, tr)
 			}
@@ -121,8 +121,8 @@ func TestCOMNeverWorseThanSTD(t *testing.T) {
 			plan.UniformStats(rng, 0.05, 0.95, 1, 10))
 		model := New(tr, DefaultWeights())
 		for _, o := range tr.AllOrders() {
-			std := model.CostSTD(o).HashProbes
-			com := model.CostCOM(o, false).HashProbes
+			std := model.Cost(STD, o, false).HashProbes
+			com := model.Cost(COM, o, false).HashProbes
 			if com > std*(1+1e-9) {
 				t.Fatalf("COM probes %v > STD probes %v for %v on %v", com, std, o, tr)
 			}
@@ -145,9 +145,9 @@ func TestCOMOrderInvariantPrefix(t *testing.T) {
 	ordersA := plan.Order{ids["R2"], ids["R3"], ids["R5"], ids["R4"], ids["R6"]}
 	ordersB := plan.Order{ids["R2"], ids["R5"], ids["R3"], ids["R4"], ids["R6"]}
 	ordersC := plan.Order{ids["R5"], ids["R2"], ids["R3"], ids["R4"], ids["R6"]}
-	costA := model.CostCOM(ordersA, false).HashProbes
-	costB := model.CostCOM(ordersB, false).HashProbes
-	costC := model.CostCOM(ordersC, false).HashProbes
+	costA := model.Cost(COM, ordersA, false).HashProbes
+	costB := model.Cost(COM, ordersB, false).HashProbes
+	costC := model.Cost(COM, ordersC, false).HashProbes
 	// These differ in general (different probe counts for R3/R5), but
 	// the marginal probes into R4 and R6 must agree since the joined
 	// sets agree.
@@ -231,8 +231,8 @@ func TestASICounterexample(t *testing.T) {
 	// Orders differing only in U=R5 vs V=R6 swap, as in the proof.
 	oUV := plan.Order{ids["R2"], ids["R3"], ids["R4"], ids["R7"], ids["R5"], ids["R6"]}
 	oVU := plan.Order{ids["R2"], ids["R3"], ids["R4"], ids["R7"], ids["R6"], ids["R5"]}
-	cUV := model.CostCOM(oUV, false).HashProbes
-	cVU := model.CostCOM(oVU, false).HashProbes
+	cUV := model.Cost(COM, oUV, false).HashProbes
+	cVU := model.Cost(COM, oVU, false).HashProbes
 	if almostEqual(cUV, cVU) {
 		t.Fatalf("expected different costs for fo2 != fo3, got %v == %v", cUV, cVU)
 	}
@@ -242,8 +242,8 @@ func TestASICounterexample(t *testing.T) {
 	model2 := New(tr2, DefaultWeights())
 	oUV2 := plan.Order{ids2["R2"], ids2["R3"], ids2["R4"], ids2["R7"], ids2["R5"], ids2["R6"]}
 	oVU2 := plan.Order{ids2["R2"], ids2["R3"], ids2["R4"], ids2["R7"], ids2["R6"], ids2["R5"]}
-	cUV2 := model2.CostCOM(oUV2, false).HashProbes
-	cVU2 := model2.CostCOM(oVU2, false).HashProbes
+	cUV2 := model2.Cost(COM, oUV2, false).HashProbes
+	cVU2 := model2.Cost(COM, oVU2, false).HashProbes
 	if (cUV < cVU) == (cUV2 < cVU2) {
 		t.Errorf("preference did not flip when swapping fo2/fo3: (%v,%v) vs (%v,%v)",
 			cUV, cVU, cUV2, cVU2)
@@ -275,47 +275,6 @@ func TestRelCard(t *testing.T) {
 	}
 }
 
-// TestMarginalSumsMatchFullCost: for every strategy, accumulating
-// Marginal along an order (plus order-independent terms) equals the
-// full Cost computation. This ties the DP to the cost functions.
-func TestMarginalSumsMatchFullCost(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	w := DefaultWeights()
-	for trial := 0; trial < 60; trial++ {
-		tr := plan.RandomTree(2+rng.Intn(7), rng,
-			plan.UniformStats(rng, 0.05, 0.95, 1, 10))
-		model := New(tr, w)
-		orders := tr.AllOrders()
-		if len(orders) > 20 {
-			orders = orders[:20]
-		}
-		for _, o := range orders {
-			for _, s := range AllStrategies {
-				sum := 0.0
-				set := plan.SetOf(plan.Root)
-				for _, id := range o {
-					sum += model.Marginal(s, id, set)
-					set = set.With(id)
-				}
-				full := model.Cost(s, o, false)
-				// SJ strategies carry an order-independent phase-1
-				// term; BVP strategies charge the driver's initial
-				// bitvector filters before the first join.
-				switch s {
-				case SJSTD, SJCOM:
-					sum += w.Filter * model.Phase1Probes()
-				case BVPSTD, BVPCOM:
-					sum += w.Filter * model.InitialFilterProbes()
-				}
-				if !almostEqual(sum, full.Total) {
-					t.Fatalf("strategy %v order %v: marginal sum %v != full %v (tree %v)",
-						s, o, sum, full.Total, tr)
-				}
-			}
-		}
-	}
-}
-
 // TestBVPReducesToBaseWhenEpsilonZero: with a perfect bitvector
 // (epsilon = 0), BVP probes relate directly to the base model: the
 // hash probes of BVP+COM with all filters exact equal the survival-
@@ -331,13 +290,13 @@ func TestBVPReducesToBaseWhenEpsilonZero(t *testing.T) {
 			plan.UniformStats(rng, 0.05, 0.95, 1, 10))
 		model := New(tr, w)
 		for _, o := range tr.AllOrders()[:1] {
-			stdC := model.CostSTD(o)
-			bvpStd := model.CostBVPSTD(o)
+			stdC := model.Cost(STD, o, false)
+			bvpStd := model.Cost(BVPSTD, o, false)
 			if bvpStd.HashProbes > stdC.HashProbes*(1+1e-9) {
 				t.Fatalf("BVP+STD hash probes %v > STD %v", bvpStd.HashProbes, stdC.HashProbes)
 			}
-			comC := model.CostCOM(o, false)
-			bvpCom := model.CostBVPCOM(o, false)
+			comC := model.Cost(COM, o, false)
+			bvpCom := model.Cost(BVPCOM, o, false)
 			if bvpCom.HashProbes > comC.HashProbes*(1+1e-9) {
 				t.Fatalf("BVP+COM hash probes %v > COM %v", bvpCom.HashProbes, comC.HashProbes)
 			}
@@ -345,6 +304,33 @@ func TestBVPReducesToBaseWhenEpsilonZero(t *testing.T) {
 				t.Fatalf("BVP should count filter probes")
 			}
 		}
+	}
+}
+
+// TestPassFactorIsAProbability: a bitvector passes a row with
+// probability m+ε only while that is at most 1. On R1(R2(R3),R4) with
+// M3 = 1 and Fo2 = 2.5, order R2 R4 R3, the uncapped sum made the
+// survival of R2 raise a negative base to a fractional fanout, and
+// Cost(BVP+COM) was NaN; capped, a filter that passes everything is a
+// filter that prunes nothing.
+func TestPassFactorIsAProbability(t *testing.T) {
+	tr := plan.NewTree("R1")
+	r2 := tr.AddChild(plan.Root, plan.EdgeStats{M: 0.3, Fo: 2.5}, "R2")
+	r3 := tr.AddChild(r2, plan.EdgeStats{M: 1, Fo: 2}, "R3")
+	r4 := tr.AddChild(plan.Root, plan.EdgeStats{M: 0.9, Fo: 1}, "R4")
+	model := New(tr, DefaultWeights())
+	o := plan.Order{r2, r4, r3}
+	com := model.Cost(COM, o, false)
+	for _, s := range []Strategy{BVPSTD, BVPCOM} {
+		got := model.Cost(s, o, false)
+		for name, x := range map[string]float64{"hash": got.HashProbes, "filter": got.FilterProbes, "total": got.Total} {
+			if !(x > 0) || math.IsInf(x, 0) {
+				t.Errorf("%v %s probes = %v, want a positive number", s, name, x)
+			}
+		}
+	}
+	if got := model.Cost(BVPCOM, o, false).HashProbes; got > com.HashProbes {
+		t.Errorf("BVP+COM hash probes %v > COM's %v", got, com.HashProbes)
 	}
 }
 
@@ -365,7 +351,7 @@ func TestBVPSTDPaperFormula(t *testing.T) {
 	_ = m6
 
 	o := plan.Order{ids["R2"], ids["R3"], ids["R5"], ids["R4"], ids["R6"]}
-	got := model.CostBVPSTD(o)
+	got := model.Cost(BVPSTD, o, false)
 
 	wantFilter := 1 + (m2 + eps) + // BV(R2), BV(R5) on the driver
 		m2*(m5+eps)*fo2 + // BV(R3) on R2's output
@@ -399,8 +385,7 @@ func TestBVPCOMPaperR5Example(t *testing.T) {
 	m5 := tr.Stats(ids["R5"]).M
 
 	set := plan.SetOf(plan.Root, ids["R2"], ids["R3"])
-	st := bvpState{done: set, pending: tr.Frontier(set)}
-	got := model.levelCountBVP(plan.Root, st)
+	got := model.views[Bitvector].levelCount(plan.Root, set, tr.Frontier(set))
 	want := m2 * (m5 + eps) * (1 - math.Pow(1-m3*(m4+eps), fo2))
 	if !almostEqual(got, want) {
 		t.Errorf("BVP+COM probes into R5 = %v, want %v", got, want)
@@ -482,9 +467,9 @@ func TestSJCOMOrderIndependence(t *testing.T) {
 			plan.UniformStats(rng, 0.05, 0.95, 1, 10))
 		model := New(tr, DefaultWeights())
 		orders := tr.AllOrders()
-		base := model.CostSJCOM(orders[0], false).Total
+		base := model.Cost(SJCOM, orders[0], false).Total
 		for _, o := range orders[1:] {
-			if got := model.CostSJCOM(o, false).Total; !almostEqual(got, base) {
+			if got := model.Cost(SJCOM, o, false).Total; !almostEqual(got, base) {
 				t.Fatalf("SJ+COM cost differs across orders: %v vs %v on %v", got, base, tr)
 			}
 		}

@@ -18,7 +18,7 @@ func TestProbeCostDefaults(t *testing.T) {
 	}
 	m2 := NewWithProbeCosts(tr, DefaultWeights(), nil)
 	o := plan.Order{1, 2, 4, 3, 5}
-	if a, b := m.CostCOM(o, true).Total, m2.CostCOM(o, true).Total; a != b {
+	if a, b := m.Cost(COM, o, true).Total, m2.Cost(COM, o, true).Total; a != b {
 		t.Errorf("nil cost map changed totals: %v vs %v", a, b)
 	}
 }
@@ -57,43 +57,6 @@ func TestProbeCostScalesLinearly(t *testing.T) {
 	}
 }
 
-// TestProbeCostMarginalsConsistent: the marginal-sum identity holds
-// with heterogeneous probe costs too.
-func TestProbeCostMarginalsConsistent(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	w := DefaultWeights()
-	for trial := 0; trial < 30; trial++ {
-		tr := plan.RandomTree(2+rng.Intn(6), rng,
-			plan.UniformStats(rng, 0.1, 0.9, 1, 6))
-		costs := make(map[plan.NodeID]float64)
-		for _, id := range tr.NonRoot() {
-			costs[id] = 0.5 + rng.Float64()*20
-		}
-		model := NewWithProbeCosts(tr, w, costs)
-		for _, o := range tr.AllOrders()[:1] {
-			for _, s := range AllStrategies {
-				sum := 0.0
-				set := plan.SetOf(plan.Root)
-				for _, id := range o {
-					sum += model.Marginal(s, id, set)
-					set = set.With(id)
-				}
-				switch s {
-				case SJSTD, SJCOM:
-					sum += w.Filter * model.Phase1Probes()
-				case BVPSTD, BVPCOM:
-					sum += w.Filter * model.InitialFilterProbes()
-				}
-				full := model.Cost(s, o, false)
-				if !almostEqual(sum, full.Total) {
-					t.Fatalf("strategy %v: marginal sum %v != full %v with probe costs",
-						s, sum, full.Total)
-				}
-			}
-		}
-	}
-}
-
 // TestExpensiveProbeChangesOptimum: with an expensive operator, the
 // optimal COM plan defers or avoids probing it; the per-operator cost
 // must actually influence the DP's choice.
@@ -108,8 +71,8 @@ func TestExpensiveProbeChangesOptimum(t *testing.T) {
 
 	// Probing cheap first filters the driver before the expensive call:
 	// cost(cheap, pricey) = 1 + 0.5*100 vs cost(pricey, cheap) = 100 + 0.5.
-	a := model.CostCOM(plan.Order{cheap, pricey}, false).Total
-	b := model.CostCOM(plan.Order{pricey, cheap}, false).Total
+	a := model.Cost(COM, plan.Order{cheap, pricey}, false).Total
+	b := model.Cost(COM, plan.Order{pricey, cheap}, false).Total
 	if a >= b {
 		t.Fatalf("cheap-first (%v) should beat pricey-first (%v)", a, b)
 	}

@@ -168,90 +168,6 @@ func TestMarginalIsAFunctionOfTheSet(t *testing.T) {
 	}
 }
 
-// foldCase decodes fuzz bytes into a model over a tree of 2..12
-// relations with per-relation probe costs, a strategy, whether the
-// output is flat, and a valid order. Every byte string decodes to a
-// valid case; bytes past the end read as zero.
-func foldCase(data []byte) (*Model, Strategy, bool, plan.Order) {
-	next := func() int {
-		if len(data) == 0 {
-			return 0
-		}
-		b := data[0]
-		data = data[1:]
-		return int(b)
-	}
-	n := 2 + next()%11
-	w := DefaultWeights()
-	w.Epsilon = float64(next()%16) / 100
-	tr := plan.NewTree("")
-	costs := make(map[plan.NodeID]float64)
-	for i := 1; i < n; i++ {
-		parent := plan.NodeID(next() % i)
-		// The BVP formulas read m+epsilon as a probability, so keep it one.
-		st := plan.EdgeStats{M: math.Min(float64(1+next()%100)/100, 1-w.Epsilon), Fo: 1 + float64(next()%64)/4}
-		costs[tr.AddChild(parent, st, "")] = float64(1+next()%32) / 4
-	}
-	s, flat := AllStrategies[next()%len(AllStrategies)], next()%2 == 1
-	var o plan.Order
-	for done := plan.SetOf(plan.Root); len(o) < n-1; done = done.With(o[len(o)-1]) {
-		f := tr.Frontier(done).IDs()
-		o = append(o, f[next()%len(f)])
-	}
-	return NewWithProbeCosts(tr, w, costs), s, flat, o
-}
-
-// FuzzMarginalFold is the principle of optimality on generated cases:
-// folding Marginal along any valid order, plus the order-independent
-// terms, reproduces the full Cost of that order, and the marginal into
-// a prefix does not depend on how the prefix set was put together.
-func FuzzMarginalFold(f *testing.F) {
-	// The running example of Section 3 under each strategy (order
-	// R2 R3 R5 R4 R6, unit probe costs), and a path with expensive probes.
-	running := []byte{4, 1, 0, 49, 8, 3, 1, 39, 4, 3, 1, 59, 4, 3, 0, 69, 4, 3, 4, 79, 8, 3}
-	for s := range AllStrategies {
-		f.Add(append(append([]byte(nil), running...), byte(s), 1, 0, 0, 1, 0, 0))
-	}
-	f.Add([]byte{2, 3, 0, 29, 12, 31, 1, 89, 0, 0, 2, 9, 40, 15, 3, 0})
-	// SJ+STD down a 12-chain of m = 0.01: the reduction ratio falls
-	// below what 1-ratio can hold, which used to make the cost NaN.
-	deep := []byte{10, 1}
-	for parent := byte(0); parent < 11; parent++ {
-		deep = append(deep, parent, 0, 0, 3)
-	}
-	f.Add(append(deep, 4))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, s, flat, o := foldCase(data)
-		w := m.Weights()
-		sum := 0.0
-		set := plan.SetOf(plan.Root)
-		for _, id := range o {
-			step := m.Marginal(s, id, set)
-			rebuilt := plan.SetOf(plan.Root) // the same prefix, last join first
-			for k := set.Len() - 2; k >= 0; k-- {
-				rebuilt = rebuilt.With(o[k])
-			}
-			if again := m.Marginal(s, id, rebuilt); again != step {
-				t.Fatalf("%v into %d after %v: %v, then %v for the same set", s, id, set.IDs(), step, again)
-			}
-			sum += step
-			set = set.With(id)
-		}
-		switch s {
-		case SJSTD, SJCOM:
-			sum += w.Filter * m.Phase1Probes()
-		case BVPSTD, BVPCOM:
-			sum += w.Filter * m.InitialFilterProbes()
-		}
-		if flat && (s == COM || s == BVPCOM || s == SJCOM) {
-			sum += w.Expand * m.OutputTuples()
-		}
-		if full := m.Cost(s, o, flat).Total; !(math.Abs(sum-full) <= 1e-9*full) {
-			t.Fatalf("%v order %v on %v: marginals fold to %v, Cost is %v", s, o, m.Tree(), sum, full)
-		}
-	})
-}
-
 // TestQuickSJPhase1Positive: phase-1 semi-join probes are positive and
 // bounded by the total relative cardinality times the number of edges.
 func TestQuickSJPhase1Positive(t *testing.T) {

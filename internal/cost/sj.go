@@ -7,13 +7,12 @@ import (
 	"m2mjoin/internal/plan"
 )
 
-// This file implements the cost model for semi-join full reduction
-// (SJ, Section 3.6). Phase 1 reduces relations bottom-up: each parent
-// is semi-joined with its (already reduced) children, leaves' parents
+// This file implements phase 1 of semi-join full reduction (SJ,
+// Section 3.6): relations are reduced bottom-up, each parent
+// semi-joined with its (already reduced) children, leaves' parents
 // first, ending with the driver, which becomes fully reduced. Phase 2
-// runs a normal left-deep plan from the reduced driver; by construction
-// every phase-2 match probability is 1 and the fanouts are adjusted per
-// Theorem 3.4.
+// is the ordinary model on the SemiJoin view: by construction every
+// match probability is 1 and the fanouts are adjusted per Theorem 3.4.
 
 // AdjustedStats applies Theorem 3.4: given parent->child statistics
 // (m, fo) and an independent reduction of the child by `ratio`, the
@@ -41,31 +40,26 @@ func AdjustedStats(st plan.EdgeStats, ratio float64) plan.EdgeStats {
 	}
 }
 
+// reduce computes m.ratio and m.adjusted, children before parents.
+func (m *Model) reduce() {
+	n := m.tree.Len()
+	m.ratio, m.adjusted = make([]float64, n), make([]plan.EdgeStats, n)
+	for _, id := range m.tree.BottomUp() {
+		ratio := 1.0
+		for _, c := range m.tree.Children(id) {
+			ratio *= m.adjusted[c].M
+		}
+		m.ratio[id] = ratio
+		if id != plan.Root {
+			m.adjusted[id] = AdjustedStats(m.tree.Stats(id), ratio)
+		}
+	}
+}
+
 // ReductionRatio returns the fraction of relation id's tuples that
 // survive phase 1, i.e. the semi-joins with all of id's own (already
 // reduced) children. Leaves are never reduced (ratio 1).
-func (m *Model) ReductionRatio(id plan.NodeID) float64 {
-	ratio := 1.0
-	for _, c := range m.tree.Children(id) {
-		ratio *= m.adjustedM(c)
-	}
-	return ratio
-}
-
-// adjustedM returns m'_{parent->c}: the probability that a parent tuple
-// has a match in child c after c has been reduced by its own children.
-func (m *Model) adjustedM(c plan.NodeID) float64 {
-	st := m.tree.Stats(c)
-	return AdjustedStats(st, m.ReductionRatio(c)).M
-}
-
-// adjustedFo returns fo'_{parent->c} for phase 2: the expected number
-// of matches in reduced child c for a parent tuple that has at least
-// one (which, after reduction of the parent, is every parent tuple).
-func (m *Model) adjustedFo(c plan.NodeID) float64 {
-	st := m.tree.Stats(c)
-	return AdjustedStats(st, m.ReductionRatio(c)).Fo
-}
+func (m *Model) ReductionRatio(id plan.NodeID) float64 { return m.ratio[id] }
 
 // SemiJoinOrder returns the children of parent in the phase-1 probe
 // order the paper proves optimal: increasing adjusted match
@@ -73,7 +67,7 @@ func (m *Model) adjustedFo(c plan.NodeID) float64 {
 func (m *Model) SemiJoinOrder(parent plan.NodeID) []plan.NodeID {
 	children := append([]plan.NodeID(nil), m.tree.Children(parent)...)
 	sort.Slice(children, func(i, j int) bool {
-		mi, mj := m.adjustedM(children[i]), m.adjustedM(children[j])
+		mi, mj := m.adjusted[children[i]].M, m.adjusted[children[j]].M
 		if mi != mj {
 			return mi < mj
 		}
@@ -91,56 +85,11 @@ func (m *Model) SemiJoinOrder(parent plan.NodeID) []plan.NodeID {
 func (m *Model) Phase1Probes() float64 {
 	probes := 0.0
 	for _, p := range m.tree.BottomUp() {
-		children := m.SemiJoinOrder(p)
-		if len(children) == 0 {
-			continue
-		}
 		remaining := m.RelCard(p)
-		for _, c := range children {
+		for _, c := range m.SemiJoinOrder(p) {
 			probes += remaining * m.ProbeCost(c)
-			remaining *= m.adjustedM(c)
+			remaining *= m.adjusted[c].M
 		}
 	}
 	return probes
-}
-
-// CostSJSTD returns the cost of order o for the two-phase full
-// reduction followed by standard execution. Phase-1 semi-join probes
-// are filter probes; phase-2 hash probes use match probability 1 and
-// the Theorem 3.4 adjusted fanouts, scaled by the reduced driver
-// cardinality.
-func (m *Model) CostSJSTD(o plan.Order) PlanCost {
-	pc := PlanCost{Strategy: SJSTD}
-	pc.FilterProbes = m.Phase1Probes()
-	stream := m.ReductionRatio(plan.Root)
-	for _, c := range o {
-		pc.HashProbes += stream * m.ProbeCost(c)
-		stream *= m.adjustedFo(c)
-	}
-	return m.finish(pc)
-}
-
-// CostSJCOM returns the cost of order o for full reduction followed by
-// factorized execution. With all match probabilities equal to 1, the
-// branch survival terms of Equation (1) vanish and the probes into a
-// relation depend only on the product of adjusted fanouts along its
-// root path — which is why the phase-2 cost is independent of the join
-// order (Theorem 3.5).
-func (m *Model) CostSJCOM(o plan.Order, flatOutput bool) PlanCost {
-	pc := PlanCost{Strategy: SJCOM}
-	pc.FilterProbes = m.Phase1Probes()
-	reduced := m.ReductionRatio(plan.Root)
-	for _, c := range o {
-		probes := reduced
-		for _, a := range m.tree.PathToRoot(c) {
-			if a != plan.Root {
-				probes *= m.adjustedFo(a)
-			}
-		}
-		pc.HashProbes += probes * m.ProbeCost(c)
-	}
-	if flatOutput {
-		pc.ExpandedTuples = m.OutputTuples()
-	}
-	return m.finish(pc)
 }

@@ -69,8 +69,7 @@ func RunBatch(ds *storage.Dataset, optsList []Options) ([]Stats, []error) {
 // members: non-SJ strategy, the common chunk size, and the same driver
 // row set.
 func prepareBatchMember(ds *storage.Dataset, opts Options, admitted []*run) (*run, error) {
-	switch opts.Strategy {
-	case cost.SJSTD, cost.SJCOM:
+	if opts.Strategy.Reduction() == cost.SemiJoin {
 		return nil, fmt.Errorf("%w: semi-join strategies reduce the driver per query", ErrBatchIncompatible)
 	}
 	r, err := prepare(ds, opts)

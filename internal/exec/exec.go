@@ -363,13 +363,13 @@ func (r *run) runPhase1() error {
 	var badStrategy error
 	r.phase1Span = r.opts.Trace.Start("phase1", r.execSpan)
 	r.guard("phase1", func() {
-		switch r.opts.Strategy {
-		case cost.STD, cost.COM:
+		switch r.opts.Strategy.Reduction() {
+		case cost.Unreduced:
 			r.buildTables()
-		case cost.BVPSTD, cost.BVPCOM:
+		case cost.Bitvector:
 			r.buildTables()
 			r.buildFilters()
-		case cost.SJSTD, cost.SJCOM:
+		case cost.SemiJoin:
 			r.semiJoinPass() // builds reduced tables as it goes
 		default:
 			badStrategy = fmt.Errorf("exec: unknown strategy %v", r.opts.Strategy)
@@ -905,11 +905,7 @@ func newWorker(r *run) *worker {
 		tupleBuf: make([]int32, nrel),
 		rowsBuf:  make([]int32, nrel),
 	}
-	switch r.opts.Strategy {
-	case cost.STD, cost.BVPSTD, cost.SJSTD:
-		w.colsA = make([][]int32, nrel)
-		w.colsB = make([][]int32, nrel)
-	default:
+	if r.opts.Strategy.Factorized() {
 		w.chunk = factor.NewChunk(nil)
 		w.emitFn = func(rows []int32) {
 			if w.emitTuple(rows) {
@@ -921,17 +917,19 @@ func newWorker(r *run) *worker {
 				w.emitPassed++
 			}
 		}
+	} else {
+		w.colsA = make([][]int32, nrel)
+		w.colsB = make([][]int32, nrel)
 	}
 	return w
 }
 
 // runChunk processes one driver chunk under the run's strategy.
 func (w *worker) runChunk(driverRows []int32) {
-	switch w.r.opts.Strategy {
-	case cost.STD, cost.BVPSTD, cost.SJSTD:
-		w.runSTDChunk(driverRows)
-	default:
+	if w.r.opts.Strategy.Factorized() {
 		w.runCOMChunk(driverRows)
+	} else {
+		w.runSTDChunk(driverRows)
 	}
 }
 

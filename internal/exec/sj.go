@@ -247,7 +247,7 @@ func (r *run) addSemiJoinStats(st hashtable.ProbeStats, buildSide bool) {
 }
 
 // semiJoinOrder returns the order in which p's children are probed in
-// phase 1: the caller-provided order when given (SJOptimal sorts by
+// phase 1: the caller-provided order when given (opt.Optimize sorts by
 // increasing adjusted match probability), ascending NodeID otherwise.
 func (r *run) semiJoinOrder(p plan.NodeID) []plan.NodeID {
 	if r.opts.SemiJoins != nil {

@@ -145,18 +145,6 @@ func runStrategy(ds *storage.Dataset, model *cost.Model, s cost.Strategy,
 	}
 }
 
-// relTime formats the wall-clock ratio of m to the baseline; timeouts
-// render as the paper's red "timeout" markers.
-func relTime(m, baseline measured) string {
-	if m.timedOut {
-		return "timeout"
-	}
-	if baseline.elapsed <= 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.2f", float64(m.elapsed)/float64(baseline.elapsed))
-}
-
 // relCost returns the weighted-probe-cost ratio of m to the baseline
 // (hash probes + 1/2 filter/semi-join probes + 1/14 expanded tuples) —
 // the paper's abstract cost metric. Unlike wall-clock it is exact and

@@ -33,19 +33,12 @@ func Fig13(scale Scale, seed int64) *Table {
 				tr := sh.build(plan.FixedStats(m, fo))
 				model := cost.New(tr, cost.DefaultWeights())
 				row := []string{sh.name, fmt.Sprintf("%g", fo), fmt.Sprintf("%.1f", m)}
+				alg := opt.Exhaustive
+				if tr.Len() > 14 {
+					alg = opt.GreedySurvival
+				}
 				for _, s := range strategies {
-					var total float64
-					switch s {
-					case cost.SJSTD, cost.SJCOM:
-						total = opt.SJOptimal(model, s).Cost.Total
-					default:
-						if tr.Len() <= 14 {
-							total = opt.ExhaustiveDP(model, s).Cost.Total
-						} else {
-							total = opt.Optimize(model, s, opt.GreedySurvival).Cost.Total
-						}
-					}
-					row = append(row, fmtF(total))
+					row = append(row, fmtF(opt.Optimize(model, s, alg).Cost.Total))
 				}
 				t.Rows = append(t.Rows, row)
 			}

@@ -54,20 +54,6 @@ type DeltaSpec struct {
 	Compacted bool
 }
 
-// BaseRows returns the base marker the packed part was built over (its
-// total row coverage for plain builds).
-func (t *Table) BaseRows() int { return t.baseRows }
-
-// Tombstones returns the number of dead entries (packed and append
-// region together).
-func (t *Table) Tombstones() int {
-	n := t.deadCount
-	if t.app != nil {
-		n += t.app.deadCount
-	}
-	return n
-}
-
 // isDead reports whether entry e is tombstoned.
 func (t *Table) isDead(e uint64) bool {
 	return t.dead != nil && t.dead[e>>6]&(1<<(e&63)) != 0

@@ -13,8 +13,9 @@
 //   - GreedySurvival: picks the next operator minimizing the total
 //     survival probability of the joined prefix; the paper's best
 //     heuristic.
-//   - SJOptimal: the polynomial-time optimal algorithm for semi-join
-//     full reduction (Section 3.6).
+//
+// The semi-join strategies need no search: their optimal plan is found
+// in polynomial time (Section 3.6), whatever algorithm is asked for.
 package opt
 
 import (
@@ -59,26 +60,61 @@ func (a Algorithm) String() string {
 // Result is the outcome of one optimization run.
 type Result struct {
 	Order plan.Order
-	Cost  cost.PlanCost
+	// SemiJoins maps each relation with children (the driver included)
+	// to the order in which phase 1 semi-joins them; nil unless the
+	// strategy is a semi-join one.
+	SemiJoins map[plan.NodeID][]plan.NodeID
+	// Cost is the order's cost with flat output (the expansion included
+	// for COM variants), matching the paper's default comparison.
+	Cost cost.PlanCost
 }
 
-// Optimize finds a join order for the model's tree under the given
-// strategy using the chosen algorithm, and returns the order together
-// with its cost (flat output assumed for COM variants, matching the
-// paper's default comparison).
+// newResult completes a join order into a plan: every relation's
+// children are semi-joined in increasing adjusted match probability,
+// the order the paper proves optimal, whatever the join order.
+func newResult(m *cost.Model, s cost.Strategy, order plan.Order) Result {
+	r := Result{Order: order, Cost: m.Cost(s, order, true)}
+	if s.Reduction() == cost.SemiJoin {
+		t := m.Tree()
+		r.SemiJoins = make(map[plan.NodeID][]plan.NodeID)
+		for _, id := range t.TopDown() {
+			if !t.IsLeaf(id) {
+				r.SemiJoins[id] = m.SemiJoinOrder(id)
+			}
+		}
+	}
+	return r
+}
+
+// Optimize plans the model's tree under strategy s. A semi-join
+// strategy gets the optimal plan of Section 3.6, which takes no search;
+// any other gets the join order algorithm a finds.
 func Optimize(m *cost.Model, s cost.Strategy, a Algorithm) Result {
+	if s.Reduction() == cost.SemiJoin {
+		return newResult(m, s, sjPhase2Order(m, s))
+	}
 	switch a {
 	case Exhaustive:
 		return ExhaustiveDP(m, s)
 	case RankOrdering:
-		return greedy(m, s, rankKey)
+		return newResult(m, s, greedyOrder(m, rankKey))
 	case GreedyResultSize:
-		return greedy(m, s, resultSizeKey)
+		return newResult(m, s, greedyOrder(m, resultSizeKey))
 	case GreedySurvival:
-		return greedy(m, s, survivalKey)
+		return newResult(m, s, greedyOrder(m, survivalKey))
 	default:
 		panic("opt: unknown algorithm")
 	}
+}
+
+// orInf maps a cost the model could not compute (NaN, ±Inf: statistics
+// outside its domain) to +Inf, so that a search never keeps it over a
+// number and never fails to replace it with one.
+func orInf(x float64) float64 {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return math.Inf(1)
+	}
+	return x
 }
 
 // ExhaustiveDP implements Algorithm 1: dynamic programming over all
@@ -109,7 +145,7 @@ func ExhaustiveDP(m *cost.Model, s cost.Strategy) Result {
 		for _, set := range current {
 			e := best[set]
 			for cand := range t.Frontier(set).All() {
-				total := e.cost + m.Marginal(s, cand, set)
+				total := orInf(e.cost + m.Marginal(s, cand, set))
 				grown := set.With(cand)
 				old, seen := best[grown]
 				if !seen {
@@ -129,7 +165,7 @@ func ExhaustiveDP(m *cost.Model, s cost.Strategy) Result {
 		order[set.Len()-2] = last
 		set = set.Without(last)
 	}
-	return Result{Order: order, Cost: m.Cost(s, order, true)}
+	return newResult(m, s, order)
 }
 
 // keyFunc scores joining id next after the prefix done; lower is better.
@@ -144,7 +180,7 @@ func greedyOrder(m *cost.Model, key keyFunc) plan.Order {
 	for len(order) < t.Len()-1 {
 		chosen, least := plan.Root, math.Inf(1)
 		for id := range t.Frontier(done).All() {
-			if k := key(m, done, id); chosen == plan.Root || k < least {
+			if k := orInf(key(m, done, id)); chosen == plan.Root || k < least {
 				chosen, least = id, k
 			}
 		}
@@ -152,12 +188,6 @@ func greedyOrder(m *cost.Model, key keyFunc) plan.Order {
 		done = done.With(chosen)
 	}
 	return order
-}
-
-// greedy runs a greedy construction with the given key function.
-func greedy(m *cost.Model, s cost.Strategy, key keyFunc) Result {
-	order := greedyOrder(m, key)
-	return Result{Order: order, Cost: m.Cost(s, order, true)}
 }
 
 // rankKey is the rank (s-1)/c of the classical rank-ordering
@@ -180,51 +210,19 @@ func survivalKey(m *cost.Model, done plan.Set, id plan.NodeID) float64 {
 	return m.SurvivalTree(plan.Root, done.With(id))
 }
 
-// SJPlan is the full optimization outcome for semi-join reduction:
-// per-parent semi-join orders for phase 1 and the join order for
-// phase 2.
-type SJPlan struct {
-	// SemiJoins maps each internal node (and the driver) to the order
-	// in which its children are semi-joined in phase 1.
-	SemiJoins map[plan.NodeID][]plan.NodeID
-	// Phase2 is the left-deep join order used after reduction.
-	Phase2 plan.Order
-	// Cost is the total cost under the requested strategy.
-	Cost cost.PlanCost
-}
-
-// SJOptimal computes the polynomial-time optimal plan for the
-// full-reduction strategies (Section 3.6): children are semi-joined in
-// increasing adjusted match probability, and the phase-2 order sorts by
-// adjusted fanout (SJ+STD) or by the product of root-path fanouts
-// (SJ+COM, where any order is optimal by Theorem 3.5).
-func SJOptimal(m *cost.Model, s cost.Strategy) SJPlan {
-	if s != cost.SJSTD && s != cost.SJCOM {
-		panic("opt: SJOptimal requires an SJ strategy")
-	}
-	t := m.Tree()
-	sj := make(map[plan.NodeID][]plan.NodeID)
-	for _, id := range t.TopDown() {
-		if len(t.Children(id)) > 0 {
-			sj[id] = m.SemiJoinOrder(id)
-		}
-	}
-	order := sjPhase2Order(m, s)
-	return SJPlan{SemiJoins: sj, Phase2: order, Cost: m.Cost(s, order, true)}
-}
-
-// sjPhase2Order builds the phase-2 join order. For SJ+STD the cost has
-// the ASI form sum_i prod_{j<i} fo'_j (all match probabilities are 1
-// after reduction), so the precedence-constrained rank-ordering
-// algorithm is optimal with c=1 and s=fo'. For SJ+COM every valid order
-// has the same cost (Theorem 3.5); we order by the product of adjusted
-// fanouts on the root path, matching the paper's statement.
+// sjPhase2Order builds the optimal phase-2 join order of a semi-join
+// strategy (Section 3.6). For SJ+STD the cost has the ASI form
+// sum_i prod_{j<i} fo'_j (all match probabilities are 1 after
+// reduction), so the precedence-constrained rank-ordering algorithm is
+// optimal with c=1 and s=fo'. For SJ+COM every valid order has the same
+// cost (Theorem 3.5); we order by the product of adjusted fanouts on
+// the root path, matching the paper's statement.
 func sjPhase2Order(m *cost.Model, s cost.Strategy) plan.Order {
 	t := m.Tree()
 	adjFo := func(id plan.NodeID) float64 {
 		return cost.AdjustedStats(t.Stats(id), m.ReductionRatio(id)).Fo
 	}
-	if s == cost.SJSTD {
+	if !s.Factorized() {
 		jobs := make([]rankJob, 0, t.Len()-1)
 		for _, id := range t.NonRoot() {
 			jobs = append(jobs, rankJob{id: id, c: 1, s: adjFo(id)})

@@ -190,22 +190,25 @@ func TestHeuristicWorstCase(t *testing.T) {
 }
 
 // TestSJOptimalSemiJoinOrder: children must be ordered by increasing
-// adjusted match probability.
+// adjusted match probability, whichever search found the join order.
 func TestSJOptimalSemiJoinOrder(t *testing.T) {
 	tr := plan.NewTree("R1")
 	c1 := tr.AddChild(plan.Root, plan.EdgeStats{M: 0.9, Fo: 2}, "C1")
 	c2 := tr.AddChild(plan.Root, plan.EdgeStats{M: 0.1, Fo: 2}, "C2")
 	c3 := tr.AddChild(plan.Root, plan.EdgeStats{M: 0.5, Fo: 2}, "C3")
 	model := cost.New(tr, cost.DefaultWeights())
-	p := SJOptimal(model, cost.SJSTD)
-	order := p.SemiJoins[plan.Root]
-	if len(order) != 3 || order[0] != c2 || order[1] != c3 || order[2] != c1 {
-		t.Errorf("semi-join order = %v, want [C2 C3 C1]", order)
+	for _, p := range []Result{Optimize(model, cost.SJSTD, Exhaustive), ExhaustiveDP(model, cost.SJCOM)} {
+		order := p.SemiJoins[plan.Root]
+		if len(order) != 3 || order[0] != c2 || order[1] != c3 || order[2] != c1 {
+			t.Errorf("semi-join order = %v, want [C2 C3 C1]", order)
+		}
+		if !p.Order.Valid(tr) {
+			t.Errorf("phase-2 order %v invalid", p.Order)
+		}
 	}
-	if !p.Phase2.Valid(tr) {
-		t.Errorf("phase-2 order %v invalid", p.Phase2)
+	if r := Optimize(model, cost.BVPCOM, Exhaustive); r.SemiJoins != nil {
+		t.Errorf("BVP+COM plan carries semi-join orders %v", r.SemiJoins)
 	}
-	_ = c1
 }
 
 // TestSJOptimalPhase2STD: the chosen phase-2 order for SJ+STD must be
@@ -216,27 +219,50 @@ func TestSJOptimalPhase2STD(t *testing.T) {
 		tr := plan.RandomTree(2+rng.Intn(6), rng,
 			plan.UniformStats(rng, 0.05, 0.95, 1, 10))
 		model := cost.New(tr, cost.DefaultWeights())
-		p := SJOptimal(model, cost.SJSTD)
+		p := Optimize(model, cost.SJSTD, GreedySurvival)
 		_, want := bruteForceBest(model, cost.SJSTD)
 		if !almostEqual(p.Cost.Total, want) {
 			t.Fatalf("SJ+STD phase-2 order %v cost %v != optimal %v (tree %v)",
-				p.Phase2, p.Cost.Total, want, tr)
+				p.Order, p.Cost.Total, want, tr)
 		}
 	}
 }
 
 // TestSJOptimalPhase2COM: every order has the same cost (Theorem 3.5),
-// so SJOptimal must match the brute-force optimum trivially.
+// so the plan must match the brute-force optimum trivially.
 func TestSJOptimalPhase2COM(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 20; trial++ {
 		tr := plan.RandomTree(2+rng.Intn(6), rng,
 			plan.UniformStats(rng, 0.05, 0.95, 1, 10))
 		model := cost.New(tr, cost.DefaultWeights())
-		p := SJOptimal(model, cost.SJCOM)
+		p := Optimize(model, cost.SJCOM, GreedySurvival)
 		_, want := bruteForceBest(model, cost.SJCOM)
 		if !almostEqual(p.Cost.Total, want) {
 			t.Fatalf("SJ+COM cost %v != optimal %v", p.Cost.Total, want)
+		}
+	}
+}
+
+// TestSearchNeverKeepsANonNumber: on a two-leaf star whose first leaf
+// carries M = NaN, every cost or key that has joined that leaf is NaN,
+// and it is the first candidate every search looks at. A search that
+// kept what arrived first (the DP's `!seen`, the greedy's first
+// candidate) and compared with `<` never let go of it; each must
+// instead join the costable leaf first, which under STD — where a
+// relation's own statistics do not price its probe — is a finite plan.
+func TestSearchNeverKeepsANonNumber(t *testing.T) {
+	stats := []plan.EdgeStats{{M: math.NaN(), Fo: 2}, {M: 0.5, Fo: 2}}
+	i := -1
+	tr := plan.Star(2, func() plan.EdgeStats { i++; return stats[i] })
+	model := cost.New(tr, cost.DefaultWeights())
+	for _, a := range []Algorithm{Exhaustive, RankOrdering, GreedyResultSize, GreedySurvival} {
+		r := Optimize(model, cost.STD, a)
+		if got := r.Order.String(); got != (plan.Order{2, 1}).String() {
+			t.Errorf("%v: order %s, want the costable leaf first", a, got)
+		}
+		if total := r.Cost.Total; math.IsNaN(total) || math.IsInf(total, 0) {
+			t.Errorf("%v: cost %v of %v is not a number", a, total, r.Order)
 		}
 	}
 }
@@ -282,9 +308,10 @@ func TestOptimizersDeterministic(t *testing.T) {
 			for _, a := range []Algorithm{Exhaustive, RankOrdering, GreedyResultSize, GreedySurvival} {
 				searches[a.String()] = func() plan.Order { return Optimize(model, s, a).Order }
 			}
-			if s == cost.SJSTD || s == cost.SJCOM {
-				searches["SJOptimal"] = func() plan.Order { return SJOptimal(model, s).Phase2 }
-			}
+			// Optimize plans the SJ strategies without a search; the
+			// DP over their marginals is the search that was not
+			// deterministic.
+			searches["ExhaustiveDP"] = func() plan.Order { return ExhaustiveDP(model, s).Order }
 			for name, search := range searches {
 				first := search().String()
 				for call := 1; call < 100; call++ {
@@ -309,11 +336,7 @@ func TestPlanSearchAllocations(t *testing.T) {
 	model := cost.New(plan.Snowflake(3, 2, plan.UniformStats(rng, 0.1, 0.9, 1, 8)), cost.DefaultWeights())
 	allocs := testing.AllocsPerRun(10, func() {
 		for _, s := range cost.AllStrategies {
-			if s == cost.SJSTD || s == cost.SJCOM {
-				SJOptimal(model, s)
-			} else {
-				Optimize(model, s, Exhaustive)
-			}
+			Optimize(model, s, Exhaustive)
 		}
 	})
 	if allocs > 1400 {

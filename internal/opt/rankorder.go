@@ -131,6 +131,5 @@ func RankOrderOptimalSTD(m *cost.Model) Result {
 	for _, id := range t.NonRoot() {
 		jobs = append(jobs, rankJob{id: id, c: m.ProbeCost(id), s: t.Stats(id).Selectivity()})
 	}
-	order := rankOrderPrecedence(jobs, t.Parent)
-	return Result{Order: order, Cost: m.Cost(cost.STD, order, true)}
+	return newResult(m, cost.STD, rankOrderPrecedence(jobs, t.Parent))
 }

@@ -101,11 +101,6 @@ func (t *Tree) AddChild(parent NodeID, stats EdgeStats, name string) NodeID {
 // Len returns the number of relations in the tree, including the driver.
 func (t *Tree) Len() int { return len(t.nodes) }
 
-// Node returns the node with the given ID.
-func (t *Tree) Node(id NodeID) Node {
-	return t.nodes[id]
-}
-
 // Parent returns the parent of id. The root's parent is the root.
 func (t *Tree) Parent(id NodeID) NodeID { return t.nodes[id].Parent }
 

@@ -168,7 +168,7 @@ func (s *Service) sharedScanEligible(req Request, choice core.PlanChoice, sels [
 	if !s.cfg.SharedScan.Enabled || s.sharded() || req.ShardCount != 0 || req.MinCoverage != 0 {
 		return false
 	}
-	if choice.Strategy == cost.SJSTD || choice.Strategy == cost.SJCOM {
+	if choice.Strategy.Reduction() == cost.SemiJoin {
 		return false
 	}
 	for _, sel := range sels {

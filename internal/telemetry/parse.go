@@ -19,9 +19,6 @@ type Sample struct {
 	Value  float64
 }
 
-// Label returns the sample's value for a label name ("" if absent).
-func (s Sample) Label(name string) string { return s.Labels[name] }
-
 // ParseText parses Prometheus text exposition format — the subset
 // WritePrometheus emits (one sample per line, optional label braces,
 // '#' comment lines skipped). Both cmd/m2mload's server-side quantile

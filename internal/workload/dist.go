@@ -73,11 +73,6 @@ func (d TruncNormal) Sample(rng *rand.Rand) int {
 // Mean implements FanoutDist.
 func (d TruncNormal) Mean() float64 { return d.Mu }
 
-// Variance returns the approximate variance of the truncated
-// distribution; for sigma well inside the truncation range it is close
-// to Sigma^2.
-func (d TruncNormal) Variance() float64 { return d.Sigma * d.Sigma }
-
 // Exponential samples fanouts as 1 + Exp(Mean-1): a highly skewed
 // distribution with the given mean, used to stress the constant-fanout
 // assumption (Section 5.6 reports average fanouts up to ~45 under it).
