@@ -23,6 +23,7 @@ func (w *worker) runCOMChunk(driverRows []int32) {
 	useBVP := r.filters != nil
 	chunk := w.chunk
 	chunk.Reset(driverRows)
+	w.nodes[plan.Root] = chunk.Driver()
 	rest := r.opts.Order
 	if !r.opts.NoInterleave && len(rest) > 0 && r.ds.Tree.Parent(rest[0]) == plan.Root {
 		// Interleaved pre-pass: the root's child filters and the first
@@ -96,7 +97,7 @@ func (w *worker) joinCOM(chunk *factor.Chunk, next plan.NodeID) {
 	w.tagHits += int64(w.probe.TagHits)
 	w.tagMisses += int64(w.probe.TagMisses)
 	w.perRel[next] += int64(w.probe.Probed)
-	chunk.AddJoin(parentID, next, w.probe.Counts, w.probe.Rows)
+	w.nodes[next] = chunk.AddJoin(parentID, next, w.probe.Counts, w.probe.Rows)
 }
 
 // applyFiltersCOM applies the bitvectors of at's children to the live

@@ -16,11 +16,13 @@
 // relations build concurrently, each hash table is built by the
 // two-pass morsel scheme, and semi-join reduction splits the mask into
 // word-aligned chunks. Phase 2 then distributes driver chunks across
-// the same worker count, each worker owning private scratch state
-// (tuple buffers, probe buffers, a reusable factor chunk, per-worker
-// counters). The output checksum is an order-independent sum, every
-// counter is additive, and the phase-1 structures are bit-identical to
-// a sequential build, so results are identical at any worker count.
+// the same worker count, each worker owning private counters and a
+// scratch (tuple buffers, probe buffers, a reusable factor chunk)
+// borrowed from a process-wide free list and handed back after the
+// merge (scratch.go). The output checksum is an order-independent sum,
+// every counter is additive, and the phase-1 structures are
+// bit-identical to a sequential build, so results are identical at any
+// worker count.
 package exec
 
 import (
@@ -34,7 +36,6 @@ import (
 	"m2mjoin/internal/bitvector"
 	"m2mjoin/internal/buf"
 	"m2mjoin/internal/cost"
-	"m2mjoin/internal/factor"
 	"m2mjoin/internal/faultinject"
 	"m2mjoin/internal/hashtable"
 	"m2mjoin/internal/plan"
@@ -702,18 +703,18 @@ func (r *run) prepareLayout() {
 	}
 }
 
-// driverRows materializes the driver row indices surviving the
-// selection mask, the driver-row restriction and (for SJ strategies)
-// the semi-join reduction. Only called with a driver mask; the unmasked
-// case chunks directly over [0, n) ranges instead (see scan), skipping
-// the O(n) allocation. The returned slice is shared read-only by all
-// workers; chunks are sub-slices of it.
-func (r *run) driverRows() []int32 {
-	rows := make([]int32, 0, r.driverLive.Count())
+// driverRows materializes into dst the driver row indices surviving
+// the selection mask, the driver-row restriction and (for SJ
+// strategies) the semi-join reduction. Only called with a driver mask;
+// the unmasked case chunks directly over [0, n) ranges instead (see
+// scan), skipping the O(n) list. The returned slice is shared read-only
+// by all workers; chunks are sub-slices of it.
+func (r *run) driverRows(dst []int32) []int32 {
+	dst = buf.Grow(dst, r.driverLive.Count())[:0]
 	r.driverLive.ForEachSet(func(row int) {
-		rows = append(rows, int32(row))
+		dst = append(dst, int32(row))
 	})
-	return rows
+	return dst
 }
 
 // scan is phase 2 of every execution — the one chunk scheduler. The
@@ -722,9 +723,10 @@ func (r *run) driverRows() []int32 {
 // over the driver: each chunk is evaluated for every live member
 // before the scan advances. Work distributes over the largest member
 // parallelism; a worker slot owns one private worker per member (chunk
-// scratch is per-query state) and one driver buffer for maskless
-// scans, filled once per chunk and read by every member. With a driver
-// mask the surviving rows are materialized once and chunked by
+// scratch is per-query state), each on a scratch borrowed from the
+// process-wide free list (scratch.go), and one driver buffer for
+// maskless scans, filled once per chunk and read by every member. With
+// a driver mask the surviving rows are materialized once and chunked by
 // sub-slicing instead.
 //
 // Per member and per chunk the probe-chunk failpoint fires, the
@@ -746,11 +748,9 @@ func scan(members []*run) {
 		}
 	}()
 	lead := members[0]
-	var live []int32
 	n := lead.ds.Relation(plan.Root).NumRows()
 	if lead.driverLive != nil {
-		live = lead.driverRows()
-		n = len(live)
+		n = lead.driverLive.Count()
 	}
 	cs := lead.opts.ChunkSize
 	nChunks := (n + cs - 1) / cs
@@ -771,7 +771,7 @@ func scan(members []*run) {
 		r.prepareLayout()
 		r.collectLocked = r.opts.CollectOutput != nil && p > 1
 		for s := range slots {
-			slots[s][m] = newWorker(r)
+			slots[s][m] = newWorker(r, borrowScratch())
 		}
 		sp.probe = r.opts.Trace.Start("probe", sp.phase2)
 		r.opts.Trace.Annotate(sp.probe, "chunks", int64(nChunks))
@@ -781,14 +781,21 @@ func scan(members []*run) {
 		}
 	}
 
-	iotas := make([][]int32, p)
+	// A masked scan's row list lives in the first scratch borrowed.
+	var live []int32
+	if lead.driverLive != nil {
+		sc := slots[0][0].scratch
+		sc.rows = lead.driverRows(sc.rows)
+		live = sc.rows
+	}
 	pool(p, nChunks, func() bool { return allDone(members) }, func(s, i int) {
 		lo := i * cs
 		hi := min(lo+cs, n)
 		rows := live
 		if rows == nil {
-			iotas[s] = buf.Grow(iotas[s], hi-lo)
-			rows = iotas[s]
+			sc := slots[s][0].scratch
+			sc.rows = buf.Grow(sc.rows, hi-lo)
+			rows = sc.rows
 			for j := range rows {
 				rows[j] = int32(lo + j)
 			}
@@ -818,6 +825,19 @@ func scan(members []*run) {
 		}
 		r.opts.Trace.End(mergeSp)
 		r.opts.Trace.End(spans[m].phase2)
+	}
+
+	// A member that finished cleanly parks its scratches; a failed,
+	// panicked or cancelled member's are dropped with whatever state
+	// they stopped in. Parking runs in reverse borrow order, so the next
+	// scan of the same shape finds each scratch in the role it grew in.
+	for m := len(members) - 1; m >= 0; m-- {
+		if members[m].cancelled() {
+			continue
+		}
+		for s := p - 1; s >= 0; s-- {
+			slots[s][m].scratch.park()
+		}
 	}
 }
 
@@ -850,11 +870,15 @@ func (r *run) merge(w *worker) {
 	}
 }
 
-// worker owns the scratch state for processing driver chunks: probe
-// buffers, tuple buffers, ping-pong STD columns and a reusable factor
-// chunk. In steady state a worker allocates nothing per chunk.
+// worker is the run-bound half of a phase-2 worker: its run, its
+// private counters and the expansion callbacks. Everything a chunk
+// loop grows — probe buffers, tuple buffers, ping-pong STD columns, the
+// chain arena, the reusable factor chunk — is the borrowed scratch, so
+// in steady state a worker allocates nothing per chunk and a warm
+// process next to nothing per run.
 type worker struct {
 	r *run
+	*scratch
 
 	// Private counters, merged into run.stats at the end.
 	hashProbes         int64
@@ -868,45 +892,26 @@ type worker struct {
 	checksum           uint64
 	perRel             []int64
 
-	// Shared probe scratch.
-	keys  []int64
-	probe hashtable.ProbeResult
-	keep  []bool
-
-	// tupleBuf holds the canonical-layout tuple during emission;
-	// rowsBuf holds the join-order tuple STD emission gathers into.
-	tupleBuf []int32
-	rowsBuf  []int32
-
-	// STD scratch: two column sets (join-order layout) that ping-pong
-	// between input and output of each join.
-	colsA, colsB [][]int32
-
-	// links is the interleaved probe-chain arena (interleave.go):
-	// per-link key gathers and selection masks, reused across chunks;
-	// pipe is the staged pipeline of a chain's one table link.
-	links []chainLink
-	pipe  hashtable.ProbePipeline
-
-	// COM scratch: the reusable factor chunk, plus the expansion
-	// callbacks (built once so per-chunk expansion allocates no
-	// closures) and their shared pass counter.
-	chunk           *factor.Chunk
+	// The COM expansion callbacks (built once so per-chunk expansion
+	// allocates no closures) and their shared pass counter.
 	emitFn          func(rows []int32)
 	residualCountFn func(rows []int32)
 	emitPassed      int64
+
+	// Workers of one run are allocated back to back and every emitted
+	// tuple writes its worker's counters, so without the buffers that
+	// used to sit between them two workers' counters share a cache line
+	// (measured: adhoc_blowup, two workers, +20 % cpu_ms_per_query). The
+	// pad keeps neighbours a line pair apart.
+	_ [128]byte
 }
 
-func newWorker(r *run) *worker {
+func newWorker(r *run, sc *scratch) *worker {
 	nrel := r.ds.Tree.Len()
-	w := &worker{
-		r:        r,
-		perRel:   make([]int64, nrel),
-		tupleBuf: make([]int32, nrel),
-		rowsBuf:  make([]int32, nrel),
-	}
-	if r.opts.Strategy.Factorized() {
-		w.chunk = factor.NewChunk(nil)
+	factorized := r.opts.Strategy.Factorized()
+	sc.bind(nrel, factorized)
+	w := &worker{r: r, scratch: sc, perRel: make([]int64, nrel)}
+	if factorized {
 		w.emitFn = func(rows []int32) {
 			if w.emitTuple(rows) {
 				w.emitPassed++
@@ -917,9 +922,6 @@ func newWorker(r *run) *worker {
 				w.emitPassed++
 			}
 		}
-	} else {
-		w.colsA = make([][]int32, nrel)
-		w.colsB = make([][]int32, nrel)
 	}
 	return w
 }

@@ -333,7 +333,7 @@ func (w *worker) comRootChain(first plan.NodeID) {
 		}
 	}
 	res := w.finishChain(links, first)
-	chunk.AddJoin(plan.Root, first, res.Counts, res.Rows)
+	w.nodes[first] = chunk.AddJoin(plan.Root, first, res.Counts, res.Rows)
 }
 
 // finalMask returns the lane mask after every filter in the chain, or

@@ -61,14 +61,6 @@ const (
 	OpDelete
 )
 
-// String names the op as it appears in serialized mutation streams.
-func (op MutationOp) String() string {
-	if op == OpAppend {
-		return "append"
-	}
-	return "delete"
-}
-
 // Mutation is one append or delete against a named relation, the unit
 // of the delta API and of serialized mutation streams (cmd/m2mdata
 // -mutate, the service's /v1/mutate).
