@@ -1,129 +1,75 @@
 // Command m2mbench regenerates the figures of "Optimizing Queries with
 // Many-to-Many Joins" (Kalumin & Deshpande, ICDE 2025) from this
 // repository's reimplementation. Each subcommand reproduces one figure
-// of the paper; `all` runs everything.
+// of the paper (experiments.Figures lists them); `all` runs everything.
 //
 // Usage:
 //
-//	m2mbench [-scale quick|full] [-seed N] <fig4|fig6|fig10|fig11|fig12|fig13|fig14|fig15|fig16|all>
+//	m2mbench [-scale quick|full] [-seed N] [-parallelism N] <figure|all>
 //
 // quick scale (default) finishes in seconds; full scale approaches the
-// paper's experiment sizes and can take many minutes.
+// paper's experiment sizes and can take many minutes. For a profile of
+// one figure, go test -run 'TestPaperClaims/fig11' -cpuprofile cpu.out
+// ./internal/experiments runs the same code.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"m2mjoin/internal/experiments"
 )
 
-// startProfiles begins CPU profiling and/or arranges a heap profile at
-// exit, per the -cpuprofile/-memprofile flags; the returned stop must
-// run before the process exits.
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		cpuFile, err = os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes the requested
+// figures to stdout and diagnostics to stderr, and returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("m2mbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scaleFlag := fs.String("scale", "quick", "experiment scale: quick or full")
+	seed := fs.Int64("seed", 1, "random seed")
+	parallelism := fs.Int("parallelism", 1,
+		"probe workers per execution (1 sequential, -1 all CPUs); counters are identical at any setting")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: m2mbench [-scale quick|full] [-seed N] [-parallelism N] <figure|all>\n\nfigures:\n")
+		for _, f := range experiments.Figures {
+			fmt.Fprintf(stderr, "  %-6s  %s\n", f.Name, f.Desc)
 		}
 	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the steady-state heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-		}
-	}, nil
-}
-
-var figures = []struct {
-	name string
-	desc string
-	run  func(experiments.Scale, int64) *experiments.Table
-}{
-	{"fig4", "sampling-based match probability / fanout estimation (Q-error)", experiments.Fig4},
-	{"fig6", "cost-model robustness to estimation errors (10-rel star)", experiments.Fig6},
-	{"fig10", "join-order heuristics vs exhaustive optimal", experiments.Fig10},
-	{"fig11", "synthetic benchmark: six strategies, four query shapes", experiments.Fig11},
-	{"fig12", "CE benchmark (simulated datasets): six strategies", experiments.Fig12},
-	{"fig13", "analytic simulation: cost vs match probability", experiments.Fig13},
-	{"fig14", "cost-model validation: predicted vs actual", experiments.Fig14},
-	{"fig15", "constant-fanout assumption under skew", experiments.Fig15},
-	{"fig16", "robustness to random join orders", experiments.Fig16},
-}
-
-func main() {
-	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
-	seed := flag.Int64("seed", 1, "random seed")
-	parallelism := flag.Int("parallelism", 1,
-		"probe workers per execution (1 sequential, -1 all CPUs); counters are identical at any setting")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	flag.Usage = usage
-	flag.Parse()
-
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	scale, err := experiments.ParseScale(*scaleFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	experiments.Parallelism = *parallelism
-	if flag.NArg() != 1 {
-		usage()
-		os.Exit(2)
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
 	}
-	target := flag.Arg(0)
 
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer stopProfiles()
-
-	ran := false
-	for _, f := range figures {
-		if target != "all" && target != f.name {
+	target, ran := fs.Arg(0), false
+	for _, f := range experiments.Figures {
+		if target != "all" && target != f.Name {
 			continue
 		}
 		ran = true
 		start := time.Now()
-		tbl := f.run(scale, *seed)
-		tbl.Render(os.Stdout)
-		fmt.Printf("  (%s completed in %v)\n\n", f.name, time.Since(start).Round(time.Millisecond))
+		f.Run(scale, *seed, *parallelism).Render(stdout)
+		fmt.Fprintf(stdout, "  (%s completed in %v)\n\n", f.Name, time.Since(start).Round(time.Millisecond))
 	}
 	if !ran {
-		stopProfiles() // os.Exit skips defers; flush any active profile
-		fmt.Fprintf(os.Stderr, "unknown figure %q\n", target)
-		usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown figure %q\n", target)
+		fs.Usage()
+		return 2
 	}
-}
-
-func usage() {
-	fmt.Fprintf(os.Stderr, "usage: m2mbench [-scale quick|full] [-seed N] [-parallelism N] [-cpuprofile file] [-memprofile file] <figure|all>\n\nfigures:\n")
-	for _, f := range figures {
-		fmt.Fprintf(os.Stderr, "  %-6s  %s\n", f.name, f.desc)
-	}
+	return 0
 }

@@ -2,120 +2,16 @@ package experiments
 
 import (
 	"bytes"
-	"strconv"
+	"math"
 	"strings"
 	"testing"
 )
 
-// TestAllFiguresQuick runs every figure harness at quick scale and
-// checks structural invariants of the outputs. These are the paper's
-// experiments end-to-end, so the test doubles as an integration test
-// of the whole library.
-func TestAllFiguresQuick(t *testing.T) {
-	figs := []struct {
-		name string
-		run  func(Scale, int64) *Table
-	}{
-		{"fig4", Fig4}, {"fig6", Fig6}, {"fig10", Fig10},
-		{"fig11", Fig11}, {"fig12", Fig12}, {"fig13", Fig13},
-		{"fig14", Fig14}, {"fig15", Fig15}, {"fig16", Fig16},
-	}
-	for _, f := range figs {
-		f := f
-		t.Run(f.name, func(t *testing.T) {
-			t.Parallel()
-			tbl := f.run(Quick, 1)
-			if tbl.Title == "" || len(tbl.Header) == 0 {
-				t.Fatalf("empty table metadata")
-			}
-			if len(tbl.Rows) == 0 {
-				t.Fatalf("no rows produced")
-			}
-			for i, row := range tbl.Rows {
-				if len(row) != len(tbl.Header) {
-					t.Errorf("row %d has %d cells, header has %d", i, len(row), len(tbl.Header))
-				}
-			}
-			var buf bytes.Buffer
-			tbl.Render(&buf)
-			if !strings.Contains(buf.String(), tbl.Title) {
-				t.Errorf("render missing title")
-			}
-		})
-	}
-}
-
-// TestFig10SurvivalBeatsRank asserts the paper's headline Fig. 10
-// finding on the quick-scale output: the survival heuristic's mean
-// ratio must not exceed rank ordering's in any match-probability range.
-func TestFig10SurvivalBeatsRank(t *testing.T) {
-	tbl := Fig10(Quick, 7)
-	// Rows come in groups of 3 per range: rank, result size, survival;
-	// the mean is the last column.
-	for i := 0; i+2 < len(tbl.Rows); i += 3 {
-		rank := parseF(t, tbl.Rows[i][4])
-		surv := parseF(t, tbl.Rows[i+2][4])
-		if surv > rank*1.01 {
-			t.Errorf("range %s: survival mean %v > rank mean %v",
-				tbl.Rows[i][0], surv, rank)
-		}
-		if surv < 0.999 {
-			t.Errorf("ratio below 1 is impossible: %v", surv)
-		}
-	}
-}
-
-// TestFig15RatiosNearOne asserts the constant-fanout conclusion: the
-// probe ratio stays within a modest band of 1 across all variances.
-func TestFig15RatiosNearOne(t *testing.T) {
-	tbl := Fig15(Quick, 3)
-	for _, row := range tbl.Rows {
-		if row[2] == "timeout" {
-			continue
-		}
-		ratio := parseF(t, row[2])
-		if ratio < 0.7 || ratio > 1.3 {
-			t.Errorf("%s: probe ratio %v far from 1", row[0], ratio)
-		}
-	}
-}
-
-// TestFig6COMMoreRobust: in the high-error rows the match-probability
-// model must regress no more than the selectivity model on average
-// (summed across cells to tolerate per-cell noise).
-func TestFig6COMMoreRobust(t *testing.T) {
-	tbl := Fig6(Quick, 5)
-	var std, com float64
-	for _, row := range tbl.Rows {
-		if !strings.HasPrefix(row[0], "[0.90") {
-			continue
-		}
-		std += parseF(t, row[3])
-		com += parseF(t, row[4])
-	}
-	if com > std {
-		t.Errorf("high-error COM regression sum %v > STD %v", com, std)
-	}
-}
-
-func parseF(t *testing.T, s string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-	if err != nil {
-		t.Fatalf("cannot parse %q: %v", s, err)
-	}
-	return v
-}
-
 func TestParseScale(t *testing.T) {
-	if s, err := ParseScale("quick"); err != nil || s != Quick {
-		t.Errorf("quick: %v %v", s, err)
-	}
-	if s, err := ParseScale("full"); err != nil || s != Full {
-		t.Errorf("full: %v %v", s, err)
-	}
-	if s, err := ParseScale(""); err != nil || s != Quick {
-		t.Errorf("default: %v %v", s, err)
+	for in, want := range map[string]Scale{"quick": Quick, "full": Full, "": Quick} {
+		if s, err := ParseScale(in); err != nil || s != want {
+			t.Errorf("ParseScale(%q) = %v, %v", in, s, err)
+		}
 	}
 	if _, err := ParseScale("bogus"); err == nil {
 		t.Errorf("expected error")
@@ -123,12 +19,40 @@ func TestParseScale(t *testing.T) {
 }
 
 func TestQuartiles(t *testing.T) {
-	lo, med, hi := quartiles([]float64{3, 1, 2})
-	if lo != 1 || med != 2 || hi != 3 {
+	if lo, med, hi := quartiles([]float64{3, 1, 2}); lo != 1 || med != 2 || hi != 3 {
 		t.Errorf("quartiles = %v %v %v", lo, med, hi)
 	}
-	lo, med, hi = quartiles([]float64{5})
-	if lo != 5 || med != 5 || hi != 5 {
+	if lo, med, hi := quartiles([]float64{5}); lo != 5 || med != 5 || hi != 5 {
 		t.Errorf("singleton quartiles = %v %v %v", lo, med, hi)
+	}
+	if lo, _, _ := quartiles(nil); !math.IsNaN(lo) {
+		t.Errorf("empty quartiles = %v, want NaN", lo)
+	}
+}
+
+// TestRender pins the text form: aligned label and value columns, each
+// column's verb, and an over-budget run spelled out.
+func TestRender(t *testing.T) {
+	tbl := &Table{
+		Title:   "T",
+		Labels:  []string{"query"},
+		Columns: []Column{{"cost", ""}, {"ratio", "%.2f"}},
+		Notes:   []string{"n"},
+	}
+	tbl.add([]string{"star"}, 1234.5, 0.5)
+	tbl.add([]string{"a longer name"}, 0.25, math.NaN())
+	var buf bytes.Buffer
+	tbl.Render(&buf)
+	want := strings.Join([]string{
+		"== T ==",
+		"  query          cost      ratio",
+		"  -------------  --------  -------",
+		"  star           1.23e+03  0.50",
+		"  a longer name  0.250     timeout",
+		"  note: n",
+		"", "",
+	}, "\n")
+	if buf.String() != want {
+		t.Errorf("rendered\n%s\nwant\n%s", buf.String(), want)
 	}
 }

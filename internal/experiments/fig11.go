@@ -3,97 +3,81 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"m2mjoin/internal/cost"
-	"m2mjoin/internal/opt"
 	"m2mjoin/internal/plan"
+	"m2mjoin/internal/storage"
 	"m2mjoin/internal/workload"
 )
 
-// queryShape names one of the paper's four synthetic query shapes
-// (Section 5.2).
-type queryShape struct {
-	name  string
-	build func(src plan.StatsSource) *plan.Tree
+// vsCOM are the five strategies Figs. 11 and 12 report relative to COM.
+var vsCOM = []cost.Strategy{cost.STD, cost.BVPCOM, cost.BVPSTD, cost.SJCOM, cost.SJSTD}
+
+// relCOM returns the counted cost of case c under strategy s relative
+// to COM's with the same output form and order; NaN when either run
+// was over budget.
+func relCOM(points []point, c int, s cost.Strategy, flat bool) float64 {
+	return cell(points, c, s, flat)[0].weighted / cell(points, c, cost.COM, flat)[0].weighted
 }
 
-var shapes = []queryShape{
-	{"7-rel star", func(src plan.StatsSource) *plan.Tree { return plan.Star(6, src) }},
-	{"11-rel path", func(src plan.StatsSource) *plan.Tree { return plan.CenteredPath(11, src) }},
-	{"3-2 snowflake", func(src plan.StatsSource) *plan.Tree { return plan.Snowflake(3, 2, src) }},
-	{"5-1 snowflake", func(src plan.StatsSource) *plan.Tree { return plan.Snowflake(5, 1, src) }},
+// strategyColumns returns one column per strategy, rendered with verb.
+func strategyColumns(verb string, strategies []cost.Strategy) []Column {
+	names := make([]string, len(strategies))
+	for i, s := range strategies {
+		names[i] = s.String()
+	}
+	return columns(verb, names...)
 }
 
-// smaller shape variants keep the quick scale fast.
-var quickShapes = []queryShape{
-	{"5-rel star", func(src plan.StatsSource) *plan.Tree { return plan.Star(4, src) }},
-	{"7-rel path", func(src plan.StatsSource) *plan.Tree { return plan.CenteredPath(7, src) }},
-	{"3-2 snowflake", func(src plan.StatsSource) *plan.Tree { return plan.Snowflake(3, 2, src) }},
-	{"5-1 snowflake", func(src plan.StatsSource) *plan.Tree { return plan.Snowflake(5, 1, src) }},
-}
-
-var fig11MRanges = [][2]float64{{0.05, 0.2}, {0.05, 0.5}, {0.1, 0.5}, {0.5, 0.9}}
-
-// Fig11 reproduces the synthetic benchmark of Section 5.2: for each
+// fig11 reproduces the synthetic benchmark of Section 5.2: for each
 // query shape and match-probability range, run the five non-baseline
-// approaches and report execution time relative to COM, with flat and
-// factorized output. The join order is the survival-probability order,
-// the paper's default. Runs whose predicted cost exceeds the budget
-// are reported as timeouts (the paper's red markers, which were all
-// STD variants).
-func Fig11(scale Scale, seed int64) *Table {
-	driverRows := 10000
-	foHi := 6.0
-	shapeSet := shapes
+// approaches and report counted execution cost relative to COM, with
+// flat and factorized output. The join order is the survival-
+// probability order, the paper's default. STD variants always
+// materialize flat tuples, so only their COM baseline moves with the
+// output form.
+func fig11(scale Scale, seed int64, workers int) *Table {
+	driverRows, foHi := 10000, 6.0
 	if scale == Quick {
-		driverRows = 5000
-		foHi = 3
-		shapeSet = quickShapes
+		driverRows, foHi = 5000, 3
 	}
-	budget := budgetFor(scale)
-
-	others := []cost.Strategy{cost.STD, cost.BVPCOM, cost.BVPSTD, cost.SJCOM, cost.SJSTD}
-	t := &Table{
-		Title: fmt.Sprintf("Fig 11: weighted execution cost relative to COM (driver=%d)", driverRows),
-		Header: append([]string{"query", "m range", "output"},
-			"STD", "BVP+COM", "BVP+STD", "SJ+COM", "SJ+STD"),
-	}
+	mRanges := [][2]float64{{0.05, 0.2}, {0.05, 0.5}, {0.1, 0.5}, {0.5, 0.9}}
 
 	rng := rand.New(rand.NewSource(seed))
-	for _, sh := range shapeSet {
-		for _, mr := range fig11MRanges {
-			tr := sh.build(plan.UniformStats(rng, mr[0], mr[1], 1, foHi))
-			ds := workload.Generate(tr, workload.Config{DriverRows: driverRows, Seed: rng.Int63()})
-			measuredTree := workload.MeasuredTree(ds)
-			model := cost.New(measuredTree, cost.DefaultWeights())
-			order := opt.Optimize(model, cost.COM, opt.GreedySurvival).Order
-
-			for _, flat := range []bool{true, false} {
-				base := runStrategy(ds, model, cost.COM, order, flat, budget)
-				if base.timedOut {
-					continue // even COM exceeds budget: skip the row
-				}
-				row := []string{sh.name, fmt.Sprintf("[%.2f-%.2f]", mr[0], mr[1]), outputName(flat)}
-				for _, s := range others {
-					// STD variants always produce flat output; their cost
-					// does not depend on the flat flag.
-					m := runStrategy(ds, model, s, order, flat, budget)
-					row = append(row, relCostStr(m, base))
-				}
-				t.Rows = append(t.Rows, row)
-			}
+	var cases []sweepCase
+	for _, sh := range shapes(scale) {
+		for _, mr := range mRanges {
+			cases = append(cases, sweepCase{
+				labels: []string{sh.name, rangeLabel(mr[0], mr[1])},
+				generate: func() *storage.Dataset {
+					tr := sh.build(plan.UniformStats(rng, mr[0], mr[1], 1, foHi))
+					return workload.Generate(tr, workload.Config{DriverRows: driverRows, Seed: rng.Int63()})
+				},
+			})
 		}
 	}
-	t.Notes = append(t.Notes,
-		"cost = hash probes + 1/2 filter/semi-join probes + 1/14 expanded tuples (the paper's weights)",
-		"values > 1: costlier than COM; 'timeout' mirrors the paper's timed-out STD runs",
-		"paper: COM variants dominate STD variants, often by orders of magnitude; BVP/SJ alone are not competitive with COM")
-	return t
-}
+	outputs := []bool{true, false}
+	points := sweep(cases, grid{strategies: cost.AllStrategies, flat: outputs}, rng, scale, workers)
 
-func outputName(flat bool) string {
-	if flat {
-		return "flat"
+	t := &Table{
+		Title:   fmt.Sprintf("Fig 11: weighted execution cost relative to COM (driver=%d)", driverRows),
+		Labels:  []string{"query", "m range", "output"},
+		Columns: strategyColumns("%.2f", vsCOM),
+		Notes: []string{
+			"cost = hash probes + 1/2 filter/semi-join probes + 1/14 expanded tuples (the paper's weights)",
+			"values > 1: costlier than COM; 'timeout' mirrors the paper's timed-out STD runs",
+			"paper: COM variants dominate STD variants, often by orders of magnitude; BVP/SJ alone are not competitive with COM",
+		},
 	}
-	return "factorized"
+	for c, sc := range cases {
+		for _, flat := range outputs {
+			var ratios []float64
+			for _, s := range vsCOM {
+				ratios = append(ratios, relCOM(points, c, s, flat))
+			}
+			t.add(append(slices.Clone(sc.labels), outputName(flat)), ratios...)
+		}
+	}
+	return t
 }

@@ -1,80 +1,59 @@
 package experiments
 
 import (
-	"fmt"
+	"math"
+	"math/rand"
 
 	"m2mjoin/internal/cost"
-	"m2mjoin/internal/opt"
+	"m2mjoin/internal/storage"
 	"m2mjoin/internal/workload"
 )
 
-// Fig12 reproduces the CE-benchmark comparison of Section 5.3 over the
-// five simulated graph datasets (see workload.CEProfiles for the
-// substitution rationale): random acyclic queries with result sizes
-// under the cap, executed under all six strategies; times are reported
-// relative to COM, aggregated per dataset as (min / median / max)
-// across the dataset's queries, in flat and factorized output modes.
-func Fig12(scale Scale, seed int64) *Table {
-	queriesPer := 10
-	maxResult := 1e10
-	profiles := workload.CEProfiles
+// fig12 reproduces the CE-benchmark comparison of Section 5.3 over the
+// simulated graph datasets (workload.CEProfiles gives the substitution
+// rationale): random acyclic queries with result sizes under the cap,
+// executed under all six strategies; counted costs are reported
+// relative to COM, aggregated per dataset, output form and strategy as
+// median, min and max across the dataset's queries.
+func fig12(scale Scale, seed int64, workers int) *Table {
+	queriesPer, maxResult, profiles := 10, 1e10, workload.CEProfiles
 	if scale == Quick {
-		queriesPer = 3
-		maxResult = 1e7
-		profiles = profiles[:3]
+		queriesPer, maxResult, profiles = 3, 1e7, profiles[:3]
 	}
-	budget := budgetFor(scale)
 
-	others := []cost.Strategy{cost.STD, cost.BVPCOM, cost.BVPSTD, cost.SJCOM, cost.SJSTD}
+	outputs := []bool{true, false}
 	t := &Table{
-		Title: "Fig 12: CE benchmark (simulated), weighted execution cost relative to COM (median [min-max])",
-		Header: append([]string{"dataset", "output"},
-			"STD", "BVP+COM", "BVP+STD", "SJ+COM", "SJ+STD"),
+		Title:   "Fig 12: CE benchmark (simulated), weighted execution cost relative to COM across each dataset's queries",
+		Labels:  []string{"dataset", "output", "strategy"},
+		Columns: append(columns("%.2f", "median", "min", "max"), Column{"over budget", "%.0f"}),
+		Notes: []string{
+			"datasets are synthetic stand-ins for epinions/imdb/watdiv/dblp/yago (offline build; see workload.CEProfiles)",
+			"paper: COM variants outperform STD variants on almost all queries; COM/COM+BVP/COM+SJ are close, SJ shows higher variance",
+		},
 	}
-
-	for pi, p := range profiles {
+	rng := rand.New(rand.NewSource(seed))
+	for _, p := range profiles {
 		if scale == Quick {
 			p.BaseRows /= 4
 		}
-		queries := workload.GenerateCEQueries(p, queriesPer, maxResult, seed+int64(pi))
-		for _, flat := range []bool{true, false} {
-			ratios := make(map[cost.Strategy][]float64, len(others))
-			timeouts := make(map[cost.Strategy]int, len(others))
-			for _, q := range queries {
-				model := cost.New(workload.MeasuredTree(q.Data), cost.DefaultWeights())
-				order := opt.Optimize(model, cost.COM, opt.GreedySurvival).Order
-				base := runStrategy(q.Data, model, cost.COM, order, flat, budget)
-				if base.timedOut || base.weighted <= 0 {
-					continue
-				}
-				for _, s := range others {
-					m := runStrategy(q.Data, model, s, order, flat, budget)
-					r, ok := relCost(m, base)
-					if !ok {
-						timeouts[s]++
-						continue
+		// One sweep per dataset, so only its queries are in memory.
+		var cases []sweepCase
+		for _, q := range workload.GenerateCEQueries(p, queriesPer, maxResult, rng.Int63()) {
+			cases = append(cases, sweepCase{generate: func() *storage.Dataset { return q.Data }})
+		}
+		points := sweep(cases, grid{strategies: cost.AllStrategies, flat: outputs}, rng, scale, workers)
+		for _, flat := range outputs {
+			for _, s := range vsCOM {
+				var ratios []float64
+				for c := range cases {
+					if r := relCOM(points, c, s, flat); !math.IsNaN(r) {
+						ratios = append(ratios, r)
 					}
-					ratios[s] = append(ratios[s], r)
 				}
+				lo, med, hi := quartiles(ratios)
+				t.add([]string{p.Name, outputName(flat), s.String()}, med, lo, hi, float64(len(cases)-len(ratios)))
 			}
-			row := []string{p.Name, outputName(flat)}
-			for _, s := range others {
-				if len(ratios[s]) == 0 {
-					row = append(row, "timeout")
-					continue
-				}
-				lo, med, hi := quartiles(ratios[s])
-				cell := fmt.Sprintf("%.2f [%.2f-%.2f]", med, lo, hi)
-				if timeouts[s] > 0 {
-					cell += fmt.Sprintf(" +%dto", timeouts[s])
-				}
-				row = append(row, cell)
-			}
-			t.Rows = append(t.Rows, row)
 		}
 	}
-	t.Notes = append(t.Notes,
-		"datasets are synthetic stand-ins for epinions/imdb/watdiv/dblp/yago (offline build; see DESIGN.md)",
-		"paper: COM variants outperform STD variants on almost all queries; COM/COM+BVP/COM+SJ are close, SJ shows higher variance")
 	return t
 }

@@ -10,108 +10,72 @@ import (
 	"m2mjoin/internal/workload"
 )
 
-// Fig16 reproduces the robustness evaluation of Section 5.7: for each
-// query, execute 10 uniformly random join orders (driver fixed) under
-// all six strategies, normalize each strategy's times by its own worst
-// order, and report the (min / median) normalized times — the shape of
-// the paper's box plots. A tight box (values near 1) means the
-// strategy is insensitive to the join order.
-func Fig16(scale Scale, seed int64) *Table {
-	driverRows := 10000
-	orders := 10
+// fig16 reproduces the robustness evaluation of Section 5.7: for each
+// query, execute uniformly random join orders (driver fixed) under all
+// six strategies, normalize each strategy's counted costs by its own
+// worst order, and report the min and median normalized cost — the
+// shape of the paper's box plots. A tight box (values near 1) means
+// the strategy is insensitive to the join order. Normalizing by the
+// strategy's own worst order hides what COM removes from every order
+// alike (the redundant probes), so the box of a cheaper strategy can
+// look wider; the spread column is the same box in absolute terms,
+// worst minus best order in weighted probes per driver tuple, the
+// deviation Section 3.7 bounds. The paper's Fig. 16b repeats the
+// experiment on CE-benchmark queries; one representative query per
+// simulated dataset stands in for them.
+func fig16(scale Scale, seed int64, workers int) *Table {
+	driverRows, orders, foHi, ceMaxResult, ceDatasets := 10000, 10, 4.0, 1e8, 4
 	if scale == Quick {
-		driverRows = 4000
-		orders = 6
+		// Flat output of every order under every strategy: the result
+		// size is the run time, so Quick bounds it three ways.
+		driverRows, orders, foHi, ceMaxResult, ceDatasets = 1000, 6, 3, 1e6, 2
 	}
-	budget := budgetFor(scale)
 
-	type queryCase struct {
-		name string
-		tree *plan.Tree
-	}
 	rng := rand.New(rand.NewSource(seed))
-	cases := []queryCase{
-		{"5-1 snowflake m=[0.05-0.2]", plan.Snowflake(5, 1, plan.UniformStats(rng, 0.05, 0.2, 1, 4))},
-		{"5-1 snowflake m=[0.5-0.9]", plan.Snowflake(5, 1, plan.UniformStats(rng, 0.5, 0.9, 1, 4))},
-		{"3-2 snowflake m=[0.05-0.2]", plan.Snowflake(3, 2, plan.UniformStats(rng, 0.05, 0.2, 1, 4))},
-		{"3-2 snowflake m=[0.5-0.9]", plan.Snowflake(3, 2, plan.UniformStats(rng, 0.5, 0.9, 1, 4))},
+	var cases []sweepCase
+	for _, sf := range [][2]int{{5, 1}, {3, 2}} {
+		for _, m := range [][2]float64{{0.05, 0.2}, {0.5, 0.9}} {
+			cases = append(cases, sweepCase{
+				labels: []string{fmt.Sprintf("%d-%d snowflake m=[%g-%g]", sf[0], sf[1], m[0], m[1])},
+				generate: func() *storage.Dataset {
+					tr := plan.Snowflake(sf[0], sf[1], plan.UniformStats(rng, m[0], m[1], 1, foHi))
+					return workload.Generate(tr, workload.Config{DriverRows: driverRows, Seed: rng.Int63()})
+				},
+			})
+		}
 	}
-	// The paper's Fig. 16b repeats the experiment on CE-benchmark
-	// queries; we use one representative query per simulated dataset.
-	ceDatasets := []string{"epinions", "imdb", "watdiv", "dblp"}
-	if scale == Quick {
-		ceDatasets = ceDatasets[:2]
+	for _, p := range workload.CEProfiles[:ceDatasets] {
+		cases = append(cases, sweepCase{
+			labels: []string{"ce:" + p.Name},
+			generate: func() *storage.Dataset {
+				p.BaseRows = driverRows
+				return workload.GenerateCEQueries(p, 1, ceMaxResult, rng.Int63())[0].Data
+			},
+		})
 	}
+	points := sweep(cases, grid{strategies: cost.AllStrategies, flat: []bool{true}, randomOrders: orders}, rng, scale, workers)
 
 	t := &Table{
-		Title:  "Fig 16: normalized weighted cost across random join orders (min/median; 1.00 = worst order)",
-		Header: []string{"query", "COM", "STD", "BVP+COM", "BVP+STD", "SJ+COM", "SJ+STD"},
+		Title:   "Fig 16: weighted cost across random join orders, normalized by the strategy's worst order",
+		Labels:  []string{"query", "strategy"},
+		Columns: append(columns("%.2f", "min", "median", "spread"), Column{"over budget", "%.0f"}),
+		Notes: []string{
+			"higher min/median = tighter box = more robust to the join order; spread = (worst - best) / driver rows",
+			"paper: COM improves robustness across the board; SJ+COM shows almost no variation (Theorem 3.5)",
+		},
 	}
-	strategies := []cost.Strategy{cost.COM, cost.STD, cost.BVPCOM, cost.BVPSTD, cost.SJCOM, cost.SJSTD}
-
-	type run struct {
-		name string
-		ds   *storage.Dataset
-	}
-	runs := make([]run, 0, len(cases)+len(ceDatasets))
-	for _, qc := range cases {
-		runs = append(runs, run{qc.name,
-			workload.Generate(qc.tree, workload.Config{DriverRows: driverRows, Seed: rng.Int63()})})
-	}
-	for _, name := range ceDatasets {
-		p, ok := workload.CEProfileByName(name)
-		if !ok {
-			continue
-		}
-		p.BaseRows = driverRows
-		q := workload.GenerateCEQueries(p, 1, 1e8, seed+int64(len(runs)))[0]
-		runs = append(runs, run{"ce:" + name, q.Data})
-	}
-
-	for _, qc := range runs {
-		ds := qc.ds
-		model := cost.New(workload.MeasuredTree(ds), cost.DefaultWeights())
-		orderList := make([]plan.Order, orders)
-		for i := range orderList {
-			orderList[i] = randomOrder(ds.Tree, rng)
-		}
-		row := []string{qc.name}
-		for _, s := range strategies {
+	for c, sc := range cases {
+		for _, s := range cost.AllStrategies {
 			var costs []float64
-			timeouts := 0
-			for _, order := range orderList {
-				m := runStrategy(ds, model, s, order, true, budget)
-				if m.timedOut {
-					timeouts++
-					continue
-				}
-				costs = append(costs, m.weighted)
-			}
-			if len(costs) == 0 {
-				row = append(row, "timeout")
-				continue
-			}
-			worst := 0.0
-			for _, v := range costs {
-				if v > worst {
-					worst = v
+			for _, p := range cell(points, c, s, true) {
+				if !p.overBudget {
+					costs = append(costs, p.weighted)
 				}
 			}
-			norm := make([]float64, len(costs))
-			for i, v := range costs {
-				norm[i] = v / worst
-			}
-			lo, med, _ := quartiles(norm)
-			cell := fmt.Sprintf("%.2f/%.2f", lo, med)
-			if timeouts > 0 {
-				cell += fmt.Sprintf(" +%dto", timeouts)
-			}
-			row = append(row, cell)
+			lo, med, worst := quartiles(costs)
+			t.add([]string{sc.labels[0], s.String()},
+				lo/worst, med/worst, (worst-lo)/float64(driverRows), float64(orders-len(costs)))
 		}
-		t.Rows = append(t.Rows, row)
 	}
-	t.Notes = append(t.Notes,
-		"higher min/median = tighter box = more robust to the join order",
-		"paper: COM improves robustness across the board; SJ+COM shows almost no variation (Theorem 3.5)")
 	return t
 }

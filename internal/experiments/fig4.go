@@ -1,14 +1,14 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 
+	"m2mjoin/internal/plan"
 	"m2mjoin/internal/stats"
 	"m2mjoin/internal/storage"
 )
 
-// Fig4 reproduces the sampling-effectiveness study of Section 3.2:
+// fig4 reproduces the sampling-effectiveness study of Section 3.2:
 // random two-relation joins with random equality predicates over
 // correlated DBLP-like tables, comparing the naive distinct-count
 // estimator against correlated sampling at 0.1%, 0.5% and 1% rates.
@@ -23,49 +23,44 @@ import (
 // way. Zero-match sample estimates are smoothed with the rule of
 // succession (m ~ 1/(q+2) for q qualifying samples), the standard
 // guard against unbounded Q-errors on rare predicates.
-func Fig4(scale Scale, seed int64) *Table {
+func fig4(scale Scale, seed int64, _ int) *Table {
 	rng := rand.New(rand.NewSource(seed))
-	nR, domain := 400000, 40000
-	queries := 120
+	nR, domain, queries := 400000, 40000, 120
 	if scale == Quick {
 		nR, domain, queries = 120000, 12000, 60
 	}
 
 	r, s := dblpLikePair(rng, nR, domain)
 	naive := stats.NewNaive(r, s, "b")
-	rates := []float64{0.001, 0.005, 0.01}
-	samples := make([]*stats.CorrelatedSample, len(rates))
-	for i, rate := range rates {
-		samples[i] = stats.BuildCorrelatedSample(rng, r, s, "b", rate)
-	}
-
-	type agg struct {
-		mErr, foErr float64
-		n           int
-	}
 	methods := []string{"Naive", "0.1%", "0.5%", "1%"}
-	acc := make([]map[bool]*agg, len(methods))
-	for i := range acc {
-		acc[i] = map[bool]*agg{false: {}, true: {}}
+	var samples []*stats.CorrelatedSample
+	for _, rate := range []float64{0.001, 0.005, 0.01} {
+		samples = append(samples, stats.BuildCorrelatedSample(rng, r, s, "b", rate))
 	}
 
-	evaluated := 0
-	for evaluated < queries {
+	// errs[range][method] collects each evaluated query's Q-errors.
+	type qerrs struct{ m, fo []float64 }
+	ranges := []string{"m < 0.05", "m > 0.05"}
+	errs := [2][]qerrs{make([]qerrs, len(methods)), make([]qerrs, len(methods))}
+	for evaluated := 0; evaluated < queries; {
 		pR := &stats.Predicate{Column: "a", Value: rng.Int63n(aCardinality)}
 		pS := &stats.Predicate{Column: "c", Value: rng.Int63n(cCardinality)}
 		truth := stats.GroundTruth(r, s, "b", pR, pS)
 		if truth.M == 0 {
 			continue
 		}
-		low := truth.M < 0.05
 		evaluated++
+		acc := errs[1]
+		if truth.M < 0.05 {
+			acc = errs[0]
+		}
+		record := func(method int, est plan.EdgeStats) {
+			acc[method].m = append(acc[method].m, stats.QError(est.M, truth.M))
+			acc[method].fo = append(acc[method].fo, stats.QError(est.Fo, truth.Fo))
+		}
 
 		nEst := naive.Estimate(pS.Selectivity(s))
-		a := acc[0][low]
-		a.mErr += stats.QError(nEst.M, truth.M)
-		a.foErr += stats.QError(nEst.Fo, truth.Fo)
-		a.n++
-
+		record(0, nEst)
 		for i, cs := range samples {
 			d, ok := cs.EstimateDetail(pR, pS)
 			est := d.Stats
@@ -77,38 +72,23 @@ func Fig4(scale Scale, seed int64) *Table {
 				est.M = 1.0 / float64(d.Qualifying+2)
 				est.Fo = nEst.Fo
 			}
-			a := acc[i+1][low]
-			a.mErr += stats.QError(est.M, truth.M)
-			a.foErr += stats.QError(est.Fo, truth.Fo)
-			a.n++
+			record(i+1, est)
 		}
 	}
 
 	t := &Table{
-		Title:  "Fig 4: average Q-error of match probability / fanout estimation",
-		Header: []string{"method", "m range", "avg Q-err (m)", "avg Q-err (fo)", "queries"},
+		Title:   "Fig 4: average Q-error of match probability / fanout estimation",
+		Labels:  []string{"method", "m range"},
+		Columns: []Column{{"avg Q-err (m)", ""}, {"avg Q-err (fo)", ""}, {"queries", "%.0f"}},
+		Notes:   []string{"paper: naive degrades sharply for low-m queries; even 0.1% samples stay near Q-error 1-2"},
 	}
-	for _, low := range []bool{true, false} {
-		rangeName := "m < 0.05"
-		if !low {
-			rangeName = "m > 0.05"
-		}
+	for ri, rangeName := range ranges {
 		for i, name := range methods {
-			a := acc[i][low]
-			if a.n == 0 {
-				t.Rows = append(t.Rows, []string{name, rangeName, "n/a", "n/a", "0"})
-				continue
+			if e := errs[ri][i]; len(e.m) > 0 { // a range no query fell in has no row
+				t.add([]string{name, rangeName}, mean(e.m), mean(e.fo), float64(len(e.m)))
 			}
-			t.Rows = append(t.Rows, []string{
-				name, rangeName,
-				fmtF(a.mErr / float64(a.n)),
-				fmtF(a.foErr / float64(a.n)),
-				fmt.Sprintf("%d", a.n),
-			})
 		}
 	}
-	t.Notes = append(t.Notes,
-		"paper: naive degrades sharply for low-m queries; even 0.1% samples stay near Q-error 1-2")
 	return t
 }
 

@@ -1,4 +1,4 @@
-package robust
+package experiments
 
 import (
 	"math"
