@@ -32,7 +32,9 @@ import (
 type PlanRequest struct {
 	// Dataset provides the join tree; when MeasureStats is set the
 	// edge statistics are measured from the data instead of trusting
-	// the tree's annotations.
+	// the tree's annotations — exact to 16 384 live parent rows, from
+	// an 8 192-row systematic sample of them above (workload.Measure).
+	// Either way every child relation's whole table is built (Tables).
 	Dataset      *storage.Dataset
 	MeasureStats bool
 	// StatsCache optionally memoizes edge-statistics measurement when

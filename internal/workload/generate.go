@@ -149,10 +149,11 @@ func generateChild(t *plan.Tree, rels map[plan.NodeID]*storage.Relation,
 	}
 }
 
-// Measure scans a generated (or any) dataset and returns the realized
-// per-edge statistics: the true match probability and conditional
-// fanout for probing from each parent into each child. These are the
-// "actual selectivities" of the robustness experiments.
+// Measure scans a generated (or any) dataset and returns the measured
+// per-edge statistics: the match probability and conditional fanout for
+// probing from each parent into each child, exact to 16 384 live parent
+// rows, an 8 192-row systematic sample above. These are the "actual
+// selectivities" of the robustness experiments.
 func Measure(ds *storage.Dataset) map[plan.NodeID]plan.EdgeStats {
 	return MeasureCached(ds, nil)
 }
@@ -171,8 +172,9 @@ func MeasureCached(ds *storage.Dataset, cache *EdgeStatsCache) map[plan.NodeID]p
 }
 
 // MeasuredTree returns a copy of ds.Tree whose edge statistics are the
-// realized values from Measure — the tree to hand to the cost model
-// when validating predictions against actual executions (Fig. 14).
+// values from Measure — exact to 16 384 live parent rows, an 8 192-row
+// systematic sample above — the tree to hand to the cost model when
+// validating predictions against actual executions (Fig. 14).
 func MeasuredTree(ds *storage.Dataset) *plan.Tree {
 	return MeasuredTreeCached(ds, nil)
 }

@@ -9,15 +9,20 @@ import (
 	"m2mjoin/internal/storage"
 )
 
-// compacted returns a fresh relation holding only the live rows of ds's
-// relation id — what the snapshot looks like to a query, with no
-// liveness mask left to consult.
-func compacted(ds *storage.Dataset, id plan.NodeID) *storage.Relation {
+// compacted returns a fresh relation holding the live rows of ds's
+// relation id at live-order positions 0, stride, 2·stride, … — at
+// stride 1 what the snapshot looks like to a query, with no liveness
+// mask left to consult.
+func compacted(ds *storage.Dataset, id plan.NodeID, stride int) *storage.Relation {
 	src := ds.Relation(id)
 	var rows []int32
+	pos := 0
 	for row := 0; row < src.NumRows(); row++ {
 		if live := ds.Live(id); live == nil || live.Get(row) {
-			rows = append(rows, int32(row))
+			if pos%stride == 0 {
+				rows = append(rows, int32(row))
+			}
+			pos++
 		}
 	}
 	out := storage.NewRelation(src.Name(), src.ColumnNames()...)
@@ -25,19 +30,28 @@ func compacted(ds *storage.Dataset, id plan.NodeID) *storage.Relation {
 	return out
 }
 
-// requireGroundTruth asserts that the measured statistics of ds's edge
-// into id equal stats.GroundTruth — the one map-based oracle — over the
-// compacted relations. The two differ only where the oracle reports a
-// zero match probability, which measurement floors (see edgeStats).
-func requireGroundTruth(t *testing.T, ds *storage.Dataset, id plan.NodeID, got plan.EdgeStats) {
+// requireGroundTruth asserts that got, the statistics of ds's edge into
+// id measured at the given sample size, equals stats.GroundTruth — the
+// one map-based oracle — over the compacted child and the live parent
+// rows that sample probes: all of them up to 2·sample, else those at
+// live-order positions 0, s, 2s, … with s = ⌈live/sample⌉. The two
+// differ only where the oracle reports a zero match probability, which
+// measurement floors at one in 2·probed+2 (see edgeStats).
+func requireGroundTruth(t *testing.T, ds *storage.Dataset, id plan.NodeID, sample int, got plan.EdgeStats) {
 	t.Helper()
 	parent := ds.Tree.Parent(id)
-	want := stats.GroundTruth(compacted(ds, parent), compacted(ds, id), ds.KeyColumn(id), nil, nil)
+	stride := 1
+	if n := ds.LiveRows(parent); n > 2*sample {
+		stride = (n + sample - 1) / sample
+	}
+	probed := compacted(ds, parent, stride)
+	want := stats.GroundTruth(probed, compacted(ds, id, 1), ds.KeyColumn(id), nil, nil)
 	if want.M == 0 {
-		want.M = 1.0 / float64(2*ds.LiveRows(parent)+2)
+		want.M = 1.0 / float64(2*probed.NumRows()+2)
 	}
 	if got != want {
-		t.Fatalf("edge %d->%d: measured %+v, ground truth over live rows %+v", parent, id, got, want)
+		t.Fatalf("edge %d->%d at sample %d (stride %d): measured %+v, ground truth over the probed live rows %+v",
+			parent, id, sample, stride, got, want)
 	}
 }
 
@@ -76,7 +90,7 @@ func TestMeasureHonorsSnapshotLiveness(t *testing.T) {
 	}
 	cache := NewEdgeStatsCache()
 	for _, id := range tr.NonRoot() {
-		requireGroundTruth(t, snap, id, after[id])
+		requireGroundTruth(t, snap, id, measureSample, after[id])
 		if got := MeasureCached(snap, cache)[id]; got != after[id] {
 			t.Fatalf("edge %d: cached measurement %+v differs from direct %+v", id, got, after[id])
 		}
@@ -107,7 +121,7 @@ func TestRerootKeepsSnapshotLiveness(t *testing.T) {
 	if got, want := re.LiveRows(mapping[plan.Root]), v.Dataset.LiveRows(plan.Root); got != want {
 		t.Fatalf("rerooted R1 has %d live rows, source snapshot %d", got, want)
 	}
-	requireGroundTruth(t, re, mapping[plan.Root], re.Tree.Stats(mapping[plan.Root]))
+	requireGroundTruth(t, re, mapping[plan.Root], measureSample, re.Tree.Stats(mapping[plan.Root]))
 }
 
 // FuzzMeasureEdge checks the table-based edge measurement against the
@@ -116,12 +130,15 @@ func TestRerootKeepsSnapshotLiveness(t *testing.T) {
 // form the registered relations, the rest arrive in a first commit (the
 // append region), and a second commit deletes the rows the two delete
 // streams pick — in base and append region alike, compacting whenever
-// the storage policy says so. Measured on every snapshot of the chain.
+// the storage policy says so. Measured on every snapshot of the chain,
+// once at the production sample size and once at a sample of 1–8 rows,
+// which sends every relation over 2–16 live parent rows through the
+// sampled branch.
 func FuzzMeasureEdge(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4}, []byte{2, 2, 4, 9}, uint8(2), []byte{0}, []byte{1})
-	f.Add([]byte{}, []byte{1, 2}, uint8(0), []byte{}, []byte{})
-	f.Add([]byte{7, 7, 7}, []byte{}, uint8(9), []byte{2}, []byte{})
-	f.Fuzz(func(t *testing.T, parent, child []byte, split uint8, parentDel, childDel []byte) {
+	f.Add([]byte{1, 2, 3, 4}, []byte{2, 2, 4, 9}, uint8(2), []byte{0}, []byte{1}, uint8(0))
+	f.Add([]byte{}, []byte{1, 2}, uint8(0), []byte{}, []byte{}, uint8(3))
+	f.Add([]byte{7, 7, 7}, []byte{}, uint8(9), []byte{2}, []byte{}, uint8(7))
+	f.Fuzz(func(t *testing.T, parent, child []byte, split uint8, parentDel, childDel []byte, sample uint8) {
 		tr := plan.NewTree("P")
 		c := tr.AddChild(plan.Root, plan.EdgeStats{M: 0.5, Fo: 1}, "C")
 		ds := storage.NewDataset(tr)
@@ -137,13 +154,16 @@ func FuzzMeasureEdge(f *testing.F) {
 			t.Helper()
 			cache := NewEdgeStatsCache()
 			got := MeasureCached(ds, cache)[c]
-			requireGroundTruth(t, ds, c, got)
+			requireGroundTruth(t, ds, c, measureSample, got)
 			if direct := Measure(ds)[c]; direct != got {
 				t.Fatalf("cached measurement %+v differs from direct %+v", got, direct)
 			}
 			if tbl := cache.Tables(ds)[c]; tbl == nil {
 				t.Fatal("cache kept no table for the measured edge")
 			}
+			small := 1 + int(sample%8)
+			sampled, _ := measureEdge(ds, plan.Root, c, "k", small)
+			requireGroundTruth(t, ds, c, small, sampled)
 		}
 		check(ds)
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 
 	"m2mjoin/internal/hashtable"
 	"m2mjoin/internal/plan"
@@ -26,10 +27,12 @@ import (
 // share them, hit across reroots, and a later version of a touched
 // relation never does.
 //
-// Measuring an edge builds the child's hash table in the executor's own
-// shape (see measureEdge); the entry keeps that table beside the
-// statistics so the plan that was costed on them can hand it to
-// execution instead of building it again (Tables, core.PlanChoice).
+// Measuring an edge builds the child's whole hash table in the
+// executor's own shape and count-probes it with the live parent keys —
+// all of them up to 16 384, an 8 192-row systematic sample above (see
+// measureEdge); the entry keeps that table beside the statistics so the
+// plan that was costed on them can hand it to execution instead of
+// building it again (Tables, core.PlanChoice).
 // The tables are the bulk of a query's phase-1 memory: a cache that
 // outlives one plan-then-execute must drop them with ReleaseTables once
 // they have been handed on. Not safe for concurrent use.
@@ -66,13 +69,14 @@ func NewEdgeStatsCache() *EdgeStatsCache {
 	return &EdgeStatsCache{entries: make(map[edgeDirection]edgeEntry)}
 }
 
-// MeasureEdge returns the realized (m, fo) for probing from ds's
-// relation parent into its relation child on the shared key column,
-// measuring on the first request per direction and replaying the cached
-// value afterwards.
+// MeasureEdge returns the measured (m, fo) for probing from ds's
+// relation parent into its relation child on the shared key column —
+// exact to 16 384 live parent rows, an 8 192-row systematic sample above
+// (see measureEdge) — measuring on the first request per direction and
+// replaying the cached value afterwards.
 func (c *EdgeStatsCache) MeasureEdge(ds *storage.Dataset, parent, child plan.NodeID, key string) plan.EdgeStats {
 	if c == nil {
-		st, _ := measureEdge(ds, parent, child, key)
+		st, _ := measureEdge(ds, parent, child, key, measureSample)
 		return st
 	}
 	k := directionOf(ds, parent, child, key)
@@ -80,7 +84,7 @@ func (c *EdgeStatsCache) MeasureEdge(ds *storage.Dataset, parent, child plan.Nod
 		c.hits++
 		return e.stats
 	}
-	st, tbl := measureEdge(ds, parent, child, key)
+	st, tbl := measureEdge(ds, parent, child, key, measureSample)
 	c.entries[k] = edgeEntry{stats: st, table: tbl}
 	c.misses++
 	return st
@@ -184,53 +188,89 @@ func RerootCached(ds *storage.Dataset, newRoot plan.NodeID, cache *EdgeStatsCach
 	return out, mapping
 }
 
-// measureChunk is the probe batch of measureEdge — the executor's
-// driver chunk size.
-const measureChunk = 2048
+const (
+	// measureChunk is the probe batch of measureEdge — the executor's
+	// driver chunk size.
+	measureChunk = 2048
+	// measureSample is the number of live parent rows measureEdge
+	// count-probes per edge once there are more than twice as many.
+	measureSample = 8192
+)
 
-// measureEdge computes the realized (m, fo) for probing from ds's
-// relation parent into its relation child on the shared key column, the
-// way the executor would: it builds the child's table in the versioned
-// shape exec builds for an unselected relation (hashtable.BuildVersioned
-// over the snapshot's base/live masks — bit for bit the same table) and
-// count-probes it with every live parent key. Deleted rows on either
-// side are therefore invisible, as they are to a query. The table is
-// returned so the caller can hand it to execution.
-func measureEdge(ds *storage.Dataset, parent, child plan.NodeID, key string) (plan.EdgeStats, *hashtable.Table) {
+// measureEdge computes (m, fo) for probing from ds's relation parent
+// into its relation child on the shared key column, the way the executor
+// would: it builds the child's table in the versioned shape exec builds
+// for an unselected relation (hashtable.BuildVersioned over the
+// snapshot's base/live masks — bit for bit the same table) and
+// count-probes it with the live parent keys. Deleted rows on either side
+// are therefore invisible, as they are to a query. Up to 2·sample live
+// parent rows every one is probed and the statistics are exact; above,
+// a systematic sample: the live rows at live-order positions 0, s, 2s, …
+// with s = ⌈live/sample⌉ (the paper estimates (m, fo) from samples,
+// Section 3.2). The table is returned so the caller can hand it to
+// execution; production passes sample = measureSample.
+func measureEdge(ds *storage.Dataset, parent, child plan.NodeID, key string, sample int) (plan.EdgeStats, *hashtable.Table) {
 	tbl := hashtable.BuildVersioned(ds.Relation(child), key,
 		ds.BaseRows(child), ds.BaseLive(child), ds.Live(child), 1, nil)
 	parentKeys := ds.Relation(parent).Column(key)
-	live := ds.Live(parent)
-	var sel []bool
-	if live != nil {
-		sel = make([]bool, measureChunk)
+	stride := 1
+	if n := ds.LiveRows(parent); n > 2*sample {
+		stride = (n + sample - 1) / sample
 	}
+	keys := make([]int64, 0, measureChunk)
 	counts := make([]int32, measureChunk)
-	var matched, totalMatches int64
-	for lo := 0; lo < len(parentKeys); lo += measureChunk {
-		keys := parentKeys[lo:min(lo+measureChunk, len(parentKeys))]
-		lanes := sel
-		if live != nil {
-			lanes = sel[:len(keys)]
-			for i := range lanes {
-				lanes[i] = live.Get(lo + i)
-			}
-		}
-		tbl.ProbeCounts(keys, lanes, counts[:len(keys)])
+	var probed, matched, totalMatches int64
+	flush := func() {
+		tbl.ProbeCounts(keys, nil, counts[:len(keys)])
 		for _, n := range counts[:len(keys)] {
 			if n > 0 {
 				matched++
 				totalMatches += int64(n)
 			}
 		}
+		probed += int64(len(keys))
+		keys = keys[:0]
 	}
-	return edgeStats(int64(ds.LiveRows(parent)), matched, totalMatches), tbl
+	everyNthLive(ds.Live(parent), len(parentKeys), stride, func(row int) {
+		if keys = append(keys, parentKeys[row]); len(keys) == measureChunk {
+			flush()
+		}
+	})
+	flush()
+	return edgeStats(probed, matched, totalMatches), tbl
 }
 
-// edgeStats turns the counts of one measured direction — live parent
-// rows, how many of them found a match, and the matches in total — into
-// (m, fo), inside the model's valid ranges: an edge nothing matched on
-// gets a match probability just below one in 2·rows instead of zero.
+// everyNthLive calls fn, in ascending order, for the live rows of an
+// n-row relation at live-order positions 0, stride, 2·stride, …; a nil
+// live mask means every row is live. Words holding no sampled row are
+// skipped by their popcount.
+func everyNthLive(live *storage.Bitmap, n, stride int, fn func(row int)) {
+	if live == nil {
+		for row := 0; row < n; row += stride {
+			fn(row)
+		}
+		return
+	}
+	skip := 0 // live rows to pass before the next sampled one
+	for wi, w := range live.Words() {
+		if c := bits.OnesCount64(w); skip >= c {
+			skip -= c
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			if skip == 0 {
+				fn(wi<<6 + bits.TrailingZeros64(w))
+				skip = stride
+			}
+			skip--
+		}
+	}
+}
+
+// edgeStats turns the counts of one measured direction — parent rows
+// probed, how many of them found a match, and the matches in total —
+// into (m, fo), inside the model's valid ranges: an edge nothing matched
+// on gets a match probability just below one in 2·rows instead of zero.
 func edgeStats(parentRows, matched, totalMatches int64) plan.EdgeStats {
 	st := plan.EdgeStats{M: 1.0 / float64(2*parentRows+2), Fo: 1}
 	if matched > 0 {
