@@ -232,7 +232,7 @@ func runMutate(args []string) error {
 			return err
 		}
 		cur = v.Dataset
-		line := fmt.Sprintf("v%-4d fp=%016x  +%d -%d", v.Number, v.Fingerprint, appends, deletes)
+		line := fmt.Sprintf("v%-4d fp=%016x  +%d -%d", cur.Version(), cur.VersionFingerprint(), appends, deletes)
 		for _, d := range v.Deltas {
 			if d.Compacted {
 				line += fmt.Sprintf("  compacted=%s", cur.Relation(d.Rel).Name())

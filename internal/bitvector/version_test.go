@@ -91,21 +91,21 @@ func TestRepairedTableProjectsColdFilter(t *testing.T) {
 			}
 			got, cold := FromTable(repaired), FromTable(buildVersionedTable(ds))
 			if !reflect.DeepEqual(got.bits, cold.bits) {
-				t.Fatalf("trial %d v%d: repaired table's filter bits diverged from the cold build's", trial, v.Number)
+				t.Fatalf("trial %d v%d: repaired table's filter bits diverged from the cold build's", trial, v.Dataset.Version())
 			}
 			if got.shift != cold.shift || got.n != cold.n {
 				t.Fatalf("trial %d v%d: geometry diverged (shift %d/%d, n %d/%d)",
-					trial, v.Number, got.shift, cold.shift, got.n, cold.n)
+					trial, v.Dataset.Version(), got.shift, cold.shift, got.n, cold.n)
 			}
 			if !reflect.DeepEqual(prev.bits, prevBits) {
-				t.Fatalf("trial %d v%d: repair changed the previous version's filter", trial, v.Number)
+				t.Fatalf("trial %d v%d: repair changed the previous version's filter", trial, v.Dataset.Version())
 			}
 			// No false negatives over live rows, the filter contract.
 			rel, live := ds.Relation(id), ds.Live(id)
 			col := rel.Column("k")
 			for r := 0; r < rel.NumRows(); r++ {
 				if (live == nil || live.Get(r)) && !got.MayContain(col[r]) {
-					t.Fatalf("trial %d v%d: live key %d missing from filter", trial, v.Number, col[r])
+					t.Fatalf("trial %d v%d: live key %d missing from filter", trial, v.Dataset.Version(), col[r])
 				}
 			}
 		}

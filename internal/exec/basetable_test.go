@@ -205,7 +205,7 @@ func TestProviderDifferentialOverCommits(t *testing.T) {
 		}
 		wantCount, wantSum := Reference(snap)
 		if wantCount == 0 {
-			t.Fatalf("v%d: empty join result proves nothing", v.Number)
+			t.Fatalf("v%d: empty join result proves nothing", v.Dataset.Version())
 		}
 		for _, s := range cost.AllStrategies {
 			opts := Options{Strategy: s, Order: order, FlatOutput: true, ChunkSize: 128, Parallelism: 2}
@@ -215,7 +215,7 @@ func TestProviderDifferentialOverCommits(t *testing.T) {
 			}
 			if bare.OutputTuples != wantCount || bare.Checksum != wantSum {
 				t.Fatalf("v%d %v: %d tuples checksum %#x, oracle %d %#x",
-					v.Number, s, bare.OutputTuples, bare.Checksum, wantCount, wantSum)
+					v.Dataset.Version(), s, bare.OutputTuples, bare.Checksum, wantCount, wantSum)
 			}
 			shared := int64(len(nonRoot))
 			if s == cost.SJSTD || s == cost.SJCOM {
@@ -238,10 +238,10 @@ func TestProviderDifferentialOverCommits(t *testing.T) {
 				}
 				if got.CacheHits != tc.hits || got.CacheMisses != tc.misses {
 					t.Fatalf("v%d %v %s: hits=%d misses=%d, want %d/%d (tables only)",
-						v.Number, s, tc.name, got.CacheHits, got.CacheMisses, tc.hits, tc.misses)
+						v.Dataset.Version(), s, tc.name, got.CacheHits, got.CacheMisses, tc.hits, tc.misses)
 				}
 				if !reflect.DeepEqual(stripProvider(got), bare) {
-					t.Fatalf("v%d %v %s differs from the provider-less run:\n got %+v\nwant %+v", v.Number, s, tc.name, got, bare)
+					t.Fatalf("v%d %v %s differs from the provider-less run:\n got %+v\nwant %+v", v.Dataset.Version(), s, tc.name, got, bare)
 				}
 			}
 		}
@@ -250,7 +250,7 @@ func TestProviderDifferentialOverCommits(t *testing.T) {
 				snap.BaseRows(id), snap.BaseLive(id), snap.Live(id), 1, nil)
 			got, want := bitvector.FromTable(carried.tables[id]), bitvector.FromTable(cold)
 			if !slices.Equal(got.Words(), want.Words()) || got.WordShift() != want.WordShift() {
-				t.Fatalf("v%d relation %d: carried table's filter differs from the cold derivation", v.Number, id)
+				t.Fatalf("v%d relation %d: carried table's filter differs from the cold derivation", v.Dataset.Version(), id)
 			}
 		}
 	}

@@ -174,7 +174,7 @@ func TestShardMergeDeterminismRandom(t *testing.T) {
 			}
 			if !reflect.DeepEqual(merged, base) {
 				t.Errorf("case %d (%v, %d shards, sels %v, v%d) %s partition diverges:\n got %+v\nwant %+v",
-					c, strat, nShards, sels, v.Number, name, merged, base)
+					c, strat, nShards, sels, v.Dataset.Version(), name, merged, base)
 			}
 		}
 	}

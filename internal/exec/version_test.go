@@ -12,45 +12,61 @@ import (
 // mutateRandomly commits one random batch against ds: appends cloned
 // from live resident rows (fresh surrogate id, so the copied key
 // columns join exactly as their source rows do), plus deletes of
-// random live rows across all relations.
+// random live rows across all relations. With compact, the batch also
+// appends a quarter of every relation's base, so every relation
+// compacts.
 func mutateRandomly(t *testing.T, ds *storage.Dataset, rng *rand.Rand, nOps int, compact bool) storage.Version {
 	t.Helper()
 	d := ds.Begin()
 	deleted := make(map[plan.NodeID]map[int]bool)
-	for o := 0; o < nOps; o++ {
-		id := plan.NodeID(rng.Intn(ds.Tree.Len()))
+	liveRows := func(id plan.NodeID) []int {
 		rel, live := ds.Relation(id), ds.Live(id)
-		var liveRows []int
+		var rows []int
 		for r := 0; r < rel.NumRows(); r++ {
 			if (live == nil || live.Get(r)) && !deleted[id][r] {
-				liveRows = append(liveRows, r)
+				rows = append(rows, r)
 			}
 		}
-		if rng.Intn(10) < 6 || len(liveRows) == 0 {
-			vals := make([]int64, rel.NumCols())
-			if len(liveRows) > 0 {
-				src := liveRows[rng.Intn(len(liveRows))]
-				for c := range vals {
-					vals[c] = rel.ColumnAt(c)[src]
-				}
+		return rows
+	}
+	appendClone := func(id plan.NodeID, liveRows []int) {
+		rel := ds.Relation(id)
+		vals := make([]int64, rel.NumCols())
+		if len(liveRows) > 0 {
+			src := liveRows[rng.Intn(len(liveRows))]
+			for c := range vals {
+				vals[c] = rel.ColumnAt(c)[src]
 			}
-			for c, name := range rel.ColumnNames() {
-				if name == "id" {
-					vals[c] = int64(1<<40) + rng.Int63n(1<<20)
-				}
+		}
+		for c, name := range rel.ColumnNames() {
+			if name == "id" {
+				vals[c] = int64(1<<40) + rng.Int63n(1<<20)
 			}
-			d.Append(rel.Name(), vals...)
+		}
+		d.Append(rel.Name(), vals...)
+	}
+	for o := 0; o < nOps; o++ {
+		id := plan.NodeID(rng.Intn(ds.Tree.Len()))
+		rows := liveRows(id)
+		if rng.Intn(10) < 6 || len(rows) == 0 {
+			appendClone(id, rows)
 		} else {
-			row := liveRows[rng.Intn(len(liveRows))]
+			row := rows[rng.Intn(len(rows))]
 			if deleted[id] == nil {
 				deleted[id] = make(map[int]bool)
 			}
 			deleted[id][row] = true
-			d.Delete(rel.Name(), row)
+			d.Delete(ds.Relation(id).Name(), row)
 		}
 	}
 	if compact {
-		d.ForceCompact()
+		for i := 0; i < ds.Tree.Len(); i++ {
+			id := plan.NodeID(i)
+			rows := liveRows(id)
+			for n := 0; n*4 <= ds.BaseRows(id); n++ {
+				appendClone(id, rows)
+			}
+		}
 	}
 	v, err := d.Commit()
 	if err != nil {

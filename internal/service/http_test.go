@@ -7,6 +7,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -158,9 +160,19 @@ func TestHTTPBodyLimit(t *testing.T) {
 
 // TestHTTPBodyStrict: every POST endpoint takes exactly one JSON value
 // naming only fields its request has; a misspelt field or trailing
-// data is refused with the classified invalid envelope, not ignored.
+// data is refused with the classified invalid envelope, not ignored,
+// and so is a dataset directory whose manifest cannot be built.
 func TestHTTPBodyStrict(t *testing.T) {
 	srv := httpFixture(t)
+	badDir := t.TempDir()
+	manifest := `{"nodes":[{"id":0,"name":"R1","parent":0,"file":"r1.csv"},{"id":1,"name":"R2","parent":0,"key":"k","fo":2,"file":"r2.csv"}]}`
+	if err := os.WriteFile(filepath.Join(badDir, "manifest.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dirBody, err := json.Marshal(RegisterRequest{Name: "bad", Dir: badDir})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		path, body, want string
 	}{
@@ -170,6 +182,7 @@ func TestHTTPBodyStrict(t *testing.T) {
 		{"/v1/query", `{"dataset":"ds"} {"dataset":"ds"}`, "trailing data"},
 		{"/v1/mutate", `{"dataset":"ds","ops":[]}]`, "trailing data"},
 		{"/v1/datasets", `{"name":"x"}x`, "trailing data"},
+		{"/v1/datasets", string(dirBody), "match probability"},
 	} {
 		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -44,7 +44,7 @@ import (
 // prototype's sharded mutation story is the in-process one.
 
 // MutationSpec is one operation of a mutation batch, addressed by
-// relation name (the HTTP-friendly form of storage.Mutation).
+// relation name (the HTTP form of a storage.Delta Append or Delete).
 type MutationSpec struct {
 	// Op is "append" or "delete".
 	Op string `json:"op"`
@@ -152,7 +152,7 @@ func (s *Service) Mutate(ctx context.Context, req MutateRequest) (MutateResult, 
 	e.shardMu.Unlock()
 	// Retention: keep the current and previous version's artifact keys;
 	// each commit retires at most the one before those.
-	e.versions = append(e.versions, v.Fingerprint)
+	e.versions = append(e.versions, v.Dataset.VersionFingerprint())
 	if len(e.versions) > 2 {
 		retired := e.versions[0]
 		e.versions = e.versions[1:]
@@ -166,8 +166,8 @@ func (s *Service) Mutate(ctx context.Context, req MutateRequest) (MutateResult, 
 
 	res := MutateResult{
 		Dataset:     req.Dataset,
-		Version:     v.Number,
-		Fingerprint: v.Fingerprint,
+		Version:     v.Dataset.Version(),
+		Fingerprint: v.Dataset.VersionFingerprint(),
 		Applied:     len(req.Ops),
 		Repaired:    repaired,
 		Rows:        make(map[string]int, v.Dataset.Tree.Len()),
@@ -221,7 +221,7 @@ func (s *Service) repairArtifacts(e *datasetEntry, cur *storage.Dataset, v stora
 				Deleted:      d.Deleted,
 			}, s.cfg.Parallelism, nil)
 		}
-		nkey := artifactKey{dataset: v.Fingerprint, rel: id, keyCol: keyCol}
+		nkey := artifactKey{dataset: newDS.VersionFingerprint(), rel: id, keyCol: keyCol}
 		s.cache.put(&cacheEntry{key: nkey, table: nt, bytes: nt.MemoryBytes()})
 		repaired++
 	}

@@ -25,7 +25,7 @@ func wordsFor(n int) int { return (n + 63) / 64 }
 
 // NewBitmap returns a bitmap of n rows, all set.
 func NewBitmap(n int) *Bitmap {
-	b := &Bitmap{words: make([]uint64, wordsFor(n)), n: n}
+	b := NewEmptyBitmap(n)
 	b.SetAll()
 	return b
 }
@@ -96,13 +96,6 @@ func (b *Bitmap) SetAll() {
 	b.clearTail()
 }
 
-// ClearAll clears every row.
-func (b *Bitmap) ClearAll() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
 // clearTail zeroes the bits beyond Len() in the last word.
 func (b *Bitmap) clearTail() {
 	if b.n&63 != 0 && len(b.words) > 0 {
@@ -114,33 +107,30 @@ func (b *Bitmap) clearTail() {
 // word storage when it is large enough — the pooled-scratch entry
 // point of the semi-join pass.
 func (b *Bitmap) Reset(n int) {
-	nw := wordsFor(n)
-	if cap(b.words) < nw {
-		b.words = make([]uint64, nw, nw+nw/4+1)
-	}
-	b.words = b.words[:nw]
-	b.n = n
+	b.resize(n)
 	b.SetAll()
 }
 
 // CopyFrom makes b an exact copy of o, resizing (with storage reuse)
 // as needed.
 func (b *Bitmap) CopyFrom(o *Bitmap) {
-	nw := wordsFor(o.n)
+	b.resize(o.n)
+	copy(b.words, o.words)
+}
+
+// resize makes b cover n rows, reusing its word storage when it is
+// large enough; the words' contents are left for the caller to set.
+func (b *Bitmap) resize(n int) {
+	nw := wordsFor(n)
 	if cap(b.words) < nw {
 		b.words = make([]uint64, nw, nw+nw/4+1)
 	}
 	b.words = b.words[:nw]
-	b.n = o.n
-	copy(b.words, o.words)
+	b.n = n
 }
 
 // Clone returns an independent copy of b.
-func (b *Bitmap) Clone() *Bitmap {
-	c := &Bitmap{words: make([]uint64, len(b.words)), n: b.n}
-	copy(c.words, b.words)
-	return c
-}
+func (b *Bitmap) Clone() *Bitmap { return b.CloneGrown(b.n) }
 
 // CloneGrown returns an independent copy of b extended to n rows
 // (n >= Len()), with every added row set — the clone-on-write growth

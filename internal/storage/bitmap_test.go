@@ -112,7 +112,7 @@ func TestBitmapPropertyVsBoolModel(t *testing.T) {
 					}
 				}
 			case 5:
-				b.ClearAll()
+				b.Retain(func(int) bool { return false })
 				for i := range m {
 					m[i] = false
 				}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 
 	"m2mjoin/internal/plan"
@@ -44,6 +45,11 @@ func ReadRelationCSV(name string, rd io.Reader) (*Relation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: reading CSV header: %w", err)
 	}
+	for i, col := range header {
+		if slices.Contains(header[:i], col) {
+			return nil, fmt.Errorf("storage: CSV header repeats column %q", col)
+		}
+	}
 	rel := NewRelation(name, append([]string(nil), header...)...)
 	values := make([]int64, len(header))
 	for line := 2; ; line++ {
@@ -64,6 +70,10 @@ func ReadRelationCSV(name string, rd io.Reader) (*Relation, error) {
 		rel.AppendRow(values...)
 	}
 }
+
+// maxTreeNodes is the most relations a join tree holds: one bit of a
+// plan.Set per node.
+const maxTreeNodes = 64
 
 // manifest is the on-disk description of a dataset.
 type manifest struct {
@@ -142,9 +152,24 @@ func LoadDataset(dir string) (*Dataset, error) {
 		return nil, fmt.Errorf("storage: empty manifest")
 	}
 	// Nodes are stored in ID order; AddChild assigns ascending IDs, and
-	// parents always precede children (plan invariant).
+	// parents always precede children (plan invariant). The manifest is
+	// outside input and AddChild panics on a node it cannot add, so each
+	// node is checked first.
+	if m.Nodes[0].ID != 0 {
+		return nil, fmt.Errorf("storage: manifest root has ID %d, want 0", m.Nodes[0].ID)
+	}
 	tree := plan.NewTree(m.Nodes[0].Name)
 	for _, n := range m.Nodes[1:] {
+		switch {
+		case tree.Len() == maxTreeNodes:
+			return nil, fmt.Errorf("storage: manifest has %d nodes, a join tree holds at most %d", len(m.Nodes), maxTreeNodes)
+		case n.Parent < 0 || n.Parent >= tree.Len():
+			return nil, fmt.Errorf("storage: manifest node %d: parent %d is not an earlier node", n.ID, n.Parent)
+		case !(n.M > 0 && n.M <= 1):
+			return nil, fmt.Errorf("storage: manifest node %d: match probability m = %v out of (0, 1]", n.ID, n.M)
+		case !(n.Fo >= 1):
+			return nil, fmt.Errorf("storage: manifest node %d: fanout fo = %v below 1", n.ID, n.Fo)
+		}
 		got := tree.AddChild(plan.NodeID(n.Parent), plan.EdgeStats{M: n.M, Fo: n.Fo}, n.Name)
 		if int(got) != n.ID {
 			return nil, fmt.Errorf("storage: manifest node IDs not in insertion order (%d vs %d)", got, n.ID)

@@ -2,6 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -53,6 +56,9 @@ func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadRelationCSV("X", strings.NewReader("a,b\n1\n")); err == nil {
 		t.Errorf("expected error for short row")
 	}
+	if _, err := ReadRelationCSV("X", strings.NewReader("a,a\n1,2\n")); err == nil || !strings.Contains(err.Error(), "repeats column") {
+		t.Errorf("repeated header column: err = %v, want an error naming it", err)
+	}
 }
 
 func TestSaveLoadDataset(t *testing.T) {
@@ -101,8 +107,37 @@ func TestSaveLoadDataset(t *testing.T) {
 	}
 }
 
+// TestLoadDatasetErrors: a manifest LoadDataset cannot build a tree
+// from is an error naming the problem, never a panic — the directory
+// is outside input (POST /v1/datasets).
 func TestLoadDatasetErrors(t *testing.T) {
-	if _, err := LoadDataset(t.TempDir()); err == nil {
-		t.Errorf("expected error for missing manifest")
+	node := func(id, parent int, m, fo string) string {
+		return fmt.Sprintf(`{"id":%d,"name":"R%d","parent":%d,"key":"k"%s%s,"file":"r.csv"}`, id, id, parent, m, fo)
+	}
+	wide := []string{node(0, 0, "", "")}
+	for id := 1; id <= 64; id++ {
+		wide = append(wide, node(id, 0, `,"m":0.5`, `,"fo":1`))
+	}
+	manifest := func(nodes ...string) string { return `{"nodes":[` + strings.Join(nodes, ",") + `]}` }
+	cases := []struct {
+		name, manifest, want string
+	}{
+		{"missing manifest", "", "manifest.json"},
+		{"missing m", manifest(node(0, 0, "", ""), node(1, 0, "", `,"fo":2`)), "match probability m = 0"},
+		{"fo below 1", manifest(node(0, 0, "", ""), node(1, 0, `,"m":0.5`, `,"fo":0.5`)), "fanout fo = 0.5"},
+		{"parent out of range", manifest(node(0, 0, "", ""), node(1, 7, `,"m":0.5`, `,"fo":2`)), "parent 7"},
+		{"65th node", manifest(wide...), "at most 64"},
+		{"root not node 0", manifest(node(3, 0, "", "")), "root has ID 3"},
+	}
+	for _, tc := range cases {
+		dir := t.TempDir()
+		if tc.manifest != "" {
+			if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(tc.manifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := LoadDataset(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
+		}
 	}
 }

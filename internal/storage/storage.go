@@ -5,6 +5,17 @@
 // iteration), and the dataset abstraction that binds base relations to
 // the nodes of a join tree.
 //
+// A Dataset is a slice of relation states indexed by NodeID: the
+// relation, its join key column, a liveness bitmap, a base marker and a
+// live-at-last-compaction mask. Physical rows are never removed and row
+// indices never shift: a delete clears the row's bit in a cloned
+// liveness bitmap and leaves it in its column, dead; an append extends
+// the columns with Go's append, past the length every reader of the
+// parent snapshot has pinned. Rows [0, BaseRows) with the BaseLive mask
+// are the packed region derived artifacts (hash tables, filters) build
+// their sorted layout over, rows [BaseRows, NumRows) the append region
+// they maintain incrementally; compaction only advances the marker.
+//
 // All attributes are int64. The techniques under study (factorized
 // execution, bitvector pruning, semi-join reduction) are agnostic to
 // the attribute type; fixed-width integer columns keep the probe loops
@@ -134,109 +145,103 @@ func (r *Relation) Grow(n int) {
 // which produces successor snapshots sharing storage with this one.
 type Dataset struct {
 	Tree *plan.Tree
-	rels map[plan.NodeID]*Relation
-	keys map[plan.NodeID]string
+	// rels is indexed by NodeID.
+	rels []relState
 
-	// Versioned-snapshot state (see version.go). All maps may be nil
-	// for a dataset that has never been committed to: version 0, every
-	// row live, every relation fully packed.
+	// version and the lineage fingerprint vfp place the snapshot in its
+	// version chain (see version.go); vfpSet is false until version 0's
+	// lineage fingerprint, its content fingerprint, is first computed.
 	version uint64
 	vfp     uint64
 	vfpSet  bool
-	// live holds per-relation liveness; a missing entry means all rows
-	// live.
-	live map[plan.NodeID]*Bitmap
-	// baseRows is the per-relation base marker: rows [0, baseRows) are
-	// the packed region of derived artifacts, [baseRows, NumRows) the
-	// append region. A missing entry means fully packed.
-	baseRows map[plan.NodeID]int
-	// baseLive is the per-relation live-at-last-compaction mask over
-	// the base region; a missing entry means all base rows were live.
-	baseLive map[plan.NodeID]*Bitmap
+}
+
+// relState is what a snapshot holds for one tree node. Its zero value
+// beyond rel and key is a relation never committed to: every row live,
+// every row packed.
+type relState struct {
+	rel *Relation
+	key string // equi-join column shared with the parent; "" for the root
+	// live is the liveness mask; nil means every row is live.
+	live *Bitmap
+	// appendRows is the size of the append region: rows [0, NumRows -
+	// appendRows) are the packed base, the rest were appended since the
+	// last compaction.
+	appendRows int
+	// baseLive is the live-at-last-compaction mask over the base; nil
+	// means every base row was live.
+	baseLive *Bitmap
 }
 
 // NewDataset creates a dataset for the tree. Relations are attached
 // with SetRelation.
 func NewDataset(t *plan.Tree) *Dataset {
-	return &Dataset{
-		Tree: t,
-		rels: make(map[plan.NodeID]*Relation, t.Len()),
-		keys: make(map[plan.NodeID]string, t.Len()),
-	}
+	return &Dataset{Tree: t, rels: make([]relState, t.Len())}
 }
 
 // SetRelation binds rel to tree node id. For non-root nodes, keyColumn
 // names the equi-join column shared with the parent relation; it is
 // ignored for the root.
 func (d *Dataset) SetRelation(id plan.NodeID, rel *Relation, keyColumn string) {
-	d.rels[id] = rel
-	if id != plan.Root {
-		d.keys[id] = keyColumn
+	if id == plan.Root {
+		keyColumn = ""
 	}
+	d.rels[id] = relState{rel: rel, key: keyColumn}
 }
 
 // Relation returns the relation bound to id.
 func (d *Dataset) Relation(id plan.NodeID) *Relation {
-	r, ok := d.rels[id]
-	if !ok {
+	if int(id) >= len(d.rels) || d.rels[id].rel == nil {
 		panic(fmt.Sprintf("storage: dataset has no relation for node %d", id))
 	}
-	return r
+	return d.rels[id].rel
 }
 
 // KeyColumn returns the equi-join column name between id and its
 // parent.
 func (d *Dataset) KeyColumn(id plan.NodeID) string {
-	k, ok := d.keys[id]
-	if !ok {
+	if id == plan.Root || int(id) >= len(d.rels) || d.rels[id].rel == nil {
 		panic(fmt.Sprintf("storage: dataset has no key column for node %d", id))
 	}
-	return k
+	return d.rels[id].key
 }
 
 // Validate checks that every tree node has a relation, that every join
-// column exists on both sides, and returns an error describing the
-// first problem found.
+// column exists on both sides, that the versioned state covers its
+// relation, and returns an error describing the first problem found.
 func (d *Dataset) Validate() error {
 	for i := 0; i < d.Tree.Len(); i++ {
 		id := plan.NodeID(i)
-		rel, ok := d.rels[id]
-		if !ok {
+		if i >= len(d.rels) || d.rels[i].rel == nil {
 			return fmt.Errorf("node %d (%s) has no relation", id, d.Tree.Name(id))
+		}
+		s := d.rels[i]
+		rows := s.rel.NumRows()
+		if s.live != nil && s.live.Len() != rows {
+			return fmt.Errorf("relation %q liveness mask covers %d rows, relation has %d",
+				s.rel.Name(), s.live.Len(), rows)
+		}
+		base := rows - s.appendRows
+		if s.appendRows < 0 || base < 0 {
+			return fmt.Errorf("relation %q base marker %d out of range [0, %d]", s.rel.Name(), base, rows)
+		}
+		if s.baseLive != nil && s.baseLive.Len() < base {
+			return fmt.Errorf("relation %q base-live mask covers %d rows, base marker is %d",
+				s.rel.Name(), s.baseLive.Len(), base)
 		}
 		if id == plan.Root {
 			continue
 		}
-		key, ok := d.keys[id]
-		if !ok {
+		if s.key == "" {
 			return fmt.Errorf("node %d (%s) has no key column", id, d.Tree.Name(id))
 		}
-		if !rel.HasColumn(key) {
-			return fmt.Errorf("relation %q missing its own join column %q", rel.Name(), key)
+		if !s.rel.HasColumn(s.key) {
+			return fmt.Errorf("relation %q missing its own join column %q", s.rel.Name(), s.key)
 		}
-		parent := d.rels[d.Tree.Parent(id)]
-		if parent == nil {
-			return fmt.Errorf("node %d's parent has no relation", id)
-		}
-		if !parent.HasColumn(key) {
+		// Parents precede children, so the parent's relation was checked.
+		if parent := d.rels[d.Tree.Parent(id)].rel; !parent.HasColumn(s.key) {
 			return fmt.Errorf("parent relation %q missing join column %q for child %q",
-				parent.Name(), key, rel.Name())
-		}
-	}
-	for id, b := range d.live {
-		if b != nil && b.Len() != d.rels[id].NumRows() {
-			return fmt.Errorf("relation %q liveness mask covers %d rows, relation has %d",
-				d.rels[id].Name(), b.Len(), d.rels[id].NumRows())
-		}
-	}
-	for id, base := range d.baseRows {
-		if base < 0 || base > d.rels[id].NumRows() {
-			return fmt.Errorf("relation %q base marker %d out of range [0, %d]",
-				d.rels[id].Name(), base, d.rels[id].NumRows())
-		}
-		if bl := d.baseLive[id]; bl != nil && bl.Len() < base {
-			return fmt.Errorf("relation %q base-live mask covers %d rows, base marker is %d",
-				d.rels[id].Name(), bl.Len(), base)
+				parent.Name(), s.key, s.rel.Name())
 		}
 	}
 	return nil
@@ -246,8 +251,10 @@ func (d *Dataset) Validate() error {
 // the Yannakakis O(IN + OUT) bound).
 func (d *Dataset) TotalRows() int {
 	total := 0
-	for _, r := range d.rels {
-		total += r.NumRows()
+	for _, s := range d.rels {
+		if s.rel != nil {
+			total += s.rel.NumRows()
+		}
 	}
 	return total
 }

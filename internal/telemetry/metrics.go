@@ -62,36 +62,20 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a settable instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram bucket ladder: powers of two in microseconds, 1µs·2^k.
 // 28 finite buckets span 1µs .. ~134s; slower observations land in
 // +Inf. Boundaries are fixed (no per-instance configuration) so every
 // histogram in the process aggregates cleanly.
 const histBuckets = 28
 
-// histBoundaries[i] is the inclusive upper bound of bucket i in
-// seconds, precomputed with its exposition string.
-var (
-	histBoundaries [histBuckets]float64
-	histLabels     [histBuckets]string
-)
+// histLabels[i] is the exposition string of bucket i's inclusive upper
+// bound in seconds.
+var histLabels [histBuckets]string
 
 func init() {
 	for i := 0; i < histBuckets; i++ {
 		us := float64(int64(1) << i) // microseconds
-		histBoundaries[i] = us / 1e6
-		histLabels[i] = strconv.FormatFloat(histBoundaries[i], 'g', -1, 64)
+		histLabels[i] = strconv.FormatFloat(us/1e6, 'g', -1, 64)
 	}
 }
 
@@ -126,21 +110,6 @@ func (h *Histogram) Observe(d time.Duration) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.n.Load() }
-
-// Sum returns the total observed duration.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
-// Quantile estimates the q-th quantile (0..1) with the same linear
-// interpolation Prometheus's histogram_quantile applies.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	var cum [histBuckets + 1]float64
-	total := 0.0
-	for i := range h.counts {
-		total += float64(h.counts[i].Load())
-		cum[i] = total
-	}
-	return quantileFromCumulative(q, total, cum[:], histBoundaries[:])
-}
 
 // quantileFromCumulative interpolates a quantile from cumulative
 // bucket counts over the given upper boundaries (seconds); the final
@@ -208,7 +177,6 @@ func (k metricKind) String() string {
 type series struct {
 	labels string // canonical key; also the exposition label text
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	fn     func() int64
 }
@@ -281,11 +249,6 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	return r.family(name, help, kindCounter).get(labels, func(s *series) { s.c = &Counter{} }).c
 }
 
-// Gauge returns (registering if needed) the gauge series.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	return r.family(name, help, kindGauge).get(labels, func(s *series) { s.g = &Gauge{} }).g
-}
-
 // Histogram returns (registering if needed) the histogram series.
 func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
 	return r.family(name, help, kindHistogram).get(labels, func(s *series) { s.h = &Histogram{} }).h
@@ -355,8 +318,6 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 		v = s.fn()
 	case s.c != nil:
 		v = s.c.Value()
-	case s.g != nil:
-		v = s.g.Value()
 	}
 	_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, braced(s.labels), v)
 	return err

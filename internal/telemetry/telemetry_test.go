@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -153,8 +154,12 @@ func TestTraceSteadyStateReuseDoesNotGrow(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketsAndQuantiles reads a histogram back the way
+// m2mload does: through the exposition, ParseText and
+// HistogramQuantiles.
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
-	h := &Histogram{}
+	r := NewRegistry()
+	h := r.Histogram("m2m_test_seconds", "", nil)
 	// 100 observations at 1ms, 10 at 100ms, 1 at 10s.
 	for i := 0; i < 100; i++ {
 		h.Observe(time.Millisecond)
@@ -166,16 +171,25 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if h.Count() != 111 {
 		t.Fatalf("count = %d, want 111", h.Count())
 	}
-	wantSum := 100*time.Millisecond + 1000*time.Millisecond + 10*time.Second
-	if h.Sum() != wantSum {
-		t.Errorf("sum = %v, want %v", h.Sum(), wantSum)
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
 	}
-	p50 := h.Quantile(0.50)
-	if p50 < 100*time.Microsecond || p50 > 2*time.Millisecond {
+	samples, err := ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := SumSamples(samples, "m2m_test_seconds_sum", nil); math.Abs(sum-11.1) > 1e-9 {
+		t.Errorf("sum = %gs, want 11.1s", sum)
+	}
+	qs, n := HistogramQuantiles(samples, "m2m_test_seconds", []float64{0.50, 0.99})
+	if n != 111 {
+		t.Errorf("exposed count = %d, want 111", n)
+	}
+	if p50 := qs[0]; p50 < 100*time.Microsecond || p50 > 2*time.Millisecond {
 		t.Errorf("p50 = %v, want ~1ms", p50)
 	}
-	p99 := h.Quantile(0.99)
-	if p99 < 50*time.Millisecond || p99 > 300*time.Millisecond {
+	if p99 := qs[1]; p99 < 50*time.Millisecond || p99 > 300*time.Millisecond {
 		t.Errorf("p99 = %v, want ~100ms bucket", p99)
 	}
 
@@ -191,8 +205,7 @@ func TestRegistryExpositionRoundTrip(t *testing.T) {
 	c := r.Counter("m2m_test_total", "test counter", Labels{{Name: "class", Value: "ok"}})
 	c.Add(5)
 	r.Counter("m2m_test_total", "test counter", Labels{{Name: "class", Value: "shed"}}).Add(2)
-	g := r.Gauge("m2m_test_gauge", "test gauge", nil)
-	g.Set(42)
+	r.GaugeFunc("m2m_test_gauge", "test gauge", nil, func() int64 { return 42 })
 	var shadow int64 = 7
 	r.CounterFunc("m2m_shadow_total", "fn-backed", Labels{{Name: "kind", Value: `a"b\c`}},
 		func() int64 { return shadow })
@@ -328,9 +341,9 @@ func TestTraceConcurrentSpans(t *testing.T) {
 }
 
 // TestRegistryConcurrentFirstUse: goroutines racing to first-touch one
-// labelled series of each kind — while a scrape runs — must all get the
-// same instrument, so no observation lands on a pointer another
-// goroutine overwrote. Run under -race in CI: the series value is
+// labelled counter and one labelled histogram series — while a scrape
+// runs — must all get the same instrument, so no observation lands on a
+// pointer another goroutine overwrote. Run under -race in CI: the series value is
 // initialised under the lock that creates the series.
 func TestRegistryConcurrentFirstUse(t *testing.T) {
 	const n = 16
@@ -338,7 +351,6 @@ func TestRegistryConcurrentFirstUse(t *testing.T) {
 	labels := Labels{{"outcome", "ok"}}
 	hs := make([]*Histogram, n)
 	cs := make([]*Counter, n)
-	gs := make([]*Gauge, n)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -350,8 +362,6 @@ func TestRegistryConcurrentFirstUse(t *testing.T) {
 			hs[i].Observe(time.Millisecond)
 			cs[i] = reg.Counter("dispatches_total", "", labels)
 			cs[i].Inc()
-			gs[i] = reg.Gauge("inflight", "", labels)
-			gs[i].Add(1)
 		}(i)
 	}
 	wg.Add(1)
@@ -365,12 +375,11 @@ func TestRegistryConcurrentFirstUse(t *testing.T) {
 	close(start)
 	wg.Wait()
 	for i := 1; i < n; i++ {
-		if hs[i] != hs[0] || cs[i] != cs[0] || gs[i] != gs[0] {
+		if hs[i] != hs[0] || cs[i] != cs[0] {
 			t.Fatalf("goroutine %d got a different instrument for the same series", i)
 		}
 	}
-	if hs[0].Count() != n || cs[0].Value() != n || gs[0].Value() != n {
-		t.Fatalf("lost updates: histogram %d counter %d gauge %d, want %d each",
-			hs[0].Count(), cs[0].Value(), gs[0].Value(), n)
+	if hs[0].Count() != n || cs[0].Value() != n {
+		t.Fatalf("lost updates: histogram %d counter %d, want %d each", hs[0].Count(), cs[0].Value(), n)
 	}
 }
