@@ -152,13 +152,3 @@ func (f *Filter) WordShift() uint { return f.shift }
 // the quantity the serving layer's artifact cache charges against its
 // byte budget. The array is allocated at exactly this size.
 func (f *Filter) MemoryBytes() int64 { return int64(len(f.bits)) * 8 }
-
-// FillRatio returns the fraction of set bits, which approximates the
-// false-positive probability for single-hash filters.
-func (f *Filter) FillRatio() float64 {
-	set := 0
-	for _, w := range f.bits {
-		set += bits.OnesCount64(w)
-	}
-	return float64(set) / float64(len(f.bits)*64)
-}

@@ -5,9 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"m2mjoin/internal/bitvector"
 	"m2mjoin/internal/cost"
@@ -41,19 +39,20 @@ func (a *tableStore) PutTable(id plan.NodeID, t *hashtable.Table) {
 	a.tables[id] = t
 }
 
-// countBuilds runs fn and returns the number of hash-table builds it
-// made, through the process-wide build hook.
-func countBuilds(t *testing.T, fn func()) int64 {
-	t.Helper()
-	var n atomic.Int64
-	telemetry.SetBuildHook(func(kind string, _ int, _ time.Duration) {
-		if kind == telemetry.BuildKindBuild {
-			n.Add(1)
+// tracedBuilds runs opts through run under a trace of its own and
+// returns the number of hash tables the run built, read from that
+// trace: the build-relation and semijoin spans of non-root relations
+// that the provider did not serve (no cached attribute).
+func tracedBuilds(run func(Options) (Stats, error), opts Options) (Stats, int64, error) {
+	opts.Trace, opts.TraceParent = telemetry.NewTrace(nil), telemetry.NoParent
+	st, err := run(opts)
+	var n int64
+	opts.Trace.Finish().Each(func(_ int, sp *telemetry.SpanNode) {
+		if (sp.Name == "build-relation" || sp.Name == "semijoin") && sp.Attrs["rel"] != 0 && sp.Attrs["cached"] == 0 {
+			n++
 		}
 	})
-	defer telemetry.SetBuildHook(nil)
-	fn()
-	return n.Load()
+	return st, n, err
 }
 
 func stripProvider(s Stats) Stats {
@@ -86,8 +85,9 @@ func TestSJLeafTablesFromProvider(t *testing.T) {
 
 	for _, s := range []cost.Strategy{cost.SJSTD, cost.SJCOM} {
 		opts := Options{Strategy: s, Order: plan.Order(tr.NonRoot()), FlatOutput: true, ChunkSize: 256, Parallelism: 2}
-		var bare Stats
-		if n := countBuilds(t, func() { bare, err = Run(ds, opts) }); err != nil || n != leaves+inner {
+		run := func(opts Options) (Stats, error) { return Run(ds, opts) }
+		bare, n, err := tracedBuilds(run, opts)
+		if err != nil || n != leaves+inner {
 			t.Fatalf("%v provider-less: %d builds (want %d), err %v", s, n, leaves+inner, err)
 		}
 		if bare.CacheHits != 0 || bare.CacheMisses != 0 || bare.OutputTuples == 0 {
@@ -110,8 +110,8 @@ func TestSJLeafTablesFromProvider(t *testing.T) {
 			}
 		}
 
-		var second Stats
-		if n := countBuilds(t, func() { second, err = Run(ds, opts) }); err != nil || n != inner {
+		second, n, err := tracedBuilds(run, opts)
+		if err != nil || n != inner {
 			t.Fatalf("%v second run: %d builds (want %d: the reduced tables only), err %v", s, n, inner, err)
 		}
 		if second.CacheHits != leaves || second.CacheMisses != 0 {
@@ -123,8 +123,8 @@ func TestSJLeafTablesFromProvider(t *testing.T) {
 			}
 		}
 
-		var merged Stats
-		if n := countBuilds(t, func() { merged, err = RunSharded(shards, opts) }); err != nil || n != 4*inner {
+		merged, n, err := tracedBuilds(func(opts Options) (Stats, error) { return RunSharded(shards, opts) }, opts)
+		if err != nil || n != 4*inner {
 			t.Fatalf("%v 4 shards: %d builds (want %d), err %v", s, n, 4*inner, err)
 		}
 		if merged.CacheHits != 4*leaves || merged.CacheMisses != 0 {

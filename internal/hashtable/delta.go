@@ -3,10 +3,8 @@ package hashtable
 import (
 	"fmt"
 	"math/bits"
-	"time"
 
 	"m2mjoin/internal/storage"
-	"m2mjoin/internal/telemetry"
 )
 
 // This file is the incremental-maintenance side of the tagged table:
@@ -75,12 +73,6 @@ func cloneBits(src []uint64, n int) []uint64 {
 // table. stop is the cooperative cancel hook; a true poll returns nil.
 func BuildVersioned(rel *storage.Relation, keyColumn string, baseRows int,
 	baseLive, live *storage.Bitmap, workers int, stop func() bool) *Table {
-	// Same telemetry contract as BuildParallelStop: one atomic load
-	// when no sink is armed.
-	if fn := telemetry.BuildHook(); fn != nil {
-		start := time.Now()
-		defer func() { fn(telemetry.BuildKindBuild, rel.NumRows(), time.Since(start)) }()
-	}
 	col := rel.Column(keyColumn)
 	n := len(col)
 	var mask *storage.Bitmap
@@ -182,14 +174,6 @@ func (t *Table) kill(key int64, row int32) {
 // identical to BuildVersioned on the successor snapshot.
 func (t *Table) ApplyDelta(rel *storage.Relation, keyColumn string, d DeltaSpec,
 	workers int, stop func() bool) *Table {
-	// Repair timing flows to the telemetry sink when armed. The
-	// compaction fallback below goes through BuildVersioned, which
-	// reports its own "build" — such a repair appears as both, each
-	// measuring its own operation.
-	if fn := telemetry.BuildHook(); fn != nil {
-		start := time.Now()
-		defer func() { fn(telemetry.BuildKindRepair, rel.NumRows(), time.Since(start)) }()
-	}
 	col := rel.Column(keyColumn)
 	if d.Compacted || t.totalRows != d.AppendedFrom {
 		return BuildVersioned(rel, keyColumn, d.BaseRows, d.BaseLive, d.Live, workers, stop)

@@ -19,12 +19,10 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"m2mjoin/internal/buf"
 	"m2mjoin/internal/faultinject"
 	"m2mjoin/internal/storage"
-	"m2mjoin/internal/telemetry"
 )
 
 // Hash64 is the key hash used by the hash table and by the bitvector
@@ -127,7 +125,7 @@ func (t *Table) tag(h uint64) uint64 { return Tag(h, t.shift, tagWidth) }
 // the join phase. With a sparse live mask only set rows are visited:
 // dead regions are skipped a whole 64-row word at a time.
 func Build(rel *storage.Relation, keyColumn string, live *storage.Bitmap) *Table {
-	return BuildParallel(rel, keyColumn, live, 1)
+	return BuildParallelStop(rel, keyColumn, live, 1, nil)
 }
 
 // MemoryBytes returns the heap footprint of the table's backing
@@ -161,9 +159,10 @@ const morselRows = 128 * 64
 // goroutine fan-out costs more than the hashing it spreads.
 const minParallelBuildRows = 4 * 1024
 
-// BuildParallel is Build fanned out over the given number of workers
-// using a two-pass morsel scheme that produces the bucket-sorted
-// layout deterministically — bit-identical at any worker count:
+// BuildParallelStop is Build fanned out over the given number of
+// workers using a two-pass morsel scheme that produces the
+// bucket-sorted layout deterministically — bit-identical at any worker
+// count:
 //
 //  1. a cheap counting pass (popcount over the live mask) assigns each
 //     morsel its deterministic write offset, so the parallel pass can
@@ -180,23 +179,13 @@ const minParallelBuildRows = 4 * 1024
 // identical at any parallelism, so the table is too. The sequential
 // path (workers <= 1 or a small build) runs the same histogram /
 // prefix / scatter pipeline scratch-free, rehashing in the scatter.
-func BuildParallel(rel *storage.Relation, keyColumn string, live *storage.Bitmap, workers int) *Table {
-	return BuildParallelStop(rel, keyColumn, live, workers, nil)
-}
-
-// BuildParallelStop is BuildParallel with a cooperative stop hook for
-// cancellable executions: stop (nil = never stop) is polled between
-// build morsels in the parallel gather pass and between the sequential
-// passes, and a true result abandons the build and returns nil. The
-// hook must be cheap and safe to call from multiple goroutines; a
-// completed build is bit-identical to BuildParallel's.
+//
+// stop is the cooperative cancel hook (nil = never stop): it is polled
+// between build morsels in the parallel gather pass and between the
+// sequential passes, and a true result abandons the build and returns
+// nil. It must be cheap and safe to call from multiple goroutines; a
+// completed build does not depend on it.
 func BuildParallelStop(rel *storage.Relation, keyColumn string, live *storage.Bitmap, workers int, stop func() bool) *Table {
-	// Build timing flows to the process-wide telemetry sink when one
-	// is armed; the disarmed path is a single atomic load.
-	if fn := telemetry.BuildHook(); fn != nil {
-		start := time.Now()
-		defer func() { fn(telemetry.BuildKindBuild, rel.NumRows(), time.Since(start)) }()
-	}
 	return buildColumn(rel.Column(keyColumn), live, workers, stop)
 }
 

@@ -44,7 +44,7 @@ func TestBuildParallelBitIdentical(t *testing.T) {
 		for mi, live := range masks {
 			want := Build(rel, "k", live)
 			for _, workers := range []int{2, 3, 8} {
-				got := BuildParallel(rel, "k", live, workers)
+				got := BuildParallelStop(rel, "k", live, workers, nil)
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("n=%d mask=%d workers=%d: parallel build differs from sequential",
 						n, mi, workers)

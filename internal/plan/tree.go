@@ -126,27 +126,6 @@ func (t *Tree) NonRoot() []NodeID {
 // IsLeaf reports whether id has no children.
 func (t *Tree) IsLeaf(id NodeID) bool { return len(t.nodes[id].Children) == 0 }
 
-// Depth returns the number of edges from the root to id.
-func (t *Tree) Depth(id NodeID) int {
-	d := 0
-	for id != Root {
-		id = t.nodes[id].Parent
-		d++
-	}
-	return d
-}
-
-// PathToRoot returns the nodes from id's parent up to (and including)
-// the root, in bottom-up order. For a child of the root it is [Root].
-func (t *Tree) PathToRoot(id NodeID) []NodeID {
-	var out []NodeID
-	for id != Root {
-		id = t.nodes[id].Parent
-		out = append(out, id)
-	}
-	return out
-}
-
 // BottomUp returns all node IDs ordered so that every node appears
 // after all of its children (a reverse topological order). The root is
 // last. This is the processing order of the semi-join reduction pass.
@@ -176,20 +155,6 @@ func (t *Tree) TopDown() []NodeID {
 	}
 	visit(Root)
 	return order
-}
-
-// Subtree returns id and all of its descendants.
-func (t *Tree) Subtree(id NodeID) []NodeID {
-	var out []NodeID
-	var visit func(NodeID)
-	visit = func(n NodeID) {
-		out = append(out, n)
-		for _, c := range t.nodes[n].Children {
-			visit(c)
-		}
-	}
-	visit(id)
-	return out
 }
 
 // String renders the tree in a compact parenthesized form, e.g.

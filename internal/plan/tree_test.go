@@ -19,6 +19,15 @@ func runningExample() (*Tree, map[string]NodeID) {
 	return t, ids
 }
 
+// depth is the number of edges from the root to id.
+func depth(tr *Tree, id NodeID) int {
+	d := 0
+	for ; id != Root; id = tr.Parent(id) {
+		d++
+	}
+	return d
+}
+
 func TestTreeBasics(t *testing.T) {
 	tr, ids := runningExample()
 	if got := tr.Len(); got != 6 {
@@ -33,26 +42,15 @@ func TestTreeBasics(t *testing.T) {
 	if !tr.IsLeaf(ids["R3"]) || tr.IsLeaf(ids["R2"]) {
 		t.Errorf("leaf detection wrong")
 	}
-	if d := tr.Depth(ids["R6"]); d != 2 {
-		t.Errorf("Depth(R6) = %d, want 2", d)
+	if d := depth(tr, ids["R6"]); d != 2 {
+		t.Errorf("depth(R6) = %d, want 2", d)
 	}
-	if d := tr.Depth(Root); d != 0 {
-		t.Errorf("Depth(root) = %d, want 0", d)
+	if d := depth(tr, Root); d != 0 {
+		t.Errorf("depth(root) = %d, want 0", d)
 	}
 	want := "R1(R2(R3,R4),R5(R6))"
 	if s := tr.String(); s != want {
 		t.Errorf("String = %q, want %q", s, want)
-	}
-}
-
-func TestPathToRoot(t *testing.T) {
-	tr, ids := runningExample()
-	path := tr.PathToRoot(ids["R6"])
-	if len(path) != 2 || path[0] != ids["R5"] || path[1] != Root {
-		t.Errorf("PathToRoot(R6) = %v, want [R5 root]", path)
-	}
-	if p := tr.PathToRoot(Root); len(p) != 0 {
-		t.Errorf("PathToRoot(root) = %v, want empty", p)
 	}
 }
 
@@ -94,20 +92,6 @@ func TestTopDownOrder(t *testing.T) {
 	}
 	if order[0] != Root {
 		t.Errorf("TopDown should start at the root")
-	}
-}
-
-func TestSubtree(t *testing.T) {
-	tr, ids := runningExample()
-	sub := tr.Subtree(ids["R2"])
-	want := map[NodeID]bool{ids["R2"]: true, ids["R3"]: true, ids["R4"]: true}
-	if len(sub) != len(want) {
-		t.Fatalf("Subtree(R2) = %v", sub)
-	}
-	for _, id := range sub {
-		if !want[id] {
-			t.Errorf("unexpected node %d in subtree", id)
-		}
 	}
 }
 
@@ -244,7 +228,7 @@ func TestCenteredPathShape(t *testing.T) {
 	// Max depth should be about n/2.
 	maxDepth := 0
 	for _, id := range tr.NonRoot() {
-		if d := tr.Depth(id); d > maxDepth {
+		if d := depth(tr, id); d > maxDepth {
 			maxDepth = d
 		}
 	}

@@ -31,52 +31,25 @@ const (
 	BreakerHalfOpen BreakerState = "half-open"
 )
 
-// BreakerConfig tunes the circuit breaker. The zero value enables the
-// breaker with the defaults noted per field; set Disabled to opt out.
-type BreakerConfig struct {
-	// Disabled turns the breaker off entirely.
-	Disabled bool
-	// Window is the sliding outcome window (default 10s), divided into
-	// Buckets ring buckets (default 10) that age out wholesale.
-	Window  time.Duration
-	Buckets int
-	// MinSamples is the minimum window volume before the failure ratio
-	// is trusted (default 10).
-	MinSamples int
-	// FailureRatio opens the breaker when window failures/samples
-	// reaches it (default 0.5).
-	FailureRatio float64
-	// Cooldown is how long the breaker stays open before probing
-	// (default 1s); the Retry-After hint is the remaining cooldown,
-	// jittered.
-	Cooldown time.Duration
-	// HalfOpenProbes is how many successful probes close a half-open
-	// breaker; while probing, at most this many queries are admitted
-	// at once (default 2).
-	HalfOpenProbes int
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Window <= 0 {
-		c.Window = 10 * time.Second
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 10
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 10
-	}
-	if c.FailureRatio <= 0 {
-		c.FailureRatio = 0.5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 2
-	}
-	return c
-}
+// The breaker's tuning, the same for every breaker of every service.
+const (
+	// breakerWindow is the sliding outcome window, divided into
+	// breakerBuckets ring buckets that age out wholesale.
+	breakerWindow  = 10 * time.Second
+	breakerBuckets = 10
+	// breakerMinSamples is the window volume below which the failure
+	// ratio is not trusted.
+	breakerMinSamples = 10
+	// breakerFailureRatio opens the breaker when window
+	// failures/samples reaches it.
+	breakerFailureRatio = 0.5
+	// breakerCooldown is how long the breaker stays open before
+	// probing; the Retry-After hint is the remaining cooldown, jittered.
+	breakerCooldown = time.Second
+	// breakerProbes successful probes close a half-open breaker; while
+	// probing, at most this many queries are admitted at once.
+	breakerProbes = 2
+)
 
 // breakerBucket is one ring slot of outcome counts.
 type breakerBucket struct {
@@ -86,12 +59,12 @@ type breakerBucket struct {
 // breaker is one dataset's circuit breaker. All methods are safe for
 // concurrent use; now is injectable for deterministic tests.
 type breaker struct {
-	cfg BreakerConfig
+	off bool // admits everything and records nothing
 	now func() time.Time
 
 	mu          sync.Mutex
 	state       BreakerState
-	buckets     []breakerBucket
+	buckets     [breakerBuckets]breakerBucket
 	bucketIdx   int
 	bucketFlip  time.Time // when the current bucket ages out
 	openedAt    time.Time
@@ -100,17 +73,12 @@ type breaker struct {
 	opens       int64 // lifetime open transitions
 }
 
-func newBreaker(cfg BreakerConfig, now func() time.Time) *breaker {
-	cfg = cfg.withDefaults()
-	if now == nil {
-		now = time.Now
-	}
+func newBreaker(off bool, now func() time.Time) *breaker {
 	return &breaker{
-		cfg:        cfg,
+		off:        off,
 		now:        now,
 		state:      BreakerClosed,
-		buckets:    make([]breakerBucket, cfg.Buckets),
-		bucketFlip: now().Add(cfg.Window / time.Duration(cfg.Buckets)),
+		bucketFlip: now().Add(breakerWindow / breakerBuckets),
 	}
 }
 
@@ -118,7 +86,7 @@ func newBreaker(cfg BreakerConfig, now func() time.Time) *breaker {
 // caller must then call done exactly once with the outcome. A non-nil
 // error is a ClassShed rejection carrying the jittered retry hint.
 func (b *breaker) allow() error {
-	if b == nil || b.cfg.Disabled {
+	if b == nil || b.off {
 		return nil
 	}
 	b.mu.Lock()
@@ -127,7 +95,7 @@ func (b *breaker) allow() error {
 	b.advance(now)
 	switch b.state {
 	case BreakerOpen:
-		remaining := b.openedAt.Add(b.cfg.Cooldown).Sub(now)
+		remaining := b.openedAt.Add(breakerCooldown).Sub(now)
 		if remaining > 0 {
 			return shedErr(fmt.Errorf("circuit breaker open (%v of cooldown remaining)", remaining), jitter(remaining))
 		}
@@ -136,8 +104,8 @@ func (b *breaker) allow() error {
 		b.probeActive, b.probeOK = 0, 0
 		fallthrough
 	case BreakerHalfOpen:
-		if b.probeActive >= b.cfg.HalfOpenProbes {
-			return shedErr(fmt.Errorf("circuit breaker half-open, probe slots busy"), jitter(b.cfg.Cooldown/2))
+		if b.probeActive >= breakerProbes {
+			return shedErr(fmt.Errorf("circuit breaker half-open, probe slots busy"), jitter(breakerCooldown/2))
 		}
 		b.probeActive++
 	}
@@ -151,7 +119,7 @@ func (b *breaker) allow() error {
 // would latch the breaker open on its own rejections; counting it as
 // a success would dilute real failures).
 func (b *breaker) done(cls Class) {
-	if b == nil || b.cfg.Disabled {
+	if b == nil || b.off {
 		return
 	}
 	failure := cls == ClassTimeout || cls == ClassInternal
@@ -173,13 +141,11 @@ func (b *breaker) done(cls Class) {
 			return
 		}
 		b.probeOK++
-		if b.probeOK >= b.cfg.HalfOpenProbes {
+		if b.probeOK >= breakerProbes {
 			// Probes passed: close with a clean window so stale
 			// failures cannot immediately re-open.
 			b.state = BreakerClosed
-			for i := range b.buckets {
-				b.buckets[i] = breakerBucket{}
-			}
+			b.buckets = [breakerBuckets]breakerBucket{}
 		}
 		return
 	}
@@ -196,8 +162,7 @@ func (b *breaker) done(cls Class) {
 	if b.state == BreakerClosed && failure {
 		okN, failN := b.windowCounts()
 		total := okN + failN
-		if total >= int64(b.cfg.MinSamples) &&
-			float64(failN) >= b.cfg.FailureRatio*float64(total) {
+		if total >= breakerMinSamples && float64(failN) >= breakerFailureRatio*float64(total) {
 			b.open(now)
 		}
 	}
@@ -214,18 +179,16 @@ func (b *breaker) open(now time.Time) {
 // advance ages out ring buckets that have left the window (caller
 // holds mu).
 func (b *breaker) advance(now time.Time) {
-	span := b.cfg.Window / time.Duration(b.cfg.Buckets)
+	const span = breakerWindow / breakerBuckets
 	for !now.Before(b.bucketFlip) {
-		b.bucketIdx = (b.bucketIdx + 1) % len(b.buckets)
+		b.bucketIdx = (b.bucketIdx + 1) % breakerBuckets
 		b.buckets[b.bucketIdx] = breakerBucket{}
 		b.bucketFlip = b.bucketFlip.Add(span)
 		// A long idle gap fast-forwards: once every bucket has been
 		// cleared there is no need to keep spinning the ring.
-		if b.bucketFlip.Add(b.cfg.Window).Before(now) {
+		if b.bucketFlip.Add(breakerWindow).Before(now) {
 			b.bucketFlip = now.Add(span)
-			for i := range b.buckets {
-				b.buckets[i] = breakerBucket{}
-			}
+			b.buckets = [breakerBuckets]breakerBucket{}
 			break
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,9 +18,21 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-func testBreaker(cfg BreakerConfig) (*breaker, *fakeClock) {
+func testBreaker() (*breaker, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	return newBreaker(cfg, clk.now), clk
+	return newBreaker(false, clk.now), clk
+}
+
+// trip fails breakerMinSamples queries in a row, which opens b.
+func trip(t *testing.T, b *breaker) {
+	t.Helper()
+	for i := 0; i < breakerMinSamples; i++ {
+		mustAllow(t, b)
+		b.done(ClassInternal)
+	}
+	if got := b.snapshot("ds").State; got != BreakerOpen {
+		t.Fatalf("state %v after %d failures, want open", got, breakerMinSamples)
+	}
 }
 
 // mustAllow / mustShed assert one allow() outcome.
@@ -46,7 +59,7 @@ func mustShed(t *testing.T, b *breaker) *QueryError {
 // TestBreakerOpensOnFailureRatio: enough failures in the window open
 // the breaker; while open, queries shed with a Retry-After hint.
 func TestBreakerOpensOnFailureRatio(t *testing.T) {
-	b, _ := testBreaker(BreakerConfig{MinSamples: 10, FailureRatio: 0.5, Cooldown: time.Second})
+	b, _ := testBreaker()
 
 	// 5 successes, then failures until the ratio trips at >= 50% of
 	// >= 10 samples.
@@ -77,25 +90,22 @@ func TestBreakerOpensOnFailureRatio(t *testing.T) {
 // probes are admitted; enough successes close the breaker with a clean
 // window.
 func TestBreakerHalfOpenRecovery(t *testing.T) {
-	b, clk := testBreaker(BreakerConfig{
-		MinSamples: 4, FailureRatio: 0.5, Cooldown: time.Second, HalfOpenProbes: 2,
-	})
-	for i := 0; i < 4; i++ {
-		mustAllow(t, b)
-		b.done(ClassInternal)
-	}
+	b, clk := testBreaker()
+	trip(t, b)
 	mustShed(t, b)
 
-	clk.advance(1100 * time.Millisecond)
-	// Exactly HalfOpenProbes admitted; the next is shed.
-	mustAllow(t, b)
-	mustAllow(t, b)
+	clk.advance(breakerCooldown + 100*time.Millisecond)
+	// Exactly breakerProbes admitted; the next is shed.
+	for i := 0; i < breakerProbes; i++ {
+		mustAllow(t, b)
+	}
 	mustShed(t, b)
 	if got := b.snapshot("ds").State; got != BreakerHalfOpen {
 		t.Fatalf("state %v, want half-open", got)
 	}
-	b.done("")
-	b.done("")
+	for i := 0; i < breakerProbes; i++ {
+		b.done("")
+	}
 
 	snap := b.snapshot("ds")
 	if snap.State != BreakerClosed {
@@ -108,14 +118,9 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 
 // TestBreakerHalfOpenFailureReopens: one failed probe re-opens.
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	b, clk := testBreaker(BreakerConfig{
-		MinSamples: 4, FailureRatio: 0.5, Cooldown: time.Second, HalfOpenProbes: 2,
-	})
-	for i := 0; i < 4; i++ {
-		mustAllow(t, b)
-		b.done(ClassInternal)
-	}
-	clk.advance(1100 * time.Millisecond)
+	b, clk := testBreaker()
+	trip(t, b)
+	clk.advance(breakerCooldown + 100*time.Millisecond)
 	mustAllow(t, b)
 	b.done(ClassTimeout)
 	if got := b.snapshot("ds").State; got != BreakerOpen {
@@ -130,7 +135,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 // neither the window nor half-open probe verdicts — the breaker cannot
 // latch itself open on its own rejections.
 func TestBreakerIgnoresShedsAndCancels(t *testing.T) {
-	b, clk := testBreaker(BreakerConfig{MinSamples: 4, FailureRatio: 0.5, Cooldown: time.Second})
+	b, clk := testBreaker()
 	for i := 0; i < 100; i++ {
 		mustAllow(t, b)
 		b.done(ClassShed)
@@ -144,11 +149,8 @@ func TestBreakerIgnoresShedsAndCancels(t *testing.T) {
 
 	// A shed outcome in half-open releases the probe slot without
 	// closing or re-opening.
-	for i := 0; i < 4; i++ {
-		mustAllow(t, b)
-		b.done(ClassInternal)
-	}
-	clk.advance(1100 * time.Millisecond)
+	trip(t, b)
+	clk.advance(breakerCooldown + 100*time.Millisecond)
 	mustAllow(t, b)
 	b.done(ClassCanceled)
 	if got := b.snapshot("ds").State; got != BreakerHalfOpen {
@@ -158,16 +160,15 @@ func TestBreakerIgnoresShedsAndCancels(t *testing.T) {
 }
 
 // TestBreakerWindowAges: failures age out of the sliding window, so a
-// burst of old failures does not trip the breaker later.
+// burst of old failures does not trip the breaker later — one more
+// failure than the burst would trip it if they had not.
 func TestBreakerWindowAges(t *testing.T) {
-	b, clk := testBreaker(BreakerConfig{
-		Window: time.Second, Buckets: 4, MinSamples: 4, FailureRatio: 0.5,
-	})
-	for i := 0; i < 3; i++ {
+	b, clk := testBreaker()
+	for i := 0; i < breakerMinSamples-1; i++ {
 		mustAllow(t, b)
 		b.done(ClassInternal)
 	}
-	clk.advance(2 * time.Second) // all buckets age out
+	clk.advance(2 * breakerWindow) // all buckets age out
 	mustAllow(t, b)
 	b.done(ClassInternal)
 	snap := b.snapshot("ds")
@@ -182,13 +183,13 @@ func TestBreakerWindowAges(t *testing.T) {
 // TestBreakerOpensUnderInjectedFaults: the full service path — a
 // dataset whose every query fails on an injected engine fault trips
 // its breaker, later queries are shed with a retry hint, and after the
-// cooldown a successful probe closes it again.
+// cooldown successful probes close it again. The service runs on a
+// fake clock, which the breaker reads.
 func TestBreakerOpensUnderInjectedFaults(t *testing.T) {
 	ds := genDataset(t, 800, 3)
-	svc := New(Config{Parallelism: 2, MaxConcurrent: 1, Breaker: BreakerConfig{
-		MinSamples: 4, FailureRatio: 0.5,
-		Cooldown: 50 * time.Millisecond, HalfOpenProbes: 1,
-	}})
+	svc := New(Config{Parallelism: 2, MaxConcurrent: 1})
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	svc.now = clk.now
 	if _, err := svc.RegisterDataset("ds", ds); err != nil {
 		t.Fatal(err)
 	}
@@ -225,40 +226,62 @@ func TestBreakerOpensUnderInjectedFaults(t *testing.T) {
 		t.Fatalf("error counters missed the failures: %+v", st.Errors)
 	}
 
-	// Recovery: after the cooldown the half-open probe runs fault-free,
+	// Recovery: after the cooldown the half-open probes run fault-free,
 	// closing the breaker.
-	time.Sleep(60 * time.Millisecond)
-	if _, err := svc.Query(ctx, req); err != nil {
-		t.Fatalf("post-cooldown probe failed: %v", err)
+	clk.advance(breakerCooldown)
+	for i := 0; i < breakerProbes; i++ {
+		if got := svc.Stats().Breakers[0].State; got == BreakerClosed {
+			t.Fatalf("breaker closed after %d of %d probes", i, breakerProbes)
+		}
+		if _, err := svc.Query(ctx, req); err != nil {
+			t.Fatalf("post-cooldown probe %d failed: %v", i, err)
+		}
 	}
 	if got := svc.Stats().Breakers[0].State; got != BreakerClosed {
-		t.Fatalf("breaker %v after successful probe, want closed", got)
+		t.Fatalf("breaker %v after successful probes, want closed", got)
 	}
 }
 
-// TestBreakerDisabled: a disabled breaker admits everything and
-// records nothing.
+// TestBreakerDisabled: with the service's breaker switch off, the
+// dataset breaker and every (shard, target) breaker admit everything
+// and record nothing.
 func TestBreakerDisabled(t *testing.T) {
-	b, _ := testBreaker(BreakerConfig{Disabled: true})
-	for i := 0; i < 100; i++ {
-		mustAllow(t, b)
-		b.done(ClassInternal)
+	svc := newBreakerless(Config{Shard: ShardConfig{Shards: 2}})
+	if _, err := svc.RegisterDataset("ds", genDataset(t, 400, 3)); err != nil {
+		t.Fatal(err)
 	}
-	if got := b.snapshot("ds").State; got != BreakerClosed {
-		t.Fatalf("disabled breaker left closed state: %v", got)
+	e := svc.entry("ds")
+	set, err := e.shardSetFor(svc, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	breakers := []*breaker{e.breaker}
+	for _, perTarget := range set.breakers {
+		breakers = append(breakers, perTarget...)
+	}
+	for _, b := range breakers {
+		for i := 0; i < 100; i++ {
+			mustAllow(t, b)
+			b.done(ClassInternal)
+		}
+		if snap := b.snapshot("ds"); snap.State != BreakerClosed || snap.WindowFailures != 0 {
+			t.Fatalf("disabled breaker recorded its failures: %+v", snap)
+		}
 	}
 }
 
 // TestBreakerSnapshotRace is the -race regression for the /v1/stats
 // snapshot path: snapshots racing allow/done across every state
 // transition must be data-race free and always observe a consistent
-// (state, window, probe-counter) tuple. Uses the real clock — a tiny
-// window keeps the ring advancing constantly under the hammering.
+// (state, window, probe-counter) tuple. Every clock read moves 100ms,
+// so under the hammering the ring ages and the cooldown runs out
+// constantly, and two failures in three keep tripping the breaker.
 func TestBreakerSnapshotRace(t *testing.T) {
-	b := newBreaker(BreakerConfig{
-		Window: 10 * time.Millisecond, Buckets: 2, MinSamples: 2,
-		FailureRatio: 0.5, Cooldown: time.Millisecond, HalfOpenProbes: 1,
-	}, time.Now)
+	base := time.Unix(1000, 0)
+	var tick atomic.Int64
+	b := newBreaker(false, func() time.Time {
+		return base.Add(time.Duration(tick.Add(1)) * 100 * time.Millisecond)
+	})
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -274,7 +297,7 @@ func TestBreakerSnapshotRace(t *testing.T) {
 				}
 				if err := b.allow(); err == nil {
 					cls := Class("")
-					if (i+w)%3 == 0 {
+					if (i+w)%3 != 0 {
 						cls = ClassInternal
 					}
 					b.done(cls)

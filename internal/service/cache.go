@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"slices"
 	"sync"
+	"time"
 
 	"m2mjoin/internal/exec"
 	"m2mjoin/internal/faultinject"
@@ -205,44 +206,65 @@ func (c *artifactCache) stats() CacheStats {
 }
 
 // queryArtifacts adapts the shared cache to one query's exec.Artifacts
-// view: it closes over the dataset fingerprint, the per-relation join
-// keys and the per-relation selection fingerprints, so the executor's
-// relation-indexed lookups resolve to fully qualified cache keys.
+// view: it closes over the dataset fingerprint and the per-relation
+// selection fingerprints, so the executor's relation-indexed lookups
+// resolve to fully qualified cache keys. It is also where the service
+// times the builds its cache causes: Table stamps a relation's miss,
+// and PutTable — the executor handing back the table it then built —
+// observes m2m_artifact_build_seconds{kind="build"} from that stamp.
 type queryArtifacts struct {
-	cache   *artifactCache
+	svc     *Service
 	entry   *datasetEntry
 	dataset uint64   // executing snapshot's lineage fingerprint
-	keyCols []string // indexed by NodeID; "" for the root
 	maskFPs []uint64 // indexed by NodeID; 0 = no selections
+
+	// missed holds each relation's miss time (zero = not missed),
+	// allocated on the query's first miss; the executor builds relations
+	// on concurrent workers, hence missMu.
+	missMu sync.Mutex
+	missed []time.Time
 }
 
 func (q *queryArtifacts) key(id plan.NodeID) artifactKey {
 	return artifactKey{
 		dataset: q.dataset,
 		rel:     id,
-		keyCol:  q.keyCols[id],
+		keyCol:  q.entry.keyCols[id],
 		maskFP:  q.maskFPs[id],
 	}
 }
 
 func (q *queryArtifacts) Table(id plan.NodeID) *hashtable.Table {
-	if e := q.cache.get(q.key(id)); e != nil {
+	if e := q.svc.cache.get(q.key(id)); e != nil {
 		return e.table
 	}
+	q.missMu.Lock()
+	if q.missed == nil {
+		q.missed = make([]time.Time, len(q.maskFPs))
+	}
+	q.missed[id] = q.svc.now()
+	q.missMu.Unlock()
 	return nil
 }
 
-// PutTable offers t to the cache unless the snapshot it was built on has
+// PutTable observes the build of a table this query missed — a table
+// offered without a miss (a plan-time measurement build) is not one —
+// and offers t to the cache unless the snapshot it was built on has
 // left its dataset's retention window: a query pinned to a version that
 // two commits have since retired finds its keys purged, rebuilds, and
 // would otherwise re-insert under a fingerprint no later purge sweeps.
 // The check and the insert happen under the writer lock, so no commit
 // retires the version in between.
 func (q *queryArtifacts) PutTable(id plan.NodeID, t *hashtable.Table) {
+	q.missMu.Lock()
+	if q.missed != nil && !q.missed[id].IsZero() {
+		q.svc.met.buildHist.Observe(q.svc.now().Sub(q.missed[id]))
+	}
+	q.missMu.Unlock()
 	q.entry.verMu.Lock()
 	defer q.entry.verMu.Unlock()
 	if slices.Contains(q.entry.versions, q.dataset) {
-		q.cache.put(&cacheEntry{key: q.key(id), table: t, bytes: t.MemoryBytes()})
+		q.svc.cache.put(&cacheEntry{key: q.key(id), table: t, bytes: t.MemoryBytes()})
 	}
 }
 

@@ -27,6 +27,14 @@ func chaosRequest(strategy string) Request {
 	return Request{Dataset: "ds", Strategy: strategy, FlatOutput: true, Parallelism: chaosPar}
 }
 
+// newBreakerless is New with the circuit breakers off, for tests whose
+// injected faults a correctly opening breaker would turn into sheds.
+func newBreakerless(cfg Config) *Service {
+	svc := New(cfg)
+	svc.breakerOff = true
+	return svc
+}
+
 // chaosBaseline runs every strategy fault-free on a fresh service and
 // returns the per-strategy reference stats.
 func chaosBaseline(t *testing.T, newSvc func() *Service) map[string]exec.Stats {
@@ -56,8 +64,7 @@ func TestChaosFailpoints(t *testing.T) {
 		// opening under injected faults would shed the later queries the
 		// invariants need (the breaker has its own tests, including
 		// TestBreakerOpensUnderInjectedFaults).
-		svc := New(Config{Parallelism: 4, MaxConcurrent: 2, CacheBytes: 64 << 20,
-			Breaker: BreakerConfig{Disabled: true}})
+		svc := newBreakerless(Config{Parallelism: 4, MaxConcurrent: 2, CacheBytes: 64 << 20})
 		if _, err := svc.RegisterDataset("ds", ds); err != nil {
 			t.Fatal(err)
 		}
@@ -168,8 +175,7 @@ func TestChaosFailpoints(t *testing.T) {
 func TestChaosProbabilisticSweep(t *testing.T) {
 	ds := genDataset(t, 1500, 7)
 	newSvc := func() *Service {
-		s := New(Config{Parallelism: 4, MaxConcurrent: 2, CacheBytes: 64 << 20,
-			Breaker: BreakerConfig{Disabled: true}})
+		s := newBreakerless(Config{Parallelism: 4, MaxConcurrent: 2, CacheBytes: 64 << 20})
 		if _, err := s.RegisterDataset("ds", ds); err != nil {
 			t.Fatal(err)
 		}

@@ -78,8 +78,11 @@ type serviceMetrics struct {
 	queueWait      *telemetry.Histogram
 	attachWait     *telemetry.Histogram
 	mutationCommit *telemetry.Histogram
-	buildHist      *telemetry.Histogram // m2m_artifact_build_seconds{kind="build"}
-	repairHist     *telemetry.Histogram // m2m_artifact_build_seconds{kind="repair"}
+	// m2m_artifact_build_seconds by kind: the builds of tables this
+	// service's cache missed (queryArtifacts) and the ApplyDelta repairs
+	// of its commits (repairArtifacts).
+	buildHist  *telemetry.Histogram // kind="build"
+	repairHist *telemetry.Histogram // kind="repair"
 }
 
 // datasetMetrics is one dataset's executor-counter series, created at
@@ -142,10 +145,10 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	m.queueWait = reg.Histogram(metricQueueWait, "Admission queue wait per admitted query.", nil)
 	m.attachWait = reg.Histogram(metricAttachWait, "Shared-scan attach wait per member.", nil)
 	m.mutationCommit = reg.Histogram(metricMutationCommit, "Mutation commit latency, including artifact repair.", nil)
-	m.buildHist = reg.Histogram(metricArtifactBuild, "Hash-table build/repair latency by kind.",
-		telemetry.Labels{{Name: "kind", Value: telemetry.BuildKindBuild}})
-	m.repairHist = reg.Histogram(metricArtifactBuild, "Hash-table build/repair latency by kind.",
-		telemetry.Labels{{Name: "kind", Value: telemetry.BuildKindRepair}})
+	const buildHelp = "Hash tables this service built after a cache miss (kind build) or repaired at commit (kind repair); " +
+		"plan-time measurement builds and SJ's per-query reduced tables are not counted."
+	m.buildHist = reg.Histogram(metricArtifactBuild, buildHelp, telemetry.Labels{{Name: "kind", Value: "build"}})
+	m.repairHist = reg.Histogram(metricArtifactBuild, buildHelp, telemetry.Labels{{Name: "kind", Value: "repair"}})
 	return m
 }
 
@@ -183,10 +186,16 @@ func breakerStateValue(st BreakerState) int64 {
 // histogram (class "ok" on success, the failure class otherwise), and
 // — on success — the executor counters folded into the dataset's
 // series from the very Stats the caller receives, so the registry
-// totals reconcile exactly with client-side sums.
-func (m *serviceMetrics) recordQuery(e *datasetEntry, dataset, strategy string, cls Class, total time.Duration, st *exec.Stats) {
+// totals reconcile exactly with client-side sums. A query naming no
+// catalog entry (e nil) is labelled dataset="" — a name no dataset can
+// register — so unknown names cannot mint series.
+func (m *serviceMetrics) recordQuery(e *datasetEntry, strategy string, cls Class, total time.Duration, st *exec.Stats) {
 	if strategy == "" {
 		strategy = "none"
+	}
+	dataset := ""
+	if e != nil {
+		dataset = e.name
 	}
 	m.reg.Histogram(metricQueryDuration, "End-to-end query latency (queueing included) by dataset, strategy and outcome class.",
 		telemetry.Labels{
@@ -220,17 +229,6 @@ func outcomeLabel(cls Class) string {
 		return "ok"
 	}
 	return string(cls)
-}
-
-// observeBuild is the telemetry build hook's landing point: cold
-// hash-table builds and incremental delta repairs, timed inside
-// internal/hashtable.
-func (m *serviceMetrics) observeBuild(kind string, d time.Duration) {
-	if kind == telemetry.BuildKindRepair {
-		m.repairHist.Observe(d)
-		return
-	}
-	m.buildHist.Observe(d)
 }
 
 // slowQueryLog emits one structured JSON line per query whose

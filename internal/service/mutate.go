@@ -190,10 +190,12 @@ func (s *Service) Mutate(ctx context.Context, req MutateRequest) (MutateResult, 
 // re-evaluation against the new liveness, so they rebuild cold on next
 // use, as do relations the commit compacted. Repaired tables are
 // produced by hashtable.ApplyDelta, bit-identical to a cold build of
-// the new version; untouched relations re-insert the same immutable
-// pointers under the new key (their bytes are double-charged until the
-// old version is purged — the shared backing arrays make the real cost
-// far smaller, and MemoryBytes documents the conservative accounting).
+// the new version, each call timed into
+// m2m_artifact_build_seconds{kind="repair"}; untouched relations
+// re-insert the same immutable pointers under the new key (their bytes
+// are double-charged until the old version is purged — the shared
+// backing arrays make the real cost far smaller, and MemoryBytes
+// documents the conservative accounting).
 func (s *Service) repairArtifacts(e *datasetEntry, cur *storage.Dataset, v storage.Version) int {
 	newDS := v.Dataset
 	deltaOf := make(map[plan.NodeID]*storage.RelationDelta, len(v.Deltas))
@@ -213,6 +215,7 @@ func (s *Service) repairArtifacts(e *datasetEntry, cur *storage.Dataset, v stora
 		}
 		nt := ent.table
 		if d != nil {
+			start := s.now()
 			nt = nt.ApplyDelta(newDS.Relation(id), keyCol, hashtable.DeltaSpec{
 				BaseRows:     newDS.BaseRows(id),
 				BaseLive:     newDS.BaseLive(id),
@@ -220,6 +223,7 @@ func (s *Service) repairArtifacts(e *datasetEntry, cur *storage.Dataset, v stora
 				AppendedFrom: d.AppendedFrom,
 				Deleted:      d.Deleted,
 			}, s.cfg.Parallelism, nil)
+			s.met.repairHist.Observe(s.now().Sub(start))
 		}
 		nkey := artifactKey{dataset: newDS.VersionFingerprint(), rel: id, keyCol: keyCol}
 		s.cache.put(&cacheEntry{key: nkey, table: nt, bytes: nt.MemoryBytes()})

@@ -5,14 +5,13 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"m2mjoin/internal/exec"
+	"m2mjoin/internal/faultinject"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
-	"m2mjoin/internal/telemetry"
 )
 
 // testOps builds a small deterministic mutation batch for step: two
@@ -145,23 +144,18 @@ func TestMutateRepairKeepsCacheWarm(t *testing.T) {
 		t.Fatalf("Repaired = %d, want %d", mres.Repaired, want)
 	}
 
-	var builds atomic.Int64
-	serviceHook := telemetry.BuildHook()
-	telemetry.SetBuildHook(func(kind string, rows int, d time.Duration) {
-		builds.Add(1)
-		serviceHook(kind, rows, d)
-	})
+	before := artifactBuilds(t, svc, "build")
 	warm, err := svc.Query(ctx, req)
-	telemetry.SetBuildHook(serviceHook)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Version != 1 {
 		t.Fatalf("post-commit query ran on version %d, want 1", warm.Version)
 	}
-	if want := tableCount("BVP+COM", nrel); warm.Stats.CacheHits != want || warm.Stats.CacheMisses != 0 || builds.Load() != 0 {
+	builds := artifactBuilds(t, svc, "build") - before
+	if want := tableCount("BVP+COM", nrel); warm.Stats.CacheHits != want || warm.Stats.CacheMisses != 0 || builds != 0 {
 		t.Fatalf("post-commit query: hits=%d misses=%d builds=%d, want %d/0/0 (repair missed)",
-			warm.Stats.CacheHits, warm.Stats.CacheMisses, builds.Load(), want)
+			warm.Stats.CacheHits, warm.Stats.CacheMisses, builds, want)
 	}
 	// A service that never saw version 0's cache builds every table of
 	// version 1 cold and derives every filter from those.
@@ -342,9 +336,9 @@ func TestMutateRetentionPurgesSupersededVersions(t *testing.T) {
 // TestRetiredSnapshotOffersNothing: a query pinned to snapshot v0 that is
 // still building a table when two commits retire v0 — its keys purged —
 // must not re-insert under v0's fingerprint when it finishes: nothing
-// would ever purge those entries again. The query is held inside its
-// one build (a selection-shaped table, which neither planning nor
-// repair ever caches) by a blocking build hook.
+// would ever purge those entries again. The query is held before its
+// first build (a selection-shaped table, which neither planning nor
+// repair ever caches) by the build-relation delay failpoint.
 func TestRetiredSnapshotOffersNothing(t *testing.T) {
 	svc := New(Config{Parallelism: 1, MaxConcurrent: 2})
 	ds := genDataset(t, 1000, 7)
@@ -358,19 +352,12 @@ func TestRetiredSnapshotOffersNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	serviceHook := telemetry.BuildHook()
-	defer telemetry.SetBuildHook(serviceHook)
-	building, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	telemetry.SetBuildHook(func(kind string, rows int, d time.Duration) {
-		if kind == telemetry.BuildKindBuild {
-			once.Do(func() {
-				close(building)
-				<-release
-			})
-		}
-		serviceHook(kind, rows, d)
+	faultinject.Enable(faultinject.Spec{
+		Site: faultinject.SiteBuildRelation, Mode: faultinject.ModeDelay, Every: 1, Limit: 1,
+		Delay: 500 * time.Millisecond,
 	})
+	defer faultinject.Disable()
+	held := func() bool { return faultinject.Stats()[faultinject.SiteBuildRelation].Fires == 1 }
 
 	child := ds.Tree.NonRoot()[0]
 	req.Selections = []SelectionSpec{{Relation: ds.Tree.Name(child), Column: "id", Value: 3}}
@@ -383,7 +370,9 @@ func TestRetiredSnapshotOffersNothing(t *testing.T) {
 		res, err := svc.Query(ctx, req)
 		done <- answer{res, err}
 	}()
-	<-building
+	for !held() {
+		time.Sleep(time.Millisecond)
+	}
 	for step := 0; step < 2; step++ {
 		if _, err := svc.Mutate(ctx, MutateRequest{Dataset: "ds", Ops: []MutationSpec{
 			{Op: "delete", Relation: "R2", Row: step},
@@ -391,7 +380,11 @@ func TestRetiredSnapshotOffersNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(release)
+	select {
+	case <-done:
+		t.Fatal("the held query finished before the commits retired its snapshot; the delay is too short")
+	default:
+	}
 	a := <-done
 	if a.err != nil {
 		t.Fatal(a.err)

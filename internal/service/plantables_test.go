@@ -3,15 +3,12 @@ package service
 import (
 	"context"
 	"reflect"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"m2mjoin/internal/core"
 	"m2mjoin/internal/exec"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
-	"m2mjoin/internal/telemetry"
 )
 
 // leafOps is a small batch against R2 (an inner relation) and one
@@ -106,16 +103,15 @@ func TestServiceSJHitsCachedLeaves(t *testing.T) {
 func TestServicePlanSeedsCacheAndPinsNothing(t *testing.T) {
 	ctx := context.Background()
 	req := Request{Dataset: "ds", Strategy: "COM", FlatOutput: true}
-	countBuilds := func(fn func()) int64 {
-		var n atomic.Int64
-		telemetry.SetBuildHook(func(kind string, _ int, _ time.Duration) {
-			if kind == telemetry.BuildKindBuild {
-				n.Add(1)
-			}
-		})
-		defer telemetry.SetBuildHook(nil)
-		fn()
-		return n.Load()
+	// builds counts the service's tables built so far: the plan-time
+	// measurement builds (one per edge-statistics miss) and the ones its
+	// executor built after a cache miss.
+	builds := func(svc *Service) int64 {
+		e := svc.entry("ds")
+		e.planMu.Lock()
+		measured := int64(e.statsCache.Misses())
+		e.planMu.Unlock()
+		return measured + artifactBuilds(t, svc, "build")
 	}
 	requireNothingPinned := func(svc *Service) {
 		t.Helper()
@@ -143,9 +139,8 @@ func TestServicePlanSeedsCacheAndPinsNothing(t *testing.T) {
 	if _, err := svc.RegisterDataset("ds", ds); err != nil {
 		t.Fatal(err)
 	}
-	var first Result
-	var err error
-	if n := countBuilds(func() { first, err = svc.Query(ctx, req) }); err != nil || n != nonRoot {
+	first, err := svc.Query(ctx, req)
+	if n := builds(svc); err != nil || n != nonRoot {
 		t.Fatalf("first query made %d builds, want %d (one per non-root relation); err %v", n, nonRoot, err)
 	}
 	if first.Stats.CacheHits != nonRoot || first.Stats.CacheMisses != 0 {
@@ -160,7 +155,8 @@ func TestServicePlanSeedsCacheAndPinsNothing(t *testing.T) {
 		t.Fatalf("cache holds %d entries / %d bytes, want the %d plan-time tables / %d bytes", st.Entries, st.Bytes, nonRoot, tableBytes)
 	}
 	// Another template replans on the statistics alone: no new tables.
-	if n := countBuilds(func() { _, err = svc.Query(ctx, Request{Dataset: "ds", Strategy: "STD"}) }); err != nil || n != 0 {
+	_, err = svc.Query(ctx, Request{Dataset: "ds", Strategy: "STD"})
+	if n := builds(svc) - nonRoot; err != nil || n != 0 {
 		t.Fatalf("second template made %d builds, want 0; err %v", n, err)
 	}
 	requireNothingPinned(svc)

@@ -75,9 +75,6 @@ type Config struct {
 	// 4*MaxConcurrent deep and 2s long — past either bound a query is
 	// shed (ClassShed, Retry-After hint) instead of joining a pile-up.
 	MaxConcurrent int
-	// Breaker tunes the per-dataset load-shedding circuit breaker
-	// (see BreakerConfig; the zero value enables it with defaults).
-	Breaker BreakerConfig
 	// Shard configures the fault-tolerant scatter-gather tier: hash
 	// partitioning, replica backends, per-attempt deadlines and
 	// classified retry (see ShardConfig; the zero value leaves the
@@ -147,6 +144,10 @@ type Service struct {
 	// maxRows is the largest relation the engine can address: probe
 	// results carry row ids as int32. Tests lower it.
 	maxRows int
+	// breakerOff turns off the circuit breakers made after it is set —
+	// the dataset breakers and the (shard, target) ones. Tests that
+	// inject faults on purpose set it.
+	breakerOff bool
 }
 
 // ErrorCounts is the per-class failure tally exposed by Stats.
@@ -257,13 +258,6 @@ func New(cfg Config) *Service {
 			w:         w,
 		}
 	}
-	// Arm the process-wide build timing hook onto this service's
-	// registry. The hook is global (last service wins, see
-	// telemetry.SetBuildHook); in any real process there is one Service.
-	met := s.met
-	telemetry.SetBuildHook(func(kind string, rows int, d time.Duration) {
-		met.observeBuild(kind, d)
-	})
 	return s
 }
 
@@ -362,7 +356,7 @@ func (s *Service) RegisterDataset(name string, ds *storage.Dataset) (DatasetInfo
 		nodeOf:     make(map[string]plan.NodeID, ds.Tree.Len()),
 		keyCols:    make([]string, ds.Tree.Len()),
 		statsCache: workload.NewEdgeStatsCache(),
-		breaker:    newBreaker(s.cfg.Breaker, s.now),
+		breaker:    newBreaker(s.breakerOff, s.now),
 		plans:      make(map[planKey]core.PlanChoice),
 	}
 	e.head.Store(ds)
@@ -862,7 +856,7 @@ func (s *Service) record(c *execCall, out outcome, err error, panicked any) (Res
 		FailedShards: out.stats.FailedShards,
 		Stats:        out.stats,
 	}
-	s.met.recordQuery(c.e, c.req.Dataset, c.strategy, cls, s.now().Sub(c.start), st)
+	s.met.recordQuery(c.e, c.strategy, cls, s.now().Sub(c.start), st)
 	s.finishTrace(c, &res, cls)
 	if qe == nil {
 		return res, nil
@@ -980,10 +974,9 @@ func (s *Service) artifactsFor(snap *storage.Dataset, e *datasetEntry, sels []ex
 		}
 	}
 	return &queryArtifacts{
-		cache:   s.cache,
+		svc:     s,
 		entry:   e,
 		dataset: snap.VersionFingerprint(),
-		keyCols: e.keyCols,
 		maskFPs: maskFPs,
 	}
 }

@@ -160,7 +160,7 @@ func (e *datasetEntry) shardSetFor(s *Service, n int) (*shardSet, error) {
 		for k := range set.breakers {
 			set.breakers[k] = make([]*breaker, len(s.targets))
 			for t := range s.targets {
-				set.breakers[k][t] = newBreaker(s.cfg.Breaker, s.now)
+				set.breakers[k][t] = newBreaker(s.breakerOff, s.now)
 			}
 		}
 	}

@@ -32,9 +32,8 @@ func TestShardChaosFailpoints(t *testing.T) {
 		// Breaker disabled for the same reason as TestChaosFailpoints: a
 		// correctly opening breaker would shed the queries the isolation
 		// invariants need; breaker behavior has its own tests.
-		svc := New(Config{Parallelism: 4, MaxConcurrent: 2, CacheBytes: 64 << 20,
-			Breaker: BreakerConfig{Disabled: true},
-			Shard:   ShardConfig{Shards: 3, Retries: 1}})
+		svc := newBreakerless(Config{Parallelism: 4, MaxConcurrent: 2, CacheBytes: 64 << 20,
+			Shard: ShardConfig{Shards: 3, Retries: 1}})
 		if _, err := svc.RegisterDataset("ds", ds); err != nil {
 			t.Fatal(err)
 		}
@@ -43,8 +42,7 @@ func TestShardChaosFailpoints(t *testing.T) {
 	// The fault-free reference is unsharded: scatter-gather claims bit-
 	// identity to plain execution, so survivors are held to that bar.
 	baseline := chaosBaseline(t, func() *Service {
-		svc := New(Config{Parallelism: 4, MaxConcurrent: 2, CacheBytes: 64 << 20,
-			Breaker: BreakerConfig{Disabled: true}})
+		svc := newBreakerless(Config{Parallelism: 4, MaxConcurrent: 2, CacheBytes: 64 << 20})
 		if _, err := svc.RegisterDataset("ds", ds); err != nil {
 			t.Fatal(err)
 		}
@@ -141,14 +139,12 @@ func TestShardChaosFailpoints(t *testing.T) {
 // serves full-coverage bit-identical answers again.
 func TestShardChaosDegradedUnderPersistentFaults(t *testing.T) {
 	ds := genDataset(t, 1500, 7)
-	svc := New(Config{Parallelism: 4, MaxConcurrent: 2, CacheBytes: 64 << 20,
-		Breaker: BreakerConfig{Disabled: true},
-		Shard:   ShardConfig{Shards: 4, Retries: -1}})
+	svc := newBreakerless(Config{Parallelism: 4, MaxConcurrent: 2, CacheBytes: 64 << 20,
+		Shard: ShardConfig{Shards: 4, Retries: -1}})
 	if _, err := svc.RegisterDataset("ds", ds); err != nil {
 		t.Fatal(err)
 	}
-	plain := New(Config{Parallelism: 4, MaxConcurrent: 2, CacheBytes: 64 << 20,
-		Breaker: BreakerConfig{Disabled: true}})
+	plain := newBreakerless(Config{Parallelism: 4, MaxConcurrent: 2, CacheBytes: 64 << 20})
 	if _, err := plain.RegisterDataset("ds", ds); err != nil {
 		t.Fatal(err)
 	}

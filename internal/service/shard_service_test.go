@@ -342,9 +342,8 @@ func TestScatterWorkEndsWithItsQuery(t *testing.T) {
 			{Site: faultinject.SiteShardDispatch, Mode: faultinject.ModeError, Every: 2, Limit: 1}}, 0, ClassInternal},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			svc := New(Config{Parallelism: 2, MaxConcurrent: 2,
-				Breaker: BreakerConfig{Disabled: true},
-				Shard:   ShardConfig{Shards: 2, Retries: -1}})
+			svc := newBreakerless(Config{Parallelism: 2, MaxConcurrent: 2,
+				Shard: ShardConfig{Shards: 2, Retries: -1}})
 			if _, err := svc.RegisterDataset("ds", genDataset(t, 1200, 29)); err != nil {
 				t.Fatal(err)
 			}

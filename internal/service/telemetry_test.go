@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -41,6 +42,13 @@ func wantSample(t *testing.T, samples []telemetry.Sample, name string, match map
 	}
 }
 
+// artifactBuilds is svc's m2m_artifact_build_seconds count of kind
+// ("build" or "repair").
+func artifactBuilds(t *testing.T, svc *Service, kind string) int64 {
+	t.Helper()
+	return int64(telemetry.SumSamples(scrape(t, svc), metricArtifactBuild+"_count", map[string]string{"kind": kind}))
+}
+
 // TestMetricsReconcileWithStats is the tentpole reconciliation test: a
 // deterministic mixed workload — successes across strategies, shed and
 // timeout failures, invalid requests, mutation batches with artifact
@@ -58,13 +66,20 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	ctx := context.Background()
 
 	// Successes: mixed strategies, twice each so the cache serves hits,
-	// summing the executor counters client-side as we go.
+	// summing the executor counters client-side as we go. The last one
+	// selects, so its selected relation misses the cache.
 	var hash, filter, semi, tuples, tagHits, tagMisses int64
 	okCalls := 0
+	var reqs []Request
 	for _, strat := range []string{"COM", "COM", "BVP+COM", "BVP+COM", "SJ+COM", "STD"} {
-		res, err := svc.Query(ctx, Request{Dataset: "ds", Strategy: strat, FlatOutput: true})
+		reqs = append(reqs, Request{Dataset: "ds", Strategy: strat, FlatOutput: true})
+	}
+	reqs = append(reqs, Request{Dataset: "ds", Strategy: "COM", FlatOutput: true,
+		Selections: []SelectionSpec{{Relation: ds.Tree.Name(1), Column: "id", Value: 3}}})
+	for _, req := range reqs {
+		res, err := svc.Query(ctx, req)
 		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
+			t.Fatalf("%s: %v", req.Strategy, err)
 		}
 		okCalls++
 		hash += res.Stats.HashProbes
@@ -171,14 +186,13 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	if _, n := telemetry.HistogramQuantiles(samples, metricQueueWait, nil); n != admitted {
 		t.Errorf("%s count = %d, want %d (one per admitted query)", metricQueueWait, n, admitted)
 	}
-	// Cold builds flowed through the build hook; repairs through the
-	// repair side.
-	if _, n := telemetry.HistogramQuantiles(samples, metricArtifactBuild, nil); n == 0 {
-		t.Errorf("%s recorded nothing despite cold builds and repairs", metricArtifactBuild)
-	}
-	if v := telemetry.SumSamples(samples, metricArtifactBuild+"_count",
-		map[string]string{"kind": "repair"}); v == 0 {
-		t.Errorf("no repair timings despite %d repaired artifacts", st.Repairs)
+	// One build observation per cache miss (every missed table is built
+	// and handed back), one repair observation per ApplyDelta: each
+	// commit appended to one relation whose table was cached.
+	wantSample(t, samples, metricArtifactBuild+"_count", map[string]string{"kind": "build"}, st.Cache.Misses)
+	wantSample(t, samples, metricArtifactBuild+"_count", map[string]string{"kind": "repair"}, 2)
+	if st.Cache.Misses == 0 {
+		t.Error("the workload missed the cache nowhere; the build count proves nothing")
 	}
 
 	// Whichever way the execute stage runs it, a Query call is recorded
@@ -215,6 +229,69 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	}
 }
 
+// TestBuildTimingsStayWithTheirService: two services in one process
+// each time only their own tables — a cache-missing query and a commit
+// on the first move its m2m_artifact_build_seconds build and repair
+// counts, and the second's stay at zero.
+func TestBuildTimingsStayWithTheirService(t *testing.T) {
+	ctx := context.Background()
+	first := New(Config{Parallelism: 2, MaxConcurrent: 2})
+	second := New(Config{Parallelism: 2, MaxConcurrent: 2})
+	ds := genDataset(t, 1200, 5)
+	if _, err := first.RegisterDataset("ds", ds); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := second.RegisterDataset("ds", genDataset(t, 1200, 5)); err != nil {
+		t.Fatal(err)
+	}
+	// Planning seeds the unselected tables; the selected one misses.
+	child := ds.Tree.NonRoot()[0]
+	if _, err := first.Query(ctx, Request{Dataset: "ds", Strategy: "COM", FlatOutput: true,
+		Selections: []SelectionSpec{{Relation: ds.Tree.Name(child), Column: "id", Value: 3}}}); err != nil {
+		t.Fatal(err)
+	}
+	// The commit touches R2, whose seeded table is repaired in place.
+	if _, err := first.Mutate(ctx, MutateRequest{Dataset: "ds", Ops: testOps(ds, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	if misses := first.Stats().Cache.Misses; misses == 0 || artifactBuilds(t, first, "build") != misses {
+		t.Errorf("first service: %d builds timed for %d cache misses, want one per miss",
+			artifactBuilds(t, first, "build"), misses)
+	}
+	if n := artifactBuilds(t, first, "repair"); n != 1 {
+		t.Errorf("first service: %d repairs timed, want 1", n)
+	}
+	for _, kind := range []string{"build", "repair"} {
+		if n := artifactBuilds(t, second, kind); n != 0 {
+			t.Errorf("second service timed %d %ss of the first's tables", n, kind)
+		}
+	}
+}
+
+// TestUnknownDatasetsShareOneSeries: a query naming a dataset the
+// catalog does not hold is labelled dataset="", so a thousand distinct
+// unknown names leave one latency series, not a thousand.
+func TestUnknownDatasetsShareOneSeries(t *testing.T) {
+	svc := New(Config{})
+	for i := 0; i < 1000; i++ {
+		if _, err := svc.Query(context.Background(), Request{Dataset: fmt.Sprintf("nope-%d", i)}); Classify(err) != ClassInvalid {
+			t.Fatalf("unknown dataset %d: %v", i, err)
+		}
+	}
+	var series []telemetry.Sample
+	for _, s := range scrape(t, svc) {
+		if s.Name == metricQueryDuration+"_count" {
+			series = append(series, s)
+		}
+	}
+	if len(series) != 1 {
+		t.Fatalf("%d %s series after 1000 unknown names, want 1", len(series), metricQueryDuration)
+	}
+	if s := series[0]; s.Labels["dataset"] != "" || s.Value != 1000 {
+		t.Fatalf("series %+v, want dataset=\"\" counting 1000", s)
+	}
+}
+
 // TestMetricsShardedDegradedReconcile extends reconciliation to the
 // scatter-gather tier: a local 2-shard service with retries disabled
 // takes one injected shard-probe failure, answers degraded under
@@ -222,9 +299,8 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 // histogram come back out of the exposition equal to /v1/stats.
 func TestMetricsShardedDegradedReconcile(t *testing.T) {
 	ds := genDataset(t, 1200, 9)
-	svc := New(Config{Parallelism: 2, MaxConcurrent: 4,
-		Breaker: BreakerConfig{Disabled: true},
-		Shard:   ShardConfig{Shards: 2, Retries: -1}})
+	svc := newBreakerless(Config{Parallelism: 2, MaxConcurrent: 4,
+		Shard: ShardConfig{Shards: 2, Retries: -1}})
 	if _, err := svc.RegisterDataset("ds", ds); err != nil {
 		t.Fatal(err)
 	}

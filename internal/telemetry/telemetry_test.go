@@ -269,37 +269,6 @@ func TestRegistryExpositionRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBuildHookDisarmedAndArmed(t *testing.T) {
-	SetBuildHook(nil)
-	if BuildHook() != nil {
-		t.Fatal("disarmed hook not nil")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if fn := BuildHook(); fn != nil {
-			t.Fatal("armed unexpectedly")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("disarmed BuildHook allocates %.1f/op, want 0", allocs)
-	}
-
-	var mu sync.Mutex
-	got := map[string]int{}
-	SetBuildHook(func(kind string, rows int, d time.Duration) {
-		mu.Lock()
-		got[kind] += rows
-		mu.Unlock()
-	})
-	defer SetBuildHook(nil)
-	BuildHook()(BuildKindBuild, 10, time.Millisecond)
-	BuildHook()(BuildKindRepair, 3, time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	if got[BuildKindBuild] != 10 || got[BuildKindRepair] != 3 {
-		t.Errorf("hook saw %v", got)
-	}
-}
-
 func TestRingBoundedNewestFirst(t *testing.T) {
 	r := NewRing(3)
 	for i := 0; i < 5; i++ {

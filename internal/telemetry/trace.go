@@ -1,7 +1,7 @@
 // Package telemetry is the observability layer of the serving stack:
 // a per-query span tracer, a metrics registry with Prometheus text
-// exposition, a bounded recent-trace ring, and a process-wide build
-// timing hook compiled into the hash-table build path.
+// exposition and a bounded recent-trace ring. It holds no process-wide
+// state: every instrument belongs to the component that records it.
 //
 // Design constraints mirror internal/faultinject's disarmed-path
 // discipline:
@@ -10,9 +10,6 @@
 //     trace carries a nil *Trace, and every span method is a nil-
 //     receiver no-op — zero allocations, one pointer test — so the
 //     executor's allocation-free probe invariants survive untouched.
-//   - The build timing hook (hooks.go) is a process-wide atomic
-//     pointer: disarmed cost is one atomic load per build, exactly
-//     the faultinject Fire contract.
 //   - Clocks are injectable. A Trace stamps spans with its own now
 //     function, so tests drive deterministic durations.
 //   - Spans are pooled-friendly: a Trace owns one grow-only span
