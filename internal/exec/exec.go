@@ -10,12 +10,14 @@
 // abstract cost metric validated against the cost model in Fig. 14.
 //
 // Execution is chunk-pipelined and optionally parallel in both
-// phases. Phase 1 (the build phase) produces read-only hash tables,
-// bitvectors and — for SJ strategies — fully reduced word-packed
-// liveness masks, fanning out across Options.Parallelism workers:
-// relations build concurrently, each hash table is built by the
-// two-pass morsel scheme, and semi-join reduction splits the mask into
-// word-aligned chunks. Phase 2 then distributes driver chunks across
+// phases, on one fan-out loop (par.For). Phase 1 (the build phase)
+// produces read-only hash tables, bitvectors and — for SJ strategies —
+// fully reduced word-packed liveness masks, fanning out across
+// Options.Parallelism workers: relations build concurrently, each hash
+// table is built by the two-pass morsel scheme, and semi-join
+// reduction splits the mask into word-aligned chunks. Every build polls
+// run.buildStop, where cancellation and the build-morsel failpoint
+// meet. Phase 2 then distributes driver chunks across
 // the same worker count, each worker owning private counters and a
 // scratch (tuple buffers, probe buffers, a reusable factor chunk)
 // borrowed from a process-wide free list and handed back after the
@@ -38,6 +40,7 @@ import (
 	"m2mjoin/internal/cost"
 	"m2mjoin/internal/faultinject"
 	"m2mjoin/internal/hashtable"
+	"m2mjoin/internal/par"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
 	"m2mjoin/internal/telemetry"
@@ -246,14 +249,16 @@ func (s Stats) WeightedCost(w cost.Weights) float64 {
 		w.Expand*float64(s.ExpandedTuples)
 }
 
-// PanicError is a worker panic converted into a failed query: every
-// goroutine the executor spawns (phase-1 relation builds, hash-table
-// build morsels, semi-join reduction chunks, phase-2 chunk workers)
-// and the calling goroutine itself run under a recover boundary, so a
-// panicking worker fails its own query with this error instead of
-// killing the process. Sibling queries sharing the service are
-// unaffected: phase-1 artifacts are only published after a build
-// completes, so a panicked build leaks nothing into the cache.
+// PanicError is a worker panic converted into a failed query. Every
+// goroutine the executor starts is a par.For worker, which re-raises a
+// panic on the goroutine that fanned out; each unit of work (a relation
+// build, a reduction chunk, a phase-2 driver chunk) and both phases on
+// the calling goroutine run under a recover boundary. So a panicking
+// worker — a hash-table gather morsel included — fails its own query
+// with this error instead of killing the process. Sibling queries
+// sharing the service are unaffected: phase-1 artifacts are only
+// published after a build completes, so a panicked build leaks nothing
+// into the cache.
 type PanicError struct {
 	// Site names the worker-pool boundary that recovered the panic.
 	Site string
@@ -515,10 +520,9 @@ func (r *run) failure() error {
 
 // guard runs fn under the executor's panic boundary: a panic anywhere
 // below becomes a recorded *PanicError instead of unwinding into the
-// caller (and, for pool goroutines, instead of killing the process).
-// Every goroutine the executor spawns runs its whole body inside
-// guard; Run additionally guards the two phases on the calling
-// goroutine so sequential execution is isolated the same way.
+// caller. Every unit of work handed to par.For runs inside guard; Run
+// additionally guards the two phases on the calling goroutine, which
+// also catches what par.For re-raises from below a unit's own guard.
 func (r *run) guard(site string, fn func()) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -528,10 +532,16 @@ func (r *run) guard(site string, fn func()) {
 	fn()
 }
 
-// stopFn returns cancelled as a poll hook for the morsel-level build
-// loops.
-func (r *run) stopFn() func() bool {
-	return r.cancelled
+// buildStop is the stop hook of every hash-table build the run starts:
+// the kernel polls it before a build, between its passes and before
+// each gather morsel. The build-morsel failpoint fires here, so an
+// injected error fails the query like any worker failure and the kernel
+// knows nothing of fault injection.
+func (r *run) buildStop() bool {
+	if err := faultinject.Fire(faultinject.SiteBuildMorsel); err != nil {
+		r.fail(err)
+	}
+	return r.cancelled()
 }
 
 // maskAt returns the liveness mask of id (nil = all live).
@@ -591,13 +601,13 @@ func (r *run) baseTable(id plan.NodeID, workers int, sp telemetry.SpanID) *hasht
 		// relation this is the plain packed build.
 		tbl = hashtable.BuildVersioned(
 			r.ds.Relation(id), r.ds.KeyColumn(id),
-			r.ds.BaseRows(id), r.ds.BaseLive(id), r.ds.Live(id), workers, r.stopFn())
+			r.ds.BaseRows(id), r.ds.BaseLive(id), r.ds.Live(id), workers, r.buildStop)
 	} else {
 		// Selection-shaped builds stay packed over the effective
 		// (selection ∧ liveness) mask; providers key them by mask
 		// fingerprint and version, and never repair them.
 		tbl = hashtable.BuildParallelStop(
-			r.ds.Relation(id), r.ds.KeyColumn(id), maskAt(r.baseMasks, id), workers, r.stopFn())
+			r.ds.Relation(id), r.ds.KeyColumn(id), maskAt(r.baseMasks, id), workers, r.buildStop)
 	}
 	if tbl != nil && arts != nil {
 		arts.PutTable(id, tbl)
@@ -628,15 +638,7 @@ func (r *run) buildFilters() {
 // one build, so a query with fewer relations than workers still uses
 // the whole pool during phase 1.
 func (r *run) perBuildParallelism() int {
-	nrel := r.ds.Tree.Len() - 1
-	if nrel < 1 {
-		return 1
-	}
-	per := r.opts.Parallelism / nrel
-	if per < 1 {
-		per = 1
-	}
-	return per
+	return max(r.opts.Parallelism/max(r.ds.Tree.Len()-1, 1), 1)
 }
 
 // forEachNonRoot runs fn for every non-root relation, in parallel when
@@ -644,40 +646,9 @@ func (r *run) perBuildParallelism() int {
 // touch only its own relation's state.
 func (r *run) forEachNonRoot(fn func(id plan.NodeID)) {
 	ids := r.ds.Tree.NonRoot()
-	pool(min(r.opts.Parallelism, len(ids)), len(ids), r.cancelled, func(_, i int) {
+	par.For(r.opts.Parallelism, len(ids), r.cancelled, func(_, i int) {
 		r.guard("phase1-build", func() { fn(ids[i]) })
 	})
-}
-
-// pool calls fn(slot, i) for every i in [0, n) from p workers pulling
-// indices off one shared cursor — the calling goroutine alone when
-// p <= 1 — and returns once every worker has stopped. stop is polled
-// before each index and retires the polling worker. It is the one
-// worker-pool loop of both phases; fn owns its panic boundary.
-func pool(p, n int, stop func() bool, fn func(slot, i int)) {
-	var next atomic.Int64
-	loop := func(slot int) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n || stop() {
-				return
-			}
-			fn(slot, i)
-		}
-	}
-	if p <= 1 {
-		loop(0)
-		return
-	}
-	var wg sync.WaitGroup
-	for slot := 0; slot < p; slot++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			loop(slot)
-		}(slot)
-	}
-	wg.Wait()
 }
 
 // prepareLayout precomputes the layout tables the probe hot path
@@ -788,7 +759,7 @@ func scan(members []*run) {
 		sc.rows = lead.driverRows(sc.rows)
 		live = sc.rows
 	}
-	pool(p, nChunks, func() bool { return allDone(members) }, func(s, i int) {
+	par.For(p, nChunks, func() bool { return allDone(members) }, func(s, i int) {
 		lo := i * cs
 		hi := min(lo+cs, n)
 		rows := live

@@ -57,7 +57,7 @@ func TestWorkerPanicBecomesError(t *testing.T) {
 }
 
 // TestPanicAtEveryBoundary: every guarded pool boundary — phase-1
-// builds, hash-table gather morsels, phase-2 probe workers, semi-join
+// builds, the hash-table build poll, phase-2 probe workers, semi-join
 // reduction — converts an injected panic into a failed query, at
 // sequential and parallel worker counts.
 func TestPanicAtEveryBoundary(t *testing.T) {

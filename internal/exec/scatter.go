@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"m2mjoin/internal/faultinject"
+	"m2mjoin/internal/par"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/shard"
 )
@@ -97,10 +98,7 @@ func RunSharded(shards []shard.Shard, opts Options) (Stats, error) {
 	if opts.Parallelism < 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	per := opts.Parallelism / len(shards)
-	if per < 1 {
-		per = 1
-	}
+	per := max(opts.Parallelism/len(shards), 1)
 
 	if collect := opts.CollectOutput; collect != nil {
 		// Each shard's Run serializes the callback only among its own
@@ -132,36 +130,30 @@ func RunSharded(shards []shard.Shard, opts Options) (Stats, error) {
 		cancel()
 	}
 
-	var wg sync.WaitGroup
-	for i := range shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// The shard goroutine body runs outside Run's own panic
-			// boundary (the failpoint below can panic), so it carries the
-			// same recover guard the executor puts on every worker.
-			defer func() {
-				if v := recover(); v != nil {
-					fail(&PanicError{Site: "shard-probe", Value: v, Stack: debug.Stack()})
-				}
-			}()
-			if err := faultinject.Fire(faultinject.SiteShardProbe); err != nil {
-				fail(err)
-				return
+	par.For(len(shards), len(shards), nil, func(_, i int) {
+		// The shard body runs outside Run's own panic boundary (the
+		// failpoint below can panic), so it carries the same recover
+		// guard the executor puts on every unit of work.
+		defer func() {
+			if v := recover(); v != nil {
+				fail(&PanicError{Site: "shard-probe", Value: v, Stack: debug.Stack()})
 			}
-			o := opts
-			o.Parallelism = per
-			o.Ctx = ctx
-			o.DriverRows = shards[i].Rows
-			st, err := Run(shards[i].Parent, o)
-			if err != nil {
-				fail(fmt.Errorf("exec: shard %d/%d: %w", shards[i].Index, len(shards), err))
-				return
-			}
-			parts[i] = st
-		}(i)
-	}
-	wg.Wait()
+		}()
+		if err := faultinject.Fire(faultinject.SiteShardProbe); err != nil {
+			fail(err)
+			return
+		}
+		o := opts
+		o.Parallelism = per
+		o.Ctx = ctx
+		o.DriverRows = shards[i].Rows
+		st, err := Run(shards[i].Parent, o)
+		if err != nil {
+			fail(fmt.Errorf("exec: shard %d/%d: %w", shards[i].Index, len(shards), err))
+			return
+		}
+		parts[i] = st
+	})
 	if firstErr != nil {
 		return Stats{}, firstErr
 	}

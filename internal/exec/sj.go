@@ -1,11 +1,9 @@
 package exec
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"m2mjoin/internal/faultinject"
 	"m2mjoin/internal/hashtable"
+	"m2mjoin/internal/par"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
 )
@@ -34,7 +32,6 @@ func (r *run) semiJoinPass() {
 	t := r.ds.Tree
 	r.tables = make([]*hashtable.Table, t.Len())
 
-	stop := r.stopFn()
 	var scratch *storage.Bitmap
 	for _, p := range t.BottomUp() {
 		if r.cancelled() {
@@ -93,7 +90,7 @@ func (r *run) semiJoinPass() {
 			if len(children) == 0 {
 				tbl = r.baseTable(p, r.opts.Parallelism, sp)
 			} else {
-				tbl = hashtable.BuildParallelStop(rel, r.ds.KeyColumn(p), mask, r.opts.Parallelism, stop)
+				tbl = hashtable.BuildParallelStop(rel, r.ds.KeyColumn(p), mask, r.opts.Parallelism, r.buildStop)
 			}
 			if tbl == nil {
 				return // build abandoned by cancellation
@@ -113,62 +110,38 @@ func (r *run) semiJoinPass() {
 const minParallelReduceRows = 4 * 1024
 
 // semiJoinReduce clears mask bits for rows whose key has no match in
-// table, probing only set rows (skip-by-word iteration). Large masks
-// split into word-aligned chunks across the worker pool: each worker
-// owns disjoint mask words, so the reduction is race-free and the
-// resulting mask — and the probe count, which counts exactly the set
-// bits — is identical at any worker count.
+// table, probing only set rows (skip-by-word iteration). The mask splits
+// into one word-aligned chunk per worker — a single chunk for a
+// sequential run or a small mask — and each chunk fires the
+// reduce-chunk failpoint once. Chunks own disjoint mask words, so the
+// reduction is race-free, and their stats are summed in chunk order, so
+// the mask and every counter are identical at any worker count. A chunk
+// skipped after cancellation leaves its words unreduced, which is fine:
+// the run aborts before the mask is consumed.
 func (r *run) semiJoinReduce(table *hashtable.Table, keyCol storage.Column, mask *storage.Bitmap, buildSide bool) {
 	n := mask.Len()
 	p := r.opts.Parallelism
-	if p <= 1 || n < minParallelReduceRows {
-		if err := faultinject.Fire(faultinject.SiteReduceChunk); err != nil {
-			r.fail(err)
-			return
-		}
-		r.addSemiJoinStats(table.ReduceLive(keyCol, mask, 0, n), buildSide)
-		return
+	if n < minParallelReduceRows {
+		p = 1
 	}
 	nWords := (n + 63) / 64
-	if p > nWords {
-		p = nWords
+	span := max((nWords+p-1)/p, 1) * 64
+	stats := make([]hashtable.ProbeStats, max((n+span-1)/span, 1))
+	par.For(p, len(stats), r.cancelled, func(_, i int) {
+		r.guard("sj-reduce", func() {
+			if err := faultinject.Fire(faultinject.SiteReduceChunk); err != nil {
+				r.fail(err)
+				return
+			}
+			lo := i * span
+			stats[i] = table.ReduceLive(keyCol, mask, lo, min(lo+span, n))
+		})
+	})
+	var sum hashtable.ProbeStats
+	for _, st := range stats {
+		sum.Add(st)
 	}
-	spanWords := (nWords + p - 1) / p
-	span := spanWords * 64
-	var probed, tagHits, tagMisses atomic.Int64
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += span {
-		hi := lo + span
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			r.guard("sj-reduce", func() {
-				// Poll between reduction chunks: a chunk skipped after
-				// cancellation leaves its mask words unreduced, which is
-				// fine — the run aborts before the mask is consumed.
-				if r.cancelled() {
-					return
-				}
-				if err := faultinject.Fire(faultinject.SiteReduceChunk); err != nil {
-					r.fail(err)
-					return
-				}
-				st := table.ReduceLive(keyCol, mask, lo, hi)
-				probed.Add(int64(st.Probed))
-				tagHits.Add(int64(st.TagHits))
-				tagMisses.Add(int64(st.TagMisses))
-			})
-		}(lo, hi)
-	}
-	wg.Wait()
-	r.addSemiJoinStats(hashtable.ProbeStats{
-		Probed:    int(probed.Load()),
-		TagHits:   int(tagHits.Load()),
-		TagMisses: int(tagMisses.Load()),
-	}, buildSide)
+	r.addSemiJoinStats(sum, buildSide)
 }
 
 // reduceSpanRows is the granularity of the sibling-reduction wavefront:
@@ -196,7 +169,8 @@ func (r *run) semiJoinReduceMulti(children []plan.NodeID, rel *storage.Relation,
 	}
 	stats := make([]hashtable.ProbeStats, m)
 	n := mask.Len()
-	nSpans := (n + reduceSpanRows - 1) / reduceSpanRows
+	// An empty mask is one empty span, so every child still fires once.
+	nSpans := max((n+reduceSpanRows-1)/reduceSpanRows, 1)
 	for step := 0; step < nSpans+m-1; step++ {
 		if r.cancelled() {
 			return
@@ -212,16 +186,6 @@ func (r *run) semiJoinReduceMulti(children []plan.NodeID, rel *storage.Relation,
 				}
 			}
 			stats[j].Add(r.tables[children[j]].ReduceLive(keyCols[j], mask, lo, min(lo+reduceSpanRows, n)))
-		}
-	}
-	if nSpans == 0 {
-		// Degenerate empty mask: the wavefront body never ran, but the
-		// sequential sweep still fires once per child.
-		for range children {
-			if err := faultinject.Fire(faultinject.SiteReduceChunk); err != nil {
-				r.fail(err)
-				return
-			}
 		}
 	}
 	for _, st := range stats {

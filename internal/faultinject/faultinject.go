@@ -1,8 +1,10 @@
 // Package faultinject is the deterministic fault-injection harness of
 // the serving stack: a registry of named failpoints compiled into the
-// executor, hash-table build, artifact cache and admission controller,
+// executor, the artifact cache, admission and the shard gather path,
 // each of which can be armed to inject an error, a panic or a delay on
-// deterministically chosen hits.
+// deterministically chosen hits. The kernel packages (hashtable,
+// bitvector, storage) compile in none: the executor fires on their
+// behalf at the stop hook it hands them.
 //
 // The package exists so the resilience layer can be *proven*: the
 // chaos suite (internal/service's chaos tests) arms every site in
@@ -23,10 +25,8 @@
 //     but the *set* of fired hits does not — which is exactly what the
 //     chaos suite's invariants (no crash, no leak, survivors
 //     bit-identical) need.
-//   - Sites without an error return surface error-mode faults as
-//     panics (see Injected); the resilience layer must convert worker
-//     panics into failed queries anyway, so those sites double as
-//     panic-isolation coverage.
+//   - Every site has an error path: ModeError fails (or, at the cache
+//     insert, drops) what the site guards, and only ModePanic panics.
 package faultinject
 
 import (
@@ -97,10 +97,11 @@ const (
 	// word-aligned mask chunk (and once per whole reduction on the
 	// sequential path).
 	SiteReduceChunk = "exec/reduce-chunk"
-	// SiteBuildMorsel fires inside the hash-table build, once per
-	// gather morsel (parallel build) or once per build (sequential).
-	// The build has no error return, so ModeError surfaces as a panic.
-	SiteBuildMorsel = "hashtable/build-morsel"
+	// SiteBuildMorsel fires at the executor's build poll (the stop hook
+	// of every hash-table build a run starts): before the build, between
+	// its passes and before each gather morsel. ModeError fails the
+	// query directly.
+	SiteBuildMorsel = "exec/build-morsel"
 	// SiteCacheInsert fires in the artifact cache's insert path.
 	// ModeError drops the insert (the query still succeeds — the cache
 	// is best-effort); ModePanic fails the inserting query.
@@ -108,11 +109,10 @@ const (
 	// SiteAdmit fires at admission, before a query waits for a slot.
 	// ModeError rejects the query as shed load.
 	SiteAdmit = "service/admit"
-	// SiteShardProbe fires in the scatter-gather layer once per shard
-	// execution, before the shard's probe phase runs (both exec's
-	// in-process scatter and the serving tier's local shard attempts).
-	// ModeError/ModePanic fail that shard attempt; ModeDelay makes it a
-	// straggler.
+	// SiteShardProbe fires in exec.RunSharded, the in-process scatter,
+	// once per shard before the shard's run. ModeError/ModePanic fail
+	// the call; ModeDelay makes the shard a straggler. The serving tier
+	// dispatches its own shards and fires SiteShardDispatch instead.
 	SiteShardProbe = "exec/shard-probe"
 	// SiteShardDispatch fires in the serving tier's shard gather path,
 	// once per dispatched shard attempt (initial and retry alike, local
@@ -122,19 +122,18 @@ const (
 	SiteShardDispatch = "service/shard-dispatch"
 )
 
-// Sites lists every failpoint compiled into the tree, for catalogs
-// and CLIs.
+// Sites lists every failpoint compiled into the tree, the executor's
+// before the serving tier's, for catalogs and CLIs.
 func Sites() []string {
 	return []string{
 		SiteProbeChunk, SiteBuildRelation, SiteReduceChunk,
-		SiteBuildMorsel, SiteCacheInsert, SiteAdmit,
-		SiteShardProbe, SiteShardDispatch,
+		SiteBuildMorsel, SiteShardProbe,
+		SiteCacheInsert, SiteAdmit, SiteShardDispatch,
 	}
 }
 
-// Injected is the error (ModeError) or panic value (ModePanic, and
-// ModeError at sites without an error return) a fired failpoint
-// produces.
+// Injected is the error (ModeError) or panic value (ModePanic) a fired
+// failpoint produces.
 type Injected struct {
 	Site string
 	Mode Mode

@@ -18,10 +18,9 @@ package hashtable
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"m2mjoin/internal/buf"
-	"m2mjoin/internal/faultinject"
+	"m2mjoin/internal/par"
 	"m2mjoin/internal/storage"
 )
 
@@ -181,10 +180,11 @@ const minParallelBuildRows = 4 * 1024
 // prefix / scatter pipeline scratch-free, rehashing in the scatter.
 //
 // stop is the cooperative cancel hook (nil = never stop): it is polled
-// between build morsels in the parallel gather pass and between the
-// sequential passes, and a true result abandons the build and returns
-// nil. It must be cheap and safe to call from multiple goroutines; a
-// completed build does not depend on it.
+// before a non-empty build, before each morsel of the parallel gather
+// pass and between the passes, and a true result abandons the build and
+// returns nil. It must be cheap and safe to call from multiple
+// goroutines; a completed build does not depend on it. A panic in stop
+// or in a gather worker unwinds on the calling goroutine.
 func BuildParallelStop(rel *storage.Relation, keyColumn string, live *storage.Bitmap, workers int, stop func() bool) *Table {
 	return buildColumn(rel.Column(keyColumn), live, workers, stop)
 }
@@ -213,10 +213,7 @@ func buildColumn(keyCol storage.Column, live *storage.Bitmap, workers int, stop 
 	}
 
 	nMorsels := (total + morselRows - 1) / morselRows
-	if workers > nMorsels {
-		workers = nMorsels
-	}
-	if workers <= 1 || count < minParallelBuildRows {
+	if min(workers, nMorsels) <= 1 || count < minParallelBuildRows {
 		// Sequential build: two scratch-free passes over the key
 		// column. Pass 1 histograms buckets and tags straight into the
 		// directory; pass 2 (after the prefix sum) rehashes each key
@@ -224,13 +221,6 @@ func buildColumn(keyCol storage.Column, live *storage.Bitmap, workers int, stop 
 		// as cheap as writing and re-reading a per-row scratch word
 		// (measured equal), and leaves the sequential build with no
 		// scratch at all.
-		//
-		// The build has no error return, so an injected error at the
-		// morsel failpoint surfaces as a panic; the executor's worker
-		// guards convert it into a failed query.
-		if err := faultinject.Fire(faultinject.SiteBuildMorsel); err != nil {
-			panic(err)
-		}
 		t.histogram(keyCol, live)
 		if stop != nil && stop() {
 			return nil
@@ -261,49 +251,13 @@ func buildColumn(keyCol storage.Column, live *storage.Bitmap, workers int, stop 
 			}
 			offsets[m+1] = offsets[m] + n
 		}
-		// Pass 1b (parallel): gather into disjoint scratch slots. A
-		// panicking gather worker (including an injected build-morsel
-		// fault — the build has no error return, so error-mode faults
-		// panic here) is captured and re-thrown on the calling
-		// goroutine after the pool drains, so the panic unwinds through
-		// the caller's recover boundary instead of killing the process;
-		// sibling workers stop at their next morsel poll.
-		var nextMorsel atomic.Int64
-		var wg sync.WaitGroup
-		var aborted atomic.Bool
-		var panicMu sync.Mutex
-		var panicked any
-		for wi := 0; wi < workers; wi++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if v := recover(); v != nil {
-						panicMu.Lock()
-						if panicked == nil {
-							panicked = v
-						}
-						panicMu.Unlock()
-						aborted.Store(true)
-					}
-				}()
-				for {
-					m := int(nextMorsel.Add(1)) - 1
-					if m >= nMorsels || aborted.Load() || (stop != nil && stop()) {
-						return
-					}
-					if err := faultinject.Fire(faultinject.SiteBuildMorsel); err != nil {
-						panic(err)
-					}
-					lo := m * morselRows
-					t.gatherMorsel(g, keyCol, live, lo, min(lo+morselRows, total), offsets[m])
-				}
-			}()
-		}
-		wg.Wait()
-		if panicked != nil {
-			panic(panicked)
-		}
+		// Pass 1b (parallel): gather into disjoint scratch slots, stop
+		// polled before each morsel. A panic in a gather worker or in
+		// stop reaches the caller once the pool drains (par.For).
+		par.For(workers, nMorsels, stop, func(_, m int) {
+			lo := m * morselRows
+			t.gatherMorsel(g, keyCol, live, lo, min(lo+morselRows, total), offsets[m])
+		})
 		if stop != nil && stop() {
 			return nil
 		}

@@ -1,9 +1,11 @@
 package hashtable
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"m2mjoin/internal/storage"
@@ -50,6 +52,33 @@ func TestBuildParallelBitIdentical(t *testing.T) {
 						n, mi, workers)
 				}
 			}
+		}
+	}
+}
+
+// TestBuildStopPanicReachesCaller: a stop hook that panics inside the
+// parallel gather pass unwinds on the goroutine that called
+// BuildParallelStop, with the hook's own panic value. Over five morsels
+// the hook's first poll is the pre-build one and polls 2–6 come from
+// the gather workers.
+func TestBuildStopPanicReachesCaller(t *testing.T) {
+	rel := randomRelation(rand.New(rand.NewSource(3)), 5*morselRows, 1000)
+	for _, k := range []int64{2, 5} {
+		sentinel := fmt.Sprintf("stop panics on poll %d", k)
+		var polls atomic.Int64
+		stop := func() bool {
+			if polls.Add(1) == k {
+				panic(sentinel)
+			}
+			return false
+		}
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			BuildParallelStop(rel, "k", nil, 4, stop)
+		}()
+		if got != sentinel {
+			t.Errorf("poll %d: caller recovered %v, want %q", k, got, sentinel)
 		}
 	}
 }

@@ -83,9 +83,11 @@ func TestChaosFailpoints(t *testing.T) {
 	}
 	for _, site := range faultinject.Sites() {
 		if site == faultinject.SiteShardProbe || site == faultinject.SiteShardDispatch {
-			// The shard sites never fire on an unsharded service; the
-			// sharded chaos suite (shard_chaos_test.go) arms them against
-			// a scattering service with the same invariants.
+			// exec/shard-probe fires only in exec.RunSharded, which the
+			// service never calls, and service/shard-dispatch never fires on
+			// an unsharded service; the sharded chaos suite
+			// (shard_chaos_test.go) arms the latter against a scattering
+			// service with the same invariants.
 			continue
 		}
 		for _, m := range modes {

@@ -283,16 +283,16 @@ func (s *Service) acquireTrace() *telemetry.Trace {
 }
 
 // finishTrace closes the root span, materializes the span tree, files
-// it in the recent-trace ring (and the slow-query log when the query
-// crossed the threshold), attaches it to the result when the request
-// asked, and recycles the arena.
-func (s *Service) finishTrace(c *execCall, res *Result, cls Class) {
+// it in the recent-trace ring (and the slow-query log when total, the
+// duration record also observed in the latency histogram, crossed the
+// threshold), attaches it to the result when the request asked, and
+// recycles the arena.
+func (s *Service) finishTrace(c *execCall, res *Result, cls Class, total time.Duration) {
 	if c.tr == nil {
 		return
 	}
 	c.tr.End(c.parent)
 	node := c.tr.Finish()
-	total := s.now().Sub(c.start)
 	rec := telemetry.TraceRecord{
 		Time:          c.start,
 		Dataset:       c.req.Dataset,
@@ -856,8 +856,9 @@ func (s *Service) record(c *execCall, out outcome, err error, panicked any) (Res
 		FailedShards: out.stats.FailedShards,
 		Stats:        out.stats,
 	}
-	s.met.recordQuery(c.e, c.strategy, cls, s.now().Sub(c.start), st)
-	s.finishTrace(c, &res, cls)
+	total := s.now().Sub(c.start)
+	s.met.recordQuery(c.e, c.strategy, cls, total, st)
+	s.finishTrace(c, &res, cls, total)
 	if qe == nil {
 		return res, nil
 	}

@@ -10,6 +10,7 @@ import (
 
 	"m2mjoin/internal/exec"
 	"m2mjoin/internal/faultinject"
+	"m2mjoin/internal/par"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/shard"
 	"m2mjoin/internal/storage"
@@ -25,7 +26,7 @@ import (
 // the shard's driver row set: the build-side artifacts are the
 // snapshot's own, cached once however many shards probe them.
 //
-// The gather path is where the robustness lives. One goroutine per
+// The gather path is where the robustness lives. One par.For worker per
 // shard drives that shard to a verdict, each attempt a synchronous
 // call, and the scatter joins them all before it returns — no dispatch
 // outlives its query:
@@ -218,9 +219,6 @@ type localTarget struct{}
 func (localTarget) name() string { return "local" }
 
 func (localTarget) run(ctx context.Context, s *Service, c shardCall) (exec.Stats, error) {
-	if err := faultinject.Fire(faultinject.SiteShardProbe); err != nil {
-		return exec.Stats{}, err
-	}
 	snap, rows := c.set.pin(c.k)
 	return s.run(ctx, c.execCall, snap, rows)
 }
@@ -387,20 +385,14 @@ func (s *Service) scatter(ctx context.Context, c execCall, set *shardSet) (outco
 
 	parts := make([]exec.Stats, n)
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for k := 0; k < n; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			sk := sc
-			sk.k = k
-			parts[k], errs[k] = s.runShard(sctx, sk)
-			if errs[k] != nil && scancel != nil {
-				scancel()
-			}
-		}(k)
-	}
-	wg.Wait()
+	par.For(n, n, nil, func(_, k int) {
+		sk := sc
+		sk.k = k
+		parts[k], errs[k] = s.runShard(sctx, sk)
+		if errs[k] != nil && scancel != nil {
+			scancel()
+		}
+	})
 
 	var failed []int
 	survivors := parts[:0:0]

@@ -11,10 +11,9 @@ import (
 	"m2mjoin/internal/faultinject"
 )
 
-// This file is the sharded half of the chaos suite: it arms the two
-// shard failpoints (exec/shard-probe — inside a local shard's probe
-// execution — and service/shard-dispatch — at every gather dispatch,
-// initial and retry alike) in every mode against a scattering
+// This file is the sharded half of the chaos suite: it arms the shard
+// failpoint (service/shard-dispatch — at every gather dispatch, initial
+// and retry alike, local or remote) in every mode against a scattering
 // service under concurrent mixed-strategy traffic, and asserts the
 // same invariants as the unsharded suite: no crash, no admission-slot
 // leak, classified failures only, full-coverage survivors bit-identical
@@ -58,7 +57,7 @@ func TestShardChaosFailpoints(t *testing.T) {
 		{"panic", faultinject.ModePanic},
 		{"delay", faultinject.ModeDelay},
 	}
-	for _, site := range []string{faultinject.SiteShardProbe, faultinject.SiteShardDispatch} {
+	for _, site := range []string{faultinject.SiteShardDispatch} {
 		for _, m := range modes {
 			t.Run(fmt.Sprintf("%s/%s", site, m.name), func(t *testing.T) {
 				svc := newSvc()

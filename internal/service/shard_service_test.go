@@ -328,7 +328,7 @@ func TestShardedDegradedCoverage(t *testing.T) {
 // left to write spans into the trace arena the next query recycles.
 func TestScatterWorkEndsWithItsQuery(t *testing.T) {
 	const stall = 200 * time.Millisecond
-	delay := faultinject.Spec{Site: faultinject.SiteShardProbe, Mode: faultinject.ModeDelay, Every: 1, Delay: stall}
+	delay := faultinject.Spec{Site: faultinject.SiteShardDispatch, Mode: faultinject.ModeDelay, Every: 1, Delay: stall}
 	for _, tc := range []struct {
 		name      string
 		specs     []faultinject.Spec
@@ -337,8 +337,10 @@ func TestScatterWorkEndsWithItsQuery(t *testing.T) {
 	}{
 		{"deadline under a stalled shard", []faultinject.Spec{delay}, 20, ClassTimeout},
 		// The second dispatch to start fails, with its sibling already
-		// past the failpoint and stalled.
-		{"sibling of a failed shard", []faultinject.Spec{delay,
+		// past the failpoint and stalled in its probe loop (one site
+		// holds one spec, so the stall moves to the chunk failpoint).
+		{"sibling of a failed shard", []faultinject.Spec{
+			{Site: faultinject.SiteProbeChunk, Mode: faultinject.ModeDelay, Every: 1, Delay: stall},
 			{Site: faultinject.SiteShardDispatch, Mode: faultinject.ModeError, Every: 2, Limit: 1}}, 0, ClassInternal},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

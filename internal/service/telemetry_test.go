@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -294,7 +295,7 @@ func TestUnknownDatasetsShareOneSeries(t *testing.T) {
 
 // TestMetricsShardedDegradedReconcile extends reconciliation to the
 // scatter-gather tier: a local 2-shard service with retries disabled
-// takes one injected shard-probe failure, answers degraded under
+// takes one injected shard-dispatch failure, answers degraded under
 // minCoverage, and the sharding counters plus the per-attempt dispatch
 // histogram come back out of the exposition equal to /v1/stats.
 func TestMetricsShardedDegradedReconcile(t *testing.T) {
@@ -311,7 +312,7 @@ func TestMetricsShardedDegradedReconcile(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(faultinject.Spec{
-		Site: faultinject.SiteShardProbe, Mode: faultinject.ModeError, Every: 1, Limit: 1,
+		Site: faultinject.SiteShardDispatch, Mode: faultinject.ModeError, Every: 1, Limit: 1,
 	})
 	req := chaosRequest("COM")
 	req.MinCoverage = 0.25
@@ -496,6 +497,12 @@ func TestSlowQueryLog(t *testing.T) {
 			}
 			if recs[0].ElapsedMillis != entry.TotalMillis {
 				t.Errorf("ring elapsed %v != logged total %v", recs[0].ElapsedMillis, entry.TotalMillis)
+			}
+			// The latency histogram observed the very total the ring
+			// recorded: a query's end time is read once.
+			sum := telemetry.SumSamples(scrape(t, svc), metricQueryDuration+"_sum", map[string]string{"dataset": "ds"})
+			if math.Abs(sum*1000-recs[0].ElapsedMillis) > 1e-6 {
+				t.Errorf("histogram sum %vs != ring elapsed %vms", sum, recs[0].ElapsedMillis)
 			}
 		})
 	}
