@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -17,7 +18,9 @@ import (
 // breakdown — bit-identical to the sequential drain (NoInterleave).
 // The chain construction replays exactly the sequential probe set
 // (chained selection masks stand in for compaction; fusion only folds
-// the step's last filter), so nothing may drift.
+// the step's last filter), so nothing may drift. Both runs must also
+// count exactly what the tuple-at-a-time countingReference counts, so a
+// fault shared by the two schedules cannot hide behind their agreement.
 func TestInterleavedMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	shapes := []struct {
@@ -32,6 +35,7 @@ func TestInterleavedMatchesSequential(t *testing.T) {
 		ds := workload.Generate(sh.tr, workload.Config{DriverRows: 2500, Seed: 19})
 		order := plan.Order(sh.tr.NonRoot())
 		for _, s := range cost.AllStrategies {
+			ref := countingReference(ds, Options{Strategy: s, Order: order})
 			for _, par := range []int{1, 2, 8} {
 				opts := Options{
 					Strategy:    s,
@@ -57,6 +61,9 @@ func TestInterleavedMatchesSequential(t *testing.T) {
 					t.Errorf("%s %v par=%d: interleaved stats diverge:\n got %+v\nwant %+v",
 						sh.name, s, par, got, want)
 				}
+				label := fmt.Sprintf("%s par=%d", sh.name, par)
+				requireCounts(t, label+" sequential", seq, want, ref)
+				requireCounts(t, label+" interleaved", opts, got, ref)
 			}
 		}
 	}
@@ -77,6 +84,7 @@ func TestInterleavedMatchesSequentialSelections(t *testing.T) {
 		{Rel: 3, Column: "cat", Value: 0},
 	}
 	for _, s := range cost.AllStrategies {
+		ref := countingReference(ds, Options{Strategy: s, Order: order, Selections: selections})
 		for _, par := range []int{1, 8} {
 			opts := Options{
 				Strategy:    s,
@@ -100,6 +108,9 @@ func TestInterleavedMatchesSequentialSelections(t *testing.T) {
 				t.Errorf("%v par=%d: interleaved stats diverge under selections:\n got %+v\nwant %+v",
 					s, par, got, want)
 			}
+			label := fmt.Sprintf("selections par=%d", par)
+			requireCounts(t, label+" sequential", seq, want, ref)
+			requireCounts(t, label+" interleaved", opts, got, ref)
 		}
 	}
 }
@@ -122,6 +133,7 @@ func TestInterleavedMatchesSequentialSkewed(t *testing.T) {
 	})
 	order := plan.Order(tr.NonRoot())
 	for _, s := range cost.AllStrategies {
+		ref := countingReference(ds, Options{Strategy: s, Order: order})
 		for _, flat := range []bool{true, false} {
 			opts := Options{
 				Strategy:   s,
@@ -143,6 +155,9 @@ func TestInterleavedMatchesSequentialSkewed(t *testing.T) {
 				t.Errorf("%v flat=%v: interleaved stats diverge on skewed keys:\n got %+v\nwant %+v",
 					s, flat, got, want)
 			}
+			label := fmt.Sprintf("skewed flat=%v", flat)
+			requireCounts(t, label+" sequential", seq, want, ref)
+			requireCounts(t, label+" interleaved", opts, got, ref)
 		}
 	}
 }
