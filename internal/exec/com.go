@@ -25,14 +25,13 @@ func (w *worker) runCOMChunk(driverRows []int32) {
 	chunk.Reset(driverRows)
 	w.nodes[plan.Root] = chunk.Driver()
 	rest := r.opts.Order
-	if !r.opts.NoInterleave && len(rest) > 0 && r.ds.Tree.Parent(rest[0]) == plan.Root {
-		// Interleaved pre-pass: the root's child filters and the first
-		// join share one probe chain (interleave.go) — the only COM
-		// step where kills cannot cascade, so the filter pass can run
-		// behind a chained mask. The remaining joins keep the scalar
-		// filter loop whose propagated kills the cost model charges
-		// for. (A valid order always joins a root child first, so the
-		// parent check is defensive.)
+	if len(rest) > 0 {
+		// Chained pre-pass: the root's child filters and the first join
+		// (a valid order joins a root child first) share one probe chain
+		// (interleave.go) — the only COM step where kills cannot
+		// cascade, so the filter pass can run behind a chained mask. The
+		// remaining joins keep the scalar filter loop whose propagated
+		// kills the cost model charges for.
 		first := rest[0]
 		rest = rest[1:]
 		w.comRootChain(first)
@@ -42,8 +41,6 @@ func (w *worker) runCOMChunk(driverRows []int32) {
 		if chunk.Driver().LiveCount == 0 {
 			rest = nil
 		}
-	} else if useBVP {
-		w.applyFiltersCOM(chunk, plan.Root)
 	}
 	for _, next := range rest {
 		w.joinCOM(chunk, next)

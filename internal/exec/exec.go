@@ -15,9 +15,12 @@
 // fully reduced word-packed liveness masks, fanning out across
 // Options.Parallelism workers: relations build concurrently, each hash
 // table is built by the two-pass morsel scheme, and semi-join
-// reduction splits the mask into word-aligned chunks. Every build polls
+// reduction splits the mask into word-aligned spans. Every build polls
 // run.buildStop, where cancellation and the build-morsel failpoint
-// meet. Phase 2 then distributes driver chunks across
+// meet. Each phase probes on one path: phase 1 reduces a parent span
+// by span, every child in turn (sj.go), and every batched phase-2 join
+// is a probe chain of filters and one table (interleave.go).
+// Phase 2 then distributes driver chunks across
 // the same worker count, each worker owning private counters and a
 // scratch (tuple buffers, probe buffers, a reusable factor chunk)
 // borrowed from a process-wide free list and handed back after the
@@ -80,15 +83,13 @@ type Options struct {
 	// breadth-first variant (Section 4.3's alternative); identical
 	// output, different memory/locality trade-off.
 	BreadthFirstExpand bool
-	// NoInterleave is an ablation switch: phase-2 probe chains run
-	// their links sequentially — each relation's batch probe (and each
-	// bitvector filter pass) drains completely before the next
-	// relation's starts — instead of the default round-robin interleaved
-	// wavefront that overlaps directory misses across relations, and
-	// the phase-1 semi-join pass reduces siblings one at a time instead
-	// of span-skewed. Stats and checksums are bit-identical either way
-	// (pinned by the interleave differential tests); the switch exists
-	// to measure what the overlap buys.
+	// NoInterleave picks the phase-2 probe chain's schedule and nothing
+	// else: each link drains all of its blocks before the next link
+	// starts, instead of the default wavefront that overlaps directory
+	// misses across relations. Stages, blocks and masks are the same, so
+	// Stats and checksums are identical either way. It does not affect
+	// the SJ reduction, and it stays only because the benchmark harness
+	// (benchmark/probes.go) times both schedules.
 	NoInterleave bool
 	// Selections are pushed-down equality predicates evaluated on the
 	// base relations before execution (Section 2.1's assumption).

@@ -8,41 +8,40 @@ import (
 	"m2mjoin/internal/storage"
 )
 
-// This file is the interleaved probe scheduler: the default phase-2
-// probe path (Options.NoInterleave restores the drain-one-relation-
-// at-a-time loops for ablation). One join step's memory traffic is a
-// *probe chain* — the bitvector filters guarding the step plus the
-// hash-table probe itself, each a link with its own key gather and a
-// selection mask chained from the previous link — and the chain is
-// driven as a wavefront over ProbeBlock-lane blocks: at wavefront step
-// s, link j runs its stages on block s-j, so while one link's stage-2
-// verification waits on the loads its stage 1 issued, the other links'
-// stage-1 loads for neighbouring blocks are already in flight.
-// Directory and filter-word misses from different relations overlap in
-// the memory system instead of serializing one relation at a time.
+// This file is the phase-2 probe chain, the one probe path of every
+// batched join. One join step's memory traffic is a *probe chain* —
+// the bitvector filters guarding the step plus the hash-table probe
+// itself, each a link with its own key gather and a selection mask
+// chained from the previous link — driven over ProbeBlock-lane blocks
+// on one of two schedules (runChain). The default is a wavefront: at
+// step s, link j runs its stages on block s-j, so while one link's
+// stage-2 verification waits on the loads its stage 1 issued, the
+// other links' stage-1 loads for neighbouring blocks are already in
+// flight. Options.NoInterleave drains one link's blocks after another
+// instead. Stages, blocks and masks are the same on both schedules, so
+// only the order of the memory traffic differs.
 //
-// Bit-identity with the sequential path is by construction, not by
-// accident, and the parity is load-bearing (the differential tests pin
-// it):
+// What each link probes is fixed by the chain's construction, and the
+// counters the cost model charges follow from it (the tests hold them
+// to a tuple-at-a-time counting reference):
 //
 //   - A filter link probes exactly the lanes the previous link passed
-//     (the chained selection mask), which are exactly the lanes the
-//     sequential path's compaction would have kept — so per-filter
-//     probe counts match the compact-then-probe loop.
+//     (the chained selection mask): the tuples that survived the
+//     earlier filters, taken in ascending child order.
 //   - The table link is a hashtable.ProbePipeline, the very thing
-//     ProbeBatchInto drives back to back; its selection mask
-//     is the last filter's output, so Probed equals the sequential
-//     post-compaction batch size.
+//     ProbeBatchInto drives back to back; its selection mask is the
+//     last filter's output, so Probed counts the survivors of every
+//     filter.
 //   - Where the step's own filter is the last filter link, it fuses
 //     into the table link's stage 1 (the filter word is tested while
 //     the block's lanes are listed, and only survivors load a
 //     directory word) with the counter split preserved;
 //     fusing any *earlier* filter would reorder prunes and change the
 //     later filters' probe counts, so only the last link ever fuses.
-//   - Link j touches block b strictly after link j-1 finished block b
-//     (wavefront skew), and a pipeline's Stage2 runs in ascending
-//     block order — the two scheduling constraints the hashtable and
-//     mask-chaining contracts require.
+//   - Link j touches block b strictly after link j-1 finished block b,
+//     and a pipeline's Stage2 runs in ascending block order — the two
+//     scheduling constraints the hashtable and mask-chaining contracts
+//     require, and both schedules keep.
 //
 // All link scratch (key gathers, masks, the pipeline result) lives in
 // a per-worker arena reused across chunks, so the steady-state chain
@@ -114,16 +113,27 @@ func (w *worker) ensureLinks(m int) []chainLink {
 	return w.links[:m]
 }
 
-// runChain drives m links over ceil(n/ProbeBlock) blocks as a skewed
-// wavefront: step s runs link j's stages on block s-j, stage-1 wave
-// before stage-2 wave. Link j reaches block b one step after link j-1
-// finished it (its selection-mask input), and each link's blocks are
-// visited in ascending order (the pipeline's Stage2 contract); within
-// one step the links touch distinct blocks, so the two waves have no
-// intra-step dependencies — just overlapping loads.
-func runChain(links []chainLink, n int) {
-	m := len(links)
+// runChain drives the links over ceil(n/ProbeBlock) blocks. With wave
+// set they run as a skewed wavefront: step s runs link j's stages on
+// block s-j, stage-1 wave before stage-2 wave. Link j reaches block b
+// one step after link j-1 finished it (its selection-mask input), and
+// each link's blocks are visited in ascending order (the pipeline's
+// Stage2 contract); within one step the links touch distinct blocks, so
+// the two waves have no intra-step dependencies — just overlapping
+// loads. Without wave each link drains all of its blocks before the
+// next link starts.
+func runChain(links []chainLink, n int, wave bool) {
 	nb := (n + hashtable.ProbeBlock - 1) / hashtable.ProbeBlock
+	if !wave {
+		for j := range links {
+			for b := 0; b < nb; b++ {
+				links[j].stage1(b, n)
+				links[j].stage2(b)
+			}
+		}
+		return
+	}
+	m := len(links)
 	for step := 0; step < nb+m-1; step++ {
 		jlo := 0
 		if step >= nb {
@@ -140,8 +150,8 @@ func runChain(links []chainLink, n int) {
 }
 
 // prepareChain builds the chain for one join step into the worker
-// arena: the filter links of at's children (ascending, as the
-// sequential path applies them), then the table link for next. atRows
+// arena: the filter links of at's children in ascending order, then
+// the table link for next. atRows
 // and parentRows are the chunk's materialized rows of at and of next's
 // parent — the lanes — and live is the first link's selection mask (nil
 // = all lanes). When next's own filter is the last filter link it fuses
@@ -227,8 +237,8 @@ func sameRows(a, b []int32) bool {
 
 // finishChain finalizes the table link's pipeline and folds the
 // chain's counters into the worker: per-filter probe counts (the fused
-// filter's via the pipeline's split), then the table probe counters
-// exactly as the sequential join accounts them.
+// filter's via the pipeline's split), then the table probe counters,
+// which also count as probes of relation next.
 func (w *worker) finishChain(links []chainLink, next plan.NodeID) *hashtable.ProbeResult {
 	m := len(links) - 1
 	tl := &links[m]
@@ -247,65 +257,7 @@ func (w *worker) finishChain(links []chainLink, next plan.NodeID) *hashtable.Pro
 	return res
 }
 
-// runSTDChunkInterleaved is runSTDChunk with each join step's filters
-// and table probe driven as one interleaved chain. The sequential
-// path's filter pass compacts the flat intermediate between filters;
-// here pruned lanes stay in place carrying a false selection bit, and
-// the join expansion drops them for free (their match count is zero) —
-// the materialized columns come out identical, in the same order.
-func (w *worker) runSTDChunkInterleaved(driverRows []int32) {
-	r := w.r
-	cur, spare := w.colsA, w.colsB
-	cur[0] = append(cur[0][:0], driverRows...)
-	width := 1
-	// at is the relation whose children's filters the sequential path
-	// would apply before the next join: the root before the first join,
-	// then each newly materialized relation. (The last relation in a
-	// valid order is a leaf, so no trailing filter pass is ever owed.)
-	at := plan.Root
-	for _, next := range r.opts.Order {
-		n := len(cur[0])
-		links := w.prepareChain(at, next, cur[r.layoutPos[at]], cur[r.layoutPos[r.ds.Tree.Parent(next)]], nil)
-		runChain(links, n)
-		res := w.finishChain(links, next)
-
-		for c := 0; c < width; c++ {
-			col := spare[c][:0]
-			curCol := cur[c]
-			for i := 0; i < n; i++ {
-				v := curCol[i]
-				for k := res.Offsets[i]; k < res.Offsets[i+1]; k++ {
-					col = append(col, v)
-				}
-			}
-			spare[c] = col
-		}
-		spare[width] = append(spare[width][:0], res.Rows...)
-		w.intermediateTuples += int64(len(res.Rows))
-
-		cur, spare = spare, cur
-		width++
-		at = next
-		if len(cur[0]) == 0 {
-			break
-		}
-	}
-	w.colsA, w.colsB = cur, spare
-	if len(cur[0]) == 0 || width != r.ds.Tree.Len() {
-		return
-	}
-	tuple := w.rowsBuf[:width]
-	for i := range cur[0] {
-		for c := 0; c < width; c++ {
-			tuple[c] = cur[c][i]
-		}
-		if w.emitTuple(tuple) {
-			w.outputTuples++
-		}
-	}
-}
-
-// comRootChain is the factorized pipeline's interleaved pre-pass: the
+// comRootChain is the factorized pipeline's chained pre-pass: the
 // root's child filters plus the first join, as one chain over the
 // driver chunk. It is the only COM step that can batch — the chunk
 // holds a single node here, so a liveness kill cannot cascade, which
@@ -313,17 +265,18 @@ func (w *worker) runSTDChunkInterleaved(driverRows []int32) {
 // Later COM filters run scalar (applyFiltersCOM): their kills
 // propagate through the factor chunk and spare subsequent probes, an
 // ordering batching would change. Kills are applied before AddJoin so
-// the chunk evolves through exactly the sequential states.
+// the chunk evolves through exactly the states a scalar filter pass
+// over the root followed by joinCOM would leave.
 func (w *worker) comRootChain(first plan.NodeID) {
 	chunk := w.chunk
 	pNode := chunk.Node(plan.Root)
 
 	links := w.prepareChain(plan.Root, first, pNode.Rows, pNode.Rows, pNode.Live)
-	runChain(links, len(pNode.Rows))
+	runChain(links, len(pNode.Rows), !w.r.opts.NoInterleave)
 
 	// Apply the deferred filter kills: lanes live on entry whose
 	// chained mask went false. Each such lane failed exactly one
-	// filter in the sequential order too, so kill counts match.
+	// filter, as in the scalar pass, so kill counts match.
 	final := finalMask(links)
 	if final != nil {
 		for i := range pNode.Live {

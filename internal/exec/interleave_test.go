@@ -12,15 +12,12 @@ import (
 )
 
 // TestInterleavedMatchesSequential is the central differential test of
-// the interleaved probe pipelines: for every strategy × worker count ×
-// shape, the wavefront-scheduled chunk loop (the default) must produce
-// the FULL Stats — checksum, every probe counter, the per-relation
-// breakdown — bit-identical to the sequential drain (NoInterleave).
-// The chain construction replays exactly the sequential probe set
-// (chained selection masks stand in for compaction; fusion only folds
-// the step's last filter), so nothing may drift. Both runs must also
+// the probe chain's two schedules: for every strategy × worker count ×
+// shape, the wavefront (the default) must produce the FULL Stats —
+// checksum, every probe counter, the per-relation breakdown —
+// bit-identical to the drained schedule (NoInterleave), and both must
 // count exactly what the tuple-at-a-time countingReference counts, so a
-// fault shared by the two schedules cannot hide behind their agreement.
+// fault the two schedules share cannot hide behind their agreement.
 func TestInterleavedMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	shapes := []struct {
@@ -163,11 +160,11 @@ func TestInterleavedMatchesSequentialSkewed(t *testing.T) {
 }
 
 // TestInterleavedAllocationsChunkCountInvariant pins the steady-state
-// allocation-freedom of the interleaved path, exactly as
-// TestAllocationsChunkCountInvariant pins the sequential one: the
-// chain links, their key/mask scratch and the pipeline results all
-// live in per-worker arenas, so 16x more chunks must not mean more
-// allocations.
+// allocation-freedom of the drained chain schedule (NoInterleave), as
+// TestAllocationsChunkCountInvariant pins the default wavefront's: both
+// schedules drive the same chain links, key/mask scratch and pipeline
+// results out of per-worker arenas, so 16x more chunks must not mean
+// more allocations.
 func TestInterleavedAllocationsChunkCountInvariant(t *testing.T) {
 	tr := plan.Snowflake(3, 2, plan.FixedStats(0.7, 2))
 	ds := workload.Generate(tr, workload.Config{DriverRows: 8000, Seed: 11})
@@ -178,6 +175,7 @@ func TestInterleavedAllocationsChunkCountInvariant(t *testing.T) {
 			return testing.AllocsPerRun(3, func() {
 				if _, err := Run(ds, Options{
 					Strategy: s, Order: order, FlatOutput: true, ChunkSize: chunkSize,
+					NoInterleave: true,
 				}); err != nil {
 					t.Fatal(err)
 				}
@@ -186,7 +184,7 @@ func TestInterleavedAllocationsChunkCountInvariant(t *testing.T) {
 		few := measure(4096)
 		many := measure(256)
 		if many > few+40 || many > 2*few {
-			t.Errorf("%v: interleaved allocations scale with chunk count: %0.f allocs at 32 chunks vs %0.f at 2",
+			t.Errorf("%v: drained-schedule allocations scale with chunk count: %0.f allocs at 32 chunks vs %0.f at 2",
 				s, many, few)
 		}
 	}

@@ -33,7 +33,6 @@ type scratch struct {
 	// Shared probe scratch.
 	keys  []int64
 	probe hashtable.ProbeResult
-	keep  []bool
 
 	// tupleBuf holds the canonical-layout tuple during emission;
 	// rowsBuf holds the join-order tuple STD emission gathers into.
@@ -165,7 +164,7 @@ func (s *scratch) unbind() {
 func (s *scratch) bytes() int {
 	n := 4 * (cap(s.rows) + cap(s.tupleBuf) + cap(s.rowsBuf) +
 		cap(s.probe.Counts) + cap(s.probe.Offsets) + cap(s.probe.Rows))
-	n += 8*cap(s.keys) + cap(s.keep)
+	n += 8 * cap(s.keys)
 	for _, col := range s.colsA[:cap(s.colsA)] {
 		n += 4 * cap(col)
 	}

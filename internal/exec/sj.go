@@ -21,9 +21,10 @@ import (
 // needed while its own reductions and hash-table build run), so mask
 // memory no longer scales with the relation count; the root's mask is
 // the last one produced and is handed off as the driver mask without
-// copying. Both the reduction probes (word-aligned chunks of the key
-// column) and the hash-table builds (two-pass morsel scheme) fan out
-// over Options.Parallelism workers with bit-identical results.
+// copying. A parent's reduction splits its mask into word-aligned spans
+// that every child reduces in turn (semiJoinReduce); the spans and the
+// hash-table builds (two-pass morsel scheme) fan out over
+// Options.Parallelism workers with bit-identical results.
 
 // semiJoinPass reduces all relations bottom-up and leaves behind:
 // r.tables (hash tables over the reduced relations) and r.driverLive
@@ -37,7 +38,7 @@ func (r *run) semiJoinPass() {
 		if r.cancelled() {
 			return
 		}
-		// One span per parent covers its sibling reductions and the
+		// One trace span per parent covers its sibling reductions and the
 		// (reduced) hash-table build together — the unit of phase-1
 		// work for SJ strategies.
 		sp := r.opts.Trace.Start("semijoin", r.phase1Span)
@@ -61,23 +62,7 @@ func (r *run) semiJoinPass() {
 			// a partitioned query repeats identically, and their
 			// counters go into the Build* split so the scatter-gather
 			// merge can count them once (see Stats.BuildSemiJoinProbes).
-			if len(children) > 1 && !r.opts.NoInterleave &&
-				(r.opts.Parallelism <= 1 || mask.Len() < minParallelReduceRows) {
-				// Sibling reductions of one parent interleave as a
-				// span-skewed wavefront (semiJoinReduceMulti) whenever
-				// each would otherwise run sequentially on this
-				// goroutine; the chunked parallel reduction keeps the
-				// one-child-at-a-time sweep.
-				r.semiJoinReduceMulti(children, rel, mask, p != plan.Root)
-			} else {
-				for _, c := range children {
-					if r.cancelled() {
-						return
-					}
-					keyCol := rel.Column(r.ds.KeyColumn(c))
-					r.semiJoinReduce(r.tables[c], keyCol, mask, p != plan.Root)
-				}
-			}
+			r.semiJoinReduce(children, rel, mask, p != plan.Root)
 		}
 		if p != plan.Root {
 			// The hash table used both by later semi-joins from p's
@@ -105,36 +90,53 @@ func (r *run) semiJoinPass() {
 	}
 }
 
-// minParallelReduceRows gates the chunked parallel reduction: tiny
-// masks are reduced on the calling goroutine.
+// minParallelReduceRows gates the parallel reduction: smaller masks
+// are reduced on the calling goroutine.
 const minParallelReduceRows = 4 * 1024
 
-// semiJoinReduce clears mask bits for rows whose key has no match in
-// table, probing only set rows (skip-by-word iteration). The mask splits
-// into one word-aligned chunk per worker — a single chunk for a
-// sequential run or a small mask — and each chunk fires the
-// reduce-chunk failpoint once. Chunks own disjoint mask words, so the
-// reduction is race-free, and their stats are summed in chunk order, so
-// the mask and every counter are identical at any worker count. A chunk
-// skipped after cancellation leaves its words unreduced, which is fine:
-// the run aborts before the mask is consumed.
-func (r *run) semiJoinReduce(table *hashtable.Table, keyCol storage.Column, mask *storage.Bitmap, buildSide bool) {
+// reduceSpanRows is the unit of reduction work: a word-aligned run of
+// parent rows long enough to fill a few kernel blocks per ReduceLive
+// call, short enough that the span's mask words are still in L1 when
+// the next child arrives.
+const reduceSpanRows = 16 * 64
+
+// semiJoinReduce clears the bit of every set row of mask whose key has
+// no match in one of the children's tables, probing only set rows
+// (skip-by-word iteration). par.For hands out word-aligned spans of
+// reduceSpanRows rows — on the calling goroutine alone below
+// minParallelReduceRows — and each span fires the reduce-chunk
+// failpoint once, then is reduced by every child in turn, in the given
+// semi-join order, so child j probes exactly the bits children 0..j-1
+// left set: the probe set of a child-after-child sweep. Spans own
+// disjoint mask words, so the reduction is race-free, and the probe
+// stats are kept per worker slot and summed, so the mask and every
+// counter are identical at any worker count. A span skipped after
+// cancellation leaves its words unreduced, which is fine: the run
+// aborts before the mask is consumed.
+func (r *run) semiJoinReduce(children []plan.NodeID, rel *storage.Relation, mask *storage.Bitmap, buildSide bool) {
+	keyCols := make([]storage.Column, len(children))
+	for j, c := range children {
+		keyCols[j] = rel.Column(r.ds.KeyColumn(c))
+	}
 	n := mask.Len()
 	p := r.opts.Parallelism
 	if n < minParallelReduceRows {
 		p = 1
 	}
-	nWords := (n + 63) / 64
-	span := max((nWords+p-1)/p, 1) * 64
-	stats := make([]hashtable.ProbeStats, max((n+span-1)/span, 1))
-	par.For(p, len(stats), r.cancelled, func(_, i int) {
+	// An empty mask is one empty span, so the failpoint still fires.
+	nSpans := max((n+reduceSpanRows-1)/reduceSpanRows, 1)
+	stats := make([]hashtable.ProbeStats, p)
+	par.For(p, nSpans, r.cancelled, func(slot, i int) {
 		r.guard("sj-reduce", func() {
 			if err := faultinject.Fire(faultinject.SiteReduceChunk); err != nil {
 				r.fail(err)
 				return
 			}
-			lo := i * span
-			stats[i] = table.ReduceLive(keyCol, mask, lo, min(lo+span, n))
+			lo := i * reduceSpanRows
+			hi := min(lo+reduceSpanRows, n)
+			for j, c := range children {
+				stats[slot].Add(r.tables[c].ReduceLive(keyCols[j], mask, lo, hi))
+			}
 		})
 	})
 	var sum hashtable.ProbeStats
@@ -142,55 +144,6 @@ func (r *run) semiJoinReduce(table *hashtable.Table, keyCol storage.Column, mask
 		sum.Add(st)
 	}
 	r.addSemiJoinStats(sum, buildSide)
-}
-
-// reduceSpanRows is the granularity of the sibling-reduction wavefront:
-// a word-aligned run of parent rows long enough to fill a few kernel
-// blocks per ReduceLive call, short enough that the span's mask words
-// are still in L1 when the next child arrives.
-const reduceSpanRows = 16 * 64
-
-// semiJoinReduceMulti reduces one parent's mask against all of its
-// children's tables as a skewed wavefront over word-aligned row spans:
-// at step s, child j reduces span s-j (hashtable.ReduceLive), so child j
-// only ever probes the bits children 0..j-1 left set in that span — the
-// exact bits the sequential child-after-child sweep would probe — while
-// the span's mask words stay cached from one child to the next.
-// Per-child stats accumulate separately and are folded in child order,
-// and each child fires the reduce-chunk failpoint once before its first
-// span, matching the sequential path's fire sequence; a failure or
-// cancellation abandons the wavefront exactly as it abandons the
-// sequential sweep (the run discards the partial mask).
-func (r *run) semiJoinReduceMulti(children []plan.NodeID, rel *storage.Relation, mask *storage.Bitmap, buildSide bool) {
-	m := len(children)
-	keyCols := make([]storage.Column, m)
-	for j, c := range children {
-		keyCols[j] = rel.Column(r.ds.KeyColumn(c))
-	}
-	stats := make([]hashtable.ProbeStats, m)
-	n := mask.Len()
-	// An empty mask is one empty span, so every child still fires once.
-	nSpans := max((n+reduceSpanRows-1)/reduceSpanRows, 1)
-	for step := 0; step < nSpans+m-1; step++ {
-		if r.cancelled() {
-			return
-		}
-		jlo := max(0, step-nSpans+1)
-		jhi := min(step, m-1)
-		for j := jlo; j <= jhi; j++ {
-			lo := (step - j) * reduceSpanRows
-			if lo == 0 {
-				if err := faultinject.Fire(faultinject.SiteReduceChunk); err != nil {
-					r.fail(err)
-					return
-				}
-			}
-			stats[j].Add(r.tables[children[j]].ReduceLive(keyCols[j], mask, lo, min(lo+reduceSpanRows, n)))
-		}
-	}
-	for _, st := range stats {
-		r.addSemiJoinStats(st, buildSide)
-	}
 }
 
 // addSemiJoinStats folds one reduction's probe stats into the run

@@ -1,9 +1,6 @@
 package exec
 
-import (
-	"m2mjoin/internal/buf"
-	"m2mjoin/internal/plan"
-)
+import "m2mjoin/internal/plan"
 
 // This file implements the STD pipeline (and its BVP/SJ variants):
 // every join fully materializes the flat intermediate result before
@@ -15,33 +12,45 @@ import (
 // indices per joined relation in the worker's ping-pong column sets
 // (join-order layout, column 0 is the driver); each join reads one set
 // and writes the other, so steady-state execution reuses the same
-// backing arrays for every chunk.
+// backing arrays for every chunk. A join step's filters and table probe
+// run as one probe chain (interleave.go): pruned lanes stay in place
+// carrying a false selection bit, and the join expansion drops them for
+// free (their match count is zero).
 
 // runSTDChunk executes the standard pipeline for one driver chunk.
-// The default path drives each join step's filters and table probe as
-// one interleaved chain (interleave.go); NoInterleave selects the
-// original drain-one-relation-at-a-time loop below, bit-identical by
-// the chain's construction.
 func (w *worker) runSTDChunk(driverRows []int32) {
 	r := w.r
-	if !r.opts.NoInterleave {
-		w.runSTDChunkInterleaved(driverRows)
-		return
-	}
-	useBVP := r.filters != nil
 	cur, spare := w.colsA, w.colsB
 	cur[0] = append(cur[0][:0], driverRows...)
 	width := 1
-	if useBVP {
-		w.applyFiltersSTD(cur, width, plan.Root)
-	}
+	// at is the relation whose children's filters apply before the next
+	// join: the root before the first join, then each newly materialized
+	// relation. (The last relation in a valid order is a leaf, so no
+	// trailing filter pass is ever owed.)
+	at := plan.Root
 	for _, next := range r.opts.Order {
-		w.joinSTD(cur, spare, width, next)
+		n := len(cur[0])
+		links := w.prepareChain(at, next, cur[r.layoutPos[at]], cur[r.layoutPos[r.ds.Tree.Parent(next)]], nil)
+		runChain(links, n, !r.opts.NoInterleave)
+		res := w.finishChain(links, next)
+
+		for c := 0; c < width; c++ {
+			col := spare[c][:0]
+			curCol := cur[c]
+			for i := 0; i < n; i++ {
+				v := curCol[i]
+				for k := res.Offsets[i]; k < res.Offsets[i+1]; k++ {
+					col = append(col, v)
+				}
+			}
+			spare[c] = col
+		}
+		spare[width] = append(spare[width][:0], res.Rows...)
+		w.intermediateTuples += int64(len(res.Rows))
+
 		cur, spare = spare, cur
 		width++
-		if useBVP {
-			w.applyFiltersSTD(cur, width, next)
-		}
+		at = next
 		if len(cur[0]) == 0 {
 			break
 		}
@@ -57,77 +66,6 @@ func (w *worker) runSTDChunk(driverRows []int32) {
 		}
 		if w.emitTuple(tuple) {
 			w.outputTuples++
-		}
-	}
-}
-
-// joinSTD probes every intermediate tuple into next's hash table and
-// materializes the expanded result into the spare column set.
-func (w *worker) joinSTD(cur, out [][]int32, width int, next plan.NodeID) {
-	r := w.r
-	parent := r.ds.Tree.Parent(next)
-	keyCol := r.ds.Relation(parent).Column(r.ds.KeyColumn(next))
-	parentRows := cur[r.layoutPos[parent]]
-	table := r.tables[next]
-
-	n := len(parentRows)
-	keys := w.gatherKeys(keyCol, parentRows)
-	table.ProbeBatchInto(keys, nil, &w.probe)
-	res := &w.probe
-	w.hashProbes += int64(res.Probed)
-	w.tagHits += int64(res.TagHits)
-	w.tagMisses += int64(res.TagMisses)
-	w.perRel[next] += int64(res.Probed)
-
-	total := len(res.Rows)
-	for c := 0; c < width; c++ {
-		col := out[c][:0]
-		curCol := cur[c]
-		for i := 0; i < n; i++ {
-			v := curCol[i]
-			for k := res.Offsets[i]; k < res.Offsets[i+1]; k++ {
-				col = append(col, v)
-			}
-		}
-		out[c] = col
-	}
-	out[width] = append(out[width][:0], res.Rows...)
-	w.intermediateTuples += int64(total)
-}
-
-// applyFiltersSTD applies the bitvectors of at's children to the flat
-// chunk, compacting pruned tuples away. Each surviving tuple is probed
-// against each filter in ascending child order.
-func (w *worker) applyFiltersSTD(cols [][]int32, width int, at plan.NodeID) {
-	r := w.r
-	rel := r.ds.Relation(at)
-	atPos := r.layoutPos[at]
-	for _, c := range r.children[at] {
-		filter := r.filters[c]
-		keyCol := rel.Column(r.ds.KeyColumn(c))
-		atRows := cols[atPos]
-		n := len(atRows)
-		keys := w.gatherKeys(keyCol, atRows)
-		w.keep = buf.Grow(w.keep, n)
-		keep := w.keep
-		w.filterProbes += int64(filter.ProbeContains(keys, nil, keep))
-		kept := 0
-		for _, k := range keep {
-			if k {
-				kept++
-			}
-		}
-		if kept == n {
-			continue
-		}
-		for ci := 0; ci < width; ci++ {
-			col := cols[ci][:0]
-			for i, k := range keep {
-				if k {
-					col = append(col, cols[ci][i])
-				}
-			}
-			cols[ci] = col
 		}
 	}
 }

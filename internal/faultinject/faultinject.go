@@ -94,8 +94,8 @@ const (
 	// per relation, before that relation's hash table is built.
 	SiteBuildRelation = "exec/build-relation"
 	// SiteReduceChunk fires in the semi-join reduction, once per
-	// word-aligned mask chunk (and once per whole reduction on the
-	// sequential path).
+	// word-aligned span of a parent's mask (an empty mask is one span),
+	// before the span's children reduce it.
 	SiteReduceChunk = "exec/reduce-chunk"
 	// SiteBuildMorsel fires at the executor's build poll (the stop hook
 	// of every hash-table build a run starts): before the build, between

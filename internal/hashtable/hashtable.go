@@ -564,10 +564,10 @@ func (t *Table) ProbeContains(keys []int64, sel []bool, out []bool) ProbeStats {
 // must be word-aligned (a multiple of 64); hiRow must be word-aligned
 // or equal to live.Len() (the zero tail makes the final partial word
 // safe). Disjoint word-aligned ranges touch disjoint mask words,
-// so concurrent calls on the same mask are race-free — the chunked
-// parallel reduction of the semi-join pass splits on word boundaries,
-// and sibling reductions of one parent interleave over word ranges,
-// each probing exactly the bits its predecessors left set. The set
+// so concurrent calls on the same mask are race-free — the semi-join
+// pass hands out word-aligned spans, and within one span a parent's
+// children reduce in turn, each probing exactly the bits its
+// predecessors left set. The set
 // rows' keys are gathered into dense kernel blocks — full ones even
 // under a sparse mask — and probed with the match limit at 1.
 func (t *Table) ReduceLive(keyCol storage.Column, live *storage.Bitmap, loRow, hiRow int) ProbeStats {
