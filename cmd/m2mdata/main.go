@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strings"
 
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
@@ -76,11 +75,20 @@ func runGen(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("-out is required")
 	}
-	mLo, mHi, err := parseRange(*mRange)
+	if *rows < 1 {
+		return fmt.Errorf("-rows %d: the driver needs at least one row", *rows)
+	}
+	mLo, mHi, err := plan.ParseRange(*mRange)
+	if err == nil && (mLo <= 0 || mHi > 1) {
+		err = fmt.Errorf("-m %s: a match probability lies in (0, 1]", *mRange)
+	}
 	if err != nil {
 		return err
 	}
-	foLo, foHi, err := parseRange(*foRange)
+	foLo, foHi, err := plan.ParseRange(*foRange)
+	if err == nil && foLo < 1 {
+		err = fmt.Errorf("-fo %s: a fanout is at least 1", *foRange)
+	}
 	if err != nil {
 		return err
 	}
@@ -168,7 +176,7 @@ func runMutate(args []string) error {
 	if *dir == "" {
 		return fmt.Errorf("-dir is required")
 	}
-	lo, hi, err := parseRange(*opsRange)
+	lo, hi, err := plan.ParseRange(*opsRange)
 	if err != nil {
 		return err
 	}
@@ -298,18 +306,4 @@ func liveTotal(ds *storage.Dataset) int {
 		n += ds.LiveRows(plan.NodeID(i))
 	}
 	return n
-}
-
-func parseRange(s string) (lo, hi float64, err error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("range %q must be lo,hi", s)
-	}
-	if _, err := fmt.Sscanf(parts[0], "%g", &lo); err != nil {
-		return 0, 0, fmt.Errorf("bad range %q: %v", s, err)
-	}
-	if _, err := fmt.Sscanf(parts[1], "%g", &hi); err != nil {
-		return 0, 0, fmt.Errorf("bad range %q: %v", s, err)
-	}
-	return lo, hi, nil
 }

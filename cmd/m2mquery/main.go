@@ -98,11 +98,20 @@ func main() {
 		defer writeHeap()
 	}
 
-	mLo, mHi, err := parseRange(*mRange)
+	if *rows < 1 {
+		fatal(fmt.Errorf("-rows %d: the driver needs at least one row", *rows))
+	}
+	mLo, mHi, err := plan.ParseRange(*mRange)
+	if err == nil && (mLo <= 0 || mHi > 1) {
+		err = fmt.Errorf("-m %s: a match probability lies in (0, 1]", *mRange)
+	}
 	if err != nil {
 		fatal(err)
 	}
-	foLo, foHi, err := parseRange(*foRange)
+	foLo, foHi, err := plan.ParseRange(*foRange)
+	if err == nil && foLo < 1 {
+		err = fmt.Errorf("-fo %s: a fanout is at least 1", *foRange)
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -219,20 +228,6 @@ func printStats(label string, s exec.Stats, elapsed time.Duration) {
 }
 
 func msec(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-func parseRange(s string) (lo, hi float64, err error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("range %q must be lo,hi", s)
-	}
-	if _, err := fmt.Sscanf(parts[0], "%g", &lo); err != nil {
-		return 0, 0, fmt.Errorf("bad range %q: %v", s, err)
-	}
-	if _, err := fmt.Sscanf(parts[1], "%g", &hi); err != nil {
-		return 0, 0, fmt.Errorf("bad range %q: %v", s, err)
-	}
-	return lo, hi, nil
-}
 
 // atExit hooks run before fatal's os.Exit (which skips defers) — used
 // to flush active CPU/heap profiles on error exits too.
