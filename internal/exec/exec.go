@@ -19,9 +19,9 @@
 // run.buildStop, where cancellation and the build-morsel failpoint
 // meet. Each phase probes on one path: phase 1 reduces a parent span
 // by span, every child in turn (sj.go), and every batched phase-2 join
-// is a probe chain of filters and one table (interleave.go).
-// Phase 2 then distributes driver chunks across
-// the same worker count, each worker owning private counters and a
+// is a probe chain of filters and one table (interleave.go). Phase 2
+// distributes driver chunks across the same worker count, each worker
+// owning private counters and a
 // scratch (tuple buffers, probe buffers, a reusable factor chunk)
 // borrowed from a process-wide free list and handed back after the
 // merge (scratch.go). The output checksum is an order-independent sum,
@@ -96,7 +96,7 @@ type Options struct {
 	Selections []Selection
 	// Ctx optionally bounds the execution. Workers poll it cooperatively
 	// — between driver chunks in phase 2, between relation builds and
-	// reduction chunks in phase 1, and between build morsels inside the
+	// reduction spans in phase 1, and between build morsels inside the
 	// parallel hash-table build — so an aborted query stops burning
 	// workers promptly. Once the context is done, Run returns an error
 	// satisfying errors.Is(err, ctx.Err()) (context.Canceled or
@@ -253,7 +253,7 @@ func (s Stats) WeightedCost(w cost.Weights) float64 {
 // PanicError is a worker panic converted into a failed query. Every
 // goroutine the executor starts is a par.For worker, which re-raises a
 // panic on the goroutine that fanned out; each unit of work (a relation
-// build, a reduction chunk, a phase-2 driver chunk) and both phases on
+// build, a reduction span, a phase-2 driver chunk) and both phases on
 // the calling goroutine run under a recover boundary. So a panicking
 // worker — a hash-table gather morsel included — fails its own query
 // with this error instead of killing the process. Sibling queries
@@ -482,7 +482,7 @@ type run struct {
 // cancelled reports whether the run should stop working: the context
 // is done or a sibling worker recorded a failure. It is the
 // cooperative stop poll of both phases: cheap enough to call between
-// driver chunks, relation builds and reduction chunks.
+// driver chunks, relation builds and reduction spans.
 func (r *run) cancelled() bool {
 	return r.failed.Load() || r.ctxDone()
 }

@@ -151,14 +151,14 @@ func runChain(links []chainLink, n int, wave bool) {
 
 // prepareChain builds the chain for one join step into the worker
 // arena: the filter links of at's children in ascending order, then
-// the table link for next. atRows
-// and parentRows are the chunk's materialized rows of at and of next's
-// parent — the lanes — and live is the first link's selection mask (nil
-// = all lanes). When next's own filter is the last filter link it fuses
-// into the table link's stage 1; when next's key gather duplicates an
-// earlier filter link's (same column, same source rows) the table link
-// reuses that gather. Returns the prepared links; the table link's
-// pipeline is already Begun against w.probe.
+// the table link for next. atRows and parentRows are the chunk's
+// materialized rows of at and of next's parent — the lanes — and live
+// is the first link's selection mask (nil = all lanes). When next's own
+// filter is the last filter link it fuses into the table link's stage
+// 1; when next's key gather duplicates an earlier filter link's (same
+// column, same source rows) the table link reuses that gather. Returns
+// the prepared links; the table link's pipeline is already Begun
+// against w.probe.
 func (w *worker) prepareChain(at, next plan.NodeID, atRows, parentRows []int32, live []bool) []chainLink {
 	r := w.r
 	n := len(atRows)

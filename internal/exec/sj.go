@@ -38,8 +38,8 @@ func (r *run) semiJoinPass() {
 		if r.cancelled() {
 			return
 		}
-		// One trace span per parent covers its sibling reductions and the
-		// (reduced) hash-table build together — the unit of phase-1
+		// One trace span per parent covers its sibling reductions and
+		// the (reduced) hash-table build together — the unit of phase-1
 		// work for SJ strategies.
 		sp := r.opts.Trace.Start("semijoin", r.phase1Span)
 		r.opts.Trace.Annotate(sp, "rel", int64(p))

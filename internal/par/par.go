@@ -1,6 +1,6 @@
 // Package par is the engine's one fan-out loop. Every goroutine the
 // packages under internal/ start is a worker of For: the executor's
-// relation builds, semi-join reduction chunks and driver-chunk probe
+// relation builds, semi-join reduction spans and driver-chunk probe
 // workers, the hash-table build's gather morsels, and both scatter-
 // gather layers' per-shard runs.
 package par
