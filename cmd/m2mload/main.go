@@ -105,10 +105,6 @@ func main() {
 	if st, err := h.Stats(ctx); err == nil {
 		fmt.Printf("service: queries=%d cache entries=%d bytes=%d/%d evictions=%d\n",
 			st.Queries, st.Cache.Entries, st.Cache.Bytes, st.Cache.Limit, st.Cache.Evictions)
-		if st.SharedScans > 0 {
-			fmt.Printf("service shared scans: passes=%d members=%d (%d driver scans saved)\n",
-				st.SharedScans, st.SharedScanMembers, st.SharedScanMembers-st.SharedScans)
-		}
 	}
 	// Timeouts and sheds are the resilience layer doing its job under
 	// overload; only engine faults (internal) and broken mixes (invalid)

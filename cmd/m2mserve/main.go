@@ -114,8 +114,6 @@ func main() {
 		"classified retries per shard, rotated across replicas (0 = default 1, negative disables)")
 	shardTimeout := flag.Duration("shard-timeout", 0,
 		"per-shard attempt deadline (0 = default 2s, negative disables)")
-	sharedScan := flag.Bool("shared-scan", false,
-		"batch co-arrived compatible queries onto one shared driver scan")
 	slowQueryMillis := flag.Int64("slow-query-millis", 0,
 		"log a structured slow-query line for queries at or over this end-to-end latency (0 = off)")
 	traceRing := flag.Int("trace-ring", 0,
@@ -152,15 +150,11 @@ func main() {
 			Retries:        *shardRetries,
 			AttemptTimeout: *shardTimeout,
 		},
-		SharedScan:      service.SharedScanConfig{Enabled: *sharedScan},
 		SlowQueryMillis: *slowQueryMillis,
 		TraceRing:       *traceRing,
 	})
 	if *slowQueryMillis > 0 {
 		log.Printf("m2mserve: slow-query log on (threshold %dms)", *slowQueryMillis)
-	}
-	if *sharedScan {
-		log.Printf("m2mserve: shared-scan batching on (window %v)", service.DefaultAttachWindow)
 	}
 	if *shards > 1 || len(backendList) > 0 {
 		log.Printf("m2mserve: sharded tier: %d shards, %d backends %v",

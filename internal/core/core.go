@@ -80,9 +80,9 @@ type PlanChoice struct {
 // from ChoosePlan into Execute. Each is the table of a non-root relation
 // on its parent-join key under the snapshot's base/live masks — bit for
 // bit what the executor builds for a relation without a selection
-// (equal hashtable.Table.Checksum). Execute and ExecuteBatch use them
-// only when the caller passed no Artifacts provider, only on the very
-// snapshot they were measured on — the same *storage.Dataset with every
+// (equal hashtable.Table.Checksum). Execute uses them only when the
+// caller passed no Artifacts provider, only on the very snapshot they
+// were measured on — the same *storage.Dataset with every
 // relation at its measured row count, so a later version, a rerooted
 // tree or an in-place append falls back to building — and never for a
 // relation that carries a selection, whose table has another shape.
@@ -220,38 +220,20 @@ func ChoosePlan(req PlanRequest) (PlanChoice, error) {
 }
 
 // ExecuteOptions tune execution of a chosen plan: the executor's own
-// options. Execute and ExecuteBatch overwrite Strategy, Order and
-// SemiJoins with the choice's, and when Artifacts is nil serve the
-// choice's plan-time tables instead (PlanTables).
+// options. Execute overwrites Strategy, Order and SemiJoins with the
+// choice's, and when Artifacts is nil serves the choice's plan-time
+// tables instead (PlanTables).
 type ExecuteOptions = exec.Options
 
-// ExecuteBatch runs several chosen plans against the same dataset
-// snapshot as one shared driver scan (exec.RunBatch): one Stats and
-// one error slot per member, each bit-identical to its solo Execute.
-// Members rejected with exec.ErrBatchIncompatible should be re-run
-// solo by the caller.
-func ExecuteBatch(ds *storage.Dataset, choices []PlanChoice, opts []ExecuteOptions) ([]exec.Stats, []error) {
-	optsList := make([]exec.Options, len(choices))
-	for i, choice := range choices {
-		optsList[i] = execOptions(ds, choice, opts[i])
-	}
-	return exec.RunBatch(ds, optsList)
-}
-
-// Execute runs the chosen plan against the dataset.
+// Execute runs the chosen plan against the dataset: the choice's plan
+// stamped into opts and, without a caller-supplied provider, the
+// choice's plan-time tables, where they apply to ds, in its place.
 func Execute(ds *storage.Dataset, choice PlanChoice, opts ExecuteOptions) (exec.Stats, error) {
-	return exec.Run(ds, execOptions(ds, choice, opts))
-}
-
-// execOptions stamps the choice's plan into opts; without a
-// caller-supplied provider the choice's plan-time tables, where they
-// apply to ds, take its place.
-func execOptions(ds *storage.Dataset, choice PlanChoice, opts ExecuteOptions) exec.Options {
 	opts.Strategy, opts.Order, opts.SemiJoins = choice.Strategy, choice.Order, choice.SemiJoins
 	if opts.Artifacts == nil {
 		opts.Artifacts = choice.Tables.artifacts(ds, opts.Selections)
 	}
-	return opts
+	return exec.Run(ds, opts)
 }
 
 // Query is the one-call convenience: measure statistics, choose the

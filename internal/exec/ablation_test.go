@@ -1,13 +1,14 @@
 package exec
 
 import (
+	"reflect"
 	"testing"
 
 	"m2mjoin/internal/cost"
 )
 
-// TestBreadthFirstExpandOption: BFS expansion must reproduce the DFS
-// output exactly through the engine.
+// TestBreadthFirstExpandOption: BreadthFirstExpand is ignored, so
+// setting it must change no Stats field.
 func TestBreadthFirstExpandOption(t *testing.T) {
 	ds := smallDataset(202, 6, 80)
 	order := ds.Tree.AllOrders()[0]
@@ -21,17 +22,14 @@ func TestBreadthFirstExpandOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dfs.OutputTuples != bfs.OutputTuples || dfs.Checksum != bfs.Checksum {
-		t.Fatalf("BFS output differs: %d/%x vs %d/%x",
-			bfs.OutputTuples, bfs.Checksum, dfs.OutputTuples, dfs.Checksum)
-	}
-	if dfs.HashProbes != bfs.HashProbes {
-		t.Errorf("expansion mode changed probe counts: %d vs %d", dfs.HashProbes, bfs.HashProbes)
+	if !reflect.DeepEqual(dfs, bfs) {
+		t.Fatalf("BreadthFirstExpand changed the stats:\n got %+v\nwant %+v", bfs, dfs)
 	}
 }
 
-// TestAblationsMatchReferenceAcrossStrategies: both expansion modes on
-// random datasets, across COM variants.
+// TestAblationsMatchReferenceAcrossStrategies: with the ignored
+// BreadthFirstExpand flag off and on, every COM variant matches the
+// reference on random datasets.
 func TestAblationsMatchReferenceAcrossStrategies(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		ds := smallDataset(seed*13+3, 5, 50)

@@ -13,12 +13,9 @@ import (
 	"m2mjoin/internal/workload"
 )
 
-// TestRunBatchMatchesSolo: every member of a shared scan must get the
-// Stats its solo Run would have produced, bit for bit — across mixed
-// strategies, orders, chunk-size defaulting and per-member
-// parallelism. This is the invariant that lets the serving layer
-// attach co-arrived queries to one driver pass without perturbing any
-// observable number.
+// TestRunBatchMatchesSolo: RunBatch is a loop of Run, so every slot
+// must hold the Stats its own Run produces, bit for bit — across mixed
+// strategies, orders, chunk-size defaulting and per-query parallelism.
 func TestRunBatchMatchesSolo(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
 	tr := plan.Snowflake(3, 2, plan.UniformStats(rng, 0.5, 0.9, 1, 3))
@@ -49,92 +46,20 @@ func TestRunBatchMatchesSolo(t *testing.T) {
 	got, errs := RunBatch(ds, optsList)
 	for i := range optsList {
 		if errs[i] != nil {
-			t.Fatalf("batch member %d: %v", i, errs[i])
+			t.Fatalf("batch slot %d: %v", i, errs[i])
 		}
 		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("member %d: shared-scan stats diverge from solo:\n got %+v\nwant %+v",
+			t.Errorf("slot %d: RunBatch stats diverge from Run:\n got %+v\nwant %+v",
 				i, got[i], want[i])
 		}
 	}
 }
 
-// TestRunBatchIncompatible: SJ members and scan-geometry mismatches
-// must be rejected with ErrBatchIncompatible (so the serving layer can
-// route them solo) while the compatible members still run — and still
-// match solo.
-func TestRunBatchIncompatible(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	tr := plan.Star(4, plan.UniformStats(rng, 0.6, 0.9, 1, 2))
-	ds := workload.Generate(tr, workload.Config{DriverRows: 2000, Seed: 37})
-	order := plan.Order(tr.NonRoot())
-
-	lead := Options{Strategy: cost.STD, Order: order, FlatOutput: true, ChunkSize: 256}
-	soloWant, err := Run(ds, lead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	optsList := []Options{
-		lead,
-		{Strategy: cost.SJSTD, Order: order, FlatOutput: true, ChunkSize: 256},
-		{Strategy: cost.STD, Order: order, FlatOutput: true, ChunkSize: 1024},
-	}
-	got, errs := RunBatch(ds, optsList)
-	if errs[0] != nil {
-		t.Fatalf("lead member: %v", errs[0])
-	}
-	if !reflect.DeepEqual(got[0], soloWant) {
-		t.Errorf("lead member diverged from solo after rejections")
-	}
-	for _, i := range []int{1, 2} {
-		if !errors.Is(errs[i], ErrBatchIncompatible) {
-			t.Errorf("member %d: err = %v, want ErrBatchIncompatible", i, errs[i])
-		}
-	}
-
-	// Selections on the driver change the shared row set: a member whose
-	// driver mask differs from the lead's must be rejected too.
-	selRng := rand.New(rand.NewSource(72))
-	selDS := selectableDataset(selRng, 800)
-	selOrder := plan.Order{1, 2, 3}
-	selLead := Options{Strategy: cost.STD, Order: selOrder, FlatOutput: true}
-	_, errs = RunBatch(selDS, []Options{
-		selLead,
-		{Strategy: cost.STD, Order: selOrder, FlatOutput: true,
-			Selections: []Selection{{Rel: plan.Root, Column: "cat", Value: 1}}},
-	})
-	if errs[0] != nil {
-		t.Fatalf("lead: %v", errs[0])
-	}
-	if !errors.Is(errs[1], ErrBatchIncompatible) {
-		t.Errorf("driver-mask mismatch: err = %v, want ErrBatchIncompatible", errs[1])
-	}
-
-	// Matching non-root selections are fine (they do not touch the
-	// driver row set) — both members must match their solos.
-	childSel := []Selection{{Rel: 1, Column: "cat", Value: 2}}
-	soloA, err := Run(selDS, selLead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	optsB := Options{Strategy: cost.BVPSTD, Order: selOrder, FlatOutput: true, Selections: childSel}
-	soloB, err := Run(selDS, optsB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, errs = RunBatch(selDS, []Options{selLead, optsB})
-	if errs[0] != nil || errs[1] != nil {
-		t.Fatalf("child-selection batch: %v, %v", errs[0], errs[1])
-	}
-	if !reflect.DeepEqual(got[0], soloA) || !reflect.DeepEqual(got[1], soloB) {
-		t.Errorf("child-selection batch diverged from solo")
-	}
-}
-
-// TestRunBatchMemberCancellation: cancelling ONE attached member
-// mid-pass must surface the cancellation sentinel for that member only
-// — the survivors finish and stay bit-identical to solo. The cancel
-// fires from inside the victim's own CollectOutput callback, i.e. in
-// the middle of the shared chunk loop.
+// TestRunBatchMemberCancellation: cancelling ONE query of a batch must
+// surface the cancellation sentinel for that query only — the others
+// finish and stay bit-identical to Run. The cancel fires from inside
+// the victim's own CollectOutput callback, i.e. in the middle of its
+// chunk loop.
 func TestRunBatchMemberCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	tr := plan.Star(4, plan.UniformStats(rng, 0.6, 0.9, 1, 2))
@@ -171,37 +96,5 @@ func TestRunBatchMemberCancellation(t *testing.T) {
 			t.Errorf("par=%d: survivor stats perturbed by sibling cancellation:\n got %+v\nwant %+v",
 				par, got[1], survWant)
 		}
-	}
-}
-
-// TestSharedScanAllocationsChunkCountInvariant pins the shared chunk
-// loop's steady state: with two members attached, shrinking the chunk
-// size 16x must not meaningfully grow allocations — per-chunk work
-// (the guard, the driver iota fill, each member's probe chains) runs
-// out of per-slot scratch.
-func TestSharedScanAllocationsChunkCountInvariant(t *testing.T) {
-	tr := plan.Snowflake(3, 2, plan.FixedStats(0.7, 2))
-	ds := workload.Generate(tr, workload.Config{DriverRows: 8000, Seed: 11})
-	order := plan.Order(tr.NonRoot())
-
-	measure := func(chunkSize int) float64 {
-		optsList := []Options{
-			{Strategy: cost.STD, Order: order, FlatOutput: true, ChunkSize: chunkSize},
-			{Strategy: cost.COM, Order: order, ChunkSize: chunkSize},
-		}
-		return testing.AllocsPerRun(3, func() {
-			_, errs := RunBatch(ds, optsList)
-			for _, err := range errs {
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-	}
-	few := measure(4096) // 2 chunks
-	many := measure(256) // 32 chunks
-	if many > few+40 || many > 2*few {
-		t.Errorf("shared-scan allocations scale with chunk count: %0.f allocs at 32 chunks vs %0.f at 2",
-			many, few)
 	}
 }

@@ -57,12 +57,7 @@ func (w *worker) runCOMChunk(driverRows []int32) {
 	switch {
 	case r.opts.FlatOutput:
 		w.emitPassed = 0
-		var expanded int64
-		if r.opts.BreadthFirstExpand {
-			expanded = chunk.ExpandBreadthFirst(w.emitFn)
-		} else {
-			expanded = chunk.Expand(w.emitFn)
-		}
+		expanded := chunk.Expand(w.emitFn)
 		w.outputTuples += w.emitPassed
 		w.expandedTuples += expanded
 	case r.residuals != nil:

@@ -79,9 +79,9 @@ type Options struct {
 	// checked on every result tuple before it is emitted (the paper's
 	// spanning-tree treatment of cyclic join graphs).
 	Residuals []Residual
-	// BreadthFirstExpand switches the COM expansion phase to the
-	// breadth-first variant (Section 4.3's alternative); identical
-	// output, different memory/locality trade-off.
+	// BreadthFirstExpand is ignored: COM expansion is always the
+	// depth-first walk of Section 4.3. The field stays only because the
+	// benchmark harness (benchmark/probes.go) sets it.
 	BreadthFirstExpand bool
 	// NoInterleave picks the phase-2 probe chain's schedule and nothing
 	// else: each link drains all of its blocks before the next link
@@ -123,8 +123,8 @@ type Options struct {
 	// DriverRows, when non-nil, restricts the driver scan to the marked
 	// rows: one bit per physical driver row, ANDed into the root mask
 	// exactly where root selections and snapshot liveness land, so the
-	// semi-join root reduction, chunking and shared-scan compatibility
-	// see one driver row set and nothing else is restriction-aware. The
+	// semi-join root reduction and chunking see one driver row set and
+	// nothing else is restriction-aware. The
 	// scatter-gather layer sets it to a shard's row set (shard.Shard.
 	// Rows); every other structure — build side, artifacts, emitted row
 	// coordinates — is the unrestricted snapshot's. Read-only.
@@ -283,7 +283,9 @@ func (e *PanicError) Unwrap() error {
 }
 
 // Run executes the query described by the dataset under opts: its own
-// build phase, then the chunk scheduler (scan) as a batch of one.
+// build phase, then one pass of the chunk scheduler (scan). It returns
+// the first recorded failure, else cancellation, else the collected
+// stats.
 func Run(ds *storage.Dataset, opts Options) (Stats, error) {
 	r, err := prepare(ds, opts)
 	if err != nil {
@@ -292,14 +294,7 @@ func Run(ds *storage.Dataset, opts Options) (Stats, error) {
 	if err := r.runPhase1(); err != nil {
 		return Stats{}, err
 	}
-	scan([]*run{r})
-	return r.finish()
-}
-
-// finish closes the run's exec span and converts its outcome into
-// Run's contract: the first recorded failure, else cancellation, else
-// the collected stats.
-func (r *run) finish() (Stats, error) {
+	scan(r)
 	r.opts.Trace.End(r.execSpan)
 	if err := r.failure(); err != nil {
 		return Stats{}, fmt.Errorf("exec: query failed: %w", err)
@@ -312,8 +307,7 @@ func (r *run) finish() (Stats, error) {
 
 // prepare validates opts against the dataset, normalizes defaults and
 // constructs the run state — everything Run does before the build
-// phase. Shared with RunBatch (batch.go), which prepares every member
-// of a shared scan through the same path.
+// phase.
 func prepare(ds *storage.Dataset, opts Options) (*run, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, fmt.Errorf("exec: invalid dataset: %w", err)
@@ -689,139 +683,95 @@ func (r *run) driverRows(dst []int32) []int32 {
 	return dst
 }
 
-// scan is phase 2 of every execution — the one chunk scheduler. The
-// members (built runs over the same snapshot with the same driver row
-// set and chunk size; a solo Run is a batch of one) share one pass
-// over the driver: each chunk is evaluated for every live member
-// before the scan advances. Work distributes over the largest member
-// parallelism; a worker slot owns one private worker per member (chunk
-// scratch is per-query state), each on a scratch borrowed from the
-// process-wide free list (scratch.go), and one driver buffer for
-// maskless scans, filled once per chunk and read by every member. With
-// a driver mask the surviving rows are materialized once and chunked by
-// sub-slicing instead.
+// scan is phase 2 of every execution — the one chunk scheduler: one
+// pass over the driver, its chunks distributed over Parallelism worker
+// slots. Each slot owns one private worker on a scratch borrowed from
+// the process-wide free list (scratch.go), whose row buffer a maskless
+// scan fills per chunk. With a driver mask the surviving rows are
+// materialized once and chunked by sub-slicing instead.
 //
-// Per member and per chunk the probe-chunk failpoint fires, the
-// cancellation poll runs and the chunk executes under the member's own
-// panic boundary, so a member failing or being cancelled mid-pass
-// stops consuming chunks without perturbing the others. Every counter
-// is additive over driver chunks and the checksum is an
-// order-independent sum, so a member's merged stats are independent of
-// batch size, worker count and scheduling. Each member gets its own
-// phase2 span with one probe span over the whole chunk loop and one
-// merge span over the worker fold — per phase, never per chunk.
-func scan(members []*run) {
+// Per chunk the probe-chunk failpoint fires and the chunk executes under
+// the run's panic boundary; r.cancelled is the stop poll between
+// chunks. Every counter is additive over driver chunks and the checksum
+// is an order-independent sum, so the merged stats are independent of
+// worker count and scheduling. The run gets one phase2 span with one
+// probe span over the whole chunk loop and one merge span over the
+// worker fold — per phase, never per chunk.
+func scan(r *run) {
 	defer func() {
 		if v := recover(); v != nil {
-			err := &PanicError{Site: "phase2", Value: v, Stack: debug.Stack()}
-			for _, r := range members {
-				r.fail(err)
-			}
+			r.fail(&PanicError{Site: "phase2", Value: v, Stack: debug.Stack()})
 		}
 	}()
-	lead := members[0]
-	n := lead.ds.Relation(plan.Root).NumRows()
-	if lead.driverLive != nil {
-		n = lead.driverLive.Count()
+	n := r.ds.Relation(plan.Root).NumRows()
+	if r.driverLive != nil {
+		n = r.driverLive.Count()
 	}
-	cs := lead.opts.ChunkSize
+	// A chunk never exceeds the driver, which also keeps n + cs - 1 from
+	// overflowing when ChunkSize is near math.MaxInt.
+	cs := min(r.opts.ChunkSize, max(n, 1))
 	nChunks := (n + cs - 1) / cs
-	p := 1
-	for _, r := range members {
-		p = max(p, r.opts.Parallelism)
-	}
-	p = max(min(p, nChunks), 1)
+	p := max(min(r.opts.Parallelism, nChunks), 1)
 
-	slots := make([][]*worker, p)
-	for s := range slots {
-		slots[s] = make([]*worker, len(members))
+	phase2 := r.opts.Trace.Start("phase2", r.execSpan)
+	r.prepareLayout()
+	r.collectLocked = r.opts.CollectOutput != nil && p > 1
+	workers := make([]*worker, p)
+	for s := range workers {
+		workers[s] = newWorker(r, borrowScratch())
 	}
-	spans := make([]struct{ phase2, probe telemetry.SpanID }, len(members))
-	for m, r := range members {
-		sp := &spans[m]
-		sp.phase2 = r.opts.Trace.Start("phase2", r.execSpan)
-		r.prepareLayout()
-		r.collectLocked = r.opts.CollectOutput != nil && p > 1
-		for s := range slots {
-			slots[s][m] = newWorker(r, borrowScratch())
-		}
-		sp.probe = r.opts.Trace.Start("probe", sp.phase2)
-		r.opts.Trace.Annotate(sp.probe, "chunks", int64(nChunks))
-		r.opts.Trace.Annotate(sp.probe, "workers", int64(p))
-		if len(members) > 1 {
-			r.opts.Trace.Annotate(sp.probe, "shared", int64(len(members)))
-		}
-	}
+	probe := r.opts.Trace.Start("probe", phase2)
+	r.opts.Trace.Annotate(probe, "chunks", int64(nChunks))
+	r.opts.Trace.Annotate(probe, "workers", int64(p))
 
 	// A masked scan's row list lives in the first scratch borrowed.
 	var live []int32
-	if lead.driverLive != nil {
-		sc := slots[0][0].scratch
-		sc.rows = lead.driverRows(sc.rows)
-		live = sc.rows
+	if r.driverLive != nil {
+		w := workers[0]
+		w.rows = r.driverRows(w.rows)
+		live = w.rows
 	}
-	par.For(p, nChunks, func() bool { return allDone(members) }, func(s, i int) {
+	par.For(p, nChunks, r.cancelled, func(s, i int) {
 		lo := i * cs
 		hi := min(lo+cs, n)
+		w := workers[s]
 		rows := live
 		if rows == nil {
-			sc := slots[s][0].scratch
-			sc.rows = buf.Grow(sc.rows, hi-lo)
-			rows = sc.rows
+			w.rows = buf.Grow(w.rows, hi-lo)
+			rows = w.rows
 			for j := range rows {
 				rows[j] = int32(lo + j)
 			}
 		} else {
 			rows = rows[lo:hi]
 		}
-		for m, r := range members {
-			if r.cancelled() {
-				continue
+		r.guard("phase2-worker", func() {
+			if err := faultinject.Fire(faultinject.SiteProbeChunk); err != nil {
+				r.fail(err)
+				return
 			}
-			w := slots[s][m]
-			r.guard("phase2-worker", func() {
-				if err := faultinject.Fire(faultinject.SiteProbeChunk); err != nil {
-					r.fail(err)
-					return
-				}
-				w.runChunk(rows)
-			})
-		}
+			w.runChunk(rows)
+		})
 	})
 
-	for m, r := range members {
-		r.opts.Trace.End(spans[m].probe)
-		mergeSp := r.opts.Trace.Start("merge", spans[m].phase2)
-		for s := range slots {
-			r.merge(slots[s][m])
-		}
-		r.opts.Trace.End(mergeSp)
-		r.opts.Trace.End(spans[m].phase2)
+	r.opts.Trace.End(probe)
+	mergeSp := r.opts.Trace.Start("merge", phase2)
+	for _, w := range workers {
+		r.merge(w)
 	}
+	r.opts.Trace.End(mergeSp)
+	r.opts.Trace.End(phase2)
 
-	// A member that finished cleanly parks its scratches; a failed,
-	// panicked or cancelled member's are dropped with whatever state
-	// they stopped in. Parking runs in reverse borrow order, so the next
-	// scan of the same shape finds each scratch in the role it grew in.
-	for m := len(members) - 1; m >= 0; m-- {
-		if members[m].cancelled() {
-			continue
-		}
-		for s := p - 1; s >= 0; s-- {
-			slots[s][m].scratch.park()
-		}
+	// A run that finished cleanly parks its scratches; a failed, panicked
+	// or cancelled run's are dropped with whatever state they stopped in.
+	// Parking runs in reverse borrow order, so the next scan of the same
+	// shape finds each scratch in the role it grew in.
+	if r.cancelled() {
+		return
 	}
-}
-
-// allDone reports whether every member has failed or been cancelled —
-// the scan's early-exit condition.
-func allDone(members []*run) bool {
-	for _, r := range members {
-		if !r.cancelled() {
-			return false
-		}
+	for s := p - 1; s >= 0; s-- {
+		workers[s].scratch.park()
 	}
-	return true
 }
 
 // merge folds one worker's private counters into the run totals. All

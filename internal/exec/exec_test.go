@@ -31,7 +31,7 @@ func TestAllStrategiesMatchReference(t *testing.T) {
 		orders := ds.Tree.AllOrders()
 		order := orders[rng.Intn(len(orders))]
 		for _, s := range cost.AllStrategies {
-			for _, chunkSize := range []int{7, 1024} {
+			for _, chunkSize := range []int{7, 1024, math.MaxInt} {
 				stats, err := Run(ds, Options{
 					Strategy:   s,
 					Order:      order,

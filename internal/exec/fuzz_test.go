@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -56,13 +57,18 @@ func emptyDataset(tr *plan.Tree) *storage.Dataset {
 // the output to ReferenceOpts. The inputs: a star, path or snowflake of
 // 2–6 relations with per-edge m drawn from [mLo, 1] and fo from
 // [1, foHi]; 0–3 000 driver rows; STD, BVP+STD or SJ+STD over a random
-// valid order; 1, 2 or 8 workers; a chunk size of 1–2 048 rows; at most
-// one equality selection on a relation's id column (sel = 0: none;
-// otherwise relation sel&7 mod n keeps the row with id sel>>3 − 1, so
-// sel>>3 = 0 keeps nothing); and either chain schedule.
+// valid order; 1, 2 or 8 workers; a chunk size of 1–2 048 rows, or
+// within 15 of math.MaxInt for chunk ≥ 0xFFF0; at most one equality
+// selection on a relation's id column (sel = 0: none; otherwise
+// relation sel&7 mod n keeps the row with id sel>>3 − 1, so sel>>3 = 0
+// keeps nothing); and either chain schedule.
 func FuzzExecCounters(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape, nrel, m, fo uint8, rows uint16, strategy, workers uint8,
 		chunk uint16, sel uint8, noInterleave bool, seed int64) {
+		chunkSize := 1 + int(chunk)%2048
+		if chunk >= 0xFFF0 {
+			chunkSize = math.MaxInt - int(chunk&0xF)
+		}
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + int(nrel)%5
 		mLo := float64(1+int(m)%100) / 100
@@ -78,7 +84,7 @@ func FuzzExecCounters(f *testing.F) {
 			Strategy:     []cost.Strategy{cost.STD, cost.BVPSTD, cost.SJSTD}[strategy%3],
 			Order:        randomOrder(tr, rng),
 			FlatOutput:   true,
-			ChunkSize:    1 + int(chunk)%2048,
+			ChunkSize:    chunkSize,
 			Parallelism:  []int{1, 2, 8}[workers%3],
 			NoInterleave: noInterleave,
 		}

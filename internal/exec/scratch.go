@@ -60,11 +60,11 @@ type scratch struct {
 // The free list's two bounds.
 const (
 	// maxParked bounds the parked scratches. A run borrows one per
-	// worker slot (times the members of a shared scan, times the shards
-	// of a scatter), so 32 covers eight concurrent four-shard scatters
-	// or sixteen two-worker queries — what a default service
-	// (MaxConcurrent = GOMAXPROCS) admits at once on eight cores; beyond
-	// it a scratch is dropped and the next run grows its own.
+	// worker slot (times the shards of a scatter), so 32 covers eight
+	// concurrent four-shard scatters or sixteen two-worker queries —
+	// what a default service (MaxConcurrent = GOMAXPROCS) admits at once
+	// on eight cores; beyond it a scratch is dropped and the next run
+	// grows its own.
 	maxParked = 32
 	// maxParkedBytes is the size above which a scratch is dropped
 	// rather than parked, so one blow-up query cannot leave its

@@ -69,7 +69,7 @@ type Chunk struct {
 	// structure, so buffers immediately match their role's size.
 	pool []*Node
 
-	// Expansion scratch, reused across Expand/ExpandBreadthFirst calls.
+	// Expansion scratch, reused across Expand calls.
 	expNodes  []*Node
 	parentPos []int
 	current   []int32

@@ -234,9 +234,9 @@ func lanes(s []bool, lo, hi int) []bool {
 // grow sizes the per-key scratch (counts and offsets) for an n-key
 // probe. Both go through buf.Grow, which over-allocates 25% headroom —
 // the same policy as the factor-chunk scratch — so alternating
-// large/small probe batches (the executor's short final chunk,
-// shared-scan members with different tails) settle into a steady state
-// instead of reallocating on every size flip. Rows grows by append
+// large/small probe batches (the executor's short final chunk, queries
+// with different chunk sizes) settle into a steady state instead of
+// reallocating on every size flip. Rows grows by append
 // from a length-0 reslice, which also preserves capacity.
 func (res *ProbeResult) grow(n int) {
 	res.Counts = buf.Grow(res.Counts, n)

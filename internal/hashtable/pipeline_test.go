@@ -348,7 +348,7 @@ func TestReduceLiveWordRangesMatchWhole(t *testing.T) {
 // TestProbeResultAlternatingSizesAllocationFree pins the scratch
 // headroom policy: once a ProbeResult has served its largest batch,
 // alternating between large and small probes (the executor's short
-// final chunk, shared-scan members with different tails) must not
+// final chunk, queries with different chunk sizes) must not
 // reallocate — Counts/Offsets/runs grow with 25% headroom and Rows
 // keeps its capacity through the length-0 reslice.
 func TestProbeResultAlternatingSizesAllocationFree(t *testing.T) {

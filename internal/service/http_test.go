@@ -164,6 +164,9 @@ func TestHTTPBodyLimit(t *testing.T) {
 // and so is a dataset directory whose manifest cannot be built.
 func TestHTTPBodyStrict(t *testing.T) {
 	srv := httpFixture(t)
+	if resp := postJSON(t, srv.URL+"/v1/datasets", RegisterRequest{Name: "ds", Shape: "star", Rows: 100}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("register: status %d", resp.StatusCode)
+	}
 	badDir := t.TempDir()
 	manifest := `{"nodes":[{"id":0,"name":"R1","parent":0,"file":"r1.csv"},{"id":1,"name":"R2","parent":0,"key":"k","fo":2,"file":"r2.csv"}]}`
 	if err := os.WriteFile(filepath.Join(badDir, "manifest.json"), []byte(manifest), 0o644); err != nil {
@@ -180,6 +183,7 @@ func TestHTTPBodyStrict(t *testing.T) {
 		{"/v1/mutate", `{"dataset":"ds","ops":[],"dryRun":true}`, "unknown field"},
 		{"/v1/datasets", `{"name":"x","shape":"star","row":10}`, "unknown field"},
 		{"/v1/query", `{"dataset":"ds"} {"dataset":"ds"}`, "trailing data"},
+		{"/v1/query", `{"dataset":"ds","timeoutMillis":10000000000000}`, "timeoutMillis"},
 		{"/v1/mutate", `{"dataset":"ds","ops":[]}]`, "trailing data"},
 		{"/v1/datasets", `{"name":"x"}x`, "trailing data"},
 		{"/v1/datasets", string(dirBody), "match probability"},

@@ -27,9 +27,6 @@ const (
 	metricQueryErrors    = "m2m_query_errors_total"
 	metricQueryDuration  = "m2m_query_duration_seconds"
 	metricQueueWait      = "m2m_queue_wait_seconds"
-	metricAttachWait     = "m2m_attach_wait_seconds"
-	metricSharedScans    = "m2m_shared_scans_total"
-	metricSharedMembers  = "m2m_shared_scan_members_total"
 	metricMutations      = "m2m_mutations_total"
 	metricRepairs        = "m2m_repairs_total"
 	metricMutationCommit = "m2m_mutation_commit_seconds"
@@ -66,9 +63,6 @@ type serviceMetrics struct {
 	// queries by class (read-only after construction).
 	queries *telemetry.Counter
 	errors  map[Class]*telemetry.Counter
-	// sharedScans counts executed shared-scan passes; sharedMembers
-	// counts queries served through one (batch size 1 included).
-	sharedScans, sharedMembers *telemetry.Counter
 	// mutations counts committed Mutate calls; repairs counts tables
 	// carried onto a new version in place (see mutate.go).
 	mutations, repairs *telemetry.Counter
@@ -76,7 +70,6 @@ type serviceMetrics struct {
 	scatterQueries, degraded, shardRetries *telemetry.Counter
 
 	queueWait      *telemetry.Histogram
-	attachWait     *telemetry.Histogram
 	mutationCommit *telemetry.Histogram
 	// m2m_artifact_build_seconds by kind: the builds of tables this
 	// service's cache missed (queryArtifacts) and the ApplyDelta repairs
@@ -118,8 +111,6 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 		m.errors[cls] = reg.Counter(metricQueryErrors, "Failed queries by class.",
 			telemetry.Labels{{Name: "class", Value: string(cls)}})
 	}
-	m.sharedScans = reg.Counter(metricSharedScans, "Executed shared-scan passes.", nil)
-	m.sharedMembers = reg.Counter(metricSharedMembers, "Queries served through a shared scan.", nil)
 	m.mutations = reg.Counter(metricMutations, "Committed mutation batches.", nil)
 	m.repairs = reg.Counter(metricRepairs, "Cached tables repaired onto a new version in place.", nil)
 	m.scatterQueries = reg.Counter(metricScatterQueries, "Client queries answered by scatter-gather.", nil)
@@ -143,7 +134,6 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	})
 
 	m.queueWait = reg.Histogram(metricQueueWait, "Admission queue wait per admitted query.", nil)
-	m.attachWait = reg.Histogram(metricAttachWait, "Shared-scan attach wait per member.", nil)
 	m.mutationCommit = reg.Histogram(metricMutationCommit, "Mutation commit latency, including artifact repair.", nil)
 	const buildHelp = "Hash tables this service built after a cache miss (kind build) or repaired at commit (kind repair); " +
 		"plan-time measurement builds and SJ's per-query reduced tables are not counted."

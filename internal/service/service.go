@@ -80,9 +80,8 @@ type Config struct {
 	// classified retry (see ShardConfig; the zero value leaves the
 	// service unsharded).
 	Shard ShardConfig
-	// SharedScan configures shared-scan batching of co-arrived
-	// compatible queries (see SharedScanConfig; the zero value leaves
-	// it off).
+	// SharedScan is ignored: every query scans the driver on its own
+	// (see SharedScanConfig).
 	SharedScan SharedScanConfig
 	// SlowQueryMillis, when positive, enables the slow-query log: every
 	// query whose end-to-end latency (queueing included) reaches the
@@ -97,6 +96,14 @@ type Config struct {
 	// log, or an explicitly positive TraceRing, which turns tracing on
 	// for every query.
 	TraceRing int
+}
+
+// SharedScanConfig is what is left of shared-scan batching, which was
+// removed: it stays only because the benchmark harness
+// (benchmark/serve.go) sets Enabled.
+type SharedScanConfig struct {
+	// Enabled is ignored.
+	Enabled bool
 }
 
 // DefaultCacheBytes is the artifact cache budget when Config.CacheBytes
@@ -116,9 +123,6 @@ type Service struct {
 	// targets is the shard replica set: the local process, or one HTTP
 	// target per configured backend. Immutable after New.
 	targets []shardTarget
-
-	// scans tracks forming shared-scan groups (see sharedscan.go).
-	scans *scanBoard
 
 	// draining flips when a drain starts: new queries are shed, the
 	// in-flight ones finish.
@@ -234,13 +238,11 @@ func New(cfg Config) *Service {
 		cfg.MaxConcurrent = max(cfg.Parallelism, 2)
 	}
 	cfg.Shard = normalizeShardConfig(cfg.Shard)
-	cfg.SharedScan = normalizeSharedScan(cfg.SharedScan)
 	s := &Service{
 		cfg:      cfg,
 		cache:    newArtifactCache(cfg.CacheBytes),
 		admit:    newAdmission(cfg.Parallelism, cfg.MaxConcurrent),
 		targets:  newShardTargets(cfg.Shard),
-		scans:    newScanBoard(),
 		datasets: make(map[string]*datasetEntry),
 		now:      time.Now,
 		maxRows:  math.MaxInt32,
@@ -552,12 +554,6 @@ type Result struct {
 	// Shards is the number of partitions the query scattered over
 	// (0 when it executed unsharded).
 	Shards int `json:"shards,omitempty"`
-	// Batch is the number of queries that shared this query's driver
-	// scan, itself included (0 when it ran solo); AttachWait is the
-	// time between this query reaching the scan board and the shared
-	// pass starting — the queue-to-attach latency.
-	Batch      int           `json:"batch,omitempty"`
-	AttachWait time.Duration `json:"attachWaitNs,omitempty"`
 	// Coverage is the row-weighted fraction of the driver relation the
 	// result covers: 1 for a complete answer, less when failed shards
 	// were tolerated under Request.MinCoverage.
@@ -575,9 +571,9 @@ type Result struct {
 
 // Query answers one query in five stages — plan, admit, resolve,
 // execute, record — sharing phase-1 artifacts through the cache. The
-// execution paths (scatter-gather, shared scan, solo; a shard-worker
-// request is a solo run over one shard's rows) differ in the execute
-// stage only.
+// two execution paths (scatter-gather and solo; a shard-worker request
+// is a solo run over one shard's rows) differ in the execute stage
+// only.
 //
 // The resilience contract: cancellation of ctx aborts both queueing
 // and execution promptly; Request.TimeoutMillis bounds the whole
@@ -637,19 +633,15 @@ func (s *Service) Query(ctx context.Context, req Request) (res Result, err error
 		return
 	}
 
-	// Execute. A shared-scan member's wait for the pass to start is
-	// reported on its own (AttachWait), not as executor time.
+	// Execute.
 	started := s.now()
-	switch {
-	case set != nil:
+	if set != nil {
 		out, err = s.scatter(ctx, c, set)
-	case s.sharedScanEligible(req, c.choice, c.sels):
-		out, err = s.sharedScan(ctx, c, snap)
-	default:
+	} else {
 		out.stats, err = s.run(ctx, c, snap, rows)
 	}
 	out.version = snap.Version()
-	out.elapsed = s.now().Sub(started) - out.attachWait
+	out.elapsed = s.now().Sub(started)
 	return
 }
 
@@ -678,13 +670,12 @@ type execCall struct {
 }
 
 // outcome is what the execute stage hands to record: shards is set by
-// a scatter, batch and attachWait by a shared scan, and elapsed is the
-// stage's wall time less attachWait.
+// a scatter, and elapsed is the stage's wall time.
 type outcome struct {
-	stats               exec.Stats
-	version             uint64
-	elapsed, attachWait time.Duration
-	shards, batch       int
+	stats   exec.Stats
+	version uint64
+	elapsed time.Duration
+	shards  int
 }
 
 // planQuery is the plan stage: validate the request against the
@@ -706,6 +697,11 @@ func (s *Service) planQuery(c *execCall) error {
 	}
 	if req.ShardCount > 0 && (req.ShardIndex < 0 || req.ShardIndex >= req.ShardCount) {
 		return invalidErr(fmt.Errorf("shardIndex %d outside [0, %d)", req.ShardIndex, req.ShardCount))
+	}
+	// A longer deadline would wrap negative as a time.Duration and time
+	// the query out at once.
+	if maxMillis := int64(math.MaxInt64 / time.Millisecond); req.TimeoutMillis > maxMillis {
+		return invalidErr(fmt.Errorf("timeoutMillis %d above %d", req.TimeoutMillis, maxMillis))
 	}
 	psp := c.tr.Start("plan", c.parent)
 	c.choice, err = s.plan(c.e, req.Strategy, req.FlatOutput)
@@ -780,22 +776,16 @@ func (s *Service) resolve(c *execCall) (set *shardSet, snap *storage.Dataset, ro
 
 // run executes c's plan on the pinned snapshot snap, restricted to the
 // driver rows in rows (nil = every row) — the service's one call into
-// the executor, behind the solo path, shard-worker requests, local
-// shard attempts and the shared scan's fallback alike. Artifacts always
-// key on snap's own (lineage fingerprint, version) — a shard's row set
-// never enters the key, so all shards of a snapshot share one set of
-// tables, and commit-time repair covers them by construction. Every
-// strategy gets the provider: SJ consults it for the relations it does
-// not reduce (the childless ones — the bulk of the rows in a star or
-// snowflake), and builds only its reduced tables per query.
+// the executor, behind the solo path, shard-worker requests and local
+// shard attempts alike. Artifacts always key on snap's own (lineage
+// fingerprint, version) — a shard's row set never enters the key, so
+// all shards of a snapshot share one set of tables, and commit-time
+// repair covers them by construction. Every strategy gets the provider:
+// SJ consults it for the relations it does not reduce (the childless
+// ones — the bulk of the rows in a star or snowflake), and builds only
+// its reduced tables per query.
 func (s *Service) run(ctx context.Context, c execCall, snap *storage.Dataset, rows *storage.Bitmap) (exec.Stats, error) {
-	return core.Execute(snap, c.choice, s.execOptions(ctx, c, snap, rows))
-}
-
-// execOptions assembles the executor options of run (and of a shared
-// scan's members).
-func (s *Service) execOptions(ctx context.Context, c execCall, snap *storage.Dataset, rows *storage.Bitmap) exec.Options {
-	return exec.Options{
+	return core.Execute(snap, c.choice, exec.Options{
 		FlatOutput:  c.req.FlatOutput,
 		ChunkSize:   c.req.ChunkSize,
 		Parallelism: c.workers,
@@ -805,7 +795,7 @@ func (s *Service) execOptions(ctx context.Context, c execCall, snap *storage.Dat
 		DriverRows:  rows,
 		Trace:       c.tr,
 		TraceParent: c.parent,
-	}
+	})
 }
 
 // record is the record stage, the only place a Query call is accounted
@@ -850,8 +840,6 @@ func (s *Service) record(c *execCall, out outcome, err error, panicked any) (Res
 		Elapsed:      out.elapsed,
 		Queued:       c.queued,
 		Shards:       out.shards,
-		Batch:        out.batch,
-		AttachWait:   out.attachWait,
 		Coverage:     out.stats.Coverage,
 		FailedShards: out.stats.FailedShards,
 		Stats:        out.stats,
@@ -999,9 +987,9 @@ type Stats struct {
 	// rebuilt from scratch.
 	Mutations int64 `json:"mutations"`
 	Repairs   int64 `json:"repairs"`
-	// SharedScans counts executed shared-scan passes;
-	// SharedScanMembers counts queries served through one (so members
-	// minus passes is the number of driver scans saved).
+	// SharedScans and SharedScanMembers are always 0: shared-scan
+	// batching was removed, and the fields stay only because the
+	// benchmark harness (benchmark/run.go) reads them.
 	SharedScans       int64 `json:"sharedScans"`
 	SharedScanMembers int64 `json:"sharedScanMembers"`
 	Active            int   `json:"active"`
@@ -1030,19 +1018,17 @@ func (s *Service) Stats() Stats {
 	s.mu.RUnlock()
 	sort.Slice(breakers, func(i, j int) bool { return breakers[i].Dataset < breakers[j].Dataset })
 	return Stats{
-		Datasets:          nds,
-		Queries:           s.met.queries.Value(),
-		UptimeMillis:      s.now().Sub(s.started).Milliseconds(),
-		GoVersion:         runtime.Version(),
-		StatsGeneration:   s.statsGen.Add(1),
-		Mutations:         s.met.mutations.Value(),
-		Repairs:           s.met.repairs.Value(),
-		SharedScans:       s.met.sharedScans.Value(),
-		SharedScanMembers: s.met.sharedMembers.Value(),
-		Active:            s.admit.activeCount(),
-		Queued:            s.admit.queuedCount(),
-		Draining:          s.draining.Load(),
-		Cache:             s.cache.stats(),
+		Datasets:        nds,
+		Queries:         s.met.queries.Value(),
+		UptimeMillis:    s.now().Sub(s.started).Milliseconds(),
+		GoVersion:       runtime.Version(),
+		StatsGeneration: s.statsGen.Add(1),
+		Mutations:       s.met.mutations.Value(),
+		Repairs:         s.met.repairs.Value(),
+		Active:          s.admit.activeCount(),
+		Queued:          s.admit.queuedCount(),
+		Draining:        s.draining.Load(),
+		Cache:           s.cache.stats(),
 		Errors: ErrorCounts{
 			Invalid:  s.met.errorsOf(ClassInvalid).Value(),
 			Timeout:  s.met.errorsOf(ClassTimeout).Value(),

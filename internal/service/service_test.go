@@ -562,3 +562,58 @@ func TestRequestValidation(t *testing.T) {
 		t.Fatal("duplicate dataset name accepted")
 	}
 }
+
+// TestSharedScanBitIdenticalToSolo: Config.SharedScan.Enabled is
+// ignored, so a service with it set answers concurrent queries with the
+// Stats of a default service and reports no shared scans.
+func TestSharedScanBitIdenticalToSolo(t *testing.T) {
+	ds := genDataset(t, 2500, 51)
+	ctx := context.Background()
+	soloSvc := New(Config{Parallelism: 8, MaxConcurrent: 8})
+	svc := New(Config{Parallelism: 8, MaxConcurrent: 8, SharedScan: SharedScanConfig{Enabled: true}})
+	for _, s := range []*Service{soloSvc, svc} {
+		if _, err := s.RegisterDataset("ds", ds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reqs := []Request{
+		{Dataset: "ds", Strategy: "STD", FlatOutput: true},
+		{Dataset: "ds", Strategy: "COM"},
+		{Dataset: "ds", Strategy: "BVP+STD", FlatOutput: true, Parallelism: 2},
+		{Dataset: "ds", Strategy: "SJ+COM", Parallelism: 4},
+	}
+	want := make([]Result, len(reqs))
+	for i, req := range reqs {
+		res, err := soloSvc.Query(ctx, req)
+		if err != nil {
+			t.Fatalf("solo %s: %v", req.Strategy, err)
+		}
+		if res.Stats.OutputTuples == 0 {
+			t.Fatalf("solo %s: degenerate test, no output", req.Strategy)
+		}
+		want[i] = res
+	}
+	var wg sync.WaitGroup
+	got := make([]Result, len(reqs))
+	gotErr := make([]error, len(reqs))
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], gotErr[i] = svc.Query(ctx, req)
+		}()
+	}
+	wg.Wait()
+	for i, req := range reqs {
+		if gotErr[i] != nil {
+			t.Fatalf("%s: %v", req.Strategy, gotErr[i])
+		}
+		if !reflect.DeepEqual(stripCache(got[i].Stats), stripCache(want[i].Stats)) {
+			t.Errorf("%s: stats diverge with SharedScan.Enabled:\n got %+v\nwant %+v",
+				req.Strategy, got[i].Stats, want[i].Stats)
+		}
+	}
+	if st := svc.Stats(); st.SharedScans != 0 || st.SharedScanMembers != 0 {
+		t.Errorf("SharedScans = %d, SharedScanMembers = %d, want 0 and 0", st.SharedScans, st.SharedScanMembers)
+	}
+}

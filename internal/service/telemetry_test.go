@@ -158,8 +158,6 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	wantSample(t, samples, metricActive, nil, 0)
 	wantSample(t, samples, metricQueued, nil, 0)
 	wantSample(t, samples, metricDraining, nil, 0)
-	wantSample(t, samples, metricSharedScans, nil, st.SharedScans)
-	wantSample(t, samples, metricSharedMembers, nil, st.SharedScanMembers)
 	wantSample(t, samples, metricBreakerOpens, map[string]string{"dataset": "ds"}, 0)
 	wantSample(t, samples, metricBreakerState, map[string]string{"dataset": "ds"}, 0)
 
@@ -427,7 +425,6 @@ var executePaths = []struct {
 	{"solo", Config{}, 0},
 	{"shard worker", Config{}, 2},
 	{"scatter", Config{Shard: ShardConfig{Shards: 2}}, 0},
-	{"shared scan", Config{SharedScan: SharedScanConfig{Enabled: true, AttachWindow: -1}}, 0},
 }
 
 // TestSlowQueryLog drives the service on a fake millisecond-tick clock
@@ -462,12 +459,6 @@ func TestSlowQueryLog(t *testing.T) {
 			}
 			if res.Elapsed <= 0 || res.Elapsed%time.Millisecond != 0 {
 				t.Errorf("Elapsed = %v was not measured on the service clock", res.Elapsed)
-			}
-			if (res.Batch > 0) != tc.cfg.SharedScan.Enabled {
-				t.Errorf("Batch = %d with SharedScan.Enabled = %v", res.Batch, tc.cfg.SharedScan.Enabled)
-			}
-			if res.Batch > 0 && (res.AttachWait <= 0 || res.AttachWait%time.Millisecond != 0) {
-				t.Errorf("AttachWait = %v was not measured on the service clock", res.AttachWait)
 			}
 
 			line, _, _ := strings.Cut(buf.String(), "\n")

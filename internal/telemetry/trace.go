@@ -143,9 +143,8 @@ func (t *Trace) Annotate(id SpanID, key string, v int64) {
 
 // AddSpan records an already-finished interval as a span — the
 // retroactive form used for waits whose start predates knowing they
-// would be a span at all (admission queueing, shared-scan attach
-// waits). Intervals are clamped to the trace epoch. Nil receiver:
-// returns NoParent.
+// would be a span at all (admission queueing). Intervals are clamped
+// to the trace epoch. Nil receiver: returns NoParent.
 func (t *Trace) AddSpan(name string, parent SpanID, start, end time.Time) SpanID {
 	if t == nil {
 		return NoParent
