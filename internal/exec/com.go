@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"m2mjoin/internal/buf"
 	"m2mjoin/internal/factor"
 	"m2mjoin/internal/plan"
 )
@@ -12,44 +13,27 @@ import (
 // chunk in both directions, making probes on ancestor attributes
 // "survival probes" exactly as the cost model assumes.
 //
-// Each worker reuses one factor.Chunk across all its driver chunks
-// (factor.Chunk.Reset recycles every node and buffer), and probes go
-// through the worker's reused key/probe scratch, so steady-state
-// execution allocates nothing per chunk.
+// Every step has one shape: a batched table probe of the parent's live
+// rows (joinCOM), then one batched filter pass over the new node
+// (applyFiltersCOM); the root gets its filter pass before the first
+// join. Each worker reuses one factor.Chunk across all its driver
+// chunks (factor.Chunk.Reset recycles every node and buffer), and
+// probes go through the worker's reused key/mask/probe scratch, so
+// steady-state execution allocates nothing per chunk.
 
 // runCOMChunk executes the factorized pipeline for one driver chunk.
 func (w *worker) runCOMChunk(driverRows []int32) {
 	r := w.r
-	useBVP := r.filters != nil
 	chunk := w.chunk
 	chunk.Reset(driverRows)
 	w.nodes[plan.Root] = chunk.Driver()
-	rest := r.opts.Order
-	if len(rest) > 0 {
-		// Chained pre-pass: the root's child filters and the first join
-		// (a valid order joins a root child first) share one probe chain
-		// (interleave.go) — the only COM step where kills cannot
-		// cascade, so the filter pass can run behind a chained mask. The
-		// remaining joins keep the scalar filter loop whose propagated
-		// kills the cost model charges for.
-		first := rest[0]
-		rest = rest[1:]
-		w.comRootChain(first)
-		if useBVP {
-			w.applyFiltersCOM(chunk, first)
-		}
-		if chunk.Driver().LiveCount == 0 {
-			rest = nil
-		}
-	}
-	for _, next := range rest {
-		w.joinCOM(chunk, next)
-		if useBVP {
-			w.applyFiltersCOM(chunk, next)
-		}
+	w.applyFiltersCOM(chunk, plan.Root)
+	for _, next := range r.opts.Order {
 		if chunk.Driver().LiveCount == 0 {
 			break
 		}
+		w.joinCOM(chunk, next)
+		w.applyFiltersCOM(chunk, next)
 	}
 	if chunk.Driver().LiveCount == 0 || len(chunk.Order()) != r.ds.Tree.Len() {
 		return
@@ -93,25 +77,31 @@ func (w *worker) joinCOM(chunk *factor.Chunk, next plan.NodeID) {
 }
 
 // applyFiltersCOM applies the bitvectors of at's children to the live
-// rows of at's factor node, killing misses (with propagation). Rows
-// are probed one at a time against the current liveness: a kill that
-// propagates back into the node spares the later probes the cost model
-// no longer charges for.
+// rows of at's factor node in one batched pass: each child's filter
+// probes the rows every earlier child passed (one selection mask,
+// narrowed in place), and the misses are killed, with propagation,
+// after the last filter. The pass runs right after at joins, while at
+// has no child nodes, and a kill climbs to an ancestor only once every
+// row of at below that ancestor is dead — so no kill reaches another
+// live row of at, and the pass probes exactly the rows a row-at-a-time
+// pass would.
 func (w *worker) applyFiltersCOM(chunk *factor.Chunk, at plan.NodeID) {
 	r := w.r
+	if r.filters == nil || len(r.children[at]) == 0 {
+		return
+	}
 	node := chunk.Node(at)
 	rel := r.ds.Relation(at)
+	w.passed = buf.Grow(w.passed, len(node.Rows))
+	sel := node.Live
 	for _, c := range r.children[at] {
-		filter := r.filters[c]
-		keyCol := rel.Column(r.ds.KeyColumn(c))
-		for i, row := range node.Rows {
-			if !node.Live[i] {
-				continue
-			}
-			w.filterProbes++
-			if !filter.MayContain(keyCol[row]) {
-				chunk.Kill(node, i)
-			}
+		keys := w.gatherKeys(rel.Column(r.ds.KeyColumn(c)), node.Rows)
+		w.filterProbes += int64(r.filters[c].ProbeContains(keys, sel, w.passed))
+		sel = w.passed
+	}
+	for i, ok := range w.passed {
+		if node.Live[i] && !ok {
+			chunk.Kill(node, i)
 		}
 	}
 }

@@ -18,16 +18,16 @@
 // reduction splits the mask into word-aligned spans. Every build polls
 // run.buildStop, where cancellation and the build-morsel failpoint
 // meet. Each phase probes on one path: phase 1 reduces a parent span
-// by span, every child in turn (sj.go), and every batched phase-2 join
-// is a probe chain of filters and one table (interleave.go). Phase 2
+// by span, every child in turn (sj.go); an STD join is a probe chain of
+// filters and one table (interleave.go), and a COM step is one batched
+// table probe plus one batched filter pass (com.go). Phase 2
 // distributes driver chunks across the same worker count, each worker
-// owning private counters and a
-// scratch (tuple buffers, probe buffers, a reusable factor chunk)
-// borrowed from a process-wide free list and handed back after the
-// merge (scratch.go). The output checksum is an order-independent sum,
-// every counter is additive, and the phase-1 structures are
-// bit-identical to a sequential build, so results are identical at any
-// worker count.
+// owning private counters and a scratch (tuple buffers, probe buffers,
+// a reusable factor chunk) borrowed from a process-wide free list and
+// handed back after the merge (scratch.go). The output checksum is an
+// order-independent sum, every counter is additive, and the phase-1
+// structures are bit-identical to a sequential build, so results are
+// identical at any worker count.
 package exec
 
 import (
@@ -83,13 +83,14 @@ type Options struct {
 	// depth-first walk of Section 4.3. The field stays only because the
 	// benchmark harness (benchmark/probes.go) sets it.
 	BreadthFirstExpand bool
-	// NoInterleave picks the phase-2 probe chain's schedule and nothing
-	// else: each link drains all of its blocks before the next link
-	// starts, instead of the default wavefront that overlaps directory
-	// misses across relations. Stages, blocks and masks are the same, so
-	// Stats and checksums are identical either way. It does not affect
-	// the SJ reduction, and it stays only because the benchmark harness
-	// (benchmark/probes.go) times both schedules.
+	// NoInterleave picks the schedule of the STD joins' probe chain and
+	// nothing else: each link drains all of its blocks before the next
+	// link starts, instead of the default wavefront that overlaps
+	// directory misses across relations. Stages, blocks and masks are the
+	// same, so Stats and checksums are identical either way. COM steps
+	// and the SJ reduction run no chain, so it does not affect them; it
+	// stays only because the benchmark harness (benchmark/probes.go)
+	// times both schedules.
 	NoInterleave bool
 	// Selections are pushed-down equality predicates evaluated on the
 	// base relations before execution (Section 2.1's assumption).
@@ -201,8 +202,9 @@ type Stats struct {
 	// when the output stays factorized).
 	OutputTuples int64
 	// ExpandedTuples is the number of tuples materialized by the COM
-	// expansion phase (equals OutputTuples when FlatOutput is set for a
-	// COM variant, 0 otherwise).
+	// expansion phase under FlatOutput, including those a residual
+	// predicate then drops (so it equals OutputTuples without
+	// residuals); 0 for STD variants and factorized output.
 	ExpandedTuples int64
 	// IntermediateTuples is the number of intermediate tuples
 	// materialized by STD variants across all joins.

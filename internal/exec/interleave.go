@@ -9,7 +9,8 @@ import (
 )
 
 // This file is the phase-2 probe chain, the one probe path of every
-// batched join. One join step's memory traffic is a *probe chain* —
+// STD join (COM joins and filters its factor nodes in com.go). One
+// join step's memory traffic is a *probe chain* —
 // the bitvector filters guarding the step plus the hash-table probe
 // itself, each a link with its own key gather and a selection mask
 // chained from the previous link — driven over ProbeBlock-lane blocks
@@ -152,14 +153,13 @@ func runChain(links []chainLink, n int, wave bool) {
 // prepareChain builds the chain for one join step into the worker
 // arena: the filter links of at's children in ascending order, then
 // the table link for next. atRows and parentRows are the chunk's
-// materialized rows of at and of next's parent — the lanes — and live
-// is the first link's selection mask (nil = all lanes). When next's own
-// filter is the last filter link it fuses into the table link's stage
-// 1; when next's key gather duplicates an earlier filter link's (same
-// column, same source rows) the table link reuses that gather. Returns
-// the prepared links; the table link's pipeline is already Begun
-// against w.probe.
-func (w *worker) prepareChain(at, next plan.NodeID, atRows, parentRows []int32, live []bool) []chainLink {
+// materialized rows of at and of next's parent — the lanes, all of them
+// selected on entry. When next's own filter is the last filter link it
+// fuses into the table link's stage 1; when next's key gather
+// duplicates an earlier filter link's (same column, same source rows)
+// the table link reuses that gather. Returns the prepared links; the
+// table link's pipeline is already Begun against w.probe.
+func (w *worker) prepareChain(at, next plan.NodeID, atRows, parentRows []int32) []chainLink {
 	r := w.r
 	n := len(atRows)
 	parent := r.ds.Tree.Parent(next)
@@ -176,7 +176,7 @@ func (w *worker) prepareChain(at, next plan.NodeID, atRows, parentRows []int32, 
 	links := w.ensureLinks(m + 1)
 
 	atRel := r.ds.Relation(at)
-	prevMask := live
+	var prevMask []bool
 	for i, c := range kids {
 		l := &links[i]
 		l.filter = r.filters[c]
@@ -255,50 +255,4 @@ func (w *worker) finishChain(links []chainLink, next plan.NodeID) *hashtable.Pro
 	w.tagMisses += int64(res.TagMisses)
 	w.perRel[next] += int64(res.Probed)
 	return res
-}
-
-// comRootChain is the factorized pipeline's chained pre-pass: the
-// root's child filters plus the first join, as one chain over the
-// driver chunk. It is the only COM step that can batch — the chunk
-// holds a single node here, so a liveness kill cannot cascade, which
-// is what lets the filter kills be deferred behind a chained mask.
-// Later COM filters run scalar (applyFiltersCOM): their kills
-// propagate through the factor chunk and spare subsequent probes, an
-// ordering batching would change. Kills are applied before AddJoin so
-// the chunk evolves through exactly the states a scalar filter pass
-// over the root followed by joinCOM would leave.
-func (w *worker) comRootChain(first plan.NodeID) {
-	chunk := w.chunk
-	pNode := chunk.Node(plan.Root)
-
-	links := w.prepareChain(plan.Root, first, pNode.Rows, pNode.Rows, pNode.Live)
-	runChain(links, len(pNode.Rows), !w.r.opts.NoInterleave)
-
-	// Apply the deferred filter kills: lanes live on entry whose
-	// chained mask went false. Each such lane failed exactly one
-	// filter, as in the scalar pass, so kill counts match.
-	final := finalMask(links)
-	if final != nil {
-		for i := range pNode.Live {
-			if pNode.Live[i] && !final[i] {
-				chunk.Kill(pNode, i)
-			}
-		}
-	}
-	res := w.finishChain(links, first)
-	w.nodes[first] = chunk.AddJoin(plan.Root, first, res.Counts, res.Rows)
-}
-
-// finalMask returns the lane mask after every filter in the chain, or
-// nil when the chain carries no filters: the fused table link's pass
-// mask, else the last filter link's output.
-func finalMask(links []chainLink) []bool {
-	m := len(links) - 1
-	if links[m].fused {
-		return links[m].mask
-	}
-	if m > 0 {
-		return links[m-1].mask
-	}
-	return nil
 }

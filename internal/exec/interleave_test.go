@@ -16,8 +16,8 @@ import (
 // shape, the wavefront (the default) must produce the FULL Stats —
 // checksum, every probe counter, the per-relation breakdown —
 // bit-identical to the drained schedule (NoInterleave), and both must
-// count exactly what the tuple-at-a-time countingReference counts, so a
-// fault the two schedules share cannot hide behind their agreement.
+// count exactly what the countingReference counts, so a fault the two
+// schedules share cannot hide behind their agreement.
 func TestInterleavedMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	shapes := []struct {
@@ -32,7 +32,7 @@ func TestInterleavedMatchesSequential(t *testing.T) {
 		ds := workload.Generate(sh.tr, workload.Config{DriverRows: 2500, Seed: 19})
 		order := plan.Order(sh.tr.NonRoot())
 		for _, s := range cost.AllStrategies {
-			ref := countingReference(ds, Options{Strategy: s, Order: order})
+			ref := countingReference(ds, Options{Strategy: s, Order: order, FlatOutput: true})
 			for _, par := range []int{1, 2, 8} {
 				opts := Options{
 					Strategy:    s,
@@ -67,10 +67,10 @@ func TestInterleavedMatchesSequential(t *testing.T) {
 }
 
 // TestInterleavedMatchesSequentialSelections repeats the differential
-// with pushed-down selections: driver selections shrink the scan,
+// with pushed-down selections: driver selections shrink the scan, and
 // child selections put holes in the hash tables and (for BVP) the
-// bitvectors, and the root pre-pass runs behind a partially-dead
-// driver mask — the sparse-mask cases of the chained-selection proof.
+// bitvectors, so STD's chains and COM's filter passes run behind
+// sparse selection masks.
 func TestInterleavedMatchesSequentialSelections(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	ds := selectableDataset(rng, 1500)
@@ -81,7 +81,7 @@ func TestInterleavedMatchesSequentialSelections(t *testing.T) {
 		{Rel: 3, Column: "cat", Value: 0},
 	}
 	for _, s := range cost.AllStrategies {
-		ref := countingReference(ds, Options{Strategy: s, Order: order, Selections: selections})
+		ref := countingReference(ds, Options{Strategy: s, Order: order, FlatOutput: true, Selections: selections})
 		for _, par := range []int{1, 8} {
 			opts := Options{
 				Strategy:    s,
@@ -130,7 +130,6 @@ func TestInterleavedMatchesSequentialSkewed(t *testing.T) {
 	})
 	order := plan.Order(tr.NonRoot())
 	for _, s := range cost.AllStrategies {
-		ref := countingReference(ds, Options{Strategy: s, Order: order})
 		for _, flat := range []bool{true, false} {
 			opts := Options{
 				Strategy:   s,
@@ -138,6 +137,7 @@ func TestInterleavedMatchesSequentialSkewed(t *testing.T) {
 				FlatOutput: flat,
 				ChunkSize:  512,
 			}
+			ref := countingReference(ds, opts)
 			seq := opts
 			seq.NoInterleave = true
 			want, err := Run(ds, seq)

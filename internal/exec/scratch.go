@@ -30,9 +30,10 @@ type scratch struct {
 	// of each slot, the chunk's [lo, hi) row range spelled out.
 	rows []int32
 
-	// Shared probe scratch.
-	keys  []int64
-	probe hashtable.ProbeResult
+	// Shared probe scratch; passed is COM's filter-pass mask.
+	keys   []int64
+	probe  hashtable.ProbeResult
+	passed []bool
 
 	// tupleBuf holds the canonical-layout tuple during emission;
 	// rowsBuf holds the join-order tuple STD emission gathers into.
@@ -164,7 +165,7 @@ func (s *scratch) unbind() {
 func (s *scratch) bytes() int {
 	n := 4 * (cap(s.rows) + cap(s.tupleBuf) + cap(s.rowsBuf) +
 		cap(s.probe.Counts) + cap(s.probe.Offsets) + cap(s.probe.Rows))
-	n += 8 * cap(s.keys)
+	n += 8*cap(s.keys) + cap(s.passed)
 	for _, col := range s.colsA[:cap(s.colsA)] {
 		n += 4 * cap(col)
 	}

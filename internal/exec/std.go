@@ -30,7 +30,7 @@ func (w *worker) runSTDChunk(driverRows []int32) {
 	at := plan.Root
 	for _, next := range r.opts.Order {
 		n := len(cur[0])
-		links := w.prepareChain(at, next, cur[r.layoutPos[at]], cur[r.layoutPos[r.ds.Tree.Parent(next)]], nil)
+		links := w.prepareChain(at, next, cur[r.layoutPos[at]], cur[r.layoutPos[r.ds.Tree.Parent(next)]])
 		runChain(links, n, !r.opts.NoInterleave)
 		res := w.finishChain(links, next)
 
