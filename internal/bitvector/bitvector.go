@@ -137,9 +137,8 @@ func (f *Filter) ProbeContains(keys []int64, sel []bool, out []bool) int {
 }
 
 // Words exposes the raw bit array and WordShift the word-directory
-// shift — the filter's whole probe geometry, for callers that fuse the
-// filter test into another key-hashing pass (the executor's fused
-// filter+table probe pipelines): a key hits iff
+// shift — the filter's whole probe geometry, which the projection tests
+// compare word for word against a cold build's: a key hits iff
 // Words()[h>>WordShift()] & hashtable.Tag(h, WordShift(), 6) != 0
 // for h = hashtable.Hash64(key). The returned slice is the filter's
 // own storage; callers must not modify it.

@@ -18,16 +18,17 @@
 // reduction splits the mask into word-aligned spans. Every build polls
 // run.buildStop, where cancellation and the build-morsel failpoint
 // meet. Each phase probes on one path: phase 1 reduces a parent span
-// by span, every child in turn (sj.go); an STD join is a probe chain of
-// filters and one table (interleave.go), and a COM step is one batched
-// table probe plus one batched filter pass (com.go). Phase 2
-// distributes driver chunks across the same worker count, each worker
-// owning private counters and a scratch (tuple buffers, probe buffers,
-// a reusable factor chunk) borrowed from a process-wide free list and
-// handed back after the merge (scratch.go). The output checksum is an
-// order-independent sum, every counter is additive, and the phase-1
-// structures are bit-identical to a sequential build, so results are
-// identical at any worker count.
+// by span, every child in turn (sj.go); in phase 2 every join step of
+// both pipelines is one batched filter pass (filterPass) and one
+// batched table probe (probeJoin), over STD's flat columns (std.go) or
+// COM's factor nodes (com.go). Phase 2 distributes driver chunks
+// across the same worker count, each worker owning private counters
+// and a scratch (tuple buffers, probe buffers, a reusable factor chunk)
+// borrowed from a process-wide free list and handed back after the
+// merge (scratch.go). The output checksum is an order-independent sum,
+// every counter is additive, and the phase-1 structures are
+// bit-identical to a sequential build, so results are identical at any
+// worker count.
 package exec
 
 import (
@@ -83,14 +84,9 @@ type Options struct {
 	// depth-first walk of Section 4.3. The field stays only because the
 	// benchmark harness (benchmark/probes.go) sets it.
 	BreadthFirstExpand bool
-	// NoInterleave picks the schedule of the STD joins' probe chain and
-	// nothing else: each link drains all of its blocks before the next
-	// link starts, instead of the default wavefront that overlaps
-	// directory misses across relations. Stages, blocks and masks are the
-	// same, so Stats and checksums are identical either way. COM steps
-	// and the SJ reduction run no chain, so it does not affect them; it
-	// stays only because the benchmark harness (benchmark/probes.go)
-	// times both schedules.
+	// NoInterleave is ignored: every join step probes one filter pass
+	// and then one table, on one schedule. The field stays only because
+	// the benchmark harness (benchmark/probes.go) sets it.
 	NoInterleave bool
 	// Selections are pushed-down equality predicates evaluated on the
 	// base relations before execution (Section 2.1's assumption).
@@ -797,9 +793,9 @@ func (r *run) merge(w *worker) {
 // worker is the run-bound half of a phase-2 worker: its run, its
 // private counters and the expansion callbacks. Everything a chunk
 // loop grows — probe buffers, tuple buffers, ping-pong STD columns, the
-// chain arena, the reusable factor chunk — is the borrowed scratch, so
-// in steady state a worker allocates nothing per chunk and a warm
-// process next to nothing per run.
+// reusable factor chunk — is the borrowed scratch, so in steady state a
+// worker allocates nothing per chunk and a warm process next to nothing
+// per run.
 type worker struct {
 	r *run
 	*scratch
@@ -909,4 +905,40 @@ func (w *worker) gatherKeys(keyCol storage.Column, rows []int32) []int64 {
 		keys[i] = keyCol[row]
 	}
 	return keys
+}
+
+// filterPass runs the bitvectors of at's children, in ascending order,
+// over the rows of at that sel selects (nil: all of them): each child's
+// filter probes the rows every earlier child passed, narrowing one mask
+// in place. It returns that survivor mask — the worker's, valid until
+// the next pass — or nil when no filter applies.
+func (w *worker) filterPass(at plan.NodeID, rows []int32, sel []bool) []bool {
+	r := w.r
+	if r.filters == nil || len(r.children[at]) == 0 {
+		return nil
+	}
+	rel := r.ds.Relation(at)
+	w.passed = buf.Grow(w.passed, len(rows))
+	for _, c := range r.children[at] {
+		keys := w.gatherKeys(rel.Column(r.ds.KeyColumn(c)), rows)
+		w.filterProbes += int64(r.filters[c].ProbeContains(keys, sel, w.passed))
+		sel = w.passed
+	}
+	return w.passed
+}
+
+// probeJoin probes next's hash table with the join keys of next's
+// parent at parentRows, behind sel (nil: every row), and counts the
+// probes, also as probes of relation next. The result is the worker's
+// reused w.probe.
+func (w *worker) probeJoin(next plan.NodeID, parentRows []int32, sel []bool) *hashtable.ProbeResult {
+	r := w.r
+	keyCol := r.ds.Relation(r.ds.Tree.Parent(next)).Column(r.ds.KeyColumn(next))
+	res := &w.probe
+	r.tables[next].ProbeBatchInto(w.gatherKeys(keyCol, parentRows), sel, res)
+	w.hashProbes += int64(res.Probed)
+	w.tagHits += int64(res.TagHits)
+	w.tagMisses += int64(res.TagMisses)
+	w.perRel[next] += int64(res.Probed)
+	return res
 }

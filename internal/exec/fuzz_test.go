@@ -62,7 +62,8 @@ func emptyDataset(tr *plan.Tree) *storage.Dataset {
 // of math.MaxInt for chunk ≥ 0xFFF0; at most one equality selection on
 // a relation's id column (sel = 0: none; otherwise relation sel&7 mod n
 // keeps the row with id sel>>3 − 1, so sel>>3 = 0 keeps nothing); and
-// either chain schedule.
+// NoInterleave, which is ignored and kept so the committed seeds keep
+// their encoding.
 func FuzzExecCounters(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape, nrel, m, fo uint8, rows uint16, strategy uint8, flat bool, workers uint8,
 		chunk uint16, sel uint8, noInterleave bool, seed int64) {

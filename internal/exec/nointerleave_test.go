@@ -11,13 +11,11 @@ import (
 	"m2mjoin/internal/workload"
 )
 
-// TestInterleavedMatchesSequential is the central differential test of
-// the probe chain's two schedules: for every strategy × worker count ×
-// shape, the wavefront (the default) must produce the FULL Stats —
-// checksum, every probe counter, the per-relation breakdown —
-// bit-identical to the drained schedule (NoInterleave), and both must
-// count exactly what the countingReference counts, so a fault the two
-// schedules share cannot hide behind their agreement.
+// TestInterleavedMatchesSequential holds Options.NoInterleave inert:
+// for every strategy × worker count × shape, a run with it set must
+// produce the FULL Stats — checksum, every probe counter, the
+// per-relation breakdown — bit-identical to a run without it, and both
+// must count exactly what the countingReference counts.
 func TestInterleavedMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	shapes := []struct {
@@ -45,22 +43,22 @@ func TestInterleavedMatchesSequential(t *testing.T) {
 				seq.NoInterleave = true
 				want, err := Run(ds, seq)
 				if err != nil {
-					t.Fatalf("%s %v par=%d sequential: %v", sh.name, s, par, err)
+					t.Fatalf("%s %v par=%d NoInterleave: %v", sh.name, s, par, err)
 				}
 				got, err := Run(ds, opts)
 				if err != nil {
-					t.Fatalf("%s %v par=%d interleaved: %v", sh.name, s, par, err)
+					t.Fatalf("%s %v par=%d default: %v", sh.name, s, par, err)
 				}
 				if want.OutputTuples == 0 {
 					t.Fatalf("%s %v: degenerate test, no output", sh.name, s)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s %v par=%d: interleaved stats diverge:\n got %+v\nwant %+v",
+					t.Errorf("%s %v par=%d: NoInterleave changes stats:\n got %+v\nwant %+v",
 						sh.name, s, par, got, want)
 				}
 				label := fmt.Sprintf("%s par=%d", sh.name, par)
-				requireCounts(t, label+" sequential", seq, want, ref)
-				requireCounts(t, label+" interleaved", opts, got, ref)
+				requireCounts(t, label+" NoInterleave", seq, want, ref)
+				requireCounts(t, label+" default", opts, got, ref)
 			}
 		}
 	}
@@ -69,8 +67,8 @@ func TestInterleavedMatchesSequential(t *testing.T) {
 // TestInterleavedMatchesSequentialSelections repeats the differential
 // with pushed-down selections: driver selections shrink the scan, and
 // child selections put holes in the hash tables and (for BVP) the
-// bitvectors, so STD's chains and COM's filter passes run behind
-// sparse selection masks.
+// bitvectors, so both pipelines' filter passes and table probes run
+// behind sparse selection masks.
 func TestInterleavedMatchesSequentialSelections(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	ds := selectableDataset(rng, 1500)
@@ -95,19 +93,19 @@ func TestInterleavedMatchesSequentialSelections(t *testing.T) {
 			seq.NoInterleave = true
 			want, err := Run(ds, seq)
 			if err != nil {
-				t.Fatalf("%v par=%d sequential: %v", s, par, err)
+				t.Fatalf("%v par=%d NoInterleave: %v", s, par, err)
 			}
 			got, err := Run(ds, opts)
 			if err != nil {
-				t.Fatalf("%v par=%d interleaved: %v", s, par, err)
+				t.Fatalf("%v par=%d default: %v", s, par, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%v par=%d: interleaved stats diverge under selections:\n got %+v\nwant %+v",
+				t.Errorf("%v par=%d: NoInterleave changes stats under selections:\n got %+v\nwant %+v",
 					s, par, got, want)
 			}
 			label := fmt.Sprintf("selections par=%d", par)
-			requireCounts(t, label+" sequential", seq, want, ref)
-			requireCounts(t, label+" interleaved", opts, got, ref)
+			requireCounts(t, label+" NoInterleave", seq, want, ref)
+			requireCounts(t, label+" default", opts, got, ref)
 		}
 	}
 }
@@ -142,29 +140,28 @@ func TestInterleavedMatchesSequentialSkewed(t *testing.T) {
 			seq.NoInterleave = true
 			want, err := Run(ds, seq)
 			if err != nil {
-				t.Fatalf("%v flat=%v sequential: %v", s, flat, err)
+				t.Fatalf("%v flat=%v NoInterleave: %v", s, flat, err)
 			}
 			got, err := Run(ds, opts)
 			if err != nil {
-				t.Fatalf("%v flat=%v interleaved: %v", s, flat, err)
+				t.Fatalf("%v flat=%v default: %v", s, flat, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%v flat=%v: interleaved stats diverge on skewed keys:\n got %+v\nwant %+v",
+				t.Errorf("%v flat=%v: NoInterleave changes stats on skewed keys:\n got %+v\nwant %+v",
 					s, flat, got, want)
 			}
 			label := fmt.Sprintf("skewed flat=%v", flat)
-			requireCounts(t, label+" sequential", seq, want, ref)
-			requireCounts(t, label+" interleaved", opts, got, ref)
+			requireCounts(t, label+" NoInterleave", seq, want, ref)
+			requireCounts(t, label+" default", opts, got, ref)
 		}
 	}
 }
 
 // TestInterleavedAllocationsChunkCountInvariant pins the steady-state
-// allocation-freedom of the drained chain schedule (NoInterleave), as
-// TestAllocationsChunkCountInvariant pins the default wavefront's: both
-// schedules drive the same chain links, key/mask scratch and pipeline
-// results out of per-worker arenas, so 16x more chunks must not mean
-// more allocations.
+// allocation-freedom of a run with the ignored NoInterleave set, as
+// TestAllocationsChunkCountInvariant pins the default's: the filter
+// passes and table probes reuse the worker's key, mask and probe
+// scratch, so 16x more chunks must not mean more allocations.
 func TestInterleavedAllocationsChunkCountInvariant(t *testing.T) {
 	tr := plan.Snowflake(3, 2, plan.FixedStats(0.7, 2))
 	ds := workload.Generate(tr, workload.Config{DriverRows: 8000, Seed: 11})
@@ -184,7 +181,7 @@ func TestInterleavedAllocationsChunkCountInvariant(t *testing.T) {
 		few := measure(4096)
 		many := measure(256)
 		if many > few+40 || many > 2*few {
-			t.Errorf("%v: drained-schedule allocations scale with chunk count: %0.f allocs at 32 chunks vs %0.f at 2",
+			t.Errorf("%v: NoInterleave allocations scale with chunk count: %0.f allocs at 32 chunks vs %0.f at 2",
 				s, many, few)
 		}
 	}

@@ -21,8 +21,10 @@ import (
 // current chunk wrote.
 
 // scratch is every buffer a chunk loop grows. It holds sizes, never
-// meaning: nothing in a parked scratch refers to the run that grew it
-// (see unbind).
+// meaning: every buffer holds plain row indices, keys, counts or flags,
+// so nothing in a parked scratch refers to the run that grew it. (The
+// factor chunk holds its emit callback only during an Expand, and a run
+// that panicked inside one is never parked.)
 type scratch struct {
 	// rows is the scan's driver buffer: for the scratch of slot 0,
 	// member 0 under a driver mask, the surviving driver rows of the
@@ -30,7 +32,7 @@ type scratch struct {
 	// of each slot, the chunk's [lo, hi) row range spelled out.
 	rows []int32
 
-	// Shared probe scratch; passed is COM's filter-pass mask.
+	// Shared probe scratch; passed is the filter pass's survivor mask.
 	keys   []int64
 	probe  hashtable.ProbeResult
 	passed []bool
@@ -43,12 +45,6 @@ type scratch struct {
 	// STD scratch: two column sets (join-order layout) that ping-pong
 	// between input and output of each join.
 	colsA, colsB [][]int32
-
-	// links is the interleaved probe-chain arena (interleave.go):
-	// per-link key gathers and selection masks, reused across chunks;
-	// pipe is the staged pipeline of a chain's one table link.
-	links []chainLink
-	pipe  hashtable.ProbePipeline
 
 	// COM scratch: the reusable factor chunk. nodes[id] is the chunk's
 	// node for relation id — the chunk recycles one node per NodeID for
@@ -106,7 +102,6 @@ func borrowScratch() *scratch {
 // park hands a scratch back after its run finished cleanly. It is
 // dropped instead when it grew past maxParkedBytes or the list is full.
 func (s *scratch) park() {
-	s.unbind()
 	if s.bytes() > maxParkedBytes {
 		return
 	}
@@ -144,20 +139,6 @@ func growKeep[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// unbind clears every reference to run data — the chain links' filter,
-// column and lane slices, the pipeline's table, keys, masks and result
-// — so a parked scratch pins no table, column, snapshot or caller
-// closure. (The factor chunk holds its emit callback only during an
-// Expand, and a run that panicked inside one is never parked.)
-func (s *scratch) unbind() {
-	links := s.links[:cap(s.links)]
-	for i := range links {
-		l := &links[i]
-		*l = chainLink{keys: l.keys, mask: l.mask}
-	}
-	s.pipe = hashtable.ProbePipeline{}
-}
-
 // bytes returns the scratch's resident size: the capacity of every
 // buffer it owns. The factor nodes' unexported CountOutput weights
 // (int64 per row, grown with buf.Grow's quarter headroom) are bounded
@@ -171,9 +152,6 @@ func (s *scratch) bytes() int {
 	}
 	for _, col := range s.colsB[:cap(s.colsB)] {
 		n += 4 * cap(col)
-	}
-	for _, l := range s.links[:cap(s.links)] {
-		n += 8*cap(l.keys) + cap(l.mask)
 	}
 	for _, nd := range s.nodes[:cap(s.nodes)] {
 		if nd != nil {

@@ -244,8 +244,8 @@ func (c reuseCase) failRun(kind int) error {
 
 // TestScratchReuseDifferential: reuse is invisible. One goroutine runs
 // a seeded sequence of runs that change tree, strategy, output shape,
-// worker count, chunk size, driver restriction, selection, probe
-// schedule and output collection from one run to the next, so every
+// worker count, chunk size, driver restriction, selection, the
+// ignored NoInterleave and output collection from one run to the next, so every
 // run inherits buffers grown by a differently shaped one; each must
 // report exactly the Stats it reports on an empty free list and the
 // oracle's answer. Failing runs are interleaved, and the run after
@@ -323,9 +323,8 @@ func TestScratchReuseConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// runWithSentinels runs BVP and STD queries — filter links, fused and
-// unfused table links, the factor chunk, a masked driver scan, output
-// collection — against a dataset it then forgets, having hung a
+// runWithSentinels runs BVP and STD queries — filter passes, table
+// probes, the factor chunk, a masked driver scan, output collection — against a dataset it then forgets, having hung a
 // finalizer on everything a parked scratch could pin: the dataset, a
 // driver column, every table and its filter words, the artifact
 // provider and the collection closure's captured state. It returns how

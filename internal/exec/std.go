@@ -12,10 +12,12 @@ import "m2mjoin/internal/plan"
 // indices per joined relation in the worker's ping-pong column sets
 // (join-order layout, column 0 is the driver); each join reads one set
 // and writes the other, so steady-state execution reuses the same
-// backing arrays for every chunk. A join step's filters and table probe
-// run as one probe chain (interleave.go): pruned lanes stay in place
-// carrying a false selection bit, and the join expansion drops them for
-// free (their match count is zero).
+// backing arrays for every chunk. A join step runs the two helpers
+// COM's steps run (exec.go): one filter pass over the column of the
+// relation joined last (filterPass), then the table probe behind its
+// survivor mask (probeJoin). Pruned lanes stay in place carrying a
+// false selection bit, and the join expansion drops them for free
+// (their match count is zero).
 
 // runSTDChunk executes the standard pipeline for one driver chunk.
 func (w *worker) runSTDChunk(driverRows []int32) {
@@ -30,9 +32,8 @@ func (w *worker) runSTDChunk(driverRows []int32) {
 	at := plan.Root
 	for _, next := range r.opts.Order {
 		n := len(cur[0])
-		links := w.prepareChain(at, next, cur[r.layoutPos[at]], cur[r.layoutPos[r.ds.Tree.Parent(next)]])
-		runChain(links, n, !r.opts.NoInterleave)
-		res := w.finishChain(links, next)
+		sel := w.filterPass(at, cur[r.layoutPos[at]], nil)
+		res := w.probeJoin(next, cur[r.layoutPos[r.ds.Tree.Parent(next)]], sel)
 
 		for c := 0; c < width; c++ {
 			col := spare[c][:0]

@@ -22,8 +22,9 @@ func fuzzKey(b byte) int64 { return int64(int8(b)) >> 1 }
 // reaches the shapes the storage compaction policy never leaves behind
 // (an all-tombstone table, an append region larger than its base).
 // probe is the probe key column, sel a bit-per-lane selection mask
-// (empty: nil selection), and fused runs the staged pipeline with the
-// table's own directory filter fused in front. After every commit the
+// (empty: nil selection), and fused also runs filter-then-probe: a
+// filter pass over the table's own directory projection, then
+// ProbeBatchInto behind the survivor mask. After every commit the
 // repaired table must equal a cold BuildVersioned of the same shape by
 // Checksum, and both must answer like the live rows listed in ascending
 // order.
@@ -158,80 +159,30 @@ func equalResults(a, b ProbeResult) bool {
 		slices.Equal(a.Counts, b.Counts) && slices.Equal(a.Offsets, b.Offsets) && slices.Equal(a.Rows, b.Rows)
 }
 
-// checkKernel probes tbl through every entry point — ProbeBatchInto,
-// the staged pipeline (fused with the table's own directory filter when
-// fused is set), ProbeCounts, ProbeContains and ReduceLive — and fails
-// unless each agrees with model (key → live rows, ascending) on rows,
-// counts and membership, probes exactly the selected lanes, and splits
-// them into TagHits + TagMisses like the others. Returns the batch
-// result.
+// checkKernel probes tbl through every entry point — ProbeBatchInto
+// (with fused set, also behind a filter pass over the table's own
+// directory projection, as a join step runs it), ProbeCounts,
+// ProbeContains and ReduceLive — and fails unless each agrees with
+// model (key → live rows, ascending) on rows, counts and membership,
+// probes exactly the selected lanes, and splits them into TagHits +
+// TagMisses like the others. Returns the batch result.
 func checkKernel(t *testing.T, tbl *Table, model map[int64][]int32, keys []int64, sel []bool, fused bool) ProbeResult {
 	t.Helper()
-	selected := 0
-	for i := range keys {
-		if sel == nil || sel[i] {
-			selected++
-		}
-	}
-	// against holds a result to the model over the lanes in pass.
-	against := func(name string, res *ProbeResult, pass []bool, probed int) {
-		t.Helper()
-		if res.Probed != probed || res.TagHits+res.TagMisses != probed {
-			t.Fatalf("%s: Probed %d TagHits %d TagMisses %d over %d probed lanes",
-				name, res.Probed, res.TagHits, res.TagMisses, probed)
-		}
-		if len(res.Counts) != len(keys) || len(res.Offsets) != len(keys)+1 || int(res.Offsets[len(keys)]) != len(res.Rows) {
-			t.Fatalf("%s: %d counts, %d offsets, %d rows for %d keys", name, len(res.Counts), len(res.Offsets), len(res.Rows), len(keys))
-		}
-		for i, k := range keys {
-			var want []int32
-			if pass == nil || pass[i] {
-				want = model[k]
-			}
-			got := res.Rows[res.Offsets[i]:res.Offsets[i+1]]
-			if !slices.Equal(got, want) || int(res.Counts[i]) != len(want) {
-				t.Fatalf("%s lane %d key %d: rows %v count %d, model %v", name, i, k, got, res.Counts[i], want)
-			}
-		}
-	}
-
 	var batch ProbeResult
 	tbl.ProbeBatchInto(keys, sel, &batch)
-	against("ProbeBatchInto", &batch, sel, selected)
+	requireModel(t, "ProbeBatchInto", &batch, keys, model, sel, countSet(sel, len(keys)))
 	stats := ProbeStats{batch.Probed, batch.TagHits, batch.TagMisses}
 
-	var staged ProbeResult
-	var p ProbePipeline
-	p.Begin(tbl, keys, sel, &staged)
-	drivePipeline(&p)
-	if !equalResults(staged, batch) || p.FilterProbed() != 0 || p.Filtered() != 0 {
-		t.Fatalf("staged pipeline %+v, ProbeBatchInto %+v", staged, batch)
-	}
-
 	if fused {
-		fbits, fshift := tbl.FilterWords(), tbl.Shift()+3
-		wantPass := make([]bool, len(keys))
-		passing := 0
+		pass := filterPass(tbl, keys, sel)
 		for i, k := range keys {
-			h := Hash64(k)
-			if (sel == nil || sel[i]) && fbits[h>>fshift]&Tag(h, fshift, 6) != 0 {
-				wantPass[i] = true
-				passing++
+			if (sel == nil || sel[i]) && !pass[i] && len(model[k]) > 0 {
+				t.Fatalf("filter lane %d: dropped key %d with live rows %v", i, k, model[k])
 			}
 		}
-		pass := make([]bool, len(keys))
-		p.BeginFused(tbl, keys, sel, &staged, fbits, fshift, pass)
-		drivePipeline(&p)
-		if !slices.Equal(pass, wantPass) || p.FilterProbed() != selected || p.Filtered() != selected-passing {
-			t.Fatalf("fused filter: probed %d filtered %d pass %v, want %d %d %v",
-				p.FilterProbed(), p.Filtered(), pass, selected, selected-passing, wantPass)
-		}
-		against("fused pipeline", &staged, wantPass, passing)
-		var unfused ProbeResult
-		tbl.ProbeBatchInto(keys, wantPass, &unfused)
-		if !equalResults(staged, unfused) {
-			t.Fatalf("fused pipeline %+v, filter-then-probe %+v", staged, unfused)
-		}
+		var filtered ProbeResult
+		tbl.ProbeBatchInto(keys, pass, &filtered)
+		requireModel(t, "filter-then-probe", &filtered, keys, model, pass, countSet(pass, len(keys)))
 	}
 
 	counts := make([]int32, len(keys))

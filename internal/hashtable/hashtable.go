@@ -509,16 +509,22 @@ type ProbeResult struct {
 // ProbeBatchInto probes all keys whose selection entry is set (nil sel
 // probes all) and writes counts, offsets and concatenated match rows
 // into a caller-owned result whose slices are reused across calls: in
-// steady state it allocates nothing. It is a ProbePipeline driven back
-// to back, one block at a time.
+// steady state it allocates nothing. Each block runs stage 1 then
+// stage 2, in ascending order (the offsets chain through the blocks);
+// the block lives on the stack, as in ProbeCounts.
 func (t *Table) ProbeBatchInto(keys []int64, sel []bool, res *ProbeResult) {
-	var p ProbePipeline
-	p.Begin(t, keys, sel, res)
-	for b := 0; b < p.NumBlocks(); b++ {
-		p.Stage1(b)
-		p.Stage2(b)
+	var c tally
+	var blk block
+	res.grow(len(keys))
+	res.Rows = res.Rows[:0]
+	res.Offsets[0] = 0
+	for lo := 0; lo < len(keys); lo += probeBlock {
+		hi := min(lo+probeBlock, len(keys))
+		t.stage1(&blk, keys[lo:hi], lanes(sel, lo, hi), &c)
+		t.stage2(&blk, keys[lo:hi], unbounded, res.Counts[lo:hi], res.Offsets[lo:hi+1], &res.Rows)
 	}
-	p.End()
+	st := c.stats()
+	res.Probed, res.TagHits, res.TagMisses = st.Probed, st.TagHits, st.TagMisses
 }
 
 // ProbeCounts is the batch match-count probe: counts[i] receives the
@@ -528,9 +534,9 @@ func (t *Table) ProbeBatchInto(keys []int64, sel []bool, res *ProbeResult) {
 func (t *Table) ProbeCounts(keys []int64, sel []bool, counts []int32) ProbeStats {
 	var c tally
 	var blk block
-	for lo := 0; lo < len(keys); lo += ProbeBlock {
-		hi := min(lo+ProbeBlock, len(keys))
-		t.stage1(&blk, keys[lo:hi], lanes(sel, lo, hi), nil, 0, nil, &c)
+	for lo := 0; lo < len(keys); lo += probeBlock {
+		hi := min(lo+probeBlock, len(keys))
+		t.stage1(&blk, keys[lo:hi], lanes(sel, lo, hi), &c)
 		t.stage2(&blk, keys[lo:hi], unbounded, counts[lo:hi], nil, nil)
 	}
 	return c.stats()
@@ -546,10 +552,10 @@ func (t *Table) ProbeCounts(keys []int64, sel []bool, counts []int32) ProbeStats
 func (t *Table) ProbeContains(keys []int64, sel []bool, out []bool) ProbeStats {
 	var c tally
 	var blk block
-	var found [ProbeBlock]int32
-	for lo := 0; lo < len(keys); lo += ProbeBlock {
-		hi := min(lo+ProbeBlock, len(keys))
-		t.stage1(&blk, keys[lo:hi], lanes(sel, lo, hi), nil, 0, nil, &c)
+	var found [probeBlock]int32
+	for lo := 0; lo < len(keys); lo += probeBlock {
+		hi := min(lo+probeBlock, len(keys))
+		t.stage1(&blk, keys[lo:hi], lanes(sel, lo, hi), &c)
 		t.stage2(&blk, keys[lo:hi], 1, found[:hi-lo], nil, nil)
 		for i, n := range found[:hi-lo] {
 			out[lo+i] = n != 0
@@ -573,15 +579,15 @@ func (t *Table) ProbeContains(keys []int64, sel []bool, out []bool) ProbeStats {
 func (t *Table) ReduceLive(keyCol storage.Column, live *storage.Bitmap, loRow, hiRow int) ProbeStats {
 	var c tally
 	var blk block
-	var keys [ProbeBlock]int64
-	var rows [ProbeBlock]int32
+	var keys [probeBlock]int64
+	var rows [probeBlock]int32
 	words := live.Words()
 	n := 0
 	for wi := loRow >> 6; wi < (hiRow+63)>>6; wi++ {
 		for m := words[wi]; m != 0; m &= m - 1 {
 			row := wi<<6 + bits.TrailingZeros64(m)
 			rows[n], keys[n] = int32(row), keyCol[row]
-			if n++; n == ProbeBlock {
+			if n++; n == probeBlock {
 				t.reduceBlock(&blk, keys[:n], rows[:n], words, &c)
 				n = 0
 			}
@@ -594,8 +600,8 @@ func (t *Table) ReduceLive(keyCol storage.Column, live *storage.Bitmap, loRow, h
 // reduceBlock probes one gathered block of ReduceLive and clears the
 // mask bits of the rows it finds no match for.
 func (t *Table) reduceBlock(blk *block, keys []int64, rows []int32, words []uint64, c *tally) {
-	var found [ProbeBlock]int32
-	t.stage1(blk, keys, nil, nil, 0, nil, c)
+	var found [probeBlock]int32
+	t.stage1(blk, keys, nil, c)
 	t.stage2(blk, keys, 1, found[:len(keys)], nil, nil)
 	for j, row := range rows {
 		words[row>>6] &^= uint64(found[j]^1) << (row & 63)

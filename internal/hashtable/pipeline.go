@@ -7,12 +7,10 @@
 // line stage 2 scans. Stage 2 verifies exact keys against those runs.
 // A versioned table's tombstones and append region live inside the two
 // bodies: stage 1 also consults the append sub-table's directory, and
-// stage 2 skips dead entries. Every entry point is this pair under a
-// different driver: ProbePipeline makes it resumable so an executor can
-// interleave several tables' stages from one chunk loop, ProbeBatchInto
-// drives a pipeline back to back, and ProbeCounts, ProbeContains and
-// ReduceLive run it over a stack-resident block — so any schedule of
-// the stages is bit-identical to any other by construction.
+// stage 2 skips dead entries. Every entry point — ProbeBatchInto,
+// ProbeCounts, ProbeContains and ReduceLive — drives this pair block by
+// block over a stack-resident block, so they count and answer alike by
+// construction.
 //
 // Both stages are sequences of short passes over the block, each a
 // tight loop with few live values; the passes that touch table memory
@@ -26,14 +24,14 @@ import (
 	"m2mjoin/internal/buf"
 )
 
-// ProbeBlock is the lane count of one kernel block: stage 1 tag-filters
-// and prefetches ProbeBlock keys before stage 2 verifies them, long
+// probeBlock is the lane count of one kernel block: stage 1 tag-filters
+// and prefetches probeBlock keys before stage 2 verifies them, long
 // enough to overlap the run loads, short enough that the touched lines
 // still sit in cache when stage 2 reads them.
-const ProbeBlock = 256
+const probeBlock = 256
 
 // A lane index must fit the byte the block's lane lists store it in.
-const _ = uint8(ProbeBlock - 1)
+const _ = uint8(probeBlock - 1)
 
 // unbounded is stage 2's match limit for probes that want every match.
 const unbounded = math.MaxInt32
@@ -46,16 +44,16 @@ type block struct {
 	// key's bucket in the table's own directory and in the append
 	// sub-table's (all zero without one); 0 means the directory word
 	// alone answered.
-	runs, app [ProbeBlock]uint64
+	runs, app [probeBlock]uint64
 	// hit lists the first nhit lanes with a run to verify, ascending.
-	hit  [ProbeBlock]uint8
+	hit  [probeBlock]uint8
 	nhit int
 	// lane is selectLanes' scratch.
-	lane [ProbeBlock]uint8
+	lane [probeBlock]uint8
 }
 
-// allLanes is the lane list of an unselected, unfiltered block.
-var allLanes = func() (a [ProbeBlock]uint8) {
+// allLanes is the lane list of an unselected block.
+var allLanes = func() (a [probeBlock]uint8) {
 	for i := range a {
 		a[i] = uint8(i)
 	}
@@ -65,27 +63,24 @@ var allLanes = func() (a [ProbeBlock]uint8) {
 // tally is stage 1's count of what happened to its lanes.
 type tally struct {
 	selected int // lanes probed (sel entry set, or every lane)
-	filtered int // of those, pruned by the fused filter
-	tagMiss  int // of the rest, answered by the directory word(s) alone
+	tagMiss  int // of those, answered by the directory word(s) alone
 }
 
-// stats is the table-probe view of the tally: filtered lanes never
-// reached the table, and a hit is a tag bit present in either directory.
+// stats is the table-probe view of the tally: a hit is a tag bit
+// present in either directory.
 func (c tally) stats() ProbeStats {
-	probed := c.selected - c.filtered
-	return ProbeStats{Probed: probed, TagHits: probed - c.tagMiss, TagMisses: c.tagMiss}
+	return ProbeStats{Probed: c.selected, TagHits: c.selected - c.tagMiss, TagMisses: c.tagMiss}
 }
 
-// stage1 runs the first stage over one block of at most ProbeBlock
-// keys: it lists the lanes that reach the table (selectLanes), probes
-// the table's directory for them and, when there is an append region,
-// the sub-table's (probeDir), and lists the lanes left with a run to
+// stage1 runs the first stage over one block of at most probeBlock
+// keys: it lists the selected lanes (selectLanes), probes the table's
+// directory for them and, when there is an append region, the
+// sub-table's (probeDir), and lists the lanes left with a run to
 // verify.
-func (t *Table) stage1(blk *block, keys []int64, sel []bool,
-	fbits []uint64, fshift uint, pass []bool, c *tally) {
-	lanes, selected := allLanes[:len(keys)], len(keys)
-	if sel != nil || fbits != nil {
-		lanes, selected = blk.selectLanes(keys, sel, fbits, fshift, pass)
+func (t *Table) stage1(blk *block, keys []int64, sel []bool, c *tally) {
+	lanes := allLanes[:len(keys)]
+	if sel != nil {
+		lanes = blk.selectLanes(sel)
 	}
 	t.probeDir(keys, lanes, &blk.runs)
 	if t.app != nil {
@@ -100,42 +95,22 @@ func (t *Table) stage1(blk *block, keys []int64, sel []bool,
 		nhit += int((r | -r) >> 63) // r != 0
 	}
 	blk.nhit = nhit
-	c.selected += selected
-	c.filtered += selected - len(lanes)
+	c.selected += len(lanes)
 	c.tagMiss += len(lanes) - nhit
 }
 
-// selectLanes lists the lanes that reach the table: the keys whose sel
-// entry is set (nil sel: all), minus — with fbits non-nil — those a
-// fused bitvector filter prunes. Only filter survivors touch the
-// directory (which rehashes their keys: a few ALU ops against a load
-// saved), and pass receives the survivor mask (sel ∧ filter hit) a
-// separate filter pass would have produced, so the tally splits exactly
-// like the unfused sequence.
-// fbits/fshift are the filter's raw geometry (bitvector.Filter shares
-// Hash64, Bucket and the width-6 Tag derivation; reproduced here
-// without an import cycle). selected counts the sel-passing lanes.
-func (blk *block) selectLanes(keys []int64, sel []bool,
-	fbits []uint64, fshift uint, pass []bool) (lanes []uint8, selected int) {
+// selectLanes lists the lanes whose sel entry is set. The store is
+// unconditional and only the cursor advances on a set entry, so the
+// loop has no data-dependent branch.
+func (blk *block) selectLanes(sel []bool) []uint8 {
 	n := 0
-	for i, key := range keys {
-		probe := sel == nil || sel[i]
-		if probe {
-			selected++
-			if fbits != nil {
-				h := Hash64(key)
-				probe = fbits[h>>fshift]&Tag(h, fshift, 6) != 0
-			}
-		}
-		if pass != nil {
-			pass[i] = probe
-		}
+	for i, probe := range sel {
 		blk.lane[n] = uint8(i)
 		if probe {
 			n++
 		}
 	}
-	return blk.lane[:n], selected
+	return blk.lane[:n]
 }
 
 // probeDir is the directory half of stage 1: for each listed lane it
@@ -147,7 +122,7 @@ func (blk *block) selectLanes(keys []int64, sel []bool,
 // against entry 0, a line that stays hot, and masks the result away, so
 // nothing here mispredicts and the loads of different lanes — this loop
 // is where the memory system overlaps them — are never flushed.
-func (t *Table) probeDir(keys []int64, lanes []uint8, runs *[ProbeBlock]uint64) {
+func (t *Table) probeDir(keys []int64, lanes []uint8, runs *[probeBlock]uint64) {
 	dir, tkeys, shift := t.dir, t.keys, t.shift
 	if len(tkeys) == 0 {
 		clear(runs[:])
@@ -242,102 +217,3 @@ func (res *ProbeResult) grow(n int) {
 	res.Counts = buf.Grow(res.Counts, n)
 	res.Offsets = buf.Grow(res.Offsets, n+1)
 }
-
-// ProbePipeline is one table's resumable batch probe. Begin binds the
-// inputs and result; the caller then drives Stage1(b)/Stage2(b) for
-// blocks b = 0..NumBlocks()-1 — Stage2(b) after Stage1(b) and before
-// this pipeline's next Stage1 (run state is one block deep), in
-// ascending block order, with any other pipeline's stages freely
-// interleaved in between — and End finalizes the result's counters.
-// Each table's stage 1 issues its memory traffic and returns; by the
-// time the caller comes back for stage 2, other tables' stage-1 loads
-// have been issued in between, so directory and run misses from
-// different relations overlap instead of serializing one relation at a
-// time.
-type ProbePipeline struct {
-	t    *Table
-	keys []int64
-	sel  []bool
-	res  *ProbeResult
-	blk  block
-
-	// Fused filter pass (BeginFused): raw filter words and shift, plus
-	// the survivor mask written by stage 1.
-	fbits  []uint64
-	fshift uint
-	pass   []bool
-
-	tally tally
-}
-
-// Begin binds the pipeline to one probe: keys (with optional selection
-// mask sel) against t, into res. res's scratch is sized here; its
-// slices are reused across probes, so steady-state use allocates
-// nothing.
-func (p *ProbePipeline) Begin(t *Table, keys []int64, sel []bool, res *ProbeResult) {
-	p.BeginFused(t, keys, sel, res, nil, 0, nil)
-}
-
-// BeginFused is Begin with a bitvector filter pass fused into stage 1:
-// fbits/fshift are the filter's raw words and bucket shift
-// (bitvector.Filter.Words / WordShift), and pass — len(keys), caller-
-// owned — receives the survivor mask (sel ∧ filter hit). Counters
-// split exactly as if a separate Filter.ProbeContains pass had run
-// first: FilterProbed selected lanes probed the filter, Filtered of
-// them were pruned, and the result's Probed/TagHits/TagMisses cover
-// only the survivors.
-func (p *ProbePipeline) BeginFused(t *Table, keys []int64, sel []bool, res *ProbeResult,
-	fbits []uint64, fshift uint, pass []bool) {
-	p.t, p.keys, p.sel, p.res = t, keys, sel, res
-	p.fbits, p.fshift, p.pass = fbits, fshift, pass
-	p.tally = tally{}
-	res.grow(len(keys))
-	res.Rows = res.Rows[:0]
-	res.Offsets[0] = 0
-}
-
-// NumBlocks returns the number of ProbeBlock-lane blocks to drive.
-func (p *ProbePipeline) NumBlocks() int {
-	return (len(p.keys) + ProbeBlock - 1) / ProbeBlock
-}
-
-func (p *ProbePipeline) blockBounds(b int) (lo, hi int) {
-	lo = b * ProbeBlock
-	return lo, min(lo+ProbeBlock, len(p.keys))
-}
-
-// Stage1 hashes, tag-filters and prefetches block b.
-func (p *ProbePipeline) Stage1(b int) {
-	lo, hi := p.blockBounds(b)
-	p.t.stage1(&p.blk, p.keys[lo:hi], lanes(p.sel, lo, hi),
-		p.fbits, p.fshift, lanes(p.pass, lo, hi), &p.tally)
-}
-
-// Stage2 verifies block b's runs and gathers its matches. Blocks must
-// be driven in ascending order.
-func (p *ProbePipeline) Stage2(b int) {
-	lo, hi := p.blockBounds(b)
-	res := p.res
-	p.t.stage2(&p.blk, p.keys[lo:hi], unbounded,
-		res.Counts[lo:hi], res.Offsets[lo:hi+1], &res.Rows)
-}
-
-// End finalizes the result counters. FilterProbed/Filtered remain
-// readable on the pipeline for the fused filter's accounting.
-func (p *ProbePipeline) End() {
-	st := p.tally.stats()
-	p.res.Probed, p.res.TagHits, p.res.TagMisses = st.Probed, st.TagHits, st.TagMisses
-}
-
-// FilterProbed returns the fused filter's probe count (selected lanes;
-// 0 for an unfused pipeline).
-func (p *ProbePipeline) FilterProbed() int {
-	if p.fbits == nil {
-		return 0
-	}
-	return p.tally.selected
-}
-
-// Filtered returns how many fused-filter probes were pruned before
-// reaching the table.
-func (p *ProbePipeline) Filtered() int { return p.tally.filtered }

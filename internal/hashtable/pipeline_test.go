@@ -1,6 +1,7 @@
 package hashtable
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -9,17 +10,6 @@ import (
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
 )
-
-// drivePipeline runs a pipeline to completion in the trivial schedule
-// (Stage1(b) then Stage2(b), ascending) — the schedule ProbeBatchInto
-// itself uses, and the baseline any interleaved schedule must match.
-func drivePipeline(p *ProbePipeline) {
-	for b := 0; b < p.NumBlocks(); b++ {
-		p.Stage1(b)
-		p.Stage2(b)
-	}
-	p.End()
-}
 
 // skewedProbe builds a table over a Zipf-ish skewed key set and a
 // probe batch sharing the skew, with an optional sparse mask (about
@@ -76,11 +66,48 @@ func deltaProbeTable(t *testing.T, seed int64, n int) *Table {
 	return tbl
 }
 
-// TestProbePipelineMatchesBatch: a staged pipeline drive must be
-// bit-identical to ProbeBatchInto — result slices and every counter —
-// over random and skewed keys, nil/dense/sparse selection masks, and
-// delta tables, and both must answer like the naive model of the
-// table's live entries.
+// requireModel holds a batch result to model (key → live rows,
+// ascending) over the lanes pass sets (nil: all): rows, counts and
+// offsets, Probed equal to probed, and TagHits + TagMisses to Probed.
+func requireModel(t *testing.T, name string, res *ProbeResult, keys []int64, model map[int64][]int32, pass []bool, probed int) {
+	t.Helper()
+	if res.Probed != probed || res.TagHits+res.TagMisses != probed {
+		t.Fatalf("%s: Probed %d TagHits %d TagMisses %d over %d probed lanes",
+			name, res.Probed, res.TagHits, res.TagMisses, probed)
+	}
+	if len(res.Counts) != len(keys) || len(res.Offsets) != len(keys)+1 || int(res.Offsets[len(keys)]) != len(res.Rows) {
+		t.Fatalf("%s: %d counts, %d offsets, %d rows for %d keys", name, len(res.Counts), len(res.Offsets), len(res.Rows), len(keys))
+	}
+	for i, k := range keys {
+		var want []int32
+		if pass == nil || pass[i] {
+			want = model[k]
+		}
+		got := res.Rows[res.Offsets[i]:res.Offsets[i+1]]
+		if !slices.Equal(got, want) || int(res.Counts[i]) != len(want) {
+			t.Fatalf("%s lane %d key %d: rows %v count %d, model %v", name, i, k, got, res.Counts[i], want)
+		}
+	}
+}
+
+// countSet is the number of lanes a selection mask probes (nil: all n).
+func countSet(sel []bool, n int) int {
+	if sel == nil {
+		return n
+	}
+	c := 0
+	for _, s := range sel {
+		if s {
+			c++
+		}
+	}
+	return c
+}
+
+// TestProbePipelineMatchesBatch: ProbeBatchInto must answer like the
+// naive model of the table's live entries — rows, counts, offsets and
+// the probe counters — over random and skewed keys, nil/dense/sparse
+// selection masks, and delta tables.
 func TestProbePipelineMatchesBatch(t *testing.T) {
 	type tc struct {
 		name  string
@@ -88,7 +115,7 @@ func TestProbePipelineMatchesBatch(t *testing.T) {
 		keys  []int64
 		sels  [][]bool
 	}
-	rt, rkeys, rsel := randomProbe(11, 5000) // not a multiple of ProbeBlock
+	rt, rkeys, rsel := randomProbe(11, 5000) // not a multiple of probeBlock
 	st, skeys, ssparse := skewedProbe(12, 4096)
 	dt := deltaProbeTable(t, 13, 2048)
 	dkeys := make([]int64, 777)
@@ -111,88 +138,43 @@ func TestProbePipelineMatchesBatch(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			model := modelOf(c.table)
 			for si, sel := range c.sels {
-				var want, got ProbeResult
-				c.table.ProbeBatchInto(c.keys, sel, &want)
-				for i, k := range c.keys {
-					var rows []int32
-					if sel == nil || sel[i] {
-						rows = model[k]
-					}
-					if !slices.Equal(want.Rows[want.Offsets[i]:want.Offsets[i+1]], rows) {
-						t.Fatalf("sel %d lane %d key %d: rows %v, model %v", si, i, k,
-							want.Rows[want.Offsets[i]:want.Offsets[i+1]], rows)
-					}
-				}
-				var p ProbePipeline
-				p.Begin(c.table, c.keys, sel, &got)
-				drivePipeline(&p)
-				if got.Probed != want.Probed || got.TagHits != want.TagHits || got.TagMisses != want.TagMisses {
-					t.Fatalf("sel %d: counters (%d,%d,%d) want (%d,%d,%d)", si,
-						got.Probed, got.TagHits, got.TagMisses, want.Probed, want.TagHits, want.TagMisses)
-				}
-				if !reflect.DeepEqual(got.Counts, want.Counts) ||
-					!reflect.DeepEqual(got.Offsets, want.Offsets) ||
-					!reflect.DeepEqual(got.Rows, want.Rows) {
-					t.Fatalf("sel %d: pipeline result diverged from ProbeBatchInto", si)
-				}
+				res := probeBatch(c.table, c.keys, sel)
+				requireModel(t, fmt.Sprintf("sel %d", si), &res, c.keys, model, sel, countSet(sel, len(c.keys)))
 			}
 		})
 	}
 }
 
-// TestProbePipelineInterleavedSchedule: two pipelines over different
-// tables driven round-robin (the executor's wavefront) must each
-// produce exactly what a solo drive produces — stages only touch their
-// own block, so schedules cannot interfere.
+// TestProbePipelineInterleavedSchedule: two tables probed alternately
+// through one reused ProbeResult — as the executor reuses its worker's
+// result from one join to the next — must each produce exactly what a
+// solo probe into a fresh result produces: nothing of one probe
+// survives into the next.
 func TestProbePipelineInterleavedSchedule(t *testing.T) {
 	ta, keysA, selA := randomProbe(21, 3000)
-	tb, keysB, _ := skewedProbe(22, 3000)
-	var wantA, wantB ProbeResult
-	ta.ProbeBatchInto(keysA, selA, &wantA)
-	tb.ProbeBatchInto(keysB, nil, &wantB)
+	tb, keysB, _ := skewedProbe(22, 1000)
+	wantA := probeBatch(ta, keysA, selA)
+	wantB := probeBatch(tb, keysB, nil)
 
-	var gotA, gotB ProbeResult
-	var pa, pb ProbePipeline
-	pa.Begin(ta, keysA, selA, &gotA)
-	pb.Begin(tb, keysB, nil, &gotB)
-	nb := pa.NumBlocks()
-	if pb.NumBlocks() != nb {
-		t.Fatalf("block counts differ: %d vs %d", nb, pb.NumBlocks())
-	}
-	// Skewed wavefront: pb trails pa by one block.
-	for step := 0; step < nb+1; step++ {
-		if step < nb {
-			pa.Stage1(step)
+	var res ProbeResult
+	for round := range 3 {
+		ta.ProbeBatchInto(keysA, selA, &res)
+		if !equalResults(res, wantA) {
+			t.Fatalf("round %d: table A diverged through the reused result", round)
 		}
-		if step >= 1 {
-			pb.Stage1(step - 1)
-		}
-		if step < nb {
-			pa.Stage2(step)
-		}
-		if step >= 1 {
-			pb.Stage2(step - 1)
-		}
-	}
-	pa.End()
-	pb.End()
-	for _, cmp := range []struct {
-		name      string
-		got, want *ProbeResult
-	}{{"A", &gotA, &wantA}, {"B", &gotB, &wantB}} {
-		if cmp.got.Probed != cmp.want.Probed ||
-			!reflect.DeepEqual(cmp.got.Counts, cmp.want.Counts) ||
-			!reflect.DeepEqual(cmp.got.Rows, cmp.want.Rows) {
-			t.Fatalf("pipeline %s diverged under interleaved schedule", cmp.name)
+		tb.ProbeBatchInto(keysB, nil, &res)
+		if !equalResults(res, wantB) {
+			t.Fatalf("round %d: table B diverged through the reused result", round)
 		}
 	}
 }
 
-// TestProbePipelineFusedMatchesFilterThenProbe: the fused filter+table
-// stage must equal the unfused sequence — a filter ProbeContains pass
-// producing a mask, then a table probe under that mask — in results,
-// pass mask, and the exact counter split, on plain and delta tables
-// under nil, dense and sparse selections.
+// TestProbePipelineFusedMatchesFilterThenProbe: a join step's filter
+// pass over the table's own bitvector projection, then ProbeBatchInto
+// behind the survivor mask, on plain and delta tables under nil, dense
+// and sparse selections: Probed equals the filter's survivors, and rows
+// and counts equal the model's over the survivors. The projection has
+// no false negatives, so no lane the filter drops has a live match.
 func TestProbePipelineFusedMatchesFilterThenProbe(t *testing.T) {
 	for _, n := range []int{1024, 2049} {
 		table, keys, sel := randomProbe(31, n)
@@ -201,56 +183,35 @@ func TestProbePipelineFusedMatchesFilterThenProbe(t *testing.T) {
 			// covers the append region too.
 			table = deltaProbeTable(t, 32, n)
 		}
+		model := modelOf(table)
 		sparse := make([]bool, len(keys))
 		for i := range sparse {
 			sparse[i] = i%7 == 0
 		}
-		// The table's own projection, as the executor takes it through
-		// bitvector.FromTable.
-		fbits := table.FilterWords()
-		fshift := table.Shift() + 3
-		for _, s := range [][]bool{nil, sel, sparse} {
-			// Unfused reference: filter pass, then masked table probe.
-			pass := make([]bool, len(keys))
-			filterProbed, filtered := 0, 0
-			for i, key := range keys {
-				if s != nil && !s[i] {
-					continue
-				}
-				filterProbed++
-				h := Hash64(key)
-				if fbits[h>>fshift]&Tag(h, fshift, 6) != 0 {
-					pass[i] = true
-				} else {
-					filtered++
+		for si, s := range [][]bool{nil, sel, sparse} {
+			pass := filterPass(table, keys, s)
+			for i, k := range keys {
+				if (s == nil || s[i]) && !pass[i] && len(model[k]) > 0 {
+					t.Fatalf("n=%d sel %d lane %d: filter dropped key %d with live rows", n, si, i, k)
 				}
 			}
-			var want ProbeResult
-			table.ProbeBatchInto(keys, pass, &want)
-
-			var got ProbeResult
-			gotPass := make([]bool, len(keys))
-			var p ProbePipeline
-			p.BeginFused(table, keys, s, &got, fbits, fshift, gotPass)
-			drivePipeline(&p)
-
-			if p.FilterProbed() != filterProbed || p.Filtered() != filtered {
-				t.Fatalf("n=%d: filter split (%d,%d) want (%d,%d)",
-					n, p.FilterProbed(), p.Filtered(), filterProbed, filtered)
-			}
-			if !reflect.DeepEqual(gotPass, pass) {
-				t.Fatalf("n=%d: fused pass mask diverged", n)
-			}
-			if got.Probed != want.Probed || got.TagHits != want.TagHits || got.TagMisses != want.TagMisses ||
-				!reflect.DeepEqual(got.Counts, want.Counts) ||
-				!reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Fatalf("n=%d: fused probe diverged from filter-then-probe", n)
-			}
-			if want.Probed != filterProbed-filtered {
-				t.Fatalf("n=%d: table probes %d, filter survivors %d", n, want.Probed, filterProbed-filtered)
-			}
+			res := probeBatch(table, keys, pass)
+			requireModel(t, fmt.Sprintf("n=%d sel %d", n, si), &res, keys, model, pass, countSet(pass, len(keys)))
 		}
 	}
+}
+
+// filterPass is the bitvector filter a join step runs before its table
+// probe, over the table's own projection (what bitvector.FromTable
+// wraps): the survivor mask of the lanes sel selects.
+func filterPass(tbl *Table, keys []int64, sel []bool) []bool {
+	fbits, fshift := tbl.FilterWords(), tbl.Shift()+3
+	pass := make([]bool, len(keys))
+	for i, k := range keys {
+		h := Hash64(k)
+		pass[i] = (sel == nil || sel[i]) && fbits[h>>fshift]&Tag(h, fshift, 6) != 0
+	}
+	return pass
 }
 
 // TestReduceLiveWordRangesMatchWhole: ReduceLive over any split of the
@@ -366,17 +327,4 @@ func TestProbeResultAlternatingSizesAllocationFree(t *testing.T) {
 		t.Errorf("alternating large/small probes allocate %.1f times per cycle", allocs)
 	}
 
-	// The pipeline shares the same scratch policy.
-	var p ProbePipeline
-	p.Begin(table, keys, nil, &res)
-	drivePipeline(&p)
-	allocs = testing.AllocsPerRun(50, func() {
-		p.Begin(table, keys, sel, &res)
-		drivePipeline(&p)
-		p.Begin(table, small, nil, &res)
-		drivePipeline(&p)
-	})
-	if allocs > 0 {
-		t.Errorf("alternating pipeline probes allocate %.1f times per cycle", allocs)
-	}
 }

@@ -130,10 +130,9 @@ func TestLargeTableRelaxedLoad(t *testing.T) {
 }
 
 // TestTagProbePathsAllocationFree: the batch probes — ProbeBatchInto
-// and the staged pipeline (plain and fused) with a reused result, and
-// the stack-scratch ProbeContains / ProbeCounts / ReduceLive — must not
-// allocate in steady state, on a plain table or on one with tombstones
-// and an append region.
+// with a reused result, and the stack-scratch ProbeContains /
+// ProbeCounts / ReduceLive — must not allocate in steady state, on a
+// plain table or on one with tombstones and an append region.
 func TestTagProbePathsAllocationFree(t *testing.T) {
 	plain, keys, sel := randomProbe(9, 4096)
 	rel := buildRelation(keys)
@@ -142,30 +141,19 @@ func TestTagProbePathsAllocationFree(t *testing.T) {
 	clone := mask.Clone()
 	out := make([]bool, len(keys))
 	counts := make([]int32, len(keys))
-	pass := make([]bool, len(keys))
 
 	for _, tc := range []struct {
 		name  string
 		table *Table
 	}{{"plain", plain}, {"delta", deltaProbeTable(t, 11, 4096)}} {
 		table := tc.table
-		fbits, fshift := table.FilterWords(), table.Shift()+3
 		var res ProbeResult
-		var p ProbePipeline
 		table.ProbeBatchInto(keys, nil, &res) // reach steady state
 		checks := []struct {
 			name string
 			fn   func()
 		}{
 			{"ProbeBatchInto", func() { table.ProbeBatchInto(keys, sel, &res) }},
-			{"ProbePipeline", func() {
-				p.Begin(table, keys, sel, &res)
-				drivePipeline(&p)
-			}},
-			{"ProbePipeline fused", func() {
-				p.BeginFused(table, keys, sel, &res, fbits, fshift, pass)
-				drivePipeline(&p)
-			}},
 			{"ProbeContains", func() { table.ProbeContains(keys, sel, out) }},
 			{"ProbeCounts", func() { table.ProbeCounts(keys, sel, counts) }},
 			{"ReduceLive", func() {
