@@ -44,7 +44,7 @@ func (w *worker) runCOMChunk(driverRows []int32) {
 	switch {
 	case r.opts.FlatOutput:
 		w.emitPassed = 0
-		expanded := chunk.Expand(w.emitFn)
+		expanded := chunk.Expand(w.termFn, w.emitFn)
 		w.outputTuples += w.emitPassed
 		w.expandedTuples += expanded
 	case r.residuals != nil:
@@ -52,7 +52,7 @@ func (w *worker) runCOMChunk(driverRows []int32) {
 		// representation cannot express the cyclic constraint, so
 		// counting requires enumerating (without materializing).
 		w.emitPassed = 0
-		chunk.Expand(w.residualCountFn)
+		chunk.Expand(nil, w.residualCountFn)
 		w.outputTuples += w.emitPassed
 		w.factorizedRows += int64(chunk.FactorizedSize())
 	default:

@@ -234,9 +234,13 @@ type Stats struct {
 	// map view is built once at the end of a run from the executor's
 	// dense per-relation counters.
 	PerRelationProbes map[plan.NodeID]int64
-	// Checksum is an order-independent hash over the flat output; equal
+	// Checksum is an order-independent hash over the flat output: the
+	// sum over output tuples of checksumCanonical, an FNV-style hash of
+	// the tuple's rows in ascending NodeID order. STD hashes each tuple;
+	// COM sums per-row terms down its expansion, the same value. Equal
 	// inputs and queries must yield equal checksums across all six
-	// strategies, any join order, and any parallelism.
+	// strategies, any join order, and any parallelism. COM with
+	// factorized output enumerates no tuples and leaves it 0.
 	Checksum uint64
 }
 
@@ -437,6 +441,11 @@ type run struct {
 	// canonical maps join-order position -> position in the canonical
 	// (ascending NodeID) output tuple layout.
 	canonical []int
+	// sumBase and sumPow are checksumTerms over the tree, set for a
+	// factorized flat run, whose expansion sums checksumTerm over each
+	// tuple's rows instead of hashing the tuple.
+	sumBase uint64
+	sumPow  []uint64
 	// children[id] are id's children in ascending NodeID order: the
 	// bitvectors applied when id materializes. (A child is always
 	// joined after its parent materializes, so all children are
@@ -646,7 +655,8 @@ func (r *run) forEachNonRoot(fn func(id plan.NodeID)) {
 
 // prepareLayout precomputes the layout tables the probe hot path
 // indexes instead of consulting maps: join-order column positions, the
-// canonical output permutation, and per-node child lists.
+// canonical output permutation, the checksum terms, and per-node child
+// lists.
 func (r *run) prepareLayout() {
 	t := r.ds.Tree
 	nrel := t.Len()
@@ -659,6 +669,9 @@ func (r *run) prepareLayout() {
 	for i, id := range r.opts.Order {
 		r.layoutPos[id] = i + 1
 		r.canonical[i+1] = int(id)
+	}
+	if r.opts.FlatOutput && r.opts.Strategy.Factorized() {
+		r.sumBase, r.sumPow = checksumTerms(nrel)
 	}
 	r.children = make([][]plan.NodeID, nrel)
 	for i := 0; i < nrel; i++ {
@@ -814,8 +827,9 @@ type worker struct {
 
 	// The COM expansion callbacks (built once so per-chunk expansion
 	// allocates no closures) and their shared pass counter.
-	emitFn          func(rows []int32)
-	residualCountFn func(rows []int32)
+	termFn          func(id plan.NodeID, row int32) uint64
+	emitFn          func(rows []int32, sum uint64)
+	residualCountFn func(rows []int32, sum uint64)
 	emitPassed      int64
 
 	// Workers of one run are allocated back to back and every emitted
@@ -832,13 +846,14 @@ func newWorker(r *run, sc *scratch) *worker {
 	sc.bind(nrel, factorized)
 	w := &worker{r: r, scratch: sc, perRel: make([]int64, nrel)}
 	if factorized {
-		w.emitFn = func(rows []int32) {
-			if w.emitTuple(rows) {
+		w.termFn = r.checksumTerm
+		w.emitFn = func(rows []int32, sum uint64) {
+			if w.emitTuple(rows, sum) {
 				w.emitPassed++
 			}
 		}
-		w.residualCountFn = func(rows []int32) {
-			if w.residualsOKJoinOrder(rows) {
+		w.residualCountFn = func(rows []int32, _ uint64) {
+			if r.residuals.ok(w.canonicalTuple(rows)) {
 				w.emitPassed++
 			}
 		}
@@ -855,23 +870,38 @@ func (w *worker) runChunk(driverRows []int32) {
 	}
 }
 
-// emitTuple records one flat output tuple (rows in join-order layout),
-// remapping to the canonical ascending-NodeID layout so checksums and
-// collected tuples are independent of the join order. Tuples failing a
-// residual predicate are dropped; the return value reports whether the
-// tuple was emitted.
-func (w *worker) emitTuple(joinOrderRows []int32) bool {
+// checksumTerm is row's term of relation id in the flat-output
+// checksum (checksumTerms): the canonical position of id is id itself.
+func (r *run) checksumTerm(id plan.NodeID, row int32) uint64 {
+	return r.sumPow[id] * hashtable.Hash64(int64(id)<<32|int64(row))
+}
+
+// emitTuple records one flat output tuple of the COM expansion, given
+// in join-order layout with the sum of its rows' checksumTerm values:
+// its checksum is r.sumBase + sum. The tuple is remapped to the
+// canonical layout only when a residual predicate or CollectOutput
+// reads it. The return value reports whether it passed the residuals.
+func (w *worker) emitTuple(joinOrderRows []int32, sum uint64) bool {
 	r := w.r
-	tmp := w.tupleBuf[:len(joinOrderRows)]
-	for i, p := range r.canonical {
-		tmp[p] = joinOrderRows[i]
+	if r.residuals != nil || r.opts.CollectOutput != nil {
+		if !w.keep(w.canonicalTuple(joinOrderRows)) {
+			return false
+		}
 	}
-	if !r.residuals.ok(tmp) {
+	w.checksum += r.sumBase + sum
+	return true
+}
+
+// keep applies the residual predicates to a canonical-layout tuple and,
+// when it passes, hands a copy to CollectOutput. It reports whether the
+// tuple passed.
+func (w *worker) keep(tuple []int32) bool {
+	r := w.r
+	if !r.residuals.ok(tuple) {
 		return false
 	}
-	w.checksum += checksumCanonical(tmp)
 	if r.opts.CollectOutput != nil {
-		out := append([]int32(nil), tmp...) // callers may retain the slice
+		out := append([]int32(nil), tuple...) // callers may retain the slice
 		if r.collectLocked {
 			r.collectMu.Lock()
 			r.opts.CollectOutput(out)
@@ -883,18 +913,15 @@ func (w *worker) emitTuple(joinOrderRows []int32) bool {
 	return true
 }
 
-// residualsOKJoinOrder checks the residual predicates for a tuple in
-// join-order layout without emitting it.
-func (w *worker) residualsOKJoinOrder(joinOrderRows []int32) bool {
-	r := w.r
-	if r.residuals == nil {
-		return true
+// canonicalTuple remaps a join-order tuple into the worker's tupleBuf
+// in the canonical ascending-NodeID layout, so checksums, residuals and
+// collected tuples are independent of the join order.
+func (w *worker) canonicalTuple(joinOrderRows []int32) []int32 {
+	tuple := w.tupleBuf[:len(joinOrderRows)]
+	for i, p := range w.r.canonical {
+		tuple[p] = joinOrderRows[i]
 	}
-	tmp := w.tupleBuf[:len(joinOrderRows)]
-	for i, p := range r.canonical {
-		tmp[p] = joinOrderRows[i]
-	}
-	return r.residuals.ok(tmp)
+	return tuple
 }
 
 // gatherKeys fills the worker key buffer with keyCol[row] for each row.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"m2mjoin/internal/cost"
+	"m2mjoin/internal/hashtable"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
 	"m2mjoin/internal/workload"
@@ -259,26 +260,56 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestCollectOutput: collected tuples must match the reference oracle
-// exactly as sets.
+// exactly as sets, and the run's checksum must be theirs.
 func TestCollectOutput(t *testing.T) {
 	ds := smallDataset(55, 4, 30)
-	wantCount, _ := Reference(ds)
-	var got int64
-	seen := make(map[uint64]int)
-	_, err := Run(ds, Options{
-		Strategy:   cost.COM,
-		Order:      ds.Tree.AllOrders()[0],
-		FlatOutput: true,
-		CollectOutput: func(rows []int32) {
-			got++
-			seen[checksumCanonical(rows)]++
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	wantCount, wantSum := Reference(ds)
+	for _, s := range cost.AllStrategies {
+		var got int64
+		var sum uint64
+		stats, err := Run(ds, Options{
+			Strategy:   s,
+			Order:      ds.Tree.AllOrders()[0],
+			FlatOutput: true,
+			CollectOutput: func(rows []int32) {
+				got++
+				sum += checksumCanonical(rows)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != wantCount || sum != wantSum || stats.Checksum != wantSum {
+			t.Errorf("%v: collected %d tuples summing to %#x, run checksum %#x; want %d, %#x",
+				s, got, sum, stats.Checksum, wantCount, wantSum)
+		}
 	}
-	if got != wantCount {
-		t.Errorf("collected %d tuples, want %d", got, wantCount)
+}
+
+// TestChecksumTermsMatchCanonical: the decomposition the factorized
+// expansion sums, base + Σ pow[i]·Hash64(i<<32|rows[i]), is
+// checksumCanonical, at every width and at extreme rows.
+func TestChecksumTermsMatchCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	rows := make([]int32, 16)
+	for n := 1; n <= len(rows); n++ {
+		base, pow := checksumTerms(n)
+		for _, fill := range []func() int32{
+			func() int32 { return 0 },
+			func() int32 { return 1 },
+			func() int32 { return math.MaxInt32 },
+			func() int32 { return rng.Int31() },
+		} {
+			tuple := rows[:n]
+			sum := base
+			for i := range tuple {
+				tuple[i] = fill()
+				sum += pow[i] * hashtable.Hash64(int64(i)<<32|int64(tuple[i]))
+			}
+			if want := checksumCanonical(tuple); sum != want {
+				t.Errorf("width %d, rows %v: terms sum to %#x, checksumCanonical %#x", n, tuple, sum, want)
+			}
+		}
 	}
 }
 

@@ -86,14 +86,45 @@ func ReferenceOpts(ds *storage.Dataset, residuals []Residual, selections []Selec
 	return count, checksum
 }
 
-// checksumCanonical hashes a tuple already in canonical (ascending
-// NodeID) layout, identically to run.tupleChecksum.
+// The flat-output checksum: a tuple in canonical (ascending NodeID)
+// layout hashes, FNV-style, to
+//
+//	h₀ = checksumOffset, hᵢ₊₁ = hᵢ·checksumPrime + Hash64(i<<32 | rows[i])
+//
+// and a result's checksum is the sum of its tuples' hashes, all mod 2⁶⁴.
+// Unrolled, a tuple of n relations hashes to
+//
+//	checksumOffset·Pⁿ + Σᵢ Pⁿ⁻¹⁻ⁱ·Hash64(i<<32 | rows[i])   (P = checksumPrime)
+//
+// which is linear in per-relation terms: checksumTerms returns the
+// constant and the powers, so a factorized expansion can hash each
+// factor row once and sum the terms instead of hashing every column of
+// every tuple.
+const (
+	checksumOffset uint64 = 1469598103934665603
+	checksumPrime  uint64 = 1099511628211
+)
+
+// checksumCanonical hashes one tuple in canonical layout.
 func checksumCanonical(rows []int32) uint64 {
-	var h uint64 = 1469598103934665603
+	h := checksumOffset
 	for i, row := range rows {
-		h = h*1099511628211 + hashtable.Hash64(int64(i)<<32|int64(row))
+		h = h*checksumPrime + hashtable.Hash64(int64(i)<<32|int64(row))
 	}
 	return h
+}
+
+// checksumTerms decomposes checksumCanonical over tuples of n
+// relations: checksumCanonical(rows) = base + Σᵢ pow[i]·Hash64(i<<32 |
+// rows[i]), with base = checksumOffset·Pⁿ and pow[i] = Pⁿ⁻¹⁻ⁱ.
+func checksumTerms(n int) (base uint64, pow []uint64) {
+	pow = make([]uint64, n)
+	p := uint64(1)
+	for i := n - 1; i >= 0; i-- {
+		pow[i] = p
+		p *= checksumPrime
+	}
+	return checksumOffset * p, pow
 }
 
 // ChainedTable is the seed's chained hash-table layout — bucket heads

@@ -37,10 +37,8 @@ type scratch struct {
 	probe  hashtable.ProbeResult
 	passed []bool
 
-	// tupleBuf holds the canonical-layout tuple during emission;
-	// rowsBuf holds the join-order tuple STD emission gathers into.
+	// tupleBuf holds the canonical-layout tuple during emission.
 	tupleBuf []int32
-	rowsBuf  []int32
 
 	// STD scratch: two column sets (join-order layout) that ping-pong
 	// between input and output of each join.
@@ -116,7 +114,6 @@ func (s *scratch) park() {
 // Outer slices grow without losing the inner buffers earlier runs grew.
 func (s *scratch) bind(nrel int, factorized bool) {
 	s.tupleBuf = buf.Grow(s.tupleBuf, nrel)
-	s.rowsBuf = buf.Grow(s.rowsBuf, nrel)
 	if factorized {
 		if s.chunk == nil {
 			s.chunk = factor.NewChunk(nil)
@@ -140,11 +137,11 @@ func growKeep[T any](s []T, n int) []T {
 }
 
 // bytes returns the scratch's resident size: the capacity of every
-// buffer it owns. The factor nodes' unexported CountOutput weights
-// (int64 per row, grown with buf.Grow's quarter headroom) are bounded
-// from the row capacity.
+// buffer it owns. The factor nodes' unexported per-row scratch (a
+// uint64 per row — CountOutput's weights or Expand's terms — grown with
+// buf.Grow's quarter headroom) is bounded from the row capacity.
 func (s *scratch) bytes() int {
-	n := 4 * (cap(s.rows) + cap(s.tupleBuf) + cap(s.rowsBuf) +
+	n := 4 * (cap(s.rows) + cap(s.tupleBuf) +
 		cap(s.probe.Counts) + cap(s.probe.Offsets) + cap(s.probe.Rows))
 	n += 8*cap(s.keys) + cap(s.passed)
 	for _, col := range s.colsA[:cap(s.colsA)] {

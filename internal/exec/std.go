@@ -60,12 +60,15 @@ func (w *worker) runSTDChunk(driverRows []int32) {
 	if len(cur[0]) == 0 || width != r.ds.Tree.Len() {
 		return
 	}
-	tuple := w.rowsBuf[:width]
+	// Output tuples are gathered straight into the canonical layout and
+	// hashed whole.
+	tuple := w.tupleBuf[:width]
 	for i := range cur[0] {
-		for c := 0; c < width; c++ {
-			tuple[c] = cur[c][i]
+		for c, p := range r.canonical {
+			tuple[p] = cur[c][i]
 		}
-		if w.emitTuple(tuple) {
+		if w.keep(tuple) {
+			w.checksum += checksumCanonical(tuple)
 			w.outputTuples++
 		}
 	}

@@ -12,6 +12,12 @@
 // dead row can never contribute to output), which is what makes probes
 // on ancestor attributes "survival probes".
 //
+// Flat output is Expand's depth-first enumeration: every output tuple
+// is still visited and handed to the caller, but a per-tuple quantity
+// that is a sum of per-row terms (the executor's checksum) is summed
+// down the recursion from terms computed once per live factor row, not
+// recomputed from every column of every tuple.
+//
 // Chunks are designed for reuse: Reset rewinds a chunk to a fresh
 // driver batch while recycling every node and buffer it accumulated,
 // so a worker that processes thousands of driver chunks allocates only
@@ -47,9 +53,11 @@ type Node struct {
 	Live      []bool
 	LiveCount int
 
-	// weight is CountOutput scratch: output combinations contributed by
-	// the subtree rooted at each row.
-	weight []int64
+	// perRow is per-row scratch, rewritten by each call that reads it:
+	// CountOutput's weights (output combinations contributed by the
+	// subtree rooted at each row) or Expand's per-row terms. Sharing one
+	// buffer keeps a chunk's footprint what either use alone needs.
+	perRow []uint64
 }
 
 // Segment returns the half-open row range of node rows belonging to
@@ -75,7 +83,7 @@ type Chunk struct {
 	current   []int32
 	baseRows  []int32
 	posOf     []int // NodeID -> position in order
-	emit      func(rows []int32)
+	emit      func(rows []int32, sum uint64)
 	expCount  int64
 }
 
@@ -284,50 +292,59 @@ func maxID(ids []plan.NodeID) plan.NodeID {
 }
 
 // Expand enumerates every flat output tuple in depth-first order
-// (Section 4.3, Fig. 9) and calls emit with, for each joined relation
-// in join order, the base-relation row index selected for that tuple.
-// The rows slice is reused across calls; emit must not retain it.
-// It returns the number of tuples emitted. The recursion runs through
-// chunk methods and scratch fields so repeated expansion allocates
-// nothing.
-func (c *Chunk) Expand(emit func(rows []int32)) int64 {
+// (Section 4.3, Fig. 9). For each tuple it calls emit with the
+// base-relation row index selected for each joined relation, in join
+// order, and the tuple's sum: Σ term(id, row) over those rows, mod 2⁶⁴.
+// Expand calls term once per live row of each node, before
+// enumerating, and carries partial sums down the recursion, so a sum
+// costs one addition per tuple, not one term per relation. A nil term
+// makes every sum 0. The rows slice is reused across calls; emit must
+// not retain it, and may be nil, for counting. It returns the number of
+// tuples enumerated. The recursion runs through chunk methods and
+// scratch fields so repeated expansion allocates nothing.
+func (c *Chunk) Expand(term func(id plan.NodeID, row int32) uint64, emit func(rows []int32, sum uint64)) int64 {
 	c.expandLayout()
+	for _, n := range c.expNodes {
+		n.perRow = buf.Grow(n.perRow, len(n.Rows))
+		if term == nil {
+			clear(n.perRow)
+			continue
+		}
+		for j, live := range n.Live {
+			if live {
+				n.perRow[j] = term(n.ID, n.Rows[j])
+			}
+		}
+	}
 	c.emit = emit
 	c.expCount = 0
-	c.expandRec(0)
+	c.expandRec(0, 0)
 	c.emit = nil
 	return c.expCount
 }
 
-func (c *Chunk) expandRec(k int) {
+// expandRec enumerates the tuples below position k, sum being the terms
+// of the rows chosen at positions before k.
+func (c *Chunk) expandRec(k int, sum uint64) {
 	if k == len(c.expNodes) {
 		c.expCount++
 		if c.emit != nil {
-			c.emit(c.baseRows)
+			c.emit(c.baseRows, sum)
 		}
 		return
 	}
 	n := c.expNodes[k]
-	if k == 0 {
-		for i, live := range n.Live {
-			if !live {
-				continue
-			}
-			c.current[0] = int32(i)
-			c.baseRows[0] = n.Rows[i]
-			c.expandRec(1)
-		}
-		return
+	lo, hi := 0, len(n.Rows)
+	if k > 0 {
+		lo, hi = n.Segment(int(c.current[c.parentPos[k]]))
 	}
-	p := int(c.current[c.parentPos[k]])
-	lo, hi := n.Segment(p)
 	for j := lo; j < hi; j++ {
 		if !n.Live[j] {
 			continue
 		}
 		c.current[k] = int32(j)
 		c.baseRows[k] = n.Rows[j]
-		c.expandRec(k + 1)
+		c.expandRec(k+1, sum+n.perRow[j])
 	}
 }
 
@@ -336,33 +353,33 @@ func (c *Chunk) expandRec(k int) {
 // sequential "counting" step the paper describes for breadth-first
 // expansion).
 func (c *Chunk) CountOutput() int64 {
-	// weight[row] = number of output combinations contributed by the
+	// perRow[row] = number of output combinations contributed by the
 	// subtree of the node rooted at row. Reverse join order sees
 	// children before parents (a child is always joined after its
 	// parent).
 	for i := len(c.order) - 1; i >= 0; i-- {
 		n := c.nodes[c.order[i]]
-		n.weight = buf.Grow(n.weight, len(n.Rows))
+		n.perRow = buf.Grow(n.perRow, len(n.Rows))
 		for r := range n.Rows {
 			if !n.Live[r] {
-				n.weight[r] = 0
+				n.perRow[r] = 0
 				continue
 			}
-			prod := int64(1)
+			prod := uint64(1)
 			for _, child := range n.Children {
 				lo, hi := child.Segment(r)
-				var sum int64
+				var sum uint64
 				for j := lo; j < hi; j++ {
-					sum += child.weight[j]
+					sum += child.perRow[j]
 				}
 				prod *= sum
 			}
-			n.weight[r] = prod
+			n.perRow[r] = prod
 		}
 	}
-	var total int64
-	for _, v := range c.Driver().weight {
+	var total uint64
+	for _, v := range c.Driver().perRow {
 		total += v
 	}
-	return total
+	return int64(total)
 }

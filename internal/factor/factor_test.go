@@ -46,7 +46,7 @@ func TestAddJoinBasics(t *testing.T) {
 func TestExpandDepthFirst(t *testing.T) {
 	c := buildSimpleChunk()
 	var tuples [][]int32
-	count := c.Expand(func(rows []int32) {
+	count := c.Expand(nil, func(rows []int32, _ uint64) {
 		cp := append([]int32(nil), rows...)
 		tuples = append(tuples, cp)
 	})
@@ -67,7 +67,7 @@ func TestCountOutputMatchesExpand(t *testing.T) {
 		// Random factor chunk over a random join tree.
 		tr := plan.RandomTree(2+rng.Intn(5), rng, plan.UniformStats(rng, 0.3, 1, 1, 3))
 		c := randomChunk(tr, rng)
-		expand := c.Expand(nil)
+		expand := c.Expand(nil, nil)
 		counted := c.CountOutput()
 		if expand != counted {
 			t.Fatalf("Expand %d != CountOutput %d", expand, counted)
@@ -144,7 +144,7 @@ func TestKillPropagatesDownward(t *testing.T) {
 	if !c.Node(2).Live[2] {
 		t.Errorf("node 2 row of live driver should be alive")
 	}
-	if got := c.Expand(nil); got != 1 {
+	if got := c.Expand(nil, nil); got != 1 {
 		t.Errorf("expanded %d tuples, want 1", got)
 	}
 }
@@ -162,7 +162,7 @@ func TestKillAcrossBranches(t *testing.T) {
 	if c.Node(2).Live[0] || c.Node(2).Live[1] {
 		t.Errorf("branch 2 rows should die when the driver dies")
 	}
-	if c.Expand(nil) != 0 {
+	if c.Expand(nil, nil) != 0 {
 		t.Errorf("expected empty expansion")
 	}
 }

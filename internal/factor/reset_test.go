@@ -21,7 +21,7 @@ func TestResetReusesChunk(t *testing.T) {
 		fresh := buildRandom(tr, rand.New(rand.NewSource(seed)), NewChunk(nil))
 		cycled := buildRandom(tr, rand.New(rand.NewSource(seed)), reused)
 
-		if f, c := fresh.Expand(nil), cycled.Expand(nil); f != c {
+		if f, c := fresh.Expand(nil, nil), cycled.Expand(nil, nil); f != c {
 			t.Fatalf("trial %d: Expand %d (fresh) != %d (reused)", trial, f, c)
 		}
 		if f, c := fresh.CountOutput(), cycled.CountOutput(); f != c {
@@ -84,5 +84,59 @@ func TestAddJoinCopiesInputs(t *testing.T) {
 	n := c.Node(1)
 	if n.Counts[0] != 1 || n.Rows[0] != 10 {
 		t.Errorf("AddJoin aliases caller slices: counts=%v rows=%v", n.Counts, n.Rows)
+	}
+}
+
+// toyTerm is an arbitrary per-row term for the expansion tests: it
+// depends on both the relation and the row, and its sums wrap.
+func toyTerm(id plan.NodeID, row int32) uint64 {
+	return (uint64(id)+1)*0x9E3779B97F4A7C15 ^ uint64(row)*0xBF58476D1CE4E5B9
+}
+
+// TestExpandSumsTerms: the sum Expand passes with each tuple is the
+// sum of the term over the rows it emits, on random chunks with kills;
+// a nil term passes 0, and both enumerate CountOutput tuples.
+func TestExpandSumsTerms(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	c := NewChunk(nil)
+	for trial := 0; trial < 200; trial++ {
+		tr := plan.RandomTree(2+rng.Intn(6), rng, plan.UniformStats(rng, 0.3, 1, 1, 3))
+		buildRandom(tr, rng, c)
+		order := c.Order()
+		var emitted int64
+		got := c.Expand(toyTerm, func(rows []int32, sum uint64) {
+			emitted++
+			var want uint64
+			for k, row := range rows {
+				want += toyTerm(order[k], row)
+			}
+			if sum != want {
+				t.Fatalf("trial %d: tuple %v sum %#x, want %#x", trial, rows, sum, want)
+			}
+		})
+		if want := c.CountOutput(); got != want || emitted != want {
+			t.Fatalf("trial %d: Expand %d (emitted %d), CountOutput %d", trial, got, emitted, want)
+		}
+		c.Expand(nil, func(_ []int32, sum uint64) {
+			if sum != 0 {
+				t.Fatalf("trial %d: nil term gave sum %#x", trial, sum)
+			}
+		})
+	}
+}
+
+// TestExpandAllocationFree: expanding a reused chunk, terms included,
+// allocates nothing.
+func TestExpandAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tr := plan.RandomTree(6, rng, plan.UniformStats(rng, 0.3, 1, 1, 3))
+	c := buildRandom(tr, rng, NewChunk(nil))
+	var total uint64
+	emit := func(_ []int32, sum uint64) { total += sum }
+	if c.Expand(toyTerm, emit) == 0 { // also grows the scratch
+		t.Fatal("random chunk expands to nothing")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.Expand(toyTerm, emit) }); allocs != 0 {
+		t.Errorf("Expand allocated %.1f times per call, want 0", allocs)
 	}
 }
