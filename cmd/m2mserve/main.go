@@ -113,7 +113,7 @@ func main() {
 	shardRetries := flag.Int("shard-retries", 0,
 		"classified retries per shard, rotated across replicas (0 = default 1, negative disables)")
 	shardTimeout := flag.Duration("shard-timeout", 0,
-		"per-shard attempt deadline (0 = default 2s, negative disables)")
+		"per-shard attempt deadline (0 = default: 2s with -backends, none for local shards; negative disables)")
 	slowQueryMillis := flag.Int64("slow-query-millis", 0,
 		"log a structured slow-query line for queries at or over this end-to-end latency (0 = off)")
 	traceRing := flag.Int("trace-ring", 0,

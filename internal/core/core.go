@@ -10,9 +10,9 @@
 //	choice := core.ChoosePlan(core.PlanRequest{Dataset: ds})
 //	stats, err := core.Execute(ds, choice)
 //
-// The driver relation is the root of the dataset's join tree; to
-// consider other drivers, build the tree rooted at each candidate and
-// compare the predicted costs.
+// ChoosePlan keeps the root of the dataset's join tree as the driver;
+// ChooseDriver tries every relation as the driver (rerooting the tree
+// and measuring the reversed edges) and keeps the cheapest plan.
 package core
 
 import (

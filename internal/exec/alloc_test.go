@@ -82,7 +82,7 @@ func TestWarmRunAllocationBudget(t *testing.T) {
 		parallelism int
 		shards      int // > 0: RunSharded over that many
 		// prime is the unmeasured warm-up: one run fills the provider
-		// and grows the scratch; a scatter takes a few, because its
+		// and grows the scratch; a scatter takes a dozen, because its
 		// scratches change shards from run to run until each has seen
 		// every shard's largest chunk.
 		prime               int
@@ -108,7 +108,7 @@ func TestWarmRunAllocationBudget(t *testing.T) {
 		// Four shards are four runs: four set-ups plus the scatter's own
 		// context, goroutines and merge — about five solo runs' worth
 		// where the parent paid four scratches as well.
-		{"snowflake32 COM flat 4 shards", snowDS, cost.COM, true, 4, 4, 4, 64 << 10, 256}, // 2 395 KB / 639
+		{"snowflake32 COM flat 4 shards", snowDS, cost.COM, true, 4, 4, 12, 64 << 10, 256}, // 2 395 KB / 639
 	}
 	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {

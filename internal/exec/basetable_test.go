@@ -3,11 +3,9 @@ package exec
 import (
 	"math/rand"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 
-	"m2mjoin/internal/bitvector"
 	"m2mjoin/internal/cost"
 	"m2mjoin/internal/hashtable"
 	"m2mjoin/internal/plan"
@@ -17,10 +15,13 @@ import (
 )
 
 // tableStore is a map-backed Artifacts provider for hash tables: what a
-// run offers, a later run is served.
+// run offers, a later run is served. It neither serves nor keeps the
+// relations in skip, whose tables a selection shapes, as the service's
+// cache keys them apart by mask fingerprint.
 type tableStore struct {
 	mu     sync.Mutex
 	tables map[plan.NodeID]*hashtable.Table
+	skip   plan.Set
 }
 
 func newTableStore() *tableStore {
@@ -30,13 +31,18 @@ func newTableStore() *tableStore {
 func (a *tableStore) Table(id plan.NodeID) *hashtable.Table {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if a.skip.Has(id) {
+		return nil
+	}
 	return a.tables[id]
 }
 
 func (a *tableStore) PutTable(id plan.NodeID, t *hashtable.Table) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.tables[id] = t
+	if !a.skip.Has(id) {
+		a.tables[id] = t
+	}
 }
 
 // tracedBuilds runs opts through run under a trace of its own and
@@ -164,94 +170,6 @@ func TestUnselectedTablesKeepVersionedShape(t *testing.T) {
 			snap.BaseRows(id), snap.BaseLive(id), snap.Live(id), 1, nil)
 		if store.tables[id].Checksum() != want.Checksum() {
 			t.Fatalf("unselected relation %d was offered in a selection shape", id)
-		}
-	}
-}
-
-// TestProviderDifferentialOverCommits: across a three-commit
-// append/delete chain, every strategy must report the same Stats —
-// provider counters aside — whether it runs without a provider, offers
-// its builds to an empty one, or is served tables carried forward from
-// the previous version by ApplyDelta (the serving layer's repair), and
-// all three must equal the oracle. A BVP strategy's filters travel
-// inside those tables, so every carried table is also held to the
-// filter of a cold build of its snapshot, word for word: one differing
-// bit would move FilterProbes or HashProbes for some key column, and
-// fails here for any.
-func TestProviderDifferentialOverCommits(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	snap := selectableDataset(rng, 600)
-	nonRoot := snap.Tree.NonRoot()
-	order := plan.Order(nonRoot)
-
-	// carried holds the provider a long-lived cache would present at
-	// each version: v0's builds, then their repairs.
-	carried := newTableStore()
-	if _, err := Run(snap, Options{Strategy: cost.BVPCOM, Order: order, Artifacts: carried}); err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 3; step++ {
-		v := mutateRandomly(t, snap, rng, 40, false)
-		snap = v.Dataset
-		for _, d := range v.Deltas {
-			if d.Rel == plan.Root {
-				continue
-			}
-			carried.tables[d.Rel] = carried.tables[d.Rel].ApplyDelta(snap.Relation(d.Rel), snap.KeyColumn(d.Rel),
-				hashtable.DeltaSpec{
-					BaseRows: snap.BaseRows(d.Rel), BaseLive: snap.BaseLive(d.Rel), Live: snap.Live(d.Rel),
-					AppendedFrom: d.AppendedFrom, Deleted: d.Deleted, Compacted: d.Compacted,
-				}, 1, nil)
-		}
-		wantCount, wantSum := Reference(snap)
-		if wantCount == 0 {
-			t.Fatalf("v%d: empty join result proves nothing", v.Dataset.Version())
-		}
-		for _, s := range cost.AllStrategies {
-			opts := Options{Strategy: s, Order: order, FlatOutput: true, ChunkSize: 128, Parallelism: 2}
-			bare, err := Run(snap, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bare.OutputTuples != wantCount || bare.Checksum != wantSum {
-				t.Fatalf("v%d %v: %d tuples checksum %#x, oracle %d %#x",
-					v.Dataset.Version(), s, bare.OutputTuples, bare.Checksum, wantCount, wantSum)
-			}
-			shared := int64(len(nonRoot))
-			if s == cost.SJSTD || s == cost.SJCOM {
-				shared = 0
-				for _, id := range nonRoot {
-					if len(snap.Tree.Children(id)) == 0 {
-						shared++
-					}
-				}
-			}
-			for _, tc := range []struct {
-				name         string
-				store        *tableStore
-				hits, misses int64
-			}{{"cold provider", newTableStore(), 0, shared}, {"warm provider", carried, shared, 0}} {
-				opts.Artifacts = tc.store
-				got, err := Run(snap, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.CacheHits != tc.hits || got.CacheMisses != tc.misses {
-					t.Fatalf("v%d %v %s: hits=%d misses=%d, want %d/%d (tables only)",
-						v.Dataset.Version(), s, tc.name, got.CacheHits, got.CacheMisses, tc.hits, tc.misses)
-				}
-				if !reflect.DeepEqual(stripProvider(got), bare) {
-					t.Fatalf("v%d %v %s differs from the provider-less run:\n got %+v\nwant %+v", v.Dataset.Version(), s, tc.name, got, bare)
-				}
-			}
-		}
-		for _, id := range nonRoot {
-			cold := hashtable.BuildVersioned(snap.Relation(id), snap.KeyColumn(id),
-				snap.BaseRows(id), snap.BaseLive(id), snap.Live(id), 1, nil)
-			got, want := bitvector.FromTable(carried.tables[id]), bitvector.FromTable(cold)
-			if !slices.Equal(got.Words(), want.Words()) || got.WordShift() != want.WordShift() {
-				t.Fatalf("v%d relation %d: carried table's filter differs from the cold derivation", v.Dataset.Version(), id)
-			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"m2mjoin/internal/bitvector"
@@ -20,8 +21,10 @@ import (
 // masks: each parent row still live is probed against its children's
 // reduced tables one child after another, in semi-join order, and dies
 // at the first child without a match. Tables are ChainedTables over the
-// same masks the executor uses, and filters are bitvector.FromTable
-// projections of plain builds over them.
+// same masks the executor uses. Filters are bitvector.FromTable
+// projections of the tables the executor probes: a plain build over a
+// selected relation's mask, the versioned build otherwise, whose filter
+// keeps a deleted base row's key until compaction.
 //
 // Phase 2 of the flat pipeline walks the join order depth first, tuple
 // at a time: before the next join, an intermediate tuple probes the
@@ -36,7 +39,8 @@ import (
 // ExpandedTuples and FactorizedRows. Residuals are not evaluated.
 func countingReference(ds *storage.Dataset, opts Options) Stats {
 	t := ds.Tree
-	masks := effectiveMasks(ds, selectionMasks(ds, opts.Selections))
+	sels := selectionMasks(ds, opts.Selections)
+	masks := effectiveMasks(ds, sels)
 	live := make([][]bool, t.Len())
 	for i := range live {
 		mask := maskAt(masks, plan.NodeID(i))
@@ -79,7 +83,11 @@ func countingReference(ds *storage.Dataset, opts Options) Stats {
 		rel, key := ds.Relation(id), ds.KeyColumn(id)
 		tables[id] = BuildChained(rel, key, boolMask(live[id]))
 		if filters != nil {
-			filters[id] = bitvector.FromTable(hashtable.Build(rel, key, maskAt(masks, id)))
+			tbl := hashtable.Build(rel, key, maskAt(masks, id))
+			if maskAt(sels, id) == nil {
+				tbl = hashtable.BuildVersioned(rel, key, ds.BaseRows(id), ds.BaseLive(id), ds.Live(id), 1, nil)
+			}
+			filters[id] = bitvector.FromTable(tbl)
 		}
 	}
 
@@ -224,10 +232,10 @@ func (c *comReference) driverRow(r int32) {
 			return
 		}
 		next := c.opts.Order[k]
-		pi := at[t.Parent(next)]
-		for j, row := range c.rows[next] {
-			if row.parent == pi && alive[next][j] {
-				at[next], tuple[next] = j, row.row
+		lo, hi := c.under(next, at[t.Parent(next)])
+		for j := lo; j < hi; j++ {
+			if alive[next][j] {
+				at[next], tuple[next] = j, c.rows[next][j].row
 				expand(k + 1)
 			}
 		}
@@ -292,12 +300,23 @@ func (c *comReference) supported(id plan.NodeID, i int) bool {
 // anySupported reports whether some row of relation id under parent row
 // p is supported.
 func (c *comReference) anySupported(id plan.NodeID, p int) bool {
-	for j, row := range c.rows[id] {
-		if row.parent == p && c.supported(id, j) {
+	lo, hi := c.under(id, p)
+	for j := lo; j < hi; j++ {
+		if c.supported(id, j) {
 			return true
 		}
 	}
 	return false
+}
+
+// under returns the range [lo, hi) of relation id's rows under parent
+// row p: a join appends its matches in parent order.
+func (c *comReference) under(id plan.NodeID, p int) (lo, hi int) {
+	rows := c.rows[id]
+	lo = sort.Search(len(rows), func(j int) bool { return rows[j].parent >= p })
+	for hi = lo; hi < len(rows) && rows[hi].parent == p; hi++ {
+	}
+	return lo, hi
 }
 
 // boolMask packs a []bool liveness mask into a storage.Bitmap.

@@ -4,10 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"m2mjoin/internal/cost"
+	"m2mjoin/internal/hashtable"
 	"m2mjoin/internal/plan"
+	"m2mjoin/internal/shard"
 	"m2mjoin/internal/storage"
 	"m2mjoin/internal/workload"
 )
@@ -52,61 +56,302 @@ func emptyDataset(tr *plan.Tree) *storage.Dataset {
 	return ds
 }
 
-// FuzzExecCounters runs generated queries through all six strategies
-// and holds every counter to the countingReference and the output to
-// ReferenceOpts. The inputs: a star, path or snowflake of 2–6 relations
-// with per-edge m drawn from [mLo, 1] and fo from [1, foHi]; 0–3 000
-// driver rows; STD, BVP+STD, SJ+STD, COM, BVP+COM or SJ+COM
-// (strategy % 6) over a random valid order, with flat or factorized
-// output; 1, 2 or 8 workers; a chunk size of 1–2 048 rows, or within 15
-// of math.MaxInt for chunk ≥ 0xFFF0; at most one equality selection on
-// a relation's id column (sel = 0: none; otherwise relation sel&7 mod n
-// keeps the row with id sel>>3 − 1, so sel>>3 = 0 keeps nothing); and
-// NoInterleave, which is ignored and kept so the committed seeds keep
-// their encoding.
+// mutateRandomly commits one random batch against ds: appends cloned
+// from live resident rows (fresh surrogate id, so the copied key
+// columns join exactly as their source rows do), plus deletes of
+// random live rows across all relations. With compact, the batch also
+// appends a quarter of every relation's base, so every relation
+// compacts.
+func mutateRandomly(t *testing.T, ds *storage.Dataset, rng *rand.Rand, nOps int, compact bool) storage.Version {
+	t.Helper()
+	d := ds.Begin()
+	deleted := make(map[plan.NodeID]map[int]bool)
+	liveRows := func(id plan.NodeID) []int {
+		rel, live := ds.Relation(id), ds.Live(id)
+		var rows []int
+		for r := 0; r < rel.NumRows(); r++ {
+			if (live == nil || live.Get(r)) && !deleted[id][r] {
+				rows = append(rows, r)
+			}
+		}
+		return rows
+	}
+	appendClone := func(id plan.NodeID, liveRows []int) {
+		rel := ds.Relation(id)
+		vals := make([]int64, rel.NumCols())
+		if len(liveRows) > 0 {
+			src := liveRows[rng.Intn(len(liveRows))]
+			for c := range vals {
+				vals[c] = rel.ColumnAt(c)[src]
+			}
+		}
+		for c, name := range rel.ColumnNames() {
+			if name == "id" {
+				vals[c] = int64(1<<40) + rng.Int63n(1<<20)
+			}
+		}
+		d.Append(rel.Name(), vals...)
+	}
+	for o := 0; o < nOps; o++ {
+		id := plan.NodeID(rng.Intn(ds.Tree.Len()))
+		rows := liveRows(id)
+		if rng.Intn(10) < 6 || len(rows) == 0 {
+			appendClone(id, rows)
+		} else {
+			row := rows[rng.Intn(len(rows))]
+			if deleted[id] == nil {
+				deleted[id] = make(map[int]bool)
+			}
+			deleted[id][row] = true
+			d.Delete(ds.Relation(id).Name(), row)
+		}
+	}
+	if compact {
+		for i := 0; i < ds.Tree.Len(); i++ {
+			id := plan.NodeID(i)
+			rows := liveRows(id)
+			for n := 0; n*4 <= ds.BaseRows(id); n++ {
+				appendClone(id, rows)
+			}
+		}
+	}
+	v, err := d.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// execCase is one generated query, in FuzzExecCounters' encoding:
+//
+//   - a star, path or snowflake (shape % 3) of 2–6 relations
+//     (2 + nrel % 5) with per-edge m drawn from [mLo, 1], mLo =
+//     (1 + m % 100) / 100, and fo from [1, 1 + (fo % 5) / 4]; with
+//     fo ≥ 0x80 the driver's child edges draw their fanouts from
+//     Zipf(1.1, 8) instead, and every edge gains 30 % dangling child
+//     rows;
+//   - 0–3 000 driver rows (rows % 3001);
+//   - STD, BVP+STD, SJ+STD, COM, BVP+COM or SJ+COM (strategy % 6) over
+//     a random valid order, with flat or factorized output;
+//   - 1, 2 or 8 workers (workers % 3);
+//   - a chunk size of 1–2 048 rows, or within 15 of math.MaxInt for
+//     chunk ≥ 0xFFF0;
+//   - at most one equality selection on a relation's id column (sel =
+//     0: none; otherwise relation sel&7 mod n keeps the row with id
+//     sel>>3 − 1, so sel>>3 = 0 keeps nothing);
+//   - collect: a flat run also hands its tuples to CollectOutput;
+//   - shards: 0 runs unsharded only; otherwise 2 + (shards−1) % 4
+//     shards of shard.Partition also run, each restricted to its
+//     DriverRows, and MergeShardStats folds them;
+//   - commits: commits % 4 seeded append/delete batches, each checked;
+//     with commits & 4 the last also compacts every relation;
+//   - provider: 0 none; 1 a cold tableStore at every version; 2 a
+//     tableStore warmed at version 0 and carried across the commits by
+//     ApplyDelta.
+type execCase struct {
+	shape, nrel, m, fo        uint8
+	rows                      uint16
+	strategy                  uint8
+	flat                      bool
+	workers                   uint8
+	chunk                     uint16
+	sel                       uint8
+	collect                   bool
+	seed                      int64
+	shards, commits, provider uint8
+}
+
+// query generates c's version-0 dataset and options, and the rng that
+// then draws its commits.
+func (c execCase) query() (*storage.Dataset, Options, *rand.Rand) {
+	chunkSize := 1 + int(c.chunk)%2048
+	if c.chunk >= 0xFFF0 {
+		chunkSize = math.MaxInt - int(c.chunk&0xF)
+	}
+	rng := rand.New(rand.NewSource(c.seed))
+	n := 2 + int(c.nrel)%5
+	mLo := float64(1+int(c.m)%100) / 100
+	tr := fuzzTree(int(c.shape)%3, n, plan.UniformStats(rng, mLo, 1, 1, 1+float64(c.fo%5)/4))
+	ds := emptyDataset(tr)
+	if driver := int(c.rows) % 3001; driver > 0 {
+		cfg := workload.Config{DriverRows: driver, Seed: c.seed}
+		if c.fo >= 0x80 {
+			cfg.Fanouts, cfg.DanglingFraction = map[plan.NodeID]workload.FanoutDist{}, 0.3
+			for _, id := range tr.Children(plan.Root) {
+				cfg.Fanouts[id] = workload.NewZipf(1.1, 8)
+			}
+		}
+		ds = workload.Generate(tr, cfg)
+	}
+	opts := Options{
+		Strategy:    []cost.Strategy{cost.STD, cost.BVPSTD, cost.SJSTD, cost.COM, cost.BVPCOM, cost.SJCOM}[c.strategy%6],
+		Order:       randomOrder(tr, rng),
+		FlatOutput:  c.flat,
+		ChunkSize:   chunkSize,
+		Parallelism: []int{1, 2, 8}[c.workers%3],
+	}
+	if c.sel != 0 {
+		opts.Selections = []Selection{{Rel: plan.NodeID(int(c.sel&7) % n), Column: "id", Value: int64(c.sel>>3) - 1}}
+	}
+	return ds, opts, rng
+}
+
+// checkCase runs c at every version and fails t unless each run agrees
+// with the oracles: the provider-less unsharded run with the
+// countingReference on every counter and with ReferenceOpts on the
+// output; its collected tuples, merged shards and provider runs with
+// it (a provider run apart from its cache counters, which must be the
+// tables it was and was not served); and, after the commits, a rerun of
+// version 0 with version 0's first run. It returns the Stats of that
+// first run: provider-less and unsharded.
+func checkCase(t *testing.T, c execCase) Stats {
+	t.Helper()
+	ds, opts, rng := c.query()
+	label := fmt.Sprintf("%+v", c)
+	var shards []shard.Shard
+	if c.shards != 0 {
+		shards = must(shard.Partition(ds, 2+int(c.shards-1)%4))
+	}
+	var carried *tableStore
+	if c.provider%3 == 2 {
+		carried = newTableStore()
+		must(Run(ds, Options{Strategy: cost.BVPCOM, Order: opts.Order, Artifacts: carried}))
+	}
+	v0 := ds
+	var first Stats
+	for v := 0; ; v++ {
+		got := checkVersion(t, label, c, ds, opts, shards, carried)
+		if v == 0 {
+			first = got
+		}
+		if v == int(c.commits%4) {
+			break
+		}
+		ver := mutateRandomly(t, ds, rng, 1+rng.Intn(40), c.commits&4 != 0 && v+1 == int(c.commits%4))
+		ds = ver.Dataset
+		if shards != nil {
+			shards = must(shard.Advance(shards, ds, ver))
+		}
+		if carried != nil {
+			carried.apply(ver)
+		}
+	}
+	if ds != v0 {
+		if again := must(Run(v0, opts)); !reflect.DeepEqual(again, first) {
+			t.Errorf("%s: version 0 answers differently after the commits:\n got %+v\nwant %+v", label, again, first)
+		}
+	}
+	return first
+}
+
+// checkVersion is checkCase at one version.
+func checkVersion(t *testing.T, label string, c execCase, ds *storage.Dataset, opts Options,
+	shards []shard.Shard, carried *tableStore) Stats {
+	t.Helper()
+	label = fmt.Sprintf("%s v%d %v order=%v chunk=%d par=%d sel=%v",
+		label, ds.Version(), ds.Tree, opts.Order, opts.ChunkSize, opts.Parallelism, opts.Selections)
+	o := opts
+	var mu sync.Mutex
+	var collected int64
+	var collectedSum uint64
+	if c.collect && opts.FlatOutput {
+		o.CollectOutput = func(tuple []int32) {
+			mu.Lock()
+			collected++
+			collectedSum += checksumCanonical(tuple)
+			mu.Unlock()
+		}
+	}
+	got, err := Run(ds, o)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if o.CollectOutput != nil && (collected != got.OutputTuples || collectedSum != got.Checksum) {
+		t.Errorf("%s: collected %d tuples (checksum %x), Stats report %d (%x)",
+			label, collected, collectedSum, got.OutputTuples, got.Checksum)
+	}
+	requireCounts(t, label, opts, got, countingReference(ds, opts))
+	count, sum := ReferenceOpts(ds, nil, opts.Selections)
+	checksum := got.Checksum
+	if opts.Strategy.Factorized() && !opts.FlatOutput {
+		checksum, sum = 0, 0 // no flat tuples, no checksum
+	}
+	if got.OutputTuples != count || checksum != sum {
+		t.Errorf("%s %v: %d tuples, checksum %x; ReferenceOpts %d, %x",
+			label, opts.Strategy, got.OutputTuples, checksum, count, sum)
+	}
+
+	if shards != nil {
+		parts := make([]Stats, len(shards))
+		for i, sh := range shards {
+			o := opts
+			o.DriverRows = sh.Rows
+			parts[i] = must(Run(sh.Parent, o))
+		}
+		if merged := MergeShardStats(parts); !reflect.DeepEqual(merged, got) {
+			t.Errorf("%s: %d shards merge to\n %+v\nunsharded\n %+v", label, len(shards), merged, got)
+		}
+	}
+
+	if c.provider%3 != 0 {
+		store := carried
+		if store == nil {
+			store = newTableStore()
+		}
+		store.skip = 0
+		for _, s := range opts.Selections {
+			store.skip = store.skip.With(s.Rel)
+		}
+		// The provider is asked for every table the strategy does not
+		// reduce; a carried one serves those of unselected relations.
+		var asked, served int64
+		for _, id := range ds.Tree.NonRoot() {
+			if opts.Strategy.Reduction() != cost.SemiJoin || len(ds.Tree.Children(id)) == 0 {
+				asked++
+				if carried != nil && !store.skip.Has(id) {
+					served++
+				}
+			}
+		}
+		o := opts
+		o.Artifacts = store
+		pg := must(Run(ds, o))
+		if pg.CacheHits != served || pg.CacheMisses != asked-served || !reflect.DeepEqual(stripProvider(pg), got) {
+			t.Errorf("%s: provider %d run (want %d hits, %d misses)\n %+v\nprovider-less\n %+v",
+				label, c.provider%3, served, asked-served, pg, got)
+		}
+	}
+	return got
+}
+
+// apply carries the store's tables to the version v committed, as the
+// serving layer's repair does.
+func (a *tableStore) apply(v storage.Version) {
+	ds := v.Dataset
+	for _, d := range v.Deltas {
+		if tbl := a.tables[d.Rel]; tbl != nil {
+			a.tables[d.Rel] = tbl.ApplyDelta(ds.Relation(d.Rel), ds.KeyColumn(d.Rel), hashtable.DeltaSpec{
+				BaseRows: ds.BaseRows(d.Rel), BaseLive: ds.BaseLive(d.Rel), Live: ds.Live(d.Rel),
+				AppendedFrom: d.AppendedFrom, Deleted: d.Deleted, Compacted: d.Compacted,
+			}, 1, nil)
+		}
+	}
+}
+
+// must returns v, panicking on err: the callers' failures are test
+// bugs or executor errors, and a panic in a test fails it with a stack.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// FuzzExecCounters runs generated queries (execCase) through checkCase.
 func FuzzExecCounters(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape, nrel, m, fo uint8, rows uint16, strategy uint8, flat bool, workers uint8,
-		chunk uint16, sel uint8, noInterleave bool, seed int64) {
-		chunkSize := 1 + int(chunk)%2048
-		if chunk >= 0xFFF0 {
-			chunkSize = math.MaxInt - int(chunk&0xF)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + int(nrel)%5
-		mLo := float64(1+int(m)%100) / 100
-		foHi := 1 + float64(fo%5)/4
-		tr := fuzzTree(int(shape)%3, n, plan.UniformStats(rng, mLo, 1, 1, foHi))
-		var ds *storage.Dataset
-		if driver := int(rows) % 3001; driver > 0 {
-			ds = workload.Generate(tr, workload.Config{DriverRows: driver, Seed: seed})
-		} else {
-			ds = emptyDataset(tr)
-		}
-		opts := Options{
-			Strategy:     []cost.Strategy{cost.STD, cost.BVPSTD, cost.SJSTD, cost.COM, cost.BVPCOM, cost.SJCOM}[strategy%6],
-			Order:        randomOrder(tr, rng),
-			FlatOutput:   flat,
-			ChunkSize:    chunkSize,
-			Parallelism:  []int{1, 2, 8}[workers%3],
-			NoInterleave: noInterleave,
-		}
-		if sel != 0 {
-			opts.Selections = []Selection{{Rel: plan.NodeID(int(sel&7) % n), Column: "id", Value: int64(sel>>3) - 1}}
-		}
-		got, err := Run(ds, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := fmt.Sprintf("%v order=%v rows=%d chunk=%d par=%d nointerleave=%v sel=%v",
-			tr, opts.Order, ds.Relation(plan.Root).NumRows(), opts.ChunkSize, opts.Parallelism, noInterleave, opts.Selections)
-		requireCounts(t, label, opts, got, countingReference(ds, opts))
-		count, sum := ReferenceOpts(ds, nil, opts.Selections)
-		if opts.Strategy.Factorized() && !flat {
-			got.Checksum, sum = 0, 0 // no flat tuples, no checksum
-		}
-		if got.OutputTuples != count || got.Checksum != sum {
-			t.Errorf("%s %v: %d tuples, checksum %x; ReferenceOpts %d, %x",
-				label, opts.Strategy, got.OutputTuples, got.Checksum, count, sum)
-		}
+		chunk uint16, sel uint8, collect bool, seed int64, shards, commits, provider uint8) {
+		checkCase(t, execCase{shape, nrel, m, fo, rows, strategy, flat, workers, chunk, sel, collect, seed,
+			shards, commits, provider})
 	})
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -10,76 +9,6 @@ import (
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/workload"
 )
-
-// TestParallelStatsParity is the central determinism test of the
-// parallel executor: one mid-size query, every strategy, worker counts
-// {1, 2, 8} — the full Stats (checksum and every probe counter,
-// including the per-relation breakdown) must be identical across
-// counts. Run under `go test -race` this also proves the worker pool
-// is data-race free.
-func TestParallelStatsParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	tr := plan.Snowflake(3, 2, plan.UniformStats(rng, 0.6, 0.9, 1, 3))
-	ds := workload.Generate(tr, workload.Config{DriverRows: 3000, Seed: 7})
-	order := plan.Order(tr.NonRoot()) // ascending IDs honor precedence
-
-	for _, flat := range []bool{true, false} {
-		for _, s := range cost.AllStrategies {
-			var base Stats
-			for i, par := range []int{1, 2, 8} {
-				stats, err := Run(ds, Options{
-					Strategy:    s,
-					Order:       order,
-					FlatOutput:  flat,
-					ChunkSize:   256, // many chunks so all workers engage
-					Parallelism: par,
-				})
-				if err != nil {
-					t.Fatalf("%v parallelism %d: %v", s, par, err)
-				}
-				if i == 0 {
-					base = stats
-					if stats.OutputTuples == 0 {
-						t.Fatalf("%v: degenerate test, no output", s)
-					}
-					continue
-				}
-				if !reflect.DeepEqual(stats, base) {
-					t.Errorf("%v flat=%v: stats diverge at parallelism %d:\n got %+v\nwant %+v",
-						s, flat, par, stats, base)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelMatchesReference: parallel runs on random small datasets
-// must still reproduce the brute-force oracle exactly.
-func TestParallelMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 10; trial++ {
-		ds := smallDataset(int64(trial*17+5), 6, 60+rng.Intn(60))
-		wantCount, wantSum := Reference(ds)
-		orders := ds.Tree.AllOrders()
-		order := orders[rng.Intn(len(orders))]
-		for _, s := range cost.AllStrategies {
-			stats, err := Run(ds, Options{
-				Strategy:    s,
-				Order:       order,
-				FlatOutput:  true,
-				ChunkSize:   16,
-				Parallelism: 4,
-			})
-			if err != nil {
-				t.Fatalf("trial %d %v: %v", trial, s, err)
-			}
-			if stats.OutputTuples != wantCount || (wantCount > 0 && stats.Checksum != wantSum) {
-				t.Fatalf("trial %d %v: parallel output diverged: count %d want %d",
-					trial, s, stats.OutputTuples, wantCount)
-			}
-		}
-	}
-}
 
 // TestParallelNegativeUsesAllCPUs: Parallelism < 0 must run (using
 // GOMAXPROCS workers) and produce the sequential result.

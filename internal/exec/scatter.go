@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 
-	"m2mjoin/internal/faultinject"
 	"m2mjoin/internal/par"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/shard"
@@ -90,7 +88,6 @@ func MergeShardStats(parts []Stats) Stats {
 // RunSharded is all-or-nothing: the first shard failure cancels the
 // siblings and fails the call. Degraded (partial-coverage) gathering
 // is the serving tier's job, which dispatches shards individually.
-// The exec/shard-probe failpoint fires once per shard before its run.
 func RunSharded(shards []shard.Shard, opts Options) (Stats, error) {
 	if len(shards) == 0 {
 		return Stats{}, fmt.Errorf("exec: RunSharded with no shards")
@@ -131,18 +128,6 @@ func RunSharded(shards []shard.Shard, opts Options) (Stats, error) {
 	}
 
 	par.For(len(shards), len(shards), nil, func(_, i int) {
-		// The shard body runs outside Run's own panic boundary (the
-		// failpoint below can panic), so it carries the same recover
-		// guard the executor puts on every unit of work.
-		defer func() {
-			if v := recover(); v != nil {
-				fail(&PanicError{Site: "shard-probe", Value: v, Stack: debug.Stack()})
-			}
-		}()
-		if err := faultinject.Fire(faultinject.SiteShardProbe); err != nil {
-			fail(err)
-			return
-		}
 		o := opts
 		o.Parallelism = per
 		o.Ctx = ctx

@@ -14,6 +14,7 @@ import (
 	"m2mjoin/internal/cost"
 	"m2mjoin/internal/faultinject"
 	"m2mjoin/internal/plan"
+	"m2mjoin/internal/shard"
 	"m2mjoin/internal/storage"
 	"m2mjoin/internal/workload"
 )
@@ -35,42 +36,6 @@ func parkedCount() int {
 	return len(free.list)
 }
 
-// reuseDataset is one input of the reuse differentials, with its
-// oracle answers.
-type reuseDataset struct {
-	name string
-	ds   *storage.Dataset
-	// sel is a selection on the first non-root relation's join key: it
-	// shapes that relation's table and thins the output.
-	sel                []Selection
-	count, selCount    int64
-	checksum, selCheck uint64
-}
-
-func newReuseDataset(name string, tr *plan.Tree, rows int, seed int64) *reuseDataset {
-	d := &reuseDataset{name: name, ds: workload.Generate(tr, workload.Config{DriverRows: rows, Seed: seed})}
-	first := tr.NonRoot()[0]
-	col := d.ds.KeyColumn(first)
-	d.sel = []Selection{{Rel: first, Column: col, Value: d.ds.Relation(first).Column(col)[0]}}
-	d.count, d.checksum = Reference(d.ds)
-	d.selCount, d.selCheck = ReferenceOpts(d.ds, nil, d.sel)
-	return d
-}
-
-// reuseDatasets are the four tree shapes the differentials alternate
-// between, sized so a 2048-row chunk still makes several chunks.
-func reuseDatasets() []*reuseDataset {
-	rng := rand.New(rand.NewSource(5))
-	two := plan.NewTree("R1")
-	two.AddChild(plan.Root, plan.EdgeStats{M: 0.7, Fo: 3}, "R2")
-	return []*reuseDataset{
-		newReuseDataset("star6", plan.Star(6, plan.UniformStats(rng, 0.5, 0.9, 1, 3)), 4200, 1),
-		newReuseDataset("path7", plan.Path(7, plan.UniformStats(rng, 0.6, 0.9, 1, 2)), 4500, 2),
-		newReuseDataset("snowflake32", plan.Snowflake(3, 2, plan.UniformStats(rng, 0.6, 0.9, 1, 2)), 4200, 3),
-		newReuseDataset("two", two, 5000, 4),
-	}
-}
-
 // randomOrder draws a valid join order: any relation whose parent is
 // already joined may come next.
 func randomOrder(tr *plan.Tree, rng *rand.Rand) plan.Order {
@@ -90,124 +55,11 @@ func randomOrder(tr *plan.Tree, rng *rand.Rand) plan.Order {
 	return order
 }
 
-// reuseCase is one drawn run shape.
-type reuseCase struct {
-	d        *reuseDataset
-	opts     Options // without CollectOutput and DriverRows
-	collect  bool
-	restrict *storage.Bitmap // nil = whole driver
-	selected bool
-}
-
-func drawReuseCase(rng *rand.Rand, sets []*reuseDataset, prev *reuseDataset) reuseCase {
-	d := sets[rng.Intn(len(sets))]
-	for d == prev { // consecutive runs always change tree
-		d = sets[rng.Intn(len(sets))]
-	}
-	c := reuseCase{d: d}
-	c.opts = Options{
-		Strategy:     cost.AllStrategies[rng.Intn(len(cost.AllStrategies))],
-		Order:        randomOrder(d.ds.Tree, rng),
-		FlatOutput:   rng.Intn(2) == 0,
-		Parallelism:  1 + rng.Intn(2),
-		ChunkSize:    []int{256, 2048}[rng.Intn(2)],
-		NoInterleave: rng.Intn(4) == 0,
-	}
-	if rng.Intn(3) == 0 {
-		c.selected = true
-		c.opts.Selections = d.sel
-	}
-	if rng.Intn(3) == 0 {
-		n := d.ds.Relation(plan.Root).NumRows()
-		c.restrict = storage.NewEmptyBitmap(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				c.restrict.Set(i)
-			}
-		}
-	}
-	c.collect = c.opts.FlatOutput && rng.Intn(3) == 0
-	return c
-}
-
-// execute runs the case (restricted to rows when non-nil) and checks
-// that what CollectOutput saw is what the stats report.
-func (c reuseCase) execute(rows *storage.Bitmap) (Stats, error) {
-	opts := c.opts
-	opts.DriverRows = rows
-	var mu sync.Mutex
-	var tuples int64
-	var sum uint64
-	if c.collect {
-		opts.CollectOutput = func(tuple []int32) {
-			mu.Lock()
-			tuples++
-			sum += checksumCanonical(tuple)
-			mu.Unlock()
-		}
-	}
-	st, err := Run(c.d.ds, opts)
-	if err == nil && c.collect && (tuples != st.OutputTuples || sum != st.Checksum) {
-		err = fmt.Errorf("collected %d tuples (checksum %x), stats report %d (%x)",
-			tuples, sum, st.OutputTuples, st.Checksum)
-	}
-	return st, err
-}
-
-// check runs the case on whatever scratch the previous run parked and
-// again on an empty free list, and holds both against the oracle. A
-// driver-row restriction runs as the row set and its complement, whose
-// sum must be the whole answer.
-func (c reuseCase) check() error {
-	parts := []*storage.Bitmap{nil}
-	if c.restrict != nil {
-		rest := storage.NewBitmap(c.restrict.Len())
-		rest.Retain(func(row int) bool { return !c.restrict.Get(row) })
-		parts = []*storage.Bitmap{c.restrict, rest}
-	}
-	var count int64
-	var checksum uint64
-	for _, rows := range parts {
-		got, err := c.execute(rows)
-		if err != nil {
-			return fmt.Errorf("on inherited scratch: %w", err)
-		}
-		inherited := swapFreeList(nil)
-		fresh, err := c.execute(rows)
-		swapFreeList(inherited)
-		if err != nil {
-			return fmt.Errorf("on an empty free list: %w", err)
-		}
-		if !reflect.DeepEqual(got, fresh) {
-			return fmt.Errorf("stats differ between inherited and fresh scratch:\n inherited %+v\n fresh     %+v", got, fresh)
-		}
-		count += got.OutputTuples
-		checksum += got.Checksum
-	}
-	wantCount, wantSum := c.d.count, c.d.checksum
-	if c.selected {
-		wantCount, wantSum = c.d.selCount, c.d.selCheck
-	}
-	// Factorized output counts without enumerating, so only a flat run
-	// has a checksum to compare.
-	if count != wantCount || c.opts.FlatOutput && checksum != wantSum {
-		return fmt.Errorf("output %d tuples (checksum %x), reference %d (%x)", count, checksum, wantCount, wantSum)
-	}
-	return nil
-}
-
-func (c reuseCase) String() string {
-	return fmt.Sprintf("%s %v order=%v flat=%v par=%d chunk=%d nointerleave=%v selected=%v restricted=%v collect=%v",
-		c.d.name, c.opts.Strategy, c.opts.Order, c.opts.FlatOutput, c.opts.Parallelism, c.opts.ChunkSize,
-		c.opts.NoInterleave, c.selected, c.restrict != nil, c.collect)
-}
-
-// failRun runs the case, over many small chunks, so that it fails
+// failRun runs the query, over many small chunks, so that it fails
 // mid-scan — an injected probe-chunk error, an injected panic, or a
 // context cancelled from inside the first chunk's output — and checks
 // that it failed that way and parked nothing.
-func (c reuseCase) failRun(kind int) error {
-	opts := c.opts
+func failRun(ds *storage.Dataset, opts Options, kind int) error {
 	opts.ChunkSize = 64
 	opts.Selections = nil
 	before := parkedCount()
@@ -222,7 +74,7 @@ func (c reuseCase) failRun(kind int) error {
 			want = func(err error) bool { var pe *PanicError; return errors.As(err, &pe) }
 		}
 		faultinject.Enable(faultinject.Spec{Site: faultinject.SiteProbeChunk, Mode: mode, Every: 2})
-		_, err = Run(c.d.ds, opts)
+		_, err = Run(ds, opts)
 		faultinject.Disable()
 	default:
 		ctx, cancel := context.WithCancel(context.Background())
@@ -231,7 +83,7 @@ func (c reuseCase) failRun(kind int) error {
 		opts.FlatOutput = true
 		opts.CollectOutput = func([]int32) { cancel() }
 		want = func(err error) bool { return errors.Is(err, context.Canceled) }
-		_, err = Run(c.d.ds, opts)
+		_, err = Run(ds, opts)
 	}
 	if err == nil || !want(err) {
 		return fmt.Errorf("failing run (kind %d) returned %v", kind, err)
@@ -243,30 +95,34 @@ func (c reuseCase) failRun(kind int) error {
 }
 
 // TestScratchReuseDifferential: reuse is invisible. One goroutine runs
-// a seeded sequence of runs that change tree, strategy, output shape,
-// worker count, chunk size, driver restriction, selection, the
-// ignored NoInterleave and output collection from one run to the next, so every
-// run inherits buffers grown by a differently shaped one; each must
-// report exactly the Stats it reports on an empty free list and the
-// oracle's answer. Failing runs are interleaved, and the run after
-// each is held to the same standard. A failure prints the case; the
-// seed replays the sequence.
+// 240 drawn cases back to back through checkCase, so every run
+// inherits buffers grown by a differently shaped one — other tree,
+// strategy, output shape, worker count, chunk size, shard restriction,
+// selection, commits, provider and output collection — and each case
+// must pass checkCase, and its first run must report exactly the Stats
+// it reports on an empty free list. Every eighth case instead fails mid-scan, and the
+// case after it is held to the same standard. A failure prints the
+// case; the seed replays the sequence.
 func TestScratchReuseDifferential(t *testing.T) {
 	defer swapFreeList(swapFreeList(nil))
-	sets := reuseDatasets()
 	rng := rand.New(rand.NewSource(29))
-	var prev *reuseDataset
 	for i := 0; i < 240; i++ {
-		c := drawReuseCase(rng, sets, prev)
-		prev = c.d
+		c := drawCase(rng)
 		if i%8 == 5 {
-			if err := c.failRun(i / 8 % 3); err != nil {
-				t.Fatalf("run %d (%v): %v", i, c, err)
+			c.rows, c.m = 3000, 99 // every driver row joins: many chunks, some output
+			ds, opts, _ := c.query()
+			if err := failRun(ds, opts, i/8%3); err != nil {
+				t.Fatalf("run %d (%+v): %v", i, c, err)
 			}
 			continue
 		}
-		if err := c.check(); err != nil {
-			t.Fatalf("run %d (%v): %v", i, c, err)
+		got := checkCase(t, c)
+		ds, opts, _ := c.query()
+		inherited := swapFreeList(nil)
+		fresh := must(Run(ds, opts))
+		swapFreeList(inherited)
+		if !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("run %d (%+v): stats differ between inherited and fresh scratch:\n inherited %+v\n fresh     %+v", i, c, got, fresh)
 		}
 	}
 	if parkedCount() == 0 {
@@ -275,45 +131,47 @@ func TestScratchReuseDifferential(t *testing.T) {
 }
 
 // TestScratchReuseConcurrent is the differential across goroutines:
-// four of them, each on its own dataset, run drawn cases against one
-// free list, so scratches migrate between goroutines and trees
-// mid-flight. Expected stats come from a sequential pass on an empty
-// list. Its value is under -race.
+// four of them, each with its own drawn queries, run them twice
+// against one free list, so scratches migrate between goroutines and
+// trees mid-flight. Expected stats come from a sequential pass on an
+// empty list. Its value is under -race.
 func TestScratchReuseConcurrent(t *testing.T) {
 	defer swapFreeList(swapFreeList(nil))
-	sets := reuseDatasets()
-	const perSet = 16
-	cases := make([][]reuseCase, len(sets))
-	want := make([][]Stats, len(sets))
+	type query struct {
+		ds   *storage.Dataset
+		opts Options
+		want Stats
+	}
+	const goroutines, perGoroutine = 4, 16
+	queries := make([][]query, goroutines)
 	rng := rand.New(rand.NewSource(31))
-	for g, d := range sets {
-		for i := 0; i < perSet; i++ {
-			c := drawReuseCase(rng, []*reuseDataset{d}, nil)
-			swapFreeList(nil)
-			st, err := c.execute(c.restrict)
-			if err != nil {
-				t.Fatalf("%v: %v", c, err)
+	for g := range queries {
+		for i := 0; i < perGoroutine; i++ {
+			c := drawCase(rng)
+			ds, opts, _ := c.query()
+			if c.shards != 0 {
+				opts.DriverRows = must(shard.Partition(ds, 2))[0].Rows
 			}
-			cases[g] = append(cases[g], c)
-			want[g] = append(want[g], st)
+			swapFreeList(nil)
+			queries[g] = append(queries[g], query{ds, opts, must(Run(ds, opts))})
 		}
 	}
 	swapFreeList(nil)
 
 	var wg sync.WaitGroup
-	for g := range sets {
+	for g := range queries {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < 2; round++ {
-				for i, c := range cases[g] {
-					got, err := c.execute(c.restrict)
+				for i, q := range queries[g] {
+					got, err := Run(q.ds, q.opts)
 					if err != nil {
-						t.Errorf("%v: %v", c, err)
+						t.Errorf("goroutine %d query %d: %v", g, i, err)
 						return
 					}
-					if !reflect.DeepEqual(got, want[g][i]) {
-						t.Errorf("%v: stats diverge under concurrent reuse:\n got %+v\nwant %+v", c, got, want[g][i])
+					if !reflect.DeepEqual(got, q.want) {
+						t.Errorf("goroutine %d query %d: stats diverge under concurrent reuse:\n got %+v\nwant %+v", g, i, got, q.want)
 						return
 					}
 				}

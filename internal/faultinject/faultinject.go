@@ -109,11 +109,6 @@ const (
 	// SiteAdmit fires at admission, before a query waits for a slot.
 	// ModeError rejects the query as shed load.
 	SiteAdmit = "service/admit"
-	// SiteShardProbe fires in exec.RunSharded, the in-process scatter,
-	// once per shard before the shard's run. ModeError/ModePanic fail
-	// the call; ModeDelay makes the shard a straggler. The serving tier
-	// dispatches its own shards and fires SiteShardDispatch instead.
-	SiteShardProbe = "exec/shard-probe"
 	// SiteShardDispatch fires in the serving tier's shard gather path,
 	// once per dispatched shard attempt (initial and retry alike, local
 	// or remote), before the attempt starts. ModeError/ModePanic
@@ -127,7 +122,7 @@ const (
 func Sites() []string {
 	return []string{
 		SiteProbeChunk, SiteBuildRelation, SiteReduceChunk,
-		SiteBuildMorsel, SiteShardProbe,
+		SiteBuildMorsel,
 		SiteCacheInsert, SiteAdmit, SiteShardDispatch,
 	}
 }

@@ -82,12 +82,10 @@ func TestChaosFailpoints(t *testing.T) {
 		{"delay", faultinject.ModeDelay},
 	}
 	for _, site := range faultinject.Sites() {
-		if site == faultinject.SiteShardProbe || site == faultinject.SiteShardDispatch {
-			// exec/shard-probe fires only in exec.RunSharded, which the
-			// service never calls, and service/shard-dispatch never fires on
-			// an unsharded service; the sharded chaos suite
-			// (shard_chaos_test.go) arms the latter against a scattering
-			// service with the same invariants.
+		if site == faultinject.SiteShardDispatch {
+			// service/shard-dispatch never fires on an unsharded service;
+			// the sharded chaos suite (shard_chaos_test.go) arms it against
+			// a scattering service with the same invariants.
 			continue
 		}
 		for _, m := range modes {

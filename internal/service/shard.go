@@ -43,8 +43,8 @@ import (
 //     missing shards. With MinCoverage unset the query fails with the
 //     most severe shard error.
 
-// DefaultShardAttemptTimeout bounds one shard dispatch attempt when
-// ShardConfig.AttemptTimeout is zero.
+// DefaultShardAttemptTimeout bounds one dispatch attempt to a replica
+// backend when ShardConfig.AttemptTimeout is zero.
 const DefaultShardAttemptTimeout = 2 * time.Second
 
 // ShardConfig configures the sharded serving tier. The zero value
@@ -60,8 +60,9 @@ type ShardConfig struct {
 	// must serve the same datasets (verified by content fingerprint
 	// before its first shard result is trusted).
 	Backends []string
-	// AttemptTimeout bounds one shard dispatch attempt (default 2s,
-	// negative disables; the query's own deadline still applies).
+	// AttemptTimeout bounds one shard dispatch attempt (default 2s with
+	// Backends, none for local shards; negative disables). The query's
+	// own deadline always applies.
 	AttemptTimeout time.Duration
 	// Retries is how many classified retries one shard gets after its
 	// first attempt, each rotated to the next replica (default 1,
@@ -82,7 +83,7 @@ func normalizeShardConfig(cfg ShardConfig) ShardConfig {
 		cfg.Shards = shard.MaxShards
 	}
 	switch {
-	case cfg.AttemptTimeout == 0:
+	case cfg.AttemptTimeout == 0 && len(cfg.Backends) > 0:
 		cfg.AttemptTimeout = DefaultShardAttemptTimeout
 	case cfg.AttemptTimeout < 0:
 		cfg.AttemptTimeout = 0 // unbounded

@@ -393,3 +393,23 @@ func TestScatterWorkEndsWithItsQuery(t *testing.T) {
 		})
 	}
 }
+
+// TestLocalShardsHaveNoAttemptDeadline: the 2 s attempt default guards
+// dispatches to replica backends. A local shard is the query's own
+// work, so it runs under the query's deadline alone and a long local
+// query is not cut at 2 s; an explicit -shard-timeout still applies.
+func TestLocalShardsHaveNoAttemptDeadline(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  ShardConfig
+		want time.Duration
+	}{
+		{ShardConfig{Shards: 2}, 0},
+		{ShardConfig{Shards: 2, AttemptTimeout: time.Second}, time.Second},
+		{ShardConfig{Backends: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}}, DefaultShardAttemptTimeout},
+		{ShardConfig{Backends: []string{"http://127.0.0.1:1"}, AttemptTimeout: -1}, 0},
+	} {
+		if got := normalizeShardConfig(tc.cfg).AttemptTimeout; got != tc.want {
+			t.Errorf("%+v: attempt deadline %v, want %v", tc.cfg, got, tc.want)
+		}
+	}
+}
