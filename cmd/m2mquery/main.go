@@ -55,7 +55,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	compare := flag.Bool("compare", false, "execute all six strategies and compare")
 	parallelism := flag.Int("parallelism", 1,
-		"probe workers (1 sequential, -1 all CPUs); results are identical at any setting")
+		"probe workers (1 sequential, -1 all CPUs); edge measurement uses every CPU; results are identical at any setting")
 	trace := flag.Bool("trace", false, "print the execution's per-phase span tree")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")

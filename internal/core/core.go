@@ -34,7 +34,8 @@ type PlanRequest struct {
 	// edge statistics are measured from the data instead of trusting
 	// the tree's annotations — exact to 16 384 live parent rows, from
 	// an 8 192-row systematic sample of them above (workload.Measure).
-	// Either way every child relation's whole table is built (Tables).
+	// Either way every child relation's whole table is built (Tables),
+	// the builds fanned out over GOMAXPROCS workers.
 	Dataset      *storage.Dataset
 	MeasureStats bool
 	// StatsCache optionally memoizes edge-statistics measurement when

@@ -609,6 +609,7 @@ func (s *Service) Query(ctx context.Context, req Request) (res Result, err error
 	// measures edge statistics and runs the optimizer search, which
 	// uses no executor workers — holding an admission slot through it
 	// would head-of-line-block warm queries behind cold-start planning.
+	// Its table builds therefore run outside admission, at GOMAXPROCS.
 	if err = s.planQuery(&c); err != nil {
 		return
 	}

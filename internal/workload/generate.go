@@ -161,12 +161,19 @@ func Measure(ds *storage.Dataset) map[plan.NodeID]plan.EdgeStats {
 // MeasureCached is Measure with edge statistics served through cache
 // (nil measures directly). Driver enumeration measures the same edge
 // directions for every candidate tree; a shared cache scans the data
-// once per direction.
+// once per direction. The directions the cache misses are measured in
+// parallel, across GOMAXPROCS workers (see EdgeStatsCache.measure).
 func MeasureCached(ds *storage.Dataset, cache *EdgeStatsCache) map[plan.NodeID]plan.EdgeStats {
 	t := ds.Tree
-	out := make(map[plan.NodeID]plan.EdgeStats, t.Len()-1)
-	for _, c := range t.NonRoot() {
-		out[c] = cache.MeasureEdge(ds, t.Parent(c), c, ds.KeyColumn(c))
+	ids := t.NonRoot()
+	edges := make([]edgeProbe, len(ids))
+	for i, c := range ids {
+		edges[i] = edgeProbe{t.Parent(c), c, ds.KeyColumn(c)}
+	}
+	measured := cache.measure(ds, edges)
+	out := make(map[plan.NodeID]plan.EdgeStats, len(ids))
+	for i, c := range ids {
+		out[c] = measured[i]
 	}
 	return out
 }

@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"maps"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"m2mjoin/internal/plan"
@@ -125,25 +128,30 @@ func TestRerootKeepsSnapshotLiveness(t *testing.T) {
 }
 
 // FuzzMeasureEdge checks the table-based edge measurement against the
-// map-based oracle on fuzzed relations with fuzzed histories. parent and
-// child are key columns, one key per byte; the first split rows of each
-// form the registered relations, the rest arrive in a first commit (the
-// append region), and a second commit deletes the rows the two delete
-// streams pick — in base and append region alike, compacting whenever
-// the storage policy says so. Measured on every snapshot of the chain,
-// once at the production sample size and once at a sample of 1–8 rows,
-// which sends every relation over 2–16 live parent rows through the
-// sampled branch.
+// map-based oracle on fuzzed relations with fuzzed histories. The root P
+// has two children: C, whose key column is child, and C2, whose key
+// column is parent's own bytes, one key per byte, so the tree's two
+// edges are measured side by side when MeasureCached fans out. The
+// first split rows of each column form the registered relations, the
+// rest arrive in a first commit (the append region), and a second commit
+// deletes the rows the delete streams pick — parentDel in P, childDel in
+// C and C2 — in base and append region alike, compacting whenever the
+// storage policy says so. Measured on every snapshot of the chain, once
+// at the production sample size and once at a sample of 1–8 rows, which
+// sends every relation over 2–16 live parent rows through the sampled
+// branch.
 func FuzzMeasureEdge(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, []byte{2, 2, 4, 9}, uint8(2), []byte{0}, []byte{1}, uint8(0))
 	f.Add([]byte{}, []byte{1, 2}, uint8(0), []byte{}, []byte{}, uint8(3))
 	f.Add([]byte{7, 7, 7}, []byte{}, uint8(9), []byte{2}, []byte{}, uint8(7))
 	f.Fuzz(func(t *testing.T, parent, child []byte, split uint8, parentDel, childDel []byte, sample uint8) {
 		tr := plan.NewTree("P")
-		c := tr.AddChild(plan.Root, plan.EdgeStats{M: 0.5, Fo: 1}, "C")
+		tr.AddChild(plan.Root, plan.EdgeStats{M: 0.5, Fo: 1}, "C")
+		tr.AddChild(plan.Root, plan.EdgeStats{M: 0.5, Fo: 1}, "C2")
+		names := []string{"P", "C", "C2"}
 		ds := storage.NewDataset(tr)
-		cols := [][]byte{parent, child}
-		for i, name := range []string{"P", "C"} {
+		cols := [][]byte{parent, child, parent}
+		for i, name := range names {
 			rel := storage.NewRelation(name, "k")
 			for _, b := range cols[i][:min(int(split), len(cols[i]))] {
 				rel.AppendRow(int64(b))
@@ -153,23 +161,26 @@ func FuzzMeasureEdge(f *testing.F) {
 		check := func(ds *storage.Dataset) {
 			t.Helper()
 			cache := NewEdgeStatsCache()
-			got := MeasureCached(ds, cache)[c]
-			requireGroundTruth(t, ds, c, measureSample, got)
-			if direct := Measure(ds)[c]; direct != got {
-				t.Fatalf("cached measurement %+v differs from direct %+v", got, direct)
+			got := MeasureCached(ds, cache)
+			direct := Measure(ds)
+			for _, c := range tr.NonRoot() {
+				requireGroundTruth(t, ds, c, measureSample, got[c])
+				if direct[c] != got[c] {
+					t.Fatalf("edge into %s: cached measurement %+v differs from direct %+v", names[c], got[c], direct[c])
+				}
+				if tbl := cache.Tables(ds)[c]; tbl == nil {
+					t.Fatalf("edge into %s: cache kept no table for the measured edge", names[c])
+				}
+				small := 1 + int(sample%8)
+				sampled, _ := measureEdge(ds, plan.Root, c, "k", small, 1)
+				requireGroundTruth(t, ds, c, small, sampled)
 			}
-			if tbl := cache.Tables(ds)[c]; tbl == nil {
-				t.Fatal("cache kept no table for the measured edge")
-			}
-			small := 1 + int(sample%8)
-			sampled, _ := measureEdge(ds, plan.Root, c, "k", small)
-			requireGroundTruth(t, ds, c, small, sampled)
 		}
 		check(ds)
 
 		appends := ds.Begin()
 		pending := 0
-		for i, name := range []string{"P", "C"} {
+		for i, name := range names {
 			for _, b := range cols[i][min(int(split), len(cols[i])):] {
 				appends.Append(name, int64(b))
 				pending++
@@ -186,7 +197,7 @@ func FuzzMeasureEdge(f *testing.F) {
 
 		deletes := ds.Begin()
 		pending = 0
-		for i, stream := range [][]byte{parentDel, childDel} {
+		for i, stream := range [][]byte{parentDel, childDel, childDel} {
 			n := len(cols[i])
 			dead := make(map[int]bool)
 			for j, b := range stream {
@@ -209,4 +220,122 @@ func FuzzMeasureEdge(f *testing.F) {
 			check(v.Dataset)
 		}
 	})
+}
+
+// churned commits one batch against ds: every relation gets copies of
+// its first 50 rows appended and every 7th row deleted, and relation
+// compact a quarter of its base more, so it — and, at these sizes, only
+// it — compacts.
+func churned(t *testing.T, ds *storage.Dataset, compact plan.NodeID) *storage.Dataset {
+	t.Helper()
+	d := ds.Begin()
+	for i := 0; i < ds.Tree.Len(); i++ {
+		id := plan.NodeID(i)
+		rel := ds.Relation(id)
+		n := 50
+		if id == compact {
+			n += ds.BaseRows(id) / 4
+		}
+		for r := 0; r < n; r++ {
+			vals := make([]int64, rel.NumCols())
+			for c := range vals {
+				vals[c] = rel.ColumnAt(c)[r%rel.NumRows()]
+			}
+			d.Append(rel.Name(), vals...)
+		}
+		for r := 3; r < rel.NumRows(); r += 7 {
+			d.Delete(rel.Name(), r)
+		}
+	}
+	v, err := d.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < v.Dataset.Tree.Len(); i++ {
+		id := plan.NodeID(i)
+		if packed := v.Dataset.BaseRows(id) == v.Dataset.Relation(id).NumRows(); packed != (id == compact) {
+			t.Fatalf("relation %d: compacted = %v after the commit, want %v", id, packed, id == compact)
+		}
+	}
+	return v.Dataset
+}
+
+// measuredAt is one MeasureCached call under GOMAXPROCS = procs: the
+// statistics, the checksum of every table the cache then holds for ds
+// (0 for the root) and the cache's counters.
+type measuredAt struct {
+	stats        map[plan.NodeID]plan.EdgeStats
+	sums         []uint64
+	hits, misses int
+}
+
+func measureAt(ds *storage.Dataset, cache *EdgeStatsCache, procs int) measuredAt {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	st := MeasureCached(ds, cache)
+	sums := make([]uint64, ds.Tree.Len())
+	for id, tbl := range cache.Tables(ds) {
+		if tbl != nil {
+			sums[id] = tbl.Checksum()
+		}
+	}
+	return measuredAt{st, sums, cache.Hits(), cache.Misses()}
+}
+
+// TestMeasureFanOutMatchesSequential: measuring a tree's cache misses
+// in parallel gives what measuring them one edge at a time on one core
+// gives — statistics, tables and cache counters — on fresh snapshots
+// and on appended, deleted and compacted ones; a repeated call builds
+// nothing, and directions measured before through MeasureEdge are not
+// measured again.
+func TestMeasureFanOutMatchesSequential(t *testing.T) {
+	var snaps []*storage.Dataset
+	for _, tr := range []*plan.Tree{
+		plan.Snowflake(3, 2, plan.FixedStats(0.7, 2)),
+		plan.Star(6, plan.FixedStats(0.6, 2)),
+	} {
+		ds := Generate(tr, Config{DriverRows: 12000, Seed: 45})
+		snaps = append(snaps, ds, churned(t, ds, tr.NonRoot()[1]))
+	}
+	for si, ds := range snaps {
+		edges := ds.Tree.Len() - 1
+		seq := measureAt(ds, NewEdgeStatsCache(), 1)
+		if seq.hits != 0 || seq.misses != edges {
+			t.Fatalf("snapshot %d: a cold cache served %d hits and %d misses for %d edges", si, seq.hits, seq.misses, edges)
+		}
+		for _, procs := range []int{1, 4} {
+			cache := NewEdgeStatsCache()
+			fan := measureAt(ds, cache, procs)
+			if !maps.Equal(fan.stats, seq.stats) || !slices.Equal(fan.sums, seq.sums) ||
+				fan.hits != seq.hits || fan.misses != seq.misses {
+				t.Fatalf("snapshot %d at %d procs: %+v, one core measured %+v", si, procs, fan, seq)
+			}
+
+			tables := cache.Tables(ds)
+			again := measureAt(ds, cache, procs)
+			if !maps.Equal(again.stats, seq.stats) || again.hits != edges || again.misses != edges ||
+				!slices.Equal(cache.Tables(ds), tables) {
+				t.Fatalf("snapshot %d at %d procs: a second call built again (%d hits, %d misses)", si, procs, again.hits, again.misses)
+			}
+
+			warm := NewEdgeStatsCache()
+			ids := ds.Tree.NonRoot()
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				for _, id := range ids[:2] {
+					warm.MeasureEdge(ds, ds.Tree.Parent(id), id, ds.KeyColumn(id))
+				}
+			}()
+			kept := warm.Tables(ds)
+			rest := measureAt(ds, warm, procs)
+			if !maps.Equal(rest.stats, seq.stats) || !slices.Equal(rest.sums, seq.sums) ||
+				rest.hits != 2 || rest.misses != edges {
+				t.Fatalf("snapshot %d at %d procs: after two MeasureEdge calls %+v, want %d misses in all", si, procs, rest, edges)
+			}
+			for _, id := range ids[:2] {
+				if warm.Tables(ds)[id] != kept[id] {
+					t.Fatalf("snapshot %d at %d procs: relation %d, measured through MeasureEdge, was measured again", si, procs, id)
+				}
+			}
+		}
+	}
 }

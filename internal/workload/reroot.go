@@ -3,8 +3,10 @@ package workload
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 
 	"m2mjoin/internal/hashtable"
+	"m2mjoin/internal/par"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
 )
@@ -35,7 +37,9 @@ import (
 // building it again (Tables, core.PlanChoice).
 // The tables are the bulk of a query's phase-1 memory: a cache that
 // outlives one plan-then-execute must drop them with ReleaseTables once
-// they have been handed on. Not safe for concurrent use.
+// they have been handed on. Not safe for concurrent use: only the
+// calling goroutine touches the cache, also while MeasureCached fans
+// the builds of its misses out internally.
 type EdgeStatsCache struct {
 	entries      map[edgeDirection]edgeEntry
 	hits, misses int
@@ -75,19 +79,60 @@ func NewEdgeStatsCache() *EdgeStatsCache {
 // (see measureEdge) — measuring on the first request per direction and
 // replaying the cached value afterwards.
 func (c *EdgeStatsCache) MeasureEdge(ds *storage.Dataset, parent, child plan.NodeID, key string) plan.EdgeStats {
+	return c.measure(ds, []edgeProbe{{parent, child, key}})[0]
+}
+
+// edgeProbe names one probe direction of ds's tree by node: from parent
+// into child on the shared key column.
+type edgeProbe struct {
+	parent, child plan.NodeID
+	key           string
+}
+
+// measure returns the statistics of each of ds's probe directions
+// edges, in order. The calling goroutine looks every direction up; the
+// misses are measured across par.For at GOMAXPROCS, each build with
+// max(width/misses, 1) morsel workers as the executor's phase 1 splits
+// its pool (BuildVersioned is bit-identical at any count); the calling
+// goroutine then inserts the new entries and counts hits and misses in
+// edges order, exactly as one edge at a time would. A nil cache
+// measures every direction and keeps nothing.
+func (c *EdgeStatsCache) measure(ds *storage.Dataset, edges []edgeProbe) []plan.EdgeStats {
+	out := make([]plan.EdgeStats, len(edges))
+	tables := make([]*hashtable.Table, len(edges))
+	var dirs []edgeDirection
+	if c != nil {
+		dirs = make([]edgeDirection, len(edges))
+	}
+	missed := make([]int, 0, len(edges)) // indices into edges to measure
+	for i, e := range edges {
+		if c != nil {
+			dirs[i] = directionOf(ds, e.parent, e.child, e.key)
+			if _, hit := c.entries[dirs[i]]; hit {
+				continue
+			}
+		}
+		missed = append(missed, i)
+	}
+	width := runtime.GOMAXPROCS(0)
+	per := max(width/max(len(missed), 1), 1)
+	par.For(width, len(missed), nil, func(_, j int) {
+		e := edges[missed[j]]
+		out[missed[j]], tables[missed[j]] = measureEdge(ds, e.parent, e.child, e.key, measureSample, per)
+	})
 	if c == nil {
-		st, _ := measureEdge(ds, parent, child, key, measureSample)
-		return st
+		return out
 	}
-	k := directionOf(ds, parent, child, key)
-	if e, ok := c.entries[k]; ok {
-		c.hits++
-		return e.stats
+	for i := range edges {
+		if e, ok := c.entries[dirs[i]]; ok {
+			out[i] = e.stats
+			c.hits++
+			continue
+		}
+		c.entries[dirs[i]] = edgeEntry{stats: out[i], table: tables[i]}
+		c.misses++
 	}
-	st, tbl := measureEdge(ds, parent, child, key, measureSample)
-	c.entries[k] = edgeEntry{stats: st, table: tbl}
-	c.misses++
-	return st
+	return out
 }
 
 // Tables returns, indexed by NodeID, the hash table each of ds's tree
@@ -207,11 +252,12 @@ const (
 // parent rows every one is probed and the statistics are exact; above,
 // a systematic sample: the live rows at live-order positions 0, s, 2s, …
 // with s = ⌈live/sample⌉ (the paper estimates (m, fo) from samples,
-// Section 3.2). The table is returned so the caller can hand it to
-// execution; production passes sample = measureSample.
-func measureEdge(ds *storage.Dataset, parent, child plan.NodeID, key string, sample int) (plan.EdgeStats, *hashtable.Table) {
+// Section 3.2). The table, built by the given number of morsel workers,
+// is returned so the caller can hand it to execution; production passes
+// sample = measureSample.
+func measureEdge(ds *storage.Dataset, parent, child plan.NodeID, key string, sample, workers int) (plan.EdgeStats, *hashtable.Table) {
 	tbl := hashtable.BuildVersioned(ds.Relation(child), key,
-		ds.BaseRows(child), ds.BaseLive(child), ds.Live(child), 1, nil)
+		ds.BaseRows(child), ds.BaseLive(child), ds.Live(child), workers, nil)
 	parentKeys := ds.Relation(parent).Column(key)
 	stride := 1
 	if n := ds.LiveRows(parent); n > 2*sample {
