@@ -230,11 +230,24 @@ type ExecuteOptions = exec.Options
 // stamped into opts and, without a caller-supplied provider, the
 // choice's plan-time tables, where they apply to ds, in its place.
 func Execute(ds *storage.Dataset, choice PlanChoice, opts ExecuteOptions) (exec.Stats, error) {
+	return exec.Run(ds, choice.stamp(ds, opts))
+}
+
+// ReduceBuildSide reduces the chosen SJ plan's build side over ds once
+// (exec.ReduceBuildSide), under the options Execute would run it with,
+// for the Executes of ds's shards to share as ExecuteOptions.BuildSide.
+func ReduceBuildSide(ds *storage.Dataset, choice PlanChoice, opts ExecuteOptions) (*exec.BuildSide, error) {
+	return exec.ReduceBuildSide(ds, choice.stamp(ds, opts))
+}
+
+// stamp returns opts with the choice's plan and, without a caller-
+// supplied provider, its plan-time tables for ds.
+func (choice PlanChoice) stamp(ds *storage.Dataset, opts ExecuteOptions) ExecuteOptions {
 	opts.Strategy, opts.Order, opts.SemiJoins = choice.Strategy, choice.Order, choice.SemiJoins
 	if opts.Artifacts == nil {
 		opts.Artifacts = choice.Tables.artifacts(ds, opts.Selections)
 	}
-	return exec.Run(ds, opts)
+	return opts
 }
 
 // Query is the one-call convenience: measure statistics, choose the

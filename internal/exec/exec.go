@@ -146,6 +146,11 @@ type Options struct {
 	// TraceParent is the span the executor's exec span nests under
 	// (telemetry.NoParent for a root). Ignored when Trace is nil.
 	TraceParent telemetry.SpanID
+	// BuildSide, when non-nil, is an SJ run's build side, reduced once
+	// by ReduceBuildSide over the same dataset, Selections and SemiJoins
+	// for every run that shares it: the run reduces only the root.
+	// Read-only.
+	BuildSide *BuildSide
 }
 
 // Artifacts supplies and receives the one kind of phase-1 artifact
@@ -174,9 +179,10 @@ type Stats struct {
 	// the non-driver relations. Those reductions never touch the driver
 	// — the driver is nobody's child, so it is only ever the target of
 	// the final root reduction — which means they are a pure function of
-	// the build side and come out identical in every shard's run of a
-	// partitioned query. MergeShardStats uses this split to count that
-	// repeated work once instead of once per shard; BuildTagHits /
+	// the build side, the same for every shard of a partitioned query.
+	// Shards that share one build side (Options.BuildSide) each carry a
+	// copy of its split, and shards that reduce their own come out with
+	// the identical one; MergeShardStats counts it once. BuildTagHits /
 	// BuildTagMisses are the matching split of the tag counters. All
 	// three are zero for non-SJ strategies.
 	BuildSemiJoinProbes int64
@@ -293,6 +299,7 @@ func Run(ds *storage.Dataset, opts Options) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
+	r.execSpan = r.opts.Trace.Start("exec", r.opts.TraceParent)
 	if err := r.runPhase1(); err != nil {
 		return Stats{}, err
 	}
@@ -308,8 +315,8 @@ func Run(ds *storage.Dataset, opts Options) (Stats, error) {
 }
 
 // prepare validates opts against the dataset, normalizes defaults and
-// constructs the run state — everything Run does before the build
-// phase.
+// constructs the run state — everything Run and ReduceBuildSide do
+// before the build phase.
 func prepare(ds *storage.Dataset, opts Options) (*run, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, fmt.Errorf("exec: invalid dataset: %w", err)
@@ -346,9 +353,13 @@ func prepare(ds *storage.Dataset, opts Options) (*run, error) {
 				opts.DriverRows.Len(), n)
 		}
 	}
+	if opts.BuildSide != nil {
+		if err := opts.BuildSide.fits(ds, opts); err != nil {
+			return nil, err
+		}
+	}
 
 	r := &run{ds: ds, opts: opts, residuals: newResidualChecker(ds, opts.Residuals)}
-	r.execSpan = opts.Trace.Start("exec", opts.TraceParent)
 	r.perRel = make([]int64, ds.Tree.Len())
 	r.selMasks = selectionMasks(ds, opts.Selections)
 	r.baseMasks = restrictDriver(ds, effectiveMasks(ds, r.selMasks), opts.DriverRows)
@@ -373,7 +384,7 @@ func (r *run) runPhase1() error {
 			r.buildTables()
 			r.buildFilters()
 		case cost.SemiJoin:
-			r.semiJoinPass() // builds reduced tables as it goes
+			r.semiJoinPass() // builds or adopts the reduced tables
 		default:
 			badStrategy = fmt.Errorf("exec: unknown strategy %v", r.opts.Strategy)
 		}
@@ -382,6 +393,12 @@ func (r *run) runPhase1() error {
 	if badStrategy != nil {
 		return badStrategy
 	}
+	return r.phase1Err()
+}
+
+// phase1Err is the build phase's error: its first recorded failure,
+// else cancellation, else nil.
+func (r *run) phase1Err() error {
 	if err := r.failure(); err != nil {
 		return fmt.Errorf("exec: query failed during build phase: %w", err)
 	}
@@ -434,6 +451,9 @@ type run struct {
 	// driverLive restricts the driver scan: the selection mask, further
 	// reduced by the semi-join pass for SJ strategies. Nil = all live.
 	driverLive *storage.Bitmap
+	// scratch is the semi-join pass's one mask bitmap, reused for every
+	// parent and finally adopted as driverLive (sj.go).
+	scratch *storage.Bitmap
 
 	// layoutPos maps NodeID -> column position in the join-order tuple
 	// layout (driver at 0, Order[i] at i+1).

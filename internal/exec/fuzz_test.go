@@ -142,7 +142,8 @@ func mutateRandomly(t *testing.T, ds *storage.Dataset, rng *rand.Rand, nOps int,
 //   - collect: a flat run also hands its tuples to CollectOutput;
 //   - shards: 0 runs unsharded only; otherwise 2 + (shards−1) % 4
 //     shards of shard.Partition also run, each restricted to its
-//     DriverRows, and MergeShardStats folds them;
+//     DriverRows, and MergeShardStats folds them; an SJ strategy's
+//     shards run both on their own and from one shared ReduceBuildSide;
 //   - commits: commits % 4 seeded append/delete batches, each checked;
 //     with commits & 4 the last also compacts every relation;
 //   - provider: 0 none; 1 a cold tableStore at every version; 2 a
@@ -201,9 +202,10 @@ func (c execCase) query() (*storage.Dataset, Options, *rand.Rand) {
 // countingReference on every counter and with ReferenceOpts on the
 // output; its collected tuples, merged shards and provider runs with
 // it (a provider run apart from its cache counters, which must be the
-// tables it was and was not served); and, after the commits, a rerun of
-// version 0 with version 0's first run. It returns the Stats of that
-// first run: provider-less and unsharded.
+// tables it was and was not served); an SJ shard sharing a build side
+// with the same shard reducing its own; and, after the commits, a
+// rerun of version 0 with version 0's first run. It returns the Stats
+// of that first run: provider-less and unsharded.
 func checkCase(t *testing.T, c execCase) Stats {
 	t.Helper()
 	ds, opts, rng := c.query()
@@ -282,11 +284,22 @@ func checkVersion(t *testing.T, label string, c execCase, ds *storage.Dataset, o
 	}
 
 	if shards != nil {
+		var build *BuildSide
+		if opts.Strategy.Reduction() == cost.SemiJoin {
+			build = must(ReduceBuildSide(ds, opts))
+		}
 		parts := make([]Stats, len(shards))
 		for i, sh := range shards {
 			o := opts
 			o.DriverRows = sh.Rows
 			parts[i] = must(Run(sh.Parent, o))
+			if build != nil {
+				own := parts[i]
+				o.BuildSide = build
+				if parts[i] = must(Run(sh.Parent, o)); !reflect.DeepEqual(parts[i], own) {
+					t.Errorf("%s: shard %d on the shared build side\n %+v\non its own\n %+v", label, i, parts[i], own)
+				}
+			}
 		}
 		if merged := MergeShardStats(parts); !reflect.DeepEqual(merged, got) {
 			t.Errorf("%s: %d shards merge to\n %+v\nunsharded\n %+v", label, len(shards), merged, got)

@@ -26,21 +26,23 @@ import (
 //     the same as summing chunks.
 //   - Build-side work is shared, not partitioned: the non-root
 //     relations are the parent's own, so cached tables and filters are
-//     one set for all shards. Phase-2 counters never count builds; the
-//     SJ strategies' per-query build-side reductions, which every
-//     shard's run repeats identically, carry a Build* split that the
-//     merge counts exactly once.
+//     one set for all shards. Phase-2 counters never count builds. The
+//     SJ strategies' per-query build-side reduction is the same for
+//     every shard: the serving tier's local shards share one
+//     (ReduceBuildSide), while replica backends and RunSharded repeat
+//     it per shard. Either way each shard's Stats carry its Build*
+//     split, which the merge counts exactly once.
 
 // MergeShardStats folds per-shard Stats from the same partition into
 // the totals unsharded execution would report. All phase-2 counters
-// and the checksum are additive over driver rows; the replicated SJ
-// build-side reductions (Stats.BuildSemiJoinProbes and the matching
-// tag splits) are identical in every shard and are counted once. Cache
-// counters are summed (each shard's run makes its own lookups — there
-// is no unsharded counterpart to preserve) and BytesCached takes the
-// largest snapshot. Coverage is 1 and
-// FailedShards nil: a degraded gather sets both after merging the
-// survivors.
+// and the checksum are additive over driver rows; the SJ build-side
+// split (Stats.BuildSemiJoinProbes and the matching tag splits), which
+// every shard carries whether it reduced its build side or shared one,
+// is counted once. Cache counters are summed — each shard's run counts
+// its own lookups, and shards sharing a build side made none for it,
+// so their caller adds BuildSide.Stats' once — and BytesCached takes
+// the largest snapshot. Coverage is 1 and FailedShards nil: a degraded
+// gather sets both after merging the survivors.
 func MergeShardStats(parts []Stats) Stats {
 	var m Stats
 	m.Coverage = 1

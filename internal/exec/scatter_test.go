@@ -10,6 +10,7 @@ import (
 	"m2mjoin/internal/faultinject"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/shard"
+	"m2mjoin/internal/storage"
 	"m2mjoin/internal/workload"
 )
 
@@ -102,5 +103,44 @@ func TestRunShardedShardFailureFailsFast(t *testing.T) {
 	}
 	if !faultinject.IsInjected(err) {
 		t.Fatalf("error lost the injected cause: %v", err)
+	}
+}
+
+// TestBuildSideMustFit: a build side stands in only for the run it was
+// reduced for — an SJ strategy over the same snapshot, selections and
+// semi-join orders — and a non-SJ strategy has none to reduce.
+func TestBuildSideMustFit(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	tr := plan.Snowflake(2, 2, plan.UniformStats(rng, 0.6, 0.9, 1, 2))
+	ds := workload.Generate(tr, workload.Config{DriverRows: 300, Seed: 6})
+	other := workload.Generate(tr, workload.Config{DriverRows: 300, Seed: 6})
+	opts := Options{Strategy: cost.SJCOM, Order: plan.Order(tr.NonRoot()), FlatOutput: true}
+	if _, err := ReduceBuildSide(ds, Options{Strategy: cost.COM, Order: opts.Order}); err == nil {
+		t.Error("COM reduced a build side")
+	}
+	build := must(ReduceBuildSide(ds, opts))
+	misfits := map[string]func(o *Options) *storage.Dataset{
+		"strategy": func(o *Options) *storage.Dataset { o.Strategy = cost.BVPCOM; return ds },
+		"snapshot": func(o *Options) *storage.Dataset { return other },
+		"selection": func(o *Options) *storage.Dataset {
+			o.Selections = []Selection{{Rel: 1, Column: "id", Value: 3}}
+			return ds
+		},
+		"semi-join order": func(o *Options) *storage.Dataset {
+			o.SemiJoins = map[plan.NodeID][]plan.NodeID{plan.Root: {2, 1}}
+			return ds
+		},
+	}
+	for name, misfit := range misfits {
+		o := opts
+		o.BuildSide = build
+		if _, err := Run(misfit(&o), o); err == nil {
+			t.Errorf("a build side ran under another %s", name)
+		}
+	}
+	o := opts
+	o.BuildSide = build
+	if got, want := must(Run(ds, o)), must(Run(ds, opts)); !reflect.DeepEqual(got, want) {
+		t.Errorf("on its build side\n %+v\nreducing its own\n %+v", got, want)
 	}
 }

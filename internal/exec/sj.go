@@ -1,6 +1,11 @@
 package exec
 
 import (
+	"fmt"
+	"maps"
+	"slices"
+
+	"m2mjoin/internal/cost"
 	"m2mjoin/internal/faultinject"
 	"m2mjoin/internal/hashtable"
 	"m2mjoin/internal/par"
@@ -16,78 +21,171 @@ import (
 // the pass adds no extra build cost — the paper's "more efficient
 // variation" of the Yannakakis algorithm.
 //
-// Liveness is a word-packed storage.Bitmap. The pass owns exactly one
+// The pass has two halves. The build side (reduceBuildSide) produces
+// the table of every non-root relation — reduced for a parent, the
+// base-mask one for a leaf — and never reads a driver row: the driver
+// is nobody's child, so it is only ever the target of the final root
+// reduction (reduceRoot), the one step DriverRows reaches. Run runs
+// the halves back to back; runs over shards of one snapshot can
+// instead share one build side (ReduceBuildSide, Options.BuildSide)
+// and each reduce only its own driver rows.
+//
+// Liveness is a word-packed storage.Bitmap. A run owns exactly one
 // scratch bitmap, reused for every parent (a parent's mask is only
 // needed while its own reductions and hash-table build run), so mask
-// memory no longer scales with the relation count; the root's mask is
+// memory does not scale with the relation count; the root's mask is
 // the last one produced and is handed off as the driver mask without
 // copying. A parent's reduction splits its mask into word-aligned spans
 // that every child reduces in turn (semiJoinReduce); the spans and the
 // hash-table builds (two-pass morsel scheme) fan out over
 // Options.Parallelism workers with bit-identical results.
 
-// semiJoinPass reduces all relations bottom-up and leaves behind:
-// r.tables (hash tables over the reduced relations) and r.driverLive
-// (the fully reduced driver mask).
+// BuildSide is the driver-independent half of an SJ query's phase 1
+// over one snapshot: the table of every non-root relation and the
+// counters of the reductions that built them. ReduceBuildSide makes
+// one; a Run given it as Options.BuildSide takes its tables and copies
+// its Build* counters instead of reducing the build side itself, so
+// the Stats of that run are exactly those of a run that did. A
+// BuildSide is read-only and safe to share among concurrent runs.
+type BuildSide struct {
+	ds        *storage.Dataset
+	sels      []Selection
+	semiJoins map[plan.NodeID][]plan.NodeID
+	tables    []*hashtable.Table
+	stats     Stats
+}
+
+// ReduceBuildSide reduces the build side of the SJ query that opts
+// describe over ds once, for runs that share it: the runs of ds's
+// shards, which differ only in Options.DriverRows (ignored here). It
+// runs with opts' parallelism, context, provider and trace — its
+// semi-join spans nest under one build-side span — and fails as Run's
+// build phase would.
+func ReduceBuildSide(ds *storage.Dataset, opts Options) (*BuildSide, error) {
+	if opts.Strategy.Reduction() != cost.SemiJoin {
+		return nil, fmt.Errorf("exec: %v reduces no build side", opts.Strategy)
+	}
+	opts.DriverRows, opts.BuildSide = nil, nil
+	r, err := prepare(ds, opts)
+	if err != nil {
+		return nil, err
+	}
+	r.phase1Span = r.opts.Trace.Start("build-side", r.opts.TraceParent)
+	r.guard("phase1", r.reduceBuildSide)
+	r.opts.Trace.End(r.phase1Span)
+	if err := r.phase1Err(); err != nil {
+		return nil, err
+	}
+	st := r.stats
+	st.CacheHits, st.CacheMisses = r.cacheHits.Load(), r.cacheMisses.Load()
+	return &BuildSide{ds: ds, sels: opts.Selections, semiJoins: opts.SemiJoins, tables: r.tables, stats: st}, nil
+}
+
+// Stats returns the build side's own counters: the Build* split and
+// the semi-join and tag counts it makes up, and the provider lookups
+// of its leaves. A run that adopts the build side copies all but the
+// lookups, which it never made.
+func (b *BuildSide) Stats() Stats { return b.stats }
+
+// fits reports why b cannot stand in for the build side of the run
+// opts describe over ds, or nil when it can.
+func (b *BuildSide) fits(ds *storage.Dataset, opts Options) error {
+	switch {
+	case opts.Strategy.Reduction() != cost.SemiJoin:
+		return fmt.Errorf("exec: %v takes no build side", opts.Strategy)
+	case b.ds != ds:
+		return fmt.Errorf("exec: build side reduced over another snapshot")
+	case !slices.Equal(b.sels, opts.Selections) || !maps.EqualFunc(b.semiJoins, opts.SemiJoins, slices.Equal[[]plan.NodeID]):
+		return fmt.Errorf("exec: build side reduced under other selections or semi-join orders")
+	}
+	return nil
+}
+
+// semiJoinPass leaves behind r.tables (hash tables over the reduced
+// relations) and r.driverLive (the fully reduced driver mask): the
+// build side, reduced here or adopted from Options.BuildSide, then the
+// root.
 func (r *run) semiJoinPass() {
+	if b := r.opts.BuildSide; b != nil {
+		r.tables = b.tables
+		r.stats.SemiJoinProbes += b.stats.SemiJoinProbes
+		r.stats.TagHits += b.stats.TagHits
+		r.stats.TagMisses += b.stats.TagMisses
+		r.stats.BuildSemiJoinProbes += b.stats.BuildSemiJoinProbes
+		r.stats.BuildTagHits += b.stats.BuildTagHits
+		r.stats.BuildTagMisses += b.stats.BuildTagMisses
+	} else {
+		r.reduceBuildSide()
+	}
+	r.reduceRoot()
+}
+
+// reduceBuildSide gives every non-root relation its table, bottom-up.
+// A parent's reduction never reads the driver, so its counters go into
+// the Build* split as well (see Stats.BuildSemiJoinProbes).
+func (r *run) reduceBuildSide() {
 	t := r.ds.Tree
 	r.tables = make([]*hashtable.Table, t.Len())
-
-	var scratch *storage.Bitmap
 	for _, p := range t.BottomUp() {
-		if r.cancelled() {
-			return
+		if p == plan.Root || r.cancelled() {
+			return // BottomUp visits the root last; reduceRoot reduces it
 		}
-		// One trace span per parent covers its sibling reductions and
+		// One trace span per relation covers its sibling reductions and
 		// the (reduced) hash-table build together — the unit of phase-1
 		// work for SJ strategies.
 		sp := r.opts.Trace.Start("semijoin", r.phase1Span)
 		r.opts.Trace.Annotate(sp, "rel", int64(p))
-		children := r.semiJoinOrder(p)
-		rel := r.ds.Relation(p)
-		// Start from the pushed-down selection mask, if any.
-		mask := maskAt(r.baseMasks, p)
-		if len(children) > 0 {
-			if scratch == nil {
-				scratch = storage.NewEmptyBitmap(0)
-			}
-			if mask != nil {
-				scratch.CopyFrom(mask)
-			} else {
-				scratch.Reset(rel.NumRows())
-			}
-			mask = scratch
-			// Reductions of non-root parents never read the driver:
-			// they are pure build-side work that every shard's run of
-			// a partitioned query repeats identically, and their
-			// counters go into the Build* split so the scatter-gather
-			// merge can count them once (see Stats.BuildSemiJoinProbes).
-			r.semiJoinReduce(children, rel, mask, p != plan.Root)
-		}
-		if p != plan.Root {
-			// The hash table used both by later semi-joins from p's
-			// parent and by the phase-2 join. A childless relation is
-			// never reduced, so its table is the shared base-mask one —
-			// provider-served when there is a provider; a reduced
-			// relation's is private to this query and built here, reading
-			// the mask before scratch is reused for the next parent.
-			var tbl *hashtable.Table
-			if len(children) == 0 {
-				tbl = r.baseTable(p, r.opts.Parallelism, sp)
-			} else {
-				tbl = hashtable.BuildParallelStop(rel, r.ds.KeyColumn(p), mask, r.opts.Parallelism, r.buildStop)
-			}
-			if tbl == nil {
-				return // build abandoned by cancellation
-			}
-			r.tables[p] = tbl
+		// The hash table used both by later semi-joins from p's parent
+		// and by the phase-2 join. A childless relation is never reduced,
+		// so its table is the shared base-mask one — provider-served when
+		// there is a provider; a reduced relation's is private to this
+		// query and built here, reading the mask before scratch is reused
+		// for the next parent.
+		var tbl *hashtable.Table
+		if children := r.semiJoinOrder(p); len(children) == 0 {
+			tbl = r.baseTable(p, r.opts.Parallelism, sp)
 		} else {
-			// BottomUp visits the root last, so the scratch mask is
-			// never reset again and can be adopted as the driver mask.
-			r.driverLive = mask
+			tbl = hashtable.BuildParallelStop(r.ds.Relation(p), r.ds.KeyColumn(p),
+				r.reduceMask(p, children), r.opts.Parallelism, r.buildStop)
 		}
+		if tbl == nil {
+			return // build abandoned by cancellation
+		}
+		r.tables[p] = tbl
 		r.opts.Trace.End(sp)
 	}
+}
+
+// reduceRoot reduces the driver — under DriverRows, which prepare
+// already ANDed into its base mask — by its children's tables.
+func (r *run) reduceRoot() {
+	if r.cancelled() {
+		return
+	}
+	sp := r.opts.Trace.Start("semijoin", r.phase1Span)
+	r.opts.Trace.Annotate(sp, "rel", int64(plan.Root))
+	if children := r.semiJoinOrder(plan.Root); len(children) > 0 {
+		// The root is the last parent reduced, so the scratch mask is
+		// never reset again and can be adopted as the driver mask.
+		r.driverLive = r.reduceMask(plan.Root, children)
+	}
+	r.opts.Trace.End(sp)
+}
+
+// reduceMask loads p's pushed-down base mask, if any, into the run's
+// scratch bitmap, reduces it by the children's tables and returns it.
+func (r *run) reduceMask(p plan.NodeID, children []plan.NodeID) *storage.Bitmap {
+	if r.scratch == nil {
+		r.scratch = storage.NewEmptyBitmap(0)
+	}
+	rel := r.ds.Relation(p)
+	if mask := maskAt(r.baseMasks, p); mask != nil {
+		r.scratch.CopyFrom(mask)
+	} else {
+		r.scratch.Reset(rel.NumRows())
+	}
+	r.semiJoinReduce(children, rel, r.scratch, p != plan.Root)
+	return r.scratch
 }
 
 // minParallelReduceRows gates the parallel reduction: smaller masks

@@ -604,6 +604,12 @@ func (s *Service) Query(ctx context.Context, req Request) (res Result, err error
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// A request cancelled before it arrived does no work at all, not even
+	// a cold plan's measurement.
+	if err = ctx.Err(); err != nil {
+		c.e = s.entry(req.Dataset)
+		return
+	}
 
 	// Plan, before admission: the first plan per (strategy, flat) pair
 	// measures edge statistics and runs the optimizer search, which
@@ -639,7 +645,7 @@ func (s *Service) Query(ctx context.Context, req Request) (res Result, err error
 	if set != nil {
 		out, err = s.scatter(ctx, c, set)
 	} else {
-		out.stats, err = s.run(ctx, c, snap, rows)
+		out.stats, err = s.run(ctx, c, snap, rows, nil)
 	}
 	out.version = snap.Version()
 	out.elapsed = s.now().Sub(started)
@@ -784,9 +790,17 @@ func (s *Service) resolve(c *execCall) (set *shardSet, snap *storage.Dataset, ro
 // repair covers them by construction. Every strategy gets the provider:
 // SJ consults it for the relations it does not reduce (the childless
 // ones — the bulk of the rows in a star or snowflake), and builds only
-// its reduced tables per query.
-func (s *Service) run(ctx context.Context, c execCall, snap *storage.Dataset, rows *storage.Bitmap) (exec.Stats, error) {
-	return core.Execute(snap, c.choice, exec.Options{
+// its reduced tables per query — or adopts build, the build side a
+// local scatter reduced once for all its shards.
+func (s *Service) run(ctx context.Context, c execCall, snap *storage.Dataset, rows *storage.Bitmap, build *exec.BuildSide) (exec.Stats, error) {
+	opts := s.execOptions(ctx, c, snap, rows)
+	opts.BuildSide = build
+	return core.Execute(snap, c.choice, opts)
+}
+
+// execOptions are the executor options of c's run on snap over rows.
+func (s *Service) execOptions(ctx context.Context, c execCall, snap *storage.Dataset, rows *storage.Bitmap) exec.Options {
+	return exec.Options{
 		FlatOutput:  c.req.FlatOutput,
 		ChunkSize:   c.req.ChunkSize,
 		Parallelism: c.workers,
@@ -796,7 +810,7 @@ func (s *Service) run(ctx context.Context, c execCall, snap *storage.Dataset, ro
 		DriverRows:  rows,
 		Trace:       c.tr,
 		TraceParent: c.parent,
-	})
+	}
 }
 
 // record is the record stage, the only place a Query call is accounted

@@ -311,9 +311,9 @@ func TestFingerprintSharingAcrossDatasets(t *testing.T) {
 	}
 }
 
-// TestQueryCancellationPropagates: a cancelled client context aborts
-// the query with the context sentinel, whether it is queued or
-// executing.
+// TestQueryCancellationPropagates: a client context cancelled before
+// the query arrives fails it with the context sentinel at once, before
+// the cold service plans.
 func TestQueryCancellationPropagates(t *testing.T) {
 	svc := New(Config{Parallelism: 2, MaxConcurrent: 1})
 	if _, err := svc.RegisterDataset("ds", genDataset(t, 20000, 3)); err != nil {
@@ -321,9 +321,21 @@ func TestQueryCancellationPropagates(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	start := time.Now()
 	_, err := svc.Query(ctx, Request{Dataset: "ds"})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v does not wrap context.Canceled", err)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) || Classify(err) != ClassCanceled {
+		t.Fatalf("error %v (class %q) does not wrap context.Canceled", err, Classify(err))
+	}
+	// The request was cancelled before it arrived: the cold service must
+	// not plan for it, let alone measure edge statistics.
+	if elapsed > 10*time.Millisecond {
+		t.Errorf("cancelled cold query took %v", elapsed)
+	}
+	e := svc.entry("ds")
+	if len(e.plans) != 0 || e.statsCache.Hits()+e.statsCache.Misses() != 0 {
+		t.Errorf("cancelled query left %d plans and %d+%d stats-cache lookups behind",
+			len(e.plans), e.statsCache.Hits(), e.statsCache.Misses())
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"time"
 
+	"m2mjoin/internal/core"
+	"m2mjoin/internal/cost"
 	"m2mjoin/internal/exec"
 	"m2mjoin/internal/faultinject"
 	"m2mjoin/internal/par"
@@ -24,7 +26,10 @@ import (
 // unsharded execution (exec.MergeShardStats). A shard task is the
 // ordinary execution path (Service.run) over the parent snapshot with
 // the shard's driver row set: the build-side artifacts are the
-// snapshot's own, cached once however many shards probe them.
+// snapshot's own, cached once however many shards probe them. An SJ
+// query's per-query build side — its reduced tables — is reduced once
+// per query for local shards, which share it; a replica backend
+// reduces its own.
 //
 // The gather path is where the robustness lives. One par.For worker per
 // shard drives that shard to a verdict, each attempt a synchronous
@@ -201,6 +206,9 @@ type shardCall struct {
 	execCall
 	set *shardSet
 	k   int // shard index
+	// build is the SJ build side the local shards share (nil: each run
+	// reduces its own).
+	build *exec.BuildSide
 }
 
 // shardTarget is one member that can execute a shard probe: the local
@@ -221,7 +229,7 @@ func (localTarget) name() string { return "local" }
 
 func (localTarget) run(ctx context.Context, s *Service, c shardCall) (exec.Stats, error) {
 	snap, rows := c.set.pin(c.k)
-	return s.run(ctx, c.execCall, snap, rows)
+	return s.run(ctx, c.execCall, snap, rows, c.build)
 }
 
 // httpTarget dispatches shard attempts to a replica backend as
@@ -358,20 +366,31 @@ func classSeverity(c Class) int {
 // it fans one dispatch per shard of the pinned partition out of the
 // query's single admission slot, gathers with retry and breakers per
 // shard, and merges. Runs inside Query's admission slot, dataset
-// breaker and deadline, and returns only once every shard has.
+// breaker and deadline, and returns only once every shard has. For
+// local shards of an SJ plan it first reduces the build side, once,
+// with the query's whole worker grant; its failure fails the query as
+// a solo query's build-phase failure does.
 func (s *Service) scatter(ctx context.Context, c execCall, set *shardSet) (outcome, error) {
 	req, tr := c.req, c.tr
 	n := len(set.shards)
 	out := outcome{shards: n}
 	s.met.scatterQueries.Inc()
-	// The scatter span covers dispatch fan-out through the last shard's
-	// verdict; each attempt hangs its own shard-dispatch span under it.
+	// The scatter span covers the build side and dispatch fan-out
+	// through the last shard's verdict; each attempt hangs its own
+	// shard-dispatch span under it.
 	ssp := tr.Start("scatter", c.parent)
 	tr.Annotate(ssp, "shards", int64(n))
 	defer tr.End(ssp)
 	sc := shardCall{execCall: c, set: set}
-	sc.workers = max(c.workers/n, 1)
 	sc.parent = ssp
+	if len(s.cfg.Shard.Backends) == 0 && c.choice.Strategy.Reduction() == cost.SemiJoin {
+		snap := set.snapshot()
+		var err error
+		if sc.build, err = core.ReduceBuildSide(snap, c.choice, s.execOptions(ctx, sc.execCall, snap, nil)); err != nil {
+			return out, fmt.Errorf("scatter: %w", err)
+		}
+	}
+	sc.workers = max(c.workers/n, 1)
 
 	// Without a degraded-coverage budget any shard failure dooms the
 	// query, so the first definitive failure cancels the siblings; with
@@ -406,8 +425,19 @@ func (s *Service) scatter(ctx context.Context, c execCall, set *shardSet) (outco
 		survivors = append(survivors, parts[k])
 		coveredRows += set.shards[k].DriverRows()
 	}
+	// The shards' own cache lookups are in their Stats; a shared build
+	// side's are added once.
+	merge := func(parts []exec.Stats) exec.Stats {
+		m := exec.MergeShardStats(parts)
+		if sc.build != nil {
+			built := sc.build.Stats()
+			m.CacheHits += built.CacheHits
+			m.CacheMisses += built.CacheMisses
+		}
+		return m
+	}
 	if len(failed) == 0 {
-		out.stats = exec.MergeShardStats(parts)
+		out.stats = merge(parts)
 		return out, nil
 	}
 
@@ -416,7 +446,7 @@ func (s *Service) scatter(ctx context.Context, c execCall, set *shardSet) (outco
 		coverage = float64(coveredRows) / float64(total)
 	}
 	if req.MinCoverage > 0 && len(survivors) > 0 && coverage >= req.MinCoverage {
-		out.stats = exec.MergeShardStats(survivors)
+		out.stats = merge(survivors)
 		out.stats.Coverage = coverage
 		out.stats.FailedShards = failed
 		s.met.degraded.Inc()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -411,5 +412,69 @@ func TestLocalShardsHaveNoAttemptDeadline(t *testing.T) {
 		if got := normalizeShardConfig(tc.cfg).AttemptTimeout; got != tc.want {
 			t.Errorf("%+v: attempt deadline %v, want %v", tc.cfg, got, tc.want)
 		}
+	}
+}
+
+// TestScatterSharesOneBuildSide: a local scatter of an SJ query reduces
+// its build side once, not once per shard. On four shards of a
+// snowflake whose driver children are inner relations, SJ+COM traces
+// one semijoin span per non-root relation (and one root reduction per
+// shard), answers with a solo service's Stats on every counter, cache
+// lookups included, and a reduce-chunk fault in the shared build side
+// fails it with the class a solo query's build-phase failure gets.
+func TestScatterSharesOneBuildSide(t *testing.T) {
+	ds := genDataset(t, 3000, 17)
+	newSvc := func(shards int) *Service {
+		svc := newBreakerless(Config{Parallelism: 4, MaxConcurrent: 1, Shard: ShardConfig{Shards: shards}})
+		if _, err := svc.RegisterDataset("ds", ds); err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	solo, sharded := newSvc(0), newSvc(4)
+	ctx := context.Background()
+	req := Request{Dataset: "ds", Strategy: "SJ+COM", FlatOutput: true, Trace: true}
+	want, err := solo.Query(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sharded.Query(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Shards != 4 || want.Stats.BuildSemiJoinProbes == 0 {
+		t.Fatalf("degenerate test: %d shards, %d build-side probes", got.Shards, want.Stats.BuildSemiJoinProbes)
+	}
+	if !reflect.DeepEqual(got.Stats, want.Stats) {
+		t.Errorf("4-shard Stats\n %+v\nsolo Stats\n %+v", got.Stats, want.Stats)
+	}
+
+	reductions := map[int64]int{}
+	got.Trace.Each(func(_ int, n *telemetry.SpanNode) {
+		if n.Name == "semijoin" {
+			reductions[n.Attrs["rel"]]++
+		}
+	})
+	for _, id := range ds.Tree.NonRoot() {
+		if reductions[int64(id)] != 1 {
+			t.Errorf("relation %d has %d semijoin spans, want 1", id, reductions[int64(id)])
+		}
+	}
+	if reductions[int64(plan.Root)] != 4 {
+		t.Errorf("the root has %d semijoin spans, want one per shard", reductions[int64(plan.Root)])
+	}
+
+	faultinject.Enable(faultinject.Spec{Site: faultinject.SiteReduceChunk, Mode: faultinject.ModeError, Every: 1})
+	defer faultinject.Disable()
+	_, soloErr := solo.Query(ctx, req)
+	_, err = sharded.Query(ctx, req)
+	if soloErr == nil || err == nil {
+		t.Fatalf("reduce-chunk fault: solo %v, sharded %v; want both to fail", soloErr, err)
+	}
+	if Classify(err) != Classify(soloErr) {
+		t.Errorf("sharded build-side failure is %q (%v), solo build-phase failure %q", Classify(err), err, Classify(soloErr))
+	}
+	if strings.Contains(err.Error(), "shards failed") {
+		t.Errorf("the fault surfaced from a shard, not the shared build side: %v", err)
 	}
 }
