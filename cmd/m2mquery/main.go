@@ -171,7 +171,7 @@ func main() {
 	// Where the time went: tables are built while measuring and served to
 	// the executor, which builds only what it cannot be served.
 	fmt.Printf("  measure=%.1fms plan=%.1fms exec=%.1fms tables built=%d served=%d\n",
-		msec(measured), msec(planned), msec(executed), choice.Tables.Len(), stats.CacheHits)
+		msec(measured), msec(planned), msec(executed), cache.Misses(), stats.CacheHits)
 	if tr != nil {
 		tr.End(root)
 		fmt.Println("\ntrace:")

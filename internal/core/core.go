@@ -13,6 +13,12 @@
 // ChoosePlan keeps the root of the dataset's join tree as the driver;
 // ChooseDriver tries every relation as the driver (rerooting the tree
 // and measuring the reversed edges) and keeps the cheapest plan.
+//
+// Measuring an edge builds the child's hash table; the choice keeps the
+// workload.EdgeStatsCache it measured through, and Execute serves the
+// cache's tables for the executed snapshot instead of building them
+// again. A caller keeping its own cache past the query releases the
+// tables (ReleaseTables) after Execute, not before.
 package core
 
 import (
@@ -41,8 +47,9 @@ type PlanRequest struct {
 	// StatsCache optionally memoizes edge-statistics measurement when
 	// MeasureStats is set. ChooseDriver shares one cache across all
 	// candidate drivers so each edge direction is scanned once. The
-	// cache also holds the tables the measurement built (see
-	// PlanChoice.Tables); whoever keeps it past the query releases them.
+	// cache also holds the tables the measurement built, which Execute
+	// serves from it; whoever keeps it past the query releases them
+	// (ReleaseTables) after Execute.
 	StatsCache *workload.EdgeStatsCache
 	// FlatOutput includes the expansion cost for COM variants.
 	FlatOutput bool
@@ -69,83 +76,9 @@ type PlanChoice struct {
 	// Tree is the (possibly measured) statistics tree the choice was
 	// costed against.
 	Tree *plan.Tree
-	// Tables are the hash tables MeasureStats built to count the tree's
-	// edge statistics: the engine's own table per non-root relation,
-	// which Execute serves to the executor instead of building it a
-	// second time. Nil without MeasureStats; clearing the field only
-	// costs the rebuild.
-	Tables *PlanTables
-}
-
-// PlanTables carries the plan-time hash tables of one dataset snapshot
-// from ChoosePlan into Execute. Each is the table of a non-root relation
-// on its parent-join key under the snapshot's base/live masks — bit for
-// bit what the executor builds for a relation without a selection
-// (equal hashtable.Table.Checksum). Execute uses them only when the
-// caller passed no Artifacts provider, only on the very snapshot they
-// were measured on — the same *storage.Dataset with every
-// relation at its measured row count, so a later version, a rerooted
-// tree or an in-place append falls back to building — and never for a
-// relation that carries a selection, whose table has another shape.
-// Stats are identical either way except CacheHits/CacheMisses, which
-// then count the tables served and the artifacts built.
-type PlanTables struct {
-	ds     *storage.Dataset
-	rows   []int              // per relation, at measurement
-	tables []*hashtable.Table // by NodeID; nil = not held
-}
-
-// newPlanTables binds tables (by NodeID) to the snapshot they were
-// measured on; nil when there is nothing to carry.
-func newPlanTables(ds *storage.Dataset, tables []*hashtable.Table) *PlanTables {
-	p := &PlanTables{ds: ds, rows: make([]int, ds.Tree.Len()), tables: tables}
-	if p.Len() == 0 {
-		return nil
-	}
-	for i := range p.rows {
-		p.rows[i] = ds.Relation(plan.NodeID(i)).NumRows()
-	}
-	return p
-}
-
-// Table returns the held table of relation id, or nil.
-func (p *PlanTables) Table(id plan.NodeID) *hashtable.Table { return p.tables[id] }
-
-// Len returns the number of tables held.
-func (p *PlanTables) Len() int {
-	if p == nil {
-		return 0
-	}
-	n := 0
-	for _, t := range p.tables {
-		if t != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// artifacts returns the provider serving p's tables to an execution on
-// ds under sels, or nil when they do not apply to it.
-func (p *PlanTables) artifacts(ds *storage.Dataset, sels []exec.Selection) exec.Artifacts {
-	if p == nil || p.ds != ds {
-		return nil
-	}
-	for i, n := range p.rows {
-		if ds.Relation(plan.NodeID(i)).NumRows() != n {
-			return nil
-		}
-	}
-	tables := p.tables
-	if len(sels) > 0 {
-		tables = append([]*hashtable.Table(nil), tables...)
-		for _, sel := range sels {
-			if int(sel.Rel) >= 0 && int(sel.Rel) < len(tables) {
-				tables[sel.Rel] = nil
-			}
-		}
-	}
-	return planArtifacts(tables)
+	// cache is the edge-statistics cache MeasureStats measured through:
+	// Execute serves its plan-time tables (see stamp).
+	cache *workload.EdgeStatsCache
 }
 
 // planArtifacts is the read-only exec.Artifacts view of plan-time
@@ -164,14 +97,13 @@ func ChoosePlan(req PlanRequest) (PlanChoice, error) {
 		return PlanChoice{}, fmt.Errorf("core: PlanRequest.Dataset is required")
 	}
 	tree := req.Dataset.Tree
-	var tables *PlanTables
+	var cache *workload.EdgeStatsCache
 	if req.MeasureStats {
-		cache := req.StatsCache
+		cache = req.StatsCache
 		if cache == nil {
 			cache = workload.NewEdgeStatsCache()
 		}
 		tree = workload.MeasuredTreeCached(req.Dataset, cache)
-		tables = newPlanTables(req.Dataset, cache.Tables(req.Dataset))
 	}
 	w := cost.DefaultWeights()
 	if req.Weights != nil {
@@ -216,19 +148,19 @@ func ChoosePlan(req PlanRequest) (PlanChoice, error) {
 	if !found {
 		return PlanChoice{}, fmt.Errorf("core: no strategy of %v has a finite predicted cost", strategies)
 	}
-	best.Tables = tables
+	best.cache = cache
 	return best, nil
 }
 
 // ExecuteOptions tune execution of a chosen plan: the executor's own
 // options. Execute overwrites Strategy, Order and SemiJoins with the
 // choice's, and when Artifacts is nil serves the choice's plan-time
-// tables instead (PlanTables).
+// tables instead.
 type ExecuteOptions = exec.Options
 
 // Execute runs the chosen plan against the dataset: the choice's plan
 // stamped into opts and, without a caller-supplied provider, the
-// choice's plan-time tables, where they apply to ds, in its place.
+// choice's plan-time tables valid for ds in its place.
 func Execute(ds *storage.Dataset, choice PlanChoice, opts ExecuteOptions) (exec.Stats, error) {
 	return exec.Run(ds, choice.stamp(ds, opts))
 }
@@ -241,11 +173,20 @@ func ReduceBuildSide(ds *storage.Dataset, choice PlanChoice, opts ExecuteOptions
 }
 
 // stamp returns opts with the choice's plan and, without a caller-
-// supplied provider, its plan-time tables for ds.
+// supplied provider, the plan-time tables the choice's statistics cache
+// holds for ds (EdgeStatsCache.Tables) — except those of selected
+// relations, whose tables have another shape. The cache is read here,
+// on the caller's goroutine, before the executor fans out.
 func (choice PlanChoice) stamp(ds *storage.Dataset, opts ExecuteOptions) ExecuteOptions {
 	opts.Strategy, opts.Order, opts.SemiJoins = choice.Strategy, choice.Order, choice.SemiJoins
-	if opts.Artifacts == nil {
-		opts.Artifacts = choice.Tables.artifacts(ds, opts.Selections)
+	if opts.Artifacts == nil && choice.cache != nil {
+		tables := choice.cache.Tables(ds)
+		for _, sel := range opts.Selections {
+			if int(sel.Rel) >= 0 && int(sel.Rel) < len(tables) {
+				tables[sel.Rel] = nil
+			}
+		}
+		opts.Artifacts = planArtifacts(tables)
 	}
 	return opts
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"m2mjoin/internal/cost"
 	"m2mjoin/internal/exec"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/workload"
@@ -95,6 +96,30 @@ func TestChooseDriverMemoizesEdgeStats(t *testing.T) {
 		}
 		if dc.EdgeMeasurements == 0 {
 			t.Errorf("trial %d: no measurements recorded", trial)
+		}
+	}
+}
+
+// TestChooseDriverServesWinnerTables: the enumeration's shared cache
+// keeps the table of every direction it measured, so a non-SJ winner
+// executes on its rerooted dataset without building a table.
+func TestChooseDriverServesWinnerTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	nonSJ := []cost.Strategy{cost.STD, cost.COM, cost.BVPSTD, cost.BVPCOM}
+	for trial := 0; trial < 3; trial++ {
+		tr := plan.RandomTree(3+rng.Intn(4), rng, plan.UniformStats(rng, 0.3, 0.9, 1, 3))
+		ds := workload.Generate(tr, workload.Config{DriverRows: 200, Seed: int64(trial)})
+		dc, err := ChooseDriver(ds, PlanRequest{FlatOutput: true, Strategies: nonSJ})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := Execute(dc.Dataset, dc.Plan, ExecuteOptions{FlatOutput: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(tr.Len() - 1); st.CacheHits != want || st.CacheMisses != 0 {
+			t.Errorf("trial %d: driver %d %v: hits=%d misses=%d, want %d/0",
+				trial, dc.Driver, dc.Plan.Strategy, st.CacheHits, st.CacheMisses, want)
 		}
 	}
 }

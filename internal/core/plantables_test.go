@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
+	"slices"
 	"testing"
 
 	"m2mjoin/internal/cost"
 	"m2mjoin/internal/exec"
-	"m2mjoin/internal/hashtable"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
 	"m2mjoin/internal/workload"
@@ -42,14 +41,15 @@ func categorized(rows int, seed int64) *storage.Dataset {
 	return ds
 }
 
-// mutated commits one batch against ds: every relation gets a few
-// appends cloned from resident rows (so they join as their sources do)
-// and loses a few rows, leaving tombstones and append regions behind.
-func mutated(t *testing.T, ds *storage.Dataset, seed int64) *storage.Dataset {
+// mutated commits one batch against ds: each relation of rels gets a
+// few appends cloned from resident rows (so they join as their sources
+// do) and loses a few rows, leaving tombstones and append regions
+// behind.
+func mutated(t *testing.T, ds *storage.Dataset, seed int64, rels ...plan.NodeID) *storage.Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	d := ds.Begin()
-	for _, id := range ds.Tree.TopDown() {
+	for _, id := range rels {
 		rel := ds.Relation(id)
 		n := rel.NumRows()
 		for i := 0; i < 1+n/50; i++ {
@@ -74,20 +74,6 @@ func mutated(t *testing.T, ds *storage.Dataset, seed int64) *storage.Dataset {
 	return v.Dataset
 }
 
-// recorder is an exec.Artifacts that serves nothing and keeps every
-// table the run builds.
-type recorder struct {
-	mu     sync.Mutex
-	tables map[plan.NodeID]*hashtable.Table
-}
-
-func (r *recorder) Table(plan.NodeID) *hashtable.Table { return nil }
-func (r *recorder) PutTable(id plan.NodeID, t *hashtable.Table) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tables[id] = t
-}
-
 // stripProvider zeroes the fields that depend on whether an artifact
 // provider was in play; everything else must be bit-identical.
 func stripProvider(s exec.Stats) exec.Stats {
@@ -97,14 +83,22 @@ func stripProvider(s exec.Stats) exec.Stats {
 
 func isSJ(s cost.Strategy) bool { return s == cost.SJSTD || s == cost.SJCOM }
 
-// TestPlanTimeTablesBitIdentical: executing a choice with the tables its
-// statistics were measured with is indistinguishable — full Stats and
-// checksum, provider counters aside — from executing it with the tables
-// stripped, both equal the oracle, and every plan-time table is the
-// table the executor would have built, bit for bit.
+// asked reports whether strategy s asks the provider for relation id's
+// table: every relation but an SJ strategy's reduced ones.
+func asked(s cost.Strategy, tr *plan.Tree, id plan.NodeID) bool {
+	return !isSJ(s) || len(tr.Children(id)) == 0
+}
+
+// TestPlanTimeTablesBitIdentical: Execute serves a measured choice's
+// plan-time tables to every relation the strategy asks for except a
+// selected one, whose table has another shape; the run is otherwise
+// indistinguishable — full Stats and checksum, provider counters aside
+// — from one without them, and equals the oracle. (That served tables
+// are the executor's own on every generated query is checkCase's
+// plan-time provider; the selection rule is stamp's.)
 func TestPlanTimeTablesBitIdentical(t *testing.T) {
 	v0 := categorized(600, 5)
-	snaps := map[string]*storage.Dataset{"v0": v0, "mutated": mutated(t, v0, 6)}
+	snaps := map[string]*storage.Dataset{"v0": v0, "mutated": mutated(t, v0, 6, v0.Tree.TopDown()...)}
 	tr := v0.Tree
 	inner := tr.Children(plan.Root)[0]
 	leaf := tr.Children(inner)[0]
@@ -120,84 +114,63 @@ func TestPlanTimeTablesBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := choice.Tables.Len(), tr.Len()-1; got != want {
-				t.Fatalf("%s %v: choice carries %d tables, want %d", snapName, s, got, want)
-			}
 			stripped := choice
-			stripped.Tables = nil
-
-			// Every table the executor builds for an unselected relation
-			// equals the plan-time one.
-			rec := &recorder{tables: make(map[plan.NodeID]*hashtable.Table)}
-			if _, err := Execute(snap, stripped, ExecuteOptions{FlatOutput: true, Artifacts: rec}); err != nil {
-				t.Fatal(err)
-			}
-			for id, built := range rec.tables {
-				if choice.Tables.Table(id).Checksum() != built.Checksum() {
-					t.Fatalf("%s %v: plan-time table of relation %d differs from the executor-built one", snapName, s, id)
-				}
-			}
-			wantBuilt := tr.Len() - 1
-			if isSJ(s) {
-				wantBuilt = 4 // the 2-2 snowflake's childless relations
-			}
-			if len(rec.tables) != wantBuilt {
-				t.Fatalf("%s %v: executor offered %d tables, want %d", snapName, s, len(rec.tables), wantBuilt)
-			}
-
+			stripped.cache = nil
 			for selName, sels := range selections {
-				wantCount, wantSum := exec.ReferenceOpts(snap, nil, sels)
-				served := int64(wantBuilt)
-				for _, sel := range sels {
-					if !isSJ(s) || len(tr.Children(sel.Rel)) == 0 {
-						served--
+				name := fmt.Sprintf("%s/%v/%s", snapName, s, selName)
+				var want, served int64
+				for _, id := range tr.NonRoot() {
+					if asked(s, tr, id) {
+						want++
+						if !slices.ContainsFunc(sels, func(sel exec.Selection) bool { return sel.Rel == id }) {
+							served++
+						}
 					}
 				}
-				for _, workers := range []int{1, 2, 8} {
-					name := fmt.Sprintf("%s/%v/%s/par%d", snapName, s, selName, workers)
-					opts := ExecuteOptions{FlatOutput: true, Parallelism: workers, Selections: sels}
-					with, err := Execute(snap, choice, opts)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					without, err := Execute(snap, stripped, opts)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if with.CacheHits != served {
-						t.Fatalf("%s: %d plan-time tables served, want %d", name, with.CacheHits, served)
-					}
-					if without.CacheHits != 0 || without.CacheMisses != 0 {
-						t.Fatalf("%s: stripped choice reports provider traffic: %+v", name, without)
-					}
-					if !reflect.DeepEqual(stripProvider(with), without) {
-						t.Fatalf("%s: stats differ with plan-time tables:\nwith    %+v\nwithout %+v", name, with, without)
-					}
-					if with.OutputTuples != wantCount || (wantCount > 0 && with.Checksum != wantSum) {
-						t.Fatalf("%s: %d tuples / %#x, oracle %d / %#x", name,
-							with.OutputTuples, with.Checksum, wantCount, wantSum)
-					}
+				opts := ExecuteOptions{FlatOutput: true, Parallelism: 2, Selections: sels}
+				with, err := Execute(snap, choice, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				without, err := Execute(snap, stripped, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if with.CacheHits != served || with.CacheMisses != want-served {
+					t.Fatalf("%s: hits=%d misses=%d, want %d/%d", name, with.CacheHits, with.CacheMisses, served, want-served)
+				}
+				if without.CacheHits != 0 || without.CacheMisses != 0 {
+					t.Fatalf("%s: choice without a cache reports provider traffic: %+v", name, without)
+				}
+				if !reflect.DeepEqual(stripProvider(with), without) {
+					t.Fatalf("%s: stats differ with plan-time tables:\nwith    %+v\nwithout %+v", name, with, without)
+				}
+				wantCount, wantSum := exec.ReferenceOpts(snap, nil, sels)
+				if with.OutputTuples != wantCount || (wantCount > 0 && with.Checksum != wantSum) {
+					t.Fatalf("%s: %d tuples / %#x, oracle %d / %#x", name,
+						with.OutputTuples, with.Checksum, wantCount, wantSum)
 				}
 			}
 		}
 	}
 }
 
-// TestPlanTimeTablesStaleSnapshot: plan-time tables are bound to the
-// snapshot they were measured on. Executed against a later version, a
-// rerooted dataset or a dataset appended to in place, the choice falls
-// back to building — none of its tables is served — and the answer is
-// the executed snapshot's own.
+// TestPlanTimeTablesStaleSnapshot: a choice's plan-time tables are
+// served by relation state (EdgeStatsCache.Tables). Executed against a
+// later version, a rerooted dataset or a dataset appended to in place,
+// the choice is served exactly the tables of the relations whose state
+// was measured — no touched relation, no reversed edge — and every
+// answer is the executed snapshot's own.
 func TestPlanTimeTablesStaleSnapshot(t *testing.T) {
 	v0 := categorized(400, 9)
 	choice, err := ChoosePlan(PlanRequest{Dataset: v0, MeasureStats: true, FlatOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if choice.Tables.Len() == 0 {
-		t.Fatal("choice carries no tables")
-	}
-	requireFresh := func(name string, ds *storage.Dataset, c PlanChoice) {
+	inner := v0.Tree.Children(plan.Root)[0]
+	// requireServed executes c on ds under every strategy: the relations
+	// fresh reports are served, all others built.
+	requireServed := func(name string, ds *storage.Dataset, c PlanChoice, fresh func(plan.NodeID) bool) {
 		t.Helper()
 		wantCount, wantSum := exec.Reference(ds)
 		for _, s := range cost.AllStrategies {
@@ -206,8 +179,17 @@ func TestPlanTimeTablesStaleSnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, s, err)
 			}
-			if st.CacheHits != 0 {
-				t.Fatalf("%s %v: %d stale plan-time tables served", name, s, st.CacheHits)
+			var want, served int64
+			for _, id := range ds.Tree.NonRoot() {
+				if asked(s, ds.Tree, id) {
+					want++
+					if fresh(id) {
+						served++
+					}
+				}
+			}
+			if st.CacheHits != served || st.CacheMisses != want-served {
+				t.Fatalf("%s %v: hits=%d misses=%d, want %d/%d", name, s, st.CacheHits, st.CacheMisses, served, want-served)
 			}
 			if st.OutputTuples != wantCount || (wantCount > 0 && st.Checksum != wantSum) {
 				t.Fatalf("%s %v: %d tuples / %#x, oracle %d / %#x", name, s,
@@ -215,35 +197,43 @@ func TestPlanTimeTablesStaleSnapshot(t *testing.T) {
 			}
 		}
 	}
+	untouched := func(id plan.NodeID) bool { return id != inner }
 
-	v1 := mutated(t, v0, 10)
-	c0, _ := exec.Reference(v0)
-	if c1, _ := exec.Reference(v1); c1 == c0 {
+	v1 := mutated(t, v0, 11, inner)
+	c0, s0 := exec.Reference(v0)
+	if c1, s1 := exec.Reference(v1); c1 == c0 && s1 == s0 {
 		t.Fatal("mutation did not change the answer; the test proves nothing")
 	}
-	requireFresh("later version", v1, choice)
+	requireServed("later version", v1, choice, untouched)
 
-	// Same relations under another tree: node IDs mean other relations.
-	re, _ := workload.Reroot(v0, v0.Tree.Children(plan.Root)[0])
-	rechoice, err := ChoosePlan(PlanRequest{Dataset: re, MeasureStats: true, FlatOutput: true})
+	// Same relations under another tree: the edge between the old and
+	// the new root is reversed, every other edge keeps its direction.
+	re, mapping := workload.Reroot(v0, inner)
+	rechoice, err := ChoosePlan(PlanRequest{Dataset: re, FlatOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rechoice.Tables = choice.Tables
-	requireFresh("rerooted", re, rechoice)
+	rechoice.cache = choice.cache
+	reversed := mapping[plan.Root]
+	requireServed("rerooted", re, rechoice, func(id plan.NodeID) bool { return id != reversed })
 
-	// An append in place keeps the dataset pointer but not the rows. (On
-	// a dataset of its own: v0's columns share storage with v1's.)
+	// An append in place keeps the dataset, the relation and its
+	// liveness but not the row count. (On a dataset of its own: v0's
+	// columns share storage with v1's.)
 	ds := categorized(400, 9)
 	choice, err = ChoosePlan(PlanRequest{Dataset: ds, MeasureStats: true, FlatOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := ds.Relation(plan.NodeID(ds.Tree.Len() - 1))
+	c0, s0 = exec.Reference(ds)
+	rel := ds.Relation(inner)
 	vals := make([]int64, rel.NumCols())
 	for c := range vals {
 		vals[c] = rel.ColumnAt(c)[0]
 	}
 	rel.AppendRow(vals...)
-	requireFresh("appended in place", ds, choice)
+	if c1, s1 := exec.Reference(ds); c1 == c0 && s1 == s0 {
+		t.Fatal("the append did not change the answer; the test proves nothing")
+	}
+	requireServed("appended in place", ds, choice, untouched)
 }

@@ -166,14 +166,15 @@ func TestShardMergeDeterminismRandom(t *testing.T) {
 }
 
 // TestProviderDifferentialOverCommits: over three commits, a cold
-// provider and one carried forward by ApplyDelta change nothing but
-// the cache counters, for every strategy; a selected relation is never
-// served a carried table.
+// provider, one carried forward by ApplyDelta and the plan-time tables
+// of an edge-statistics cache measuring every version change nothing
+// but the cache counters, for every strategy; a selected relation is
+// never served a carried or plan-time table.
 func TestProviderDifferentialOverCommits(t *testing.T) {
 	t.Parallel()
 	for _, sel := range []uint8{0, 4<<3 | 2} {
 		for _, c := range strategies(execCase{shape: 2, nrel: 3, m: 79, fo: 4, rows: 600, flat: true, workers: 1, chunk: 127, sel: sel, seed: 41, commits: 3}) {
-			for provider := uint8(1); provider <= 2; provider++ {
+			for provider := uint8(1); provider <= 3; provider++ {
 				c.provider = provider
 				checkCase(t, c)
 			}

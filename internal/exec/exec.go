@@ -102,7 +102,8 @@ type Options struct {
 	// Artifacts optionally injects pre-built base-mask hash tables and
 	// receives the ones built by this run — the serving layer's shared
 	// artifact cache, or the tables a plan's statistics were measured
-	// with (core.PlanChoice.Tables). A non-nil Table result is used
+	// with (workload.EdgeStatsCache.Tables, which core.Execute serves
+	// when its caller passes no provider). A non-nil Table result is used
 	// as-is and skips that build entirely; a miss builds as usual and
 	// hands the result back via PutTable. A BVP strategy's bitvector
 	// travels inside its table (bitvector.FromTable). Implementations

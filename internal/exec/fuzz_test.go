@@ -146,9 +146,11 @@ func mutateRandomly(t *testing.T, ds *storage.Dataset, rng *rand.Rand, nOps int,
 //     shards run both on their own and from one shared ReduceBuildSide;
 //   - commits: commits % 4 seeded append/delete batches, each checked;
 //     with commits & 4 the last also compacts every relation;
-//   - provider: 0 none; 1 a cold tableStore at every version; 2 a
-//     tableStore warmed at version 0 and carried across the commits by
-//     ApplyDelta.
+//   - provider (provider % 4): 0 none; 1 a cold tableStore at every
+//     version; 2 a tableStore warmed at version 0 and carried across
+//     the commits by ApplyDelta; 3 plan-time tables: one
+//     workload.EdgeStatsCache measures every version and serves
+//     Tables(ds), as core.Execute does.
 type execCase struct {
 	shape, nrel, m, fo        uint8
 	rows                      uint16
@@ -202,7 +204,9 @@ func (c execCase) query() (*storage.Dataset, Options, *rand.Rand) {
 // countingReference on every counter and with ReferenceOpts on the
 // output; its collected tuples, merged shards and provider runs with
 // it (a provider run apart from its cache counters, which must be the
-// tables it was and was not served); an SJ shard sharing a build side
+// tables it was and was not served — a plan-time provider is served
+// every relation state its cache measured, and measures each version's
+// relations); an SJ shard sharing a build side
 // with the same shard reducing its own; and, after the commits, a
 // rerun of version 0 with version 0's first run. It returns the Stats
 // of that first run: provider-less and unsharded.
@@ -215,14 +219,18 @@ func checkCase(t *testing.T, c execCase) Stats {
 		shards = must(shard.Partition(ds, 2+int(c.shards-1)%4))
 	}
 	var carried *tableStore
-	if c.provider%3 == 2 {
+	var measured *workload.EdgeStatsCache
+	switch c.provider % 4 {
+	case 2:
 		carried = newTableStore()
 		must(Run(ds, Options{Strategy: cost.BVPCOM, Order: opts.Order, Artifacts: carried}))
+	case 3:
+		measured = workload.NewEdgeStatsCache()
 	}
 	v0 := ds
 	var first Stats
 	for v := 0; ; v++ {
-		got := checkVersion(t, label, c, ds, opts, shards, carried)
+		got := checkVersion(t, label, c, ds, opts, shards, carried, measured)
 		if v == 0 {
 			first = got
 		}
@@ -248,7 +256,7 @@ func checkCase(t *testing.T, c execCase) Stats {
 
 // checkVersion is checkCase at one version.
 func checkVersion(t *testing.T, label string, c execCase, ds *storage.Dataset, opts Options,
-	shards []shard.Shard, carried *tableStore) Stats {
+	shards []shard.Shard, carried *tableStore, measured *workload.EdgeStatsCache) Stats {
 	t.Helper()
 	label = fmt.Sprintf("%s v%d %v order=%v chunk=%d par=%d sel=%v",
 		label, ds.Version(), ds.Tree, opts.Order, opts.ChunkSize, opts.Parallelism, opts.Selections)
@@ -306,22 +314,33 @@ func checkVersion(t *testing.T, label string, c execCase, ds *storage.Dataset, o
 		}
 	}
 
-	if c.provider%3 != 0 {
+	if c.provider%4 != 0 {
 		store := carried
 		if store == nil {
 			store = newTableStore()
+		}
+		if measured != nil {
+			// Every version's relation states are measured: the tables
+			// of untouched relations are an earlier version's.
+			workload.MeasureCached(ds, measured)
+			for id, tbl := range measured.Tables(ds) {
+				if tbl != nil {
+					store.tables[plan.NodeID(id)] = tbl
+				}
+			}
 		}
 		store.skip = 0
 		for _, s := range opts.Selections {
 			store.skip = store.skip.With(s.Rel)
 		}
 		// The provider is asked for every table the strategy does not
-		// reduce; a carried one serves those of unselected relations.
+		// reduce; a carried or plan-time one serves those of unselected
+		// relations.
 		var asked, served int64
 		for _, id := range ds.Tree.NonRoot() {
 			if opts.Strategy.Reduction() != cost.SemiJoin || len(ds.Tree.Children(id)) == 0 {
 				asked++
-				if carried != nil && !store.skip.Has(id) {
+				if (carried != nil || measured != nil) && !store.skip.Has(id) {
 					served++
 				}
 			}
@@ -331,7 +350,7 @@ func checkVersion(t *testing.T, label string, c execCase, ds *storage.Dataset, o
 		pg := must(Run(ds, o))
 		if pg.CacheHits != served || pg.CacheMisses != asked-served || !reflect.DeepEqual(stripProvider(pg), got) {
 			t.Errorf("%s: provider %d run (want %d hits, %d misses)\n %+v\nprovider-less\n %+v",
-				label, c.provider%3, served, asked-served, pg, got)
+				label, c.provider%4, served, asked-served, pg, got)
 		}
 	}
 	return got

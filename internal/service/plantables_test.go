@@ -60,12 +60,11 @@ func TestServiceSJHitsCachedLeaves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		choice.Tables = nil
 		direct, err := core.Execute(replica, choice, core.ExecuteOptions{FlatOutput: true, Parallelism: res.Workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(stripCache(res.Stats), direct) {
+		if !reflect.DeepEqual(stripCache(res.Stats), stripCache(direct)) { // direct was served its plan-time tables
 			t.Fatalf("query %d differs from direct execution:\nservice %+v\ndirect  %+v", i, res.Stats, direct)
 		}
 	}
@@ -98,8 +97,9 @@ func TestServiceSJHitsCachedLeaves(t *testing.T) {
 // artifact cache and nowhere else. The first query of a fresh service
 // builds each table once — not once to measure and once to execute —
 // and afterwards every live table is charged to the byte budget: the
-// memoized choices and the stats cache hold none. A plan made after the
-// registered snapshot was superseded seeds nothing.
+// stats cache holds none. A plan made after the registered snapshot was
+// superseded seeds, under head's keys, the tables of the relations no
+// commit has touched since.
 func TestServicePlanSeedsCacheAndPinsNothing(t *testing.T) {
 	ctx := context.Background()
 	req := Request{Dataset: "ds", Strategy: "COM", FlatOutput: true}
@@ -121,14 +121,11 @@ func TestServicePlanSeedsCacheAndPinsNothing(t *testing.T) {
 		if len(e.plans) == 0 {
 			t.Fatal("no plan memoized")
 		}
-		for key, choice := range e.plans {
-			if choice.Tables != nil {
-				t.Fatalf("memoized plan %+v pins %d tables outside the byte budget", key, choice.Tables.Len())
-			}
-		}
-		for id, tbl := range e.statsCache.Tables(e.ds) {
-			if tbl != nil {
-				t.Fatalf("stats cache pins the table of relation %d", id)
+		for _, snap := range []*storage.Dataset{e.ds, e.head.Load()} {
+			for id, tbl := range e.statsCache.Tables(snap) {
+				if tbl != nil {
+					t.Fatalf("stats cache pins the table of relation %d", id)
+				}
 			}
 		}
 	}
@@ -161,22 +158,32 @@ func TestServicePlanSeedsCacheAndPinsNothing(t *testing.T) {
 	}
 	requireNothingPinned(svc)
 
-	// Head moved before the first plan: v0's keys are not seeded.
+	// Head moved before the first plan: the plan measures v0, and head
+	// is seeded the tables of the relations testOps leaves untouched.
+	// Only R2's is built again, at head.
 	late := New(Config{Parallelism: 2, MaxConcurrent: 2})
 	lateDS := genDataset(t, 1500, 3)
 	if _, err := late.RegisterDataset("ds", lateDS); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := late.Mutate(ctx, MutateRequest{Dataset: "ds", Ops: testOps(lateDS, 0)}); err != nil {
+	ops := testOps(lateDS, 0)
+	if _, err := late.Mutate(ctx, MutateRequest{Dataset: "ds", Ops: ops}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := late.Query(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Version != 1 || res.Stats.CacheHits != 0 || res.Stats.CacheMisses != nonRoot {
-		t.Fatalf("first query after a commit: version %d hits=%d misses=%d, want 1 0/%d",
-			res.Version, res.Stats.CacheHits, res.Stats.CacheMisses, nonRoot)
+	if res.Version != 1 || res.Stats.CacheHits != nonRoot-1 || res.Stats.CacheMisses != 1 {
+		t.Fatalf("first query after a commit: version %d hits=%d misses=%d, want 1 %d/1",
+			res.Version, res.Stats.CacheHits, res.Stats.CacheMisses, nonRoot-1)
+	}
+	if n := builds(late); n != nonRoot+1 {
+		t.Fatalf("late plan and query made %d builds, want %d (v0's tables once, R2's at head)", n, nonRoot+1)
+	}
+	wantCount, wantSum := exec.Reference(applyOps(t, genDataset(t, 1500, 3), ops))
+	if res.Stats.OutputTuples != wantCount || res.Stats.Checksum != wantSum {
+		t.Fatalf("late query: %d tuples / %x, oracle %d / %x", res.Stats.OutputTuples, res.Stats.Checksum, wantCount, wantSum)
 	}
 	headFP := late.entry("ds").head.Load().VersionFingerprint()
 	late.cache.mu.Lock()

@@ -198,6 +198,9 @@ type datasetEntry struct {
 	// Guarded by verMu.
 	versions []uint64
 
+	// statsCache holds the registered snapshot's edge statistics,
+	// measured once (see plan); the tables measuring builds are handed
+	// to the artifact cache and released. Guarded by planMu.
 	statsCache *workload.EdgeStatsCache
 
 	// breaker is this dataset's load-shedding circuit breaker.
@@ -892,11 +895,12 @@ func (e *datasetEntry) resolveSelections(specs []SelectionSpec) ([]exec.Selectio
 // Edge statistics are measured once per dataset through the entry's
 // shared stats cache; the optimizer search runs once per (strategy,
 // flat) pair. The hash tables that measurement builds belong to the
-// artifact cache, not to the catalog: they are offered to it under the
-// measured snapshot's keys — where the first query finds them instead
-// of building them again — and both the memoized choice and the stats
-// cache let go of them, so every table the service keeps alive is
-// charged to the byte budget.
+// artifact cache, not to the catalog: those valid for head are offered
+// to it under head's keys — where the first query finds them instead
+// of building them again — and the stats cache lets go of them, so
+// every table the service keeps alive is charged to the byte budget.
+// (Every execution passes its own provider, so the memoized choice
+// never reads the stats cache.)
 func (s *Service) plan(e *datasetEntry, strategy string, flat bool) (core.PlanChoice, error) {
 	key := planKey{auto: true, flat: flat}
 	var restrict []cost.Strategy
@@ -923,29 +927,24 @@ func (s *Service) plan(e *datasetEntry, strategy string, flat bool) (core.PlanCh
 	if err != nil {
 		return core.PlanChoice{}, err
 	}
-	if choice.Tables != nil {
-		s.seedArtifacts(e, choice.Tables)
-		choice.Tables = nil
-	}
+	s.seedArtifacts(e)
 	e.statsCache.ReleaseTables()
 	e.plans[key] = choice
 	return choice, nil
 }
 
-// seedArtifacts offers the tables measured on the registered snapshot
-// to the artifact cache — only while that snapshot is still head: a
-// superseded version's tables would serve no later query. A commit
-// racing past the check costs at most entries the next one purges, and
-// a version already out of the retention window is declined by the put
-// itself (queryArtifacts.put).
-func (s *Service) seedArtifacts(e *datasetEntry, tables *core.PlanTables) {
-	if e.head.Load() != e.ds {
-		return
-	}
-	arts := s.artifactsFor(e.ds, e, nil)
-	for _, id := range e.ds.Tree.NonRoot() {
-		if tbl := tables.Table(id); tbl != nil {
-			arts.PutTable(id, tbl)
+// seedArtifacts offers the stats cache's tables valid for head — those
+// of the relations no commit has touched since the registered snapshot
+// (EdgeStatsCache.Tables) — to the artifact cache under head's keys. A
+// commit racing past the load costs at most entries the next one
+// purges, and a version already out of the retention window is
+// declined by the put itself (queryArtifacts.put).
+func (s *Service) seedArtifacts(e *datasetEntry) {
+	head := e.head.Load()
+	arts := s.artifactsFor(head, e, nil)
+	for id, tbl := range e.statsCache.Tables(head) {
+		if tbl != nil {
+			arts.PutTable(plan.NodeID(id), tbl)
 		}
 	}
 }

@@ -339,3 +339,49 @@ func TestMeasureFanOutMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasureCachedSeesInPlaceAppend: rows appended in place to a
+// relation keep its pointer and liveness bitmap but not its row count,
+// which the cache key carries. Measured again through the same cache,
+// the appended edge is measured afresh — statistics and table — and
+// equals a cold measurement, while its untouched siblings still hit.
+func TestMeasureCachedSeesInPlaceAppend(t *testing.T) {
+	ds := Generate(plan.Star(3, plan.FixedStats(0.5, 2)), Config{DriverRows: 3000, Seed: 8})
+	cache := NewEdgeStatsCache()
+	before := MeasureCached(ds, cache)
+	tables := cache.Tables(ds)
+
+	child := ds.Tree.NonRoot()[0]
+	key := ds.KeyColumn(child)
+	rel, parentKeys := ds.Relation(child), ds.Relation(plan.Root).Column(key)
+	vals := make([]int64, rel.NumCols())
+	for r := 0; r < 3000; r++ {
+		for c := range vals {
+			vals[c] = rel.ColumnAt(c)[0]
+		}
+		for c, name := range rel.ColumnNames() {
+			if name == key {
+				vals[c] = parentKeys[r%len(parentKeys)]
+			}
+		}
+		rel.AppendRow(vals...)
+	}
+
+	got := MeasureCached(ds, cache)
+	if want := MeasureCached(ds, nil); !maps.Equal(got, want) {
+		t.Fatalf("after an in-place append the cache replays %v, a fresh measurement reads %v", got, want)
+	}
+	if got[child] == before[child] {
+		t.Fatalf("appending matching rows left edge %d at %+v; the test proves nothing", child, got[child])
+	}
+	edges := ds.Tree.Len() - 1
+	if cache.Hits() != edges-1 || cache.Misses() != edges+1 {
+		t.Fatalf("second measurement: %d hits, %d misses in all; want %d/%d", cache.Hits(), cache.Misses(), edges-1, edges+1)
+	}
+	now := cache.Tables(ds)
+	for _, id := range ds.Tree.NonRoot() {
+		if reused := now[id] == tables[id]; now[id] == nil || reused == (id == child) {
+			t.Fatalf("relation %d: table %p, reused %v, after appending to relation %d", id, now[id], reused, child)
+		}
+	}
+}

@@ -23,54 +23,63 @@ import (
 // An undirected join edge has exactly two probe directions — (parent
 // relation, child relation, key) and its reverse — so driver
 // enumeration over n candidates needs at most 2(n-1) measurements in
-// total, not O(n) per candidate. A nil cache measures directly. The
-// cache is keyed by snapshot state identity — the relations and their
-// liveness bitmaps, both copy-on-write — so rerooted datasets, which
-// share them, hit across reroots, and a later version of a touched
-// relation never does.
+// total, not O(n) per candidate. A nil cache measures directly.
+//
+// The cache key is the one rule that binds a measurement to a snapshot:
+// each relation's state — the relation, its liveness bitmap (both
+// copy-on-write) and its row count. Rerooted datasets and later
+// versions share the untouched relations' states and hit on them; a
+// commit, or an append in place, changes the state and misses.
 //
 // Measuring an edge builds the child's whole hash table in the
 // executor's own shape and count-probes it with the live parent keys —
 // all of them up to 16 384, an 8 192-row systematic sample above (see
-// measureEdge); the entry keeps that table beside the statistics so the
-// plan that was costed on them can hand it to execution instead of
-// building it again (Tables, core.PlanChoice).
+// measureEdge); the cache keeps that table under the child's state and
+// key column so the plan that was costed on it can hand it to execution
+// instead of building it again (Tables, core.Execute).
 // The tables are the bulk of a query's phase-1 memory: a cache that
 // outlives one plan-then-execute must drop them with ReleaseTables once
-// they have been handed on. Not safe for concurrent use: only the
-// calling goroutine touches the cache, also while MeasureCached fans
-// the builds of its misses out internally.
+// they have been served. Not safe for concurrent use: only the calling
+// goroutine touches the cache, also while MeasureCached fans the builds
+// of its misses out internally.
 type EdgeStatsCache struct {
-	entries      map[edgeDirection]edgeEntry
+	stats        map[edgeDirection]plan.EdgeStats
+	tables       map[tableKey]*hashtable.Table
 	hits, misses int
+}
+
+// relState identifies one snapshot state of a relation.
+type relState struct {
+	rel  *storage.Relation
+	live *storage.Bitmap
+	rows int
+}
+
+func stateOf(ds *storage.Dataset, id plan.NodeID) relState {
+	return relState{ds.Relation(id), ds.Live(id), ds.Relation(id).NumRows()}
+}
+
+// tableKey identifies a child-side table: a relation state and the key
+// column it is built on.
+type tableKey struct {
+	rel relState
+	key string
 }
 
 // edgeDirection identifies one probe direction of an undirected edge on
 // one snapshot state of its two relations.
 type edgeDirection struct {
-	parent, child         *storage.Relation
-	parentLive, childLive *storage.Bitmap
-	key                   string
+	parent relState
+	child  tableKey
 }
 
 func directionOf(ds *storage.Dataset, parent, child plan.NodeID, key string) edgeDirection {
-	return edgeDirection{
-		parent: ds.Relation(parent), child: ds.Relation(child),
-		parentLive: ds.Live(parent), childLive: ds.Live(child),
-		key: key,
-	}
-}
-
-// edgeEntry is one measured direction: its statistics and, until
-// released, the child-side table they were counted with.
-type edgeEntry struct {
-	stats plan.EdgeStats
-	table *hashtable.Table
+	return edgeDirection{stateOf(ds, parent), tableKey{stateOf(ds, child), key}}
 }
 
 // NewEdgeStatsCache returns an empty cache.
 func NewEdgeStatsCache() *EdgeStatsCache {
-	return &EdgeStatsCache{entries: make(map[edgeDirection]edgeEntry)}
+	return &EdgeStatsCache{stats: make(map[edgeDirection]plan.EdgeStats), tables: make(map[tableKey]*hashtable.Table)}
 }
 
 // MeasureEdge returns the measured (m, fo) for probing from ds's
@@ -108,7 +117,7 @@ func (c *EdgeStatsCache) measure(ds *storage.Dataset, edges []edgeProbe) []plan.
 	for i, e := range edges {
 		if c != nil {
 			dirs[i] = directionOf(ds, e.parent, e.child, e.key)
-			if _, hit := c.entries[dirs[i]]; hit {
+			if _, hit := c.stats[dirs[i]]; hit {
 				continue
 			}
 		}
@@ -123,42 +132,37 @@ func (c *EdgeStatsCache) measure(ds *storage.Dataset, edges []edgeProbe) []plan.
 	if c == nil {
 		return out
 	}
-	for i := range edges {
-		if e, ok := c.entries[dirs[i]]; ok {
-			out[i] = e.stats
+	for i, dir := range dirs {
+		if st, ok := c.stats[dir]; ok {
+			out[i] = st
 			c.hits++
 			continue
 		}
-		c.entries[dirs[i]] = edgeEntry{stats: out[i], table: tables[i]}
+		c.stats[dir], c.tables[dir.child] = out[i], tables[i]
 		c.misses++
 	}
 	return out
 }
 
-// Tables returns, indexed by NodeID, the hash table each of ds's tree
-// edges was measured with — the table of the child relation on its
-// parent-join key under ds's base/live masks, exactly what the executor
-// builds for an unselected relation. Entries are nil for the root, for
-// edges this cache has not measured on this snapshot and for released
-// tables.
+// Tables returns, indexed by NodeID, the plan-time tables valid for ds:
+// for each non-root relation whose state this cache measured as an edge
+// child on its ds parent-join key, the table it was measured with —
+// bit for bit what the executor builds for the relation without a
+// selection. Entries are nil for the root, for relations whose state
+// the cache has not measured (touched by a commit or appended to in
+// place, or reversed by a reroot) and after ReleaseTables.
 func (c *EdgeStatsCache) Tables(ds *storage.Dataset) []*hashtable.Table {
 	t := ds.Tree
 	out := make([]*hashtable.Table, t.Len())
 	for _, id := range t.NonRoot() {
-		out[id] = c.entries[directionOf(ds, t.Parent(id), id, ds.KeyColumn(id))].table
+		out[id] = c.tables[tableKey{stateOf(ds, id), ds.KeyColumn(id)}]
 	}
 	return out
 }
 
 // ReleaseTables drops every held table, keeping the statistics: later
 // requests for a measured direction still hit, without a table.
-func (c *EdgeStatsCache) ReleaseTables() {
-	for k, e := range c.entries {
-		if e.table != nil {
-			c.entries[k] = edgeEntry{stats: e.stats}
-		}
-	}
-}
+func (c *EdgeStatsCache) ReleaseTables() { clear(c.tables) }
 
 // Hits returns the number of measurements served from the cache.
 func (c *EdgeStatsCache) Hits() int { return c.hits }
