@@ -19,7 +19,7 @@ import (
 // clients: the standard mix registered through the API (twice: the
 // second pass is a repeated run and must ride over the 409s), a short
 // burst of reads beside a background writer, and the server-side
-// histogram fold. The standard mix alone never misses — planning leaves
+// latency count. The standard mix alone never misses — planning leaves
 // every unselected table resident — so the burst adds a template whose
 // selection shapes a table of its own.
 func TestLoadOverHTTP(t *testing.T) {
@@ -73,11 +73,11 @@ func TestLoadOverHTTP(t *testing.T) {
 	if report.outputTuples == 0 {
 		t.Fatal("no output tuples across the whole run")
 	}
-	// Every query the clients saw succeed was observed by the server's
-	// histogram (which also holds the ones the run deadline cut off).
-	if _, n, err := serverLatency(srv.URL); err != nil || n < report.queries {
-		t.Fatalf("server histogram holds %d observations (err %v), fewer than the run's %d successful queries",
-			n, err, report.queries)
+	// Every query the clients saw succeed was counted in the server's
+	// latency (which also holds the ones the run deadline cut off).
+	if st, err := h.Stats(ctx); err != nil || st.Latency.Count < report.queries {
+		t.Fatalf("server latency counts %d queries (err %v), fewer than the run's %d successful queries",
+			st.Latency.Count, err, report.queries)
 	}
 }
 

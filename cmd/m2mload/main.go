@@ -6,11 +6,11 @@
 // from a Zipf-skewed popularity distribution over the mix's templates
 // (auto-planned, fixed-strategy, selection and SJ variants) and it
 // reports throughput, latency percentiles and artifact-cache hit
-// rates. At the end of a run it also scrapes the server's own
-// query-latency histogram from GET /metrics and prints the server-side
-// p50/p95/p99 beside the client-observed ones — the gap is client and
-// transport overhead. (For in-process figures, `bash benchmark/run.sh`
-// is the measured harness.)
+// rates. At the end of a run it also prints the server's own
+// query-latency p50/p95/p99 from GET /v1/stats beside the
+// client-observed ones — the gap is client and transport overhead.
+// (For in-process figures, `bash benchmark/run.sh` is the measured
+// harness.)
 //
 // Failures are counted by class (timeout / shed / canceled / invalid /
 // internal): timeouts and sheds are the service's resilience layer
@@ -46,7 +46,6 @@ import (
 
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/service"
-	"m2mjoin/internal/telemetry"
 )
 
 func main() {
@@ -93,16 +92,14 @@ func main() {
 		*clients, len(templates), *zipfS, *duration)
 	report := runLoad(ctx, h, cfg)
 	fmt.Println(report)
-	// Fold the server-side latency histogram into the report next to the
-	// client-observed percentiles: the gap between the two is pure
-	// client/transport overhead — queueing in the HTTP stack, JSON, and
-	// the wire.
-	if qs, n, err := serverLatency(h.Base()); err == nil && n > 0 {
-		fmt.Printf("server latency (/metrics histogram, %d obs): p50≈%v p95≈%v p99≈%v\n",
-			n, qs[0].Round(time.Microsecond), qs[1].Round(time.Microsecond),
-			qs[2].Round(time.Microsecond))
-	}
 	if st, err := h.Stats(ctx); err == nil {
+		// The gap between the server's latency and the client-observed
+		// percentiles is client/transport overhead: queueing in the HTTP
+		// stack, JSON, and the wire.
+		if l := st.Latency; l.Count > 0 {
+			fmt.Printf("server latency (/v1/stats, %d queries): p50≈%v p95≈%v p99≈%v\n", l.Count,
+				l.P50.Round(time.Microsecond), l.P95.Round(time.Microsecond), l.P99.Round(time.Microsecond))
+		}
 		fmt.Printf("service: queries=%d cache entries=%d bytes=%d/%d evictions=%d\n",
 			st.Queries, st.Cache.Entries, st.Cache.Bytes, st.Cache.Limit, st.Cache.Evictions)
 	}
@@ -155,26 +152,6 @@ func writeTargets(regs []service.RegisterRequest) ([]writeTarget, error) {
 		}
 	}
 	return out, nil
-}
-
-// serverLatency scrapes the server's /metrics exposition and estimates
-// p50/p95/p99 of its m2m_query_duration_seconds histogram; n is the
-// histogram's observation count.
-func serverLatency(base string) (qs []time.Duration, n int64, err error) {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, fmt.Errorf("GET /metrics: HTTP %d", resp.StatusCode)
-	}
-	samples, err := telemetry.ParseText(resp.Body)
-	if err != nil {
-		return nil, 0, err
-	}
-	qs, n = telemetry.HistogramQuantiles(samples, "m2m_query_duration_seconds", []float64{0.5, 0.95, 0.99})
-	return qs, n, nil
 }
 
 func fatal(err error) {

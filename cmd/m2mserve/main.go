@@ -46,17 +46,18 @@
 //	                    snapshot; running queries keep their admitted
 //	                    version, cached artifacts are repaired onto the
 //	                    new version's keys before it is published
-//	GET  /v1/stats      service + artifact-cache counters, uptime, Go
-//	                    version and a monotonic stats generation
+//	GET  /v1/stats      service + artifact-cache counters, query latency
+//	                    quantiles, uptime, Go version and a monotonic
+//	                    stats generation
 //	GET  /v1/trace      recent query traces, newest first (?n= caps)
 //	GET  /metrics       Prometheus text exposition of the telemetry
 //	                    registry
 //
-// Observability: -slow-query-millis N logs a structured JSON line
-// (with a per-phase span breakdown) for every query at or over N ms;
-// -trace-ring N sizes the /v1/trace ring AND traces every query into
-// it; clients get a span tree back by setting "trace":true on the
-// query. -pprof mounts net/http/pprof under /debug/pprof/ on the
+// Observability: -slow-query-millis N logs every query at or over N ms
+// as its /v1/trace record on one JSON line, a per-phase span breakdown
+// in place of the span tree; -trace-ring N sizes the /v1/trace ring
+// AND traces every query into it; clients get a span tree back by
+// setting "trace":true on the query. -pprof mounts net/http/pprof under /debug/pprof/ on the
 // serving mux — off by default, and meant for the same trusted
 // loopback deployments as the default -addr; it complements the batch
 // CLIs' -cpuprofile/-memprofile flags (m2mquery, m2mbench) for

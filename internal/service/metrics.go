@@ -18,7 +18,8 @@ import (
 // component — cache residency, admission depth, breaker state — is
 // exposed as a CounterFunc/GaugeFunc read from that component at scrape
 // time. Latency distributions and the per-dataset executor-counter
-// totals are recorded once per query on the return path.
+// totals are recorded once per query on the return path; Stats reads
+// its latency quantiles from the same histogram, in process.
 
 // Metric family names. Exported through the exposition only; the
 // constants keep recording sites and tests in sync.
@@ -221,10 +222,10 @@ func outcomeLabel(cls Class) string {
 	return string(cls)
 }
 
-// slowQueryLog emits one structured JSON line per query whose
-// end-to-end latency reaches the threshold. The line carries the
-// query's identity, outcome and a per-phase breakdown aggregated from
-// its span tree — which is why enabling the slow-query log also turns
+// slowQueryLog writes one JSON line per query whose end-to-end latency
+// reaches the threshold: the query's trace record with its per-phase
+// breakdown and without its span tree. The breakdown is aggregated
+// from the tree, which is why enabling the slow-query log also turns
 // on tracing for every query.
 type slowQueryLog struct {
 	threshold time.Duration
@@ -233,32 +234,10 @@ type slowQueryLog struct {
 	w  io.Writer
 }
 
-// slowQueryEntry is the slow-query log's line format.
-type slowQueryEntry struct {
-	Time     time.Time `json:"time"`
-	Dataset  string    `json:"dataset"`
-	Strategy string    `json:"strategy,omitempty"`
-	// Class is the failure class, empty on success.
-	Class        string  `json:"class,omitempty"`
-	TotalMillis  float64 `json:"totalMillis"`
-	QueuedMillis float64 `json:"queuedMillis"`
-	// PhaseMillis sums span durations by span name across the query's
-	// trace (the root "query" span excluded — TotalMillis covers it).
-	PhaseMillis map[string]float64 `json:"phaseMillis,omitempty"`
-}
-
-// log renders one trace record as a slow-query line.
+// log writes rec as a slow-query line.
 func (l *slowQueryLog) log(rec telemetry.TraceRecord) {
-	entry := slowQueryEntry{
-		Time:         rec.Time,
-		Dataset:      rec.Dataset,
-		Strategy:     rec.Strategy,
-		Class:        rec.Class,
-		TotalMillis:  rec.ElapsedMillis,
-		QueuedMillis: rec.QueuedMillis,
-		PhaseMillis:  phaseMillis(rec.Root),
-	}
-	b, err := json.Marshal(entry)
+	rec.Root = nil
+	b, err := json.Marshal(rec)
 	if err != nil {
 		return
 	}
@@ -281,8 +260,5 @@ func phaseMillis(root *telemetry.SpanNode) map[string]float64 {
 		}
 		out[n.Name] += float64(n.DurationNanos) / float64(time.Millisecond)
 	})
-	if len(out) == 0 {
-		return nil
-	}
 	return out
 }

@@ -299,16 +299,16 @@ func (s *Service) finishTrace(c *execCall, res *Result, cls Class, total time.Du
 	c.tr.End(c.parent)
 	node := c.tr.Finish()
 	rec := telemetry.TraceRecord{
-		Time:          c.start,
-		Dataset:       c.req.Dataset,
-		Strategy:      res.Strategy,
-		Class:         string(cls),
-		ElapsedMillis: float64(total) / float64(time.Millisecond),
-		QueuedMillis:  float64(res.Queued) / float64(time.Millisecond),
-		Root:          node,
+		Time:         c.start,
+		Dataset:      c.req.Dataset,
+		Strategy:     res.Strategy,
+		Class:        string(cls),
+		TotalMillis:  float64(total) / float64(time.Millisecond),
+		QueuedMillis: float64(res.Queued) / float64(time.Millisecond),
+		Root:         node,
 	}
 	if s.slowLog != nil && total >= s.slowLog.threshold {
-		rec.Slow = true
+		rec.Slow, rec.PhaseMillis = true, phaseMillis(node)
 		s.slowLog.log(rec)
 	}
 	s.traces.Add(rec)
@@ -504,11 +504,12 @@ type Request struct {
 	Parallelism int `json:"parallelism,omitempty"`
 	// ChunkSize overrides the driver batch size (0 = default).
 	ChunkSize int `json:"chunkSize,omitempty"`
-	// TimeoutMillis is the query's end-to-end deadline in
-	// milliseconds, covering admission queueing and execution. On
-	// expiry the query releases its slot promptly (cancellation is
-	// polled at every chunk/morsel boundary) and fails with
-	// ClassTimeout. 0 leaves only the client context's deadline.
+	// TimeoutMillis is the query's deadline in milliseconds, covering
+	// admission queueing and execution. On expiry the query fails with
+	// ClassTimeout. Cancellation is polled between driver chunks and
+	// between build morsels, so the slot is released only once the
+	// chunk or morsel in flight finishes. 0 leaves only the client
+	// context's deadline.
 	TimeoutMillis int64 `json:"timeoutMillis,omitempty"`
 	// Selections are pushed-down equality predicates.
 	Selections []SelectionSpec `json:"selections,omitempty"`
@@ -549,8 +550,8 @@ type Result struct {
 	// invisible, and Stats/checksum are bit-identical to any other
 	// execution of this version.
 	Version uint64 `json:"version"`
-	// Elapsed is the wall time inside the executor (excluding
-	// admission queueing).
+	// Elapsed is the wall time of the execute stage alone: planning
+	// and admission queueing are not in it.
 	Elapsed time.Duration `json:"elapsedNs"`
 	// Queued is the time spent waiting for admission.
 	Queued time.Duration `json:"queuedNs"`
@@ -1014,6 +1015,16 @@ type Stats struct {
 	Cache    CacheStats `json:"cache"`
 	// Errors tallies failed queries by class since creation.
 	Errors ErrorCounts `json:"errors"`
+	// Latency summarises the m2m_query_duration_seconds histogram over
+	// all its series: every Query call since creation, success or
+	// failure, timed end to end. The quantiles are interpolated within
+	// the histogram's power-of-two buckets.
+	Latency struct {
+		Count int64         `json:"count"`
+		P50   time.Duration `json:"p50Ns"`
+		P95   time.Duration `json:"p95Ns"`
+		P99   time.Duration `json:"p99Ns"`
+	} `json:"latency"`
 	// Breakers snapshots every dataset's circuit breaker, in name
 	// order.
 	Breakers []BreakerInfo `json:"breakers,omitempty"`
@@ -1031,7 +1042,7 @@ func (s *Service) Stats() Stats {
 	}
 	s.mu.RUnlock()
 	sort.Slice(breakers, func(i, j int) bool { return breakers[i].Dataset < breakers[j].Dataset })
-	return Stats{
+	st := Stats{
 		Datasets:        nds,
 		Queries:         s.met.queries.Value(),
 		UptimeMillis:    s.now().Sub(s.started).Milliseconds(),
@@ -1053,6 +1064,9 @@ func (s *Service) Stats() Stats {
 		Breakers: breakers,
 		Sharding: s.shardingStats(),
 	}
+	qs, n := s.met.reg.HistogramQuantiles(metricQueryDuration, []float64{0.50, 0.95, 0.99})
+	st.Latency.Count, st.Latency.P50, st.Latency.P95, st.Latency.P99 = n, qs[0], qs[1], qs[2]
+	return st
 }
 
 // shedIfDraining is the rejection a draining service gives new work

@@ -5,10 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,26 +23,53 @@ import (
 	"m2mjoin/internal/telemetry"
 )
 
-// scrape renders the service's registry into parsed exposition samples
-// — the same bytes GET /metrics serves.
-func scrape(t *testing.T, s *Service) []telemetry.Sample {
+// scrape renders the service's registry: the exposition text GET
+// /metrics serves.
+func scrape(t *testing.T, s *Service) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := s.Registry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	samples, err := telemetry.ParseText(&buf)
-	if err != nil {
-		t.Fatalf("parsing own exposition: %v", err)
+	return buf.String()
+}
+
+// sumSamples sums the exposition text's sample lines `name{labels}
+// value` whose labels include every pair in match (nil matches every
+// series). A line it cannot read fails the test.
+func sumSamples(t *testing.T, text, name string, match map[string]string) float64 {
+	t.Helper()
+	sum := 0.0
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 {
+			t.Fatalf("exposition line without a value: %q", line)
+		}
+		key, labels, _ := strings.Cut(line[:sp], "{")
+		ok := key == name
+		for k, v := range match {
+			ok = ok && strings.Contains(","+strings.TrimSuffix(labels, "}")+",", ","+k+`="`+v+`",`)
+		}
+		if !ok {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			t.Fatalf("exposition line %q: %v", line, err)
+		}
+		sum += v
 	}
-	return samples
+	return sum
 }
 
 // wantSample asserts one metric family (under label constraints) sums
 // to exactly want — the reconciliation primitive.
-func wantSample(t *testing.T, samples []telemetry.Sample, name string, match map[string]string, want int64) {
+func wantSample(t *testing.T, text, name string, match map[string]string, want int64) {
 	t.Helper()
-	if got := telemetry.SumSamples(samples, name, match); got != float64(want) {
+	if got := sumSamples(t, text, name, match); got != float64(want) {
 		t.Errorf("%s%v = %v, want %d", name, match, got, want)
 	}
 }
@@ -47,7 +78,7 @@ func wantSample(t *testing.T, samples []telemetry.Sample, name string, match map
 // ("build" or "repair").
 func artifactBuilds(t *testing.T, svc *Service, kind string) int64 {
 	t.Helper()
-	return int64(telemetry.SumSamples(scrape(t, svc), metricArtifactBuild+"_count", map[string]string{"kind": kind}))
+	return int64(sumSamples(t, scrape(t, svc), metricArtifactBuild+"_count", map[string]string{"kind": kind}))
 }
 
 // TestMetricsReconcileWithStats is the tentpole reconciliation test: a
@@ -171,10 +202,14 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	wantSample(t, samples, metricExecTagHits, lbl, tagHits)
 	wantSample(t, samples, metricExecTagMisses, lbl, tagMisses)
 
-	// Exactly one latency observation per Query call, success or not.
+	// Exactly one latency observation per Query call, success or not;
+	// Stats reads its latency from the same histogram.
 	totalCalls := int64(okCalls) + st.Errors.Invalid + st.Errors.Timeout + st.Errors.Shed
-	if _, n := telemetry.HistogramQuantiles(samples, metricQueryDuration, nil); n != totalCalls {
-		t.Errorf("%s count = %d, want %d (one per Query call)", metricQueryDuration, n, totalCalls)
+	wantSample(t, samples, metricQueryDuration+"_count", nil, totalCalls)
+	wantSample(t, samples, metricQueryDuration+"_count", nil, st.Latency.Count)
+	if qs, n := svc.Registry().HistogramQuantiles(metricQueryDuration, []float64{0.50, 0.95, 0.99}); n != st.Latency.Count ||
+		qs[0] != st.Latency.P50 || qs[1] != st.Latency.P95 || qs[2] != st.Latency.P99 {
+		t.Errorf("Stats latency %+v, registry quantiles %v over %d", st.Latency, qs, n)
 	}
 	wantSample(t, samples, metricQueryDuration+"_count",
 		map[string]string{"dataset": "ds", "class": "ok"}, int64(okCalls))
@@ -182,9 +217,7 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	// expired-deadline query is answered before it plans, and sheds never
 	// got a slot.
 	admitted := int64(okCalls)
-	if _, n := telemetry.HistogramQuantiles(samples, metricQueueWait, nil); n != admitted {
-		t.Errorf("%s count = %d, want %d (one per admitted query)", metricQueueWait, n, admitted)
-	}
+	wantSample(t, samples, metricQueueWait+"_count", nil, admitted)
 	// One build observation per cache miss (every missed table is built
 	// and handed back), one repair observation per ApplyDelta: each
 	// commit appended to one relation whose table was cached.
@@ -218,8 +251,8 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 			t.Errorf("%s: injected probe fault came back as %v (%T) with Elapsed %v, want an internal *QueryError and Elapsed > 0",
 				path.name, err, err, res.Elapsed)
 		}
-		if _, n := telemetry.HistogramQuantiles(scrape(t, psvc), metricQueryDuration, nil); n != 2 {
-			t.Errorf("%s: %s count = %d after 2 Query calls", path.name, metricQueryDuration, n)
+		if n := sumSamples(t, scrape(t, psvc), metricQueryDuration+"_count", nil); n != 2 {
+			t.Errorf("%s: %s count = %v after 2 Query calls", path.name, metricQueryDuration, n)
 		}
 		if b := psvc.Stats().Breakers[0]; b.WindowOK != 1 || b.WindowFailures != 1 {
 			t.Errorf("%s: breaker window ok=%d failures=%d after one success and one failure, want 1 and 1",
@@ -277,18 +310,11 @@ func TestUnknownDatasetsShareOneSeries(t *testing.T) {
 			t.Fatalf("unknown dataset %d: %v", i, err)
 		}
 	}
-	var series []telemetry.Sample
-	for _, s := range scrape(t, svc) {
-		if s.Name == metricQueryDuration+"_count" {
-			series = append(series, s)
-		}
+	text := scrape(t, svc)
+	if n := strings.Count(text, "\n"+metricQueryDuration+"_count"); n != 1 {
+		t.Fatalf("%d %s series after 1000 unknown names, want 1", n, metricQueryDuration)
 	}
-	if len(series) != 1 {
-		t.Fatalf("%d %s series after 1000 unknown names, want 1", len(series), metricQueryDuration)
-	}
-	if s := series[0]; s.Labels["dataset"] != "" || s.Value != 1000 {
-		t.Fatalf("series %+v, want dataset=\"\" counting 1000", s)
-	}
+	wantSample(t, text, metricQueryDuration+"_count", map[string]string{"dataset": ""}, 1000)
 }
 
 // TestMetricsShardedDegradedReconcile extends reconciliation to the
@@ -336,13 +362,8 @@ func TestMetricsShardedDegradedReconcile(t *testing.T) {
 	}
 	// Two scatters over two shards, retries disabled: exactly four
 	// dispatch attempts, one of which failed.
-	if _, n := telemetry.HistogramQuantiles(samples, metricShardDispatch, nil); n != 4 {
-		t.Errorf("%s count = %d, want 4 dispatch attempts", metricShardDispatch, n)
-	}
-	if v := telemetry.SumSamples(samples, metricShardDispatch+"_count",
-		map[string]string{"outcome": "ok"}); v != 3 {
-		t.Errorf("ok dispatches = %v, want 3", v)
-	}
+	wantSample(t, samples, metricShardDispatch+"_count", nil, 4)
+	wantSample(t, samples, metricShardDispatch+"_count", map[string]string{"outcome": "ok"}, 3)
 }
 
 // TestResultTraceSpanTree pins the span tree a traced request gets
@@ -429,8 +450,9 @@ var executePaths = []struct {
 
 // TestSlowQueryLog drives the service on a fake millisecond-tick clock
 // so every query "takes" far longer than the threshold, and checks the
-// structured line: identity, totals on the service clock, and a
-// per-phase breakdown that includes the execution phases. Every
+// line is the query's trace record without its tree: identity, totals
+// on the service clock, and a per-phase breakdown that includes the
+// execution phases. Every
 // execution path is timed and stamped by the same code on that clock,
 // so the durations a Result reports are whole ticks.
 func TestSlowQueryLog(t *testing.T) {
@@ -465,12 +487,12 @@ func TestSlowQueryLog(t *testing.T) {
 			if line == "" {
 				t.Fatal("slow-query log is empty")
 			}
-			var entry slowQueryEntry
+			var entry telemetry.TraceRecord
 			if err := json.Unmarshal([]byte(line), &entry); err != nil {
-				t.Fatalf("slow-query line is not JSON: %v\n%s", err, line)
+				t.Fatalf("slow-query line is not a trace record: %v\n%s", err, line)
 			}
-			if entry.Dataset != "ds" || entry.Strategy != "COM" || entry.Class != "" {
-				t.Errorf("slow-query identity wrong: %+v", entry)
+			if entry.Dataset != "ds" || entry.Strategy != "COM" || entry.Class != "" || !entry.Slow || entry.Root != nil {
+				t.Errorf("slow-query line wrong: %+v, want ds/COM, no class, slow and no tree", entry)
 			}
 			if entry.TotalMillis < 2 {
 				t.Errorf("totalMillis = %v, below the 2ms threshold", entry.TotalMillis)
@@ -481,19 +503,30 @@ func TestSlowQueryLog(t *testing.T) {
 						phase, entry.PhaseMillis[phase], entry.PhaseMillis)
 				}
 			}
-			// The ring kept the same record, marked slow.
+			// The line's keys are the record's: the tree and the empty
+			// class are left out.
+			var keys map[string]json.RawMessage
+			if err := json.Unmarshal([]byte(line), &keys); err != nil {
+				t.Fatal(err)
+			}
+			got := strings.Join(slices.Sorted(maps.Keys(keys)), " ")
+			if want := "dataset phaseMillis queuedMillis slow strategy time totalMillis"; got != want {
+				t.Errorf("slow-query line keys %s, want %s", got, want)
+			}
+			// The ring kept the same record, with its tree.
 			recs := svc.Traces(0)
 			if len(recs) != 1 || !recs[0].Slow || recs[0].Root == nil {
 				t.Fatalf("trace ring = %+v, want one slow record with a tree", recs)
 			}
-			if recs[0].ElapsedMillis != entry.TotalMillis {
-				t.Errorf("ring elapsed %v != logged total %v", recs[0].ElapsedMillis, entry.TotalMillis)
+			recs[0].Root = nil
+			if b, err := json.Marshal(recs[0]); err != nil || string(b) != line {
+				t.Errorf("ring record without its tree renders as %s (err %v), logged line is %s", b, err, line)
 			}
 			// The latency histogram observed the very total the ring
 			// recorded: a query's end time is read once.
-			sum := telemetry.SumSamples(scrape(t, svc), metricQueryDuration+"_sum", map[string]string{"dataset": "ds"})
-			if math.Abs(sum*1000-recs[0].ElapsedMillis) > 1e-6 {
-				t.Errorf("histogram sum %vs != ring elapsed %vms", sum, recs[0].ElapsedMillis)
+			sum := sumSamples(t, scrape(t, svc), metricQueryDuration+"_sum", map[string]string{"dataset": "ds"})
+			if math.Abs(sum*1000-entry.TotalMillis) > 1e-6 {
+				t.Errorf("histogram sum %vs != ring total %vms", sum, entry.TotalMillis)
 			}
 		})
 	}
@@ -601,12 +634,12 @@ func TestTelemetryHTTPEndpoints(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("metrics content type = %q", ct)
 	}
-	samples, err := telemetry.ParseText(resp.Body)
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		t.Fatalf("/metrics not parseable: %v", err)
+		t.Fatal(err)
 	}
-	if got := telemetry.SumSamples(samples, metricQueries, nil); got != 1 {
+	if got := sumSamples(t, string(body), metricQueries, nil); got != 1 {
 		t.Errorf("scraped %s = %v, want 1", metricQueries, got)
 	}
 }

@@ -74,10 +74,12 @@ var histLabels [histBuckets]string
 
 func init() {
 	for i := 0; i < histBuckets; i++ {
-		us := float64(int64(1) << i) // microseconds
-		histLabels[i] = strconv.FormatFloat(us/1e6, 'g', -1, 64)
+		histLabels[i] = strconv.FormatFloat(bucketBound(i), 'g', -1, 64)
 	}
 }
+
+// bucketBound is bucket i's inclusive upper bound in seconds.
+func bucketBound(i int) float64 { return float64(int64(1)<<i) / 1e6 }
 
 // Histogram is a log-bucketed latency histogram. Observations index a
 // fixed power-of-two microsecond ladder with a single bits.Len, so
@@ -106,49 +108,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.counts[idx].Add(1)
 	h.sum.Add(int64(d))
 	h.n.Add(1)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.n.Load() }
-
-// quantileFromCumulative interpolates a quantile from cumulative
-// bucket counts over the given upper boundaries (seconds); the final
-// cum entry is the +Inf bucket.
-func quantileFromCumulative(q, total float64, cum []float64, bounds []float64) time.Duration {
-	if total == 0 || math.IsNaN(q) {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * total
-	for i, c := range cum {
-		if c < rank {
-			continue
-		}
-		if i >= len(bounds) {
-			// +Inf bucket: report the highest finite boundary.
-			return secondsToDuration(bounds[len(bounds)-1])
-		}
-		lo, loCount := 0.0, 0.0
-		if i > 0 {
-			lo, loCount = bounds[i-1], cum[i-1]
-		}
-		width := c - loCount
-		if width <= 0 {
-			return secondsToDuration(bounds[i])
-		}
-		frac := (rank - loCount) / width
-		return secondsToDuration(lo + (bounds[i]-lo)*frac)
-	}
-	return secondsToDuration(bounds[len(bounds)-1])
-}
-
-func secondsToDuration(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second))
 }
 
 // metricKind tags a family's exposition TYPE.
@@ -266,6 +225,68 @@ func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() int64
 // GaugeFunc registers a gauge series read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() int64) {
 	r.family(name, help, kindGauge).get(labels, func(s *series) { s.fn = fn })
+}
+
+// HistogramQuantiles sums the bucket counts of every series of the
+// histogram family name and estimates each quantile in qs from the
+// sum, interpolating linearly within the bucket its rank falls in (a
+// rank in the +Inf bucket reports the highest finite bound). n is the
+// number of observations summed; a family that does not exist or is
+// not a histogram gives n = 0 and zero quantiles.
+func (r *Registry) HistogramQuantiles(name string, qs []float64) (out []time.Duration, n int64) {
+	out = make([]time.Duration, len(qs))
+	r.mu.RLock()
+	f := r.families[name]
+	r.mu.RUnlock()
+	if f == nil || f.kind != kindHistogram {
+		return out, 0
+	}
+	var counts [histBuckets + 1]int64
+	f.mu.Lock()
+	for _, s := range f.series {
+		for i := range counts {
+			counts[i] += s.h.counts[i].Load()
+		}
+	}
+	f.mu.Unlock()
+	for _, c := range counts {
+		n += c
+	}
+	if n == 0 {
+		return out, 0
+	}
+	for i, q := range qs {
+		out[i] = quantile(q, &counts, n)
+	}
+	return out, n
+}
+
+// quantile interpolates quantile q of total observations from
+// per-bucket counts.
+func quantile(q float64, counts *[histBuckets + 1]int64, total int64) time.Duration {
+	seconds := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
+	if math.IsNaN(q) {
+		return 0
+	}
+	rank := min(max(q, 0), 1) * float64(total)
+	var below int64
+	for i := 0; i < histBuckets; i++ {
+		cum := below + counts[i]
+		if float64(cum) < rank {
+			below = cum
+			continue
+		}
+		lo := 0.0
+		if i > 0 {
+			lo = bucketBound(i - 1)
+		}
+		if counts[i] == 0 {
+			return seconds(bucketBound(i))
+		}
+		frac := (rank - float64(below)) / float64(counts[i])
+		return seconds(lo + (bucketBound(i)-lo)*frac)
+	}
+	return seconds(bucketBound(histBuckets - 1))
 }
 
 // WritePrometheus renders the registry in Prometheus text exposition

@@ -6,17 +6,23 @@ import (
 )
 
 // TraceRecord is one finished query trace as kept by the recent-trace
-// ring and served at /v1/trace, and as rendered into the slow-query
-// log.
+// ring and served at /v1/trace; a slow query's record, without its
+// tree, is also its slow-query log line.
 type TraceRecord struct {
-	Time          time.Time `json:"time"`
-	Dataset       string    `json:"dataset"`
-	Strategy      string    `json:"strategy,omitempty"`
-	Class         string    `json:"class,omitempty"` // error class, "" on success
-	ElapsedMillis float64   `json:"elapsedMillis"`
-	QueuedMillis  float64   `json:"queuedMillis"`
-	Slow          bool      `json:"slow,omitempty"`
-	Root          *SpanNode `json:"trace"`
+	Time     time.Time `json:"time"`
+	Dataset  string    `json:"dataset"`
+	Strategy string    `json:"strategy,omitempty"`
+	Class    string    `json:"class,omitempty"` // error class, "" on success
+	// TotalMillis is the end-to-end latency: planning, queueing and
+	// execution.
+	TotalMillis  float64 `json:"totalMillis"`
+	QueuedMillis float64 `json:"queuedMillis"`
+	// PhaseMillis, set on slow records, sums span durations by span
+	// name, the root excluded. Spans that overlap (parallel shards)
+	// add up, so the sum can exceed TotalMillis.
+	PhaseMillis map[string]float64 `json:"phaseMillis,omitempty"`
+	Slow        bool               `json:"slow,omitempty"`
+	Root        *SpanNode          `json:"trace,omitempty"`
 }
 
 // Ring is a bounded ring of recent trace records: constant memory,

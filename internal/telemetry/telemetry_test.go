@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -154,47 +153,71 @@ func TestTraceSteadyStateReuseDoesNotGrow(t *testing.T) {
 	}
 }
 
-// TestHistogramBucketsAndQuantiles reads a histogram back the way
-// m2mload does: through the exposition, ParseText and
-// HistogramQuantiles.
+// TestHistogramBucketsAndQuantiles spreads observations over two
+// series of one family: the exposition carries each series' buckets and
+// sum, and HistogramQuantiles reads the family summed over its series,
+// exactly as one series holding every observation reads.
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("m2m_test_seconds", "", nil)
-	// 100 observations at 1ms, 10 at 100ms, 1 at 10s.
-	for i := 0; i < 100; i++ {
-		h.Observe(time.Millisecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(100 * time.Millisecond)
-	}
-	h.Observe(10 * time.Second)
-	if h.Count() != 111 {
-		t.Fatalf("count = %d, want 111", h.Count())
+	a := r.Histogram("m2m_test_seconds", "", Labels{{"dataset", "a"}})
+	b := r.Histogram("m2m_test_seconds", "", Labels{{"dataset", "b"}})
+	one := NewRegistry()
+	all := one.Histogram("m2m_test_seconds", "", nil)
+	// 100 observations at 1ms on a; 10 at 100ms and 1 at 10s on b.
+	for _, o := range []struct {
+		h *Histogram
+		d time.Duration
+		n int
+	}{{a, time.Millisecond, 100}, {b, 100 * time.Millisecond, 10}, {b, 10 * time.Second, 1}} {
+		for i := 0; i < o.n; i++ {
+			o.h.Observe(o.d)
+			all.Observe(o.d)
+		}
 	}
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	samples, err := ParseText(&buf)
-	if err != nil {
-		t.Fatal(err)
+	for _, want := range []string{
+		`m2m_test_seconds_bucket{dataset="a",le="0.001024"} 100` + "\n",
+		`m2m_test_seconds_bucket{dataset="b",le="0.065536"} 0` + "\n",
+		`m2m_test_seconds_bucket{dataset="b",le="0.131072"} 10` + "\n",
+		`m2m_test_seconds_bucket{dataset="b",le="+Inf"} 11` + "\n",
+		`m2m_test_seconds_sum{dataset="a"} 0.1` + "\n",
+		`m2m_test_seconds_sum{dataset="b"} 11` + "\n",
+		`m2m_test_seconds_count{dataset="b"} 11` + "\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %q in:\n%s", want, buf.String())
+		}
 	}
-	if sum := SumSamples(samples, "m2m_test_seconds_sum", nil); math.Abs(sum-11.1) > 1e-9 {
-		t.Errorf("sum = %gs, want 11.1s", sum)
+
+	qs := []float64{0.50, 0.95, 0.99}
+	got, n := r.HistogramQuantiles("m2m_test_seconds", qs)
+	want, wantN := one.HistogramQuantiles("m2m_test_seconds", qs)
+	if n != 111 || wantN != 111 {
+		t.Errorf("summed count = %d, one series' = %d, want 111", n, wantN)
 	}
-	qs, n := HistogramQuantiles(samples, "m2m_test_seconds", []float64{0.50, 0.99})
-	if n != 111 {
-		t.Errorf("exposed count = %d, want 111", n)
+	for i := range qs {
+		if got[i] != want[i] {
+			t.Errorf("q%v summed over two series = %v, one series = %v", qs[i], got[i], want[i])
+		}
 	}
-	if p50 := qs[0]; p50 < 100*time.Microsecond || p50 > 2*time.Millisecond {
-		t.Errorf("p50 = %v, want ~1ms", p50)
+	if p50 := got[0]; p50 < 512*time.Microsecond || p50 > 1024*time.Microsecond {
+		t.Errorf("p50 = %v, want inside the 1ms observations' bucket", p50)
 	}
-	if p99 := qs[1]; p99 < 50*time.Millisecond || p99 > 300*time.Millisecond {
-		t.Errorf("p99 = %v, want ~100ms bucket", p99)
+	if p99 := got[2]; p99 < 65536*time.Microsecond || p99 > 131072*time.Microsecond {
+		t.Errorf("p99 = %v, want inside the 100ms observations' bucket", p99)
+	}
+	r.Counter("m2m_test_total", "", nil).Inc()
+	for _, name := range []string{"m2m_unknown_seconds", "m2m_test_total"} {
+		if qs, n := r.HistogramQuantiles(name, []float64{0.5}); n != 0 || qs[0] != 0 {
+			t.Errorf("%s: quantiles %v over %d observations, want none", name, qs, n)
+		}
 	}
 
 	// Observe is on the query return path: it must not allocate.
-	allocs := testing.AllocsPerRun(100, func() { h.Observe(time.Millisecond) })
+	allocs := testing.AllocsPerRun(100, func() { a.Observe(time.Millisecond) })
 	if allocs != 0 {
 		t.Errorf("Observe allocates %.1f/op, want 0", allocs)
 	}
@@ -232,35 +255,16 @@ func TestRegistryExpositionRoundTrip(t *testing.T) {
 		}
 	}
 
-	samples, err := ParseText(strings.NewReader(text))
-	if err != nil {
-		t.Fatalf("ParseText: %v", err)
+	// The escaped label value is rendered escaped.
+	if want := `m2m_shadow_total{kind="a\"b\\c"} 7`; !strings.Contains(text, want) {
+		t.Errorf("exposition missing %q in:\n%s", want, text)
 	}
-	if got := SumSamples(samples, "m2m_test_total", nil); got != 7 {
-		t.Errorf("sum m2m_test_total = %g, want 7", got)
-	}
-	if got := SumSamples(samples, "m2m_test_total", map[string]string{"class": "shed"}); got != 2 {
-		t.Errorf("shed = %g, want 2", got)
-	}
-	if got := SumSamples(samples, "m2m_shadow_total", nil); got != 7 {
-		t.Errorf("shadow = %g, want 7", got)
-	}
-	// Escaped label value round-trips.
-	found := false
-	for _, s := range samples {
-		if s.Name == "m2m_shadow_total" && s.Labels["kind"] == `a"b\c` {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("escaped label did not round-trip: %+v", samples)
-	}
-	qs, n := HistogramQuantiles(samples, "m2m_test_seconds", []float64{0.5, 0.99})
+	qs, n := r.HistogramQuantiles("m2m_test_seconds", []float64{0.5, 0.99})
 	if n != 2 {
 		t.Errorf("histogram count = %d, want 2", n)
 	}
 	if qs[0] < time.Millisecond || qs[0] > 10*time.Millisecond {
-		t.Errorf("parsed p50 = %v, want low ms", qs[0])
+		t.Errorf("p50 = %v, want low ms", qs[0])
 	}
 
 	// Same name+labels returns the same instrument.
@@ -348,7 +352,7 @@ func TestRegistryConcurrentFirstUse(t *testing.T) {
 			t.Fatalf("goroutine %d got a different instrument for the same series", i)
 		}
 	}
-	if hs[0].Count() != n || cs[0].Value() != n {
-		t.Fatalf("lost updates: histogram %d counter %d, want %d each", hs[0].Count(), cs[0].Value(), n)
+	if _, hn := reg.HistogramQuantiles("dispatch_seconds", nil); hn != n || cs[0].Value() != n {
+		t.Fatalf("lost updates: histogram %d counter %d, want %d each", hn, cs[0].Value(), n)
 	}
 }

@@ -1,7 +1,9 @@
 // Package telemetry is the observability layer of the serving stack:
 // a per-query span tracer, a metrics registry with Prometheus text
-// exposition and a bounded recent-trace ring. It holds no process-wide
-// state: every instrument belongs to the component that records it.
+// exposition and a bounded recent-trace ring. The registry's owner
+// reads histogram quantiles from it directly, never by parsing its
+// exposition. It holds no process-wide state: every instrument belongs
+// to the component that records it.
 //
 // Design constraints mirror internal/faultinject's disarmed-path
 // discipline:

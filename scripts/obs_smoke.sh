@@ -7,7 +7,8 @@
 #     nonzero and reconcile EXACTLY with GET /v1/stats (queries,
 #     mutations, cache hits/misses) — one ledger behind both, checked
 #     over the wire;
-#   - m2mload folded the server-side latency histogram into its report;
+#   - /v1/stats' latency count equals the query-duration histogram's
+#     summed count, and m2mload printed the server-side latency line;
 #   - GET /v1/trace serves recorded span trees;
 #   - the slow-query log emitted structured per-phase lines;
 #   - /debug/pprof/ answers behind -pprof.
@@ -69,12 +70,16 @@ echo "cache: hits metrics=$HITS_M stats=$HITS_S, misses metrics=$MISS_M stats=$M
 [ "$HITS_M" = "$HITS_S" ] || { echo "FAIL: cache hits do not reconcile ($HITS_M vs $HITS_S)" >&2; exit 1; }
 [ "$MISS_M" = "$MISS_S" ] || { echo "FAIL: cache misses do not reconcile ($MISS_M vs $MISS_S)" >&2; exit 1; }
 
-# The latency histogram made it into the exposition and into m2mload's
-# own report.
+# The latency histogram made it into the exposition, /v1/stats reads its
+# latency from the same histogram, and m2mload reported it.
 grep -q '^m2m_query_duration_seconds_bucket' "$METRICS" \
   || { echo "FAIL: no query-duration histogram in /metrics" >&2; exit 1; }
-grep -q 'server latency (/metrics histogram' "$LOADLOG" \
-  || { echo "FAIL: m2mload did not fold server-side percentiles into its report" >&2; exit 1; }
+LAT_M="$(awk '$1 ~ /^m2m_query_duration_seconds_count/ { s += $2 } END { printf "%d", s }' "$METRICS")"
+LAT_S="$(grep -o '"latency":{"count":[0-9]*' "$STATS" | cut -d: -f3)"
+echo "latency count: metrics=$LAT_M stats=$LAT_S"
+[ "$LAT_M" = "$LAT_S" ] || { echo "FAIL: latency count does not reconcile ($LAT_M vs $LAT_S)" >&2; exit 1; }
+grep -q 'server latency (/v1/stats' "$LOADLOG" \
+  || { echo "FAIL: m2mload did not print the server-side percentiles" >&2; exit 1; }
 
 # Ring tracing recorded span trees.
 curl -sf "http://$ADDR/v1/trace?n=5" | grep -q '"name":"query"' \
