@@ -167,7 +167,8 @@ func Execute(ds *storage.Dataset, choice PlanChoice, opts ExecuteOptions) (exec.
 
 // ReduceBuildSide reduces the chosen SJ plan's build side over ds once
 // (exec.ReduceBuildSide), under the options Execute would run it with,
-// for the Executes of ds's shards to share as ExecuteOptions.BuildSide.
+// for Executes over ds — its shards', or repeated whole-driver ones — to
+// share as ExecuteOptions.BuildSide.
 func ReduceBuildSide(ds *storage.Dataset, choice PlanChoice, opts ExecuteOptions) (*exec.BuildSide, error) {
 	return exec.ReduceBuildSide(ds, choice.stamp(ds, opts))
 }

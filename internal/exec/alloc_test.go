@@ -20,8 +20,11 @@ import (
 // meaningfully change the allocation count. The seed executor
 // allocated fresh probe results, key buffers, factor chunks and flat
 // intermediates for every chunk, and fails this test by an order of
-// magnitude.
+// magnitude. It starts from an empty free list, so what earlier tests
+// parked there (scratches of other shapes, each grown on first use)
+// does not enter the count.
 func TestAllocationsChunkCountInvariant(t *testing.T) {
+	defer swapFreeList(swapFreeList(nil))
 	tr := plan.Snowflake(3, 2, plan.FixedStats(0.7, 2))
 	ds := workload.Generate(tr, workload.Config{DriverRows: 8000, Seed: 11})
 	order := plan.Order(tr.NonRoot())

@@ -149,8 +149,9 @@ type Options struct {
 	TraceParent telemetry.SpanID
 	// BuildSide, when non-nil, is an SJ run's build side, reduced once
 	// by ReduceBuildSide over the same dataset, Selections and SemiJoins
-	// for every run that shares it: the run reduces only the root.
-	// Read-only.
+	// for every run that shares it: the run reduces only the root, and a
+	// run without DriverRows not even that once another has published
+	// the whole driver's reduction (see BuildSide).
 	BuildSide *BuildSide
 }
 
@@ -225,7 +226,8 @@ type Stats struct {
 	// CacheMisses — see CacheHits.
 	CacheMisses int64
 	// BytesCached is the serving layer's artifact-cache residency after
-	// the run; the executor itself leaves it 0.
+	// the run; the executor itself leaves it 0. In a BuildSide's own
+	// Stats it is the build side's footprint instead (BuildSide.Stats).
 	BytesCached int64
 	// Coverage is the fraction of driver rows the result accounts for,
 	// weighted by row count: always 1.0 for a direct Run, and for a

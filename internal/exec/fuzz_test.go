@@ -143,7 +143,8 @@ func mutateRandomly(t *testing.T, ds *storage.Dataset, rng *rand.Rand, nOps int,
 //   - shards: 0 runs unsharded only; otherwise 2 + (shards−1) % 4
 //     shards of shard.Partition also run, each restricted to its
 //     DriverRows, and MergeShardStats folds them; an SJ strategy's
-//     shards run both on their own and from one shared ReduceBuildSide;
+//     shards run both on their own and from one shared ReduceBuildSide,
+//     after two whole-driver runs published its driver reduction;
 //   - commits: commits % 4 seeded append/delete batches, each checked;
 //     with commits & 4 the last also compacts every relation;
 //   - provider (provider % 4): 0 none; 1 a cold tableStore at every
@@ -206,8 +207,10 @@ func (c execCase) query() (*storage.Dataset, Options, *rand.Rand) {
 // it (a provider run apart from its cache counters, which must be the
 // tables it was and was not served — a plan-time provider is served
 // every relation state its cache measured, and measures each version's
-// relations); an SJ shard sharing a build side
-// with the same shard reducing its own; and, after the commits, a
+// relations); an SJ case's two whole-driver runs on one shared build
+// side (the first publishes the driver's reduction, the second adopts
+// it) with it too, and each SJ shard on that build side with the same
+// shard reducing its own; and, after the commits, a
 // rerun of version 0 with version 0's first run. It returns the Stats
 // of that first run: provider-less and unsharded.
 func checkCase(t *testing.T, c execCase) Stats {
@@ -291,11 +294,23 @@ func checkVersion(t *testing.T, label string, c execCase, ds *storage.Dataset, o
 			label, opts.Strategy, got.OutputTuples, checksum, count, sum)
 	}
 
-	if shards != nil {
-		var build *BuildSide
-		if opts.Strategy.Reduction() == cost.SemiJoin {
-			build = must(ReduceBuildSide(ds, opts))
+	var build *BuildSide
+	if opts.Strategy.Reduction() == cost.SemiJoin {
+		// The whole driver twice on one build side: the first run
+		// publishes the driver's reduction, the second adopts it.
+		build = must(ReduceBuildSide(ds, opts))
+		o := opts
+		o.BuildSide = build
+		for _, run := range []string{"publishing", "adopting"} {
+			if st := must(Run(ds, o)); !reflect.DeepEqual(st, got) {
+				t.Errorf("%s: %s run on a shared build side\n %+v\nreducing its own\n %+v", label, run, st, got)
+			}
+			if build.root.Load() == nil {
+				t.Fatalf("%s: the %s run left no driver reduction on its build side", label, run)
+			}
 		}
+	}
+	if shards != nil {
 		parts := make([]Stats, len(shards))
 		for i, sh := range shards {
 			o := opts

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"m2mjoin/internal/cost"
@@ -108,7 +109,9 @@ func TestRunShardedShardFailureFailsFast(t *testing.T) {
 
 // TestBuildSideMustFit: a build side stands in only for the run it was
 // reduced for — an SJ strategy over the same snapshot, selections and
-// semi-join orders — and a non-SJ strategy has none to reduce.
+// semi-join orders — and a non-SJ strategy has none to reduce. Having
+// published the whole driver's reduction changes none of that, and a
+// run restricted to DriverRows never adopts that reduction.
 func TestBuildSideMustFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	tr := plan.Snowflake(2, 2, plan.UniformStats(rng, 0.6, 0.9, 1, 2))
@@ -119,6 +122,13 @@ func TestBuildSideMustFit(t *testing.T) {
 		t.Error("COM reduced a build side")
 	}
 	build := must(ReduceBuildSide(ds, opts))
+	footprint := int64(ds.Relation(plan.Root).NumRows()+63) / 64 * 8
+	for _, tbl := range build.tables[1:] {
+		footprint += tbl.MemoryBytes()
+	}
+	if got := build.Stats().BytesCached; got != footprint {
+		t.Errorf("build side reports a %d B footprint, its tables and a driver mask take %d B", got, footprint)
+	}
 	misfits := map[string]func(o *Options) *storage.Dataset{
 		"strategy": func(o *Options) *storage.Dataset { o.Strategy = cost.BVPCOM; return ds },
 		"snapshot": func(o *Options) *storage.Dataset { return other },
@@ -131,16 +141,105 @@ func TestBuildSideMustFit(t *testing.T) {
 			return ds
 		},
 	}
-	for name, misfit := range misfits {
-		o := opts
-		o.BuildSide = build
-		if _, err := Run(misfit(&o), o); err == nil {
-			t.Errorf("a build side ran under another %s", name)
+	refused := func(when string) {
+		for name, misfit := range misfits {
+			o := opts
+			o.BuildSide = build
+			if _, err := Run(misfit(&o), o); err == nil {
+				t.Errorf("%s: a build side ran under another %s", when, name)
+			}
 		}
 	}
+	refused("unpublished")
 	o := opts
 	o.BuildSide = build
-	if got, want := must(Run(ds, o)), must(Run(ds, opts)); !reflect.DeepEqual(got, want) {
+	want := must(Run(ds, opts))
+	if got := must(Run(ds, o)); !reflect.DeepEqual(got, want) {
 		t.Errorf("on its build side\n %+v\nreducing its own\n %+v", got, want)
+	}
+	if build.root.Load() == nil {
+		t.Fatal("a whole-driver run published no driver reduction")
+	}
+	refused("published")
+
+	// Doctor the published reduction: a whole-driver run must show it,
+	// a shard must not.
+	doctored := *build.root.Load()
+	doctored.stats.SemiJoinProbes += 1000
+	build.root.Store(&doctored)
+	if got := must(Run(ds, o)); got.SemiJoinProbes != want.SemiJoinProbes+1000 {
+		t.Errorf("a whole-driver run reduced its driver again (%d semi-join probes) instead of adopting the published reduction (%d)",
+			got.SemiJoinProbes, want.SemiJoinProbes+1000)
+	}
+	shards := must(shard.Partition(ds, 3))
+	for k, sh := range shards {
+		own := opts
+		own.DriverRows = sh.Rows
+		shared := own
+		shared.BuildSide = build
+		if got, want := must(Run(ds, shared)), must(Run(ds, own)); !reflect.DeepEqual(got, want) {
+			t.Errorf("shard %d on the published build side\n %+v\nreducing its own\n %+v", k, got, want)
+		}
+	}
+	if build.root.Load() != &doctored {
+		t.Error("a shard run published a driver reduction")
+	}
+}
+
+// TestBuildSideConcurrentDriverReduction: a whole-driver run that
+// fails during its root reduction publishes nothing, and whole-driver
+// runs and shard runs racing on the build side then — some publishing
+// the driver's reduction, some adopting it — all answer as a run that
+// reduced its own. Under -race -cpu 4 the runs overlap truly in
+// parallel.
+func TestBuildSideConcurrentDriverReduction(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	tr := plan.Snowflake(2, 2, plan.UniformStats(rng, 0.6, 0.9, 1, 2))
+	ds := workload.Generate(tr, workload.Config{DriverRows: 5000, Seed: 7})
+	opts := Options{Strategy: cost.SJSTD, Order: plan.Order(tr.NonRoot()), FlatOutput: true, Parallelism: 2}
+	want := must(Run(ds, opts))
+	shards := must(shard.Partition(ds, 2))
+	wantShard := make([]Stats, len(shards))
+	for k, sh := range shards {
+		o := opts
+		o.DriverRows = sh.Rows
+		wantShard[k] = must(Run(ds, o))
+	}
+	build := must(ReduceBuildSide(ds, opts))
+	o := opts
+	o.BuildSide = build
+	faultinject.Enable(faultinject.Spec{Site: faultinject.SiteReduceChunk, Mode: faultinject.ModeError, Every: 2})
+	_, err := Run(ds, o)
+	faultinject.Disable()
+	if err == nil || build.root.Load() != nil {
+		t.Fatalf("a run failing its root reduction (%v) published %v", err, build.root.Load())
+	}
+	const runs = 8
+	got := make([]Stats, runs)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o := opts
+			o.BuildSide = build
+			if i%4 == 3 {
+				o.DriverRows = shards[i/4%2].Rows
+			}
+			got[i] = must(Run(ds, o))
+		}()
+	}
+	wg.Wait()
+	for i, st := range got {
+		w := want
+		if i%4 == 3 {
+			w = wantShard[i/4%2]
+		}
+		if !reflect.DeepEqual(st, w) {
+			t.Errorf("run %d\n %+v\nwant\n %+v", i, st, w)
+		}
+	}
+	if build.root.Load() == nil {
+		t.Error("no run published the driver reduction")
 	}
 }

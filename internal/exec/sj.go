@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sync/atomic"
 
 	"m2mjoin/internal/cost"
 	"m2mjoin/internal/faultinject"
@@ -46,21 +47,35 @@ import (
 // one; a Run given it as Options.BuildSide takes its tables and copies
 // its Build* counters instead of reducing the build side itself, so
 // the Stats of that run are exactly those of a run that did. A
-// BuildSide is read-only and safe to share among concurrent runs.
+// BuildSide also memoizes the reduction of the whole driver: the first
+// run without DriverRows that finishes phase 1 on it publishes its
+// reduced driver mask and the root reduction's counters, and later
+// whole-driver runs adopt both and reduce nothing. A run with
+// DriverRows (a shard) reduces only its own rows. A BuildSide is
+// otherwise read-only and safe to share among concurrent runs.
 type BuildSide struct {
 	ds        *storage.Dataset
 	sels      []Selection
 	semiJoins map[plan.NodeID][]plan.NodeID
 	tables    []*hashtable.Table
 	stats     Stats
+	root      atomic.Pointer[rootReduction]
+}
+
+// rootReduction is what phase 1 of a whole-driver run on a build side
+// leaves: a private copy of the reduced driver mask (nil: every row)
+// and the run's Stats, which phase 1 alone has written to.
+type rootReduction struct {
+	mask  *storage.Bitmap
+	stats Stats
 }
 
 // ReduceBuildSide reduces the build side of the SJ query that opts
 // describe over ds once, for runs that share it: the runs of ds's
-// shards, which differ only in Options.DriverRows (ignored here). It
-// runs with opts' parallelism, context, provider and trace — its
-// semi-join spans nest under one build-side span — and fails as Run's
-// build phase would.
+// shards, which differ only in Options.DriverRows (ignored here), or
+// repeated whole-driver runs. It runs with opts' parallelism, context,
+// provider and trace — its semi-join spans nest under one build-side
+// span — and fails as Run's build phase would.
 func ReduceBuildSide(ds *storage.Dataset, opts Options) (*BuildSide, error) {
 	if opts.Strategy.Reduction() != cost.SemiJoin {
 		return nil, fmt.Errorf("exec: %v reduces no build side", opts.Strategy)
@@ -78,13 +93,20 @@ func ReduceBuildSide(ds *storage.Dataset, opts Options) (*BuildSide, error) {
 	}
 	st := r.stats
 	st.CacheHits, st.CacheMisses = r.cacheHits.Load(), r.cacheMisses.Load()
+	st.BytesCached = 8 * int64((ds.Relation(plan.Root).NumRows()+63)/64) // a driver mask's words
+	for _, t := range r.tables {
+		if t != nil {
+			st.BytesCached += t.MemoryBytes()
+		}
+	}
 	return &BuildSide{ds: ds, sels: opts.Selections, semiJoins: opts.SemiJoins, tables: r.tables, stats: st}, nil
 }
 
 // Stats returns the build side's own counters: the Build* split and
-// the semi-join and tag counts it makes up, and the provider lookups
-// of its leaves. A run that adopts the build side copies all but the
-// lookups, which it never made.
+// the semi-join and tag counts it makes up, the provider lookups of
+// its leaves, and in BytesCached its footprint — the MemoryBytes of
+// every table it holds plus the words of a driver mask, published or
+// not. A run that adopts the build side copies the counts only.
 func (b *BuildSide) Stats() Stats { return b.stats }
 
 // fits reports why b cannot stand in for the build side of the run
@@ -104,9 +126,18 @@ func (b *BuildSide) fits(ds *storage.Dataset, opts Options) error {
 // semiJoinPass leaves behind r.tables (hash tables over the reduced
 // relations) and r.driverLive (the fully reduced driver mask): the
 // build side, reduced here or adopted from Options.BuildSide, then the
-// root.
+// root — reduced here, or for a whole-driver run adopted from the
+// build side once one such run has published it.
 func (r *run) semiJoinPass() {
-	if b := r.opts.BuildSide; b != nil {
+	b := r.opts.BuildSide
+	whole := b != nil && r.opts.DriverRows == nil
+	if whole {
+		if root := b.root.Load(); root != nil {
+			r.tables, r.driverLive, r.stats = b.tables, root.mask, root.stats
+			return
+		}
+	}
+	if b != nil {
 		r.tables = b.tables
 		r.stats.SemiJoinProbes += b.stats.SemiJoinProbes
 		r.stats.TagHits += b.stats.TagHits
@@ -118,6 +149,15 @@ func (r *run) semiJoinPass() {
 		r.reduceBuildSide()
 	}
 	r.reduceRoot()
+	// A run never stopped reduced every span of the mask: the stop poll
+	// only ever turns true.
+	if whole && !r.cancelled() {
+		root := &rootReduction{stats: r.stats}
+		if r.driverLive != nil {
+			root.mask = r.driverLive.Clone()
+		}
+		b.root.CompareAndSwap(nil, root)
+	}
 }
 
 // reduceBuildSide gives every non-root relation its table, bottom-up.

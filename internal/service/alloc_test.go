@@ -27,10 +27,12 @@ func TestWarmQueryAllocationBudget(t *testing.T) {
 		// A scatter is four runs plus dispatch, gather and merge.
 		{"4 shards COM", 4, "COM", 64 << 10, 400},           // 1 466 KB / 699
 		{"4 shards planner's choice", 4, "", 64 << 10, 400}, // 1 094 KB / 788
-		// SJ+COM builds its reduced tables per query (solo ≈ 520 KB): a
-		// scatter reduces them once for its four shards, not four times
-		// (≈ 550 KB; ≈ 700 KB under the race detector).
-		{"4 shards SJ+COM", 4, "SJ+COM", 1 << 20, 320}, // 2 076 KB / 277
+		// SJ+COM takes its build side from the cache: a solo query
+		// adopts the driver's reduction too (≈ 2.8 KB / 39 objects), a
+		// shard reduces its own rows (≈ 28 KB / 163 on four). Parent
+		// here: the commit that reduced it per query.
+		{"solo SJ+COM", 0, "SJ+COM", 16 << 10, 128},     // 534 KB / 121
+		{"4 shards SJ+COM", 4, "SJ+COM", 64 << 10, 400}, // 561 KB / 239
 	}
 	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {

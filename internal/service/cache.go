@@ -6,41 +6,45 @@ import (
 	"sync"
 	"time"
 
+	"m2mjoin/internal/core"
 	"m2mjoin/internal/exec"
 	"m2mjoin/internal/faultinject"
 	"m2mjoin/internal/hashtable"
 	"m2mjoin/internal/plan"
+	"m2mjoin/internal/storage"
 )
 
 // This file implements the shared build-artifact cache: a bounded LRU
-// over the immutable phase-1 hash tables, keyed by everything that
-// determines their bits — dataset lineage fingerprint, relation, key
-// column and selection-mask fingerprint. A hit hands the
-// executor the exact table a fresh build would produce — and, inside
-// it, the bitvector filter any earlier BVP query derived from it — so a
-// warm query skips those builds entirely with bit-identical Stats and
-// checksum (all of phase 1 for STD/COM/BVP; for SJ the tables of the
-// relations it does not reduce — its reduced tables are per query);
-// eviction merely drops the cache's reference, running queries keep
-// probing their copy (tables are read-only after build, see PR 4). The
-// cache is also
-// where the tables planning builds to measure edge statistics end up
-// (Service.plan): a dataset's first query finds them here.
+// over the immutable phase-1 artifacts — hash tables, keyed by
+// everything that determines their bits (dataset lineage fingerprint,
+// relation, key column and selection-mask fingerprint), and SJ build
+// sides (exec.BuildSide: an SJ plan's every non-root table, plus the
+// driver's reduction once a run has published it), keyed by lineage
+// fingerprint, selections and semi-join orders. A hit hands the
+// executor the exact tables a fresh build would produce — and, inside
+// a table, the bitvector filter any earlier BVP query derived from it —
+// so a warm query skips all of phase 1 with bit-identical Stats and
+// checksum; eviction merely drops the cache's reference, running
+// queries keep probing their copy (artifacts are read-only). The cache
+// is also where the tables planning builds to measure edge statistics
+// end up (Service.plan): a dataset's first query finds them here.
 //
 // Versioned datasets (PR 8) re-key artifacts per snapshot: the dataset
 // field is the snapshot's lineage fingerprint (storage.Dataset.
 // VersionFingerprint, which folds the version number and mutation
 // stream into the registered content fingerprint), so two versions of
 // one dataset never collide and equal replayed lineages share. The
-// serving layer repairs unselected artifacts onto the new key at
-// commit time (see mutate.go) and purges keys of retired versions
-// through purge.
+// serving layer repairs unselected tables onto the new key at commit
+// time (see mutate.go) — a build side is not repaired: a new version
+// misses it once — and purges keys of retired versions, build sides
+// included, through purge.
 
 // artifactKey identifies one cached table. Two queries agree on a key
 // exactly when a fresh build would produce a bit-identical table: same
 // dataset snapshot (its lineage fingerprint), same relation, same
 // join-key column, and the same pushed-down selection set on that
-// relation (maskFP, 0 for no selections).
+// relation (maskFP, 0 for no selections). The driver has no table, so
+// its slot keys SJ build sides instead (queryArtifacts.buildSideKey).
 type artifactKey struct {
 	dataset uint64
 	rel     plan.NodeID
@@ -48,12 +52,14 @@ type artifactKey struct {
 	maskFP  uint64
 }
 
-// cacheEntry is one resident table with its byte charge
-// (Table.MemoryBytes at insert, which already includes the filter
-// projection the table may derive later).
+// cacheEntry is one resident artifact with its byte charge at insert:
+// a table (Table.MemoryBytes, filter projection included), or an SJ
+// build side with the snapshot it was reduced on (its BytesCached).
 type cacheEntry struct {
 	key   artifactKey
 	table *hashtable.Table
+	build *exec.BuildSide
+	snap  *storage.Dataset
 	bytes int64
 }
 
@@ -68,7 +74,9 @@ type CacheStats struct {
 	// exceeds Limit.
 	//
 	// Bytes counts exactly the resident tables' own heap footprints
-	// (Table.MemoryBytes, filter projection included). It deliberately
+	// (Table.MemoryBytes, filter projection included) and per SJ build
+	// side every table it holds plus a driver mask's words, published or
+	// not (conservative: leaves are charged twice). It deliberately
 	// excludes the catalog's memoized plan choices and edge-statistic
 	// caches: those are a few KB per dataset, bounded by the catalog
 	// size rather than query traffic, and are never evicted — charging
@@ -261,11 +269,62 @@ func (q *queryArtifacts) PutTable(id plan.NodeID, t *hashtable.Table) {
 		q.svc.met.buildHist.Observe(q.svc.now().Sub(q.missed[id]))
 	}
 	q.missMu.Unlock()
+	q.put(&cacheEntry{key: q.key(id), table: t, bytes: t.MemoryBytes()})
+}
+
+// put offers e to the cache unless the snapshot it was built on has
+// left its dataset's retention window (see PutTable).
+func (q *queryArtifacts) put(e *cacheEntry) {
 	q.entry.verMu.Lock()
 	defer q.entry.verMu.Unlock()
 	if slices.Contains(q.entry.versions, q.dataset) {
-		q.svc.cache.put(&cacheEntry{key: q.key(id), table: t, bytes: t.MemoryBytes()})
+		q.svc.cache.put(e)
 	}
+}
+
+// buildSideKey keys the SJ build side of a run on q's snapshot: the
+// driver's slot, under a fingerprint of the run's selections (in
+// request order) and semi-join orders, as BuildSide.fits compares them.
+func (q *queryArtifacts) buildSideKey(sels []exec.Selection, semiJoins map[plan.NodeID][]plan.NodeID) artifactKey {
+	h := storage.FingerprintUint64(storage.FingerprintSeed, uint64(len(sels)))
+	for _, sel := range sels {
+		h = storage.FingerprintString(storage.FingerprintUint64(h, uint64(sel.Rel)), sel.Column)
+		h = storage.FingerprintUint64(h, uint64(sel.Value))
+	}
+	for id := range len(q.maskFPs) {
+		if order, ok := semiJoins[plan.NodeID(id)]; ok {
+			h = storage.FingerprintUint64(storage.FingerprintUint64(h, uint64(id)), uint64(len(order)))
+			for _, c := range order {
+				h = storage.FingerprintUint64(h, uint64(c))
+			}
+		}
+	}
+	return artifactKey{dataset: q.dataset, rel: plan.Root, maskFP: h}
+}
+
+// buildSide returns the SJ build side of choice on snap — the cached
+// one, or one reduced now under opts (the query's context, workers and
+// trace) and offered to the cache — with the lookups it stands for in
+// the query's CacheHits / CacheMisses: a fresh one's own, a cached one
+// every provider table it holds, all served. One cached for another
+// snapshot of equal lineage does not fit, so the query reduces afresh;
+// a failed or cancelled reduction offers nothing. The service's one SJ
+// phase-1 path, for solo runs and local scatters alike.
+func (s *Service) buildSide(snap *storage.Dataset, choice core.PlanChoice, opts exec.Options) (b *exec.BuildSide, hits, misses int64, err error) {
+	arts := opts.Artifacts.(*queryArtifacts)
+	key := arts.buildSideKey(opts.Selections, choice.SemiJoins)
+	if e := s.cache.get(key); e != nil && e.snap == snap {
+		st := e.build.Stats()
+		return e.build, st.CacheHits + st.CacheMisses, 0, nil
+	}
+	start := s.now()
+	if b, err = core.ReduceBuildSide(snap, choice, opts); err != nil {
+		return nil, 0, 0, err
+	}
+	s.met.buildHist.Observe(s.now().Sub(start))
+	st := b.Stats()
+	arts.put(&cacheEntry{key: key, build: b, snap: snap, bytes: st.BytesCached})
+	return b, st.CacheHits, st.CacheMisses, nil
 }
 
 var _ exec.Artifacts = (*queryArtifacts)(nil)

@@ -249,8 +249,8 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 	}
 
 	// Timeout: a 1ms budget with every probe chunk stretched cannot
-	// finish → 408, class timeout. (The tables are built while planning,
-	// before the deadline starts; execution finds them cached.)
+	// finish → 408, class timeout — whether it ran out while the cold
+	// plan measured or while the probe loop crawled.
 	faultinject.Enable(faultinject.Spec{
 		Site: faultinject.SiteProbeChunk, Mode: faultinject.ModeDelay,
 		Every: 1, Delay: 50 * time.Millisecond,

@@ -1,10 +1,10 @@
 // Package service is the concurrent query-serving layer of the
 // prototype: a long-running process component that owns a catalog of
 // named datasets, a bounded LRU cache of phase-1 build artifacts (hash
-// tables, each carrying its bitvector projection) shared across
-// queries, and an admission controller that splits the worker budget
-// over concurrent queries and propagates client cancellation into the
-// executor.
+// tables, each carrying its bitvector projection, and SJ build sides)
+// shared across queries, and an admission controller that splits the
+// worker budget over concurrent queries and propagates client
+// cancellation into the executor.
 //
 // The paper's phase 1 dominates the build-bound strategies; because PR
 // 4 made every phase-1 structure an immutable, read-only artifact that
@@ -456,10 +456,10 @@ func (s *Service) Register(req RegisterRequest) (DatasetInfo, error) {
 
 // StandardMix is the standard mixed-shape workload: three generated
 // datasets and, per dataset, an auto-planned query, two fixed-strategy
-// queries (one build-bound, one SJ, which shares its unreduced tables
-// and rebuilds the reduced ones per query) and a driver-selection
-// variant. It registers nothing: callers pass regs to Register
-// (m2mserve -preload) or post them to /v1/datasets (m2mload).
+// queries (one build-bound, one SJ, whose whole build side is cached)
+// and a driver-selection variant. It registers nothing: callers pass
+// regs to Register (m2mserve -preload) or post them to /v1/datasets
+// (m2mload).
 func StandardMix(rows int, seed int64) (regs []RegisterRequest, templates []Request) {
 	for i, shape := range []string{"snowflake32", "star", "path"} {
 		reg := RegisterRequest{Name: "load_" + shape, Shape: shape, Rows: rows, Seed: seed + int64(i)}
@@ -505,8 +505,9 @@ type Request struct {
 	// ChunkSize overrides the driver batch size (0 = default).
 	ChunkSize int `json:"chunkSize,omitempty"`
 	// TimeoutMillis is the query's deadline in milliseconds, covering
-	// admission queueing and execution. On expiry the query fails with
-	// ClassTimeout. Cancellation is polled between driver chunks and
+	// planning, admission queueing and execution. On expiry the query
+	// fails with ClassTimeout; one that expired while it planned is not
+	// admitted. Cancellation is polled between driver chunks and
 	// between build morsels, so the slot is released only once the
 	// chunk or morsel in flight finishes. 0 leaves only the client
 	// context's deadline.
@@ -580,9 +581,12 @@ type Result struct {
 // only.
 //
 // The resilience contract: cancellation of ctx aborts both queueing
-// and execution promptly; Request.TimeoutMillis bounds the whole
-// attempt; overload (full admission queue, admission wait exceeded,
-// open circuit breaker, draining service) is shed with a typed
+// and execution promptly; Request.TimeoutMillis starts before planning
+// and is polled once it is done (a cold plan's measurement does not
+// poll it), by admission, and by the executor between driver chunks,
+// reduction spans and build morsels; overload (full admission queue,
+// admission wait exceeded, open circuit breaker, draining service) is
+// shed with a typed
 // ClassShed error carrying a jittered retry hint; and every failure —
 // including worker panics, which the executor converts into errors —
 // comes back as a *QueryError with a Class, never as a crashed
@@ -615,6 +619,14 @@ func (s *Service) Query(ctx context.Context, req Request) (res Result, err error
 		return
 	}
 
+	// The per-query deadline covers planning, queueing and execution: a
+	// query that burned its budget planning or waiting must not execute.
+	if req.TimeoutMillis > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMillis)*time.Millisecond)
+		defer cancel()
+	}
+
 	// Plan, before admission: the first plan per (strategy, flat) pair
 	// measures edge statistics and runs the optimizer search, which
 	// uses no executor workers — holding an admission slot through it
@@ -623,14 +635,11 @@ func (s *Service) Query(ctx context.Context, req Request) (res Result, err error
 	if err = s.planQuery(&c); err != nil {
 		return
 	}
-
-	// Admit. The per-query deadline covers queueing and execution both:
-	// a query that burned its budget waiting must not start executing.
-	if req.TimeoutMillis > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMillis)*time.Millisecond)
-		defer cancel()
+	if err = ctx.Err(); err != nil {
+		return
 	}
+
+	// Admit.
 	release, err := s.admitQuery(ctx, &c)
 	if err != nil {
 		return
@@ -791,15 +800,25 @@ func (s *Service) resolve(c *execCall) (set *shardSet, snap *storage.Dataset, ro
 // shard attempts alike. Artifacts always key on snap's own (lineage
 // fingerprint, version) — a shard's row set never enters the key, so
 // all shards of a snapshot share one set of tables, and commit-time
-// repair covers them by construction. Every strategy gets the provider:
-// SJ consults it for the relations it does not reduce (the childless
-// ones — the bulk of the rows in a star or snowflake), and builds only
-// its reduced tables per query — or adopts build, the build side a
-// local scatter reduced once for all its shards.
+// repair covers them by construction. Every strategy gets the provider;
+// an SJ run adopts build, the build side a local scatter took for all
+// its shards, or else takes its snapshot's own from Service.buildSide
+// (cached, or reduced now through the provider), and a whole-driver run
+// then adopts the driver's reduction as well once one has published it.
 func (s *Service) run(ctx context.Context, c execCall, snap *storage.Dataset, rows *storage.Bitmap, build *exec.BuildSide) (exec.Stats, error) {
 	opts := s.execOptions(ctx, c, snap, rows)
+	var hits, misses int64
+	if build == nil && c.choice.Strategy.Reduction() == cost.SemiJoin {
+		var err error
+		if build, hits, misses, err = s.buildSide(snap, c.choice, opts); err != nil {
+			return exec.Stats{}, err
+		}
+	}
 	opts.BuildSide = build
-	return core.Execute(snap, c.choice, opts)
+	st, err := core.Execute(snap, c.choice, opts)
+	st.CacheHits += hits
+	st.CacheMisses += misses
+	return st, err
 }
 
 // execOptions are the executor options of c's run on snap over rows.

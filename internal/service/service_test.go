@@ -29,10 +29,10 @@ func genDataset(t *testing.T, rows int, seed int64) *storage.Dataset {
 // tableCount returns the number of hash tables the cache serves for a
 // strategy on the snowflake32 test datasets: one per non-root relation
 // (a BVP variant's filters travel inside them); for the SJ variants the
-// tables of the relations they do not reduce — the childless ones
-// (reduced tables are query-local). A first query finds these already
-// resident: planning offers the tables it measured the edge statistics
-// with to the cache.
+// tables of the relations they do not reduce — the childless ones,
+// which a warm query's cached build side counts as served too. A first
+// query finds these already resident: planning offers the tables it
+// measured the edge statistics with to the cache.
 func tableCount(strategy string, nrel int) int64 {
 	switch strategy {
 	case "SJ+STD", "SJ+COM":
@@ -54,8 +54,8 @@ func stripCache(s exec.Stats) exec.Stats {
 
 // TestWarmCacheBitIdentical is the tentpole acceptance test: for all
 // six strategies at 1/2/8 workers, a warm-cache execution serves every
-// shareable table from the cache (zero builds of them; SJ still builds
-// its reduced tables per query) and produces Stats and checksum
+// shareable table from the cache (zero builds of them; SJ takes its
+// whole build side from it) and produces Stats and checksum
 // bit-identical to the cold run.
 func TestWarmCacheBitIdentical(t *testing.T) {
 	ds := genDataset(t, 3000, 42)
@@ -132,23 +132,34 @@ func restrictOf(t *testing.T, strat string) []cost.Strategy {
 }
 
 // TestConcurrentWarmClients drives >= 8 concurrent clients against a
-// warmed service: every query must be a full cache hit (zero phase-1
-// builds) with the same checksum. Run under -race in CI, this is the
+// service whose first plan warms it: every query must be a full cache
+// hit (zero table builds) with a solo service's checksum — for SJ+COM
+// also the first ones, racing to reduce the build side and to publish
+// and adopt its driver reduction. Run under -race in CI, this is the
 // acceptance criterion's concurrency half.
 func TestConcurrentWarmClients(t *testing.T) {
+	for _, strat := range []string{"BVP+COM", "SJ+COM"} {
+		t.Run(strat, func(t *testing.T) { concurrentWarmClients(t, strat) })
+	}
+}
+
+func concurrentWarmClients(t *testing.T, strat string) {
 	ds := genDataset(t, 2000, 7)
 	nrel := ds.Tree.Len()
-	svc := New(Config{Parallelism: 4, MaxConcurrent: 4})
-	if _, err := svc.RegisterDataset("ds", ds); err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	req := Request{Dataset: "ds", Strategy: "BVP+COM", FlatOutput: true}
-	warm, err := svc.Query(ctx, req)
+	req := Request{Dataset: "ds", Strategy: strat, FlatOutput: true}
+	ref := New(Config{Parallelism: 4, MaxConcurrent: 4})
+	svc := New(Config{Parallelism: 4, MaxConcurrent: 4})
+	for _, s := range []*Service{ref, svc} {
+		if _, err := s.RegisterDataset("ds", ds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm, err := ref.Query(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantHits := tableCount("BVP+COM", nrel)
+	wantHits := tableCount(strat, nrel)
 
 	const clients = 10
 	const perClient = 3
@@ -285,6 +296,25 @@ func TestSelectionKeysSeparateArtifacts(t *testing.T) {
 	if again.Stats.Checksum != selected.Stats.Checksum {
 		t.Fatalf("warm selected checksum %#x != cold %#x", again.Stats.Checksum, selected.Stats.Checksum)
 	}
+
+	// An SJ build side is keyed by its selections as listed: the same
+	// set in another order is another build side with the same answer,
+	// and neither stands in for another value or for none (a build side
+	// that does not fit would fail the query).
+	two := append(sel, SelectionSpec{Relation: ds.Tree.Name(plan.Root), Column: "id", Value: 5})
+	other := []SelectionSpec{two[0], {Relation: two[1].Relation, Column: "id", Value: 6}}
+	var want exec.Stats
+	for i, sels := range [][]SelectionSpec{two, {two[1], two[0]}, two, other, nil} {
+		res, err := svc.Query(ctx, Request{Dataset: "ds", Strategy: "SJ+COM", FlatOutput: true, Selections: sels})
+		if err != nil {
+			t.Fatalf("SJ query %d: %v", i, err)
+		}
+		if i == 0 {
+			want = stripCache(res.Stats)
+		} else if got := stripCache(res.Stats); i < 3 && !reflect.DeepEqual(got, want) {
+			t.Errorf("SJ query %d with selections %v\n %+v\nfirst\n %+v", i, sels, got, want)
+		}
+	}
 }
 
 // TestFingerprintSharingAcrossDatasets: two catalog entries with equal
@@ -308,6 +338,21 @@ func TestFingerprintSharingAcrossDatasets(t *testing.T) {
 	}
 	if res.Stats.CacheMisses != 0 {
 		t.Fatalf("identical-content dataset rebuilt %d artifacts", res.Stats.CacheMisses)
+	}
+	// An SJ build side is bound to the snapshot it was reduced on: the
+	// twin finds one under its key and reduces its own.
+	sj := Request{Dataset: "one", Strategy: "SJ+COM", FlatOutput: true}
+	one, err := svc.Query(ctx, sj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj.Dataset = "two"
+	two, err := svc.Query(ctx, sj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(stripCache(one.Stats), stripCache(two.Stats)) {
+		t.Fatalf("SJ on the twin dataset\n %+v\non the first\n %+v", two.Stats, one.Stats)
 	}
 }
 
@@ -336,6 +381,37 @@ func TestQueryCancellationPropagates(t *testing.T) {
 	if len(e.plans) != 0 || e.statsCache.Hits()+e.statsCache.Misses() != 0 {
 		t.Errorf("cancelled query left %d plans and %d+%d stats-cache lookups behind",
 			len(e.plans), e.statsCache.Hits(), e.statsCache.Misses())
+	}
+}
+
+// TestDeadlinePassedWhilePlanning: Request.TimeoutMillis starts before
+// planning, so a query whose deadline passes while it plans answers
+// ClassTimeout before admission and executes nothing.
+func TestDeadlinePassedWhilePlanning(t *testing.T) {
+	svc := New(Config{Parallelism: 2, MaxConcurrent: 1})
+	if _, err := svc.RegisterDataset("ds", genDataset(t, 1500, 3)); err != nil {
+		t.Fatal(err)
+	}
+	// Hold the plan lock: the query's plan stage waits out its deadline,
+	// which is wall-clock time, so the test sleeps past it.
+	e := svc.entry("ds")
+	e.planMu.Lock()
+	started, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		close(started)
+		_, err := svc.Query(context.Background(), Request{Dataset: "ds", TimeoutMillis: 5})
+		done <- err
+	}()
+	<-started
+	time.Sleep(30 * time.Millisecond)
+	e.planMu.Unlock()
+	err := <-done
+	if !errors.Is(err, context.DeadlineExceeded) || Classify(err) != ClassTimeout {
+		t.Fatalf("error %v (class %q), want a timeout wrapping context.DeadlineExceeded", err, Classify(err))
+	}
+	if st := svc.Stats(); st.Queries != 0 || st.Errors.Timeout != 1 || st.Cache.Hits != 0 {
+		t.Errorf("after the timed-out plan: %d admitted queries, %d timeouts, %d cache hits; want 0, 1, 0",
+			st.Queries, st.Errors.Timeout, st.Cache.Hits)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"m2mjoin/internal/core"
 	"m2mjoin/internal/cost"
 	"m2mjoin/internal/exec"
 	"m2mjoin/internal/faultinject"
@@ -26,10 +25,10 @@ import (
 // unsharded execution (exec.MergeShardStats). A shard task is the
 // ordinary execution path (Service.run) over the parent snapshot with
 // the shard's driver row set: the build-side artifacts are the
-// snapshot's own, cached once however many shards probe them. An SJ
-// query's per-query build side — its reduced tables — is reduced once
-// per query for local shards, which share it; a replica backend
-// reduces its own.
+// snapshot's own, cached once however many shards probe them. That
+// includes an SJ query's build side, its reduced tables: local shards
+// share the snapshot's cached one, and each shard reduces only its own
+// driver rows; a replica backend caches its own.
 //
 // The gather path is where the robustness lives. One par.For worker per
 // shard drives that shard to a verdict, each attempt a synchronous
@@ -206,8 +205,9 @@ type shardCall struct {
 	execCall
 	set *shardSet
 	k   int // shard index
-	// build is the SJ build side the local shards share (nil: each run
-	// reduces its own).
+	// build is the SJ build side the local shards share, taken from the
+	// cache or reduced once by the scatter (nil for other strategies and
+	// for replica backends, which take their own).
 	build *exec.BuildSide
 }
 
@@ -367,9 +367,10 @@ func classSeverity(c Class) int {
 // query's single admission slot, gathers with retry and breakers per
 // shard, and merges. Runs inside Query's admission slot, dataset
 // breaker and deadline, and returns only once every shard has. For
-// local shards of an SJ plan it first reduces the build side, once,
-// with the query's whole worker grant; its failure fails the query as
-// a solo query's build-phase failure does.
+// local shards of an SJ plan it first takes the snapshot's build side
+// (Service.buildSide: cached, or reduced once with the query's whole
+// worker grant); a failed reduction fails the query as a solo query's
+// build-phase failure does.
 func (s *Service) scatter(ctx context.Context, c execCall, set *shardSet) (outcome, error) {
 	req, tr := c.req, c.tr
 	n := len(set.shards)
@@ -383,10 +384,11 @@ func (s *Service) scatter(ctx context.Context, c execCall, set *shardSet) (outco
 	defer tr.End(ssp)
 	sc := shardCall{execCall: c, set: set}
 	sc.parent = ssp
+	var hits, misses int64
 	if len(s.cfg.Shard.Backends) == 0 && c.choice.Strategy.Reduction() == cost.SemiJoin {
 		snap := set.snapshot()
 		var err error
-		if sc.build, err = core.ReduceBuildSide(snap, c.choice, s.execOptions(ctx, sc.execCall, snap, nil)); err != nil {
+		if sc.build, hits, misses, err = s.buildSide(snap, c.choice, s.execOptions(ctx, sc.execCall, snap, nil)); err != nil {
 			return out, fmt.Errorf("scatter: %w", err)
 		}
 	}
@@ -429,11 +431,8 @@ func (s *Service) scatter(ctx context.Context, c execCall, set *shardSet) (outco
 	// side's are added once.
 	merge := func(parts []exec.Stats) exec.Stats {
 		m := exec.MergeShardStats(parts)
-		if sc.build != nil {
-			built := sc.build.Stats()
-			m.CacheHits += built.CacheHits
-			m.CacheMisses += built.CacheMisses
-		}
+		m.CacheHits += hits
+		m.CacheMisses += misses
 		return m
 	}
 	if len(failed) == 0 {

@@ -463,6 +463,8 @@ func TestScatterSharesOneBuildSide(t *testing.T) {
 		t.Errorf("the root has %d semijoin spans, want one per shard", reductions[int64(plan.Root)])
 	}
 
+	// Fresh services: the first ones hold their build sides cached.
+	solo, sharded = newSvc(0), newSvc(4)
 	faultinject.Enable(faultinject.Spec{Site: faultinject.SiteReduceChunk, Mode: faultinject.ModeError, Every: 1})
 	defer faultinject.Disable()
 	_, soloErr := solo.Query(ctx, req)
