@@ -14,8 +14,12 @@ import (
 //
 // A step runs STD's two helpers (exec.go) on factor nodes: the table
 // probe of the parent's live rows (probeJoin), then one filter pass
-// over the new node (filterPass) whose misses are killed; the root gets
-// its filter pass before the first join. Each worker reuses one
+// over the new node (filterPass) whose misses are killed and then
+// dropped from the node (factor.Node.Compact), so no later pass walks
+// them; the root gets its filter pass before the first join. Flat
+// output with no residual and no CollectOutput is counted and
+// checksummed by the expansion alone, with no call per tuple; the
+// emit callbacks serve the other cases. Each worker reuses one
 // factor.Chunk across all its driver chunks (factor.Chunk.Reset
 // recycles every node and buffer), and probes go through the worker's
 // reused key/mask/probe scratch, so steady-state execution allocates
@@ -42,9 +46,15 @@ func (w *worker) runCOMChunk(driverRows []int32) {
 		return
 	}
 	switch {
+	case r.opts.FlatOutput && r.residuals == nil && r.opts.CollectOutput == nil:
+		// Each tuple's checksum is sumBase plus its sum of terms.
+		count, sum := chunk.Expand(w.termFn, nil)
+		w.outputTuples += count
+		w.expandedTuples += count
+		w.checksum += uint64(count)*r.sumBase + sum
 	case r.opts.FlatOutput:
 		w.emitPassed = 0
-		expanded := chunk.Expand(w.termFn, w.emitFn)
+		expanded, _ := chunk.Expand(w.termFn, w.emitFn)
 		w.outputTuples += w.emitPassed
 		w.expandedTuples += expanded
 	case r.residuals != nil:
@@ -62,11 +72,13 @@ func (w *worker) runCOMChunk(driverRows []int32) {
 }
 
 // applyFiltersCOM runs at's filter pass over the live rows of its
-// factor node and kills the misses, with propagation. The pass runs
-// right after at joins, while at has no child nodes, and a kill climbs
-// to an ancestor only once every row of at below that ancestor is dead
-// — so no kill reaches another live row of at, and the batched pass
-// probes exactly the rows a row-at-a-time pass would.
+// factor node, kills the misses, with propagation, and compacts the
+// node. The pass runs right after at joins, while at has no child
+// nodes, and a kill climbs to an ancestor only once every row of at
+// below that ancestor is dead — so no kill reaches another live row of
+// at, and the batched pass probes exactly the rows a row-at-a-time pass
+// would. Compaction moves no other node's rows, and it is a no-op
+// unless a filter killed something (BVP strategies only).
 func (w *worker) applyFiltersCOM(chunk *factor.Chunk, at plan.NodeID) {
 	node := chunk.Node(at)
 	for i, ok := range w.filterPass(at, node.Rows, node.Live) {
@@ -74,4 +86,5 @@ func (w *worker) applyFiltersCOM(chunk *factor.Chunk, at plan.NodeID) {
 			chunk.Kill(node, i)
 		}
 	}
+	node.Compact()
 }

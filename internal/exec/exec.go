@@ -849,7 +849,9 @@ type worker struct {
 	perRel             []int64
 
 	// The COM expansion callbacks (built once so per-chunk expansion
-	// allocates no closures) and their shared pass counter.
+	// allocates no closures) and their shared pass counter. emitFn
+	// takes a flat tuple that a residual or CollectOutput must see; its
+	// checksum is sumBase plus its sum of terms.
 	termFn          func(id plan.NodeID, row int32) uint64
 	emitFn          func(rows []int32, sum uint64)
 	residualCountFn func(rows []int32, sum uint64)
@@ -871,7 +873,8 @@ func newWorker(r *run, sc *scratch) *worker {
 	if factorized {
 		w.termFn = r.checksumTerm
 		w.emitFn = func(rows []int32, sum uint64) {
-			if w.emitTuple(rows, sum) {
+			if w.keep(w.canonicalTuple(rows)) {
+				w.checksum += w.r.sumBase + sum
 				w.emitPassed++
 			}
 		}
@@ -897,22 +900,6 @@ func (w *worker) runChunk(driverRows []int32) {
 // checksum (checksumTerms): the canonical position of id is id itself.
 func (r *run) checksumTerm(id plan.NodeID, row int32) uint64 {
 	return r.sumPow[id] * hashtable.Hash64(int64(id)<<32|int64(row))
-}
-
-// emitTuple records one flat output tuple of the COM expansion, given
-// in join-order layout with the sum of its rows' checksumTerm values:
-// its checksum is r.sumBase + sum. The tuple is remapped to the
-// canonical layout only when a residual predicate or CollectOutput
-// reads it. The return value reports whether it passed the residuals.
-func (w *worker) emitTuple(joinOrderRows []int32, sum uint64) bool {
-	r := w.r
-	if r.residuals != nil || r.opts.CollectOutput != nil {
-		if !w.keep(w.canonicalTuple(joinOrderRows)) {
-			return false
-		}
-	}
-	w.checksum += r.sumBase + sum
-	return true
 }
 
 // keep applies the residual predicates to a canonical-layout tuple and,

@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"m2mjoin/internal/cost"
@@ -292,5 +293,61 @@ func TestSemiJoinOrderOption(t *testing.T) {
 		if stats.OutputTuples != wantCount || (wantCount > 0 && stats.Checksum != wantSum) {
 			t.Fatalf("semi-join order %v changed the result", sj)
 		}
+	}
+}
+
+// TestBVPCOMCompactsFilteredDriver: under BVP+COM on a star whose root
+// filters pass few rows, a chunk's driver node holds exactly the rows
+// that passed the root's filters, in driver order — the misses are
+// dropped, not only marked dead — and the run's counters still match
+// the counting reference and its output ReferenceOpts.
+func TestBVPCOMCompactsFilteredDriver(t *testing.T) {
+	tr := plan.NewTree("R1")
+	tr.AddChild(plan.Root, plan.EdgeStats{M: 0.3, Fo: 3}, "R2")
+	tr.AddChild(plan.Root, plan.EdgeStats{M: 0.4, Fo: 2}, "R3")
+	tr.AddChild(plan.Root, plan.EdgeStats{M: 0.5, Fo: 3}, "R4")
+	ds := workload.Generate(tr, workload.Config{DriverRows: 2000, Seed: 4})
+	opts := Options{Strategy: cost.BVPCOM, Order: plan.Order{1, 2, 3}, FlatOutput: true, ChunkSize: 256}
+
+	got, err := Run(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireCounts(t, "star", opts, got, countingReference(ds, opts))
+	if n, sum := ReferenceOpts(ds, nil, nil); got.OutputTuples != n || got.Checksum != sum {
+		t.Errorf("output (%d, %#x), ReferenceOpts (%d, %#x)", got.OutputTuples, got.Checksum, n, sum)
+	}
+
+	r, err := prepare(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.runPhase1(); err != nil {
+		t.Fatal(err)
+	}
+	r.prepareLayout()
+	w := newWorker(r, &scratch{})
+	root := ds.Relation(plan.Root)
+	passed := 0
+	for lo := 0; lo < root.NumRows(); lo += opts.ChunkSize {
+		var rows, want []int32
+		for row := lo; row < min(lo+opts.ChunkSize, root.NumRows()); row++ {
+			rows = append(rows, int32(row))
+			ok := true
+			for _, c := range tr.Children(plan.Root) {
+				ok = ok && r.filters[c].MayContain(root.Column(ds.KeyColumn(c))[row])
+			}
+			if ok {
+				want = append(want, int32(row))
+			}
+		}
+		w.runCOMChunk(rows)
+		if d := w.chunk.Driver(); !slices.Equal(d.Rows, want) {
+			t.Fatalf("chunk at %d: driver node rows %v, root filters passed %v", lo, d.Rows, want)
+		}
+		passed += len(want)
+	}
+	if passed == 0 || 4*passed > root.NumRows() {
+		t.Fatalf("root filters passed %d of %d driver rows; the test wants few but some", passed, root.NumRows())
 	}
 }

@@ -12,11 +12,17 @@
 // dead row can never contribute to output), which is what makes probes
 // on ancestor attributes "survival probes".
 //
+// Killed rows stay in place while other nodes hang off their node's
+// row positions; Compact drops them from a node that has no children
+// yet, so later passes over that node walk live rows only.
+//
 // Flat output is Expand's depth-first enumeration: every output tuple
-// is still visited and handed to the caller, but a per-tuple quantity
-// that is a sum of per-row terms (the executor's checksum) is summed
-// down the recursion from terms computed once per live factor row, not
-// recomputed from every column of every tuple.
+// is still visited, one at a time, and a per-tuple quantity that is a
+// sum of per-row terms (the executor's checksum) is summed down the
+// recursion from terms computed once per live factor row, not
+// recomputed from every column of every tuple. A caller that needs
+// only the count and the summed sums gets them without a call per
+// tuple.
 //
 // Chunks are designed for reuse: Reset rewinds a chunk to a fresh
 // driver batch while recycling every node and buffer it accumulated,
@@ -49,7 +55,9 @@ type Node struct {
 	Counts  []int32
 	Offsets []int32
 
-	// Live marks rows that can still contribute to an output tuple.
+	// Live marks rows that can still contribute to an output tuple;
+	// LiveCount counts them. Compact leaves Live all true, until a
+	// later kill.
 	Live      []bool
 	LiveCount int
 
@@ -85,6 +93,7 @@ type Chunk struct {
 	posOf     []int // NodeID -> position in order
 	emit      func(rows []int32, sum uint64)
 	expCount  int64
+	expSum    uint64
 }
 
 // NewChunk creates a factorized chunk holding the given driver rows
@@ -239,6 +248,46 @@ func (c *Chunk) Kill(n *Node, i int) {
 	}
 }
 
+// Compact drops n's dead rows in place, keeping the live ones in
+// order, and recomputes Counts, Offsets and ParentRow against the
+// parent, whose rows do not move. Only a node with no children may be
+// compacted: its row positions are nobody else's offsets. Liveness
+// counts are unchanged and nothing is allocated.
+func (n *Node) Compact() {
+	if len(n.Children) > 0 {
+		panic(fmt.Sprintf("factor: Compact: node %d has children", n.ID))
+	}
+	if n.LiveCount == len(n.Rows) {
+		return
+	}
+	w := 0
+	for i, live := range n.Live {
+		if live {
+			n.Rows[w] = n.Rows[i]
+			if n.Parent != nil {
+				n.ParentRow[w] = n.ParentRow[i]
+			}
+			n.Live[w] = true
+			w++
+		}
+	}
+	n.Rows, n.Live = n.Rows[:w], n.Live[:w]
+	if n.Parent == nil {
+		return
+	}
+	n.ParentRow = n.ParentRow[:w]
+	clear(n.Counts)
+	for _, p := range n.ParentRow {
+		n.Counts[p]++
+	}
+	var off int32
+	for p, cnt := range n.Counts {
+		n.Offsets[p] = off
+		off += cnt
+	}
+	n.Offsets[len(n.Counts)] = off
+}
+
 func (c *Chunk) anyLiveInSegment(n *Node, p int) bool {
 	lo, hi := n.Segment(p)
 	for j := lo; j < hi; j++ {
@@ -299,10 +348,12 @@ func maxID(ids []plan.NodeID) plan.NodeID {
 // enumerating, and carries partial sums down the recursion, so a sum
 // costs one addition per tuple, not one term per relation. A nil term
 // makes every sum 0. The rows slice is reused across calls; emit must
-// not retain it, and may be nil, for counting. It returns the number of
-// tuples enumerated. The recursion runs through chunk methods and
-// scratch fields so repeated expansion allocates nothing.
-func (c *Chunk) Expand(term func(id plan.NodeID, row int32) uint64, emit func(rows []int32, sum uint64)) int64 {
+// not retain it. It returns the number of tuples enumerated and the sum
+// of their sums. A nil emit still visits every tuple, but the
+// last-joined relation's rows are counted and summed in a tight loop,
+// with no call per tuple. The recursion runs through chunk methods and scratch
+// fields so repeated expansion allocates nothing.
+func (c *Chunk) Expand(term func(id plan.NodeID, row int32) uint64, emit func(rows []int32, sum uint64)) (int64, uint64) {
 	c.expandLayout()
 	for _, n := range c.expNodes {
 		n.perRow = buf.Grow(n.perRow, len(n.Rows))
@@ -317,10 +368,10 @@ func (c *Chunk) Expand(term func(id plan.NodeID, row int32) uint64, emit func(ro
 		}
 	}
 	c.emit = emit
-	c.expCount = 0
+	c.expCount, c.expSum = 0, 0
 	c.expandRec(0, 0)
 	c.emit = nil
-	return c.expCount
+	return c.expCount, c.expSum
 }
 
 // expandRec enumerates the tuples below position k, sum being the terms
@@ -328,15 +379,23 @@ func (c *Chunk) Expand(term func(id plan.NodeID, row int32) uint64, emit func(ro
 func (c *Chunk) expandRec(k int, sum uint64) {
 	if k == len(c.expNodes) {
 		c.expCount++
-		if c.emit != nil {
-			c.emit(c.baseRows, sum)
-		}
+		c.expSum += sum
+		c.emit(c.baseRows, sum)
 		return
 	}
 	n := c.expNodes[k]
 	lo, hi := 0, len(n.Rows)
 	if k > 0 {
 		lo, hi = n.Segment(int(c.current[c.parentPos[k]]))
+	}
+	if c.emit == nil && k == len(c.expNodes)-1 {
+		for j := lo; j < hi; j++ {
+			if n.Live[j] {
+				c.expCount++
+				c.expSum += sum + n.perRow[j]
+			}
+		}
+		return
 	}
 	for j := lo; j < hi; j++ {
 		if !n.Live[j] {

@@ -1,7 +1,9 @@
 package factor
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"m2mjoin/internal/plan"
@@ -46,7 +48,7 @@ func TestAddJoinBasics(t *testing.T) {
 func TestExpandDepthFirst(t *testing.T) {
 	c := buildSimpleChunk()
 	var tuples [][]int32
-	count := c.Expand(nil, func(rows []int32, _ uint64) {
+	count, _ := c.Expand(nil, func(rows []int32, _ uint64) {
 		cp := append([]int32(nil), rows...)
 		tuples = append(tuples, cp)
 	})
@@ -67,7 +69,7 @@ func TestCountOutputMatchesExpand(t *testing.T) {
 		// Random factor chunk over a random join tree.
 		tr := plan.RandomTree(2+rng.Intn(5), rng, plan.UniformStats(rng, 0.3, 1, 1, 3))
 		c := randomChunk(tr, rng)
-		expand := c.Expand(nil, nil)
+		expand, _ := c.Expand(nil, nil)
 		counted := c.CountOutput()
 		if expand != counted {
 			t.Fatalf("Expand %d != CountOutput %d", expand, counted)
@@ -144,7 +146,7 @@ func TestKillPropagatesDownward(t *testing.T) {
 	if !c.Node(2).Live[2] {
 		t.Errorf("node 2 row of live driver should be alive")
 	}
-	if got := c.Expand(nil, nil); got != 1 {
+	if got, _ := c.Expand(nil, nil); got != 1 {
 		t.Errorf("expanded %d tuples, want 1", got)
 	}
 }
@@ -162,7 +164,7 @@ func TestKillAcrossBranches(t *testing.T) {
 	if c.Node(2).Live[0] || c.Node(2).Live[1] {
 		t.Errorf("branch 2 rows should die when the driver dies")
 	}
-	if c.Expand(nil, nil) != 0 {
+	if got, _ := c.Expand(nil, nil); got != 0 {
 		t.Errorf("expected empty expansion")
 	}
 }
@@ -231,4 +233,116 @@ func TestOrderTracksJoins(t *testing.T) {
 	if len(o) != 3 || o[0] != plan.Root || o[1] != 2 || o[2] != 5 {
 		t.Errorf("Order = %v", o)
 	}
+}
+
+// TestCompactMatchesUncompacted: compacting the last-joined node after
+// random kills changes nothing a caller can observe. Against an
+// uncompacted twin built from the same seed, the expansion emits the
+// same tuples in the same order with the same sums, the nil-emit count
+// and sum, CountOutput and FactorizedSize agree, and a child joined
+// under the compacted node propagates its kills exactly as under the
+// twin's.
+func TestCompactMatchesUncompacted(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 200; trial++ {
+		tr := plan.RandomTree(2+rng.Intn(5), rng, plan.UniformStats(rng, 0.3, 1, 1, 3))
+		seed := rng.Int63()
+		twin := randomChunk(tr, rand.New(rand.NewSource(seed)))
+		c := randomChunk(tr, rand.New(rand.NewSource(seed)))
+		order := c.Order()
+		last := order[len(order)-1]
+		for i := range twin.Node(last).Rows {
+			if twin.Node(last).Live[i] && rng.Float64() < 0.4 {
+				twin.Kill(twin.Node(last), i)
+				c.Kill(c.Node(last), i)
+			}
+		}
+		n := c.Node(last)
+		n.Compact()
+		if len(n.Rows) != n.LiveCount || n.LiveCount != twin.Node(last).LiveCount {
+			t.Fatalf("trial %d: compacted %d rows, %d live; twin %d live", trial, len(n.Rows), n.LiveCount, twin.Node(last).LiveCount)
+		}
+		requireSameChunk(t, trial, "compacted", c, twin)
+
+		// Join a child under the compacted node: the same rows under
+		// the same live parent rows, then the same kills.
+		tn := twin.Node(last)
+		twinCounts := make([]int32, len(tn.Rows))
+		counts := make([]int32, 0, len(n.Rows))
+		var rows []int32
+		for p, live := range tn.Live {
+			if live {
+				twinCounts[p] = int32(rng.Intn(4))
+				counts = append(counts, twinCounts[p])
+				for j := int32(0); j < twinCounts[p]; j++ {
+					rows = append(rows, int32(1000+len(rows)))
+				}
+			}
+		}
+		child := plan.NodeID(tr.Len())
+		twin.AddJoin(last, child, twinCounts, rows)
+		c.AddJoin(last, child, counts, rows)
+		for i := range rows {
+			if twin.Node(child).Live[i] && rng.Float64() < 0.3 {
+				twin.Kill(twin.Node(child), i)
+				c.Kill(c.Node(child), i)
+			}
+		}
+		requireSameChunk(t, trial, "child joined", c, twin)
+	}
+}
+
+// requireSameChunk fails t unless c and twin hold the same live rows
+// per node and expand, count and size alike.
+func requireSameChunk(t *testing.T, trial int, label string, c, twin *Chunk) {
+	t.Helper()
+	for _, id := range twin.Order() {
+		got, want := liveRows(c.Node(id)), liveRows(twin.Node(id))
+		if !slices.Equal(got, want) || c.Node(id).LiveCount != twin.Node(id).LiveCount {
+			t.Fatalf("trial %d %s: node %d live rows %v, twin %v", trial, label, id, got, want)
+		}
+	}
+	if got, want := expandAll(c), expandAll(twin); !slices.Equal(got, want) {
+		t.Fatalf("trial %d %s: expansion %v, twin %v", trial, label, got, want)
+	}
+	gn, gs := c.Expand(toyTerm, nil)
+	wn, ws := twin.Expand(toyTerm, nil)
+	if gn != wn || gs != ws {
+		t.Fatalf("trial %d %s: nil-emit (%d, %#x), twin (%d, %#x)", trial, label, gn, gs, wn, ws)
+	}
+	if got, want := c.CountOutput(), twin.CountOutput(); got != want {
+		t.Fatalf("trial %d %s: CountOutput %d, twin %d", trial, label, got, want)
+	}
+	if got, want := c.FactorizedSize(), twin.FactorizedSize(); got != want {
+		t.Fatalf("trial %d %s: FactorizedSize %d, twin %d", trial, label, got, want)
+	}
+}
+
+func liveRows(n *Node) []int32 {
+	var rows []int32
+	for i, live := range n.Live {
+		if live {
+			rows = append(rows, n.Rows[i])
+		}
+	}
+	return rows
+}
+
+// expandAll lists every emitted tuple, as text, with its sum.
+func expandAll(c *Chunk) []string {
+	var out []string
+	c.Expand(toyTerm, func(rows []int32, sum uint64) {
+		out = append(out, fmt.Sprint(rows, sum))
+	})
+	return out
+}
+
+func TestCompactPanicsWithChildren(t *testing.T) {
+	c := buildSimpleChunk()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("expected panic compacting a node with children")
+		}
+	}()
+	c.Driver().Compact()
 }

@@ -21,8 +21,10 @@ func TestResetReusesChunk(t *testing.T) {
 		fresh := buildRandom(tr, rand.New(rand.NewSource(seed)), NewChunk(nil))
 		cycled := buildRandom(tr, rand.New(rand.NewSource(seed)), reused)
 
-		if f, c := fresh.Expand(nil, nil), cycled.Expand(nil, nil); f != c {
-			t.Fatalf("trial %d: Expand %d (fresh) != %d (reused)", trial, f, c)
+		fc, fs := fresh.Expand(toyTerm, nil)
+		cc, cs := cycled.Expand(toyTerm, nil)
+		if fc != cc || fs != cs {
+			t.Fatalf("trial %d: Expand (%d, %#x) (fresh) != (%d, %#x) (reused)", trial, fc, fs, cc, cs)
 		}
 		if f, c := fresh.CountOutput(), cycled.CountOutput(); f != c {
 			t.Fatalf("trial %d: CountOutput %d != %d", trial, f, c)
@@ -95,7 +97,8 @@ func toyTerm(id plan.NodeID, row int32) uint64 {
 
 // TestExpandSumsTerms: the sum Expand passes with each tuple is the
 // sum of the term over the rows it emits, on random chunks with kills;
-// a nil term passes 0, and both enumerate CountOutput tuples.
+// a nil term passes 0, and both enumerate CountOutput tuples. Expand
+// returns the count and the sum of the sums, with or without emit.
 func TestExpandSumsTerms(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	c := NewChunk(nil)
@@ -104,8 +107,10 @@ func TestExpandSumsTerms(t *testing.T) {
 		buildRandom(tr, rng, c)
 		order := c.Order()
 		var emitted int64
-		got := c.Expand(toyTerm, func(rows []int32, sum uint64) {
+		var emittedSum uint64
+		got, gotSum := c.Expand(toyTerm, func(rows []int32, sum uint64) {
 			emitted++
+			emittedSum += sum
 			var want uint64
 			for k, row := range rows {
 				want += toyTerm(order[k], row)
@@ -116,6 +121,12 @@ func TestExpandSumsTerms(t *testing.T) {
 		})
 		if want := c.CountOutput(); got != want || emitted != want {
 			t.Fatalf("trial %d: Expand %d (emitted %d), CountOutput %d", trial, got, emitted, want)
+		}
+		if gotSum != emittedSum {
+			t.Fatalf("trial %d: Expand returned sum %#x, emitted sums total %#x", trial, gotSum, emittedSum)
+		}
+		if n, sum := c.Expand(toyTerm, nil); n != got || sum != emittedSum {
+			t.Fatalf("trial %d: nil emit gave (%d, %#x), want (%d, %#x)", trial, n, sum, got, emittedSum)
 		}
 		c.Expand(nil, func(_ []int32, sum uint64) {
 			if sum != 0 {
@@ -133,10 +144,42 @@ func TestExpandAllocationFree(t *testing.T) {
 	c := buildRandom(tr, rng, NewChunk(nil))
 	var total uint64
 	emit := func(_ []int32, sum uint64) { total += sum }
-	if c.Expand(toyTerm, emit) == 0 { // also grows the scratch
+	if n, _ := c.Expand(toyTerm, emit); n == 0 { // also grows the scratch
 		t.Fatal("random chunk expands to nothing")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { c.Expand(toyTerm, emit) }); allocs != 0 {
 		t.Errorf("Expand allocated %.1f times per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.Expand(toyTerm, nil) }); allocs != 0 {
+		t.Errorf("Expand with no emit allocated %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestCompactAllocationFree: a reused chunk's cycle of reset, kills
+// and compaction of the driver, join, kills and compaction of the new
+// node allocates nothing once its buffers have grown.
+func TestCompactAllocationFree(t *testing.T) {
+	driver := []int32{0, 1, 2, 3, 4, 5, 6, 7}
+	counts := []int32{2, 0, 1, 3, 1, 2} // one per driver row left alive
+	rows := []int32{10, 11, 12, 13, 14, 15, 16, 17, 18}
+	c := NewChunk(nil)
+	cycle := func() {
+		c.Reset(driver)
+		d := c.Driver()
+		c.Kill(d, 1)
+		c.Kill(d, 6)
+		d.Compact()
+		n := c.AddJoin(plan.Root, 1, counts, rows)
+		for i := 0; i < len(n.Rows); i += 3 {
+			c.Kill(n, i)
+		}
+		n.Compact()
+	}
+	cycle()
+	if n := c.Node(1); len(n.Rows) != 6 || n.LiveCount != 6 {
+		t.Fatalf("compacted node holds %d rows, %d live; want 6, 6", len(n.Rows), n.LiveCount)
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("reset, kill and compact allocated %.1f times per cycle, want 0", allocs)
 	}
 }
