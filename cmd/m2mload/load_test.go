@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,10 +48,6 @@ func TestLoadOverHTTP(t *testing.T) {
 	}
 	templates = append(templates, service.Request{Dataset: regs[0].Name, Strategy: "COM",
 		Selections: []service.SelectionSpec{{Relation: tree.Name(1), Column: "id", Value: 3}}})
-	targets, err := writeTargets(regs)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	report := runLoad(ctx, h, loadConfig{
 		duration:  400 * time.Millisecond,
@@ -55,7 +55,7 @@ func TestLoadOverHTTP(t *testing.T) {
 		templates: templates,
 		seed:      31,
 		mutateQPS: 50,
-		targets:   targets,
+		targets:   writeTargets(regs),
 	})
 	t.Logf("\n%v", report)
 	if report.queries == 0 {
@@ -157,5 +157,96 @@ func TestQueryWithRetry(t *testing.T) {
 				t.Errorf("took %v: the hint was not capped at the %v query timeout", total, tc.queryTimeout)
 			}
 		})
+	}
+}
+
+// answering serves a scripted server: every registration is a 409 (an
+// earlier run's datasets), every query fails with class, and /v1/stats
+// is empty.
+func answering(class service.Class) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/datasets":
+			w.WriteHeader(http.StatusConflict)
+			json.NewEncoder(w).Encode(service.ErrorEnvelope{Error: "exists", Class: service.ClassInvalid})
+		case "/v1/query":
+			w.WriteHeader(http.StatusServiceUnavailable)
+			json.NewEncoder(w).Encode(service.ErrorEnvelope{Error: string(class), Class: class})
+		default:
+			json.NewEncoder(w).Encode(service.Stats{})
+		}
+	})
+}
+
+// TestRun drives the command as a function. It fails exactly when a
+// query failed internal or invalid, or the mix could not be registered;
+// sheds and timeouts are the resilience layer working. A run against a
+// real server prints the server's own latency beside the client's.
+func TestRun(t *testing.T) {
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	for _, tc := range []struct {
+		name      string
+		server    http.Handler // nil: nothing listens at -addr
+		args      string
+		code      int
+		out, diag string // substrings of stdout and stderr
+	}{
+		{"real server", service.NewHandler(service.New(service.Config{})), "-clients 2 -rows 300", 0,
+			"server latency (/v1/stats", ""},
+		{"shed only", answering(service.ClassShed), "", 0, "invalid=0 internal=0", ""},
+		{"internal errors", answering(service.ClassInternal), "", 1, "internal=", ""},
+		{"invalid errors", answering(service.ClassInvalid), "", 1, "invalid=", ""},
+		{"no server", nil, "", 1, "", "m2mload: registering load_snowflake32"},
+		{"bad flag", nil, "-clients many", 2, "", `invalid value "many"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := gone.URL
+			if tc.server != nil {
+				srv := httptest.NewServer(tc.server)
+				defer srv.Close()
+				addr = srv.URL
+			}
+			args := append([]string{"-addr", addr, "-duration", "150ms"}, strings.Fields(tc.args)...)
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != tc.code {
+				t.Errorf("exit %d, want %d (stderr %q)", code, tc.code, stderr.String())
+			}
+			if !strings.Contains(stdout.String(), tc.out) || !strings.Contains(stderr.String(), tc.diag) {
+				t.Errorf("stdout %q / stderr %q lack %q / %q", stdout.String(), stderr.String(), tc.out, tc.diag)
+			}
+		})
+	}
+}
+
+// TestWarmHitRateUnderWrites: a server under four closed-loop readers
+// and a 15-commit/s writer for 6 s keeps its artifact cache warm
+// through commit-time repair. The writer commits with no errors, the
+// hit rate measured under the writes stays at or above 80 % (cold
+// rebuilds after every commit measure about 50-60 %), and the server
+// accounts both the commits and the repairs.
+func TestWarmHitRateUnderWrites(t *testing.T) {
+	svc := service.New(service.Config{})
+	srv := httptest.NewServer(service.NewHandler(svc))
+	defer srv.Close()
+	var stdout, stderr bytes.Buffer
+	args := strings.Fields("-duration 6s -clients 4 -rows 2000 -seed 1 -retries 1 -mutate-qps 15")
+	if code := run(append(args, "-addr", srv.URL), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d under write load: %s\n%s", code, stderr.String(), stdout.String())
+	}
+	t.Logf("\n%s", stdout.String())
+	if !regexp.MustCompile(`mutations: committed=[1-9][0-9]* errors=0`).MatchString(stdout.String()) {
+		t.Error("the writer committed nothing or hit errors")
+	}
+	m := regexp.MustCompile(`hit-rate=([0-9.]+)%`).FindStringSubmatch(stdout.String())
+	if m == nil {
+		t.Fatal("no hit rate in the report")
+	}
+	if rate, _ := strconv.ParseFloat(m[1], 64); rate < 80 {
+		t.Errorf("hit rate %.1f%% under writes: artifact repair is not keeping the cache warm", rate)
+	}
+	st, err := service.NewHTTPRunner(srv.URL).Stats(context.Background())
+	if err != nil || st.Mutations < 1 || st.Repairs < 1 {
+		t.Errorf("server stats: mutations=%d repairs=%d (err %v), want both at least 1", st.Mutations, st.Repairs, err)
 	}
 }

@@ -29,6 +29,10 @@
 // commit-time incremental repair keeps the cache warm across version
 // churn.
 //
+// main only exits with run's status: 0 for a clean run, 1 if
+// registration fails or any query failed internal or invalid, 2 on a
+// bad command line.
+//
 // Usage:
 //
 //	m2mload [-addr http://127.0.0.1:8080] [-duration 10s] [-clients 4]
@@ -40,6 +44,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"time"
@@ -49,66 +54,64 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "http://127.0.0.1:8080", "base URL of the m2mserve to drive")
-	duration := flag.Duration("duration", 10*time.Second, "load run length")
-	clients := flag.Int("clients", 4, "closed-loop client count")
-	rows := flag.Int("rows", 5000, "driver rows per generated dataset")
-	seed := flag.Int64("seed", 1, "random seed (datasets and draws)")
-	zipfS := flag.Float64("zipf", 1.3, "Zipf popularity skew exponent (>1)")
-	queryTimeout := flag.Duration("timeout", 0,
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, drives the server for the
+// run's duration, writes the report to stdout and diagnostics to
+// stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("m2mload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "http://127.0.0.1:8080", "base URL of the m2mserve to drive")
+	rows := fs.Int("rows", 5000, "driver rows per generated dataset")
+	var cfg loadConfig
+	fs.DurationVar(&cfg.duration, "duration", 10*time.Second, "load run length")
+	fs.IntVar(&cfg.clients, "clients", 4, "closed-loop client count")
+	fs.Int64Var(&cfg.seed, "seed", 1, "random seed (datasets and draws)")
+	fs.Float64Var(&cfg.zipfS, "zipf", 1.3, "Zipf popularity skew exponent (>1)")
+	fs.DurationVar(&cfg.queryTimeout, "timeout", 0,
 		"per-query deadline stamped on every request (0 = none)")
-	retries := flag.Int("retries", 0,
+	fs.IntVar(&cfg.maxRetries, "retries", 0,
 		"retry budget per query for shed/timeout failures (exponential backoff)")
-	minCoverage := flag.Float64("min-coverage", 0,
+	fs.Float64Var(&cfg.minCoverage, "min-coverage", 0,
 		"accept degraded results at or above this shard coverage (0 = require full)")
-	mutateQPS := flag.Float64("mutate-qps", 0,
+	fs.Float64Var(&cfg.mutateQPS, "mutate-qps", 0,
 		"background write rate; measures cache hit rate under version churn (0 = reads only)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	ctx := context.Background()
 	h := service.NewHTTPRunner(*addr)
-	regs, templates := service.StandardMix(*rows, *seed)
+	regs, templates := service.StandardMix(*rows, cfg.seed)
+	cfg.templates, cfg.targets = templates, writeTargets(regs)
 	if err := registerMix(ctx, h, regs); err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "m2mload:", err)
+		return 1
 	}
-	targets, err := writeTargets(regs)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := loadConfig{
-		duration:     *duration,
-		clients:      *clients,
-		templates:    templates,
-		zipfS:        *zipfS,
-		seed:         *seed,
-		queryTimeout: *queryTimeout,
-		maxRetries:   *retries,
-		minCoverage:  *minCoverage,
-		mutateQPS:    *mutateQPS,
-		targets:      targets,
-	}
-
-	fmt.Printf("m2mload: %d clients, %d templates, zipf s=%.2f, %v\n",
-		*clients, len(templates), *zipfS, *duration)
+	fmt.Fprintf(stdout, "m2mload: %d clients, %d templates, zipf s=%.2f, %v\n",
+		cfg.clients, len(templates), cfg.zipfS, cfg.duration)
 	report := runLoad(ctx, h, cfg)
-	fmt.Println(report)
+	fmt.Fprintln(stdout, report)
 	if st, err := h.Stats(ctx); err == nil {
 		// The gap between the server's latency and the client-observed
 		// percentiles is client/transport overhead: queueing in the HTTP
 		// stack, JSON, and the wire.
 		if l := st.Latency; l.Count > 0 {
-			fmt.Printf("server latency (/v1/stats, %d queries): p50≈%v p95≈%v p99≈%v\n", l.Count,
+			fmt.Fprintf(stdout, "server latency (/v1/stats, %d queries): p50≈%v p95≈%v p99≈%v\n", l.Count,
 				l.P50.Round(time.Microsecond), l.P95.Round(time.Microsecond), l.P99.Round(time.Microsecond))
 		}
-		fmt.Printf("service: queries=%d cache entries=%d bytes=%d/%d evictions=%d\n",
+		fmt.Fprintf(stdout, "service: queries=%d cache entries=%d bytes=%d/%d evictions=%d\n",
 			st.Queries, st.Cache.Entries, st.Cache.Bytes, st.Cache.Limit, st.Cache.Evictions)
 	}
 	// Timeouts and sheds are the resilience layer doing its job under
 	// overload; only engine faults (internal) and broken mixes (invalid)
 	// fail the run.
 	if report.errorsByClass[service.ClassInternal] > 0 || report.errorsByClass[service.ClassInvalid] > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // registerMix posts the mix's datasets to the server. A 409 means an
@@ -134,13 +137,14 @@ type writeTarget struct {
 // describe. workload.Generate's column conventions are fixed by the
 // join tree alone (id, v, the relation's own key column when non-root,
 // and one key column per child), so valid appends are synthesized from
-// the registration requests without fetching any data.
-func writeTargets(regs []service.RegisterRequest) ([]writeTarget, error) {
+// the registration requests without fetching any data. regs come from
+// service.StandardMix, whose shapes are ShapeByName's own.
+func writeTargets(regs []service.RegisterRequest) []writeTarget {
 	var out []writeTarget
 	for _, reg := range regs {
 		tree, err := plan.ShapeByName(reg.Shape, plan.FixedStats(1, 1))
 		if err != nil {
-			return nil, err
+			panic(err)
 		}
 		for i := 0; i < tree.Len(); i++ {
 			id := plan.NodeID(i)
@@ -151,10 +155,5 @@ func writeTargets(regs []service.RegisterRequest) ([]writeTarget, error) {
 			out = append(out, writeTarget{dataset: reg.Name, relation: tree.Name(id), arity: arity})
 		}
 	}
-	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "m2mload:", err)
-	os.Exit(1)
+	return out
 }

@@ -24,19 +24,19 @@
 // execution's span tree — phase-1 builds, semi-join reductions, the
 // probe loop and the merge, with per-span durations — after the
 // counters. -cpuprofile and -memprofile record pprof profiles of the
-// run.
+// run, also of one that fails.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"m2mjoin/internal/core"
@@ -48,86 +48,90 @@ import (
 )
 
 func main() {
-	shape := flag.String("shape", "snowflake32", "query shape: star, path, snowflake32, snowflake51")
-	rows := flag.Int("rows", 10000, "driver relation cardinality")
-	mRange := flag.String("m", "0.2,0.6", "match probability range lo,hi")
-	foRange := flag.String("fo", "1,5", "fanout range lo,hi")
-	seed := flag.Int64("seed", 1, "random seed")
-	compare := flag.Bool("compare", false, "execute all six strategies and compare")
-	parallelism := flag.Int("parallelism", 1,
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes the plan, counters
+// and trace to stdout and diagnostics to stderr, and returns the exit
+// status. Profiles are flushed by defers, so a failed run still leaves
+// valid ones.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("m2mquery", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	shape := fs.String("shape", "snowflake32", "query shape: star, path, snowflake32, snowflake51")
+	rows := fs.Int("rows", 10000, "driver relation cardinality")
+	mRange := fs.String("m", "0.2,0.6", "match probability range lo,hi")
+	foRange := fs.String("fo", "1,5", "fanout range lo,hi")
+	seed := fs.Int64("seed", 1, "random seed")
+	compare := fs.Bool("compare", false, "execute all six strategies and compare")
+	parallelism := fs.Int("parallelism", 1,
 		"probe workers (1 sequential, -1 all CPUs); edge measurement uses every CPU; results are identical at any setting")
-	trace := flag.Bool("trace", false, "print the execution's per-phase span tree")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	flag.Parse()
+	trace := fs.Bool("trace", false, "print the execution's per-phase span tree")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "m2mquery:", err)
+		return 1
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		// fatal exits via os.Exit, which skips defers — route the stop
-		// through atExit so error exits still flush a valid profile.
-		stopCPU := func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-		atExit = append(atExit, stopCPU)
-		defer stopCPU()
+		defer pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
-		var once sync.Once
-		writeHeap := func() {
-			once.Do(func() {
-				f, err := os.Create(*memprofile)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "m2mquery: memprofile:", err)
-					return
-				}
-				defer f.Close()
+		defer func() {
+			f, err := os.Create(*memprofile)
+			if err == nil {
 				runtime.GC() // materialize the steady-state heap
-				if err := pprof.WriteHeapProfile(f); err != nil {
-					fmt.Fprintln(os.Stderr, "m2mquery: memprofile:", err)
-				}
-			})
-		}
-		atExit = append(atExit, writeHeap)
-		defer writeHeap()
+				err = pprof.WriteHeapProfile(f)
+				f.Close()
+			}
+			if err != nil {
+				fmt.Fprintln(stderr, "m2mquery: memprofile:", err)
+			}
+		}()
 	}
 
 	if *rows < 1 {
-		fatal(fmt.Errorf("-rows %d: the driver needs at least one row", *rows))
+		return fail(fmt.Errorf("-rows %d: the driver needs at least one row", *rows))
 	}
 	mLo, mHi, err := plan.ParseRange(*mRange)
 	if err == nil && (mLo <= 0 || mHi > 1) {
 		err = fmt.Errorf("-m %s: a match probability lies in (0, 1]", *mRange)
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	foLo, foHi, err := plan.ParseRange(*foRange)
 	if err == nil && foLo < 1 {
 		err = fmt.Errorf("-fo %s: a fanout is at least 1", *foRange)
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	src := plan.UniformStats(rng, mLo, mHi, foLo, foHi)
 	tree, err := plan.ShapeByName(*shape, src)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
-	fmt.Printf("query tree: %s\n", tree)
-	fmt.Printf("generating dataset (driver=%d rows)...\n", *rows)
+	fmt.Fprintf(stdout, "query tree: %s\n", tree)
+	fmt.Fprintf(stdout, "generating dataset (driver=%d rows)...\n", *rows)
 	ds := workload.Generate(tree, workload.Config{DriverRows: *rows, Seed: *seed})
 	for _, id := range tree.TopDown() {
-		fmt.Printf("  %-4s %8d rows\n", tree.Name(id), ds.Relation(id).NumRows())
+		fmt.Fprintf(stdout, "  %-4s %8d rows\n", tree.Name(id), ds.Relation(id).NumRows())
 	}
 
 	// Measure through a cache of our own so the statistics scan (which
@@ -145,11 +149,11 @@ func main() {
 		FlatOutput:   true,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	planned := time.Since(start)
-	fmt.Printf("\nchosen plan: strategy=%s order=%s\n", choice.Strategy, choice.Order)
-	fmt.Printf("predicted cost: %.1f weighted probes/driver tuple (%.0f total)\n",
+	fmt.Fprintf(stdout, "\nchosen plan: strategy=%s order=%s\n", choice.Strategy, choice.Order)
+	fmt.Fprintf(stdout, "predicted cost: %.1f weighted probes/driver tuple (%.0f total)\n",
 		choice.Predicted.Total, choice.Predicted.Total*float64(*rows))
 
 	var tr *telemetry.Trace
@@ -164,22 +168,22 @@ func main() {
 		Trace: tr, TraceParent: root,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	executed := time.Since(start)
-	printStats(choice.Strategy.String(), stats, executed)
+	printStats(stdout, choice.Strategy.String(), stats, executed)
 	// Where the time went: tables are built while measuring and served to
 	// the executor, which builds only what it cannot be served.
-	fmt.Printf("  measure=%.1fms plan=%.1fms exec=%.1fms tables built=%d served=%d\n",
+	fmt.Fprintf(stdout, "  measure=%.1fms plan=%.1fms exec=%.1fms tables built=%d served=%d\n",
 		msec(measured), msec(planned), msec(executed), cache.Misses(), stats.CacheHits)
 	if tr != nil {
 		tr.End(root)
-		fmt.Println("\ntrace:")
-		printTrace(tr.Finish())
+		fmt.Fprintln(stdout, "\ntrace:")
+		printTrace(stdout, tr.Finish())
 	}
 
 	if *compare {
-		fmt.Println("\nstrategy comparison (same join order):")
+		fmt.Fprintln(stdout, "\nstrategy comparison (same join order):")
 		for _, s := range cost.AllStrategies {
 			c := choice
 			c.Strategy = s
@@ -191,16 +195,17 @@ func main() {
 				FlatOutput: true, Parallelism: *parallelism,
 			})
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
-			printStats(s.String(), st, time.Since(start))
+			printStats(stdout, s.String(), st, time.Since(start))
 		}
 	}
+	return 0
 }
 
 // printTrace renders the span tree with indentation, per-span start
 // offsets, durations and attributes.
-func printTrace(n *telemetry.SpanNode) {
+func printTrace(w io.Writer, n *telemetry.SpanNode) {
 	n.Each(func(depth int, sp *telemetry.SpanNode) {
 		indent := strings.Repeat("  ", depth+1)
 		line := fmt.Sprintf("%s%-14s +%-10v %10v", indent, sp.Name,
@@ -216,27 +221,15 @@ func printTrace(n *telemetry.SpanNode) {
 				line += fmt.Sprintf("  %s=%d", k, sp.Attrs[k])
 			}
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	})
 }
 
-func printStats(label string, s exec.Stats, elapsed time.Duration) {
-	fmt.Printf("  %-8s %10v  hash=%    -10d filter=%-9d semijoin=%-9d taghit=%-10d tagmiss=%-9d out=%-10d weighted=%.0f\n",
+func printStats(w io.Writer, label string, s exec.Stats, elapsed time.Duration) {
+	fmt.Fprintf(w, "  %-8s %10v  hash=%    -10d filter=%-9d semijoin=%-9d taghit=%-10d tagmiss=%-9d out=%-10d weighted=%.0f\n",
 		label, elapsed.Round(time.Microsecond), s.HashProbes, s.FilterProbes,
 		s.SemiJoinProbes, s.TagHits, s.TagMisses, s.OutputTuples,
 		s.WeightedCost(cost.DefaultWeights()))
 }
 
 func msec(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// atExit hooks run before fatal's os.Exit (which skips defers) — used
-// to flush active CPU/heap profiles on error exits too.
-var atExit []func()
-
-func fatal(err error) {
-	for _, fn := range atExit {
-		fn()
-	}
-	fmt.Fprintln(os.Stderr, "m2mquery:", err)
-	os.Exit(1)
-}

@@ -1,57 +1,76 @@
 package main
 
 import (
-	"errors"
+	"bytes"
+	"compress/gzip"
+	"io"
 	"os"
-	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestMain runs main itself when M2MQUERY_ARGS is set, so a test can
-// observe the command's exit status in a child process.
-func TestMain(m *testing.M) {
-	if args, ok := os.LookupEnv("M2MQUERY_ARGS"); ok {
-		os.Args = append([]string{"m2mquery"}, strings.Fields(args)...)
-		main()
-		os.Exit(0)
+// TestRun drives the command as a function. Parameters the generator
+// cannot honour end it with exit status 1, where each used to panic,
+// and Sscanf's tolerance of trailing junk is gone; a flag that does
+// not parse is a usage error. A good query on a star of six dimensions
+// reports one table built per non-root relation, all while measuring,
+// and every one served; -trace adds the span tree.
+func TestRun(t *testing.T) {
+	for _, tc := range []struct {
+		args      string
+		code      int
+		out, diag string // substrings of stdout and stderr
+	}{
+		{"-rows 0", 1, "", "-rows 0"},
+		{"-m 1x,2", 1, "", "invalid syntax"},
+		{"-m 0.5,1.5", 1, "", "(0, 1]"},
+		{"-m 0,0.5", 1, "", "(0, 1]"},
+		{"-fo 0.5,2", 1, "", "at least 1"},
+		{"-fo 3,2", 1, "", "lo <= hi"},
+		{"-shape ring", 1, "", `unknown shape "ring"`},
+		{"-rows many", 2, "", `invalid value "many"`},
+		{"-profile x", 2, "", "flag provided but not defined"},
+		{"-rows 40 -shape star", 0, "tables built=6 served=6\n", ""},
+		{"-rows 40 -shape star -trace", 0, "\ntrace:\n  query ", ""},
+	} {
+		t.Run(tc.args, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(strings.Fields(tc.args), &stdout, &stderr); code != tc.code {
+				t.Errorf("exit %d, want %d (stderr %q)", code, tc.code, stderr.String())
+			}
+			if !strings.Contains(stdout.String(), tc.out) || !strings.Contains(stderr.String(), tc.diag) {
+				t.Errorf("stdout %q / stderr %q lack %q / %q", stdout.String(), stderr.String(), tc.out, tc.diag)
+			}
+			if tc.code != 0 && stdout.Len() > 0 {
+				t.Errorf("stdout on a failed run: %q", stdout.String())
+			}
+		})
 	}
-	os.Exit(m.Run())
 }
 
-// TestRejectsBadParameters: parameters the generator cannot honour end
-// the command with an error and exit status 1, where each used to panic
-// (exit status 2), and Sscanf's tolerance of trailing junk is gone. A
-// good query on a star of six dimensions reports one table built per
-// non-root relation, all while measuring, and every one served.
-func TestRejectsBadParameters(t *testing.T) {
-	for _, tc := range []struct {
-		args string
-		want string // stderr substring; "" = success, stdout holds out
-		out  string
-	}{
-		{"-rows 0", "-rows 0", ""},
-		{"-m 1x,2", "invalid syntax", ""},
-		{"-m 0.5,1.5", "(0, 1]", ""},
-		{"-m 0,0.5", "(0, 1]", ""},
-		{"-fo 0.5,2", "at least 1", ""},
-		{"-fo 3,2", "lo <= hi", ""},
-		{"-rows 40 -shape star", "", "tables built=6 served=6\n"},
-	} {
-		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(), "M2MQUERY_ARGS="+tc.args)
-		var stdout, stderr strings.Builder
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
-		if tc.want == "" {
-			if err != nil || !strings.Contains(stdout.String(), tc.out) {
-				t.Errorf("%s: %v: %s; stdout lacks %q:\n%s", tc.args, err, stderr.String(), tc.out, stdout.String())
-			}
-			continue
+// TestProfilesSurviveAFailedRun: a run that fails still leaves complete
+// CPU and heap profiles, flushed by run's defers: each is a gzip
+// stream that decompresses to its end.
+func TestProfilesSurviveAFailedRun(t *testing.T) {
+	dir := t.TempDir()
+	cpu, heap := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "heap.pprof")
+	var stderr bytes.Buffer
+	if code := run([]string{"-cpuprofile", cpu, "-memprofile", heap, "-rows", "0"}, io.Discard, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr %q)", code, stderr.String())
+	}
+	for _, path := range []string{cpu, heap} {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), tc.want) {
-			t.Errorf("%s: %v, stderr %q; want exit status 1 and %q", tc.args, err, stderr.String(), tc.want)
+		defer f.Close()
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		if body, err := io.ReadAll(zr); err != nil || len(body) == 0 {
+			t.Errorf("%s: %d bytes, %v", filepath.Base(path), len(body), err)
 		}
 	}
 }

@@ -28,10 +28,10 @@
 // On SIGTERM or SIGINT the server drains gracefully: new queries are
 // shed (503 + Retry-After), in-flight queries run to completion (up to
 // -drain-timeout), final stats are logged, and the process exits 0.
-//
-// -dataset registers a m2mdata directory (repeatable); -preload
-// registers the standard mixed-shape synthetic datasets so the server
-// is queryable immediately.
+// main turns those signals into a context and exits with run's status:
+// 0 after the drain, 1 if a dataset or the listener fails, 2 on a bad
+// command line. run logs the address it bound, so -addr 127.0.0.1:0
+// picks a free port and the tests drive the command in-process.
 //
 // API:
 //
@@ -57,11 +57,11 @@
 // as its /v1/trace record on one JSON line, a per-phase span breakdown
 // in place of the span tree; -trace-ring N sizes the /v1/trace ring
 // AND traces every query into it; clients get a span tree back by
-// setting "trace":true on the query. -pprof mounts net/http/pprof under /debug/pprof/ on the
-// serving mux — off by default, and meant for the same trusted
-// loopback deployments as the default -addr; it complements the batch
-// CLIs' -cpuprofile/-memprofile flags (m2mquery, m2mbench) for
-// profiling the serving path under live load.
+// setting "trace":true on the query. -pprof mounts net/http/pprof
+// under /debug/pprof/ on the serving mux — off by default, and meant
+// for the same trusted loopback deployments as the default -addr; it
+// complements m2mquery's -cpuprofile/-memprofile for profiling the
+// serving path under live load.
 package main
 
 import (
@@ -69,7 +69,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // handlers mounted only behind the -pprof flag
 	"os"
@@ -77,15 +79,14 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
 
 	"m2mjoin/internal/service"
 )
 
-// Connection-level read bounds: a client that stalls sending its
-// headers or body, or parks an idle keep-alive connection, is dropped
-// instead of pinning a goroutine. There is deliberately no write
-// timeout — a query's own deadline (Request.TimeoutMillis) bounds how
-// long a response may take.
+// Connection-level read bounds, so a stalled client cannot pin a
+// goroutine. There is deliberately no write timeout: a query's own
+// deadline (Request.TimeoutMillis) bounds how long a response may take.
 const (
 	readHeaderTimeout = 5 * time.Second
 	readTimeout       = 30 * time.Second
@@ -93,36 +94,51 @@ const (
 )
 
 func main() {
+	// SIGTERM/SIGINT begin a graceful drain instead of killing the
+	// process mid-query; a second signal kills immediately.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	context.AfterFunc(ctx, stop)
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, serves until ctx is
+// cancelled, drains, and returns the exit status. Everything it logs
+// goes to stderr; stdout is unused.
+func run(ctx context.Context, args []string, _, stderr io.Writer) int {
+	logger := log.New(stderr, "", log.LstdFlags)
+	fs := flag.NewFlagSet("m2mserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	// Loopback by default: POST /v1/datasets loads server-readable
 	// m2mdata directories, which must not be reachable from the
 	// network unless the operator opts in with an explicit -addr.
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	cacheBytes := flag.Int64("cache-bytes", service.DefaultCacheBytes,
+	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
+	cfg := service.Config{SlowQueryLog: stderr}
+	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", service.DefaultCacheBytes,
 		"artifact cache byte budget")
-	parallelism := flag.Int("parallelism", 0,
+	fs.IntVar(&cfg.Parallelism, "parallelism", 0,
 		"total worker budget split across concurrent queries (0 = all CPUs)")
-	maxConcurrent := flag.Int("max-concurrent", 0,
+	fs.IntVar(&cfg.MaxConcurrent, "max-concurrent", 0,
 		"queries executing at once; the rest queue (0 = default)")
-	preload := flag.Bool("preload", false,
+	preload := fs.Bool("preload", false,
 		"register the standard mixed-shape synthetic datasets at startup")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second,
 		"how long a SIGTERM waits for in-flight queries before exiting")
-	shards := flag.Int("shards", 0,
+	fs.IntVar(&cfg.Shard.Shards, "shards", 0,
 		"scatter queries over this many driver-relation hash partitions (0 = unsharded, or one per backend)")
-	backends := flag.String("backends", "",
+	backends := fs.String("backends", "",
 		"comma-separated replica m2mserve base URLs to dispatch shards to")
-	shardRetries := flag.Int("shard-retries", 0,
+	fs.IntVar(&cfg.Shard.Retries, "shard-retries", 0,
 		"classified retries per shard, rotated across replicas (0 = default 1, negative disables)")
-	shardTimeout := flag.Duration("shard-timeout", 0,
+	fs.DurationVar(&cfg.Shard.AttemptTimeout, "shard-timeout", 0,
 		"per-shard attempt deadline (0 = default: 2s with -backends, none for local shards; negative disables)")
-	slowQueryMillis := flag.Int64("slow-query-millis", 0,
+	fs.Int64Var(&cfg.SlowQueryMillis, "slow-query-millis", 0,
 		"log a structured slow-query line for queries at or over this end-to-end latency (0 = off)")
-	traceRing := flag.Int("trace-ring", 0,
+	fs.IntVar(&cfg.TraceRing, "trace-ring", 0,
 		"size of the /v1/trace recent-trace ring; setting it traces every query (0 = default size, request-opt-in tracing)")
-	pprofEnabled := flag.Bool("pprof", false,
+	pprofEnabled := fs.Bool("pprof", false,
 		"mount net/http/pprof under /debug/pprof/ on the serving address")
 	var regs []service.RegisterRequest
-	flag.Func("dataset", "register a m2mdata directory as name=dir (repeatable)",
+	fs.Func("dataset", "register a m2mdata directory as name=dir (repeatable)",
 		func(v string) error {
 			name, dir, _ := strings.Cut(v, "=")
 			if dir == "" {
@@ -131,35 +147,18 @@ func main() {
 			regs = append(regs, service.RegisterRequest{Name: name, Dir: dir})
 			return nil
 		})
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
-	var backendList []string
-	if *backends != "" {
-		for _, b := range strings.Split(*backends, ",") {
-			if b = strings.TrimSpace(b); b != "" {
-				backendList = append(backendList, b)
-			}
-		}
+	cfg.Shard.Backends = strings.FieldsFunc(*backends, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+	svc := service.New(cfg)
+	if cfg.SlowQueryMillis > 0 {
+		logger.Printf("m2mserve: slow-query log on (threshold %dms)", cfg.SlowQueryMillis)
 	}
-	svc := service.New(service.Config{
-		CacheBytes:    *cacheBytes,
-		Parallelism:   *parallelism,
-		MaxConcurrent: *maxConcurrent,
-		Shard: service.ShardConfig{
-			Shards:         *shards,
-			Backends:       backendList,
-			Retries:        *shardRetries,
-			AttemptTimeout: *shardTimeout,
-		},
-		SlowQueryMillis: *slowQueryMillis,
-		TraceRing:       *traceRing,
-	})
-	if *slowQueryMillis > 0 {
-		log.Printf("m2mserve: slow-query log on (threshold %dms)", *slowQueryMillis)
-	}
-	if *shards > 1 || len(backendList) > 0 {
-		log.Printf("m2mserve: sharded tier: %d shards, %d backends %v",
-			max(*shards, len(backendList)), len(backendList), backendList)
+	if n := len(cfg.Shard.Backends); cfg.Shard.Shards > 1 || n > 0 {
+		logger.Printf("m2mserve: sharded tier: %d shards, %d backends %v",
+			max(cfg.Shard.Shards, n), n, cfg.Shard.Backends)
 	}
 	if *preload {
 		mix, _ := service.StandardMix(10000, 1)
@@ -168,9 +167,10 @@ func main() {
 	for _, reg := range regs {
 		info, err := svc.Register(reg)
 		if err != nil {
-			log.Fatalf("m2mserve: registering %s: %v", reg.Name, err)
+			logger.Printf("m2mserve: registering %s: %v", reg.Name, err)
+			return 1
 		}
-		log.Printf("registered %s: %d relations, %d rows, fingerprint %#x",
+		logger.Printf("registered %s: %d relations, %d rows, fingerprint %#x",
 			info.Name, info.Relations, info.TotalRows, info.Fingerprint)
 	}
 
@@ -183,51 +183,50 @@ func main() {
 		outer.Handle("/debug/", http.DefaultServeMux)
 		outer.Handle("/", handler)
 		handler = outer
-		log.Printf("m2mserve: pprof mounted at /debug/pprof/")
+		logger.Printf("m2mserve: pprof mounted at /debug/pprof/")
+	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logger.Printf("m2mserve: %v", err)
+		return 1
 	}
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           handler,
 		ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
+		ErrorLog:          logger,
 	}
-	// SIGTERM/SIGINT begin a graceful drain instead of killing the
-	// process mid-query.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
-	defer stop()
-
 	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("m2mserve listening on %s (cache budget %d bytes)", *addr, *cacheBytes)
-		errCh <- srv.ListenAndServe()
-	}()
+	go func() { errCh <- srv.Serve(ln) }()
+	logger.Printf("m2mserve listening on %s (cache budget %d bytes)", ln.Addr(), cfg.CacheBytes)
 
 	select {
 	case err := <-errCh:
-		log.Fatalf("m2mserve: %v", err)
+		logger.Printf("m2mserve: %v", err)
+		return 1
 	case <-ctx.Done():
 	}
-	stop() // a second signal kills immediately
 
 	// Drain: stop admitting first so queries arriving during shutdown
 	// are shed with a retry hint rather than queued behind a closing
 	// listener, then wait for in-flight work, then close the listener.
-	log.Printf("m2mserve: signal received, draining (timeout %v)", *drainTimeout)
+	logger.Printf("m2mserve: draining (timeout %v)", *drainTimeout)
 	svc.StartDrain()
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := svc.Drain(drainCtx); err != nil {
-		log.Printf("m2mserve: drain incomplete: %v", err)
+		logger.Printf("m2mserve: drain incomplete: %v", err)
 	}
 	if err := srv.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("m2mserve: shutdown: %v", err)
+		logger.Printf("m2mserve: shutdown: %v", err)
 	}
 
 	st := svc.Stats()
-	log.Printf("m2mserve: final stats: queries=%d active=%d queued=%d mutations=%d repairs=%d errors={timeout=%d shed=%d canceled=%d invalid=%d internal=%d} cache{hits=%d misses=%d entries=%d bytes=%d evictions=%d}",
+	logger.Printf("m2mserve: final stats: queries=%d active=%d queued=%d mutations=%d repairs=%d errors={timeout=%d shed=%d canceled=%d invalid=%d internal=%d} cache{hits=%d misses=%d entries=%d bytes=%d evictions=%d}",
 		st.Queries, st.Active, st.Queued, st.Mutations, st.Repairs,
 		st.Errors.Timeout, st.Errors.Shed, st.Errors.Canceled, st.Errors.Invalid, st.Errors.Internal,
 		st.Cache.Hits, st.Cache.Misses, st.Cache.Entries, st.Cache.Bytes, st.Cache.Evictions)
-	log.Printf("m2mserve: drained, exiting")
+	logger.Printf("m2mserve: drained, exiting")
+	return 0
 }
