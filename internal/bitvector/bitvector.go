@@ -136,6 +136,39 @@ func (f *Filter) ProbeContains(keys []int64, sel []bool, out []bool) int {
 	return probed
 }
 
+// Retain is the selection-vector filter probe: it keeps at the front
+// of rows, in order, the rows whose key keyCol[row] may be contained,
+// moves carry[i] in lock step with rows[i] (nil carry moves nothing),
+// and returns how many it kept. It is branch-free: every row is
+// written at the write index, which then advances by the row's hit
+// bit, so a hit costs no misprediction however the keys fall. A caller
+// chaining filters hands each the survivors of the previous one,
+// rows[:k]. len(carry) must be at least len(rows) unless carry is nil.
+func (f *Filter) Retain(keyCol storage.Column, rows, carry []int32) int {
+	words, shift := f.bits, f.shift // kept in registers across the loop
+	k := 0
+	if carry == nil {
+		for _, row := range rows {
+			rows[k] = row
+			k += hit(words, shift, hashtable.Hash64(keyCol[row]))
+		}
+		return k
+	}
+	carry = carry[:len(rows)]
+	for i, row := range rows {
+		rows[k], carry[k] = row, carry[i]
+		k += hit(words, shift, hashtable.Hash64(keyCol[row]))
+	}
+	return k
+}
+
+// hit is MayContain of the key hashing to h as 0 or 1, with no branch:
+// the word's tag bit, moved to the top and down to bit 0.
+func hit(words []uint64, shift uint, h uint64) int {
+	b := words[hashtable.Bucket(h, shift)] & hashtable.Tag(h, shift, tagWidth)
+	return int((b | -b) >> 63)
+}
+
 // Words exposes the raw bit array and WordShift the word-directory
 // shift — the filter's whole probe geometry, which the projection tests
 // compare word for word against a cold build's: a key hits iff

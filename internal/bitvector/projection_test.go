@@ -26,7 +26,8 @@ func fuzzKey(b byte) int64 { return int64(int8(b)) >> 1 }
 // nothing but tombstones). After every commit the repaired table's
 // filter must have the words and shift of a cold BuildVersioned's, no
 // live key may be a false negative, and the batch probe over the probe
-// column under the fuzzed selection must agree with per-key MayContain.
+// column under the fuzzed selection must agree with per-key MayContain,
+// and so must the keep-survivors kernel (Retain) over the selected lanes.
 func FuzzFilterProjection(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, []byte{0x04, 0x08, 2, 0x0c, 0x05, 2, 3, 0x10, 2}, []byte{1, 2, 3, 9, 0x10}, []byte{0xb5})
 	// Empty base: every row lives in the append region.
@@ -104,6 +105,22 @@ func FuzzFilterProjection(f *testing.F) {
 			}
 			if probed != selected {
 				t.Fatalf("ProbeContains probed %d lanes, %d selected", probed, selected)
+			}
+			// The keep-survivors kernel over the selected lanes, the key
+			// column being the probe keys themselves: it keeps the lanes
+			// ProbeContains passed, in order, each carrying its index.
+			var rows, carry, passed []int32
+			for i := range keys {
+				if mask == nil || mask[i] {
+					rows, carry = append(rows, int32(i)), append(carry, int32(i))
+				}
+				if out[i] {
+					passed = append(passed, int32(i))
+				}
+			}
+			k := got.Retain(keys, rows, carry)
+			if !slices.Equal(rows[:k], passed) || !slices.Equal(carry[:k], passed) {
+				t.Fatalf("Retain kept lanes %v carrying %v, ProbeContains passed %v", rows[:k], carry[:k], passed)
 			}
 		}
 		check()

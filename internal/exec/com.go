@@ -12,18 +12,19 @@ import (
 // chunk in both directions, making probes on ancestor attributes
 // "survival probes" exactly as the cost model assumes.
 //
-// A step runs STD's two helpers (exec.go) on factor nodes: the table
-// probe of the parent's live rows (probeJoin), then one filter pass
-// over the new node (filterPass) whose misses are killed and then
-// dropped from the node (factor.Node.Compact), so no later pass walks
-// them; the root gets its filter pass before the first join. Flat
+// A step runs STD's table probe (probeJoin, exec.go) over the parent's
+// live rows, then the node's own filter pass (applyFiltersCOM), which
+// keeps the survivors in place: each bitvector's kernel
+// (bitvector.Filter.Retain) gathers and probes only the rows the
+// previous one kept, and factor.Chunk.Truncate cuts the still childless
+// node to them, so misses never exist as dead rows and no later pass
+// walks them; the root gets its filter pass before the first join. Flat
 // output with no residual and no CollectOutput is counted and
-// checksummed by the expansion alone, with no call per tuple; the
-// emit callbacks serve the other cases. Each worker reuses one
-// factor.Chunk across all its driver chunks (factor.Chunk.Reset
-// recycles every node and buffer), and probes go through the worker's
-// reused key/mask/probe scratch, so steady-state execution allocates
-// nothing per chunk.
+// checksummed by the expansion alone, with no call per tuple; the emit
+// callbacks serve the other cases. Each worker reuses one factor.Chunk
+// across all its driver chunks (factor.Chunk.Reset recycles every node
+// and buffer), and probes go through the worker's reused key/probe
+// scratch, so steady-state execution allocates nothing per chunk.
 
 // runCOMChunk executes the factorized pipeline for one driver chunk.
 func (w *worker) runCOMChunk(driverRows []int32) {
@@ -71,20 +72,31 @@ func (w *worker) runCOMChunk(driverRows []int32) {
 	}
 }
 
-// applyFiltersCOM runs at's filter pass over the live rows of its
-// factor node, kills the misses, with propagation, and compacts the
-// node. The pass runs right after at joins, while at has no child
-// nodes, and a kill climbs to an ancestor only once every row of at
-// below that ancestor is dead — so no kill reaches another live row of
-// at, and the batched pass probes exactly the rows a row-at-a-time pass
-// would. Compaction moves no other node's rows, and it is a no-op
-// unless a filter killed something (BVP strategies only).
+// applyFiltersCOM runs the bitvectors of at's children, in ascending
+// order, over at's factor node, right after at joins: each keeps at the
+// front of the node's rows (moving ParentRow along) the rows every
+// earlier one kept, and Truncate then cuts the node to them and kills
+// each parent row whose segment emptied. The node is all live here —
+// Reset and AddJoin return nothing else — and has no children yet, and
+// a kill climbs to an ancestor only once every row of at below that
+// ancestor is dead, so no kill reaches a surviving row of at: the pass
+// probes exactly the rows a row-at-a-time pass would. Truncate panics
+// if the invariant breaks.
 func (w *worker) applyFiltersCOM(chunk *factor.Chunk, at plan.NodeID) {
-	node := chunk.Node(at)
-	for i, ok := range w.filterPass(at, node.Rows, node.Live) {
-		if node.Live[i] && !ok {
-			chunk.Kill(node, i)
-		}
+	r := w.r
+	if r.filters == nil || len(r.children[at]) == 0 {
+		return
 	}
-	node.Compact()
+	node := chunk.Node(at)
+	var carry []int32
+	if node.Parent != nil {
+		carry = node.ParentRow
+	}
+	rel := r.ds.Relation(at)
+	k := len(node.Rows)
+	for _, c := range r.children[at] {
+		w.filterProbes += int64(k)
+		k = r.filters[c].Retain(rel.Column(r.ds.KeyColumn(c)), node.Rows[:k], carry)
+	}
+	chunk.Truncate(node, k)
 }

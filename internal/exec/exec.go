@@ -18,17 +18,17 @@
 // reduction splits the mask into word-aligned spans. Every build polls
 // run.buildStop, where cancellation and the build-morsel failpoint
 // meet. Each phase probes on one path: phase 1 reduces a parent span
-// by span, every child in turn (sj.go); in phase 2 every join step of
-// both pipelines is one batched filter pass (filterPass) and one
-// batched table probe (probeJoin), over STD's flat columns (std.go) or
-// COM's factor nodes (com.go). Phase 2 distributes driver chunks
-// across the same worker count, each worker owning private counters
-// and a scratch (tuple buffers, probe buffers, a reusable factor chunk)
-// borrowed from a process-wide free list and handed back after the
-// merge (scratch.go). The output checksum is an order-independent sum,
-// every counter is additive, and the phase-1 structures are
-// bit-identical to a sequential build, so results are identical at any
-// worker count.
+// by span, every child in turn (sj.go); in phase 2 every join step is
+// one batched table probe (probeJoin) and one filter pass — STD's
+// narrows a mask over flat columns (filterPass, std.go), COM's keeps
+// the survivors in the factor node itself (applyFiltersCOM, com.go).
+// Phase 2 distributes driver chunks across the same worker count, each
+// worker owning private counters and a scratch (tuple buffers, probe
+// buffers, a reusable factor chunk) borrowed from a process-wide free
+// list and handed back after the merge (scratch.go). The output
+// checksum is an order-independent sum, every counter is additive, and
+// the phase-1 structures are bit-identical to a sequential build, so
+// results are identical at any worker count.
 package exec
 
 import (
@@ -944,11 +944,13 @@ func (w *worker) gatherKeys(keyCol storage.Column, rows []int32) []int64 {
 	return keys
 }
 
-// filterPass runs the bitvectors of at's children, in ascending order,
-// over the rows of at that sel selects (nil: all of them): each child's
-// filter probes the rows every earlier child passed, narrowing one mask
-// in place. It returns that survivor mask — the worker's, valid until
-// the next pass — or nil when no filter applies.
+// filterPass is STD's filter pass, whose lanes stay in place: it runs
+// the bitvectors of at's children, in ascending order, over the rows of
+// at that sel selects (nil: all of them), each child's filter probing
+// the rows every earlier child passed, narrowing one mask in place. It
+// returns that survivor mask — the worker's, valid until the next pass
+// — or nil when no filter applies. COM filters its factor nodes in
+// place instead (applyFiltersCOM).
 func (w *worker) filterPass(at plan.NodeID, rows []int32, sel []bool) []bool {
 	r := w.r
 	if r.filters == nil || len(r.children[at]) == 0 {

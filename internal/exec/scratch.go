@@ -32,7 +32,7 @@ type scratch struct {
 	// of each slot, the chunk's [lo, hi) row range spelled out.
 	rows []int32
 
-	// Shared probe scratch; passed is the filter pass's survivor mask.
+	// Shared probe scratch; passed is STD's filter-pass survivor mask.
 	keys   []int64
 	probe  hashtable.ProbeResult
 	passed []bool

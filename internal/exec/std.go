@@ -12,12 +12,12 @@ import "m2mjoin/internal/plan"
 // indices per joined relation in the worker's ping-pong column sets
 // (join-order layout, column 0 is the driver); each join reads one set
 // and writes the other, so steady-state execution reuses the same
-// backing arrays for every chunk. A join step runs the two helpers
-// COM's steps run (exec.go): one filter pass over the column of the
-// relation joined last (filterPass), then the table probe behind its
-// survivor mask (probeJoin). Pruned lanes stay in place carrying a
-// false selection bit, and the join expansion drops them for free
-// (their match count is zero).
+// backing arrays for every chunk. A join step runs two helpers
+// (exec.go): one filter pass over the column of the relation joined
+// last (filterPass), then the table probe behind its survivor mask
+// (probeJoin), which COM's steps share. Pruned lanes stay in place
+// carrying a false selection bit, and the join expansion drops them for
+// free (their match count is zero).
 
 // runSTDChunk executes the standard pipeline for one driver chunk.
 func (w *worker) runSTDChunk(driverRows []int32) {

@@ -13,8 +13,10 @@
 // on ancestor attributes "survival probes".
 //
 // Killed rows stay in place while other nodes hang off their node's
-// row positions; Compact drops them from a node that has no children
-// yet, so later passes over that node walk live rows only.
+// row positions. A filter on a node that has no children yet never
+// makes dead rows at all: the caller keeps the survivors at the front
+// of Rows and Truncate cuts the node there, so later passes over that
+// node walk live rows only.
 //
 // Flat output is Expand's depth-first enumeration: every output tuple
 // is still visited, one at a time, and a per-tuple quantity that is a
@@ -56,8 +58,8 @@ type Node struct {
 	Offsets []int32
 
 	// Live marks rows that can still contribute to an output tuple;
-	// LiveCount counts them. Compact leaves Live all true, until a
-	// later kill.
+	// LiveCount counts them. Reset, AddJoin and Truncate leave Live
+	// all true, until a later kill.
 	Live      []bool
 	LiveCount int
 
@@ -182,6 +184,8 @@ func (c *Chunk) Order() []plan.NodeID { return c.order }
 // Parent rows with zero matches are killed, propagating in both
 // directions. Dead parent rows must have been skipped during the
 // probe, i.e. counts[p] must be 0 wherever the parent row is dead.
+// The returned node is all live: its rows hang under live parent rows
+// only, and those kills climb only past all-dead segments.
 func (c *Chunk) AddJoin(parentID, id plan.NodeID, counts, rows []int32) *Node {
 	parent := c.Node(parentID)
 	if parent == nil {
@@ -248,34 +252,28 @@ func (c *Chunk) Kill(n *Node, i int) {
 	}
 }
 
-// Compact drops n's dead rows in place, keeping the live ones in
-// order, and recomputes Counts, Offsets and ParentRow against the
-// parent, whose rows do not move. Only a node with no children may be
-// compacted: its row positions are nobody else's offsets. Liveness
-// counts are unchanged and nothing is allocated.
-func (n *Node) Compact() {
+// Truncate cuts n to its first k rows — the survivors a caller kept at
+// the front of Rows, with ParentRow moved in lock step — recounts
+// Counts and Offsets against the parent, whose rows do not move, and
+// then kills, once each, the live parent rows whose segment emptied.
+// Only a childless, all-live node may be truncated (Reset and AddJoin
+// return such nodes): its row positions are nobody else's offsets, and
+// every row it drops was live. Nothing is allocated.
+func (c *Chunk) Truncate(n *Node, k int) {
 	if len(n.Children) > 0 {
-		panic(fmt.Sprintf("factor: Compact: node %d has children", n.ID))
+		panic(fmt.Sprintf("factor: Truncate: node %d has children", n.ID))
 	}
-	if n.LiveCount == len(n.Rows) {
+	if n.LiveCount != len(n.Rows) {
+		panic(fmt.Sprintf("factor: Truncate: node %d has %d dead rows", n.ID, len(n.Rows)-n.LiveCount))
+	}
+	if k == len(n.Rows) {
 		return
 	}
-	w := 0
-	for i, live := range n.Live {
-		if live {
-			n.Rows[w] = n.Rows[i]
-			if n.Parent != nil {
-				n.ParentRow[w] = n.ParentRow[i]
-			}
-			n.Live[w] = true
-			w++
-		}
-	}
-	n.Rows, n.Live = n.Rows[:w], n.Live[:w]
+	n.Rows, n.Live, n.LiveCount = n.Rows[:k], n.Live[:k], k
 	if n.Parent == nil {
 		return
 	}
-	n.ParentRow = n.ParentRow[:w]
+	n.ParentRow = n.ParentRow[:k]
 	clear(n.Counts)
 	for _, p := range n.ParentRow {
 		n.Counts[p]++
@@ -286,6 +284,12 @@ func (n *Node) Compact() {
 		off += cnt
 	}
 	n.Offsets[len(n.Counts)] = off
+	// Kills read n's segments, so they wait for the whole recount.
+	for p, cnt := range n.Counts {
+		if cnt == 0 && n.Parent.Live[p] {
+			c.Kill(n.Parent, p)
+		}
+	}
 }
 
 func (c *Chunk) anyLiveInSegment(n *Node, p int) bool {

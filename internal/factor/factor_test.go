@@ -6,7 +6,9 @@ import (
 	"slices"
 	"testing"
 
+	"m2mjoin/internal/bitvector"
 	"m2mjoin/internal/plan"
+	"m2mjoin/internal/storage"
 )
 
 // buildFig8 reconstructs the shape of the paper's Fig. 8 chunk:
@@ -235,60 +237,146 @@ func TestOrderTracksJoins(t *testing.T) {
 	}
 }
 
-// TestCompactMatchesUncompacted: compacting the last-joined node after
-// random kills changes nothing a caller can observe. Against an
-// uncompacted twin built from the same seed, the expansion emits the
-// same tuples in the same order with the same sums, the nil-emit count
-// and sum, CountOutput and FactorizedSize agree, and a child joined
-// under the compacted node propagates its kills exactly as under the
-// twin's.
-func TestCompactMatchesUncompacted(t *testing.T) {
+// TestTruncateMatchesPerRowKill: COM's keep-survivors filter pass —
+// bitvector.Filter.Retain over a node's rows and ParentRow, then
+// Truncate — leaves every node exactly as the per-row pass it replaced
+// does: a Kill per filtered row, then compactRef. On random trees with
+// random fan-outs the root is filtered first, then every node is
+// joined in top-down order and filtered right after, by 1–3 random
+// bitvectors, so parent rows die under a sibling's filter before a
+// later child joins. After each step every node's Rows, ParentRow,
+// Counts, Offsets, Live and LiveCount agree between the two chunks, and
+// every AddJoin returns an all-live node. A third chunk that only kills
+// holds the same live rows at the end and expands, counts and sizes
+// alike, so dropping the rows is unobservable.
+func TestTruncateMatchesPerRowKill(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		tr := plan.RandomTree(2+rng.Intn(5), rng, plan.UniformStats(rng, 0.3, 1, 1, 3))
-		seed := rng.Int63()
-		twin := randomChunk(tr, rand.New(rand.NewSource(seed)))
-		c := randomChunk(tr, rand.New(rand.NewSource(seed)))
-		order := c.Order()
-		last := order[len(order)-1]
-		for i := range twin.Node(last).Rows {
-			if twin.Node(last).Live[i] && rng.Float64() < 0.4 {
-				twin.Kill(twin.Node(last), i)
-				c.Kill(c.Node(last), i)
-			}
+		driver := make([]int32, 1+rng.Intn(24))
+		for i := range driver {
+			driver[i] = int32(i)
 		}
-		n := c.Node(last)
-		n.Compact()
-		if len(n.Rows) != n.LiveCount || n.LiveCount != twin.Node(last).LiveCount {
-			t.Fatalf("trial %d: compacted %d rows, %d live; twin %d live", trial, len(n.Rows), n.LiveCount, twin.Node(last).LiveCount)
-		}
-		requireSameChunk(t, trial, "compacted", c, twin)
-
-		// Join a child under the compacted node: the same rows under
-		// the same live parent rows, then the same kills.
-		tn := twin.Node(last)
-		twinCounts := make([]int32, len(tn.Rows))
-		counts := make([]int32, 0, len(n.Rows))
-		var rows []int32
-		for p, live := range tn.Live {
-			if live {
-				twinCounts[p] = int32(rng.Intn(4))
-				counts = append(counts, twinCounts[p])
-				for j := int32(0); j < twinCounts[p]; j++ {
-					rows = append(rows, int32(1000+len(rows)))
+		c, ref, raw := NewChunk(driver), NewChunk(driver), NewChunk(driver)
+		next := int32(len(driver)) // row values are unique across the chunk
+		for _, id := range tr.TopDown() {
+			if id != plan.Root {
+				// One fan-out per live parent row value, so each chunk
+				// lays out the same join whatever its dead rows.
+				fan := map[int32]int32{}
+				var rows []int32
+				for _, v := range liveRows(ref.Node(tr.Parent(id))) {
+					fan[v] = int32(rng.Intn(4))
+					for j := int32(0); j < fan[v]; j++ {
+						rows = append(rows, next)
+						next++
+					}
+				}
+				for _, x := range []*Chunk{c, ref, raw} {
+					parent := x.Node(tr.Parent(id))
+					counts := make([]int32, len(parent.Rows))
+					for p, v := range parent.Rows {
+						if parent.Live[p] {
+							counts[p] = fan[v]
+						}
+					}
+					if n := x.AddJoin(tr.Parent(id), id, counts, rows); n.LiveCount != len(n.Rows) || slices.Contains(n.Live, false) {
+						t.Fatalf("trial %d: AddJoin(%d) returned %d live of %d rows", trial, id, n.LiveCount, len(n.Rows))
+					}
 				}
 			}
-		}
-		child := plan.NodeID(tr.Len())
-		twin.AddJoin(last, child, twinCounts, rows)
-		c.AddJoin(last, child, counts, rows)
-		for i := range rows {
-			if twin.Node(child).Live[i] && rng.Float64() < 0.3 {
-				twin.Kill(twin.Node(child), i)
-				c.Kill(c.Node(child), i)
+
+			n := c.Node(id)
+			var carry []int32
+			if n.Parent != nil {
+				carry = n.ParentRow
 			}
+			k := len(n.Rows)
+			for range 1 + rng.Intn(3) {
+				f, col := randomFilter(rng, int(next))
+				k = f.Retain(col, n.Rows[:k], carry)
+				for _, x := range []*Chunk{ref, raw} {
+					xn := x.Node(id)
+					for i, row := range xn.Rows {
+						if xn.Live[i] && !f.MayContain(col[row]) {
+							x.Kill(xn, i)
+						}
+					}
+				}
+			}
+			c.Truncate(n, k)
+			compactRef(ref.Node(id))
+			requireSameNodes(t, trial, id, c, ref)
 		}
-		requireSameChunk(t, trial, "child joined", c, twin)
+		requireSameChunk(t, trial, "filtered", c, raw)
+	}
+}
+
+// randomFilter returns a bitvector over a random subset of a small key
+// space and a key column of n rows drawn from it, so a filter passes
+// anywhere from few to all rows.
+func randomFilter(rng *rand.Rand, n int) (*bitvector.Filter, storage.Column) {
+	const keys = 64
+	f := bitvector.New(keys, 1+rng.Intn(16))
+	pass := rng.Float64()
+	for key := range int64(keys) {
+		if rng.Float64() < pass {
+			f.Add(key)
+		}
+	}
+	col := make(storage.Column, n)
+	for i := range col {
+		col[i] = rng.Int63n(keys)
+	}
+	return f, col
+}
+
+// compactRef is the per-row pass's compaction: it drops a childless
+// node's dead rows in place, keeping the live ones in order, and
+// recounts Counts and Offsets against the untouched parent.
+func compactRef(n *Node) {
+	w := 0
+	for i, live := range n.Live {
+		if live {
+			n.Rows[w] = n.Rows[i]
+			if n.Parent != nil {
+				n.ParentRow[w] = n.ParentRow[i]
+			}
+			n.Live[w] = true
+			w++
+		}
+	}
+	n.Rows, n.Live = n.Rows[:w], n.Live[:w]
+	if n.Parent == nil {
+		return
+	}
+	n.ParentRow = n.ParentRow[:w]
+	clear(n.Counts)
+	for _, p := range n.ParentRow {
+		n.Counts[p]++
+	}
+	var off int32
+	for p, cnt := range n.Counts {
+		n.Offsets[p] = off
+		off += cnt
+	}
+	n.Offsets[len(n.Counts)] = off
+}
+
+// requireSameNodes fails t unless every node of c holds exactly the
+// fields of ref's.
+func requireSameNodes(t *testing.T, trial int, step plan.NodeID, c, ref *Chunk) {
+	t.Helper()
+	for _, id := range ref.Order() {
+		g, w := c.Node(id), ref.Node(id)
+		if !slices.Equal(g.Rows, w.Rows) || !slices.Equal(g.ParentRow, w.ParentRow) ||
+			!slices.Equal(g.Counts, w.Counts) || !slices.Equal(g.Offsets, w.Offsets) ||
+			!slices.Equal(g.Live, w.Live) || g.LiveCount != w.LiveCount {
+			t.Fatalf("trial %d, after filtering %d: node %d\n got rows %v parents %v counts %v offsets %v live %v (%d)"+
+				"\nwant rows %v parents %v counts %v offsets %v live %v (%d)", trial, step, id,
+				g.Rows, g.ParentRow, g.Counts, g.Offsets, g.Live, g.LiveCount,
+				w.Rows, w.ParentRow, w.Counts, w.Offsets, w.Live, w.LiveCount)
+		}
 	}
 }
 
@@ -337,12 +425,29 @@ func expandAll(c *Chunk) []string {
 	return out
 }
 
-func TestCompactPanicsWithChildren(t *testing.T) {
-	c := buildSimpleChunk()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("expected panic compacting a node with children")
-		}
-	}()
-	c.Driver().Compact()
+// TestTruncatePanics: Truncate refuses a node with children and a node
+// with a dead row.
+func TestTruncatePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		at   func(c *Chunk) *Node
+	}{
+		{"children", func(c *Chunk) *Node { return c.Driver() }},
+		{"dead row", func(c *Chunk) *Node {
+			n := c.Node(1)
+			c.Kill(n, 0)
+			return n
+		}},
+	} {
+		c := buildSimpleChunk()
+		n := tc.at(c)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", tc.name)
+				}
+			}()
+			c.Truncate(n, 1)
+		}()
+	}
 }

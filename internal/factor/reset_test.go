@@ -155,31 +155,35 @@ func TestExpandAllocationFree(t *testing.T) {
 	}
 }
 
-// TestCompactAllocationFree: a reused chunk's cycle of reset, kills
-// and compaction of the driver, join, kills and compaction of the new
-// node allocates nothing once its buffers have grown.
-func TestCompactAllocationFree(t *testing.T) {
+// TestTruncateAllocationFree: a reused chunk's cycle of reset,
+// truncation of the driver, join, and truncation of the new node to
+// survivors kept in place allocates nothing once its buffers have
+// grown, the recount's parent kills included.
+func TestTruncateAllocationFree(t *testing.T) {
 	driver := []int32{0, 1, 2, 3, 4, 5, 6, 7}
-	counts := []int32{2, 0, 1, 3, 1, 2} // one per driver row left alive
+	counts := []int32{2, 0, 1, 3, 1, 2} // driver row 1 dies in AddJoin
 	rows := []int32{10, 11, 12, 13, 14, 15, 16, 17, 18}
 	c := NewChunk(nil)
 	cycle := func() {
 		c.Reset(driver)
-		d := c.Driver()
-		c.Kill(d, 1)
-		c.Kill(d, 6)
-		d.Compact()
+		c.Truncate(c.Driver(), 6)
 		n := c.AddJoin(plan.Root, 1, counts, rows)
-		for i := 0; i < len(n.Rows); i += 3 {
-			c.Kill(n, i)
+		// Keep every row but 10, 13 and 16; the last empties driver row 4.
+		k := 0
+		for i := range n.Rows {
+			if i%3 != 0 {
+				n.Rows[k], n.ParentRow[k] = n.Rows[i], n.ParentRow[i]
+				k++
+			}
 		}
-		n.Compact()
+		c.Truncate(n, k)
 	}
 	cycle()
-	if n := c.Node(1); len(n.Rows) != 6 || n.LiveCount != 6 {
-		t.Fatalf("compacted node holds %d rows, %d live; want 6, 6", len(n.Rows), n.LiveCount)
+	if n, d := c.Node(1), c.Driver(); len(n.Rows) != 6 || n.LiveCount != 6 || len(d.Rows) != 6 || d.LiveCount != 4 {
+		t.Fatalf("truncated node holds %d rows, %d live, driver %d, %d live; want 6, 6, 6, 4",
+			len(n.Rows), n.LiveCount, len(d.Rows), d.LiveCount)
 	}
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Errorf("reset, kill and compact allocated %.1f times per cycle, want 0", allocs)
+		t.Errorf("reset, join and truncate allocated %.1f times per cycle, want 0", allocs)
 	}
 }
