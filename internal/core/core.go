@@ -165,10 +165,12 @@ func Execute(ds *storage.Dataset, choice PlanChoice, opts ExecuteOptions) (exec.
 	return exec.Run(ds, choice.stamp(ds, opts))
 }
 
-// ReduceBuildSide reduces the chosen SJ plan's build side over ds once
-// (exec.ReduceBuildSide), under the options Execute would run it with,
-// for Executes over ds — its shards', or repeated whole-driver ones — to
-// share as ExecuteOptions.BuildSide.
+// ReduceBuildSide runs the chosen SJ plan's whole phase 1 over ds once
+// (exec.ReduceBuildSide: the build side and the whole driver's
+// reduction), under the options Execute would run it with, for
+// Executes over ds — repeated whole-driver ones, or its shards', which
+// restrict the reduced driver to their rows — to share as
+// ExecuteOptions.BuildSide.
 func ReduceBuildSide(ds *storage.Dataset, choice PlanChoice, opts ExecuteOptions) (*exec.BuildSide, error) {
 	return exec.ReduceBuildSide(ds, choice.stamp(ds, opts))
 }

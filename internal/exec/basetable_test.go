@@ -136,7 +136,7 @@ func TestSJLeafTablesFromProvider(t *testing.T) {
 		if merged.CacheHits != 4*leaves || merged.CacheMisses != 0 {
 			t.Fatalf("%v 4 shards: hits=%d misses=%d, want %d/0", s, merged.CacheHits, merged.CacheMisses, 4*leaves)
 		}
-		if merged.BuildSemiJoinProbes == 0 || !reflect.DeepEqual(stripProvider(merged), bare) {
+		if merged.SemiJoinProbes == 0 || !reflect.DeepEqual(stripProvider(merged), bare) {
 			t.Fatalf("%v 4-shard merge differs from the unsharded provider-less run:\n got %+v\nwant %+v", s, merged, bare)
 		}
 	}

@@ -34,8 +34,7 @@ import (
 // comReference.
 //
 // The returned Stats set OutputTuples, Checksum (the flat output's,
-// whatever the strategy), SemiJoinProbes, BuildSemiJoinProbes,
-// HashProbes, FilterProbes, IntermediateTuples, PerRelationProbes,
+// whatever the strategy), SemiJoinProbes, HashProbes, FilterProbes, IntermediateTuples, PerRelationProbes,
 // ExpandedTuples and FactorizedRows. Residuals are not evaluated.
 func countingReference(ds *storage.Dataset, opts Options) Stats {
 	t := ds.Tree
@@ -65,9 +64,6 @@ func countingReference(ds *storage.Dataset, opts Options) Stats {
 						continue
 					}
 					st.SemiJoinProbes++
-					if p != plan.Root {
-						st.BuildSemiJoinProbes++
-					}
 					live[p][r] = tbl.Contains(keyCol[r])
 				}
 			}
@@ -348,7 +344,6 @@ func requireCounts(t *testing.T, label string, opts Options, got, want Stats) {
 		check("Checksum", got.Checksum, want.Checksum)
 	}
 	check("SemiJoinProbes", got.SemiJoinProbes, want.SemiJoinProbes)
-	check("BuildSemiJoinProbes", got.BuildSemiJoinProbes, want.BuildSemiJoinProbes)
 	check("HashProbes", got.HashProbes, want.HashProbes)
 	check("FilterProbes", got.FilterProbes, want.FilterProbes)
 	check("IntermediateTuples", got.IntermediateTuples, want.IntermediateTuples)

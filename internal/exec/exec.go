@@ -12,10 +12,13 @@
 // Execution is chunk-pipelined and optionally parallel in both
 // phases, on one fan-out loop (par.For). Phase 1 (the build phase)
 // produces read-only hash tables, bitvectors and — for SJ strategies —
-// fully reduced word-packed liveness masks, fanning out across
-// Options.Parallelism workers: relations build concurrently, each hash
-// table is built by the two-pass morsel scheme, and semi-join
-// reduction splits the mask into word-aligned spans. Every build polls
+// fully reduced word-packed liveness masks — the whole snapshot's,
+// before DriverRows restricts the driver, so that an SJ phase 1 is one
+// immutable value per snapshot (BuildSide) that runs may adopt —
+// fanning out across Options.Parallelism workers: relations build
+// concurrently, each hash table is built by the two-pass morsel
+// scheme, and semi-join reduction splits the mask into word-aligned
+// spans. Every build polls
 // run.buildStop, where cancellation and the build-morsel failpoint
 // meet. Each phase probes on one path: phase 1 reduces a parent span
 // by span, every child in turn (sj.go); in phase 2 every join step is
@@ -119,13 +122,13 @@ type Options struct {
 	// is not shareable and is neither requested nor offered.
 	Artifacts Artifacts
 	// DriverRows, when non-nil, restricts the driver scan to the marked
-	// rows: one bit per physical driver row, ANDed into the root mask
-	// exactly where root selections and snapshot liveness land, so the
-	// semi-join root reduction and chunking see one driver row set and
-	// nothing else is restriction-aware. The
-	// scatter-gather layer sets it to a shard's row set (shard.Shard.
-	// Rows); every other structure — build side, artifacts, emitted row
-	// coordinates — is the unrestricted snapshot's. Read-only.
+	// rows: one bit per physical driver row, ANDed into the driver mask
+	// once phase 1 is done, so phase 1 — an SJ strategy's root
+	// reduction included — is the unrestricted snapshot's and nothing
+	// but the scan is restriction-aware. The scatter-gather layer sets
+	// it to a shard's row set (shard.Shard.Rows); every other structure
+	// — build side, artifacts, emitted row coordinates — is the
+	// unrestricted snapshot's. Read-only.
 	DriverRows *storage.Bitmap
 	// CollectOutput, when set, receives every flat output tuple as the
 	// base-relation row indices in ascending NodeID order. The slice is
@@ -147,11 +150,11 @@ type Options struct {
 	// TraceParent is the span the executor's exec span nests under
 	// (telemetry.NoParent for a root). Ignored when Trace is nil.
 	TraceParent telemetry.SpanID
-	// BuildSide, when non-nil, is an SJ run's build side, reduced once
-	// by ReduceBuildSide over the same dataset, Selections and SemiJoins
-	// for every run that shares it: the run reduces only the root, and a
-	// run without DriverRows not even that once another has published
-	// the whole driver's reduction (see BuildSide).
+	// BuildSide, when non-nil, is an SJ run's whole phase 1, reduced
+	// once by ReduceBuildSide over the same dataset, Selections and
+	// SemiJoins for every run that shares it: the run adopts its tables,
+	// driver mask and phase-1 counters and reduces nothing (see
+	// BuildSide).
 	BuildSide *BuildSide
 }
 
@@ -175,22 +178,17 @@ type Stats struct {
 	// FilterProbes is the number of bitvector probes (BVP strategies).
 	FilterProbes int64
 	// SemiJoinProbes is the number of phase-1 semi-join probes (SJ
-	// strategies).
+	// strategies): the whole snapshot's reduction, the driver's
+	// included, whatever DriverRows restricts — so every shard of a
+	// partitioned query carries the same count, and MergeShardStats
+	// counts it once.
 	SemiJoinProbes int64
-	// BuildSemiJoinProbes is the subset of SemiJoinProbes spent reducing
-	// the non-driver relations. Those reductions never touch the driver
-	// — the driver is nobody's child, so it is only ever the target of
-	// the final root reduction — which means they are a pure function of
-	// the build side, the same for every shard of a partitioned query.
-	// Shards that share one build side (Options.BuildSide) each carry a
-	// copy of its split, and shards that reduce their own come out with
-	// the identical one; MergeShardStats counts it once. BuildTagHits /
-	// BuildTagMisses are the matching split of the tag counters. All
-	// three are zero for non-SJ strategies.
-	BuildSemiJoinProbes int64
-	// BuildTagHits — see BuildSemiJoinProbes.
+	// BuildTagHits / BuildTagMisses are the part of TagHits / TagMisses
+	// spent in the build phase: the tag split of SemiJoinProbes, the
+	// same for every shard and counted once by the merge. Zero for
+	// non-SJ strategies.
 	BuildTagHits int64
-	// BuildTagMisses — see BuildSemiJoinProbes.
+	// BuildTagMisses — see BuildTagHits.
 	BuildTagMisses int64
 	// TagHits / TagMisses split every hash-table probe (HashProbes plus
 	// SemiJoinProbes) by the tagged directory's Bloom-tag filter: a
@@ -306,6 +304,7 @@ func Run(ds *storage.Dataset, opts Options) (Stats, error) {
 	if err := r.runPhase1(); err != nil {
 		return Stats{}, err
 	}
+	r.restrictDriver()
 	scan(r)
 	r.opts.Trace.End(r.execSpan)
 	if err := r.failure(); err != nil {
@@ -365,7 +364,7 @@ func prepare(ds *storage.Dataset, opts Options) (*run, error) {
 	r := &run{ds: ds, opts: opts, residuals: newResidualChecker(ds, opts.Residuals)}
 	r.perRel = make([]int64, ds.Tree.Len())
 	r.selMasks = selectionMasks(ds, opts.Selections)
-	r.baseMasks = restrictDriver(ds, effectiveMasks(ds, r.selMasks), opts.DriverRows)
+	r.baseMasks = effectiveMasks(ds, r.selMasks)
 	r.driverLive = maskAt(r.baseMasks, plan.Root)
 	if opts.Ctx != nil {
 		r.done = opts.Ctx.Done()
@@ -452,7 +451,9 @@ type run struct {
 	// live bitmaps and are read-only downstream.
 	baseMasks []*storage.Bitmap
 	// driverLive restricts the driver scan: the selection mask, further
-	// reduced by the semi-join pass for SJ strategies. Nil = all live.
+	// reduced by the semi-join pass for SJ strategies, and after phase 1
+	// restricted to DriverRows. Nil = all live. It may be a build side's
+	// or the dataset's, so it is never written in place.
 	driverLive *storage.Bitmap
 	// scratch is the semi-join pass's one mask bitmap, reused for every
 	// parent and finally adopted as driverLive (sj.go).
@@ -701,6 +702,23 @@ func (r *run) prepareLayout() {
 		// Children are created in ascending NodeID order by plan.AddChild.
 		r.children[i] = t.Children(plan.NodeID(i))
 	}
+}
+
+// restrictDriver intersects Options.DriverRows into the driver mask
+// once phase 1 is done — the one place the restriction applies, for
+// every strategy — so a restricted run scans what a run with an extra
+// root selection would. The mask may be shared, so an intersection is
+// a fresh bitmap.
+func (r *run) restrictDriver() {
+	rows := r.opts.DriverRows
+	if rows == nil {
+		return
+	}
+	if r.driverLive != nil {
+		rows = rows.Clone()
+		rows.And(r.driverLive)
+	}
+	r.driverLive = rows
 }
 
 // driverRows materializes into dst the driver row indices surviving

@@ -143,8 +143,7 @@ func mutateRandomly(t *testing.T, ds *storage.Dataset, rng *rand.Rand, nOps int,
 //   - shards: 0 runs unsharded only; otherwise 2 + (shards−1) % 4
 //     shards of shard.Partition also run, each restricted to its
 //     DriverRows, and MergeShardStats folds them; an SJ strategy's
-//     shards run both on their own and from one shared ReduceBuildSide,
-//     after two whole-driver runs published its driver reduction;
+//     shards run both on their own and from one shared ReduceBuildSide;
 //   - commits: commits % 4 seeded append/delete batches, each checked;
 //     with commits & 4 the last also compacts every relation;
 //   - provider (provider % 4): 0 none; 1 a cold tableStore at every
@@ -207,11 +206,11 @@ func (c execCase) query() (*storage.Dataset, Options, *rand.Rand) {
 // it (a provider run apart from its cache counters, which must be the
 // tables it was and was not served — a plan-time provider is served
 // every relation state its cache measured, and measures each version's
-// relations); an SJ case's two whole-driver runs on one shared build
-// side (the first publishes the driver's reduction, the second adopts
-// it) with it too, and each SJ shard on that build side with the same
-// shard reducing its own; and, after the commits, a
-// rerun of version 0 with version 0's first run. It returns the Stats
+// relations); an SJ case's build side, reduced once, with its phase-1
+// counters, a whole-driver run on that build side with it on every
+// counter, and each SJ shard on the build side with the same shard
+// reducing its own, both with its SemiJoinProbes; and, after the
+// commits, a rerun of version 0 with version 0's first run. It returns the Stats
 // of that first run: provider-less and unsharded.
 func checkCase(t *testing.T, c execCase) Stats {
 	t.Helper()
@@ -296,18 +295,18 @@ func checkVersion(t *testing.T, label string, c execCase, ds *storage.Dataset, o
 
 	var build *BuildSide
 	if opts.Strategy.Reduction() == cost.SemiJoin {
-		// The whole driver twice on one build side: the first run
-		// publishes the driver's reduction, the second adopts it.
+		// The build side is the cold run's whole phase 1, and a run that
+		// adopts it answers as the cold run.
 		build = must(ReduceBuildSide(ds, opts))
+		if b := build.Stats(); b.SemiJoinProbes != got.SemiJoinProbes ||
+			b.BuildTagHits != got.BuildTagHits || b.BuildTagMisses != got.BuildTagMisses {
+			t.Errorf("%s: build side counts %d semi-join probes, tags %d/%d; the cold run %d, %d/%d", label,
+				b.SemiJoinProbes, b.BuildTagHits, b.BuildTagMisses, got.SemiJoinProbes, got.BuildTagHits, got.BuildTagMisses)
+		}
 		o := opts
 		o.BuildSide = build
-		for _, run := range []string{"publishing", "adopting"} {
-			if st := must(Run(ds, o)); !reflect.DeepEqual(st, got) {
-				t.Errorf("%s: %s run on a shared build side\n %+v\nreducing its own\n %+v", label, run, st, got)
-			}
-			if build.root.Load() == nil {
-				t.Fatalf("%s: the %s run left no driver reduction on its build side", label, run)
-			}
+		if st := must(Run(ds, o)); !reflect.DeepEqual(st, got) {
+			t.Errorf("%s: run on a shared build side\n %+v\nreducing its own\n %+v", label, st, got)
 		}
 	}
 	if shards != nil {
@@ -321,6 +320,12 @@ func checkVersion(t *testing.T, label string, c execCase, ds *storage.Dataset, o
 				o.BuildSide = build
 				if parts[i] = must(Run(sh.Parent, o)); !reflect.DeepEqual(parts[i], own) {
 					t.Errorf("%s: shard %d on the shared build side\n %+v\non its own\n %+v", label, i, parts[i], own)
+				}
+				for _, st := range []Stats{own, parts[i]} {
+					if st.SemiJoinProbes != got.SemiJoinProbes {
+						t.Errorf("%s: shard %d counts %d semi-join probes, the unsharded run %d",
+							label, i, st.SemiJoinProbes, got.SemiJoinProbes)
+					}
 				}
 			}
 		}

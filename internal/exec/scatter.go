@@ -24,25 +24,27 @@ import (
 //     coordinates) is a pure function of the driver rows a worker
 //     processes, independent of chunk boundaries, so summing shards is
 //     the same as summing chunks.
-//   - Build-side work is shared, not partitioned: the non-root
-//     relations are the parent's own, so cached tables and filters are
-//     one set for all shards. Phase-2 counters never count builds. The
-//     SJ strategies' per-query build-side reduction is the same for
-//     every shard: the serving tier's local shards share one
-//     (ReduceBuildSide), while replica backends and RunSharded repeat
-//     it per shard. Either way each shard's Stats carry its Build*
-//     split, which the merge counts exactly once.
+//   - Phase 1 is shared, not partitioned: the non-root relations are
+//     the parent's own, so cached tables and filters are one set for
+//     all shards, and phase-2 counters never count builds. An SJ
+//     strategy's reduction always covers the whole snapshot, the
+//     driver included (DriverRows applies only after it), so it is the
+//     same for every shard: the serving tier's shards adopt one
+//     (ReduceBuildSide), while RunSharded repeats it per shard. Either
+//     way each shard's Stats carry the whole SemiJoinProbes and the
+//     Build* tag split, which the merge counts exactly once.
 
 // MergeShardStats folds per-shard Stats from the same partition into
 // the totals unsharded execution would report. All phase-2 counters
-// and the checksum are additive over driver rows; the SJ build-side
-// split (Stats.BuildSemiJoinProbes and the matching tag splits), which
-// every shard carries whether it reduced its build side or shared one,
-// is counted once. Cache counters are summed — each shard's run counts
-// its own lookups, and shards sharing a build side made none for it,
-// so their caller adds BuildSide.Stats' once — and BytesCached takes
-// the largest snapshot. Coverage is 1 and FailedShards nil: a degraded
-// gather sets both after merging the survivors.
+// and the checksum are additive over driver rows; phase 1 — an SJ
+// strategy's SemiJoinProbes and its tag split (Stats.BuildTagHits /
+// BuildTagMisses), which every shard carries whether it reduced or
+// adopted them — is taken from parts[0], once. Cache counters are
+// summed — each shard's run counts its own lookups, and shards sharing
+// a build side made none for it, so their caller adds BuildSide.Stats'
+// once — and BytesCached takes the largest snapshot. Coverage is 1 and
+// FailedShards nil: a degraded gather sets both after merging the
+// survivors.
 func MergeShardStats(parts []Stats) Stats {
 	var m Stats
 	m.Coverage = 1
@@ -53,7 +55,6 @@ func MergeShardStats(parts []Stats) Stats {
 	for _, p := range parts {
 		m.HashProbes += p.HashProbes
 		m.FilterProbes += p.FilterProbes
-		m.SemiJoinProbes += p.SemiJoinProbes - p.BuildSemiJoinProbes
 		m.TagHits += p.TagHits - p.BuildTagHits
 		m.TagMisses += p.TagMisses - p.BuildTagMisses
 		m.OutputTuples += p.OutputTuples
@@ -70,12 +71,10 @@ func MergeShardStats(parts []Stats) Stats {
 			m.PerRelationProbes[id] += v
 		}
 	}
-	m.SemiJoinProbes += parts[0].BuildSemiJoinProbes
-	m.TagHits += parts[0].BuildTagHits
-	m.TagMisses += parts[0].BuildTagMisses
-	m.BuildSemiJoinProbes = parts[0].BuildSemiJoinProbes
-	m.BuildTagHits = parts[0].BuildTagHits
-	m.BuildTagMisses = parts[0].BuildTagMisses
+	m.SemiJoinProbes = parts[0].SemiJoinProbes
+	m.BuildTagHits, m.BuildTagMisses = parts[0].BuildTagHits, parts[0].BuildTagMisses
+	m.TagHits += m.BuildTagHits
+	m.TagMisses += m.BuildTagMisses
 	return m
 }
 

@@ -12,6 +12,7 @@ import (
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/shard"
 	"m2mjoin/internal/storage"
+	"m2mjoin/internal/telemetry"
 	"m2mjoin/internal/workload"
 )
 
@@ -109,9 +110,9 @@ func TestRunShardedShardFailureFailsFast(t *testing.T) {
 
 // TestBuildSideMustFit: a build side stands in only for the run it was
 // reduced for — an SJ strategy over the same snapshot, selections and
-// semi-join orders — and a non-SJ strategy has none to reduce. Having
-// published the whole driver's reduction changes none of that, and a
-// run restricted to DriverRows never adopts that reduction.
+// semi-join orders — and a non-SJ strategy has none to reduce. A run it
+// fits, whole-driver or shard, adopts its phase-1 counters instead of
+// reducing again.
 func TestBuildSideMustFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	tr := plan.Snowflake(2, 2, plan.UniformStats(rng, 0.6, 0.9, 1, 2))
@@ -141,62 +142,76 @@ func TestBuildSideMustFit(t *testing.T) {
 			return ds
 		},
 	}
-	refused := func(when string) {
-		for name, misfit := range misfits {
-			o := opts
-			o.BuildSide = build
-			if _, err := Run(misfit(&o), o); err == nil {
-				t.Errorf("%s: a build side ran under another %s", when, name)
-			}
+	for name, misfit := range misfits {
+		o := opts
+		o.BuildSide = build
+		if _, err := Run(misfit(&o), o); err == nil {
+			t.Errorf("a build side ran under another %s", name)
 		}
 	}
-	refused("unpublished")
 	o := opts
 	o.BuildSide = build
 	want := must(Run(ds, opts))
 	if got := must(Run(ds, o)); !reflect.DeepEqual(got, want) {
 		t.Errorf("on its build side\n %+v\nreducing its own\n %+v", got, want)
 	}
-	if build.root.Load() == nil {
-		t.Fatal("a whole-driver run published no driver reduction")
-	}
-	refused("published")
 
-	// Doctor the published reduction: a whole-driver run must show it,
-	// a shard must not.
-	doctored := *build.root.Load()
-	doctored.stats.SemiJoinProbes += 1000
-	build.root.Store(&doctored)
+	// Doctor the build side's counters: every run on it, a whole-driver
+	// run and each shard, must show the edit.
+	build.stats.SemiJoinProbes += 1000
 	if got := must(Run(ds, o)); got.SemiJoinProbes != want.SemiJoinProbes+1000 {
-		t.Errorf("a whole-driver run reduced its driver again (%d semi-join probes) instead of adopting the published reduction (%d)",
+		t.Errorf("a whole-driver run reduced its driver again (%d semi-join probes) instead of adopting the build side's (%d)",
 			got.SemiJoinProbes, want.SemiJoinProbes+1000)
 	}
-	shards := must(shard.Partition(ds, 3))
-	for k, sh := range shards {
-		own := opts
-		own.DriverRows = sh.Rows
-		shared := own
-		shared.BuildSide = build
-		if got, want := must(Run(ds, shared)), must(Run(ds, own)); !reflect.DeepEqual(got, want) {
-			t.Errorf("shard %d on the published build side\n %+v\nreducing its own\n %+v", k, got, want)
+	for k, sh := range must(shard.Partition(ds, 3)) {
+		o.DriverRows = sh.Rows
+		if got := must(Run(ds, o)); got.SemiJoinProbes != want.SemiJoinProbes+1000 {
+			t.Errorf("shard %d reduced again (%d semi-join probes) instead of adopting the build side's (%d)",
+				k, got.SemiJoinProbes, want.SemiJoinProbes+1000)
 		}
-	}
-	if build.root.Load() != &doctored {
-		t.Error("a shard run published a driver reduction")
 	}
 }
 
-// TestBuildSideConcurrentDriverReduction: a whole-driver run that
-// fails during its root reduction publishes nothing, and whole-driver
-// runs and shard runs racing on the build side then — some publishing
-// the driver's reduction, some adopting it — all answer as a run that
-// reduced its own. Under -race -cpu 4 the runs overlap truly in
-// parallel.
+// TestBuildSideConcurrentDriverReduction: the driver's reduction is
+// part of the build side, so a reduce-chunk fault during it fails
+// ReduceBuildSide, which then returns no build side; and whole-driver
+// and shard runs sharing one build side concurrently each answer as
+// their cold twin. Under -race -cpu 4 the runs overlap truly in
+// parallel, so a run writing to the shared build side is a reported
+// race.
 func TestBuildSideConcurrentDriverReduction(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	tr := plan.Snowflake(2, 2, plan.UniformStats(rng, 0.6, 0.9, 1, 2))
 	ds := workload.Generate(tr, workload.Config{DriverRows: 5000, Seed: 7})
 	opts := Options{Strategy: cost.SJSTD, Order: plan.Order(tr.NonRoot()), FlatOutput: true, Parallelism: 2}
+
+	// The non-root parents' spans hit the failpoint first, so the next
+	// hit is the root's first span; the trace shows the root reduction
+	// had begun.
+	spans := 0
+	for _, p := range tr.NonRoot() {
+		if len(tr.Children(p)) > 0 {
+			spans += max((ds.Relation(p).NumRows()+reduceSpanRows-1)/reduceSpanRows, 1)
+		}
+	}
+	o := opts
+	o.Trace, o.TraceParent = telemetry.NewTrace(nil), telemetry.NoParent
+	faultinject.Enable(faultinject.Spec{Site: faultinject.SiteReduceChunk, Mode: faultinject.ModeError, Every: uint64(spans + 1), Limit: 1})
+	build, err := ReduceBuildSide(ds, o)
+	faultinject.Disable()
+	if !faultinject.IsInjected(err) || build != nil {
+		t.Fatalf("a root reduction that faulted returned build side %v, error %v", build, err)
+	}
+	root := 0
+	o.Trace.Finish().Each(func(_ int, sp *telemetry.SpanNode) {
+		if sp.Name == "semijoin" && sp.Attrs["rel"] == int64(plan.Root) {
+			root++
+		}
+	})
+	if root != 1 {
+		t.Fatalf("the fault hit before the root reduction: %d root semijoin spans", root)
+	}
+
 	want := must(Run(ds, opts))
 	shards := must(shard.Partition(ds, 2))
 	wantShard := make([]Stats, len(shards))
@@ -205,15 +220,7 @@ func TestBuildSideConcurrentDriverReduction(t *testing.T) {
 		o.DriverRows = sh.Rows
 		wantShard[k] = must(Run(ds, o))
 	}
-	build := must(ReduceBuildSide(ds, opts))
-	o := opts
-	o.BuildSide = build
-	faultinject.Enable(faultinject.Spec{Site: faultinject.SiteReduceChunk, Mode: faultinject.ModeError, Every: 2})
-	_, err := Run(ds, o)
-	faultinject.Disable()
-	if err == nil || build.root.Load() != nil {
-		t.Fatalf("a run failing its root reduction (%v) published %v", err, build.root.Load())
-	}
+	build = must(ReduceBuildSide(ds, opts))
 	const runs = 8
 	got := make([]Stats, runs)
 	var wg sync.WaitGroup
@@ -238,8 +245,5 @@ func TestBuildSideConcurrentDriverReduction(t *testing.T) {
 		if !reflect.DeepEqual(st, w) {
 			t.Errorf("run %d\n %+v\nwant\n %+v", i, st, w)
 		}
-	}
-	if build.root.Load() == nil {
-		t.Error("no run published the driver reduction")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sync/atomic"
 
 	"m2mjoin/internal/cost"
 	"m2mjoin/internal/faultinject"
@@ -22,14 +21,15 @@ import (
 // the pass adds no extra build cost — the paper's "more efficient
 // variation" of the Yannakakis algorithm.
 //
-// The pass has two halves. The build side (reduceBuildSide) produces
-// the table of every non-root relation — reduced for a parent, the
-// base-mask one for a leaf — and never reads a driver row: the driver
-// is nobody's child, so it is only ever the target of the final root
-// reduction (reduceRoot), the one step DriverRows reaches. Run runs
-// the halves back to back; runs over shards of one snapshot can
-// instead share one build side (ReduceBuildSide, Options.BuildSide)
-// and each reduce only its own driver rows.
+// The pass is a full reducer: which rows survive depends only on the
+// snapshot and the query, never on who asks. So it always runs over
+// the whole snapshot — the build side (reduceBuildSide: the table of
+// every non-root relation) and then the whole driver (reduceRoot) —
+// and a run restricted to DriverRows (a shard) applies its restriction
+// only afterwards, as every strategy does. That makes phase 1 one
+// value per snapshot and query: ReduceBuildSide computes it once, and
+// any number of runs over that snapshot, whole-driver or shard, adopt
+// it (Options.BuildSide) instead of reducing.
 //
 // Liveness is a word-packed storage.Bitmap. A run owns exactly one
 // scratch bitmap, reused for every parent (a parent's mask is only
@@ -41,41 +41,30 @@ import (
 // hash-table builds (two-pass morsel scheme) fan out over
 // Options.Parallelism workers with bit-identical results.
 
-// BuildSide is the driver-independent half of an SJ query's phase 1
-// over one snapshot: the table of every non-root relation and the
-// counters of the reductions that built them. ReduceBuildSide makes
-// one; a Run given it as Options.BuildSide takes its tables and copies
-// its Build* counters instead of reducing the build side itself, so
-// the Stats of that run are exactly those of a run that did. A
-// BuildSide also memoizes the reduction of the whole driver: the first
-// run without DriverRows that finishes phase 1 on it publishes its
-// reduced driver mask and the root reduction's counters, and later
-// whole-driver runs adopt both and reduce nothing. A run with
-// DriverRows (a shard) reduces only its own rows. A BuildSide is
-// otherwise read-only and safe to share among concurrent runs.
+// BuildSide is the whole SJ phase 1 of one query over one snapshot:
+// the table of every non-root relation, the fully reduced driver mask
+// and the counters of the reductions that produced them. ReduceBuildSide
+// makes one, complete; it is read-only afterwards and safe to share
+// among concurrent runs. A Run given it as Options.BuildSide adopts its
+// tables, driver mask and phase-1 counters and reduces nothing, so its
+// Stats are exactly those of a run that reduced its own — a shard's
+// too, since DriverRows restricts the driver only after phase 1.
 type BuildSide struct {
 	ds        *storage.Dataset
 	sels      []Selection
 	semiJoins map[plan.NodeID][]plan.NodeID
 	tables    []*hashtable.Table
+	driver    *storage.Bitmap // the reduced driver mask; nil: every row
 	stats     Stats
-	root      atomic.Pointer[rootReduction]
 }
 
-// rootReduction is what phase 1 of a whole-driver run on a build side
-// leaves: a private copy of the reduced driver mask (nil: every row)
-// and the run's Stats, which phase 1 alone has written to.
-type rootReduction struct {
-	mask  *storage.Bitmap
-	stats Stats
-}
-
-// ReduceBuildSide reduces the build side of the SJ query that opts
-// describe over ds once, for runs that share it: the runs of ds's
-// shards, which differ only in Options.DriverRows (ignored here), or
-// repeated whole-driver runs. It runs with opts' parallelism, context,
-// provider and trace — its semi-join spans nest under one build-side
-// span — and fails as Run's build phase would.
+// ReduceBuildSide runs the whole phase 1 of the SJ query that opts
+// describe over ds once, for runs that share it: repeated whole-driver
+// runs, or the runs of ds's shards, which differ only in
+// Options.DriverRows (ignored here). It runs with opts' parallelism,
+// context, provider and trace — its semi-join spans, the root's
+// included, nest under one build-side span — and fails as Run's build
+// phase would, returning no BuildSide.
 func ReduceBuildSide(ds *storage.Dataset, opts Options) (*BuildSide, error) {
 	if opts.Strategy.Reduction() != cost.SemiJoin {
 		return nil, fmt.Errorf("exec: %v reduces no build side", opts.Strategy)
@@ -86,27 +75,29 @@ func ReduceBuildSide(ds *storage.Dataset, opts Options) (*BuildSide, error) {
 		return nil, err
 	}
 	r.phase1Span = r.opts.Trace.Start("build-side", r.opts.TraceParent)
-	r.guard("phase1", r.reduceBuildSide)
+	r.guard("phase1", r.semiJoinPass)
 	r.opts.Trace.End(r.phase1Span)
 	if err := r.phase1Err(); err != nil {
 		return nil, err
 	}
 	st := r.stats
 	st.CacheHits, st.CacheMisses = r.cacheHits.Load(), r.cacheMisses.Load()
-	st.BytesCached = 8 * int64((ds.Relation(plan.Root).NumRows()+63)/64) // a driver mask's words
+	st.BytesCached = 8 * int64((ds.Relation(plan.Root).NumRows()+63)/64) // the driver mask's words
 	for _, t := range r.tables {
 		if t != nil {
 			st.BytesCached += t.MemoryBytes()
 		}
 	}
-	return &BuildSide{ds: ds, sels: opts.Selections, semiJoins: opts.SemiJoins, tables: r.tables, stats: st}, nil
+	return &BuildSide{ds: ds, sels: opts.Selections, semiJoins: opts.SemiJoins,
+		tables: r.tables, driver: r.driverLive, stats: st}, nil
 }
 
-// Stats returns the build side's own counters: the Build* split and
-// the semi-join and tag counts it makes up, the provider lookups of
-// its leaves, and in BytesCached its footprint — the MemoryBytes of
-// every table it holds plus the words of a driver mask, published or
-// not. A run that adopts the build side copies the counts only.
+// Stats returns the build side's own counters: the phase-1 counters —
+// SemiJoinProbes and the tag counts it makes up, all of them in the
+// Build* split as well — the provider lookups of its leaves, and in
+// BytesCached its footprint, the MemoryBytes of every table it holds
+// plus the words of its driver mask. A run that adopts the build side
+// copies the phase-1 counters only.
 func (b *BuildSide) Stats() Stats { return b.stats }
 
 // fits reports why b cannot stand in for the build side of the run
@@ -124,45 +115,22 @@ func (b *BuildSide) fits(ds *storage.Dataset, opts Options) error {
 }
 
 // semiJoinPass leaves behind r.tables (hash tables over the reduced
-// relations) and r.driverLive (the fully reduced driver mask): the
-// build side, reduced here or adopted from Options.BuildSide, then the
-// root — reduced here, or for a whole-driver run adopted from the
-// build side once one such run has published it.
+// relations), r.driverLive (the fully reduced driver mask) and the
+// phase-1 counters: adopted from Options.BuildSide, or reduced here —
+// the build side, then the whole driver.
 func (r *run) semiJoinPass() {
 	b := r.opts.BuildSide
-	whole := b != nil && r.opts.DriverRows == nil
-	if whole {
-		if root := b.root.Load(); root != nil {
-			r.tables, r.driverLive, r.stats = b.tables, root.mask, root.stats
-			return
-		}
-	}
-	if b != nil {
-		r.tables = b.tables
-		r.stats.SemiJoinProbes += b.stats.SemiJoinProbes
-		r.stats.TagHits += b.stats.TagHits
-		r.stats.TagMisses += b.stats.TagMisses
-		r.stats.BuildSemiJoinProbes += b.stats.BuildSemiJoinProbes
-		r.stats.BuildTagHits += b.stats.BuildTagHits
-		r.stats.BuildTagMisses += b.stats.BuildTagMisses
-	} else {
+	if b == nil {
 		r.reduceBuildSide()
+		r.reduceRoot()
+		return
 	}
-	r.reduceRoot()
-	// A run never stopped reduced every span of the mask: the stop poll
-	// only ever turns true.
-	if whole && !r.cancelled() {
-		root := &rootReduction{stats: r.stats}
-		if r.driverLive != nil {
-			root.mask = r.driverLive.Clone()
-		}
-		b.root.CompareAndSwap(nil, root)
-	}
+	r.tables, r.driverLive = b.tables, b.driver
+	r.stats.SemiJoinProbes, r.stats.TagHits, r.stats.TagMisses = b.stats.SemiJoinProbes, b.stats.TagHits, b.stats.TagMisses
+	r.stats.BuildTagHits, r.stats.BuildTagMisses = b.stats.BuildTagHits, b.stats.BuildTagMisses
 }
 
 // reduceBuildSide gives every non-root relation its table, bottom-up.
-// A parent's reduction never reads the driver, so its counters go into
-// the Build* split as well (see Stats.BuildSemiJoinProbes).
 func (r *run) reduceBuildSide() {
 	t := r.ds.Tree
 	r.tables = make([]*hashtable.Table, t.Len())
@@ -196,8 +164,8 @@ func (r *run) reduceBuildSide() {
 	}
 }
 
-// reduceRoot reduces the driver — under DriverRows, which prepare
-// already ANDed into its base mask — by its children's tables.
+// reduceRoot reduces the whole driver — its base mask, which
+// DriverRows never reaches — by its children's tables.
 func (r *run) reduceRoot() {
 	if r.cancelled() {
 		return
@@ -224,7 +192,7 @@ func (r *run) reduceMask(p plan.NodeID, children []plan.NodeID) *storage.Bitmap 
 	} else {
 		r.scratch.Reset(rel.NumRows())
 	}
-	r.semiJoinReduce(children, rel, r.scratch, p != plan.Root)
+	r.semiJoinReduce(children, rel, r.scratch)
 	return r.scratch
 }
 
@@ -251,7 +219,7 @@ const reduceSpanRows = 16 * 64
 // counter are identical at any worker count. A span skipped after
 // cancellation leaves its words unreduced, which is fine: the run
 // aborts before the mask is consumed.
-func (r *run) semiJoinReduce(children []plan.NodeID, rel *storage.Relation, mask *storage.Bitmap, buildSide bool) {
+func (r *run) semiJoinReduce(children []plan.NodeID, rel *storage.Relation, mask *storage.Bitmap) {
 	keyCols := make([]storage.Column, len(children))
 	for j, c := range children {
 		keyCols[j] = rel.Column(r.ds.KeyColumn(c))
@@ -281,24 +249,20 @@ func (r *run) semiJoinReduce(children []plan.NodeID, rel *storage.Relation, mask
 	for _, st := range stats {
 		sum.Add(st)
 	}
-	r.addSemiJoinStats(sum, buildSide)
+	r.addSemiJoinStats(sum)
 }
 
 // addSemiJoinStats folds one reduction's probe stats into the run
 // totals: semi-join probes, plus their tag-filter split (the semi-join
 // probe is a hash-table probe, so it participates in TagHits/TagMisses
-// exactly like the phase-2 joins). buildSide reductions — every parent
-// except the root — additionally accumulate into the Build* split that
-// the scatter-gather merge de-duplicates across shards.
-func (r *run) addSemiJoinStats(st hashtable.ProbeStats, buildSide bool) {
+// exactly like the phase-2 joins), which is also the build phase's
+// Build* split that the scatter-gather merge counts once.
+func (r *run) addSemiJoinStats(st hashtable.ProbeStats) {
 	r.stats.SemiJoinProbes += int64(st.Probed)
 	r.stats.TagHits += int64(st.TagHits)
 	r.stats.TagMisses += int64(st.TagMisses)
-	if buildSide {
-		r.stats.BuildSemiJoinProbes += int64(st.Probed)
-		r.stats.BuildTagHits += int64(st.TagHits)
-		r.stats.BuildTagMisses += int64(st.TagMisses)
-	}
+	r.stats.BuildTagHits += int64(st.TagHits)
+	r.stats.BuildTagMisses += int64(st.TagMisses)
 }
 
 // semiJoinOrder returns the order in which p's children are probed in

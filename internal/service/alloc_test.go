@@ -27,12 +27,14 @@ func TestWarmQueryAllocationBudget(t *testing.T) {
 		// A scatter is four runs plus dispatch, gather and merge.
 		{"4 shards COM", 4, "COM", 64 << 10, 400},           // 1 466 KB / 699
 		{"4 shards planner's choice", 4, "", 64 << 10, 400}, // 1 094 KB / 788
-		// SJ+COM takes its build side from the cache: a solo query
-		// adopts the driver's reduction too (≈ 2.8 KB / 39 objects), a
-		// shard reduces its own rows (≈ 28 KB / 163 on four). Parent
-		// here: the commit that reduced it per query.
+		// SJ+COM takes its whole phase 1 from the cache, driver
+		// reduction included: a solo query allocates ≈ 2.8 KB / 39
+		// objects, four shards ≈ 24.5 KB / 143 — four runs' set-up,
+		// each with a copy of the driver mask restricted to its rows.
+		// Parent here: solo, the commit that reduced per query; four
+		// shards, the commit where each shard reduced its own rows.
 		{"solo SJ+COM", 0, "SJ+COM", 16 << 10, 128},     // 534 KB / 121
-		{"4 shards SJ+COM", 4, "SJ+COM", 64 << 10, 400}, // 561 KB / 239
+		{"4 shards SJ+COM", 4, "SJ+COM", 32 << 10, 155}, // 27.9–30.3 KB / 163–169
 	}
 	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,8 +18,8 @@ import (
 // over the immutable phase-1 artifacts — hash tables, keyed by
 // everything that determines their bits (dataset lineage fingerprint,
 // relation, key column and selection-mask fingerprint), and SJ build
-// sides (exec.BuildSide: an SJ plan's every non-root table, plus the
-// driver's reduction once a run has published it), keyed by lineage
+// sides (exec.BuildSide: an SJ plan's whole phase 1, every non-root
+// table and the reduced driver mask), keyed by lineage
 // fingerprint, selections and semi-join orders. A hit hands the
 // executor the exact tables a fresh build would produce — and, inside
 // a table, the bitvector filter any earlier BVP query derived from it —
@@ -75,8 +75,8 @@ type CacheStats struct {
 	//
 	// Bytes counts exactly the resident tables' own heap footprints
 	// (Table.MemoryBytes, filter projection included) and per SJ build
-	// side every table it holds plus a driver mask's words, published or
-	// not (conservative: leaves are charged twice). It deliberately
+	// side every table it holds plus its driver mask's words
+	// (conservative: leaves are charged twice). It deliberately
 	// excludes the catalog's memoized plan choices and edge-statistic
 	// caches: those are a few KB per dataset, bounded by the catalog
 	// size rather than query traffic, and are never evicted — charging

@@ -73,8 +73,8 @@ func TestCacheDuplicatePutKeepsResident(t *testing.T) {
 
 // TestSJBuildSideCached: an SJ query's phase 1 is kept per snapshot.
 // Solo and on four local shards, a warm SJ query builds no reduced
-// table (no build-side span) and reduces no driver mask (solo: no
-// semijoin span; a shard reduces its own rows), answering with the
+// table (no build-side span) and reduces no driver mask (no semijoin
+// span, the root's included), answering with the
 // first query's Stats in every field but the cache counters. A commit
 // makes the next query reduce once at the new version, with the
 // oracle's answer; the commit that retires a version purges its build
@@ -145,16 +145,17 @@ func TestSJBuildSideCached(t *testing.T) {
 				}
 			}
 
-			first, builds, nonRoot, _ := query("first")
-			if builds != 1 || nonRoot != len(replica.Tree.NonRoot()) {
-				t.Fatalf("first query: %d build sides, %d non-root reductions; want 1 and %d", builds, nonRoot, len(replica.Tree.NonRoot()))
+			first, builds, nonRoot, root := query("first")
+			if builds != 1 || nonRoot != len(replica.Tree.NonRoot()) || root != 1 {
+				t.Fatalf("first query: %d build sides, %d non-root and %d root reductions; want 1, %d and 1",
+					builds, nonRoot, root, len(replica.Tree.NonRoot()))
 			}
 			oracle(first, replica)
 			v0 := fp()
 			for i := 0; i < 2; i++ {
 				warm, builds, nonRoot, root := query("warm")
-				if builds != 0 || nonRoot != 0 || root != shards {
-					t.Errorf("warm query: %d build sides, %d non-root and %d root reductions; want 0, 0 and %d", builds, nonRoot, root, shards)
+				if builds != 0 || nonRoot != 0 || root != 0 {
+					t.Errorf("warm query: %d build sides, %d non-root and %d root reductions; want none", builds, nonRoot, root)
 				}
 				if !reflect.DeepEqual(stripCache(warm.Stats), stripCache(first.Stats)) {
 					t.Errorf("warm Stats\n %+v\nfirst\n %+v", warm.Stats, first.Stats)

@@ -802,9 +802,9 @@ func (s *Service) resolve(c *execCall) (set *shardSet, snap *storage.Dataset, ro
 // all shards of a snapshot share one set of tables, and commit-time
 // repair covers them by construction. Every strategy gets the provider;
 // an SJ run adopts build, the build side a local scatter took for all
-// its shards, or else takes its snapshot's own from Service.buildSide
-// (cached, or reduced now through the provider), and a whole-driver run
-// then adopts the driver's reduction as well once one has published it.
+// its shards, or else its snapshot's own from Service.buildSide
+// (cached, or reduced now through the provider) — either way its whole
+// phase 1, so the run reduces nothing.
 func (s *Service) run(ctx context.Context, c execCall, snap *storage.Dataset, rows *storage.Bitmap, build *exec.BuildSide) (exec.Stats, error) {
 	opts := s.execOptions(ctx, c, snap, rows)
 	var hits, misses int64

@@ -134,8 +134,8 @@ func restrictOf(t *testing.T, strat string) []cost.Strategy {
 // TestConcurrentWarmClients drives >= 8 concurrent clients against a
 // service whose first plan warms it: every query must be a full cache
 // hit (zero table builds) with a solo service's checksum — for SJ+COM
-// also the first ones, racing to reduce the build side and to publish
-// and adopt its driver reduction. Run under -race in CI, this is the
+// also the first ones, racing to reduce the build side and to adopt
+// it. Run under -race in CI, this is the
 // acceptance criterion's concurrency half.
 func TestConcurrentWarmClients(t *testing.T) {
 	for _, strat := range []string{"BVP+COM", "SJ+COM"} {

@@ -26,9 +26,9 @@ import (
 // ordinary execution path (Service.run) over the parent snapshot with
 // the shard's driver row set: the build-side artifacts are the
 // snapshot's own, cached once however many shards probe them. That
-// includes an SJ query's build side, its reduced tables: local shards
-// share the snapshot's cached one, and each shard reduces only its own
-// driver rows; a replica backend caches its own.
+// includes an SJ query's whole phase 1, its reduced tables and driver
+// mask: local shards adopt the snapshot's cached one and reduce
+// nothing; a replica backend caches its own.
 //
 // The gather path is where the robustness lives. One par.For worker per
 // shard drives that shard to a verdict, each attempt a synchronous
@@ -367,10 +367,10 @@ func classSeverity(c Class) int {
 // query's single admission slot, gathers with retry and breakers per
 // shard, and merges. Runs inside Query's admission slot, dataset
 // breaker and deadline, and returns only once every shard has. For
-// local shards of an SJ plan it first takes the snapshot's build side
-// (Service.buildSide: cached, or reduced once with the query's whole
-// worker grant); a failed reduction fails the query as a solo query's
-// build-phase failure does.
+// local shards of an SJ plan it first takes the snapshot's build side,
+// the whole phase 1 every shard adopts (Service.buildSide: cached, or
+// reduced once with the query's whole worker grant); a failed
+// reduction fails the query as a solo query's build-phase failure does.
 func (s *Service) scatter(ctx context.Context, c execCall, set *shardSet) (outcome, error) {
 	req, tr := c.req, c.tr
 	n := len(set.shards)
