@@ -20,7 +20,7 @@
 // With -compare, all six strategies are executed with the chosen order
 // and their counters printed side by side, including the tagged hash
 // table's TagHits/TagMisses split (probes answered by the directory
-// word alone vs probes that verified a bucket run). -trace prints the
+// word alone vs probes that walked a bucket's chain). -trace prints the
 // execution's span tree — phase-1 builds, semi-join reductions, the
 // probe loop and the merge, with per-span durations — after the
 // counters. -cpuprofile and -memprofile record pprof profiles of the

@@ -106,15 +106,9 @@ func (f *Filter) Add(key int64) {
 	f.n++
 }
 
-// MayContain reports whether key might be present. A false result is
-// definitive: the key was never added.
-func (f *Filter) MayContain(key int64) bool {
-	h := hashtable.Hash64(key)
-	return f.bits[hashtable.Bucket(h, f.shift)]&hashtable.Tag(h, f.shift, tagWidth) != 0
-}
-
 // ProbeContains is the batch filter probe: for every key whose sel
-// entry is set (nil sel probes all), out[i] reports MayContain(keys[i]);
+// entry is set (nil sel probes all), out[i] reports whether keys[i] may
+// be present (false is definitive: the key was never added);
 // unselected lanes get out[i] = false. It returns the number of keys
 // probed. len(out) must equal len(keys). sel and out may share backing
 // storage (in-place mask reduction): sel[i] is read before out[i] is
@@ -162,7 +156,8 @@ func (f *Filter) Retain(keyCol storage.Column, rows, carry []int32) int {
 	return k
 }
 
-// hit is MayContain of the key hashing to h as 0 or 1, with no branch:
+// hit is whether the key hashing to h may be present, as 0 or 1, with
+// no branch:
 // the word's tag bit, moved to the top and down to bit 0.
 func hit(words []uint64, shift uint, h uint64) int {
 	b := words[hashtable.Bucket(h, shift)] & hashtable.Tag(h, shift, tagWidth)

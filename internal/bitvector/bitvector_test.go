@@ -17,7 +17,7 @@ func TestNoFalseNegatives(t *testing.T) {
 		f.Add(keys[i])
 	}
 	for _, k := range keys {
-		if !f.MayContain(k) {
+		if !mayContain(f, k) {
 			t.Fatalf("false negative for %d", k)
 		}
 	}
@@ -40,7 +40,7 @@ func TestFalsePositiveRateBounded(t *testing.T) {
 		if inserted[k] {
 			continue
 		}
-		if f.MayContain(k) {
+		if mayContain(f, k) {
 			fp++
 		}
 	}
@@ -70,14 +70,14 @@ func TestBuildFromColumn(t *testing.T) {
 	}
 	f := BuildFromColumn(rel, "k", live, 8)
 	for i := int64(0); i < 50; i++ {
-		if !f.MayContain(i) {
+		if !mayContain(f, i) {
 			t.Fatalf("false negative for live key %d", i)
 		}
 	}
 	// Dead keys may false-positive but most should be absent.
 	misses := 0
 	for i := int64(50); i < 100; i++ {
-		if !f.MayContain(i) {
+		if !mayContain(f, i) {
 			misses++
 		}
 	}
@@ -92,7 +92,7 @@ func TestDefaultDensity(t *testing.T) {
 		f.Add(i)
 	}
 	for i := int64(0); i < 10; i++ {
-		if !f.MayContain(i) {
+		if !mayContain(f, i) {
 			t.Fatalf("false negative")
 		}
 	}
@@ -100,11 +100,11 @@ func TestDefaultDensity(t *testing.T) {
 
 func TestTinyFilter(t *testing.T) {
 	f := New(0, 8)
-	if f.MayContain(42) {
+	if mayContain(f, 42) {
 		t.Errorf("empty filter claims membership")
 	}
 	f.Add(42)
-	if !f.MayContain(42) {
+	if !mayContain(f, 42) {
 		t.Errorf("missing inserted key")
 	}
 }
@@ -124,7 +124,7 @@ func TestBuildFromColumnSkipsDeadRows(t *testing.T) {
 	if f.n != 2 {
 		t.Fatalf("inserted %d keys, want 2", f.n)
 	}
-	if !f.MayContain(70) || !f.MayContain(4097) {
+	if !mayContain(f, 70) || !mayContain(f, 4097) {
 		t.Fatalf("live keys missing from filter")
 	}
 }

@@ -56,7 +56,7 @@ func TestFromTableMatchesDirectInsertion(t *testing.T) {
 			if live != nil && !live.Get(i) {
 				continue
 			}
-			if !got.MayContain(k) {
+			if !mayContain(got, k) {
 				t.Fatalf("n=%d: derived filter lost key %d", n, k)
 			}
 		}

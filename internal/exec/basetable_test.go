@@ -70,8 +70,9 @@ func stripProvider(s Stats) Stats {
 // the relations they do not reduce — the childless ones — from the
 // provider. A first run offers exactly those; a second run is served
 // all of them and builds only its reduced tables; every other field of
-// Stats is what a provider-less run reports, unsharded and at 4 shards
-// (whose merge still counts the build-side reductions once).
+// Stats is what a provider-less run reports, unsharded and at 4 shards,
+// which share one build side: its reduced tables are built and its
+// leaves looked up once for all four.
 func TestSJLeafTablesFromProvider(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	tr := plan.Snowflake(3, 2, plan.UniformStats(rng, 0.6, 0.9, 1, 3))
@@ -130,11 +131,11 @@ func TestSJLeafTablesFromProvider(t *testing.T) {
 		}
 
 		merged, n, err := tracedBuilds(func(opts Options) (Stats, error) { return RunSharded(shards, opts) }, opts)
-		if err != nil || n != 4*inner {
-			t.Fatalf("%v 4 shards: %d builds (want %d), err %v", s, n, 4*inner, err)
+		if err != nil || n != inner {
+			t.Fatalf("%v 4 shards: %d builds (want %d: one build side for all shards), err %v", s, n, inner, err)
 		}
-		if merged.CacheHits != 4*leaves || merged.CacheMisses != 0 {
-			t.Fatalf("%v 4 shards: hits=%d misses=%d, want %d/0", s, merged.CacheHits, merged.CacheMisses, 4*leaves)
+		if merged.CacheHits != leaves || merged.CacheMisses != 0 {
+			t.Fatalf("%v 4 shards: hits=%d misses=%d, want %d/0", s, merged.CacheHits, merged.CacheMisses, leaves)
 		}
 		if merged.SemiJoinProbes == 0 || !reflect.DeepEqual(stripProvider(merged), bare) {
 			t.Fatalf("%v 4-shard merge differs from the unsharded provider-less run:\n got %+v\nwant %+v", s, merged, bare)

@@ -12,6 +12,14 @@ import (
 	"m2mjoin/internal/storage"
 )
 
+// mayContain is the filter's answer for one key, asked of its batch
+// probe (the bitvector package checks that probe against its model).
+func mayContain(f *bitvector.Filter, key int64) bool {
+	var out [1]bool
+	f.ProbeContains([]int64{key}, nil, out[:])
+	return out[0]
+}
+
 // countingReference evaluates the query of opts one driver row at a
 // time and counts what the paper's cost model charges each strategy
 // for, with no batching and no selection masks. It is the oracle for
@@ -98,7 +106,7 @@ func countingReference(ds *storage.Dataset, opts Options) Stats {
 		if filters != nil {
 			for _, c := range t.Children(at) {
 				st.FilterProbes++
-				if !filters[c].MayContain(keyOf(at, c)) {
+				if !mayContain(filters[c], keyOf(at, c)) {
 					return
 				}
 			}
@@ -258,7 +266,7 @@ func (c *comReference) filterPass(at plan.NodeID) {
 				continue
 			}
 			c.st.FilterProbes++
-			if !c.filters[child].MayContain(keyCol[c.rows[at][i].row]) {
+			if !mayContain(c.filters[child], keyCol[c.rows[at][i].row]) {
 				c.rows[at][i].killed = true
 			}
 		}

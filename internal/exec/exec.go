@@ -16,9 +16,9 @@
 // before DriverRows restricts the driver, so that an SJ phase 1 is one
 // immutable value per snapshot (BuildSide) that runs may adopt —
 // fanning out across Options.Parallelism workers: relations build
-// concurrently, each hash table is built by the two-pass morsel
-// scheme, and semi-join reduction splits the mask into word-aligned
-// spans. Every build polls
+// concurrently, each hash table's hashing fans out over morsels ahead
+// of its one linking pass, and semi-join reduction splits the mask into
+// word-aligned spans. Every build polls
 // run.buildStop, where cancellation and the build-morsel failpoint
 // meet. Each phase probes on one path: phase 1 reduces a parent span
 // by span, every child in turn (sj.go); in phase 2 every join step is
@@ -194,7 +194,7 @@ type Stats struct {
 	// SemiJoinProbes) by the tagged directory's Bloom-tag filter: a
 	// TagMiss was answered by the directory word alone — the key's tag
 	// bit was absent, so no key data was loaded — while a TagHit went
-	// on to verify a contiguous bucket run (and may still have found no
+	// on to walk its bucket's chain (and may still have found no
 	// match: a tag false positive behaves like a hash collision).
 	// TagHits + TagMisses == HashProbes + SemiJoinProbes always.
 	TagHits int64

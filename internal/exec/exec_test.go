@@ -335,7 +335,7 @@ func TestBVPCOMCompactsFilteredDriver(t *testing.T) {
 			rows = append(rows, int32(row))
 			ok := true
 			for _, c := range tr.Children(plan.Root) {
-				ok = ok && r.filters[c].MayContain(root.Column(ds.KeyColumn(c))[row])
+				ok = ok && mayContain(r.filters[c], root.Column(ds.KeyColumn(c))[row])
 			}
 			if ok {
 				want = append(want, int32(row))

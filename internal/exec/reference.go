@@ -28,7 +28,7 @@ func ReferenceResiduals(ds *storage.Dataset, residuals []Residual) (count int64,
 // queries plus pushed-down selections. Each non-root relation is
 // indexed by a ChainedTable — the seed's chained hash-table layout —
 // so every reference comparison doubles as a differential test of the
-// engine's tagged unchained table against the chained build.
+// engine's tagged table against the seed's untagged chained build.
 func ReferenceOpts(ds *storage.Dataset, residuals []Residual, selections []Selection) (count int64, checksum uint64) {
 	rc := newResidualChecker(ds, residuals)
 	masks := effectiveMasks(ds, selectionMasks(ds, selections))
@@ -128,13 +128,14 @@ func checksumTerms(n int) (base uint64, pow []uint64) {
 }
 
 // ChainedTable is the seed's chained hash-table layout — bucket heads
-// plus per-entry next links, probes chasing the chain through the
-// pointer table — retained verbatim as the differential-test oracle
-// for the tagged unchained hashtable.Table. It shares hashtable.Hash64
-// and keeps the seed's load-factor-<=-0.5 sizing (the tagged table now
-// sizes denser); the bucket geometry is irrelevant to the oracle —
-// both layouts index identical key sets and must answer every probe
-// identically.
+// plus per-entry next links over copied keys, one key at a time, with
+// no tag filter — retained verbatim as the differential-test oracle for
+// hashtable.Table, whose chains run under a 16-bit-tagged directory
+// over the relation's own key column and are probed in blocks. It
+// shares hashtable.Hash64 and keeps the seed's load-factor-<=-0.5
+// sizing (the tagged table sizes denser); the bucket geometry is
+// irrelevant to the oracle — both layouts index identical key sets and
+// must answer every probe identically.
 type ChainedTable struct {
 	keys    []int64 // build key per retained row (insertion order)
 	rows    []int32 // original relation row index per retained row

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 
+	"m2mjoin/internal/cost"
 	"m2mjoin/internal/par"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/shard"
@@ -29,9 +30,9 @@ import (
 //     all shards, and phase-2 counters never count builds. An SJ
 //     strategy's reduction always covers the whole snapshot, the
 //     driver included (DriverRows applies only after it), so it is the
-//     same for every shard: the serving tier's shards adopt one
-//     (ReduceBuildSide), while RunSharded repeats it per shard. Either
-//     way each shard's Stats carry the whole SemiJoinProbes and the
+//     same for every shard: ReduceBuildSide computes it once, and every
+//     shard — of the serving tier's scatter or of RunSharded — adopts
+//     it. Each shard's Stats carry the whole SemiJoinProbes and the
 //     Build* tag split, which the merge counts exactly once.
 
 // MergeShardStats folds per-shard Stats from the same partition into
@@ -84,7 +85,10 @@ func MergeShardStats(parts []Stats) Stats {
 // merged by MergeShardStats. opts.DriverRows is owned by this layer;
 // everything else applies to every shard unchanged, a shared
 // opts.Artifacts provider included — the shards request the same
-// artifacts under the same keys.
+// artifacts under the same keys. An SJ query without opts.BuildSide
+// reduces its build side once, at the full parallelism, before the
+// fan-out; every shard adopts it, and the merged Stats add its cache
+// counters once.
 //
 // RunSharded is all-or-nothing: the first shard failure cancels the
 // siblings and fails the call. Degraded (partial-coverage) gathering
@@ -116,6 +120,17 @@ func RunSharded(shards []shard.Shard, opts Options) (Stats, error) {
 	ctx, cancel := context.WithCancel(base)
 	defer cancel()
 
+	var reduced *BuildSide
+	if opts.Strategy.Reduction() == cost.SemiJoin && opts.BuildSide == nil {
+		o := opts
+		o.Ctx = ctx
+		bs, err := ReduceBuildSide(shards[0].Parent, o)
+		if err != nil {
+			return Stats{}, fmt.Errorf("exec: sharded build side: %w", err)
+		}
+		reduced, opts.BuildSide = bs, bs
+	}
+
 	parts := make([]Stats, len(shards))
 	var mu sync.Mutex
 	var firstErr error
@@ -143,5 +158,10 @@ func RunSharded(shards []shard.Shard, opts Options) (Stats, error) {
 	if firstErr != nil {
 		return Stats{}, firstErr
 	}
-	return MergeShardStats(parts), nil
+	m := MergeShardStats(parts)
+	if reduced != nil {
+		m.CacheHits += reduced.Stats().CacheHits
+		m.CacheMisses += reduced.Stats().CacheMisses
+	}
+	return m, nil
 }

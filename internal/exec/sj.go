@@ -38,7 +38,7 @@ import (
 // the last one produced and is handed off as the driver mask without
 // copying. A parent's reduction splits its mask into word-aligned spans
 // that every child reduces in turn (semiJoinReduce); the spans and the
-// hash-table builds (two-pass morsel scheme) fan out over
+// hash-table builds (hashing fanned out over morsels) fan out over
 // Options.Parallelism workers with bit-identical results.
 
 // BuildSide is the whole SJ phase 1 of one query over one snapshot:

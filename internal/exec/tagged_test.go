@@ -23,7 +23,7 @@ func taggedRelation(keys []int64) *storage.Relation {
 }
 
 // TestTaggedTableMatchesChainedOracle is the differential property
-// test of the tagged unchained hash table against the retained chained
+// test of the tagged hash table against the retained untagged chained
 // oracle: over random keys, heavily skewed keys and sparse live masks,
 // membership, match counts and match rows (as sets), read through the
 // table's batch entry points, must agree exactly with the oracle's
@@ -51,7 +51,7 @@ func TestTaggedTableMatchesChainedOracle(t *testing.T) {
 		}},
 		{"skewed", func(n int) []int64 {
 			// Zipf-ish: a handful of hot keys hold most rows, producing
-			// long bucket runs (the old layout's long chains).
+			// long chains.
 			z := rand.NewZipf(rng, 1.3, 1.0, uint64(n))
 			keys := make([]int64, n)
 			for i := range keys {

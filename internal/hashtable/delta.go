@@ -3,6 +3,7 @@ package hashtable
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"m2mjoin/internal/storage"
 )
@@ -12,16 +13,18 @@ import (
 // snapshot model (storage/version.go).
 //
 // A versioned table covers a relation in two parts. The packed part is
-// the ordinary bucket-sorted layout over the base region — rows
+// the ordinary chained layout over the base region — rows
 // [0, BaseRows) masked by the live-at-last-compaction bitmap — exactly
 // what buildColumn produces. On top of it, deletes flip per-entry
-// tombstone bits (the entry stays in its run, dead), and appended rows
-// live in a small append region: a second packed sub-table over the
-// column tail [BaseRows, NumRows), its row indices already global.
-// The probe kernel (pipeline.go) handles both inside its two stages —
-// packed run first, then append run, both skipping tombstones — which
-// preserves ascending-row match order because every append row sits
-// above every base row.
+// tombstone bits (the entry stays in its chain, dead), and appended
+// rows live in a small append region: a second sub-table over the
+// column tail [BaseRows, NumRows), whose entry e is row BaseRows+e.
+// A tombstone finds its entry from the row alone: directly without a
+// row map, by rank (binary search of the ascending row map) with one.
+// The probe kernel (pipeline.go) handles both parts inside its two
+// stages — packed chain first, then append chain, both skipping
+// tombstones — which preserves ascending-row match order because every
+// append row sits above every base row.
 //
 // The shape of a versioned table is a pure function of
 // (column, BaseRows, BaseLive, Live): ApplyDelta repairs a cached table
@@ -53,8 +56,8 @@ type DeltaSpec struct {
 }
 
 // isDead reports whether entry e is tombstoned.
-func (t *Table) isDead(e uint64) bool {
-	return t.dead != nil && t.dead[e>>6]&(1<<(e&63)) != 0
+func (t *Table) isDead(e int32) bool {
+	return t.dead != nil && t.dead[e>>6]&(1<<(uint32(e)&63)) != 0
 }
 
 // cloneBits copies a tombstone bitset sized for n entries (allocating
@@ -67,31 +70,21 @@ func cloneBits(src []uint64, n int) []uint64 {
 
 // BuildVersioned constructs a table over rel's key column in the
 // versioned shape: a packed part over the base region [0, baseRows)
-// masked by baseLive, tombstones for base rows dead in live, and an
-// append sub-table over [baseRows, NumRows). With a fully packed,
-// fully live relation it degenerates to exactly BuildParallelStop's
-// table. stop is the cooperative cancel hook; a true poll returns nil.
+// masked by baseLive (nil: all live; otherwise it covers exactly the
+// base region), tombstones for base rows dead in live, and an append
+// sub-table over [baseRows, NumRows). With a fully packed, fully live
+// relation it degenerates to exactly BuildParallelStop's table. stop
+// is the cooperative cancel hook; a true poll returns nil.
 func BuildVersioned(rel *storage.Relation, keyColumn string, baseRows int,
 	baseLive, live *storage.Bitmap, workers int, stop func() bool) *Table {
 	col := rel.Column(keyColumn)
 	n := len(col)
-	var mask *storage.Bitmap
+	var t *Table
 	if baseLive != nil {
-		// Extend the base-region mask to the full column with a zero
-		// tail, so the packed build skips the append region.
-		mask = storage.NewEmptyBitmap(n)
-		copy(mask.Words(), baseLive.Words())
-	} else if baseRows < n {
-		mask = storage.NewEmptyBitmap(n)
-		w := mask.Words()
-		for wi := 0; wi < baseRows>>6; wi++ {
-			w[wi] = ^uint64(0)
-		}
-		if baseRows&63 != 0 {
-			w[baseRows>>6] = 1<<(uint(baseRows)&63) - 1
-		}
+		t = buildColumn(col, baseLive, workers, stop)
+	} else {
+		t = buildColumn(col[:baseRows], nil, workers, stop)
 	}
-	t := buildColumn(col, mask, workers, stop)
 	if t == nil {
 		return nil
 	}
@@ -101,15 +94,13 @@ func BuildVersioned(rel *storage.Relation, keyColumn string, baseRows int,
 	if live != nil {
 		for wi := 0; wi < (baseRows+63)>>6; wi++ {
 			w := ^live.Words()[wi]
-			if mask != nil {
-				w &= mask.Words()[wi]
-			} else if wi == baseRows>>6 && baseRows&63 != 0 {
+			if baseLive != nil {
+				w &= baseLive.Words()[wi]
+			} else if wi == baseRows>>6 {
 				w &= 1<<(uint(baseRows)&63) - 1
 			}
-			base := wi << 6
 			for ; w != 0; w &= w - 1 {
-				row := base + bits.TrailingZeros64(w)
-				t.kill(col[row], int32(row))
+				t.kill(int32(wi<<6 + bits.TrailingZeros64(w)))
 			}
 		}
 	}
@@ -123,55 +114,54 @@ func BuildVersioned(rel *storage.Relation, keyColumn string, baseRows int,
 }
 
 // buildAppendRegion (re)builds the append sub-table over the column
-// tail [t.baseRows, t.totalRows), remapping its rows to global indices
-// and tombstoning the ones dead in live. The append region is small by
-// construction (compaction bounds it at a quarter of the base), so the
-// build is sequential.
+// tail [t.baseRows, t.totalRows) and tombstones the rows dead in live.
+// The append region is small by construction (compaction bounds it at
+// a quarter of the base), so the build is sequential.
 func (t *Table) buildAppendRegion(col storage.Column, live *storage.Bitmap, stop func() bool) bool {
 	sub := buildColumn(col[t.baseRows:t.totalRows], nil, 1, stop)
 	if sub == nil {
 		return false
 	}
-	for i := range sub.rows {
-		sub.rows[i] += int32(t.baseRows)
-	}
+	sub.base = int32(t.baseRows)
 	t.app = sub
 	if live != nil {
 		for row := t.baseRows; row < t.totalRows; row++ {
 			if !live.Get(row) {
-				sub.kill(col[row], int32(row))
+				sub.kill(int32(row))
 			}
 		}
 	}
 	return true
 }
 
-// kill tombstones the entry holding global row, found by scanning the
-// key's bucket run.
-func (t *Table) kill(key int64, row int32) {
-	b := Hash64(key) >> t.shift
-	for e, end := t.dir[b]>>offShift, t.dir[b+1]>>offShift; e < end; e++ {
-		if t.rows[e] == row {
-			if t.dead == nil {
-				t.dead = make([]uint64, (len(t.keys)+63)/64)
-			}
-			if !t.isDead(e) {
-				t.dead[e>>6] |= 1 << (e & 63)
-				t.deadCount++
-			}
-			return
-		}
+// kill tombstones the entry holding relation row.
+func (t *Table) kill(row int32) {
+	e, ok := row-t.base, row >= t.base && int(row-t.base) < len(t.next)
+	if t.rows != nil {
+		i, found := slices.BinarySearch(t.rows, row)
+		e, ok = int32(i), found
 	}
-	panic(fmt.Sprintf("hashtable: tombstone for absent row %d", row))
+	if !ok {
+		panic(fmt.Sprintf("hashtable: tombstone for absent row %d", row))
+	}
+	if t.dead == nil {
+		t.dead = make([]uint64, (len(t.next)+63)/64)
+	}
+	if !t.isDead(e) {
+		t.dead[e>>6] |= 1 << (uint32(e) & 63)
+		t.deadCount++
+	}
 }
 
 // ApplyDelta returns a new table reflecting one commit, sharing the
 // packed arrays with the receiver (copy-on-write: the receiver keeps
-// answering for its own snapshot). Deletes flip cloned tombstone bits;
-// appends rebuild the append sub-table over the grown column tail;
-// a compaction — or a delta that does not chain from this table's
-// state — falls back to a full BuildVersioned. The result is bit-
-// identical to BuildVersioned on the successor snapshot.
+// answering for its own snapshot). It reads its keys from the
+// successor's column — the same values below the receiver's length —
+// so it keeps no superseded column array alive. Deletes flip cloned
+// tombstone bits; appends rebuild the append sub-table over the grown
+// column tail; a compaction — or a delta that does not chain from this
+// table's state — falls back to a full BuildVersioned. The result is
+// bit-identical to BuildVersioned on the successor snapshot.
 func (t *Table) ApplyDelta(rel *storage.Relation, keyColumn string, d DeltaSpec,
 	workers int, stop func() bool) *Table {
 	col := rel.Column(keyColumn)
@@ -179,7 +169,7 @@ func (t *Table) ApplyDelta(rel *storage.Relation, keyColumn string, d DeltaSpec,
 		return BuildVersioned(rel, keyColumn, d.BaseRows, d.BaseLive, d.Live, workers, stop)
 	}
 	nt := &Table{
-		keys: t.keys, rows: t.rows, dir: t.dir, shift: t.shift,
+		keys: col[:len(t.keys)], rows: t.rows, next: t.next, entries: t.entries, dir: t.dir, shift: t.shift,
 		baseRows: t.baseRows, totalRows: len(col),
 		dead: t.dead, deadCount: t.deadCount, app: t.app,
 	}
@@ -188,10 +178,10 @@ func (t *Table) ApplyDelta(rel *storage.Relation, keyColumn string, d DeltaSpec,
 	for _, row := range d.Deleted {
 		if row < t.baseRows {
 			if !clonedDead {
-				nt.dead = cloneBits(t.dead, len(t.keys))
+				nt.dead = cloneBits(t.dead, len(t.next))
 				clonedDead = true
 			}
-			nt.kill(col[row], int32(row))
+			nt.kill(int32(row))
 		} else {
 			appDels = append(appDels, row)
 		}
@@ -208,11 +198,12 @@ func (t *Table) ApplyDelta(rel *storage.Relation, keyColumn string, d DeltaSpec,
 		// Built field by field: a Table holds a once-guard and must not
 		// be copied whole.
 		nt.app = &Table{
-			keys: t.app.keys, rows: t.app.rows, dir: t.app.dir, shift: t.app.shift,
-			dead: cloneBits(t.app.dead, len(t.app.keys)), deadCount: t.app.deadCount,
+			keys: col[t.baseRows:t.totalRows], base: t.app.base, next: t.app.next, entries: t.app.entries,
+			dir: t.app.dir, shift: t.app.shift,
+			dead: cloneBits(t.app.dead, len(t.app.next)), deadCount: t.app.deadCount,
 		}
 		for _, row := range appDels {
-			nt.app.kill(col[row], int32(row))
+			nt.app.kill(int32(row))
 		}
 	}
 	return nt
@@ -233,17 +224,19 @@ func (t *Table) Checksum() uint64 {
 	return h
 }
 
-// layoutSum fingerprints the packed layout: shift, markers, entries and
-// directory.
+// layoutSum fingerprints the layout: shift, markers, entry counts,
+// entries (key, row and next link) and directory.
 func (t *Table) layoutSum() uint64 {
 	h := uint64(storage.FingerprintSeed)
 	h = storage.FingerprintUint64(h, uint64(t.shift))
 	h = storage.FingerprintUint64(h, uint64(t.baseRows))
 	h = storage.FingerprintUint64(h, uint64(t.totalRows))
-	h = storage.FingerprintUint64(h, uint64(len(t.keys)))
-	for i, k := range t.keys {
-		h = storage.FingerprintUint64(h, uint64(k))
-		h = storage.FingerprintUint64(h, uint64(t.rows[i]))
+	h = storage.FingerprintUint64(h, uint64(len(t.next)))
+	h = storage.FingerprintUint64(h, uint64(t.entries))
+	for e, link := range t.next {
+		h = storage.FingerprintUint64(h, uint64(t.key(int32(e))))
+		h = storage.FingerprintUint64(h, uint64(t.row(int32(e))))
+		h = storage.FingerprintUint64(h, uint64(link))
 	}
 	for _, w := range t.dir {
 		h = storage.FingerprintUint64(h, w)
@@ -255,8 +248,8 @@ func (t *Table) layoutSum() uint64 {
 // into h.
 func (t *Table) foldTombstones(h uint64) uint64 {
 	h = storage.FingerprintUint64(h, uint64(t.deadCount))
-	for e := range t.keys {
-		if t.isDead(uint64(e)) {
+	for e := range t.next {
+		if t.isDead(int32(e)) {
 			h = storage.FingerprintUint64(h, uint64(e))
 		}
 	}

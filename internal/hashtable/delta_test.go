@@ -61,7 +61,8 @@ func buildCold(ds *storage.Dataset, workers int) *Table {
 // TestApplyDeltaMatchesBuildVersioned is the incremental-repair
 // differential test: across random append/delete/compact sequences the
 // ApplyDelta chain must stay bit-identical (by Checksum) to a cold
-// BuildVersioned of every version, at several worker counts.
+// BuildVersioned of every version, at several worker counts, and must
+// read its keys from the current version's column.
 func TestApplyDeltaMatchesBuildVersioned(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial*101 + 5)))
@@ -86,6 +87,10 @@ func TestApplyDeltaMatchesBuildVersioned(t *testing.T) {
 				Deleted:      d.Deleted,
 				Compacted:    d.Compacted,
 			}, 2, nil)
+			if col := cur.Relation(id).Column("k"); &repaired.keys[:1][0] != &col[0] ||
+				repaired.app != nil && &repaired.app.keys[:1][0] != &col[repaired.baseRows] {
+				t.Fatalf("trial %d step %d: the repaired table reads a superseded key column", trial, step)
+			}
 			for _, workers := range []int{1, 4} {
 				cold := buildCold(cur, workers)
 				if repaired.Checksum() != cold.Checksum() {

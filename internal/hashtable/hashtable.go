@@ -1,25 +1,23 @@
 // Package hashtable implements the cache-conscious tagged hash table
-// of the execution engine (Section 4.2-4.3, Fig. 7), in an unchained
-// layout: a directory of packed uint64 slots, each holding a 16-bit
-// Bloom tag plus the offset of that bucket's contiguous run in the
-// bucket-sorted keys/rows arrays. A non-matching probe is answered by
-// the directory word alone — the tag bit of the probe hash is absent —
-// with no second load; a matching probe scans one contiguous run
-// instead of chasing a chain through random cache lines. Every probe
-// is the two-stage kernel of pipeline.go: stage 1 hashes a block of
-// keys, fetches their directory words, filters on tags and compares
-// each surviving run's first key (a load that doubles as a software
-// prefetch of the run's cache line); stage 2 verifies exact keys
-// against the prefetched runs. Probing reports the per-key match count
-// — the quantity the factorized representation stores in its count
-// vector-columns.
+// of the execution engine (Section 4.2-4.3, Fig. 7): a directory of
+// packed uint64 head words, each holding a 16-bit Bloom tag plus a link
+// to the first entry of the bucket's chain, over entries chained in
+// ascending row order by one next array. A non-matching probe is
+// answered by the directory word alone — the tag bit of the probe hash
+// is absent — with no second load. The table copies no keys: it reads
+// them from the relation's own key column. Every probe is the
+// two-stage kernel of pipeline.go: stage 1 hashes a block of keys,
+// fetches their head words, filters on tags and compares each
+// surviving chain's first key (a load that doubles as a software
+// prefetch of the entry); stage 2 walks the chains. Probing reports the
+// per-key match count — the quantity the factorized representation
+// stores in its count vector-columns.
 package hashtable
 
 import (
 	"math/bits"
 	"sync"
 
-	"m2mjoin/internal/buf"
 	"m2mjoin/internal/par"
 	"m2mjoin/internal/storage"
 )
@@ -60,17 +58,17 @@ func tagIndex(h uint64, shift, width uint) uint64 { return h >> (shift - width) 
 const (
 	// tagWidth selects 16-bit slot tags (1 << tagWidth tag bits).
 	tagWidth = 4
-	// offShift positions the run offset above the tag in a packed slot:
-	// slot = offset<<offShift | tag.
-	offShift = 1 << tagWidth
-	tagMask  = 1<<offShift - 1
+	// linkShift positions the chain link above the tag in a head word:
+	// head = link<<linkShift | tag.
+	linkShift = 1 << tagWidth
+	tagMask   = 1<<linkShift - 1
 )
 
 // ProbeStats counts the outcome of a batch probe: how many keys were
 // probed, and how the tag filter split them. TagMisses are probes
 // answered by the directory word alone (the key's tag bit is absent —
-// definitely no match, no key load); TagHits proceed to run
-// verification and may still find nothing (a tag false positive, which
+// definitely no match, no key load); TagHits proceed to the chain
+// walk and may still find nothing (a tag false positive, which
 // behaves exactly like a hash collision).
 type ProbeStats struct {
 	Probed, TagHits, TagMisses int
@@ -84,15 +82,29 @@ func (s *ProbeStats) Add(o ProbeStats) {
 }
 
 // Table is a read-only tagged hash table over one key column of a
-// build relation. keys and rows are bucket-sorted: bucket b's entries
-// occupy the contiguous run [dir[b]>>offShift, dir[b+1]>>offShift),
-// in ascending retained-row order within the run.
+// build relation. Its entries are the retained rows in ascending row
+// order, and each bucket's entries form one chain — from the bucket's
+// head word in dir through next — that walks them in ascending order.
 type Table struct {
-	keys []int64 // build key per retained row, bucket-sorted
-	rows []int32 // original relation row index per retained row
-	// dir is the packed directory, one slot per bucket plus a sentinel:
-	// dir[b] = runStart<<offShift | tag16, where tag16 is the OR of
-	// Tag(h) over the bucket's keys; dir[len-1] holds the total count.
+	// keys is the relation's key column itself, not a copy, starting at
+	// row base: entry e's key is keys[rows[e]] under a row map, else
+	// keys[e]. Storage columns are copy-on-write — a commit appends
+	// past a column's length and never rewrites a row below it — so
+	// the rows a table reads never change after its build.
+	keys []int64
+	// rows maps entry to relation row, ascending, for a build under a
+	// sparse mask; nil otherwise, and entry e is row base+e. Under a
+	// dense mask the dead rows' entries exist but are in no chain.
+	rows []int32
+	base int32
+	// next chains the entries: next[e] links to the entry after e in
+	// its bucket's chain. A link is entry+1, and 0 ends the chain.
+	next []int32
+	// entries counts the entries in chains: the retained rows.
+	entries int
+	// dir is the packed directory, one head word per bucket:
+	// link<<linkShift | tag16, the link to the chain's first entry and
+	// the OR of Tag(h) over the bucket's keys; 0 for an empty bucket.
 	dir   []uint64
 	shift uint // 64 - log2(bucket count)
 
@@ -101,12 +113,11 @@ type Table struct {
 	baseRows  int // rows [0, baseRows) are covered by the packed part
 	totalRows int // rows [baseRows, totalRows) are the append region
 	// dead tombstones entries (bit e = entry e dead); deletes flip bits
-	// here instead of disturbing the sorted layout.
+	// here instead of unlinking entries.
 	dead      []uint64
 	deadCount int
-	// app is the packed sub-table over the append-region column tail,
-	// its rows already remapped to global indices, with tombstones of
-	// its own.
+	// app is the sub-table over the append-region column tail, its
+	// base the region's first row, with tombstones of its own.
 	app *Table
 
 	// filter is the table's bitvector projection (FilterWords), derived
@@ -115,8 +126,21 @@ type Table struct {
 	filter     []uint64
 }
 
-// tag returns the table's tag bit for hash h.
-func (t *Table) tag(h uint64) uint64 { return Tag(h, t.shift, tagWidth) }
+// key returns entry e's key.
+func (t *Table) key(e int32) int64 {
+	if t.rows != nil {
+		return t.keys[t.rows[e]]
+	}
+	return t.keys[e]
+}
+
+// row returns entry e's relation row.
+func (t *Table) row(e int32) int32 {
+	if t.rows != nil {
+		return t.rows[e]
+	}
+	return t.base + e
+}
 
 // Build constructs a table over rel's key column, retaining only rows
 // whose live bit is set (pass nil to retain all rows). This mirrors
@@ -124,19 +148,20 @@ func (t *Table) tag(h uint64) uint64 { return Tag(h, t.shift, tagWidth) }
 // the join phase. With a sparse live mask only set rows are visited:
 // dead regions are skipped a whole 64-row word at a time.
 func Build(rel *storage.Relation, keyColumn string, live *storage.Bitmap) *Table {
-	return BuildParallelStop(rel, keyColumn, live, 1, nil)
+	return buildColumn(rel.Column(keyColumn), live, 1, nil)
 }
 
-// MemoryBytes returns the heap footprint of the table's backing
-// arrays: the bucket-sorted key and row arrays plus the packed
-// directory, for versioned tables the tombstone bitsets and the append
-// sub-table, and the filter projection (one byte per bucket) — charged
-// whether or not FilterWords has derived it yet, so a byte charge taken
-// when the table enters a cache stays exact after a BVP query's first
-// use. Repaired tables share their packed arrays with the version they
-// were repaired from, so when several versions are cached at once the
-// shared arrays are charged once per version: the accounting is
-// conservative (never under-counts resident bytes).
+// MemoryBytes returns the heap footprint of the arrays the table owns:
+// the directory, next links and (under a sparse mask) row map, for
+// versioned tables the tombstone bitsets and the append sub-table's
+// arrays, and the filter projection (one byte per bucket) — charged
+// before FilterWords derives it, so a cache's charge at insert stays
+// exact. The key column, dead rows included, is the relation's: not
+// charged, though a cached table keeps it alive (ApplyDelta moves a
+// repaired table onto its successor's column). Repaired tables share
+// their packed arrays with the version they were repaired from, charged
+// once per cached version: the accounting never under-counts the
+// arrays tables own.
 func (t *Table) MemoryBytes() int64 {
 	b := t.arrayBytes() + int64(t.NumBuckets())
 	if t.app != nil {
@@ -145,268 +170,166 @@ func (t *Table) MemoryBytes() int64 {
 	return b
 }
 
-// arrayBytes is the footprint of one packed layout's own arrays.
+// arrayBytes is the footprint of one layout's own arrays.
 func (t *Table) arrayBytes() int64 {
-	return int64(len(t.keys))*8 + int64(len(t.rows))*4 + int64(len(t.dir))*8 + int64(len(t.dead))*8
+	return int64(len(t.rows)+len(t.next))*4 + int64(len(t.dir)+len(t.dead))*8
 }
 
-// morselRows is the row granularity of the parallel build: 128 packed
-// bitmap words, so morsel boundaries are always word-aligned.
+// morselRows is the entry granularity of a build's gather and of its
+// stop polls.
 const morselRows = 128 * 64
 
-// minParallelBuildRows gates the parallel build: below this the
-// goroutine fan-out costs more than the hashing it spreads.
-const minParallelBuildRows = 4 * 1024
-
-// BuildParallelStop is Build fanned out over the given number of
-// workers using a two-pass morsel scheme that produces the
-// bucket-sorted layout deterministically — bit-identical at any worker
-// count:
-//
-//  1. a cheap counting pass (popcount over the live mask) assigns each
-//     morsel its deterministic write offset, so the parallel pass can
-//     gather — the expensive part — the hashed bucket/tag of every
-//     live row (plus, under a mask, the row index) into disjoint slots
-//     of pooled row-ordered scratch;
-//  2. a sequential, hash-free finish histograms the buckets into the
-//     directory (the in-place prefix sum turns counts into run
-//     offsets) and scatters the entries into their bucket runs in
-//     ascending row order, bumping each run offset in the directory
-//     itself.
-//
-// Both sequential steps depend only on the scratch arrays, which are
-// identical at any parallelism, so the table is too. The sequential
-// path (workers <= 1 or a small build) runs the same histogram /
-// prefix / scatter pipeline scratch-free, rehashing in the scatter.
-//
-// stop is the cooperative cancel hook (nil = never stop): it is polled
-// before a non-empty build, before each morsel of the parallel gather
-// pass and between the passes, and a true result abandons the build and
-// returns nil. It must be cheap and safe to call from multiple
-// goroutines; a completed build does not depend on it. A panic in stop
-// or in a gather worker unwinds on the calling goroutine.
+// BuildParallelStop is Build with its hashing fanned out over the
+// given number of workers (see buildColumn), bit-identical at any
+// worker count, and a cooperative cancel hook. stop (nil = never stop)
+// is polled before each 8192-entry morsel of a non-empty build — by the
+// gather workers when there are several — and once more after a
+// parallel gather; a true result abandons the build and returns nil. It
+// must be cheap and safe to call from multiple goroutines; a completed
+// build does not depend on it. A panic in stop or in a gather worker
+// unwinds on the calling goroutine.
 func BuildParallelStop(rel *storage.Relation, keyColumn string, live *storage.Bitmap, workers int, stop func() bool) *Table {
 	return buildColumn(rel.Column(keyColumn), live, workers, stop)
 }
 
 // buildColumn is the builder proper, over a bare key column — shared by
 // the relation-level entry points above and by the versioned build in
-// delta.go, which also runs it over append-region column slices.
+// delta.go, which also runs it over an append-region column tail. A
+// sparse mask (under half its rows set) first lists its live rows in
+// the row map, a sequential pass over the mask words; a denser one
+// costs fewer bytes as one next slot per mask row, its dead rows' slots
+// left unlinked, and probes like an unmasked table. Then one linking
+// pass over the entries in descending order makes each entry the head
+// of its bucket's chain, ahead of every entry above it, so every chain
+// walks in ascending order. An entry costs one hash, one
+// read-modify-write of its head word and one store to next.
+//
+// With workers > 1 the hashing fans out first (gather): each morsel of
+// entries stores its keys' top 32 hash bits — bucket and tag index,
+// which fit at up to 1<<(32-tagWidth) buckets — in next, and the
+// linking pass reads them back just before it overwrites them, so the
+// gather needs no scratch. On a 228k-row column two workers measured
+// 7.9 ns/row against one worker's 9.4 (BenchmarkBuildWorkers, medians
+// of 12 runs, 2 vCPU).
+// The table is the same at any worker count.
 func buildColumn(keyCol storage.Column, live *storage.Bitmap, workers int, stop func() bool) *Table {
-	total := len(keyCol)
-	count := total
+	count := len(keyCol)
 	if live != nil {
 		count = live.Count()
 	}
 	size := bucketCount(count)
 	t := &Table{
-		keys:  make([]int64, count),
-		rows:  make([]int32, count),
-		dir:   make([]uint64, size+1),
-		shift: uint(64 - bits.TrailingZeros64(uint64(size))),
+		keys:    keyCol,
+		entries: count,
+		dir:     make([]uint64, size),
+		shift:   uint(64 - bits.TrailingZeros64(uint64(size))),
 	}
-	if count == 0 {
-		return t
-	}
-	if stop != nil && stop() {
-		return nil
-	}
-
-	nMorsels := (total + morselRows - 1) / morselRows
-	if min(workers, nMorsels) <= 1 || count < minParallelBuildRows {
-		// Sequential build: two scratch-free passes over the key
-		// column. Pass 1 histograms buckets and tags straight into the
-		// directory; pass 2 (after the prefix sum) rehashes each key
-		// and scatters it into its run — recomputing the ~5-op hash is
-		// as cheap as writing and re-reading a per-row scratch word
-		// (measured equal), and leaves the sequential build with no
-		// scratch at all.
-		t.histogram(keyCol, live)
-		if stop != nil && stop() {
-			return nil
-		}
-		t.prefixSum()
-		t.scatterRehash(keyCol, live)
-	} else {
-		// Parallel build: the expensive hashing must fan out, so each
-		// morsel gathers its rows' hashed bucket/tag (and, under a
-		// mask, row indices) into disjoint slots of pooled row-ordered
-		// scratch; the sequential finish is then hash-free. Every
-		// scratch slot in [0, count) is overwritten before it is read,
-		// so stale pool contents are harmless.
-		g := scratchPool.Get().(*buildScratch)
-		defer scratchPool.Put(g)
-		g.hb = buf.Grow(g.hb, count)
-		if live != nil {
-			g.rows = buf.Grow(g.rows, count)
-		}
-		// Pass 1a: per-morsel live counts -> exclusive write offsets.
-		offsets := make([]int, nMorsels+1)
-		for m := 0; m < nMorsels; m++ {
-			lo := m * morselRows
-			hi := min(lo+morselRows, total)
-			n := hi - lo
-			if live != nil {
-				n = live.CountRange(lo, hi)
+	var words []uint64 // the dense mask whose set rows are the entries
+	switch {
+	case live == nil:
+		t.next = make([]int32, count)
+	case 2*count >= live.Len():
+		words = live.Words()
+		t.next = make([]int32, live.Len())
+	default:
+		t.next = make([]int32, count)
+		t.rows = make([]int32, count)
+		e := 0
+		for wi, w := range live.Words() {
+			for ; w != 0; w &= w - 1 {
+				t.rows[e] = int32(wi<<6 | bits.TrailingZeros64(w))
+				e++
 			}
-			offsets[m+1] = offsets[m] + n
 		}
-		// Pass 1b (parallel): gather into disjoint scratch slots, stop
-		// polled before each morsel. A panic in a gather worker or in
-		// stop reaches the caller once the pool drains (par.For).
+	}
+	dir, next, rows, shift := t.dir, t.next, t.rows, t.shift
+	nMorsels := (len(next) + morselRows - 1) / morselRows
+	if min(workers, nMorsels) > 1 && size <= 1<<(32-tagWidth) {
 		par.For(workers, nMorsels, stop, func(_, m int) {
 			lo := m * morselRows
-			t.gatherMorsel(g, keyCol, live, lo, min(lo+morselRows, total), offsets[m])
+			hi := min(lo+morselRows, len(next))
+			switch {
+			case words != nil:
+				for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
+					for w := words[wi]; w != 0; w &= w - 1 {
+						e := wi<<6 | bits.TrailingZeros64(w)
+						next[e] = int32(Hash64(keyCol[e]) >> 32)
+					}
+				}
+			case rows == nil:
+				for e := lo; e < hi; e++ {
+					next[e] = int32(Hash64(keyCol[e]) >> 32)
+				}
+			default:
+				for e := lo; e < hi; e++ {
+					next[e] = int32(Hash64(keyCol[rows[e]]) >> 32)
+				}
+			}
 		})
 		if stop != nil && stop() {
 			return nil
 		}
-		// Histogram from the gathered bucket/tag words. Adds and ORs
-		// commute, so this equals the sequential histogram bit for
-		// bit; the scatter below then places entries in the same
-		// ascending row order the sequential scatter uses.
-		for _, x := range g.hb {
-			b := x >> offShift
-			t.dir[b] = (t.dir[b] + 1<<offShift) | x&tagMask
-		}
-		t.prefixSum()
-		if live == nil {
-			for i, x := range g.hb {
-				b := x >> offShift
-				p := t.dir[b] >> offShift
-				t.keys[p] = keyCol[i]
-				t.rows[p] = int32(i)
-				t.dir[b] += 1 << offShift
+		s := shift - 32 // the gathered bits' shift to the bucket
+		if words != nil {
+			for wi := len(words) - 1; wi >= 0; wi-- {
+				for w := words[wi]; w != 0; {
+					e := wi<<6 | (63 - bits.LeadingZeros64(w))
+					w ^= 1 << (e & 63)
+					link(dir, next, e, uint64(uint32(next[e])), s)
+				}
 			}
-		} else {
-			for i, x := range g.hb {
-				b := x >> offShift
-				p := t.dir[b] >> offShift
-				row := g.rows[i]
-				t.keys[p] = keyCol[row]
-				t.rows[p] = row
-				t.dir[b] += 1 << offShift
+			return t
+		}
+		for e := len(next) - 1; e >= 0; e-- {
+			link(dir, next, e, uint64(uint32(next[e])), s)
+		}
+		return t
+	}
+	for lo := (len(next) - 1) &^ (morselRows - 1); lo >= 0; lo -= morselRows {
+		if stop != nil && stop() {
+			return nil
+		}
+		// The loops differ only in where the key comes from; a row-map
+		// test inside one loop measured 15-25 % slower.
+		hi := min(lo+morselRows, len(next))
+		switch {
+		case words != nil:
+			for wi := (hi - 1) >> 6; wi >= lo>>6; wi-- {
+				for w := words[wi]; w != 0; {
+					e := wi<<6 | (63 - bits.LeadingZeros64(w))
+					w ^= 1 << (e & 63)
+					link(dir, next, e, Hash64(keyCol[e]), shift)
+				}
+			}
+		case rows == nil:
+			for e := hi - 1; e >= lo; e-- {
+				link(dir, next, e, Hash64(keyCol[e]), shift)
+			}
+		default:
+			for e := hi - 1; e >= lo; e-- {
+				link(dir, next, e, Hash64(keyCol[rows[e]]), shift)
 			}
 		}
 	}
-	// The scatter bumped every run offset to its END; the backward
-	// shift turns ends back into starts (= the previous bucket's end).
-	for b := size - 1; b >= 1; b-- {
-		t.dir[b] = t.dir[b-1]&^tagMask | t.dir[b]&tagMask
-	}
-	t.dir[0] &= tagMask
 	return t
 }
 
-// histogram counts each live row's bucket in the directory's offset
-// bits and ORs its tag into the tag bits of the same word.
-func (t *Table) histogram(keyCol storage.Column, live *storage.Bitmap) {
-	if live == nil {
-		for _, key := range keyCol {
-			h := Hash64(key)
-			b := h >> t.shift
-			t.dir[b] = (t.dir[b] + 1<<offShift) | t.tag(h)
-		}
-		return
-	}
-	for wi, w := range live.Words() {
-		base := wi << 6
-		for w != 0 {
-			row := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			h := Hash64(keyCol[row])
-			b := h >> t.shift
-			t.dir[b] = (t.dir[b] + 1<<offShift) | t.tag(h)
-		}
-	}
-}
-
-// prefixSum exclusive-prefix-sums the histogram counts in place, so
-// dir[b]>>offShift becomes bucket b's run start (dir[size] = count),
-// with accumulated tags preserved.
-func (t *Table) prefixSum() {
-	var off uint64
-	for i := range t.dir {
-		c := t.dir[i] >> offShift
-		t.dir[i] = off<<offShift | t.dir[i]&tagMask
-		off += c
-	}
-}
-
-// scatterRehash places each live row into its bucket run in ascending
-// row order, bumping the run offset in the directory itself (no cursor
-// array) and recomputing the key hash instead of reading scratch.
-func (t *Table) scatterRehash(keyCol storage.Column, live *storage.Bitmap) {
-	if live == nil {
-		for row, key := range keyCol {
-			b := Hash64(key) >> t.shift
-			p := t.dir[b] >> offShift
-			t.keys[p] = key
-			t.rows[p] = int32(row)
-			t.dir[b] += 1 << offShift
-		}
-		return
-	}
-	for wi, w := range live.Words() {
-		base := wi << 6
-		for w != 0 {
-			row := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			key := keyCol[row]
-			b := Hash64(key) >> t.shift
-			p := t.dir[b] >> offShift
-			t.keys[p] = key
-			t.rows[p] = int32(row)
-			t.dir[b] += 1 << offShift
-		}
-	}
-}
-
-// buildScratch holds the row-ordered intermediate of a parallel build:
-// the hashed bucket/tag per live row, plus (only under a live mask)
-// the retained row indices, pooled across builds.
-type buildScratch struct {
-	rows []int32
-	hb   []uint64 // bucket<<offShift | tag bit
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
-
-// gatherMorsel writes the row indices and hashed bucket/tag of the
-// live rows in [lo, hi) starting at scratch offset off.
-func (t *Table) gatherMorsel(g *buildScratch, keyCol storage.Column, live *storage.Bitmap, lo, hi, off int) {
-	idx := off
-	if live == nil {
-		for row := lo; row < hi; row++ {
-			h := Hash64(keyCol[row])
-			g.hb[idx] = (h>>t.shift)<<offShift | t.tag(h)
-			idx++
-		}
-		return
-	}
-	words := live.Words()
-	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
-		w := words[wi]
-		base := wi << 6
-		for w != 0 {
-			row := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			h := Hash64(keyCol[row])
-			g.rows[idx] = int32(row)
-			g.hb[idx] = (h>>t.shift)<<offShift | t.tag(h)
-			idx++
-		}
-	}
+// link makes entry e, whose key hashes to h, the head of its bucket's
+// chain in a directory addressed by shift.
+func link(dir []uint64, next []int32, e int, h uint64, shift uint) {
+	b := h >> shift
+	w := dir[b]
+	next[e] = int32(w >> linkShift)
+	dir[b] = uint64(e+1)<<linkShift | w&tagMask | Tag(h, shift, tagWidth)
 }
 
 // bucketCount returns a power-of-two bucket count sized for load
-// factor <= 1: with contiguous runs and the 16-bit tag early-out, a
-// denser directory costs a slightly longer run scan on hits but halves
-// the directory footprint the build histograms and scatters over (the
-// chained layout needed load <= 0.5 to keep chains short). Above
-// largeTableRows the load factor relaxes to <= 2: the build's two
-// random-access directory passes are then miss-bound, and halving the
-// directory again buys more than the extra run entry costs.
+// factor <= 1: with the 16-bit tag early-out, a denser directory costs
+// a slightly longer chain walk on hits but halves the directory the
+// build links into. Above largeTableRows the load factor relaxes to
+// <= 2: the build's random head updates are then miss-bound, and
+// halving the directory again buys more than the extra chain entry
+// costs.
 func bucketCount(n int) int {
 	size := 16
 	target := n
@@ -428,15 +351,15 @@ const largeTableRows = 128 * 1024
 // append region, tombstoned entries included (they remain physically
 // present until compaction).
 func (t *Table) Len() int {
-	n := len(t.keys)
+	n := t.entries
 	if t.app != nil {
-		n += len(t.app.keys)
+		n += t.app.entries
 	}
 	return n
 }
 
 // NumBuckets returns the directory size (a power of two).
-func (t *Table) NumBuckets() int { return len(t.dir) - 1 }
+func (t *Table) NumBuckets() int { return len(t.dir) }
 
 // Shift returns the directory's bucket shift: a key's bucket is
 // Bucket(Hash64(key), Shift()).
@@ -461,9 +384,8 @@ func (t *Table) Shift() uint { return t.shift }
 // bitvector.FromTable.
 func (t *Table) FilterWords() []uint64 {
 	t.filterOnce.Do(func() {
-		size := len(t.dir) - 1
-		words := make([]uint64, size>>3)
-		for b, w := range t.dir[:size] {
+		words := make([]uint64, len(t.dir)>>3)
+		for b, w := range t.dir {
 			x := (w | w>>1) & 0x5555 // bit 2i |= tag bits 2i, 2i+1
 			x = (x | x>>1) & 0x3333  // compact even bits 0,2,..,14 -> 0..7
 			x = (x | x>>2) & 0x0f0f
@@ -472,8 +394,8 @@ func (t *Table) FilterWords() []uint64 {
 		}
 		if t.app != nil {
 			shift := t.shift + 3
-			for _, key := range t.app.keys {
-				h := Hash64(key)
+			for e := range t.app.next {
+				h := Hash64(t.app.key(int32(e)))
 				words[h>>shift] |= Tag(h, shift, 6)
 			}
 		}
@@ -501,7 +423,7 @@ type ProbeResult struct {
 	Probed int
 	// TagHits / TagMisses split Probed by the stage-1 tag filter: a
 	// miss was answered by the directory word alone, a hit went on to
-	// run verification (and may still have found no match — a tag
+	// the chain walk (and may still have found no match — a tag
 	// false positive behaving like a hash collision).
 	TagHits, TagMisses int
 }

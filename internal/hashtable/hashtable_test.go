@@ -168,15 +168,29 @@ func TestHash64Avalanche(t *testing.T) {
 }
 
 func TestLongChains(t *testing.T) {
-	// Many duplicates of one key: chain traversal must find them all.
+	// Many duplicates of one key: one bucket's chain holds every entry,
+	// and walking it must find them all in ascending row order, under a
+	// mask too.
 	keys := make([]int64, 5000)
 	for i := range keys {
 		keys[i] = 7
 	}
 	rel := buildRelation(keys)
-	table := Build(rel, "k", nil)
-	if n := countMatches(table, 7); n != 5000 {
-		t.Errorf("CountMatches = %d, want 5000", n)
+	live := storage.NewBitmap(len(keys))
+	for i := 0; i < len(keys); i += 3 {
+		live.Clear(i)
+	}
+	for _, mask := range []*storage.Bitmap{nil, live} {
+		table := Build(rel, "k", mask)
+		rows := appendMatches(table, nil, 7)
+		if len(rows) != table.Len() {
+			t.Fatalf("masked=%v: chain walk found %d of %d rows", mask != nil, len(rows), table.Len())
+		}
+		for i := 1; i < len(rows); i++ {
+			if rows[i] <= rows[i-1] {
+				t.Fatalf("masked=%v: rows %d, %d out of order", mask != nil, rows[i-1], rows[i])
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package hashtable
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -30,5 +31,20 @@ func BenchmarkProbeBatchMixed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		table.ProbeBatchInto(probes, nil, &res)
+	}
+}
+
+// BenchmarkBuildWorkers times one build of a 228k-row column, about
+// the largest child relation of the adhoc benchmark shapes, at one and
+// at two workers.
+func BenchmarkBuildWorkers(b *testing.B) {
+	rel := buildRelation(microKeys(228_000, 80_000))
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprint(workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				BuildParallelStop(rel, "k", nil, workers, nil)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/228_000, "ns/row")
+		})
 	}
 }

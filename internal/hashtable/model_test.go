@@ -42,14 +42,15 @@ func probeBatch(t *Table, keys []int64, sel []bool) ProbeResult {
 }
 
 // modelOf is the naive answer to every probe of t: each key's live rows
-// in ascending row order, read off the entry arrays without touching
-// the directory, the tags or the kernel.
+// in ascending row order, read off the entries without touching the
+// directory, the chains, the tags or the kernel.
 func modelOf(t *Table) map[int64][]int32 {
 	m := make(map[int64][]int32)
 	for part := t; part != nil; part = part.app {
-		for e, k := range part.keys {
-			if !part.isDead(uint64(e)) {
-				m[k] = append(m[k], part.rows[e])
+		for e := range int32(len(part.next)) {
+			if !part.isDead(e) {
+				k := part.key(e)
+				m[k] = append(m[k], part.row(e))
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -29,19 +28,19 @@ func randomMask(rng *rand.Rand, n int, density float64) *storage.Bitmap {
 	return live
 }
 
-// TestBuildParallelBitIdentical: the two-pass morsel build must
-// reproduce the sequential pointer table and bucket chains exactly —
-// keys, rows, next links and bucket heads — at every worker count,
-// with and without live masks, across sizes spanning the parallel
-// threshold and morsel boundaries.
+// TestBuildParallelBitIdentical: the gathered build — hashes fanned
+// out into next, then one linking pass — must reproduce the sequential
+// build exactly — row map, next links and head words — at every worker
+// count, with and without live masks, across sizes spanning the morsel
+// boundaries.
 func TestBuildParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	sizes := []int{0, 100, 4096, 8191, 8192, 8193, 30000}
+	sizes := []int{0, 100, 4096, 8191, 8192, 8193, 30000, 70000}
 	for _, n := range sizes {
 		rel := randomRelation(rng, n, 1+n/3)
 		masks := []*storage.Bitmap{nil}
 		if n > 0 {
-			masks = append(masks, randomMask(rng, n, 0.5), randomMask(rng, n, 0.02))
+			masks = append(masks, randomMask(rng, n, 0.7), randomMask(rng, n, 0.3), randomMask(rng, n, 0.02))
 		}
 		for mi, live := range masks {
 			want := Build(rel, "k", live)
@@ -59,8 +58,8 @@ func TestBuildParallelBitIdentical(t *testing.T) {
 // TestBuildStopPanicReachesCaller: a stop hook that panics inside the
 // parallel gather pass unwinds on the goroutine that called
 // BuildParallelStop, with the hook's own panic value. Over five morsels
-// the hook's first poll is the pre-build one and polls 2–6 come from
-// the gather workers.
+// the gather workers poll before each morsel, so polls 2 and 5 both
+// come from them.
 func TestBuildStopPanicReachesCaller(t *testing.T) {
 	rel := randomRelation(rand.New(rand.NewSource(3)), 5*morselRows, 1000)
 	for _, k := range []int64{2, 5} {
@@ -84,7 +83,7 @@ func TestBuildStopPanicReachesCaller(t *testing.T) {
 }
 
 // TestBuildSkipsDeadRows: with a sparse mask the build must retain
-// exactly the set rows (bucket-sorted, so compare as a sorted set).
+// exactly the set rows, listed ascending in the row map.
 func TestBuildSkipsDeadRows(t *testing.T) {
 	rel := randomRelation(rand.New(rand.NewSource(5)), 1000, 50)
 	live := storage.NewEmptyBitmap(1000)
@@ -96,10 +95,8 @@ func TestBuildSkipsDeadRows(t *testing.T) {
 	if table.Len() != len(want) {
 		t.Fatalf("Len = %d, want %d", table.Len(), len(want))
 	}
-	got := append([]int32(nil), table.rows...)
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("rows = %v, want %v", got, want)
+	if !reflect.DeepEqual(table.rows, want) {
+		t.Fatalf("rows = %v, want %v", table.rows, want)
 	}
 }
 

@@ -328,3 +328,83 @@ func TestProbeResultAlternatingSizesAllocationFree(t *testing.T) {
 	}
 
 }
+
+// TestProbesMatchMapModel is the differential test of every probe entry
+// point against a map[int64][]int32 of the live rows, on clustered
+// columns (each key's rows adjacent, as the workload generator lays
+// them out) and random ones, unmasked and masked, probed by clustered
+// (ascending) and shuffled keys: counts, rows in ascending order,
+// offsets, and ProbeStats, whose tag split the model derives from its
+// own tag words — the OR of Tag over each bucket's live keys at the
+// table's public geometry.
+func TestProbesMatchMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	const n = 3*probeBlock*8 + 11
+	clustered := make([]int64, 0, n)
+	for k := int64(0); len(clustered) < n; k++ {
+		for range 1 + rng.Intn(4) {
+			clustered = append(clustered, 3*k)
+		}
+	}
+	random := make([]int64, n)
+	for i := range random {
+		random[i] = rng.Int63n(n)
+	}
+	for _, col := range []struct {
+		name string
+		keys []int64
+	}{{"clustered", clustered[:n]}, {"random", random}} {
+		rel := buildRelation(col.keys)
+		for _, live := range []*storage.Bitmap{nil, randomMask(rng, n, 0.7), randomMask(rng, n, 0.3)} {
+			tbl := Build(rel, "k", live)
+			model := make(map[int64][]int32)
+			tags := make([]uint64, tbl.NumBuckets())
+			for r, k := range col.keys {
+				if live == nil || live.Get(r) {
+					model[k] = append(model[k], int32(r))
+					h := Hash64(k)
+					tags[Bucket(h, tbl.Shift())] |= Tag(h, tbl.Shift(), 4)
+				}
+			}
+			probe := make([]int64, 0, 2*n)
+			for k := int64(-2); k < 3*n/2; k++ {
+				probe = append(probe, k)
+			}
+			shuffled := slices.Clone(probe)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			for _, keys := range [][]int64{probe, shuffled} {
+				name := fmt.Sprintf("%s masked=%v", col.name, live != nil)
+				var want ProbeStats
+				for _, k := range keys {
+					h := Hash64(k)
+					hit := tags[Bucket(h, tbl.Shift())]&Tag(h, tbl.Shift(), 4) != 0
+					want.Add(ProbeStats{Probed: 1, TagHits: b2i(hit), TagMisses: 1 - b2i(hit)})
+				}
+				res := probeBatch(tbl, keys, nil)
+				requireModel(t, name, &res, keys, model, nil, len(keys))
+				if got := (ProbeStats{res.Probed, res.TagHits, res.TagMisses}); got != want {
+					t.Fatalf("%s: ProbeBatchInto stats %+v, model %+v", name, got, want)
+				}
+				counts := make([]int32, len(keys))
+				found := make([]bool, len(keys))
+				mask := storage.NewBitmap(len(keys))
+				for _, st := range []ProbeStats{
+					tbl.ProbeCounts(keys, nil, counts),
+					tbl.ProbeContains(keys, nil, found),
+					tbl.ReduceLive(keys, mask, 0, len(keys)),
+				} {
+					if st != want {
+						t.Fatalf("%s: stats %+v, model %+v", name, st, want)
+					}
+				}
+				for i, k := range keys {
+					m := len(model[k])
+					if int(counts[i]) != m || found[i] != (m > 0) || mask.Get(i) != (m > 0) {
+						t.Fatalf("%s key %d: count %d, contains %v, kept %v; model has %d rows",
+							name, k, counts[i], found[i], mask.Get(i), m)
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,47 +1,80 @@
 package hashtable
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"m2mjoin/internal/storage"
 )
 
-// TestDirectoryRunInvariants pins the unchained layout: run offsets in
-// the directory are monotone, the sentinel slot holds the total count,
-// every entry's key hashes into its own bucket, and every bucket's tag
-// word covers the tags of its keys.
-func TestDirectoryRunInvariants(t *testing.T) {
+// TestChainInvariants pins the chained layout on unmasked, masked
+// (dense and sparse) and versioned tables across morsel boundaries:
+// every retained row's entry, and no other, is reachable from exactly
+// one head, hashes into that head's bucket, and every
+// chain ascends in entry and row order; each head's tag is exactly the
+// OR of its members' tags, and an empty bucket's head word is 0.
+func TestChainInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for _, n := range []int{0, 1, 100, 5000} {
+	for _, n := range []int{0, 1, 100, 5000, morselRows + 1, 3 * morselRows} {
 		keys := make([]int64, n)
 		for i := range keys {
 			keys[i] = rng.Int63n(int64(n/2 + 1))
 		}
-		table := Build(buildRelation(keys), "k", nil)
-		size := len(table.dir) - 1
-		if table.dir[size]>>offShift != uint64(n) {
-			t.Fatalf("n=%d: sentinel offset %d, want %d", n, table.dir[size]>>offShift, n)
+		rel := buildRelation(keys)
+		masks := []*storage.Bitmap{nil}
+		if n > 0 {
+			masks = append(masks, randomMask(rng, n, 0.8), randomMask(rng, n, 0.3), randomMask(rng, n, 0.01))
 		}
-		for b := 0; b < size; b++ {
-			start := table.dir[b] >> offShift
-			end := table.dir[b+1] >> offShift
-			if start > end {
-				t.Fatalf("n=%d bucket %d: run [%d,%d) not monotone", n, b, start, end)
-			}
-			tag := table.dir[b] & tagMask
-			if start == end && tag != 0 {
-				t.Fatalf("n=%d bucket %d: empty run with tag %#x", n, b, tag)
-			}
-			for e := start; e < end; e++ {
-				h := Hash64(table.keys[e])
-				if h>>table.shift != uint64(b) {
-					t.Fatalf("n=%d: entry %d in bucket %d, hashes to %d", n, e, b, h>>table.shift)
-				}
-				if tag&table.tag(h) == 0 {
-					t.Fatalf("n=%d bucket %d: tag word %#x missing bit of key %d",
-						n, b, tag, table.keys[e])
-				}
-			}
+		for i, live := range masks {
+			checkChains(t, fmt.Sprintf("n=%d table %d", n, i), Build(rel, "k", live), live)
 		}
+	}
+	dt := deltaProbeTable(t, 9, 2048)
+	checkChains(t, "delta", dt, nil)
+	checkChains(t, "delta append region", dt.app, nil)
+}
+
+// checkChains walks every chain of tbl and fails on the first broken
+// invariant of TestChainInvariants; live is the build's mask.
+func checkChains(t *testing.T, name string, tbl *Table, live *storage.Bitmap) {
+	t.Helper()
+	seen := make([]bool, len(tbl.next))
+	for b, w := range tbl.dir {
+		var tags uint64
+		prev := int32(-1)
+		for link := int32(w >> linkShift); link != 0; link = tbl.next[link-1] {
+			e := link - 1
+			if seen[e] {
+				t.Fatalf("%s: entry %d reached twice", name, e)
+			}
+			seen[e] = true
+			h := Hash64(tbl.key(e))
+			if h>>tbl.shift != uint64(b) {
+				t.Fatalf("%s: entry %d in bucket %d, hashes to %d", name, e, b, h>>tbl.shift)
+			}
+			if e <= prev || (prev >= 0 && tbl.row(e) <= tbl.row(prev)) {
+				t.Fatalf("%s bucket %d: chain steps from entry %d (row %d) to %d (row %d)",
+					name, b, prev, tbl.row(prev), e, tbl.row(e))
+			}
+			prev = e
+			tags |= Tag(h, tbl.shift, tagWidth)
+		}
+		if w&tagMask != tags {
+			t.Fatalf("%s bucket %d: head tag %#x, members' tags %#x", name, b, w&tagMask, tags)
+		}
+		if tags == 0 && w != 0 {
+			t.Fatalf("%s bucket %d: empty bucket's head word %#x", name, b, w)
+		}
+	}
+	for e, ok := range seen {
+		if retained := tbl.rows != nil || live == nil || live.Get(e); ok != retained {
+			t.Fatalf("%s: entry %d on a chain = %v, row retained = %v", name, e, ok, retained)
+		}
+	}
+	if tbl.rows != nil && !slices.IsSorted(tbl.rows) {
+		t.Fatalf("%s: row map not ascending", name)
 	}
 }
 
@@ -93,7 +126,7 @@ func TestTagFilterCounters(t *testing.T) {
 // TestLargeTableRelaxedLoad exercises the load-<=-2 sizing branch that
 // kicks in above largeTableRows: the denser directory must still index
 // every key exactly (differential check against a map oracle on hits,
-// misses and duplicates) and keep the run/tag invariants.
+// misses and duplicates) and keep the chain/tag invariants.
 func TestLargeTableRelaxedLoad(t *testing.T) {
 	n := largeTableRows + largeTableRows/2
 	rng := rand.New(rand.NewSource(33))
@@ -104,12 +137,13 @@ func TestLargeTableRelaxedLoad(t *testing.T) {
 		oracle[keys[i]]++
 	}
 	table := Build(buildRelation(keys), "k", nil)
-	if size := len(table.dir) - 1; size >= n {
+	if size := table.NumBuckets(); size >= n {
 		t.Fatalf("large table not densified: %d buckets for %d rows", size, n)
 	}
-	if table.dir[len(table.dir)-1]>>offShift != uint64(n) {
-		t.Fatalf("sentinel offset %d, want %d", table.dir[len(table.dir)-1]>>offShift, n)
+	if table.Len() != n {
+		t.Fatalf("Len %d, want %d", table.Len(), n)
 	}
+	checkChains(t, "large", table, nil)
 	probes := make([]int64, 4096)
 	for i := range probes {
 		probes[i] = rng.Int63n(int64(n)) // ~50% present
@@ -190,9 +224,9 @@ func BenchmarkProbeBatchMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeBatchHit measures the run-scan path: every probe key
-// is present, so every probe survives the tag filter and verifies a
-// contiguous run.
+// BenchmarkProbeBatchHit measures the chain-walk path: every probe key
+// is present, so every probe survives the tag filter and walks its
+// bucket's chain.
 func BenchmarkProbeBatchHit(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	build := make([]int64, 1<<16)

@@ -74,7 +74,8 @@ type CacheStats struct {
 	// exceeds Limit.
 	//
 	// Bytes counts exactly the resident tables' own heap footprints
-	// (Table.MemoryBytes, filter projection included) and per SJ build
+	// (Table.MemoryBytes, filter projection included; a table's key
+	// column is the relation's and is not charged) and per SJ build
 	// side every table it holds plus its driver mask's words
 	// (conservative: leaves are charged twice). It deliberately
 	// excludes the catalog's memoized plan choices and edge-statistic
