@@ -115,7 +115,9 @@ func (f *Filter) Add(key int64) {
 // written. Hashing, the word load and the tag test run in one tight
 // pass over the chunk — unlike the hash table there is no dependent
 // second load to pipeline, so the filter probe is a single independent
-// load per key that the memory system already overlaps.
+// load per key that the memory system already overlaps. The executor
+// filters with Retain; the benchmark harness's kernel timings
+// (benchmark/probes.go) and tests are this probe's remaining callers.
 func (f *Filter) ProbeContains(keys []int64, sel []bool, out []bool) int {
 	probed := 0
 	for i, key := range keys {

@@ -12,19 +12,20 @@ import (
 // chunk in both directions, making probes on ancestor attributes
 // "survival probes" exactly as the cost model assumes.
 //
-// A step runs STD's table probe (probeJoin, exec.go) over the parent's
-// live rows, then the node's own filter pass (applyFiltersCOM), which
-// keeps the survivors in place: each bitvector's kernel
-// (bitvector.Filter.Retain) gathers and probes only the rows the
-// previous one kept, and factor.Chunk.Truncate cuts the still childless
-// node to them, so misses never exist as dead rows and no later pass
-// walks them; the root gets its filter pass before the first join. Flat
-// output with no residual and no CollectOutput is counted and
-// checksummed by the expansion alone, with no call per tuple; the emit
-// callbacks serve the other cases. Each worker reuses one factor.Chunk
-// across all its driver chunks (factor.Chunk.Reset recycles every node
-// and buffer), and probes go through the worker's reused key/probe
-// scratch, so steady-state execution allocates nothing per chunk.
+// A step runs the table probe and the filter pass STD runs too
+// (probeJoin and filterRows, exec.go): the probe over the parent's live
+// rows, the filter pass over the new node, keeping the survivors in
+// place — each bitvector's kernel (bitvector.Filter.Retain) gathers and
+// probes only the rows the previous one kept, and factor.Chunk.Truncate
+// cuts the still childless node to them, so misses never exist as dead
+// rows and no later pass walks them; the root gets its filter pass
+// before the first join. Flat output with no residual and no
+// CollectOutput is counted and checksummed by the expansion alone, with
+// no call per tuple; the emit callbacks serve the other cases. Each
+// worker reuses one factor.Chunk across all its driver chunks
+// (factor.Chunk.Reset recycles every node and buffer), and probes go
+// through the worker's reused key/probe scratch, so steady-state
+// execution allocates nothing per chunk.
 
 // runCOMChunk executes the factorized pipeline for one driver chunk.
 func (w *worker) runCOMChunk(driverRows []int32) {
@@ -72,19 +73,17 @@ func (w *worker) runCOMChunk(driverRows []int32) {
 	}
 }
 
-// applyFiltersCOM runs the bitvectors of at's children, in ascending
-// order, over at's factor node, right after at joins: each keeps at the
-// front of the node's rows (moving ParentRow along) the rows every
-// earlier one kept, and Truncate then cuts the node to them and kills
-// each parent row whose segment emptied. The node is all live here —
-// Reset and AddJoin return nothing else — and has no children yet, and
-// a kill climbs to an ancestor only once every row of at below that
-// ancestor is dead, so no kill reaches a surviving row of at: the pass
-// probes exactly the rows a row-at-a-time pass would. Truncate panics
-// if the invariant breaks.
+// applyFiltersCOM runs the filter pass (filterRows) over at's factor
+// node, right after at joins, moving ParentRow along with the rows, and
+// Truncate then cuts the node to the survivors and kills each parent
+// row whose segment emptied. The node is all live here — Reset and
+// AddJoin return nothing else — and has no children yet, and a kill
+// climbs to an ancestor only once every row of at below that ancestor
+// is dead, so no kill reaches a surviving row of at: the pass probes
+// exactly the rows a row-at-a-time pass would. Truncate panics if the
+// invariant breaks.
 func (w *worker) applyFiltersCOM(chunk *factor.Chunk, at plan.NodeID) {
-	r := w.r
-	if r.filters == nil || len(r.children[at]) == 0 {
+	if w.r.filters == nil || len(w.r.children[at]) == 0 {
 		return
 	}
 	node := chunk.Node(at)
@@ -92,11 +91,5 @@ func (w *worker) applyFiltersCOM(chunk *factor.Chunk, at plan.NodeID) {
 	if node.Parent != nil {
 		carry = node.ParentRow
 	}
-	rel := r.ds.Relation(at)
-	k := len(node.Rows)
-	for _, c := range r.children[at] {
-		w.filterProbes += int64(k)
-		k = r.filters[c].Retain(rel.Column(r.ds.KeyColumn(c)), node.Rows[:k], carry)
-	}
-	chunk.Truncate(node, k)
+	chunk.Truncate(node, w.filterRows(at, node.Rows, carry))
 }

@@ -22,9 +22,10 @@
 // run.buildStop, where cancellation and the build-morsel failpoint
 // meet. Each phase probes on one path: phase 1 reduces a parent span
 // by span, every child in turn (sj.go); in phase 2 every join step is
-// one batched table probe (probeJoin) and one filter pass — STD's
-// narrows a mask over flat columns (filterPass, std.go), COM's keeps
-// the survivors in the factor node itself (applyFiltersCOM, com.go).
+// one batched table probe (probeJoin) and one filter pass (filterRows)
+// over the joined relation's new rows, which keeps the survivors in
+// place — STD's in the probe result before it materializes a tuple
+// (std.go), COM's in the factor node itself (applyFiltersCOM, com.go).
 // Phase 2 distributes driver chunks across the same worker count, each
 // worker owning private counters and a scratch (tuple buffers, probe
 // buffers, a reusable factor chunk) borrowed from a process-wide free
@@ -208,8 +209,10 @@ type Stats struct {
 	// predicate then drops (so it equals OutputTuples without
 	// residuals); 0 for STD variants and factorized output.
 	ExpandedTuples int64
-	// IntermediateTuples is the number of intermediate tuples
-	// materialized by STD variants across all joins.
+	// IntermediateTuples is the number of tuples STD variants' joins
+	// produce, summed over all joins, each counted before the joined
+	// relation's own filters drop any (so BVP+STD's count includes
+	// tuples it never materializes); 0 for COM variants.
 	IntermediateTuples int64
 	// FactorizedRows is the total number of live factorized rows
 	// (COM variants, factorized output).
@@ -962,30 +965,30 @@ func (w *worker) gatherKeys(keyCol storage.Column, rows []int32) []int64 {
 	return keys
 }
 
-// filterPass is STD's filter pass, whose lanes stay in place: it runs
-// the bitvectors of at's children, in ascending order, over the rows of
-// at that sel selects (nil: all of them), each child's filter probing
-// the rows every earlier child passed, narrowing one mask in place. It
-// returns that survivor mask — the worker's, valid until the next pass
-// — or nil when no filter applies. COM filters its factor nodes in
-// place instead (applyFiltersCOM).
-func (w *worker) filterPass(at plan.NodeID, rows []int32, sel []bool) []bool {
+// filterRows is phase 2's filter pass, one for both pipelines: it runs
+// the bitvectors of at's children, in ascending order, over rows of
+// relation at, each keeping at the front of rows, in order, the rows
+// every earlier one kept (bitvector.Filter.Retain) and moving carry
+// (nil: nothing) in lock step, and returns how many survived. Each
+// filter counts the rows it tests as filter probes. Without filters
+// every row survives.
+func (w *worker) filterRows(at plan.NodeID, rows, carry []int32) int {
 	r := w.r
-	if r.filters == nil || len(r.children[at]) == 0 {
-		return nil
+	k := len(rows)
+	if r.filters == nil {
+		return k
 	}
 	rel := r.ds.Relation(at)
-	w.passed = buf.Grow(w.passed, len(rows))
 	for _, c := range r.children[at] {
-		keys := w.gatherKeys(rel.Column(r.ds.KeyColumn(c)), rows)
-		w.filterProbes += int64(r.filters[c].ProbeContains(keys, sel, w.passed))
-		sel = w.passed
+		w.filterProbes += int64(k)
+		k = r.filters[c].Retain(rel.Column(r.ds.KeyColumn(c)), rows[:k], carry)
 	}
-	return w.passed
+	return k
 }
 
 // probeJoin probes next's hash table with the join keys of next's
-// parent at parentRows, behind sel (nil: every row), and counts the
+// parent at parentRows, behind sel (nil: every row; STD's rows are all
+// survivors, COM's sel is the parent node's liveness), and counts the
 // probes, also as probes of relation next. The result is the worker's
 // reused w.probe.
 func (w *worker) probeJoin(next plan.NodeID, parentRows []int32, sel []bool) *hashtable.ProbeResult {

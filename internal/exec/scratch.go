@@ -32,10 +32,11 @@ type scratch struct {
 	// of each slot, the chunk's [lo, hi) row range spelled out.
 	rows []int32
 
-	// Shared probe scratch; passed is STD's filter-pass survivor mask.
-	keys   []int64
-	probe  hashtable.ProbeResult
-	passed []bool
+	// Shared probe scratch; lanes carries each STD match's input lane
+	// through the filter pass.
+	keys  []int64
+	probe hashtable.ProbeResult
+	lanes []int32
 
 	// tupleBuf holds the canonical-layout tuple during emission.
 	tupleBuf []int32
@@ -141,9 +142,9 @@ func growKeep[T any](s []T, n int) []T {
 // uint64 per row — CountOutput's weights or Expand's terms — grown with
 // buf.Grow's quarter headroom) is bounded from the row capacity.
 func (s *scratch) bytes() int {
-	n := 4 * (cap(s.rows) + cap(s.tupleBuf) +
+	n := 4 * (cap(s.rows) + cap(s.tupleBuf) + cap(s.lanes) +
 		cap(s.probe.Counts) + cap(s.probe.Offsets) + cap(s.probe.Rows))
-	n += 8*cap(s.keys) + cap(s.passed)
+	n += 8 * cap(s.keys)
 	for _, col := range s.colsA[:cap(s.colsA)] {
 		n += 4 * cap(col)
 	}

@@ -452,7 +452,9 @@ func (t *Table) ProbeBatchInto(keys []int64, sel []bool, res *ProbeResult) {
 // ProbeCounts is the batch match-count probe: counts[i] receives the
 // number of build rows matching keys[i] for selected lanes, 0
 // otherwise. The kernel's block lives on the stack, so concurrent calls
-// on a shared table are safe and nothing is allocated.
+// on a shared table are safe and nothing is allocated. Its non-test
+// callers, plan-time measurement (workload/reroot.go) and the benchmark
+// harness (benchmark/probes.go), pass a nil sel.
 func (t *Table) ProbeCounts(keys []int64, sel []bool, counts []int32) ProbeStats {
 	var c tally
 	var blk block
@@ -470,7 +472,8 @@ func (t *Table) ProbeCounts(keys []int64, sel []bool, counts []int32) ProbeStats
 // equal len(keys). sel and out may share backing storage (in-place
 // mask reduction): within each block, stage 1 reads sel[i] before
 // out[i] is written. Stack-resident like ProbeCounts, with the match
-// limit at 1.
+// limit at 1. Its one non-test caller is the benchmark harness
+// (benchmark/probes.go).
 func (t *Table) ProbeContains(keys []int64, sel []bool, out []bool) ProbeStats {
 	var c tally
 	var blk block

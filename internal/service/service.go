@@ -342,8 +342,8 @@ type DatasetInfo struct {
 // so is a relation with more rows than an int32 row id can address
 // (ClassInvalid) — probe results would silently truncate.
 func (s *Service) RegisterDataset(name string, ds *storage.Dataset) (DatasetInfo, error) {
-	if name == "" {
-		return DatasetInfo{}, fmt.Errorf("service: dataset name must be non-empty")
+	if err := s.checkName(name); err != nil {
+		return DatasetInfo{}, err
 	}
 	if err := ds.Validate(); err != nil {
 		return DatasetInfo{}, fmt.Errorf("service: invalid dataset %q: %w", name, err)
@@ -381,6 +381,19 @@ func (s *Service) RegisterDataset(name string, ds *storage.Dataset) (DatasetInfo
 	s.datasets[name] = e
 	s.met.registerDataset(e)
 	return s.infoLocked(e), nil
+}
+
+// checkName refuses an empty name or one the catalog already holds.
+// RegisterDataset checks again under s.mu before it inserts: a
+// concurrent registration may take the name in between.
+func (s *Service) checkName(name string) error {
+	if name == "" {
+		return fmt.Errorf("service: dataset name must be non-empty")
+	}
+	if s.entry(name) != nil {
+		return fmt.Errorf("service: dataset %q %w", name, ErrDatasetExists)
+	}
+	return nil
 }
 
 func (s *Service) infoLocked(e *datasetEntry) DatasetInfo {
@@ -433,8 +446,13 @@ func (r RegisterRequest) tree() (*plan.Tree, error) {
 }
 
 // Register loads or generates the dataset req describes and adds it to
-// the catalog (see RegisterDataset).
+// the catalog (see RegisterDataset). The name, and a generated driver's
+// row count, are checked before anything is loaded or generated, so a
+// request the catalog would refuse costs nothing.
 func (s *Service) Register(req RegisterRequest) (DatasetInfo, error) {
+	if err := s.checkName(req.Name); err != nil {
+		return DatasetInfo{}, err
+	}
 	if req.Dir != "" {
 		ds, err := storage.LoadDataset(req.Dir)
 		if err != nil {
@@ -449,6 +467,10 @@ func (s *Service) Register(req RegisterRequest) (DatasetInfo, error) {
 	rows := req.Rows
 	if rows <= 0 {
 		rows = 10000
+	}
+	if rows > s.maxRows {
+		return DatasetInfo{}, invalidErr(fmt.Errorf("dataset %q: %d driver rows, past the int32 row-id range (%d)",
+			req.Name, rows, s.maxRows))
 	}
 	ds := workload.Generate(tree, workload.Config{DriverRows: rows, Seed: req.Seed})
 	return s.RegisterDataset(req.Name, ds)

@@ -1,11 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -625,6 +631,51 @@ func TestRowIDRangeGuard(t *testing.T) {
 			if info := svc.Datasets()[0]; Classify(err) != ClassInvalid || info.Version != 0 || info.TotalRows != ds.TotalRows() {
 				t.Fatalf("rejection is class %q and left version %d with %d rows, want invalid and an untouched version 0 with %d",
 					Classify(err), info.Version, info.TotalRows, ds.TotalRows())
+			}
+		})
+	}
+}
+
+// TestRegisterRefusesBeforeLoading: POST /v1/datasets refuses a
+// generated driver past the row-id range (400) and a name the catalog
+// holds (409, also for a directory that does not exist) before it
+// generates or loads anything: each refusal allocates a small fraction
+// of what generating its rows would.
+func TestRegisterRefusesBeforeLoading(t *testing.T) {
+	svc := New(Config{})
+	svc.maxRows = 100000
+	if _, err := svc.Register(RegisterRequest{Name: "ds", Rows: 100}); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(svc)
+	for _, tc := range []struct {
+		name   string
+		req    RegisterRequest
+		status int
+	}{
+		{"driver one past the limit", RegisterRequest{Name: "big", Rows: svc.maxRows + 1}, http.StatusBadRequest},
+		{"duplicate name", RegisterRequest{Name: "ds", Rows: svc.maxRows / 2}, http.StatusConflict},
+		{"duplicate name, missing directory", RegisterRequest{Name: "ds", Dir: filepath.Join(t.TempDir(), "missing")}, http.StatusConflict},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body, err := json.Marshal(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/datasets", bytes.NewReader(body)))
+			runtime.ReadMemStats(&after)
+			if rec.Code != tc.status {
+				t.Fatalf("status %d (%s), want %d", rec.Code, rec.Body, tc.status)
+			}
+			// Generating either request's rows allocates tens of MiB.
+			if kib := (after.TotalAlloc - before.TotalAlloc) >> 10; kib > 256 {
+				t.Fatalf("refusal allocated %d KiB; the request was generated or loaded first", kib)
+			}
+			if n := len(svc.Datasets()); n != 1 {
+				t.Fatalf("%d datasets registered, want the first only", n)
 			}
 		})
 	}
