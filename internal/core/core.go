@@ -61,6 +61,11 @@ type PlanRequest struct {
 	Algorithm *opt.Algorithm
 	// Strategies restricts the candidate strategies (default: all six).
 	Strategies []cost.Strategy
+	// Phase1Paid prices an SJ plan's phase 1 (cost.PlanCost.
+	// Phase1Probes) as already paid: the caller keeps the snapshot's
+	// reduction resident, so the choice weighs phase 2 only. The
+	// choice's Predicted still carries the whole cost.
+	Phase1Paid bool
 }
 
 // ExhaustiveLimit is the tree size above which plan selection defaults
@@ -90,8 +95,8 @@ func (a planArtifacts) Table(id plan.NodeID) *hashtable.Table { return a[id] }
 func (planArtifacts) PutTable(plan.NodeID, *hashtable.Table)  {}
 
 // ChoosePlan costs every candidate strategy with its best join order
-// and returns the cheapest plan; it is an error when no candidate's
-// predicted cost is finite.
+// and returns the cheapest plan, SJ phase 1 left out of the price under
+// Phase1Paid; it is an error when no candidate's price is finite.
 func ChoosePlan(req PlanRequest) (PlanChoice, error) {
 	if req.Dataset == nil {
 		return PlanChoice{}, fmt.Errorf("core: PlanRequest.Dataset is required")
@@ -124,6 +129,7 @@ func ChoosePlan(req PlanRequest) (PlanChoice, error) {
 	}
 
 	var best PlanChoice
+	var bestPrice float64
 	found := false
 	for _, s := range strategies {
 		r := opt.Optimize(model, s, alg)
@@ -137,11 +143,15 @@ func ChoosePlan(req PlanRequest) (PlanChoice, error) {
 		// A NaN or infinite prediction is the statistics leaving the
 		// model's domain (an infinite fanout, say), not a cost: it
 		// neither wins by arriving first nor loses silently to `<`.
-		if total := choice.Predicted.Total; math.IsNaN(total) || math.IsInf(total, 0) {
+		price := choice.Predicted.Total
+		if req.Phase1Paid {
+			price -= w.Filter * choice.Predicted.Phase1Probes
+		}
+		if math.IsNaN(price) || math.IsInf(price, 0) {
 			continue
 		}
-		if !found || choice.Predicted.Total < best.Predicted.Total {
-			best = choice
+		if !found || price < bestPrice {
+			best, bestPrice = choice, price
 			found = true
 		}
 	}

@@ -15,8 +15,8 @@
 //	BVP        tree's (m, fo)    1                min(m+ε, 1)  the filters of the driver's
 //	           (§3.5)                             (§3.5)       children, on the driver (§3.5)
 //	SJ         (1, fo′) of       the driver's     —            the phase-1 semi-join
-//	           Theorem 3.4       reduction ratio               probes (§3.6)
-//	           (§3.6)            (§3.6)
+//	           Theorem 3.4       reduction ratio               probes (§3.6), paid
+//	           (§3.6)            (§3.6)                        once per snapshot
 //
 // Joining a relation costs one hash probe per alive row of its parent;
 // where the view has pass factors, the relation's rows then probe the
@@ -231,7 +231,10 @@ func (m *Model) ProbesCOM(next plan.NodeID, done plan.Set) float64 {
 }
 
 // PlanCost is the cost breakdown of one left-deep plan, expressed per
-// driver tuple (multiply by the driver cardinality for totals).
+// driver tuple (multiply by the driver cardinality for totals). Every
+// term is paid per query except Phase1Probes, which an SJ plan pays
+// once per snapshot: its reduction depends on the data and the
+// selections only, so a caller that keeps it resident has paid it.
 type PlanCost struct {
 	Strategy Strategy
 	// HashProbes is the expected hash-probe cost: the probe count with
@@ -239,8 +242,12 @@ type PlanCost struct {
 	// default unit costs this equals the expected number of probes.
 	HashProbes float64
 	// FilterProbes is the expected number of bitvector or semi-join
-	// probes (weighted by Weights.Filter in Total).
+	// probes (weighted by Weights.Filter in Total), Phase1Probes
+	// included.
 	FilterProbes float64
+	// Phase1Probes is the part of FilterProbes an SJ plan spends in
+	// phase 1 (Model.Phase1Probes); 0 for the other strategies.
+	Phase1Probes float64
 	// ExpandedTuples is the expected number of flat output tuples
 	// produced by the final expansion (weighted by Weights.Expand).
 	// Zero when the output stays factorized or when the strategy is a
@@ -324,6 +331,9 @@ func (m *Model) Marginal(s Strategy, cand plan.NodeID, set plan.Set) float64 {
 // asks a factorized strategy for flat tuples, the final expansion.
 func (m *Model) Cost(s Strategy, o plan.Order, flatOutput bool) PlanCost {
 	pc := PlanCost{Strategy: s, FilterProbes: m.view(s).initial}
+	if s.Reduction() == SemiJoin {
+		pc.Phase1Probes = pc.FilterProbes
+	}
 	set := plan.SetOf(plan.Root)
 	for _, id := range o {
 		hash, filter := m.marginal(s, id, set)

@@ -510,6 +510,18 @@ func TestSJPhase1RunningExample(t *testing.T) {
 	if got := model.Phase1Probes(); !almostEqual(got, want) {
 		t.Errorf("Phase1Probes = %v, want %v", got, want)
 	}
+	// A plan's per-snapshot term is phase 1 for SJ, inside its filter
+	// probes, and nothing for the other strategies.
+	o := plan.Order{ids["R2"], ids["R3"], ids["R5"], ids["R4"], ids["R6"]}
+	for _, s := range AllStrategies {
+		pc, want := model.Cost(s, o, true), 0.0
+		if s.Reduction() == SemiJoin {
+			want = model.Phase1Probes()
+		}
+		if pc.Phase1Probes != want || pc.FilterProbes < want {
+			t.Errorf("%v: Phase1Probes = %v of %v filter probes, want %v", s, pc.Phase1Probes, pc.FilterProbes, want)
+		}
+	}
 }
 
 // TestSJOutputPreserved: the reduction must not change the expected

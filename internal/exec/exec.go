@@ -191,6 +191,12 @@ type Stats struct {
 	BuildTagHits int64
 	// BuildTagMisses — see BuildTagHits.
 	BuildTagMisses int64
+	// Phase1Adopted reports that the run took its SJ phase 1 from a
+	// BuildSide reduced before it (Options.BuildSide) instead of
+	// executing it: SemiJoinProbes and the tag counts they make up are
+	// then attributed to the answer, not executed by the run (see
+	// Executed).
+	Phase1Adopted bool
 	// TagHits / TagMisses split every hash-table probe (HashProbes plus
 	// SemiJoinProbes) by the tagged directory's Bloom-tag filter: a
 	// TagMiss was answered by the directory word alone — the key's tag
@@ -252,6 +258,19 @@ type Stats struct {
 	// strategies, any join order, and any parallelism. COM with
 	// factorized output enumerates no tuples and leaves it 0.
 	Checksum uint64
+}
+
+// Executed returns the counters of the work the run executed: s
+// itself, or, when it adopted its phase 1, s less SemiJoinProbes and
+// the Build* tag split they make up. The attributed counters — s's
+// own — are the oracle's, the same whether phase 1 was adopted or not.
+func (s Stats) Executed() Stats {
+	if s.Phase1Adopted {
+		s.TagHits -= s.BuildTagHits
+		s.TagMisses -= s.BuildTagMisses
+		s.SemiJoinProbes, s.BuildTagHits, s.BuildTagMisses = 0, 0, 0
+	}
+	return s
 }
 
 // WeightedCost returns the abstract execution cost of the run under

@@ -208,8 +208,10 @@ func (c execCase) query() (*storage.Dataset, Options, *rand.Rand) {
 // every relation state its cache measured, and measures each version's
 // relations); an SJ case's build side, reduced once, with its phase-1
 // counters, a whole-driver run on that build side with it on every
-// counter, and each SJ shard on the build side with the same shard
-// reducing its own, both with its SemiJoinProbes; and, after the
+// attributed counter, and each SJ shard on the build side with the same
+// shard reducing its own, both with its SemiJoinProbes — every run that
+// reduced its own phase 1 executing all it attributes, every run on the
+// build side no phase-1 counter of it; and, after the
 // commits, a rerun of version 0 with version 0's first run. It returns the Stats
 // of that first run: provider-less and unsharded.
 func checkCase(t *testing.T, c execCase) Stats {
@@ -282,6 +284,9 @@ func checkVersion(t *testing.T, label string, c execCase, ds *storage.Dataset, o
 		t.Errorf("%s: collected %d tuples (checksum %x), Stats report %d (%x)",
 			label, collected, collectedSum, got.OutputTuples, got.Checksum)
 	}
+	if !reflect.DeepEqual(got.Executed(), got) {
+		t.Errorf("%s: a run that reduced its own phase 1 executed\n %+v\nof\n %+v", label, got.Executed(), got)
+	}
 	requireCounts(t, label, opts, got, countingReference(ds, opts))
 	count, sum := ReferenceOpts(ds, nil, opts.Selections)
 	checksum := got.Checksum
@@ -305,9 +310,7 @@ func checkVersion(t *testing.T, label string, c execCase, ds *storage.Dataset, o
 		}
 		o := opts
 		o.BuildSide = build
-		if st := must(Run(ds, o)); !reflect.DeepEqual(st, got) {
-			t.Errorf("%s: run on a shared build side\n %+v\nreducing its own\n %+v", label, st, got)
-		}
+		requireAdopted(t, label+": run on a shared build side", must(Run(ds, o)), got)
 	}
 	if shards != nil {
 		parts := make([]Stats, len(shards))
@@ -318,9 +321,8 @@ func checkVersion(t *testing.T, label string, c execCase, ds *storage.Dataset, o
 			if build != nil {
 				own := parts[i]
 				o.BuildSide = build
-				if parts[i] = must(Run(sh.Parent, o)); !reflect.DeepEqual(parts[i], own) {
-					t.Errorf("%s: shard %d on the shared build side\n %+v\non its own\n %+v", label, i, parts[i], own)
-				}
+				parts[i] = must(Run(sh.Parent, o))
+				requireAdopted(t, fmt.Sprintf("%s: shard %d on the shared build side", label, i), parts[i], own)
 				for _, st := range []Stats{own, parts[i]} {
 					if st.SemiJoinProbes != got.SemiJoinProbes {
 						t.Errorf("%s: shard %d counts %d semi-join probes, the unsharded run %d",
@@ -329,7 +331,12 @@ func checkVersion(t *testing.T, label string, c execCase, ds *storage.Dataset, o
 				}
 			}
 		}
-		if merged := MergeShardStats(parts); !reflect.DeepEqual(merged, got) {
+		merged := MergeShardStats(parts)
+		if merged.Phase1Adopted != (build != nil) {
+			t.Errorf("%s: %d shards merge to Phase1Adopted %v, on a shared build side %v",
+				label, len(shards), merged.Phase1Adopted, build != nil)
+		}
+		if merged.Phase1Adopted = false; !reflect.DeepEqual(merged, got) {
 			t.Errorf("%s: %d shards merge to\n %+v\nunsharded\n %+v", label, len(shards), merged, got)
 		}
 	}
@@ -374,6 +381,21 @@ func checkVersion(t *testing.T, label string, c execCase, ds *storage.Dataset, o
 		}
 	}
 	return got
+}
+
+// requireAdopted fails t unless st is a run that adopted its phase 1:
+// it executed no phase-1 counter, and attributes exactly want's, the
+// Stats of the same run reducing its own.
+func requireAdopted(t *testing.T, label string, st, want Stats) {
+	t.Helper()
+	ex := st.Executed()
+	if !st.Phase1Adopted || ex.SemiJoinProbes != 0 || ex.BuildTagHits != 0 || ex.BuildTagMisses != 0 ||
+		ex.TagHits+ex.TagMisses != ex.HashProbes {
+		t.Errorf("%s: adopting run executed phase-1 work\n %+v\nof\n %+v", label, ex, st)
+	}
+	if st.Phase1Adopted = false; !reflect.DeepEqual(st, want) {
+		t.Errorf("%s\n %+v\nreducing its own\n %+v", label, st, want)
+	}
 }
 
 // apply carries the store's tables to the version v committed, as the

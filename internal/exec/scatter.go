@@ -40,7 +40,9 @@ import (
 // and the checksum are additive over driver rows; phase 1 — an SJ
 // strategy's SemiJoinProbes and its tag split (Stats.BuildTagHits /
 // BuildTagMisses), which every shard carries whether it reduced or
-// adopted them — is taken from parts[0], once. Cache counters are
+// adopted them — is taken from parts[0], once, and Phase1Adopted holds
+// only if every part adopted it: where any shard ran phase 1, the merge
+// executed it, once, as it counts it. Cache counters are
 // summed — each shard's run counts its own lookups, and shards sharing
 // a build side made none for it, so their caller adds BuildSide.Stats'
 // once — and BytesCached takes the largest snapshot. Coverage is 1 and
@@ -53,7 +55,9 @@ func MergeShardStats(parts []Stats) Stats {
 		return m
 	}
 	m.PerRelationProbes = make(map[plan.NodeID]int64, len(parts[0].PerRelationProbes))
+	m.Phase1Adopted = true
 	for _, p := range parts {
+		m.Phase1Adopted = m.Phase1Adopted && p.Phase1Adopted
 		m.HashProbes += p.HashProbes
 		m.FilterProbes += p.FilterProbes
 		m.TagHits += p.TagHits - p.BuildTagHits
@@ -88,7 +92,7 @@ func MergeShardStats(parts []Stats) Stats {
 // artifacts under the same keys. An SJ query without opts.BuildSide
 // reduces its build side once, at the full parallelism, before the
 // fan-out; every shard adopts it, and the merged Stats add its cache
-// counters once.
+// counters once and report phase 1 executed.
 //
 // RunSharded is all-or-nothing: the first shard failure cancels the
 // siblings and fails the call. Degraded (partial-coverage) gathering
@@ -162,6 +166,7 @@ func RunSharded(shards []shard.Shard, opts Options) (Stats, error) {
 	if reduced != nil {
 		m.CacheHits += reduced.Stats().CacheHits
 		m.CacheMisses += reduced.Stats().CacheMisses
+		m.Phase1Adopted = false
 	}
 	return m, nil
 }

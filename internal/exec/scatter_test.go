@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -152,9 +153,7 @@ func TestBuildSideMustFit(t *testing.T) {
 	o := opts
 	o.BuildSide = build
 	want := must(Run(ds, opts))
-	if got := must(Run(ds, o)); !reflect.DeepEqual(got, want) {
-		t.Errorf("on its build side\n %+v\nreducing its own\n %+v", got, want)
-	}
+	requireAdopted(t, "on its build side", must(Run(ds, o)), want)
 
 	// Doctor the build side's counters: every run on it, a whole-driver
 	// run and each shard, must show the edit.
@@ -242,8 +241,6 @@ func TestBuildSideConcurrentDriverReduction(t *testing.T) {
 		if i%4 == 3 {
 			w = wantShard[i/4%2]
 		}
-		if !reflect.DeepEqual(st, w) {
-			t.Errorf("run %d\n %+v\nwant\n %+v", i, st, w)
-		}
+		requireAdopted(t, fmt.Sprintf("run %d", i), st, w)
 	}
 }

@@ -48,7 +48,8 @@ import (
 // among concurrent runs. A Run given it as Options.BuildSide adopts its
 // tables, driver mask and phase-1 counters and reduces nothing, so its
 // Stats are exactly those of a run that reduced its own — a shard's
-// too, since DriverRows restricts the driver only after phase 1.
+// too, since DriverRows restricts the driver only after phase 1 — but
+// for Phase1Adopted, which says the run executed none of them.
 type BuildSide struct {
 	ds        *storage.Dataset
 	sels      []Selection
@@ -128,6 +129,7 @@ func (r *run) semiJoinPass() {
 	r.tables, r.driverLive = b.tables, b.driver
 	r.stats.SemiJoinProbes, r.stats.TagHits, r.stats.TagMisses = b.stats.SemiJoinProbes, b.stats.TagHits, b.stats.TagMisses
 	r.stats.BuildTagHits, r.stats.BuildTagMisses = b.stats.BuildTagHits, b.stats.BuildTagMisses
+	r.stats.Phase1Adopted = true
 }
 
 // reduceBuildSide gives every non-root relation its table, bottom-up.

@@ -15,7 +15,8 @@ import (
 // the serving benchmark's BVP+COM head (a Snowflake(3,2) and a centred
 // 7-path, 20 000 driver rows) and of its many-to-many blow-up under COM
 // (Snowflake(3,2), 55 000 driver rows). The serve shapes also run the
-// flat pipeline, STD, BVP+STD and SJ+STD, the last on a build side
+// flat pipeline, STD, BVP+STD, and SJ+STD and SJ+COM — the plan the
+// service's auto queries run once phase 1 is resident — on a build side
 // reduced once by ReduceBuildSide and adopted by every run, as the
 // service adopts its cached one. Compare two commits with alternating
 // runs:
@@ -54,6 +55,8 @@ func BenchmarkWarm(b *testing.B) {
 		{path, cost.STD},
 		{path, cost.BVPSTD},
 		{path, cost.SJSTD},
+		{snowflake, cost.SJCOM},
+		{path, cost.SJCOM},
 	}
 	for _, c := range cases {
 		b.Run(c.shape.name+"/"+c.strategy.String(), func(b *testing.B) {

@@ -44,7 +44,7 @@ import (
 // dataset snapshot (its lineage fingerprint), same relation, same
 // join-key column, and the same pushed-down selection set on that
 // relation (maskFP, 0 for no selections). The driver has no table, so
-// its slot keys SJ build sides instead (queryArtifacts.buildSideKey).
+// its slot keys SJ build sides instead (buildSideKey).
 type artifactKey struct {
 	dataset uint64
 	rel     plan.NodeID
@@ -166,8 +166,9 @@ func (c *artifactCache) put(e *cacheEntry) {
 
 // peek returns the entry under key without touching the hit/miss
 // counters or the LRU order — the commit-time repair path uses it to
-// find the previous version's artifacts without skewing the stats the
-// load generator reports.
+// find the previous version's artifacts, and auto planning to see
+// whether a build side is resident, without skewing the stats the load
+// generator reports.
 func (c *artifactCache) peek(key artifactKey) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -283,16 +284,18 @@ func (q *queryArtifacts) put(e *cacheEntry) {
 	}
 }
 
-// buildSideKey keys the SJ build side of a run on q's snapshot: the
-// driver's slot, under a fingerprint of the run's selections (in
-// request order) and semi-join orders, as BuildSide.fits compares them.
-func (q *queryArtifacts) buildSideKey(sels []exec.Selection, semiJoins map[plan.NodeID][]plan.NodeID) artifactKey {
+// buildSideKey keys the SJ build side of a run on the snapshot of
+// lineage fingerprint dataset, whose tree has n relations: the driver's
+// slot, under a fingerprint of the run's selections (in request order)
+// and semi-join orders, as BuildSide.fits compares them. It allocates
+// nothing, so a query can ask whether a build side is resident.
+func buildSideKey(dataset uint64, n int, sels []exec.Selection, semiJoins map[plan.NodeID][]plan.NodeID) artifactKey {
 	h := storage.FingerprintUint64(storage.FingerprintSeed, uint64(len(sels)))
 	for _, sel := range sels {
 		h = storage.FingerprintString(storage.FingerprintUint64(h, uint64(sel.Rel)), sel.Column)
 		h = storage.FingerprintUint64(h, uint64(sel.Value))
 	}
-	for id := range len(q.maskFPs) {
+	for id := range n {
 		if order, ok := semiJoins[plan.NodeID(id)]; ok {
 			h = storage.FingerprintUint64(storage.FingerprintUint64(h, uint64(id)), uint64(len(order)))
 			for _, c := range order {
@@ -300,32 +303,44 @@ func (q *queryArtifacts) buildSideKey(sels []exec.Selection, semiJoins map[plan.
 			}
 		}
 	}
-	return artifactKey{dataset: q.dataset, rel: plan.Root, maskFP: h}
+	return artifactKey{dataset: dataset, rel: plan.Root, maskFP: h}
 }
 
 // buildSide returns the SJ build side of choice on snap — the cached
 // one, or one reduced now under opts (the query's context, workers and
-// trace) and offered to the cache — with the lookups it stands for in
-// the query's CacheHits / CacheMisses: a fresh one's own, a cached one
-// every provider table it holds, all served. One cached for another
-// snapshot of equal lineage does not fit, so the query reduces afresh;
-// a failed or cancelled reduction offers nothing. The service's one SJ
-// phase-1 path, for solo runs and local scatters alike.
-func (s *Service) buildSide(snap *storage.Dataset, choice core.PlanChoice, opts exec.Options) (b *exec.BuildSide, hits, misses int64, err error) {
+// trace) and offered to the cache — with side, what it adds to the
+// Stats of the runs on it (addBuildSide): the lookups it stands for in
+// CacheHits / CacheMisses — a fresh one's own, a cached one every
+// provider table it holds, all served — and, for a cached one only,
+// Phase1Adopted. One cached for another snapshot of equal lineage does
+// not fit, so the query reduces afresh; a failed or cancelled reduction
+// offers nothing. The service's one SJ phase-1 path, for solo runs and
+// local scatters alike.
+func (s *Service) buildSide(snap *storage.Dataset, choice core.PlanChoice, opts exec.Options) (b *exec.BuildSide, side exec.Stats, err error) {
 	arts := opts.Artifacts.(*queryArtifacts)
-	key := arts.buildSideKey(opts.Selections, choice.SemiJoins)
+	key := buildSideKey(arts.dataset, len(arts.maskFPs), opts.Selections, choice.SemiJoins)
 	if e := s.cache.get(key); e != nil && e.snap == snap {
 		st := e.build.Stats()
-		return e.build, st.CacheHits + st.CacheMisses, 0, nil
+		return e.build, exec.Stats{CacheHits: st.CacheHits + st.CacheMisses, Phase1Adopted: true}, nil
 	}
 	start := s.now()
 	if b, err = core.ReduceBuildSide(snap, choice, opts); err != nil {
-		return nil, 0, 0, err
+		return nil, side, err
 	}
 	s.met.buildHist.Observe(s.now().Sub(start))
 	st := b.Stats()
 	arts.put(&cacheEntry{key: key, build: b, snap: snap, bytes: st.BytesCached})
-	return b, st.CacheHits, st.CacheMisses, nil
+	return b, exec.Stats{CacheHits: st.CacheHits, CacheMisses: st.CacheMisses}, nil
+}
+
+// addBuildSide folds side, what Service.buildSide says a build side
+// adds, into st, the Stats of the query's runs on it: a query that
+// reduced its build side executed that phase 1, though its runs
+// adopted it.
+func addBuildSide(st *exec.Stats, side exec.Stats) {
+	st.CacheHits += side.CacheHits
+	st.CacheMisses += side.CacheMisses
+	st.Phase1Adopted = side.Phase1Adopted
 }
 
 var _ exec.Artifacts = (*queryArtifacts)(nil)

@@ -222,11 +222,12 @@ type datasetEntry struct {
 }
 
 // planKey memoizes plan selection per (strategy restriction, output
-// shape); auto selection (all six strategies) uses auto=true.
+// shape); auto selection (all six strategies) uses auto=true, and with
+// paid=true it prices SJ phase 1 as paid (core.PlanRequest.Phase1Paid).
 type planKey struct {
-	auto     bool
-	strategy cost.Strategy
-	flat     bool
+	auto, paid bool
+	strategy   cost.Strategy
+	flat       bool
 }
 
 // New creates a service with the given configuration.
@@ -675,8 +676,9 @@ func (s *Service) Query(ctx context.Context, req Request) (res Result, err error
 		return
 	}
 
-	// Execute.
+	// Execute, on the warm choice when its phase 1 is resident for snap.
 	started := s.now()
+	s.adoptResident(&c, snap)
 	if set != nil {
 		out, err = s.scatter(ctx, c, set)
 	} else {
@@ -698,10 +700,13 @@ type execCall struct {
 	parent telemetry.SpanID
 
 	// From the plan stage; e is nil for an unknown dataset and strategy
-	// empty until a plan is chosen.
+	// empty until a plan is chosen. An auto query's warm is its choice
+	// with SJ phase 1 priced as paid (zero for a fixed strategy); the
+	// execute stage may run it instead (adoptResident).
 	e        *datasetEntry
 	sels     []exec.Selection
 	choice   core.PlanChoice
+	warm     core.PlanChoice
 	strategy string
 
 	// From the admit stage; allowed means the dataset breaker let the
@@ -746,13 +751,30 @@ func (s *Service) planQuery(c *execCall) error {
 		return invalidErr(fmt.Errorf("timeoutMillis %d above %d", req.TimeoutMillis, maxMillis))
 	}
 	psp := c.tr.Start("plan", c.parent)
-	c.choice, err = s.plan(c.e, req.Strategy, req.FlatOutput)
+	c.choice, c.warm, err = s.plan(c.e, req.Strategy, req.FlatOutput)
 	c.tr.End(psp)
 	if err != nil {
 		return invalidErr(err)
 	}
 	c.strategy = c.choice.Strategy.String()
 	return nil
+}
+
+// adoptResident is the sunk-cost rule: an auto query whose choice is
+// not SJ runs its warm choice instead when that is SJ and its whole
+// phase 1 is resident for snap under the query's selections — already
+// paid, so phase 2 alone was priced. The check counts no lookup and
+// promotes nothing; a build side evicted before the run takes it is
+// reduced again. A local scatter decides here once for all its shards;
+// a shard worker's request names its strategy.
+func (s *Service) adoptResident(c *execCall, snap *storage.Dataset) {
+	if c.warm.Strategy.Reduction() != cost.SemiJoin || c.choice.Strategy.Reduction() == cost.SemiJoin {
+		return
+	}
+	key := buildSideKey(snap.VersionFingerprint(), c.e.ds.Tree.Len(), c.sels, c.warm.SemiJoins)
+	if e := s.cache.peek(key); e != nil && e.snap == snap {
+		c.choice, c.strategy = c.warm, c.warm.Strategy.String()
+	}
 }
 
 // admitQuery is the admit stage: shed if draining, ask the dataset's
@@ -826,20 +848,23 @@ func (s *Service) resolve(c *execCall) (set *shardSet, snap *storage.Dataset, ro
 // an SJ run adopts build, the build side a local scatter took for all
 // its shards, or else its snapshot's own from Service.buildSide
 // (cached, or reduced now through the provider) — either way its whole
-// phase 1, so the run reduces nothing.
+// phase 1, so the run reduces nothing; its Stats report phase 1 adopted
+// only when the query found it cached.
 func (s *Service) run(ctx context.Context, c execCall, snap *storage.Dataset, rows *storage.Bitmap, build *exec.BuildSide) (exec.Stats, error) {
 	opts := s.execOptions(ctx, c, snap, rows)
-	var hits, misses int64
-	if build == nil && c.choice.Strategy.Reduction() == cost.SemiJoin {
+	var side exec.Stats
+	own := build == nil && c.choice.Strategy.Reduction() == cost.SemiJoin
+	if own {
 		var err error
-		if build, hits, misses, err = s.buildSide(snap, c.choice, opts); err != nil {
+		if build, side, err = s.buildSide(snap, c.choice, opts); err != nil {
 			return exec.Stats{}, err
 		}
 	}
 	opts.BuildSide = build
 	st, err := core.Execute(snap, c.choice, opts)
-	st.CacheHits += hits
-	st.CacheMisses += misses
+	if own {
+		addBuildSide(&st, side)
+	}
 	return st, err
 }
 
@@ -933,46 +958,59 @@ func (e *datasetEntry) resolveSelections(specs []SelectionSpec) ([]exec.Selectio
 	return sels, nil
 }
 
-// plan returns the memoized plan choice for the strategy restriction.
-// Edge statistics are measured once per dataset through the entry's
-// shared stats cache; the optimizer search runs once per (strategy,
-// flat) pair. The hash tables that measurement builds belong to the
-// artifact cache, not to the catalog: those valid for head are offered
-// to it under head's keys — where the first query finds them instead
-// of building them again — and the stats cache lets go of them, so
-// every table the service keeps alive is charged to the byte budget.
-// (Every execution passes its own provider, so the memoized choice
-// never reads the stats cache.)
-func (s *Service) plan(e *datasetEntry, strategy string, flat bool) (core.PlanChoice, error) {
+// plan returns the memoized plan choice for the strategy restriction
+// and, for auto selection, the warm choice: the auto choice with SJ
+// phase 1 priced as paid, from the same statistics. Edge statistics are
+// measured once per dataset through the entry's shared stats cache; the
+// optimizer search runs once per (strategy, flat) pair, twice for auto,
+// and never per query. The hash tables that measurement builds belong
+// to the artifact cache, not to the catalog: those valid for head are
+// offered to it under head's keys — where the first query finds them
+// instead of building them again — and the stats cache lets go of
+// them, so every table the service keeps alive is charged to the byte
+// budget. (Every execution passes its own provider, so the memoized
+// choice never reads the stats cache.)
+func (s *Service) plan(e *datasetEntry, strategy string, flat bool) (choice, warm core.PlanChoice, err error) {
 	key := planKey{auto: true, flat: flat}
 	var restrict []cost.Strategy
 	if strategy != "" && strategy != "auto" {
 		st, ok := cost.ParseStrategy(strategy)
 		if !ok {
-			return core.PlanChoice{}, fmt.Errorf("service: unknown strategy %q", strategy)
+			return choice, warm, fmt.Errorf("service: unknown strategy %q", strategy)
 		}
 		key = planKey{strategy: st, flat: flat}
 		restrict = []cost.Strategy{st}
 	}
+	warmKey := planKey{auto: true, paid: true, flat: flat}
 	e.planMu.Lock()
 	defer e.planMu.Unlock()
 	if choice, ok := e.plans[key]; ok {
-		return choice, nil
+		if key.auto {
+			warm = e.plans[warmKey]
+		}
+		return choice, warm, nil
 	}
-	choice, err := core.ChoosePlan(core.PlanRequest{
+	req := core.PlanRequest{
 		Dataset:      e.ds,
 		MeasureStats: true,
 		StatsCache:   e.statsCache,
 		FlatOutput:   flat,
 		Strategies:   restrict,
-	})
-	if err != nil {
-		return core.PlanChoice{}, err
+	}
+	if choice, err = core.ChoosePlan(req); err != nil {
+		return choice, warm, err
+	}
+	if key.auto {
+		req.Phase1Paid = true
+		if warm, err = core.ChoosePlan(req); err != nil {
+			return choice, warm, err
+		}
+		e.plans[warmKey] = warm
 	}
 	s.seedArtifacts(e)
 	e.statsCache.ReleaseTables()
 	e.plans[key] = choice
-	return choice, nil
+	return choice, warm, nil
 }
 
 // seedArtifacts offers the stats cache's tables valid for head — those

@@ -55,6 +55,7 @@ const snowflake32Leaves = 6
 // and a warm run; everything else must be bit-identical.
 func stripCache(s exec.Stats) exec.Stats {
 	s.CacheHits, s.CacheMisses, s.BytesCached = 0, 0, 0
+	s.Phase1Adopted = false
 	return s
 }
 

@@ -384,11 +384,11 @@ func (s *Service) scatter(ctx context.Context, c execCall, set *shardSet) (outco
 	defer tr.End(ssp)
 	sc := shardCall{execCall: c, set: set}
 	sc.parent = ssp
-	var hits, misses int64
+	var side exec.Stats
 	if len(s.cfg.Shard.Backends) == 0 && c.choice.Strategy.Reduction() == cost.SemiJoin {
 		snap := set.snapshot()
 		var err error
-		if sc.build, hits, misses, err = s.buildSide(snap, c.choice, s.execOptions(ctx, sc.execCall, snap, nil)); err != nil {
+		if sc.build, side, err = s.buildSide(snap, c.choice, s.execOptions(ctx, sc.execCall, snap, nil)); err != nil {
 			return out, fmt.Errorf("scatter: %w", err)
 		}
 	}
@@ -431,8 +431,9 @@ func (s *Service) scatter(ctx context.Context, c execCall, set *shardSet) (outco
 	// side's are added once.
 	merge := func(parts []exec.Stats) exec.Stats {
 		m := exec.MergeShardStats(parts)
-		m.CacheHits += hits
-		m.CacheMisses += misses
+		if sc.build != nil {
+			addBuildSide(&m, side)
+		}
 		return m
 	}
 	if len(failed) == 0 {
