@@ -54,7 +54,6 @@ type loadConfig struct {
 type loadReport struct {
 	queries, errors    int64
 	duration           time.Duration
-	qps                float64
 	p50, p95, p99, max time.Duration
 	// errorsByClass breaks errors down by failure class. Only internal
 	// (and invalid, which indicates a broken mix) represent engine
@@ -162,9 +161,6 @@ func runLoad(ctx context.Context, h *service.HTTPRunner, cfg loadConfig) loadRep
 		report.outputTuples += aggs[i].tuples
 	}
 	report.queries = int64(len(all))
-	if report.duration > 0 {
-		report.qps = float64(report.queries) / report.duration.Seconds()
-	}
 	if len(all) > 0 {
 		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 		pct := func(p float64) time.Duration { return all[int(p*float64(len(all)-1))] }
@@ -288,25 +284,30 @@ func queryWithRetry(ctx context.Context, h *service.HTTPRunner, req service.Requ
 	}
 }
 
-// String renders the report as the m2mload summary block.
+// String renders the report as the m2mload summary block. The
+// end-to-end figures carry the benchmark's metric names
+// (throughput_qps, ok_ratio, query_p50_ms, query_p95_ms,
+// output_tuples_per_s), measured at the client.
 func (r loadReport) String() string {
 	hitRate := 0.0
 	if r.cacheHits+r.cacheMisses > 0 {
 		hitRate = float64(r.cacheHits) / float64(r.cacheHits+r.cacheMisses)
 	}
+	secs := max(r.duration.Seconds(), 1e-9)
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	e := r.errorsByClass
 	out := fmt.Sprintf(
-		"queries=%d errors=%d retries=%d degraded=%d elapsed=%v qps=%.1f\n"+
+		"queries=%d errors=%d retries=%d degraded=%d elapsed=%v throughput_qps=%.1f ok_ratio=%.4f\n"+
 			"errors by class: timeout=%d shed=%d canceled=%d invalid=%d internal=%d\n"+
-			"latency p50=%v p95=%v p99=%v max=%v\n"+
+			"latency query_p50_ms=%.3f query_p95_ms=%.3f p99_ms=%.3f max_ms=%.3f\n"+
 			"artifact cache: hits=%d misses=%d hit-rate=%.1f%%\n"+
-			"output tuples: %d",
-		r.queries, r.errors, r.retries, r.degraded, r.duration.Round(time.Millisecond), r.qps,
+			"output tuples: %d output_tuples_per_s=%.0f",
+		r.queries, r.errors, r.retries, r.degraded, r.duration.Round(time.Millisecond),
+		float64(r.queries)/secs, float64(r.queries)/float64(max(r.queries+r.errors, 1)),
 		e[service.ClassTimeout], e[service.ClassShed], e[service.ClassCanceled],
 		e[service.ClassInvalid], e[service.ClassInternal],
-		r.p50.Round(time.Microsecond), r.p95.Round(time.Microsecond),
-		r.p99.Round(time.Microsecond), r.max.Round(time.Microsecond),
-		r.cacheHits, r.cacheMisses, 100*hitRate, r.outputTuples)
+		ms(r.p50), ms(r.p95), ms(r.p99), ms(r.max),
+		r.cacheHits, r.cacheMisses, 100*hitRate, r.outputTuples, float64(r.outputTuples)/secs)
 	if r.mutations+r.mutationErrors > 0 {
 		out += fmt.Sprintf("\nmutations: committed=%d errors=%d (hit rate above measured under writes)",
 			r.mutations, r.mutationErrors)

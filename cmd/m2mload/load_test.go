@@ -14,8 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"m2mjoin/internal/plan"
 	"m2mjoin/internal/service"
+	"m2mjoin/internal/workload"
 )
 
 // TestLoadOverHTTP runs the driver the way every caller does — over the
@@ -42,7 +42,7 @@ func TestLoadOverHTTP(t *testing.T) {
 	if got := len(svc.Datasets()); got != len(regs) {
 		t.Fatalf("catalog holds %d datasets after registering %d twice", got, len(regs))
 	}
-	tree, err := plan.ShapeByName(regs[0].Shape, plan.FixedStats(1, 1))
+	tree, err := workload.Named(regs[0].Shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestRun(t *testing.T) {
 		{"shed only", answering(service.ClassShed), "", 0, "invalid=0 internal=0", ""},
 		{"internal errors", answering(service.ClassInternal), "", 1, "internal=", ""},
 		{"invalid errors", answering(service.ClassInvalid), "", 1, "invalid=", ""},
-		{"no server", nil, "", 1, "", "m2mload: registering load_snowflake32"},
+		{"no server", nil, "", 1, "", "m2mload: registering snowflake32"},
 		{"bad flag", nil, "-clients many", 2, "", `invalid value "many"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

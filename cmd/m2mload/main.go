@@ -1,13 +1,18 @@
 // Command m2mload is the closed-loop load generator for the query
 // service, and a client of its HTTP API like any other: it registers
-// the standard mixed-shape datasets on a running m2mserve (POST
-// /v1/datasets, tolerating 409 so repeated runs against one server
-// work), then a fixed number of clients issue queries back-to-back
-// from a Zipf-skewed popularity distribution over the mix's templates
-// (auto-planned, fixed-strategy, selection and SJ variants) and it
-// reports throughput, latency percentiles and artifact-cache hit
-// rates. At the end of a run it also prints the server's own
-// query-latency p50/p95/p99 from GET /v1/stats beside the
+// the benchmark's serve mix (service.StandardMix: the snowflake32, star
+// and path datasets at -rows driver rows and seeds -seed*100+1..3) on a
+// running m2mserve (POST /v1/datasets, tolerating 409 so repeated runs
+// against one server work), then a fixed number of clients issue
+// queries back-to-back from a Zipf-skewed popularity distribution over
+// the mix's 12 templates in the benchmark's rank order (auto-planned,
+// BVP+COM, SJ+COM, and COM with a driver selection) and it reports
+// throughput, latency percentiles and artifact-cache hit rates under
+// the benchmark's metric names. With the default -rows and -seed it
+// drives the datasets and templates of the benchmark's serve_*
+// workloads, which `m2mserve -preload` registers; its draws and its
+// HTTP transport are its own. At the end of a run it also prints the
+// server's own query-latency p50/p95/p99 from GET /v1/stats beside the
 // client-observed ones — the gap is client and transport overhead.
 // (For in-process figures, `bash benchmark/run.sh` is the measured
 // harness.)
@@ -36,7 +41,7 @@
 // Usage:
 //
 //	m2mload [-addr http://127.0.0.1:8080] [-duration 10s] [-clients 4]
-//	        [-rows 5000] [-seed 1] [-zipf 1.3] [-timeout 0] [-retries 0]
+//	        [-rows 20000] [-seed 1] [-zipf 1.3] [-timeout 0] [-retries 0]
 //	        [-min-coverage 0] [-mutate-qps 0]
 package main
 
@@ -51,6 +56,7 @@ import (
 
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/service"
+	"m2mjoin/internal/workload"
 )
 
 func main() {
@@ -64,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("m2mload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "http://127.0.0.1:8080", "base URL of the m2mserve to drive")
-	rows := fs.Int("rows", 5000, "driver rows per generated dataset")
+	rows := fs.Int("rows", 20000, "driver rows per generated dataset")
 	var cfg loadConfig
 	fs.DurationVar(&cfg.duration, "duration", 10*time.Second, "load run length")
 	fs.IntVar(&cfg.clients, "clients", 4, "closed-loop client count")
@@ -138,11 +144,11 @@ type writeTarget struct {
 // join tree alone (id, v, the relation's own key column when non-root,
 // and one key column per child), so valid appends are synthesized from
 // the registration requests without fetching any data. regs come from
-// service.StandardMix, whose shapes are ShapeByName's own.
+// service.StandardMix, whose shapes are workload.Named's own.
 func writeTargets(regs []service.RegisterRequest) []writeTarget {
 	var out []writeTarget
 	for _, reg := range regs {
-		tree, err := plan.ShapeByName(reg.Shape, plan.FixedStats(1, 1))
+		tree, err := workload.Named(reg.Shape)
 		if err != nil {
 			panic(err)
 		}

@@ -120,7 +120,7 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) int {
 	fs.IntVar(&cfg.MaxConcurrent, "max-concurrent", 0,
 		"queries executing at once; the rest queue (0 = default)")
 	preload := fs.Bool("preload", false,
-		"register the standard mixed-shape synthetic datasets at startup")
+		"register the benchmark's serve mix (snowflake32, star, path; 20000 driver rows, seed 1) at startup")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second,
 		"how long a SIGTERM waits for in-flight queries before exiting")
 	fs.IntVar(&cfg.Shard.Shards, "shards", 0,
@@ -161,7 +161,7 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) int {
 			max(cfg.Shard.Shards, n), n, cfg.Shard.Backends)
 	}
 	if *preload {
-		mix, _ := service.StandardMix(10000, 1)
+		mix, _ := service.StandardMix(20000, 1)
 		regs = append(regs, mix...)
 	}
 	for _, reg := range regs {

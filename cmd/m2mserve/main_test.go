@@ -130,7 +130,7 @@ func TestObservability(t *testing.T) {
 	h := service.NewHTTPRunner(srv.url)
 	tally := drive(t, srv.url, time.Second, 0, func() {
 		for row := range 5 {
-			req := service.MutateRequest{Dataset: "load_star", Ops: []service.MutationSpec{{Op: "delete", Relation: "R1", Row: row}}}
+			req := service.MutateRequest{Dataset: "star", Ops: []service.MutationSpec{{Op: "delete", Relation: "R1", Row: row}}}
 			if _, err := h.Mutate(context.Background(), req); err != nil {
 				t.Error(err)
 			}

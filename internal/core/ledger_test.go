@@ -16,41 +16,33 @@ import (
 	"m2mjoin/internal/opt"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
+	"m2mjoin/internal/workload"
 )
 
 var updateLedger = flag.Bool("update", false, "rewrite testdata/plans.golden from the plans ChoosePlan returns now")
 
 const ledgerFile = "testdata/plans.golden"
 
-// ledgerTrees are the trees whose plans the ledger pins: the five
-// statistics lists of benchmark/datasets.go, re-stated by value so the
-// ledger does not move when the benchmark does, and 200 seeded random
-// trees whose every M+ε stays below 1.
+// ledgerTrees are the trees whose plans the ledger pins: the
+// benchmark's five datasets as workload.Named declares them, and 200
+// seeded random trees whose every M+ε stays below 1.
 func ledgerTrees() (names []string, trees []*plan.Tree) {
-	list := func(stats ...plan.EdgeStats) plan.StatsSource {
-		i := 0
-		return func() plan.EdgeStats { i++; return stats[i-1] }
-	}
 	add := func(name string, t *plan.Tree) {
 		names, trees = append(names, name), append(trees, t)
 	}
-	add("blowup", plan.Snowflake(3, 2, list(
-		plan.EdgeStats{M: 0.8, Fo: 2.0}, plan.EdgeStats{M: 0.9, Fo: 1.5}, plan.EdgeStats{M: 0.7, Fo: 2.0},
-		plan.EdgeStats{M: 0.7, Fo: 2.0}, plan.EdgeStats{M: 0.8, Fo: 1.5}, plan.EdgeStats{M: 0.9, Fo: 1.2},
-		plan.EdgeStats{M: 0.9, Fo: 1.5}, plan.EdgeStats{M: 0.6, Fo: 2.5}, plan.EdgeStats{M: 0.85, Fo: 1.4})))
-	add("selective", plan.Star(6, list(
-		plan.EdgeStats{M: 0.4, Fo: 2}, plan.EdgeStats{M: 0.38, Fo: 3}, plan.EdgeStats{M: 0.4, Fo: 1},
-		plan.EdgeStats{M: 0.36, Fo: 2}, plan.EdgeStats{M: 0.4, Fo: 1}, plan.EdgeStats{M: 0.4, Fo: 1})))
-	add("serve-snowflake32", plan.Snowflake(3, 2, list(
-		plan.EdgeStats{M: 0.5, Fo: 2}, plan.EdgeStats{M: 0.5, Fo: 2}, plan.EdgeStats{M: 0.3, Fo: 3},
-		plan.EdgeStats{M: 0.4, Fo: 3}, plan.EdgeStats{M: 0.6, Fo: 2}, plan.EdgeStats{M: 0.4, Fo: 2.5},
-		plan.EdgeStats{M: 0.6, Fo: 1.5}, plan.EdgeStats{M: 0.5, Fo: 1.5}, plan.EdgeStats{M: 0.35, Fo: 4})))
-	add("serve-star", plan.Star(6, list(
-		plan.EdgeStats{M: 0.5, Fo: 2}, plan.EdgeStats{M: 0.6, Fo: 1.5}, plan.EdgeStats{M: 0.4, Fo: 3},
-		plan.EdgeStats{M: 0.55, Fo: 2}, plan.EdgeStats{M: 0.3, Fo: 4}, plan.EdgeStats{M: 0.6, Fo: 2})))
-	add("serve-path", plan.CenteredPath(7, list(
-		plan.EdgeStats{M: 0.6, Fo: 2}, plan.EdgeStats{M: 0.5, Fo: 2}, plan.EdgeStats{M: 0.5, Fo: 3},
-		plan.EdgeStats{M: 0.4, Fo: 3}, plan.EdgeStats{M: 0.6, Fo: 1.5}, plan.EdgeStats{M: 0.5, Fo: 2.5})))
+	for _, n := range []struct{ label, dataset string }{
+		{"blowup", "blowup"},
+		{"selective", "selective"},
+		{"serve-snowflake32", "snowflake32"},
+		{"serve-star", "star"},
+		{"serve-path", "path"},
+	} {
+		t, err := workload.Named(n.dataset)
+		if err != nil {
+			panic(err) // the names above are the table's own
+		}
+		add(n.label, t)
+	}
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		add(fmt.Sprintf("random%03d", seed),

@@ -11,15 +11,15 @@ import (
 
 // BenchmarkWarm times warm runs with flat output — every hash table
 // served by a map provider, one worker, the plan the exhaustive search
-// picks on the generator's statistics — over the shapes and sizes of
-// the serving benchmark's BVP+COM head (a Snowflake(3,2) and a centred
-// 7-path, 20 000 driver rows) and of its many-to-many blow-up under COM
-// (Snowflake(3,2), 55 000 driver rows). The serve shapes also run the
-// flat pipeline, STD, BVP+STD, and SJ+STD and SJ+COM — the plan the
-// service's auto queries run once phase 1 is resident — on a build side
-// reduced once by ReduceBuildSide and adopted by every run, as the
-// service adopts its cached one. Compare two commits with alternating
-// runs:
+// picks on the generator's statistics — over the benchmark's datasets
+// as workload.Named declares them: the serve mix's BVP+COM head
+// (snowflake32 and path, 20 000 driver rows) and the many-to-many
+// blow-up under COM (blowup, 55 000 driver rows), all generated at seed
+// 101. The serve shapes also run the flat pipeline, STD, BVP+STD, and
+// SJ+STD and SJ+COM — the plan the service's auto queries run once
+// phase 1 is resident — on a build side reduced once by
+// ReduceBuildSide and adopted by every run, as the service adopts its
+// cached one. Compare two commits with alternating runs:
 //
 //	go test -run '^$' -bench Warm -count 15 ./internal/exec
 func BenchmarkWarm(b *testing.B) {
@@ -28,20 +28,16 @@ func BenchmarkWarm(b *testing.B) {
 		tree *plan.Tree
 		rows int
 	}
-	snowflake := shape{"serve-snowflake", plan.Snowflake(3, 2, statsList(
-		plan.EdgeStats{M: 0.5, Fo: 2}, plan.EdgeStats{M: 0.5, Fo: 2}, plan.EdgeStats{M: 0.3, Fo: 3},
-		plan.EdgeStats{M: 0.4, Fo: 3}, plan.EdgeStats{M: 0.6, Fo: 2}, plan.EdgeStats{M: 0.4, Fo: 2.5},
-		plan.EdgeStats{M: 0.6, Fo: 1.5}, plan.EdgeStats{M: 0.5, Fo: 1.5}, plan.EdgeStats{M: 0.35, Fo: 4},
-	)), 20000}
-	path := shape{"serve-path", plan.CenteredPath(7, statsList(
-		plan.EdgeStats{M: 0.6, Fo: 2}, plan.EdgeStats{M: 0.5, Fo: 2}, plan.EdgeStats{M: 0.5, Fo: 3},
-		plan.EdgeStats{M: 0.4, Fo: 3}, plan.EdgeStats{M: 0.6, Fo: 1.5}, plan.EdgeStats{M: 0.5, Fo: 2.5},
-	)), 20000}
-	blowup := shape{"blowup", plan.Snowflake(3, 2, statsList(
-		plan.EdgeStats{M: 0.8, Fo: 2.0}, plan.EdgeStats{M: 0.9, Fo: 1.5}, plan.EdgeStats{M: 0.7, Fo: 2.0},
-		plan.EdgeStats{M: 0.7, Fo: 2.0}, plan.EdgeStats{M: 0.8, Fo: 1.5}, plan.EdgeStats{M: 0.9, Fo: 1.2},
-		plan.EdgeStats{M: 0.9, Fo: 1.5}, plan.EdgeStats{M: 0.6, Fo: 2.5}, plan.EdgeStats{M: 0.85, Fo: 1.4},
-	)), 55000}
+	named := func(label, dataset string, rows int) shape {
+		tree, err := workload.Named(dataset)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return shape{label, tree, rows}
+	}
+	snowflake := named("serve-snowflake", "snowflake32", 20000)
+	path := named("serve-path", "path", 20000)
+	blowup := named("blowup", "blowup", 55000)
 	cases := []struct {
 		shape    shape
 		strategy cost.Strategy
@@ -87,14 +83,5 @@ func BenchmarkWarm(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// statsList is a StatsSource handing out stats in order.
-func statsList(stats ...plan.EdgeStats) plan.StatsSource {
-	return func() plan.EdgeStats {
-		s := stats[0]
-		stats = stats[1:]
-		return s
 	}
 }

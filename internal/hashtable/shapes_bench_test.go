@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"m2mjoin/internal/hashtable"
-	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
 	"m2mjoin/internal/workload"
 )
@@ -14,38 +13,17 @@ import (
 // The sizing harness: the hash-table kernels timed on the child
 // relations of the two cold benchmark workloads, adhoc_selective
 // (Star(6), 200 000 driver rows) and adhoc_blowup (Snowflake(3,2),
-// 55 000 driver rows), generated at seed 1. The edge statistics are
-// copies of benchmark/datasets.go's selectiveStats and blowupStats.
-// Each shape reports build ns per row summed over its children, and
-// ProbeBatchInto and ReduceLive ns per key with every child probed by
-// its parent's key column — clustered (row order, as the generator
-// lays keys out) and shuffled — over unmasked tables and over tables
-// built under random live masks of density 0.7 and 0.3 (the two sides
-// of the half-full line where a masked build switches from one next
-// slot per row to a row map). Run it from the repository root with
+// 55 000 driver rows): workload.Named's selective and blowup datasets,
+// generated at seed 1. Each shape reports build ns per row summed over
+// its children, and ProbeBatchInto and ReduceLive ns per key with every
+// child probed by its parent's key column — clustered (row order, as
+// the generator lays keys out) and shuffled — over unmasked tables and
+// over tables built under random live masks of density 0.7 and 0.3
+// (the two sides of the half-full line where a masked build switches
+// from one next slot per row to a row map). Run it from the repository
+// root with
 //
 //	go test -run '^$' -bench Shapes -benchtime 20x ./internal/hashtable
-
-var (
-	shapeSelectiveStats = []plan.EdgeStats{
-		{M: 0.4, Fo: 2}, {M: 0.38, Fo: 3}, {M: 0.4, Fo: 1},
-		{M: 0.36, Fo: 2}, {M: 0.4, Fo: 1}, {M: 0.4, Fo: 1},
-	}
-	shapeBlowupStats = []plan.EdgeStats{
-		{M: 0.8, Fo: 2.0}, {M: 0.9, Fo: 1.5}, {M: 0.7, Fo: 2.0},
-		{M: 0.7, Fo: 2.0}, {M: 0.8, Fo: 1.5}, {M: 0.9, Fo: 1.2},
-		{M: 0.9, Fo: 1.5}, {M: 0.6, Fo: 2.5}, {M: 0.85, Fo: 1.4},
-	}
-)
-
-// statsList hands out the given statistics in order.
-func statsList(stats []plan.EdgeStats) plan.StatsSource {
-	i := 0
-	return func() plan.EdgeStats {
-		i++
-		return stats[i-1]
-	}
-}
 
 // shapeEdge is one child relation with the keys its parent probes it by.
 type shapeEdge struct {
@@ -54,8 +32,13 @@ type shapeEdge struct {
 	clustered, mixed storage.Column // parent key column, and a shuffled copy
 }
 
-// shapeEdges generates one workload's dataset and lists its edges.
-func shapeEdges(tree *plan.Tree, driverRows int) []shapeEdge {
+// shapeEdges generates one of workload.Named's datasets and lists its
+// edges.
+func shapeEdges(b *testing.B, name string, driverRows int) []shapeEdge {
+	tree, err := workload.Named(name)
+	if err != nil {
+		b.Fatal(err)
+	}
 	ds := workload.Generate(tree, workload.Config{DriverRows: driverRows, Seed: 1})
 	rng := rand.New(rand.NewSource(1))
 	var edges []shapeEdge
@@ -74,8 +57,8 @@ func BenchmarkShapes(b *testing.B) {
 		name  string
 		edges []shapeEdge
 	}{
-		{"selective", shapeEdges(plan.Star(6, statsList(shapeSelectiveStats)), 200_000)},
-		{"blowup", shapeEdges(plan.Snowflake(3, 2, statsList(shapeBlowupStats)), 55_000)},
+		{"selective", shapeEdges(b, "selective", 200_000)},
+		{"blowup", shapeEdges(b, "blowup", 55_000)},
 	}
 	rng := rand.New(rand.NewSource(2))
 	for _, density := range []float64{1, 0.7, 0.3} {

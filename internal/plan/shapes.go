@@ -89,9 +89,9 @@ func Snowflake(k, j int, src StatsSource) *Tree {
 }
 
 // ShapeByName builds one of the paper's four evaluation shapes
-// (Section 5.2) by the name the CLIs and the service's registration API
-// share: "star" (6 dimensions), "path" (7 relations, centered driver),
-// "snowflake32" and "snowflake51".
+// (Section 5.2) by the name the CLIs (m2mquery, m2mdata) and the
+// workload table (workload.Named) use: "star" (6 dimensions), "path"
+// (7 relations, centered driver), "snowflake32" and "snowflake51".
 func ShapeByName(name string, src StatsSource) (*Tree, error) {
 	switch name {
 	case "star":

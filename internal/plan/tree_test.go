@@ -254,8 +254,8 @@ func TestSnowflakeShape(t *testing.T) {
 	}
 }
 
-// TestShapeByName pins the names the CLIs and the registration API
-// share to the shapes they have always meant.
+// TestShapeByName pins the names the CLIs and the workload table use
+// to the shapes they have always meant.
 func TestShapeByName(t *testing.T) {
 	for _, tc := range []struct {
 		name                string

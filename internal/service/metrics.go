@@ -17,7 +17,7 @@ import (
 // /metrics cannot drift (a test pins it). State that lives in another
 // component — cache residency, admission depth, breaker state — is
 // exposed as a CounterFunc/GaugeFunc read from that component at scrape
-// time. Latency distributions and the per-dataset executor-counter
+// time. Latency distributions and the per-dataset executed-counter
 // totals are recorded once per query on the return path; Stats reads
 // its latency quantiles from the same histogram, in process.
 
@@ -154,12 +154,12 @@ func (m *serviceMetrics) registerDataset(e *datasetEntry) {
 	m.reg.GaugeFunc(metricBreakerState, "Circuit breaker state by dataset (0 closed, 1 half-open, 2 open).", lbl,
 		func() int64 { return breakerStateValue(e.breaker.snapshot(name).State) })
 	e.met = &datasetMetrics{
-		hashProbes:     m.reg.Counter(metricExecHashProbes, "Executor hash-table probes by dataset.", lbl),
-		filterProbes:   m.reg.Counter(metricExecFilterProbes, "Executor bitvector-filter probes by dataset.", lbl),
-		semiJoinProbes: m.reg.Counter(metricExecSemiJoinProbes, "Executor semi-join probes by dataset.", lbl),
+		hashProbes:     m.reg.Counter(metricExecHashProbes, "Hash-table probes executed by dataset.", lbl),
+		filterProbes:   m.reg.Counter(metricExecFilterProbes, "Bitvector-filter probes executed by dataset.", lbl),
+		semiJoinProbes: m.reg.Counter(metricExecSemiJoinProbes, "Semi-join probes executed by dataset.", lbl),
 		outputTuples:   m.reg.Counter(metricExecOutputTuples, "Result tuples produced by dataset.", lbl),
-		tagHits:        m.reg.Counter(metricExecTagHits, "Bloom-tag directory hits by dataset.", lbl),
-		tagMisses:      m.reg.Counter(metricExecTagMisses, "Bloom-tag directory misses by dataset.", lbl),
+		tagHits:        m.reg.Counter(metricExecTagHits, "Bloom-tag directory hits of executed probes by dataset.", lbl),
+		tagMisses:      m.reg.Counter(metricExecTagMisses, "Bloom-tag directory misses of executed probes by dataset.", lbl),
 	}
 }
 
@@ -175,11 +175,13 @@ func breakerStateValue(st BreakerState) int64 {
 
 // recordQuery records one finished Query call: the end-to-end latency
 // histogram (class "ok" on success, the failure class otherwise), and
-// — on success — the executor counters folded into the dataset's
-// series from the very Stats the caller receives, so the registry
-// totals reconcile exactly with client-side sums. A query naming no
-// catalog entry (e nil) is labelled dataset="" — a name no dataset can
-// register — so unknown names cannot mint series.
+// — on success — the executed counters (Stats.Executed: a phase 1
+// adopted from the cache is work the query did not do) folded into the
+// dataset's series from the very Stats the caller receives, so the
+// registry totals reconcile exactly with client-side sums of
+// Executed(). A query naming no catalog entry (e nil) is labelled
+// dataset="" — a name no dataset can register — so unknown names
+// cannot mint series.
 func (m *serviceMetrics) recordQuery(e *datasetEntry, strategy string, cls Class, total time.Duration, st *exec.Stats) {
 	if strategy == "" {
 		strategy = "none"
@@ -197,13 +199,13 @@ func (m *serviceMetrics) recordQuery(e *datasetEntry, strategy string, cls Class
 	if st == nil || e == nil || e.met == nil {
 		return
 	}
-	dm := e.met
-	dm.hashProbes.Add(st.HashProbes)
-	dm.filterProbes.Add(st.FilterProbes)
-	dm.semiJoinProbes.Add(st.SemiJoinProbes)
-	dm.outputTuples.Add(st.OutputTuples)
-	dm.tagHits.Add(st.TagHits)
-	dm.tagMisses.Add(st.TagMisses)
+	dm, ex := e.met, st.Executed()
+	dm.hashProbes.Add(ex.HashProbes)
+	dm.filterProbes.Add(ex.FilterProbes)
+	dm.semiJoinProbes.Add(ex.SemiJoinProbes)
+	dm.outputTuples.Add(ex.OutputTuples)
+	dm.tagHits.Add(ex.TagHits)
+	dm.tagMisses.Add(ex.TagMisses)
 }
 
 // observeDispatch records one shard dispatch attempt's latency under

@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"os"
 	"runtime"
 	"sort"
@@ -429,9 +428,11 @@ func (s *Service) Datasets() []DatasetInfo {
 
 // RegisterRequest names a dataset and its source, and is the POST
 // /v1/datasets body. Dir loads a directory written by m2mdata;
-// otherwise the dataset is generated on Shape (plan.ShapeByName's,
-// default snowflake32) with the CLIs' default statistic ranges, Rows
-// driver rows (default 10000) and Seed.
+// otherwise the dataset is generated on Shape, a dataset of the
+// benchmark's table (workload.Named: blowup, selective, snowflake32,
+// star or path; default snowflake32) with that dataset's fixed edge
+// statistics, Rows driver rows (default 10000) and Seed. The seed
+// varies the rows only, never the statistics.
 type RegisterRequest struct {
 	Name  string `json:"name"`
 	Dir   string `json:"dir,omitempty"`
@@ -442,8 +443,7 @@ type RegisterRequest struct {
 
 // tree builds the join tree a generated dataset is laid out on.
 func (r RegisterRequest) tree() (*plan.Tree, error) {
-	rng := rand.New(rand.NewSource(r.Seed))
-	return plan.ShapeByName(cmp.Or(r.Shape, "snowflake32"), plan.UniformStats(rng, 0.2, 0.6, 1, 5))
+	return workload.Named(cmp.Or(r.Shape, "snowflake32"))
 }
 
 // Register loads or generates the dataset req describes and adds it to
@@ -477,28 +477,39 @@ func (s *Service) Register(req RegisterRequest) (DatasetInfo, error) {
 	return s.RegisterDataset(req.Name, ds)
 }
 
-// StandardMix is the standard mixed-shape workload: three generated
-// datasets and, per dataset, an auto-planned query, two fixed-strategy
-// queries (one build-bound, one SJ, whose whole build side is cached)
-// and a driver-selection variant. It registers nothing: callers pass
-// regs to Register (m2mserve -preload) or post them to /v1/datasets
-// (m2mload).
+// StandardMix is the benchmark's serve mix (serve_warm_mix and
+// serve_sharded_writes): the table's snowflake32, star and path
+// datasets with rows driver rows each, generated at seeds seed*100+1,
+// +2 and +3, and 12 query templates in the benchmark's Zipf rank order,
+// which is variant-major — the three auto-planned flat queries are the
+// popular head, then BVP+COM factorized, SJ+COM flat (whose whole build
+// side is cached), and COM flat selecting root row id = i+1 of the i-th
+// dataset. It registers nothing: callers pass regs to Register
+// (m2mserve -preload) or post them to /v1/datasets (m2mload).
 func StandardMix(rows int, seed int64) (regs []RegisterRequest, templates []Request) {
-	for i, shape := range []string{"snowflake32", "star", "path"} {
-		reg := RegisterRequest{Name: "load_" + shape, Shape: shape, Rows: rows, Seed: seed + int64(i)}
-		tree, err := reg.tree()
-		if err != nil {
-			panic(err) // the shapes above are ShapeByName's own
+	for i, name := range []string{"snowflake32", "star", "path"} {
+		regs = append(regs, RegisterRequest{Name: name, Shape: name, Rows: rows, Seed: seed*100 + int64(i+1)})
+	}
+	for _, v := range []struct {
+		strategy  string
+		flat, sel bool
+	}{
+		{"", true, false},
+		{"BVP+COM", false, false},
+		{"SJ+COM", true, false},
+		{"COM", true, true},
+	} {
+		for i, reg := range regs {
+			req := Request{Dataset: reg.Name, Strategy: v.strategy, FlatOutput: v.flat}
+			if v.sel {
+				tree, err := reg.tree()
+				if err != nil {
+					panic(err) // the names above are the table's own
+				}
+				req.Selections = []SelectionSpec{{Relation: tree.Name(plan.Root), Column: "id", Value: int64(i + 1)}}
+			}
+			templates = append(templates, req)
 		}
-		regs = append(regs, reg)
-		templates = append(templates,
-			Request{Dataset: reg.Name},
-			Request{Dataset: reg.Name, Strategy: "BVP+COM"},
-			Request{Dataset: reg.Name, Strategy: "SJ+COM"},
-			Request{Dataset: reg.Name, Strategy: "COM", Selections: []SelectionSpec{
-				{Relation: tree.Name(plan.Root), Column: "id", Value: int64(i)},
-			}},
-		)
 	}
 	return regs, templates
 }

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -679,6 +680,62 @@ func TestRegisterRefusesBeforeLoading(t *testing.T) {
 				t.Fatalf("%d datasets registered, want the first only", n)
 			}
 		})
+	}
+}
+
+// TestStandardMixIsTheServeMix: StandardMix(20000, 1), once
+// registered, holds the data the benchmark's serve workloads pin at
+// seed 1 (info.fingerprints in benchmark/results/aa_seed1_a.json), and
+// its templates are the benchmark's 12, in its variant-major rank
+// order.
+func TestStandardMixIsTheServeMix(t *testing.T) {
+	raw, err := os.ReadFile("../../benchmark/results/aa_seed1_a.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		Workloads map[string]struct {
+			Info struct {
+				Fingerprints map[string]string `json:"fingerprints"`
+			} `json:"info"`
+		} `json:"workloads"`
+	}
+	if err := json.Unmarshal(raw, &file); err != nil {
+		t.Fatal(err)
+	}
+	want := file.Workloads["serve_warm_mix"].Info.Fingerprints
+	svc := New(Config{})
+	regs, templates := StandardMix(20000, 1)
+	if len(regs) != len(want) {
+		t.Fatalf("%d datasets, the benchmark pins %d", len(regs), len(want))
+	}
+	for _, reg := range regs {
+		info, err := svc.Register(reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%016x", info.Fingerprint); got != want[reg.Name] {
+			t.Errorf("%s: fingerprint %s, the benchmark pins %q", reg.Name, got, want[reg.Name])
+		}
+	}
+	sel := func(ds string, id int64) Request {
+		return Request{Dataset: ds, Strategy: "COM", FlatOutput: true,
+			Selections: []SelectionSpec{{Relation: "R1", Column: "id", Value: id}}}
+	}
+	wantTemplates := []Request{
+		{Dataset: "snowflake32", FlatOutput: true},
+		{Dataset: "star", FlatOutput: true},
+		{Dataset: "path", FlatOutput: true},
+		{Dataset: "snowflake32", Strategy: "BVP+COM"},
+		{Dataset: "star", Strategy: "BVP+COM"},
+		{Dataset: "path", Strategy: "BVP+COM"},
+		{Dataset: "snowflake32", Strategy: "SJ+COM", FlatOutput: true},
+		{Dataset: "star", Strategy: "SJ+COM", FlatOutput: true},
+		{Dataset: "path", Strategy: "SJ+COM", FlatOutput: true},
+		sel("snowflake32", 1), sel("star", 2), sel("path", 3),
+	}
+	if !reflect.DeepEqual(templates, wantTemplates) {
+		t.Errorf("templates\n%+v\nwant the benchmark's\n%+v", templates, wantTemplates)
 	}
 }
 

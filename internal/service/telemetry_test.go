@@ -98,7 +98,8 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	ctx := context.Background()
 
 	// Successes: mixed strategies, twice each so the cache serves hits,
-	// summing the executor counters client-side as we go. The last one
+	// summing the executed counters (Stats.Executed) client-side as we
+	// go. The last one
 	// selects, so its selected relation misses the cache.
 	var hash, filter, semi, tuples, tagHits, tagMisses int64
 	okCalls := 0
@@ -114,12 +115,13 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 			t.Fatalf("%s: %v", req.Strategy, err)
 		}
 		okCalls++
-		hash += res.Stats.HashProbes
-		filter += res.Stats.FilterProbes
-		semi += res.Stats.SemiJoinProbes
-		tuples += res.Stats.OutputTuples
-		tagHits += res.Stats.TagHits
-		tagMisses += res.Stats.TagMisses
+		ex := res.Stats.Executed()
+		hash += ex.HashProbes
+		filter += ex.FilterProbes
+		semi += ex.SemiJoinProbes
+		tuples += ex.OutputTuples
+		tagHits += ex.TagHits
+		tagMisses += ex.TagMisses
 	}
 
 	// Invalid: unknown dataset, then a bad minCoverage.
@@ -193,7 +195,8 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	wantSample(t, samples, metricBreakerState, map[string]string{"dataset": "ds"}, 0)
 
 	// Executor counters: the registry series must equal the client-side
-	// sums of the very Stats each successful query returned.
+	// sums of Executed() of the very Stats each successful query
+	// returned.
 	lbl := map[string]string{"dataset": "ds"}
 	wantSample(t, samples, metricExecHashProbes, lbl, hash)
 	wantSample(t, samples, metricExecFilterProbes, lbl, filter)
@@ -258,6 +261,56 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 			t.Errorf("%s: breaker window ok=%d failures=%d after one success and one failure, want 1 and 1",
 				path.name, b.WindowOK, b.WindowFailures)
 		}
+	}
+}
+
+// TestExecSeriesCountExecutedWork: the per-dataset executor series
+// count the work a query executed. A cold SJ+COM query adds exactly its
+// semi-join probes and tag lookups; a repeat adopts the resident phase
+// 1, so it adds no semi-join probes and only its phase 2's tag lookups,
+// though its Stats still report the phase-1 probes the answer costs.
+func TestExecSeriesCountExecutedWork(t *testing.T) {
+	ds := genDataset(t, 1500, 3)
+	svc := New(Config{Parallelism: 2, MaxConcurrent: 2, CacheBytes: 64 << 20})
+	if _, err := svc.RegisterDataset("ds", ds); err != nil {
+		t.Fatal(err)
+	}
+	lbl := map[string]string{"dataset": "ds"}
+	series := func() (semi, tagHits, tagMisses float64) {
+		text := scrape(t, svc)
+		return sumSamples(t, text, metricExecSemiJoinProbes, lbl),
+			sumSamples(t, text, metricExecTagHits, lbl), sumSamples(t, text, metricExecTagMisses, lbl)
+	}
+	req := Request{Dataset: "ds", Strategy: "SJ+COM", FlatOutput: true}
+	cold, err := svc.Query(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Stats.Phase1Adopted || cold.Stats.SemiJoinProbes == 0 {
+		t.Fatalf("first SJ query: adopted=%v with %d semi-join probes, want a cold phase 1",
+			cold.Stats.Phase1Adopted, cold.Stats.SemiJoinProbes)
+	}
+	semi, hits, misses := series()
+	if semi != float64(cold.Stats.SemiJoinProbes) || hits != float64(cold.Stats.TagHits) || misses != float64(cold.Stats.TagMisses) {
+		t.Errorf("after the cold query: series semijoin=%v tag hits=%v misses=%v, want its %d/%d/%d",
+			semi, hits, misses, cold.Stats.SemiJoinProbes, cold.Stats.TagHits, cold.Stats.TagMisses)
+	}
+	warm, err := svc.Query(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Stats.Phase1Adopted || warm.Stats.SemiJoinProbes != cold.Stats.SemiJoinProbes {
+		t.Fatalf("repeat: adopted=%v with %d semi-join probes, want the resident phase 1's %d",
+			warm.Stats.Phase1Adopted, warm.Stats.SemiJoinProbes, cold.Stats.SemiJoinProbes)
+	}
+	ex := warm.Stats.Executed()
+	semi2, hits2, misses2 := series()
+	if semi2 != semi {
+		t.Errorf("an adopting query moved %s from %v to %v", metricExecSemiJoinProbes, semi, semi2)
+	}
+	if hits2-hits != float64(ex.TagHits) || misses2-misses != float64(ex.TagMisses) {
+		t.Errorf("an adopting query added tag hits %v misses %v, want its executed %d/%d",
+			hits2-hits, misses2-misses, ex.TagHits, ex.TagMisses)
 	}
 }
 
